@@ -530,6 +530,38 @@ def _float_list(text: str) -> list:
         raise argparse.ArgumentTypeError(f"bad float list {text!r}: {exc}") from exc
 
 
+_LIST_FLAGS = ("--alpha-sweep", "--g-sweep")
+
+
+def _attach_list_values(argv: list) -> list:
+    """Rewrite ``--g-sweep -0.01,0.01`` as ``--g-sweep=-0.01,0.01``.
+
+    argparse takes a separate token that starts with "-" and is not a
+    single number for a flag, so a list with a leading minus would fail
+    with "expected one argument"; attached with "=" it parses.
+    """
+    out = []
+    k = 0
+    while k < len(argv):
+        tok = argv[k]
+        if tok == "--":
+            out.extend(argv[k:])
+            break
+        nxt = argv[k + 1] if k + 1 < len(argv) else ""
+        if tok in _LIST_FLAGS and nxt.startswith("-"):
+            try:
+                _float_list(nxt)
+            except argparse.ArgumentTypeError:
+                pass
+            else:
+                out.append(f"{tok}={nxt}")
+                k += 2
+                continue
+        out.append(tok)
+        k += 1
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weaklab",
@@ -593,7 +625,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_attach_list_values(argv))
 
     if args.command == "validate":
         try:

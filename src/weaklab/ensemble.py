@@ -28,6 +28,7 @@ from .hilbert import GridConfig, Operator, StateVector
 from .pointer import (
     MOMENTUM,
     POSITION,
+    CcrProtocolResult,
     measure_weakly,
     readout_distribution,
     run_ccr_protocol,
@@ -134,7 +135,8 @@ def _run_blocks(master_seed, stream, n_trials, block_fn, n_workers):
     def one(b):
         lo = b * BLOCK
         size = min(BLOCK, n_trials - lo)
-        u = _block_stream(master_seed, stream, b).random((BLOCK, _DRAWS))[:size]
+        # random((size, 4)) is the first ``size`` rows of random((BLOCK, 4))
+        u = _block_stream(master_seed, stream, b).random((size, _DRAWS))
         return block_fn(u)
 
     if n_workers > 1:
@@ -143,22 +145,29 @@ def _run_blocks(master_seed, stream, n_trials, block_fn, n_workers):
     return [one(b) for b in blocks]
 
 
-def run_trials(cfg: TrialConfig, n_workers: int = 1) -> EnsembleStats:
+def run_trials(
+    cfg: TrialConfig,
+    n_workers: int = 1,
+    chain: CcrProtocolResult | None = None,
+) -> EnsembleStats:
     """Sample the full two-stage protocol; see module docstring.
 
     The conditional chain is deterministic for a fixed config, so it is
     evolved once exactly; per-trial randomness is the two selection
-    gates and the two readout draws.
+    gates and the two readout draws.  A caller that already holds the
+    chain of this config (``run_ccr_protocol`` on the same inputs) passes
+    it as ``chain`` and it is used as is.
     """
-    try:
-        chain = run_ccr_protocol(
-            cfg.i, cfg.f, cfg.x_op, cfg.p_op, cfg.sigma, cfg.sigma_prime, cfg.g,
-            grid=cfg.grid, grid_prime=cfg.grid_prime, hbar=cfg.hbar,
-        )
-    except SelectionAnnihilated as exc:
-        raise NoAcceptedTrials(
-            f"a selection annihilates every trial: {exc}"
-        ) from exc
+    if chain is None:
+        try:
+            chain = run_ccr_protocol(
+                cfg.i, cfg.f, cfg.x_op, cfg.p_op, cfg.sigma, cfg.sigma_prime, cfg.g,
+                grid=cfg.grid, grid_prime=cfg.grid_prime, hbar=cfg.hbar,
+            )
+        except SelectionAnnihilated as exc:
+            raise NoAcceptedTrials(
+                f"a selection annihilates every trial: {exc}"
+            ) from exc
     q1, q2 = chain.prob_mid, chain.prob_post
     v1, p1 = readout_distribution(chain.pointer_first, cfg.readout_first)
     v2, p2 = readout_distribution(chain.pointer_second, cfg.readout_second)

@@ -38,7 +38,9 @@ from .hilbert import (
     pauli,
 )
 from . import ensemble as mc
-from .pointer import run_ccr_protocol
+# run_ccr_protocol is the one-selection form of run_ccr_protocols; it stays
+# importable here because bench/tracer.py wraps it under this module's name.
+from .pointer import run_ccr_protocol, run_ccr_protocols  # noqa: F401
 from .weakcorr import (
     averaged_weak_correlation,
     ccr_decomposition,
@@ -317,13 +319,14 @@ def ccr_experiment(
         keep = [int(j) for j in order[:n_keep] if weights[j] > 1e-24]
         row_by_index = {r.index: k for k, r in enumerate(rows)}
         exact_terms = []
-        chains = {}
+        p_vectors = np.stack([f.amplitudes for f in p_basis], axis=1)
+        chains = dict(zip(keep, run_ccr_protocols(
+            i, [p_basis[j] for j in keep], x_op, p_op, sigma, sigma_prime, g,
+            grid=grid, grid_prime=grid_prime, hbar=hbar,
+            p_eigensystem=(p_eigs, p_vectors),
+        )))
         for j in keep:
-            res = run_ccr_protocol(
-                i, p_basis[j], x_op, p_op, sigma, sigma_prime, g,
-                grid=grid, grid_prime=grid_prime, hbar=hbar,
-            )
-            chains[j] = res
+            res = chains[j]
             exact_terms.append(weights[j] * res.dx_d * res.dx_d_prime)
             k = row_by_index[j]
             rows[k] = MidSelectionRow(
@@ -356,7 +359,7 @@ def ccr_experiment(
                     n_trials=int(a), master_seed=_subseed(seed, j),
                     grid=grid, grid_prime=grid_prime, hbar=hbar,
                 )
-                stats = mc.run_trials(cfg, n_workers=n_workers)
+                stats = mc.run_trials(cfg, n_workers=n_workers, chain=chains[j])
                 mc_terms.append(weights[j] * stats.mean_product)
                 mc_vars.append((weights[j] * stats.stderr_product) ** 2)
                 mc_accepted += stats.accepted

@@ -11,6 +11,23 @@ sign * g * (observable x generator) integrated to unit impulse, so the
 applied unitary is exp(-i * sign * g * observable x generator / hbar);
 the position-position stage uses sign = -1, the momentum-momentum stage
 sign = +1.  hbar is taken from the pointer grid config.
+
+Every stage is linear in the system state.  With (w_l, v_l) the
+eigensystem of the coupled observable, preparing |a> x phi, coupling and
+selecting <b| leaves the unnormalized conditional pointer
+
+    sum_l <b|v_l> <v_l|a> K_l phi,
+
+where K_l is the phase profile exp(-i sign g w_l x / hbar) (position
+generator) or the translation exp(-i sign g w_l k) applied in the Fourier
+domain (momentum generator).  ``conditional_pointers`` evaluates this for
+a whole list of selections at once: one (selections x levels) by
+(levels x points) product, followed for the momentum generator by one
+inverse FFT along the rows.  ``measure_weakly``, ``run_ccr_protocol`` and
+``run_ccr_protocols`` are built on it.  The joint-state path
+(``product_joint`` -> ``couple`` -> ``select``) evolves the full
+system x pointer state and is kept as the oracle the kernel is tested
+against.
 """
 
 from __future__ import annotations
@@ -130,15 +147,29 @@ def product_joint(system: StateVector, pointer: PointerState) -> JointState:
     return JointState(system.basis_id, pointer.grid, amps, pointer.sigma)
 
 
-def _observable_eigensystem(op: Operator):
+def _observable_eigensystem(op: Operator, eigensystem=None):
+    """(w, v) of a Hermitian observable; v is None when it is diagonal.
+
+    A known ``eigensystem`` (e.g. from ``hilbert.eigenbasis``) is passed
+    through after the Hermiticity check instead of diagonalizing again.
+    """
     mat = op.matrix
     if np.max(np.abs(mat - mat.conj().T)) > 1e-12:
         raise NotHermitian("coupled observable must be Hermitian")
+    if eigensystem is not None:
+        return eigensystem
     off = mat - np.diag(np.diag(mat))
     if np.count_nonzero(off) == 0:
         return np.real(np.diag(mat)), None  # already diagonal
     w, v = np.linalg.eigh(mat)
     return w, v
+
+
+def _check_amplitude(amplitude: float) -> None:
+    if amplitude <= ANNIHILATION_ATOL:
+        raise SelectionAnnihilated(
+            f"selection amplitude {amplitude:.3e} <= {ANNIHILATION_ATOL}"
+        )
 
 
 def couple(joint: JointState, spec: CouplingSpec) -> JointState:
@@ -184,11 +215,62 @@ def select(joint: JointState, target: StateVector) -> tuple[PointerState, float]
         )
     raw = target.amplitudes.conj() @ joint.amplitudes
     amplitude = math.sqrt(float(np.sum(np.abs(raw) ** 2)) * joint.grid.spacing)
-    if amplitude <= ANNIHILATION_ATOL:
-        raise SelectionAnnihilated(
-            f"selection amplitude {amplitude:.3e} <= {ANNIHILATION_ATOL}"
-        )
+    _check_amplitude(amplitude)
     return PointerState(joint.grid, raw, joint.sigma), amplitude
+
+
+def _state_columns(states, observable: Operator) -> np.ndarray:
+    """Amplitudes of ``states`` as columns, checked against the observable's basis."""
+    for s in states:
+        if s.basis_id != observable.basis_id:
+            raise BasisMismatch(
+                f"observable on {observable.basis_id!r}, state on {s.basis_id!r}"
+            )
+        if s.dim != observable.dim:
+            raise BasisMismatch("observable dimension does not match state")
+    return np.stack([s.amplitudes for s in states], axis=1)
+
+
+def conditional_pointers(
+    initial,
+    final,
+    spec: CouplingSpec,
+    pointer: PointerState,
+    eigensystem=None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalized conditional pointers of one stage, one row per selection.
+
+    Row s is <final_s| exp(-i sign g observable x generator / hbar)
+    |initial_s> x pointer, exactly as ``select(couple(product_joint(...)))``
+    would leave it before renormalization.  ``initial`` and ``final`` are
+    sequences of states of equal length, or one of them has length one and
+    is paired with every entry of the other.  ``eigensystem`` (w, v) of
+    the observable skips its diagonalization.  Returns the rows, shape
+    (selections, n_points), and their L2 norms (selection amplitudes).
+    """
+    a = _state_columns(initial, spec.observable)
+    b = _state_columns(final, spec.observable)
+    if a.shape[1] != b.shape[1] and 1 not in (a.shape[1], b.shape[1]):
+        raise InvalidConfig(
+            f"{a.shape[1]} initial states cannot pair with {b.shape[1]} final states"
+        )
+    w, v = _observable_eigensystem(spec.observable, eigensystem)
+    if v is not None:
+        a = v.conj().T @ a
+        b = v.conj().T @ b
+    coeffs = b.conj().T * a.T  # <b_s|v_l><v_l|a_s>, shape (selections, levels)
+    grid = pointer.grid
+    coeff = -1j * spec.sign * spec.strength
+    if spec.pointer_generator == POSITION:
+        kernel = np.exp(coeff * np.outer(w, grid.positions()) / grid.hbar)
+        kernel *= pointer.wavefunction
+        rows = coeffs @ kernel
+    else:
+        kernel = np.exp(coeff * np.outer(w, grid.wavenumbers()))  # the hbar cancels
+        kernel *= np.fft.fft(pointer.wavefunction)
+        rows = np.fft.ifft(coeffs @ kernel, axis=1)
+    amplitudes = np.sqrt(np.sum(np.abs(rows) ** 2, axis=1) * grid.spacing)
+    return rows, amplitudes
 
 
 def pointer_mean_position(p: PointerState) -> float:
@@ -243,6 +325,25 @@ class WeakStageResult:
     amplitude: float
 
 
+def _pointer_grid(grid: GridConfig | None, sigma: float, hbar: float) -> GridConfig:
+    grid = grid or default_pointer_grid(sigma, hbar)
+    if grid.hbar != hbar:
+        raise InvalidConfig(
+            f"pointer grid hbar {grid.hbar} != protocol hbar {hbar}"
+        )
+    return grid
+
+
+def _stage_result(pointer: PointerState, row: np.ndarray, amplitude: float) -> WeakStageResult:
+    amplitude = float(amplitude)
+    _check_amplitude(amplitude)
+    return WeakStageResult(
+        pointer=PointerState(pointer.grid, row, pointer.sigma),
+        probability=amplitude * amplitude,
+        amplitude=amplitude,
+    )
+
+
 def measure_weakly(
     i: StateVector,
     f: StateVector,
@@ -255,15 +356,10 @@ def measure_weakly(
     hbar: float = 1.0,
 ) -> WeakStageResult:
     """Prepare i x Gaussian, couple, select f; exact throughout."""
-    grid = grid or default_pointer_grid(sigma, hbar)
-    if grid.hbar != hbar:
-        raise InvalidConfig(
-            f"pointer grid hbar {grid.hbar} != protocol hbar {hbar}"
-        )
-    phi = gaussian_pointer(grid, sigma)
-    joint = couple(product_joint(i, phi), CouplingSpec(observable, generator, g, sign))
-    cond, amp = select(joint, f)
-    return WeakStageResult(pointer=cond, probability=amp * amp, amplitude=amp)
+    phi = gaussian_pointer(_pointer_grid(grid, sigma, hbar), sigma)
+    spec = CouplingSpec(observable, generator, g, sign)
+    rows, amps = conditional_pointers([i], [f], spec, phi)
+    return _stage_result(phi, rows[0], amps[0])
 
 
 @dataclass(frozen=True)
@@ -282,6 +378,83 @@ class CcrProtocolResult:
     predicted_dx_prime: float
 
 
+def run_ccr_protocols(
+    i: StateVector,
+    finals,
+    x_op: Operator,
+    p_op: Operator,
+    sigma: float,
+    sigma_prime: float,
+    g: float,
+    grid: GridConfig | None = None,
+    grid_prime: GridConfig | None = None,
+    hbar: float = 1.0,
+    p_eigensystem=None,
+) -> list[CcrProtocolResult]:
+    """Exact two-pointer commutator chains for a list of mid-selections.
+
+    Stage one: prepare i x P, couple position-position with strength g
+    (attractive sign), select f, read P's position.  Stage two: prepare
+    f x P', couple momentum-momentum, select i again, read P''s position.
+    First-order predictions from the closed-form weak values ride along
+    so the weakness error is measurable.
+
+    Each stage is one ``conditional_pointers`` call for all of ``finals``;
+    ``p_eigensystem`` (w, v) of ``p_op`` skips its diagonalization.  Rows
+    are checked in order, and the first failing one raises:
+    GridResolutionError when a predicted shift exceeds a quarter of its
+    grid, SelectionAnnihilated when a selection leaves no amplitude.
+    """
+    grid = _pointer_grid(grid, sigma, hbar)
+    grid_prime = _pointer_grid(grid_prime, sigma_prime, hbar)
+    phi = gaussian_pointer(grid, sigma)
+    phi_prime = gaussian_pointer(grid_prime, sigma_prime)
+    rows1, amps1 = conditional_pointers(
+        [i], finals, CouplingSpec(x_op, POSITION, g, -1), phi
+    )
+    rows2, amps2 = conditional_pointers(
+        finals, [i], CouplingSpec(p_op, MOMENTUM, g, +1), phi_prime, p_eigensystem
+    )
+    nan = complex(float("nan"), float("nan"))
+    results = []
+    for s, f in enumerate(finals):
+        try:
+            x_w = weak_value(i, f, x_op, FORWARD).value
+            p_w_bar = weak_value(i, f, p_op, REVERSE).value  # <i|p|f>/<i|f>
+        except OrthogonalSelection:
+            # predictions undefined; the exact chain decides whether the
+            # selections annihilate
+            x_w = p_w_bar = nan
+        predicted_dx = -2.0 * sigma**2 * g * x_w.imag / hbar
+        predicted_dx_prime = g * p_w_bar.real
+        if math.isfinite(predicted_dx) and abs(predicted_dx) > grid.length / 4.0:
+            raise GridResolutionError(
+                f"predicted P shift {predicted_dx:.3g} exceeds length/4 = {grid.length / 4}"
+            )
+        if math.isfinite(abs(g * p_w_bar)) and abs(g * p_w_bar) > grid_prime.length / 4.0:
+            raise GridResolutionError(
+                f"predicted P' translation {abs(g * p_w_bar):.3g} exceeds "
+                f"length/4 = {grid_prime.length / 4}"
+            )
+        stage1 = _stage_result(phi, rows1[s], amps1[s])
+        stage2 = _stage_result(phi_prime, rows2[s], amps2[s])
+        results.append(
+            CcrProtocolResult(
+                dx_d=pointer_mean_position(stage1.pointer),
+                dx_d_prime=pointer_mean_position(stage2.pointer),
+                prob_mid=stage1.probability,
+                prob_post=stage2.probability,
+                pointer_first=stage1.pointer,
+                pointer_second=stage2.pointer,
+                x_w=x_w,
+                p_w_bar=p_w_bar,
+                predicted_dx=predicted_dx,
+                predicted_dx_prime=predicted_dx_prime,
+            )
+        )
+    return results
+
+
 def run_ccr_protocol(
     i: StateVector,
     f: StateVector,
@@ -294,51 +467,9 @@ def run_ccr_protocol(
     grid_prime: GridConfig | None = None,
     hbar: float = 1.0,
 ) -> CcrProtocolResult:
-    """Full exact chain of the two-pointer commutator measurement.
-
-    Stage one: prepare i x P, couple position-position with strength g
-    (attractive sign), select f, read P's position.  Stage two: prepare
-    f x P', couple momentum-momentum, select i again, read P''s position.
-    First-order predictions from the closed-form weak values ride along
-    so the weakness error is measurable.
-    """
-    grid = grid or default_pointer_grid(sigma, hbar)
-    grid_prime = grid_prime or default_pointer_grid(sigma_prime, hbar)
-    nan = complex(float("nan"), float("nan"))
-    try:
-        x_w = weak_value(i, f, x_op, FORWARD).value
-        p_w_bar = weak_value(i, f, p_op, REVERSE).value  # <i|p|f>/<i|f>
-    except OrthogonalSelection:
-        # predictions undefined; the exact chain below decides whether the
-        # selections annihilate
-        x_w = p_w_bar = nan
-    predicted_dx = -2.0 * sigma**2 * g * x_w.imag / hbar
-    predicted_dx_prime = g * p_w_bar.real
-    if math.isfinite(predicted_dx) and abs(predicted_dx) > grid.length / 4.0:
-        raise GridResolutionError(
-            f"predicted P shift {predicted_dx:.3g} exceeds length/4 = {grid.length / 4}"
-        )
-    if math.isfinite(abs(g * p_w_bar)) and abs(g * p_w_bar) > grid_prime.length / 4.0:
-        raise GridResolutionError(
-            f"predicted P' translation {abs(g * p_w_bar):.3g} exceeds "
-            f"length/4 = {grid_prime.length / 4}"
-        )
-
-    stage1 = measure_weakly(
-        i, f, x_op, sigma, g, grid, generator=POSITION, sign=-1, hbar=hbar
-    )
-    stage2 = measure_weakly(
-        f, i, p_op, sigma_prime, g, grid_prime, generator=MOMENTUM, sign=+1, hbar=hbar
-    )
-    return CcrProtocolResult(
-        dx_d=pointer_mean_position(stage1.pointer),
-        dx_d_prime=pointer_mean_position(stage2.pointer),
-        prob_mid=stage1.probability,
-        prob_post=stage2.probability,
-        pointer_first=stage1.pointer,
-        pointer_second=stage2.pointer,
-        x_w=x_w,
-        p_w_bar=p_w_bar,
-        predicted_dx=predicted_dx,
-        predicted_dx_prime=predicted_dx_prime,
-    )
+    """Full exact chain of the two-pointer commutator measurement for one
+    mid-selection ``f``; see ``run_ccr_protocols``."""
+    return run_ccr_protocols(
+        i, [f], x_op, p_op, sigma, sigma_prime, g,
+        grid=grid, grid_prime=grid_prime, hbar=hbar,
+    )[0]

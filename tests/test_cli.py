@@ -196,3 +196,26 @@ def test_config_file_flag_precedence(tmp_path):
     assert record["config"]["pauli"]["alpha"] == 0.7  # flag wins
     assert record["config"]["seed"] == 5  # file survives where no flag given
     assert record["config"]["format"] == "json"  # default echoed
+
+
+@pytest.mark.parametrize("glued", [False, True], ids=["separate", "equals"])
+def test_pauli_alpha_sweep_leading_minus(tmp_path, glued):
+    out = tmp_path / "r"
+    flag = ["--alpha-sweep=-0.5,0.5"] if glued else ["--alpha-sweep", "-0.5,0.5"]
+    assert run_cli(["pauli", *flag, "--out", str(out)]) == 0
+    record = read_json(out / "run.json")
+    assert record["config"]["pauli"]["alpha_sweep"] == [-0.5, 0.5]
+
+
+@pytest.mark.parametrize("glued", [False, True], ids=["separate", "equals"])
+def test_ccr_g_sweep_leading_minus(tmp_path, glued):
+    out = tmp_path / "r"
+    flag = ["--g-sweep=-0.01,0.01"] if glued else ["--g-sweep", "-0.01,0.01"]
+    args = ["ccr", "--rep", "grid", "--points", "64", "--length", "20", *flag,
+            "--n-trials", "0", "--out", str(out)]
+    assert run_cli(args) == 0
+    record = read_json(out / "run.json")
+    assert record["config"]["ccr"]["g_sweep"] == [-0.01, 0.01]
+    assert [c["name"] for c in record["checks"]][-2:] == [
+        "g_sweep_pointer_corr(g=-0.01)", "g_sweep_pointer_corr(g=0.01)",
+    ]

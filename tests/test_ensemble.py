@@ -227,3 +227,94 @@ def test_estimate_deterministic():
         sigma=1.0, g=0.05, n_trials=5_000, master_seed=31,
     )
     assert estimate_weak_value(cfg) == estimate_weak_value(cfg, n_workers=2)
+
+
+@pytest.mark.parametrize("n", [1, 3, 1000, 12345, 65535])
+def test_short_draw_is_prefix_of_full_block(n):
+    # the last, partial block draws only the rows it needs
+    for seed, stream, block in ((99, 1, 0), (2**63 + 5, 3, 7)):
+        full = ensemble._block_stream(seed, stream, block).random((BLOCK, 4))
+        short = ensemble._block_stream(seed, stream, block).random((n, 4))
+        np.testing.assert_array_equal(short, full[:n])
+
+
+def record_uniforms(monkeypatch):
+    """Spy on _run_blocks: the uniform rows each stream hands to its trials."""
+    seen = {}
+    real = ensemble._run_blocks
+
+    def spy(master_seed, stream, n_trials, block_fn, n_workers):
+        def recorded(u):
+            seen.setdefault(stream, []).append(u.copy())
+            return block_fn(u)
+
+        return real(master_seed, stream, n_trials, recorded, n_workers)
+
+    monkeypatch.setattr(ensemble, "_run_blocks", spy)
+    return seen
+
+
+def full_block_draws(monkeypatch):
+    """Draw whole blocks and slice, as the tail block used to."""
+    real = ensemble._block_stream
+
+    class FullBlock:
+        def __init__(self, gen):
+            self.gen = gen
+
+        def random(self, shape):
+            return self.gen.random((BLOCK, shape[1]))[: shape[0]]
+
+    monkeypatch.setattr(
+        ensemble, "_block_stream", lambda *a: FullBlock(real(*a))
+    )
+
+
+def assert_rows_are_trial_uniforms(blocks, seed, stream, n):
+    rows = np.concatenate(blocks)
+    assert rows.shape == (n, 4)
+    for t in (0, 17, BLOCK - 1, *range(BLOCK, n)):
+        np.testing.assert_array_equal(rows[t], trial_uniforms(seed, stream, t))
+
+
+def test_run_trials_consumes_trial_uniforms_row_by_row(monkeypatch):
+    n = BLOCK + 40
+    cfg = base_config(n_trials=n, master_seed=17)
+    plain = run_trials(cfg)
+    seen = record_uniforms(monkeypatch)
+    assert run_trials(cfg) == plain
+    assert list(seen) == [ensemble._STREAM_TRIALS]
+    assert_rows_are_trial_uniforms(seen[ensemble._STREAM_TRIALS], 17, ensemble._STREAM_TRIALS, n)
+    full_block_draws(monkeypatch)
+    assert run_trials(cfg) == plain
+
+
+def test_estimate_weak_value_consumes_trial_uniforms_row_by_row(monkeypatch):
+    n = BLOCK + 40
+    i, f = spin_pair(0.8)
+    cfg = WeakValueTrialConfig(
+        i=i, f=f, observable=hilbert.pauli("z"),
+        sigma=1.0, g=0.05, n_trials=n, master_seed=41,
+    )
+    plain = estimate_weak_value(cfg)
+    seen = record_uniforms(monkeypatch)
+    assert estimate_weak_value(cfg) == plain
+    assert sorted(seen) == [ensemble._STREAM_IMAG, ensemble._STREAM_REAL]
+    for stream, blocks in seen.items():
+        assert_rows_are_trial_uniforms(blocks, 41, stream, n)
+    full_block_draws(monkeypatch)
+    assert estimate_weak_value(cfg) == plain
+
+
+def test_run_trials_uses_a_given_chain(monkeypatch):
+    cfg = base_config(n_trials=30_000, master_seed=8)
+    chain = pointer.run_ccr_protocol(
+        cfg.i, cfg.f, cfg.x_op, cfg.p_op, cfg.sigma, cfg.sigma_prime, cfg.g
+    )
+    plain = run_trials(cfg)
+
+    def no_recompute(*a, **kw):
+        raise AssertionError("run_trials re-ran a chain it was given")
+
+    monkeypatch.setattr(ensemble, "run_ccr_protocol", no_recompute)
+    assert run_trials(cfg, chain=chain) == plain

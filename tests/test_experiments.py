@@ -168,3 +168,28 @@ def test_montecarlo_experiment_determinism():
     a = montecarlo_experiment(preset="spin", alpha=0.9, n_trials=10_000, seed=12)
     b = montecarlo_experiment(preset="spin", alpha=0.9, n_trials=10_000, seed=12, n_workers=3)
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "rep", [hilbert.GridConfig(128, 40.0), hilbert.FockConfig(dim=64)], ids=["grid", "fock"]
+)
+def test_ccr_experiment_matches_joint_state_oracle(rep, monkeypatch, oracle_protocol):
+    fast = ccr_experiment(rep, n_trials=0)
+
+    def oracle_chains(i, finals, x_op, p_op, sigma, sigma_prime, g, grid, grid_prime,
+                      hbar, **eigensystems):
+        return [oracle_protocol(i, f, x_op, p_op, sigma, sigma_prime, g, grid, grid_prime)
+                for f in finals]
+
+    monkeypatch.setattr(experiments, "run_ccr_protocols", oracle_chains)
+    slow = ccr_experiment(rep, n_trials=0)
+    assert abs(fast.pointer_corr_over_g2 - slow.pointer_corr_over_g2) <= 1e-12
+    assert fast.pointer_coverage == slow.pointer_coverage
+    assert [(c.name, c.passed) for c in fast.checks] == [(c.name, c.passed) for c in slow.checks]
+    simulated = [(a, b) for a, b in zip(fast.per_f, slow.per_f) if b.dx_d is not None]
+    assert len(simulated) >= 20
+    # both paths are roundoff-bound on low-weight rows (errors grow as
+    # 1/sqrt(weight)); those enter the correlator only through their weight
+    for a, b in (pair for pair in simulated if pair[1].weight >= 1e-3):
+        assert a.dx_d == pytest.approx(b.dx_d, abs=1e-13)
+        assert a.dx_d_prime == pytest.approx(b.dx_d_prime, abs=1e-13)

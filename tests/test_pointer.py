@@ -4,16 +4,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weaklab import hilbert, pointer
 from weaklab.errors import (
     BasisMismatch,
     GridResolutionError,
+    InvalidConfig,
+    NotHermitian,
     SelectionAnnihilated,
 )
 from weaklab.hilbert import GridConfig, gaussian_grid_state, make_grid_ops
 from weaklab.pointer import (
+    MOMENTUM,
+    POSITION,
     CouplingSpec,
+    PointerState,
+    conditional_pointers,
     couple,
     default_pointer_grid,
     gaussian_pointer,
@@ -24,6 +31,7 @@ from weaklab.pointer import (
     predicted_shifts,
     product_joint,
     run_ccr_protocol,
+    run_ccr_protocols,
     select,
 )
 from weaklab.weakcorr import weak_value
@@ -231,3 +239,172 @@ def test_run_ccr_protocol_probabilities_near_born_weights():
     res = run_ccr_protocol(i, f, x_op, p_op, 1.0, 1.0, g=0.01)
     assert res.prob_mid == pytest.approx(w, rel=1e-3)
     assert res.prob_post == pytest.approx(w, rel=1e-12)  # eigenvector stage exact
+
+
+# --- batched kernel vs the joint-state oracle -------------------------------
+
+KERNEL_GRID = GridConfig(256, 40.0)
+
+
+def system(kind, size):
+    """A small grid or Fock representation with its x and p operators."""
+    if kind == "grid":
+        cfg = GridConfig(size, 10.0)
+        return cfg, make_grid_ops(cfg)
+    cfg = hilbert.FockConfig(dim=size)
+    return cfg, hilbert.make_fock_ops(cfg)
+
+
+def l2_distance(a, b, grid):
+    return math.sqrt(float(np.sum(np.abs(a - b) ** 2)) * grid.spacing)
+
+
+def assert_stage_matches(row, amplitude, oracle_pointer, oracle_amplitude, grid):
+    """Probabilities to 1e-14; normalized pointers to 1e-12 in L2 where
+    the probability is at least 1e-3 (below that both are roundoff-bound)."""
+    assert abs(amplitude**2 - oracle_amplitude**2) <= 1e-14
+    if oracle_amplitude**2 >= 1e-3:
+        ours = PointerState(grid, row, oracle_pointer.sigma).wavefunction
+        assert l2_distance(ours, oracle_pointer.wavefunction, grid) <= 1e-12
+
+
+@given(
+    kind=st.sampled_from(["grid", "fock"]),
+    size=st.integers(8, 24),
+    which=st.sampled_from(["x", "p"]),
+    generator=st.sampled_from([POSITION, MOMENTUM]),
+    sign=st.sampled_from([-1, 1]),
+    g=st.floats(1e-3, 0.05),
+    seed=st.integers(0, 2**31),
+    n_sel=st.integers(1, 3),
+    batch_initial=st.booleans(),
+    reuse_eigensystem=st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_conditional_pointers_match_joint_state_oracle(
+    kind, size, which, generator, sign, g, seed, n_sel, batch_initial, reuse_eigensystem
+):
+    cfg, (x_op, p_op) = system(kind, size)
+    obs = x_op if which == "x" else p_op
+    one = hilbert.random_state(size, seed, cfg.basis_id)
+    many = [hilbert.random_state(size, seed + 1 + k, cfg.basis_id) for k in range(n_sel)]
+    initial, final = (many, [one]) if batch_initial else ([one], many)
+    spec = CouplingSpec(obs, generator, g, sign)
+    phi = gaussian_pointer(KERNEL_GRID, 1.0)
+    eigensystem = None
+    if reuse_eigensystem:
+        w, states = hilbert.eigenbasis(obs)
+        eigensystem = (w, np.stack([s.amplitudes for s in states], axis=1))
+    rows, amps = conditional_pointers(initial, final, spec, phi, eigensystem)
+    assert rows.shape == (n_sel, KERNEL_GRID.n_points)
+    for s in range(n_sel):
+        a = many[s] if batch_initial else one
+        b = one if batch_initial else many[s]
+        cond, amp = select(couple(product_joint(a, phi), spec), b)
+        assert_stage_matches(rows[s], amps[s], cond, amp, KERNEL_GRID)
+
+
+@given(
+    kind=st.sampled_from(["grid", "fock"]),
+    size=st.integers(8, 24),
+    g=st.one_of(st.floats(1e-3, 0.05), st.floats(0.5, 40.0)),
+    seed=st.integers(0, 2**31),
+)
+@settings(max_examples=60, deadline=None)
+def test_run_ccr_protocol_matches_oracle_and_its_guards(
+    oracle_protocol, kind, size, g, seed
+):
+    # a small pointer box (quarter length 2) so large g trips the shift guard
+    cfg, (x_op, p_op) = system(kind, size)
+    grid = GridConfig(128, 8.0)
+    i = hilbert.random_state(size, seed, cfg.basis_id)
+    f = hilbert.random_state(size, seed + 1, cfg.basis_id)
+    args = (i, f, x_op, p_op, 0.75, 0.75, g, grid, grid)
+    try:
+        want = oracle_protocol(*args)
+    except (GridResolutionError, SelectionAnnihilated) as exc:
+        with pytest.raises(type(exc)):
+            run_ccr_protocol(*args)
+        return
+    got = run_ccr_protocol(*args)
+    assert_stage_matches(got.pointer_first.wavefunction * got.prob_mid**0.5,
+                         got.prob_mid**0.5, want.pointer_first, want.prob_mid**0.5, grid)
+    assert_stage_matches(got.pointer_second.wavefunction * got.prob_post**0.5,
+                         got.prob_post**0.5, want.pointer_second, want.prob_post**0.5, grid)
+    if min(want.prob_mid, want.prob_post) >= 1e-3:
+        assert got.dx_d == pytest.approx(want.dx_d, abs=1e-11)
+        assert got.dx_d_prime == pytest.approx(want.dx_d_prime, abs=1e-11)
+    assert got.predicted_dx == want.predicted_dx
+    assert got.predicted_dx_prime == want.predicted_dx_prime
+
+
+@given(
+    size=st.integers(8, 24),
+    generator=st.sampled_from([POSITION, MOMENTUM]),
+    sign=st.sampled_from([-1, 1]),
+    g=st.floats(1e-3, 0.05),
+    seed=st.integers(0, 2**31),
+)
+@settings(max_examples=40, deadline=None)
+def test_annihilated_selection_raises_like_oracle(oracle_protocol, size, generator, sign, g, seed):
+    # x is diagonal on the grid, so selections with disjoint support stay
+    # exactly orthogonal under any x coupling
+    cfg = GridConfig(size, 10.0)
+    x_op, p_op = make_grid_ops(cfg)
+    rng = np.random.default_rng(seed)
+    half = size // 2
+    a = np.zeros(size, dtype=complex)
+    b = np.zeros(size, dtype=complex)
+    a[:half] = rng.standard_normal(half) + 1j * rng.standard_normal(half)
+    b[half:] = rng.standard_normal(size - half) + 1j * rng.standard_normal(size - half)
+    i = hilbert.StateVector(cfg.basis_id, a)
+    f = hilbert.StateVector(cfg.basis_id, b)
+    phi = gaussian_pointer(KERNEL_GRID, 1.0)
+    spec = CouplingSpec(x_op, generator, g, sign)
+    with pytest.raises(SelectionAnnihilated):
+        select(couple(product_joint(i, phi), spec), f)
+    with pytest.raises(SelectionAnnihilated):
+        measure_weakly(i, f, x_op, 1.0, g, KERNEL_GRID, generator, sign)
+    args = (i, f, x_op, p_op, 1.0, 1.0, g, KERNEL_GRID, KERNEL_GRID)
+    with pytest.raises(SelectionAnnihilated):
+        oracle_protocol(*args)
+    with pytest.raises(SelectionAnnihilated):
+        run_ccr_protocol(*args)
+    # one annihilated row fails the whole batch
+    with pytest.raises(SelectionAnnihilated):
+        run_ccr_protocols(i, [i, f], x_op, p_op, 1.0, 1.0, g, KERNEL_GRID, KERNEL_GRID)
+
+
+def test_run_ccr_protocols_rows_equal_single_runs():
+    cfg = GridConfig(64, 20.0)
+    x_op, p_op = make_grid_ops(cfg)
+    i = gaussian_grid_state(cfg, width=cfg.length / 24.0)
+    w, states = hilbert.eigenbasis(p_op)
+    finals = [two_hump_state(cfg), states[30], states[33]]
+    batch = run_ccr_protocols(
+        i, finals, x_op, p_op, 1.0, 1.0, 0.01,
+        p_eigensystem=(w, np.stack([s.amplitudes for s in states], axis=1)),
+    )
+    for f, res in zip(finals, batch):
+        one = run_ccr_protocol(i, f, x_op, p_op, 1.0, 1.0, 0.01)
+        assert res.dx_d == pytest.approx(one.dx_d, abs=1e-13)
+        assert res.dx_d_prime == pytest.approx(one.dx_d_prime, abs=1e-13)
+        assert res.prob_mid == pytest.approx(one.prob_mid, abs=1e-15)
+        assert res.prob_post == pytest.approx(one.prob_post, abs=1e-15)
+
+
+def test_conditional_pointers_guards():
+    cfg = GridConfig(16, 10.0)
+    x_op, _ = make_grid_ops(cfg)
+    i = gaussian_grid_state(cfg, width=1.0)
+    phi = gaussian_pointer(KERNEL_GRID, 1.0)
+    elsewhere = hilbert.StateVector("elsewhere", i.amplitudes)
+    with pytest.raises(BasisMismatch):
+        conditional_pointers([i], [elsewhere], CouplingSpec(x_op, POSITION, 0.01), phi)
+    with pytest.raises(BasisMismatch):
+        conditional_pointers([elsewhere], [i], CouplingSpec(x_op, POSITION, 0.01), phi)
+    skew = hilbert.Operator(cfg.basis_id, 1j * np.eye(16))
+    with pytest.raises(NotHermitian):
+        conditional_pointers([i], [i], CouplingSpec(skew, MOMENTUM, 0.01), phi)
+    with pytest.raises(InvalidConfig):
+        conditional_pointers([i, i], [i, i, i], CouplingSpec(x_op, POSITION, 0.01), phi)
