@@ -1,53 +1,19 @@
 """Config-driven command-line runner.
 
 Subcommands: pauli, ccr, riemann, chain, montecarlo, validate.  Each run
-resolves its configuration (documented defaults <- YAML config file <-
-command-line flags), executes the experiment, and writes ``run.json``
-(the full RunRecord: resolved config, version, timestamp, report,
-checks) plus per-sweep CSV tables into the output directory.  Exit
-status 0 means every residual check passed its pinned tolerance, 1
+resolves its configuration (the defaults in ``SCHEMA`` <- YAML config
+file <- command-line flags), executes the experiment, and writes
+``run.json`` (the full RunRecord: resolved config, version, timestamp,
+report, checks) plus per-sweep CSV tables into the output directory.
+Exit status 0 means every residual check passed its pinned tolerance, 1
 means a tolerance failure, 2 a configuration problem, 3 a numerical
 error from the physics layers.
 
 Config files are YAML (JSON works too).  A stored ``run.json`` can be
 fed back via --config; its embedded resolved config reproduces every
-non-timestamp field bit-identically.  The full schema, with defaults:
-
-    experiment: pauli | ccr | riemann | chain | montecarlo
-    out: ./weaklab-out      # output directory
-    format: json            # json | csv | both
-    seed: 0                 # 64-bit master seed
-    hbar: 1.0
-    workers: 1              # Monte Carlo worker threads
-    pauli:
-      alpha: 1.0471975511965976       # pi/3
-      alpha_sweep: []                 # overrides alpha when nonempty
-    ccr:
-      rep: {kind: fock, dim: 64, n_points: 128, length: 40.0}
-      sigma: 1.0
-      sigma_prime: 1.0
-      g: 0.01
-      g_sweep: []
-      n_trials: 200000                # MC attempt budget; 0 disables MC
-      run_pointer: true
-      state: {displacement: 2.0, width: null}   # fock / grid initial state
-      pointer_points: 1024
-      pointer_length_sigmas: 40.0
-    riemann:
-      rep: {kind: fock, dim: 64, n_points: 128, length: 40.0}
-      i_displacement: 0.0             # fock selections as coherent states
-      f_displacement: 0.0
-    chain:
-      dim: 5
-      n_ops: 4
-      instances: 50
-    montecarlo:
-      preset: spin                    # spin | fock
-      alpha: 1.5707963267948966       # pi/2, spin preset
-      dim: 8                          # fock preset
-      sigma: 1.0
-      g: 0.05
-      n_trials: 40000
+non-timestamp field bit-identically.  ``SCHEMA`` lists every field with
+its default, its type and its flag; ``resolve_config`` is the one place
+values are coerced to those types.
 """
 
 from __future__ import annotations
@@ -57,15 +23,18 @@ import csv
 import dataclasses
 import json
 import math
+import re
 import sys
 import time
+import warnings
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from . import __version__, experiments, hilbert
-from .errors import InvalidConfig, WeakLabError
+from . import __version__, experiments, hilbert, pointer, weakcorr
+from .errors import TruncationWarning, WeakLabError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -74,53 +43,195 @@ EXIT_NUMERICAL_ERROR = 3
 
 EXPERIMENTS = ("pauli", "ccr", "riemann", "chain", "montecarlo")
 
-DEFAULTS = {
-    "out": "./weaklab-out",
-    "format": "json",
-    "seed": 0,
-    "hbar": 1.0,
-    "workers": 1,
-    "pauli": {"alpha": math.pi / 3, "alpha_sweep": []},
-    "ccr": {
-        "rep": {"kind": "fock", "dim": 64, "n_points": 128, "length": 40.0},
-        "sigma": 1.0,
-        "sigma_prime": 1.0,
-        "g": 0.01,
-        "g_sweep": [],
-        "n_trials": 200_000,
-        "run_pointer": True,
-        "state": {"displacement": 2.0, "width": None},
-        "pointer_points": 1024,
-        "pointer_length_sigmas": 40.0,
-    },
-    "riemann": {
-        "rep": {"kind": "fock", "dim": 64, "n_points": 128, "length": 40.0},
-        "i_displacement": 0.0,
-        "f_displacement": 0.0,
-    },
-    "chain": {"dim": 5, "n_ops": 4, "instances": 50},
-    "montecarlo": {
-        "preset": "spin",
-        "alpha": math.pi / 2,
-        "dim": 8,
-        "sigma": 1.0,
-        "g": 0.05,
-        "n_trials": 40_000,
-    },
+
+class ConfigError(Exception):
+    """Raised on schema violations; maps to exit status 2."""
+
+
+@dataclass(frozen=True)
+class Field:
+    """One config leaf: default, type and command-line flag (None: file only).
+
+    ``kind`` is one of the names in ``_KINDS`` or a tuple of allowed strings.
+    """
+
+    default: object
+    kind: object
+    flag: str | None = None
+    help: str | None = None
+
+
+def _rep_fields(experiment: str) -> dict:
+    return {
+        f"{experiment}.rep.kind": Field("fock", ("fock", "grid"), "--rep", "representation"),
+        f"{experiment}.rep.dim": Field(64, "int", "--dim", "Fock truncation"),
+        f"{experiment}.rep.n_points": Field(128, "int", "--points", "grid points"),
+        f"{experiment}.rep.length": Field(40.0, "float", "--length", "grid length"),
+    }
+
+
+SCHEMA = {
+    "out": Field("./weaklab-out", "str", "--out", "output directory"),
+    "format": Field("json", ("json", "csv", "both"), "--format", "output files"),
+    "seed": Field(0, "int", "--seed", "64-bit master seed"),
+    "hbar": Field(1.0, "float", "--hbar", "hbar > 0"),
+    "workers": Field(1, "int", "--workers", "Monte Carlo worker threads, >= 1"),
+    "pauli.alpha": Field(math.pi / 3, "float", "--alpha", "spin angle"),
+    "pauli.alpha_sweep": Field(
+        [], "floats", "--alpha-sweep", "comma-separated angles; overrides alpha when nonempty"
+    ),
+    **_rep_fields("ccr"),
+    "ccr.sigma": Field(1.0, "float", "--sigma", "first pointer width"),
+    "ccr.sigma_prime": Field(1.0, "float", "--sigma-prime", "second pointer width"),
+    "ccr.g": Field(0.01, "float", "--g", "coupling strength"),
+    "ccr.g_sweep": Field([], "floats", "--g-sweep", "comma-separated couplings, exact pointer only"),
+    "ccr.n_trials": Field(200_000, "int", "--n-trials", "Monte Carlo attempt budget; 0 disables it"),
+    "ccr.run_pointer": Field(True, "bool", "--no-pointer", "skip the pointer and Monte Carlo"),
+    "ccr.state.displacement": Field(2.0, "complex", None, "Fock initial coherent state"),
+    "ccr.state.width": Field(None, "float?", None, "grid initial Gaussian width; null: length/24"),
+    "ccr.pointer_points": Field(pointer.DEFAULT_POINTER_POINTS, "int", None, "pointer grid points"),
+    "ccr.pointer_length_sigmas": Field(
+        pointer.DEFAULT_POINTER_WIDTHS, "float", None, "pointer grid length in units of sigma"
+    ),
+    **_rep_fields("riemann"),
+    "riemann.i_displacement": Field(0.0, "complex", None, "Fock pre-selection; 0: ground state"),
+    "riemann.f_displacement": Field(0.0, "complex", None, "Fock post-selection; 0: same as i"),
+    "chain.dim": Field(5, "int", "--dim", "system dimension"),
+    "chain.n_ops": Field(4, "int", "--n-ops", "operators per chain"),
+    "chain.instances": Field(50, "int", "--instances", "random instances"),
+    "montecarlo.preset": Field("spin", ("spin", "fock"), "--preset", "selection preset"),
+    "montecarlo.alpha": Field(math.pi / 2, "float", "--alpha", "spin preset angle"),
+    "montecarlo.dim": Field(8, "int", "--dim", "fock preset truncation"),
+    "montecarlo.sigma": Field(1.0, "float", "--sigma", "pointer width"),
+    "montecarlo.g": Field(0.05, "float", "--g", "coupling strength"),
+    "montecarlo.n_trials": Field(40_000, "int", "--n-trials", "trials per readout"),
+}
+
+# YAML 1.1 leaves decimals without a dot or a signed exponent, such as
+# 1e-2, as strings; they are read as numbers here.
+_DECIMAL = re.compile(r"[-+]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?")
+
+
+def _real(value):
+    """A finite int or float, from a number or a decimal string; never a bool."""
+    if isinstance(value, str) and _DECIMAL.fullmatch(value):
+        value = int(value) if value.lstrip("+-").isdigit() else float(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(value)
+    return value
+
+
+def _int(value):
+    x = _real(value)
+    if x != int(x):
+        raise ValueError(value)
+    return int(x)
+
+
+def _float(value):
+    return float(_real(value))
+
+
+def _complex(value):
+    """A real number as a float, or a complex string such as "0.5+0.5j" as written."""
+    if isinstance(value, str) and not _DECIMAL.fullmatch(value):
+        z = complex(value)
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+            raise ValueError(value)
+        return value
+    return _float(value)
+
+
+def _floats(value):
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(value)
+    return [_float(x) for x in value]
+
+
+def _typed(kind):
+    def check(value):
+        if not isinstance(value, kind):
+            raise TypeError(value)
+        return value
+
+    return check
+
+
+_KINDS = {
+    "int": (_int, "an integer"),
+    "float": (_float, "a finite real number"),
+    "float?": (lambda v: None if v is None else _float(v), "a finite real number or null"),
+    "complex": (_complex, 'a finite real number or a complex string such as "0.5+0.5j"'),
+    "floats": (_floats, "a list of finite real numbers"),
+    "bool": (_typed(bool), "true or false"),
+    "str": (_typed(str), "a string"),
 }
 
 
+def _coerce(path: str, kind, value):
+    if isinstance(kind, tuple):
+        if isinstance(value, str) and value in kind:
+            return value
+        raise ConfigError(f"{path} must be one of {', '.join(kind)}, got {value!r}")
+    convert, expected = _KINDS[kind]
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{path} must be {expected}, got {value!r}") from None
+
+
+def _fields(experiment: str) -> dict:
+    """The schema of one experiment: the shared fields and its own section."""
+    return {path: field for path, field in SCHEMA.items()
+            if "." not in path or path.startswith(experiment + ".")}
+
+
+_MISSING = object()
+
+
+def _lookup(tree: dict, path: str):
+    for key in path.split("."):
+        if not isinstance(tree, dict) or key not in tree:
+            return _MISSING
+        tree = tree[key]
+    return tree
+
+
+def _put(tree: dict, path: str, value) -> None:
+    *sections, leaf = path.split(".")
+    for key in sections:
+        tree = tree.setdefault(key, {})
+    tree[leaf] = value
+
+
+def _check_keys(tree: dict, fields: dict, prefix: str = "") -> None:
+    for key, value in tree.items():
+        path = f"{prefix}{key}"
+        if path in fields:
+            continue
+        if not any(p.startswith(path + ".") for p in fields):
+            raise ConfigError(f"unknown config field {path!r}")
+        if not isinstance(value, dict):
+            raise ConfigError(f"config field {path!r} must be a mapping")
+        _check_keys(value, fields, path + ".")
+
+
 def to_jsonable(obj):
-    """Recursively convert dataclasses/complex/numpy into JSON types."""
+    """Recursively convert dataclasses/complex/numpy into strict-JSON types.
+
+    Non-finite floats, also the parts of a complex number, become the
+    strings "nan", "inf" and "-inf".
+    """
+    if isinstance(obj, (float, np.floating)):
+        obj = float(obj)
+        return obj if math.isfinite(obj) else repr(obj)
+    if isinstance(obj, complex):
+        return {"re": to_jsonable(obj.real), "im": to_jsonable(obj.imag)}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         out = {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
         if hasattr(obj, "passed"):
             out["passed"] = bool(obj.passed)
         return out
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, np.ndarray):
@@ -129,8 +240,6 @@ def to_jsonable(obj):
         return [to_jsonable(v) for v in obj]
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
     return obj
 
 
@@ -143,23 +252,6 @@ def _fmt(v) -> str:
     if isinstance(v, np.integer):
         return str(int(v))
     return str(v)
-
-
-class ConfigError(Exception):
-    """Raised on schema violations; maps to exit status 2."""
-
-
-def _deep_merge(base: dict, override: dict, path="") -> dict:
-    out = dict(base)
-    for key, val in override.items():
-        where = f"{path}.{key}" if path else key
-        if key not in base:
-            raise ConfigError(f"unknown config field {where!r}")
-        if isinstance(base[key], dict) and isinstance(val, dict):
-            out[key] = _deep_merge(base[key], val, where)
-        else:
-            out[key] = val
-    return out
 
 
 def load_config_file(path: str) -> dict:
@@ -184,16 +276,12 @@ def load_config_file(path: str) -> dict:
 
 
 def resolve_config(experiment: str, file_cfg: dict, overrides: dict) -> dict:
-    """defaults <- config file <- CLI flags, with unknown-key errors."""
-    base = {
-        "experiment": experiment,
-        "out": DEFAULTS["out"],
-        "format": DEFAULTS["format"],
-        "seed": DEFAULTS["seed"],
-        "hbar": DEFAULTS["hbar"],
-        "workers": DEFAULTS["workers"],
-        experiment: DEFAULTS[experiment],
-    }
+    """defaults <- config file <- CLI flags, each leaf coerced to its SCHEMA type.
+
+    Raises ConfigError on unknown fields, values of the wrong type
+    (bools, fractional integers, non-finite numbers), hbar <= 0 and
+    workers < 1.
+    """
     file_cfg = dict(file_cfg)
     declared = file_cfg.pop("experiment", experiment)
     if declared != experiment:
@@ -204,49 +292,52 @@ def resolve_config(experiment: str, file_cfg: dict, overrides: dict) -> dict:
     for other in EXPERIMENTS:
         if other != experiment:
             file_cfg.pop(other, None)
-    cfg = _deep_merge(base, file_cfg)
-    cfg = _deep_merge(cfg, overrides)
-    if cfg["format"] not in ("json", "csv", "both"):
-        raise ConfigError(f"format must be json, csv or both, got {cfg['format']!r}")
-    if cfg["experiment"] != experiment:
-        raise ConfigError("experiment field cannot be overridden")
-    for field, kind in (("seed", int), ("workers", int)):
-        if not isinstance(cfg[field], int):
-            raise ConfigError(f"{field} must be an integer")
-    if not isinstance(cfg["hbar"], (int, float)) or cfg["hbar"] <= 0:
+    fields = _fields(experiment)
+    cfg = {"experiment": experiment}
+    for source in (file_cfg, overrides):
+        _check_keys(source, fields)
+    for path, field in fields.items():
+        value = field.default
+        for source in (file_cfg, overrides):
+            found = _lookup(source, path)
+            if found is not _MISSING:
+                value = found
+        _put(cfg, path, _coerce(path, field.kind, value))
+    if cfg["hbar"] <= 0:
         raise ConfigError("hbar must be a positive real")
+    if cfg["workers"] < 1:
+        raise ConfigError("workers must be at least 1")
     return cfg
 
 
 def _build_rep(rep_cfg: dict, hbar: float):
-    kind = rep_cfg.get("kind")
-    if kind == "fock":
-        return hilbert.FockConfig(dim=int(rep_cfg["dim"]), hbar=hbar)
-    if kind == "grid":
-        return hilbert.GridConfig(
-            n_points=int(rep_cfg["n_points"]), length=float(rep_cfg["length"]), hbar=hbar
-        )
-    raise ConfigError(f"rep.kind must be fock or grid, got {kind!r}")
+    if rep_cfg["kind"] == "fock":
+        return hilbert.FockConfig(dim=rep_cfg["dim"], hbar=hbar)
+    return hilbert.GridConfig(n_points=rep_cfg["n_points"], length=rep_cfg["length"], hbar=hbar)
 
 
 def _ccr_state(rep, state_cfg: dict):
     if isinstance(rep, hilbert.FockConfig):
-        disp = state_cfg.get("displacement")
-        if disp is None:
-            return None
-        return hilbert.coherent_state(rep, complex(disp))
-    width = state_cfg.get("width")
-    if width is None:
-        return None
-    return hilbert.gaussian_grid_state(rep, width=float(width))
+        return hilbert.coherent_state(rep, complex(state_cfg["displacement"]))
+    if state_cfg["width"] is None:
+        return experiments._ccr_default_state(rep)
+    return hilbert.gaussian_grid_state(rep, width=state_cfg["width"])
 
 
-def _pointer_grid(cfg_ccr: dict, sigma: float, hbar: float):
-    return hilbert.GridConfig(
-        n_points=int(cfg_ccr["pointer_points"]),
-        length=float(cfg_ccr["pointer_length_sigmas"]) * sigma,
-        hbar=hbar,
+def _riemann_selections(rep, sub: dict):
+    """(i, f) of a riemann run: a nonzero displacement gives a Fock coherent state."""
+    i, f = (
+        hilbert.coherent_state(rep, complex(sub[key]))
+        if isinstance(rep, hilbert.FockConfig) and sub[key] else None
+        for key in ("i_displacement", "f_displacement")
     )
+    return experiments.riemann_selections(rep, i, f)
+
+
+def _check_ccr_pointer(sub: dict, name: str, hbar: float) -> None:
+    """The grid checks a ccr run makes before it prepares the pointer of width sub[name]."""
+    grid = pointer.pointer_grid(sub[name], hbar, sub["pointer_points"], sub["pointer_length_sigmas"])
+    pointer.check_resolution(grid, sub[name])
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +345,7 @@ def _pointer_grid(cfg_ccr: dict, sigma: float, hbar: float):
 
 def _run_pauli(cfg):
     sub = cfg["pauli"]
-    alphas = list(sub["alpha_sweep"]) or [sub["alpha"]]
-    reports = [experiments.pauli_suite(float(a)) for a in alphas]
+    reports = [experiments.pauli_suite(a) for a in sub["alpha_sweep"] or [sub["alpha"]]]
     rows = [
         [r.alpha, r.sxsy.real, r.sxsy.imag, r.sz_w.real, r.commutator.imag,
          r.tan_half, r.max_residual]
@@ -277,19 +367,14 @@ def _run_pauli(cfg):
 def _run_ccr(cfg):
     sub = cfg["ccr"]
     rep = _build_rep(sub["rep"], cfg["hbar"])
-    i_spec = _ccr_state(rep, sub["state"])
+    common = dict(
+        i_spec=_ccr_state(rep, sub["state"]), sigma=sub["sigma"],
+        sigma_prime=sub["sigma_prime"], seed=cfg["seed"],
+        pointer_points=sub["pointer_points"], pointer_sigmas=sub["pointer_length_sigmas"],
+    )
     report = experiments.ccr_experiment(
-        rep,
-        i_spec=i_spec,
-        sigma=float(sub["sigma"]),
-        sigma_prime=float(sub["sigma_prime"]),
-        g=float(sub["g"]),
-        n_trials=int(sub["n_trials"]),
-        seed=int(cfg["seed"]),
-        run_pointer=bool(sub["run_pointer"]),
-        n_workers=int(cfg["workers"]),
-        pointer_points=int(sub["pointer_points"]),
-        pointer_sigmas=float(sub["pointer_length_sigmas"]),
+        rep, g=sub["g"], n_trials=sub["n_trials"], run_pointer=sub["run_pointer"],
+        n_workers=cfg["workers"], **common,
     )
     rows = [
         [r.index, r.p_eigenvalue, r.weight, r.x_w.real, r.x_w.imag,
@@ -308,20 +393,12 @@ def _run_ccr(cfg):
         )
     }
     checks = list(report.checks)
-    sweep = [float(g) for g in sub["g_sweep"]]
-    if sweep:
+    if sub["g_sweep"]:
+        target = cfg["hbar"] * sub["sigma"] ** 2
         g_rows = []
-        for g in sweep:
-            rg = experiments.ccr_experiment(
-                rep, i_spec=i_spec, sigma=float(sub["sigma"]),
-                sigma_prime=float(sub["sigma_prime"]), g=g,
-                n_trials=0, seed=int(cfg["seed"]), run_pointer=True,
-                pointer_points=int(sub["pointer_points"]),
-                pointer_sigmas=float(sub["pointer_length_sigmas"]),
-            )
-            rel = abs(rg.pointer_corr_over_g2 - cfg["hbar"] * float(sub["sigma"]) ** 2) / (
-                cfg["hbar"] * float(sub["sigma"]) ** 2
-            )
+        for g in sub["g_sweep"]:
+            rg = experiments.ccr_experiment(rep, g=g, n_trials=0, run_pointer=True, **common)
+            rel = abs(rg.pointer_corr_over_g2 - target) / target
             g_rows.append([g, rg.pointer_corr_over_g2, rel])
             checks.append(
                 experiments.make_check(
@@ -336,12 +413,7 @@ def _run_ccr(cfg):
 def _run_riemann(cfg):
     sub = cfg["riemann"]
     rep = _build_rep(sub["rep"], cfg["hbar"])
-    i = f = None
-    if isinstance(rep, hilbert.FockConfig):
-        if sub["i_displacement"]:
-            i = hilbert.coherent_state(rep, complex(sub["i_displacement"]))
-        if sub["f_displacement"]:
-            f = hilbert.coherent_state(rep, complex(sub["f_displacement"]))
+    i, f = _riemann_selections(rep, sub)
     report = experiments.riemann_experiment(rep, i=i, f=f)
     return report, list(report.checks), {}
 
@@ -349,8 +421,7 @@ def _run_riemann(cfg):
 def _run_chain(cfg):
     sub = cfg["chain"]
     report = experiments.chain_experiment(
-        dim=int(sub["dim"]), n_ops=int(sub["n_ops"]),
-        n_instances=int(sub["instances"]), seed=int(cfg["seed"]),
+        dim=sub["dim"], n_ops=sub["n_ops"], n_instances=sub["instances"], seed=cfg["seed"],
     )
     rows = [
         [r.seed, r.n_ops, r.chain_value.real, r.chain_value.imag,
@@ -371,15 +442,9 @@ def _run_chain(cfg):
 def _run_montecarlo(cfg):
     sub = cfg["montecarlo"]
     report = experiments.montecarlo_experiment(
-        preset=sub["preset"],
-        alpha=float(sub["alpha"]),
-        dim=int(sub["dim"]),
-        sigma=float(sub["sigma"]),
-        g=float(sub["g"]),
-        n_trials=int(sub["n_trials"]),
-        seed=int(cfg["seed"]),
-        hbar=float(cfg["hbar"]),
-        n_workers=int(cfg["workers"]),
+        preset=sub["preset"], alpha=sub["alpha"], dim=sub["dim"], sigma=sub["sigma"],
+        g=sub["g"], n_trials=sub["n_trials"], seed=cfg["seed"], hbar=cfg["hbar"],
+        n_workers=cfg["workers"],
     )
     rows = [[report.re_est, report.im_est, report.stderr_re, report.stderr_im,
              report.target.real, report.target.imag,
@@ -404,67 +469,49 @@ _RUNNERS = {
 
 
 # ---------------------------------------------------------------------------
-# validation (schema + physics preconditions, no execution)
+# validation: the run's own precondition functions, without the run
 
 def validate_config(cfg: dict) -> list[dict]:
-    """Physics-precondition diagnostics; empty list means runnable."""
+    """Physics-precondition diagnostics; empty list means runnable.
+
+    Each precondition is checked by calling the function the run raises
+    (or, for TruncationWarning, warns) from; every error it raises
+    becomes one diagnostic.
+    """
     diags = []
 
-    def diag(field, error, message):
-        diags.append({"field": field, "error": error, "message": message})
+    def check(field, fn, *args):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", TruncationWarning)
+                return fn(*args)
+        except (WeakLabError, TruncationWarning) as exc:
+            diags.append({"field": field, "error": type(exc).__name__, "message": str(exc)})
+            return None
 
     experiment = cfg["experiment"]
+    sub = cfg[experiment]
     if experiment == "pauli":
-        alphas = list(cfg["pauli"]["alpha_sweep"]) or [cfg["pauli"]["alpha"]]
-        for a in alphas:
-            if not abs(float(a)) < math.pi - 1e-6:
-                diag("pauli.alpha", "AlphaOutOfRange",
-                     f"|alpha| = {abs(float(a))} leaves no selection overlap")
-    if experiment == "montecarlo" and cfg["montecarlo"]["preset"] == "spin":
-        a = float(cfg["montecarlo"]["alpha"])
-        if not abs(a) < math.pi - 1e-6:
-            diag("montecarlo.alpha", "AlphaOutOfRange",
-                 f"|alpha| = {abs(a)} leaves no selection overlap")
+        for a in sub["alpha_sweep"] or [sub["alpha"]]:
+            check("pauli.alpha", experiments.spin_selections, a)
+    if experiment == "montecarlo" and sub["preset"] == "spin":
+        check("montecarlo.alpha", experiments.spin_selections, sub["alpha"])
+    if experiment not in ("ccr", "riemann"):
+        return diags
+    rep = check(f"{experiment}.rep", _build_rep, sub["rep"], cfg["hbar"])
+    if rep is None:
+        return diags
     if experiment == "ccr":
-        sub = cfg["ccr"]
-        try:
-            rep = _build_rep(sub["rep"], cfg["hbar"])
-        except (ConfigError, InvalidConfig) as exc:
-            diag("ccr.rep", type(exc).__name__, str(exc))
-            return diags
-        for name, sigma in (("sigma", sub["sigma"]), ("sigma_prime", sub["sigma_prime"])):
-            grid = _pointer_grid(sub, float(sigma), cfg["hbar"])
-            if float(sigma) < 4.0 * grid.spacing:
-                diag(f"ccr.{name}", "GridResolutionError",
-                     f"{name} = {sigma} under-resolved: needs >= 4 * spacing "
-                     f"= {4.0 * grid.spacing}")
-            if float(sigma) > grid.length / 8.0:
-                diag(f"ccr.{name}", "GridResolutionError",
-                     f"{name} = {sigma} too wide: needs <= pointer length/8")
-        state = _ccr_state(rep, sub["state"])
-        if state is None:
-            state = experiments._ccr_default_state(rep)
-        if isinstance(rep, hilbert.FockConfig):
-            edge = hilbert.edge_amplitude(state)
-            if edge > hilbert.EDGE_AMPLITUDE_WARN:
-                diag("ccr.state", "TruncationWarning",
-                     f"top-two-level amplitude {edge:.3e} exceeds "
-                     f"{hilbert.EDGE_AMPLITUDE_WARN}")
-    if experiment == "riemann":
-        sub = cfg["riemann"]
-        try:
-            rep = _build_rep(sub["rep"], cfg["hbar"])
-        except (ConfigError, InvalidConfig) as exc:
-            diag("riemann.rep", type(exc).__name__, str(exc))
-            return diags
-        if isinstance(rep, hilbert.FockConfig):
-            i = (hilbert.coherent_state(rep, complex(sub["i_displacement"]))
-                 if sub["i_displacement"] else hilbert.basis_state(rep.dim, 0, rep.basis_id))
-            f = (hilbert.coherent_state(rep, complex(sub["f_displacement"]))
-                 if sub["f_displacement"] else hilbert.basis_state(rep.dim, 0, rep.basis_id))
-            if abs(hilbert.inner(f, i)) <= 1e-12:
-                diag("riemann.selections", "OrthogonalSelection",
-                     "selection overlap <f|i> below 1e-12; weak values diverge")
+        state = check("ccr.state", _ccr_state, rep, sub["state"])
+        if state is not None:
+            check("ccr.state", hilbert.check_truncation_edge, rep, state)
+        if sub["run_pointer"] or sub["g_sweep"]:
+            for name in ("sigma", "sigma_prime"):
+                check(f"ccr.{name}", _check_ccr_pointer, sub, name, cfg["hbar"])
+    else:
+        i, f = _riemann_selections(rep, sub)
+        check("riemann.i_displacement", hilbert.check_truncation_edge, rep, i)
+        check("riemann.selections", weakcorr.selection_overlap, f, i)
     return diags
 
 
@@ -474,7 +521,7 @@ def validate_config(cfg: dict) -> list[dict]:
 def write_outputs(cfg: dict, record: dict, tables: dict) -> None:
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "run.json").write_text(json.dumps(record, indent=2) + "\n")
+    (out_dir / "run.json").write_text(json.dumps(record, indent=2, allow_nan=False) + "\n")
     if cfg["format"] in ("csv", "both"):
         for name, (header, rows) in tables.items():
             with open(out_dir / f"{name}.csv", "w", newline="") as fh:
@@ -485,42 +532,13 @@ def write_outputs(cfg: dict, record: dict, tables: dict) -> None:
 
 
 def _flag_overrides(args, experiment) -> dict:
-    top = {}
-    for name in ("out", "format", "seed", "hbar", "workers"):
-        val = getattr(args, name, None)
-        if val is not None:
-            top[name] = val
-    sub = {}
-    mapping = {
-        "pauli": {"alpha": "alpha", "alpha_sweep": "alpha_sweep"},
-        "ccr": {"sigma": "sigma", "sigma_prime": "sigma_prime", "g": "g",
-                "g_sweep": "g_sweep", "n_trials": "n_trials"},
-        "riemann": {},
-        "chain": {"dim": "dim", "n_ops": "n_ops", "instances": "instances"},
-        "montecarlo": {"preset": "preset", "alpha": "alpha", "dim": "dim",
-                       "sigma": "sigma", "g": "g", "n_trials": "n_trials"},
-    }[experiment]
-    for attr, key in mapping.items():
-        val = getattr(args, attr, None)
-        if val is not None:
-            sub[key] = val
-    if experiment in ("ccr", "riemann"):
-        rep = {}
-        if getattr(args, "rep", None) is not None:
-            rep["kind"] = args.rep
-        if getattr(args, "dim", None) is not None:
-            rep["dim"] = args.dim
-        if getattr(args, "points", None) is not None:
-            rep["n_points"] = args.points
-        if getattr(args, "length", None) is not None:
-            rep["length"] = args.length
-        if rep:
-            sub["rep"] = rep
-    if experiment == "ccr" and getattr(args, "no_pointer", False):
-        sub["run_pointer"] = False
-    if sub:
-        top[experiment] = sub
-    return top
+    """The flags given on the command line, nested as in a config file."""
+    overrides = {}
+    for path in _fields(experiment):
+        value = getattr(args, path, None)
+        if value is not None:
+            _put(overrides, path, value)
+    return overrides
 
 
 def _float_list(text: str) -> list:
@@ -530,7 +548,7 @@ def _float_list(text: str) -> list:
         raise argparse.ArgumentTypeError(f"bad float list {text!r}: {exc}") from exc
 
 
-_LIST_FLAGS = ("--alpha-sweep", "--g-sweep")
+_LIST_FLAGS = {field.flag for field in SCHEMA.values() if field.kind == "floats"}
 
 
 def _attach_list_values(argv: list) -> list:
@@ -563,61 +581,35 @@ def _attach_list_values(argv: list) -> list:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per experiment with the flags of its SCHEMA fields, plus validate."""
     parser = argparse.ArgumentParser(
         prog="weaklab",
         description="Desk-scale weak-measurement laboratory",
     )
     parser.add_argument("--version", action="version", version=f"weaklab {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    helps = {
+        "pauli": "weak Pauli (anti)commutator suite",
+        "ccr": "canonical commutator experiment",
+        "riemann": "Riemann-operator weak value",
+        "chain": "high-order chain and dual symmetries",
+        "montecarlo": "Monte Carlo weak-value estimation",
+    }
+    for experiment in EXPERIMENTS:
+        p = subs.add_parser(experiment, help=helps[experiment])
         p.add_argument("--config", help="YAML config file (or a stored run.json)")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, help="64-bit master seed")
-        p.add_argument("--format", choices=("json", "csv", "both"))
-        p.add_argument("--hbar", type=float, help="hbar (default 1)")
-        p.add_argument("--workers", type=int, help="Monte Carlo worker threads")
-
-    p = subs.add_parser("pauli", help="weak Pauli (anti)commutator suite")
-    common(p)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--alpha-sweep", dest="alpha_sweep", type=_float_list,
-                   help="comma-separated angles")
-
-    p = subs.add_parser("ccr", help="canonical commutator experiment")
-    common(p)
-    p.add_argument("--rep", choices=("fock", "grid"))
-    p.add_argument("--dim", type=int, help="Fock truncation")
-    p.add_argument("--points", type=int, help="grid points")
-    p.add_argument("--length", type=float, help="grid length")
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--sigma-prime", dest="sigma_prime", type=float)
-    p.add_argument("--g", type=float)
-    p.add_argument("--g-sweep", dest="g_sweep", type=_float_list)
-    p.add_argument("--n-trials", dest="n_trials", type=int)
-    p.add_argument("--no-pointer", dest="no_pointer", action="store_true")
-
-    p = subs.add_parser("riemann", help="Riemann-operator weak value")
-    common(p)
-    p.add_argument("--rep", choices=("fock", "grid"))
-    p.add_argument("--dim", type=int)
-    p.add_argument("--points", type=int)
-    p.add_argument("--length", type=float)
-
-    p = subs.add_parser("chain", help="high-order chain and dual symmetries")
-    common(p)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--n-ops", dest="n_ops", type=int)
-    p.add_argument("--instances", type=int)
-
-    p = subs.add_parser("montecarlo", help="Monte Carlo weak-value estimation")
-    common(p)
-    p.add_argument("--preset", choices=("spin", "fock"))
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--g", type=float)
-    p.add_argument("--n-trials", dest="n_trials", type=int)
+        for path, field in _fields(experiment).items():
+            if field.flag is None:
+                continue
+            # values stay strings here; resolve_config coerces them
+            kwargs = {"dest": path, "help": field.help}
+            if field.kind == "bool":
+                kwargs.update(action="store_const", const=not field.default)
+            elif field.kind == "floats":
+                kwargs["type"] = _float_list
+            elif isinstance(field.kind, tuple):
+                kwargs["choices"] = field.kind
+            p.add_argument(field.flag, **kwargs)
 
     p = subs.add_parser("validate", help="check a config without running it")
     p.add_argument("config_path", help="YAML config file")

@@ -44,12 +44,6 @@ _STREAM_REAL = 3
 _MASK64 = (1 << 64) - 1
 
 
-def substream(master_seed: int, trial_index: int) -> np.random.Generator:
-    """Independent reproducible stream keyed by (master_seed, trial_index)."""
-    key = [master_seed & _MASK64, trial_index & _MASK64]
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def _block_stream(master_seed: int, stream: int, block: int) -> np.random.Generator:
     if block >= 1 << 32:
         raise InvalidConfig("trial count exceeds the RNG block address space")
@@ -226,7 +220,11 @@ class WeakValueTrialConfig:
 
 @dataclass(frozen=True)
 class WeakValueEstimate:
-    """Monte Carlo weak-value estimate from inverted pointer shifts."""
+    """Monte Carlo weak-value estimate from inverted pointer shifts.
+
+    ``probability`` is the exact selection probability of the weak stage,
+    the rate the trials are accepted at.
+    """
 
     re_est: float
     im_est: float
@@ -235,6 +233,7 @@ class WeakValueEstimate:
     attempted: int
     accepted_position: int
     accepted_momentum: int
+    probability: float
 
 
 def estimate_weak_value(cfg: WeakValueTrialConfig, n_workers: int = 1) -> WeakValueEstimate:
@@ -242,7 +241,7 @@ def estimate_weak_value(cfg: WeakValueTrialConfig, n_workers: int = 1) -> WeakVa
 
     Im{O_w} = -<dx> * hbar / (2 sigma^2 g) from a position-readout
     ensemble, Re{O_w} = <dp> / g from a momentum-readout ensemble; each
-    ensemble runs cfg.n_trials attempts on its own substream.  The
+    ensemble runs cfg.n_trials attempts on its own stream.  The
     estimates converge to the closed-form weak value as n_trials grows
     and g shrinks.
     """
@@ -283,4 +282,5 @@ def estimate_weak_value(cfg: WeakValueTrialConfig, n_workers: int = 1) -> WeakVa
         attempted=cfg.n_trials,
         accepted_position=n_pos,
         accepted_momentum=n_mom,
+        probability=q,
     )

@@ -14,24 +14,24 @@ single mid-state next to Born-weighted averages over a complete basis.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlphaOutOfRange, InvalidConfig, TruncationWarning
+from .errors import AlphaOutOfRange, InvalidConfig, NoAcceptedTrials
 from .hilbert import (
-    EDGE_AMPLITUDE_WARN,
     FockConfig,
     GridConfig,
     Operator,
     StateVector,
+    check_truncation_edge,
     coherent_state,
-    edge_amplitude,
     eigenbasis,
     expectation,
     gaussian_grid_state,
+    hermitian_residual,
     make_fock_ops,
     make_grid_ops,
     basis_state,
@@ -40,7 +40,13 @@ from .hilbert import (
 from . import ensemble as mc
 # run_ccr_protocol is the one-selection form of run_ccr_protocols; it stays
 # importable here because bench/tracer.py wraps it under this module's name.
-from .pointer import run_ccr_protocol, run_ccr_protocols  # noqa: F401
+from .pointer import (  # noqa: F401
+    DEFAULT_POINTER_POINTS,
+    DEFAULT_POINTER_WIDTHS,
+    pointer_grid,
+    run_ccr_protocol,
+    run_ccr_protocols,
+)
 from .weakcorr import (
     averaged_weak_correlation,
     ccr_decomposition,
@@ -53,11 +59,6 @@ from .weakcorr import (
 # First three imaginary parts of the nontrivial zeta zeros; display and
 # comparison constants only, nothing in here computes zeros.
 REFERENCE_ZEROS = (14.13, 21.02, 25.01)
-
-
-@dataclass(frozen=True)
-class ReferenceZeros:
-    values: tuple = REFERENCE_ZEROS
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,11 @@ class SpinSelections:
 
 
 def spin_selections(alpha: float) -> SpinSelections:
+    """Raises AlphaOutOfRange when |alpha| is within 1e-6 of pi."""
+    if not abs(alpha) < math.pi - 1e-6:
+        raise AlphaOutOfRange(
+            f"|alpha| = {abs(alpha)} too close to pi: selections go orthogonal"
+        )
     c, s = math.cos(alpha / 2.0), math.sin(alpha / 2.0)
     i = StateVector("spin-1/2", np.array([c + s, c - s]) / math.sqrt(2.0))
     f = StateVector("spin-1/2", np.array([1.0, 1.0]) / math.sqrt(2.0))
@@ -121,10 +127,6 @@ def pauli_suite(alpha: float) -> PauliReport:
     Targets: <sx sy>_w = i tan(a/2), <sy sx>_w = -i tan(a/2),
     <sz>_w = tan(a/2), anticommutator 0, commutator 2i tan(a/2).
     """
-    if not abs(alpha) < math.pi - 1e-6:
-        raise AlphaOutOfRange(
-            f"|alpha| = {abs(alpha)} too close to pi: selections go orthogonal"
-        )
     sel = spin_selections(alpha)
     sx, sy, sz = pauli("x"), pauli("y"), pauli("z")
     t = math.tan(alpha / 2.0)
@@ -182,6 +184,9 @@ class CcrReport:
     # (a) exact f-averaged weak commutator
     avg_commutator: complex
     commutator_oracle: complex  # direct <i|[x,p]|i> by matrix multiplication
+    # |avg_commutator - i hbar (1 - N edge^2)| for a state on the truncation
+    # edge (edge_amp >= 1e-7), where i hbar itself is not the target; else None
+    avg_commutator_vs_truncated_i_hbar: float | None
     # (b-c) real-part combination over the momentum mid-selection basis
     eq9_born_avg: float
     eq10_born_avg: float
@@ -218,14 +223,13 @@ def _ccr_default_state(rep) -> StateVector:
 
 
 def _ccr_ops(rep):
+    """x, p and the natural basis of a Fock or grid representation."""
     if isinstance(rep, FockConfig):
         x_op, p_op = make_fock_ops(rep)
-        natural = [basis_state(rep.dim, k, rep.basis_id) for k in range(rep.dim)]
-        return x_op, p_op, natural, f"fock(dim={rep.dim})"
+        return x_op, p_op, [basis_state(rep.dim, k, rep.basis_id) for k in range(rep.dim)]
     if isinstance(rep, GridConfig):
         x_op, p_op = make_grid_ops(rep)
-        natural = [basis_state(rep.n_points, k, rep.basis_id) for k in range(rep.n_points)]
-        return x_op, p_op, natural, f"grid(n={rep.n_points},L={rep.length!r})"
+        return x_op, p_op, [basis_state(rep.n_points, k, rep.basis_id) for k in range(rep.n_points)]
     raise InvalidConfig(f"representation must be FockConfig or GridConfig, got {type(rep)!r}")
 
 
@@ -243,8 +247,8 @@ def ccr_experiment(
     seed: int = 0,
     run_pointer: bool = True,
     n_workers: int = 1,
-    pointer_points: int = 1024,
-    pointer_sigmas: float = 40.0,
+    pointer_points: int = DEFAULT_POINTER_POINTS,
+    pointer_sigmas: float = DEFAULT_POINTER_WIDTHS,
 ) -> CcrReport:
     """Measure [x,p] = i hbar every way the machinery allows.
 
@@ -257,19 +261,16 @@ def ccr_experiment(
     ``n_trials`` > 0, its Monte Carlo estimate, vs hbar * sigma^2.
 
     ``n_trials`` is the total attempt budget, allocated over the
-    mid-selections proportionally to their Born weights.
+    mid-selections proportionally to their Born weights; a positive budget
+    that leaves no selection its 25 expected accepted trials raises
+    NoAcceptedTrials.
     """
-    x_op, p_op, natural_basis, rep_name = _ccr_ops(rep)
+    x_op, p_op, natural_basis = _ccr_ops(rep)
     hbar = rep.hbar
     i = i_spec if i_spec is not None else _ccr_default_state(rep)
     if i.basis_id != x_op.basis_id:
         raise InvalidConfig("i_spec does not live on the representation basis")
-    edge = edge_amplitude(i)
-    if isinstance(rep, FockConfig) and edge > EDGE_AMPLITUDE_WARN:
-        warnings.warn(
-            f"top-two-level amplitude {edge:.2e} leans on the truncation edge",
-            TruncationWarning,
-        )
+    edge = check_truncation_edge(rep, i)
 
     # (a) exact f-average over the natural basis
     avg_comm = averaged_weak_correlation(i, natural_basis, x_op, p_op, "commutator")
@@ -311,8 +312,8 @@ def ccr_experiment(
     mc_corr = mc_se = mc_cov = None
     mc_accepted = mc_attempted = None
     if run_pointer:
-        grid = GridConfig(pointer_points, pointer_sigmas * sigma, hbar)
-        grid_prime = GridConfig(pointer_points, pointer_sigmas * sigma_prime, hbar)
+        grid = pointer_grid(sigma, hbar, pointer_points, pointer_sigmas)
+        grid_prime = pointer_grid(sigma_prime, hbar, pointer_points, pointer_sigmas)
         order = np.argsort(weights)[::-1]
         cum = np.cumsum(weights[order])
         n_keep = int(np.searchsorted(cum, _POINTER_COVERAGE * cum[-1])) + 1
@@ -329,11 +330,9 @@ def ccr_experiment(
             res = chains[j]
             exact_terms.append(weights[j] * res.dx_d * res.dx_d_prime)
             k = row_by_index[j]
-            rows[k] = MidSelectionRow(
-                **{**rows[k].__dict__,
-                   "dx_d": res.dx_d,
-                   "dx_d_prime": res.dx_d_prime,
-                   "product_over_g2": res.dx_d * res.dx_d_prime / g**2}
+            rows[k] = dataclasses.replace(
+                rows[k], dx_d=res.dx_d, dx_d_prime=res.dx_d_prime,
+                product_over_g2=res.dx_d * res.dx_d_prime / g**2,
             )
         pointer_corr = math.fsum(exact_terms) / g**2
         pointer_cov = float(np.sum(weights[keep]))
@@ -347,6 +346,11 @@ def ccr_experiment(
                 [chains[j].prob_mid * chains[j].prob_post for j in keep]
             )
             usable = alloc * acc_prob >= _MC_MIN_EXPECTED_ACCEPTED
+            if not usable.any():
+                raise NoAcceptedTrials(
+                    f"a budget of {n_trials} trials gives no mid-selection the "
+                    f"{_MC_MIN_EXPECTED_ACCEPTED:g} expected accepted trials it needs"
+                )
             mc_terms, mc_vars = [], []
             mc_accepted = mc_attempted = 0
             mc_cov = 0.0
@@ -366,25 +370,20 @@ def ccr_experiment(
                 mc_attempted += stats.attempted
                 mc_cov += float(weights[j])
                 k = row_by_index[j]
-                rows[k] = MidSelectionRow(
-                    **{**rows[k].__dict__,
-                       "mc_mean_product": stats.mean_product,
-                       "mc_stderr_product": stats.stderr_product,
-                       "mc_accepted": stats.accepted,
-                       "mc_attempted": stats.attempted}
+                rows[k] = dataclasses.replace(
+                    rows[k], mc_mean_product=stats.mean_product,
+                    mc_stderr_product=stats.stderr_product,
+                    mc_accepted=stats.accepted, mc_attempted=stats.attempted,
                 )
             mc_corr = math.fsum(mc_terms) / g**2
             mc_se = math.sqrt(math.fsum(mc_vars)) / g**2
 
+    on_edge = edge >= 1e-7
     checks = [
         make_check("avg_commutator_vs_matrix_oracle", abs(avg_comm - oracle), CCR_EXACT_TOL),
-        make_check("avg_commutator_vs_i_hbar", abs(avg_comm - 1j * hbar), CCR_EXACT_TOL)
-        if edge < 1e-7
-        else make_check(
-            "avg_commutator_vs_truncated_i_hbar",
-            abs(avg_comm - 1j * hbar * (1.0 - i.dim * edge_amplitude(i) ** 2)),
-            math.inf,  # informational when the state leans on the edge
-        ),
+        *([] if on_edge else [
+            make_check("avg_commutator_vs_i_hbar", abs(avg_comm - 1j * hbar), CCR_EXACT_TOL)
+        ]),
         make_check("eq9_born_avg_vs_half_hbar", abs(eq9_avg - 0.5 * hbar), CCR_EXACT_TOL),
         make_check("eq10_born_avg_vs_minus_half_hbar", abs(eq10_avg + 0.5 * hbar), CCR_EXACT_TOL),
     ]
@@ -397,18 +396,20 @@ def ccr_experiment(
             )
         )
     if mc_corr is not None:
-        band = MC_SIGMA_BAND * mc_se if mc_se > 0 else math.inf
-        checks.append(
-            make_check("mc_corr_vs_exact_pointer", abs(mc_corr - pointer_corr), band)
-        )
+        checks.append(make_check(
+            "mc_corr_vs_exact_pointer", abs(mc_corr - pointer_corr), MC_SIGMA_BAND * mc_se
+        ))
 
     return CcrReport(
-        representation=rep_name,
+        representation=rep.basis_id,
         hbar=hbar, sigma=sigma, sigma_prime=sigma_prime, g=g,
         n_trials=n_trials, master_seed=seed,
         edge_amp=edge,
         avg_commutator=avg_comm,
         commutator_oracle=oracle,
+        avg_commutator_vs_truncated_i_hbar=(
+            abs(avg_comm - 1j * hbar * (1.0 - i.dim * edge**2)) if on_edge else None
+        ),
         eq9_born_avg=eq9_avg,
         eq10_born_avg=eq10_avg,
         all_p_w_real=all_real,
@@ -455,13 +456,27 @@ class RiemannReport:
 RIEMANN_TOL = 1e-12
 
 
-def riemann_ops(rep) -> tuple[Operator, Operator]:
+def riemann_ops(x_op: Operator, p_op: Operator, hbar: float) -> tuple[Operator, Operator]:
     """rho = {x,p}/2hbar (Hermitian) and R = i p x / hbar."""
-    x_op, p_op, _, _ = _ccr_ops(rep)
-    anti = (x_op.matrix @ p_op.matrix + p_op.matrix @ x_op.matrix) / (2.0 * rep.hbar)
+    anti = (x_op.matrix @ p_op.matrix + p_op.matrix @ x_op.matrix) / (2.0 * hbar)
     rho = Operator(x_op.basis_id, anti, units="action/hbar", hermitian_hint=True)
-    r = Operator(x_op.basis_id, 1j * (p_op.matrix @ x_op.matrix) / rep.hbar)
+    r = Operator(x_op.basis_id, 1j * (p_op.matrix @ x_op.matrix) / hbar)
     return rho, r
+
+
+def riemann_selections(rep, i: StateVector | None = None, f: StateVector | None = None):
+    """The (i, f) pair riemann_experiment uses.
+
+    i defaults to the Fock ground state (on a grid, the default CCR
+    state), f to i.
+    """
+    if i is None:
+        i = (
+            basis_state(rep.dim, 0, rep.basis_id)
+            if isinstance(rep, FockConfig)
+            else _ccr_default_state(rep)
+        )
+    return i, i if f is None else f
 
 
 def riemann_experiment(
@@ -479,25 +494,13 @@ def riemann_experiment(
     exists, so the residual of the same combination applied to the
     pre-selection state is reported instead.
     """
-    x_op, p_op, natural_basis, rep_name = _ccr_ops(rep)
+    x_op, p_op, natural_basis = _ccr_ops(rep)
     hbar = rep.hbar
-    rho, r_hat = riemann_ops(rep)
-    if i is None:
-        i = (
-            basis_state(rep.dim, 0, rep.basis_id)
-            if isinstance(rep, FockConfig)
-            else _ccr_default_state(rep)
-        )
-    if f is None:
-        f = i
-    if isinstance(rep, FockConfig) and edge_amplitude(i) > EDGE_AMPLITUDE_WARN:
-        warnings.warn(
-            f"top-two-level amplitude {edge_amplitude(i):.2e} leans on the "
-            "truncation edge",
-            TruncationWarning,
-        )
+    rho, r_hat = riemann_ops(x_op, p_op, hbar)
+    i, f = riemann_selections(rep, i, f)
+    check_truncation_edge(rep, i)
 
-    herm_resid = float(np.max(np.abs(rho.matrix - rho.matrix.conj().T)))
+    herm_resid = hermitian_residual(rho.matrix)
     half_line = 0.5 * (r_hat.matrix + r_hat.matrix.conj().T) - 0.5 * np.eye(rho.dim)
     if isinstance(rep, FockConfig):
         safe = half_line[: rep.dim - 2, : rep.dim - 2]
@@ -535,7 +538,7 @@ def riemann_experiment(
         ),
     )
     return RiemannReport(
-        representation=rep_name,
+        representation=rep.basis_id,
         hbar=hbar,
         rho_w=rho_w,
         r_w=r_w,
@@ -601,11 +604,7 @@ def montecarlo_experiment(
     empirical acceptance rate within three binomial standard errors of
     the exact selection probability.
     """
-    from .pointer import measure_weakly
-
     if preset == "spin":
-        if not abs(alpha) < math.pi - 1e-6:
-            raise AlphaOutOfRange(f"|alpha| = {abs(alpha)} too close to pi")
         sel = spin_selections(alpha)
         i, f, obs = sel.i, sel.f, pauli("z")
         rep_dim = None
@@ -627,8 +626,8 @@ def montecarlo_experiment(
         n_trials=n_trials, master_seed=seed, hbar=hbar,
     )
     est = mc.estimate_weak_value(cfg, n_workers=n_workers)
-    stage = measure_weakly(i, f, obs, sigma, g, hbar=hbar)
-    q = stage.probability
+    # roundoff can put a near-certain selection's probability just above 1
+    q = min(est.probability, 1.0)
     acc_se = math.sqrt(q * (1.0 - q) / n_trials)
     checks = (
         make_check(
@@ -642,7 +641,7 @@ def montecarlo_experiment(
         make_check(
             "acceptance_vs_born",
             abs(est.accepted_position / n_trials - q),
-            MC_SIGMA_BAND * acc_se if acc_se > 0 else math.inf,
+            MC_SIGMA_BAND * acc_se,
         ),
     )
     return McReport(

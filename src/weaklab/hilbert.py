@@ -1,7 +1,7 @@
 """Finite-dimensional Hilbert-space foundation.
 
 States, dense operators, standard builders (Fock ladder, periodic grid,
-Pauli), inner products, Born probabilities and unitary evolution.  All
+Pauli), inner products and Born probabilities.  All
 objects are immutable values; all functions are pure.  hbar defaults to 1
 everywhere and can be overridden per call or per config.
 """
@@ -9,6 +9,7 @@ everywhere and can be overridden per call or per config.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,14 +19,14 @@ from .errors import (
     IncompleteBasis,
     InvalidConfig,
     NotHermitian,
+    TruncationWarning,
 )
 
-NORM_ATOL = 1e-12
 HERMITIAN_ATOL = 1e-12
 BASIS_ATOL = 1e-10
 
-# Fock states with edge weight above this trip TruncationWarning in the
-# experiment layer: the truncated commutator is only exact off the edge.
+# Fock states with edge weight above this trip TruncationWarning
+# (check_truncation_edge): the truncated commutator is only exact off the edge.
 EDGE_AMPLITUDE_WARN = 1e-10
 
 
@@ -74,11 +75,7 @@ class Operator:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise InvalidConfig(f"operator matrix must be square, got {mat.shape}")
         if self.hermitian_hint:
-            resid = float(np.max(np.abs(mat - mat.conj().T)))
-            if resid > HERMITIAN_ATOL:
-                raise NotHermitian(
-                    f"hermitian_hint=True but max|M - M^dag| = {resid:.3e}"
-                )
+            require_hermitian(mat, "hermitian_hint=True")
         object.__setattr__(self, "matrix", _freeze(mat))
 
     @property
@@ -133,6 +130,18 @@ class GridConfig:
     @property
     def basis_id(self) -> str:
         return f"grid(n={self.n_points},L={self.length!r})"
+
+
+def hermitian_residual(matrix: np.ndarray) -> float:
+    """max |M - M^dag|."""
+    return float(np.max(np.abs(matrix - matrix.conj().T)))
+
+
+def require_hermitian(matrix: np.ndarray, context: str) -> None:
+    """Raise NotHermitian when the residual exceeds HERMITIAN_ATOL."""
+    resid = hermitian_residual(matrix)
+    if resid > HERMITIAN_ATOL:
+        raise NotHermitian(f"{context} needs a Hermitian matrix, max|M - M^dag| = {resid:.3e}")
 
 
 def _require_same_basis(a, b) -> None:
@@ -223,22 +232,6 @@ def expectation(psi: StateVector, op: Operator) -> complex:
     return matrix_element(psi, op, psi)
 
 
-def apply_operator(op: Operator, psi: StateVector) -> StateVector:
-    """Normalized op|psi>; raises InvalidConfig if op annihilates psi."""
-    _require_same_basis(op, psi)
-    return StateVector(psi.basis_id, op.matrix @ psi.amplitudes)
-
-
-def unitary_of(h: Operator, t: float, hbar: float = 1.0) -> Operator:
-    """exp(-i*h*t/hbar) via Hermitian eigendecomposition."""
-    resid = float(np.max(np.abs(h.matrix - h.matrix.conj().T)))
-    if resid > HERMITIAN_ATOL:
-        raise NotHermitian(f"unitary_of needs Hermitian input, residual {resid:.3e}")
-    w, v = np.linalg.eigh(h.matrix)
-    u = (v * np.exp(-1j * w * t / hbar)) @ v.conj().T
-    return Operator(h.basis_id, u)
-
-
 def _basis_matrix(basis, dim: int, basis_id: str) -> np.ndarray:
     """Rows are the basis amplitudes; validates orthonormal completeness."""
     if len(basis) != dim:
@@ -262,9 +255,7 @@ def born_probabilities(psi: StateVector, basis) -> np.ndarray:
 
 def eigenbasis(op: Operator) -> tuple[np.ndarray, list[StateVector]]:
     """Eigenvalues and normalized eigenvectors of a Hermitian operator."""
-    resid = float(np.max(np.abs(op.matrix - op.matrix.conj().T)))
-    if resid > HERMITIAN_ATOL:
-        raise NotHermitian(f"eigenbasis needs Hermitian input, residual {resid:.3e}")
+    require_hermitian(op.matrix, "eigenbasis")
     w, v = np.linalg.eigh(op.matrix)
     states = [StateVector(op.basis_id, v[:, j]) for j in range(op.dim)]
     return w, states
@@ -295,6 +286,18 @@ def random_hermitian(dim: int, seed: int, basis_id: str = "") -> Operator:
 def edge_amplitude(psi: StateVector) -> float:
     """Max |amplitude| on the top two levels; the truncation-safety figure."""
     return float(np.max(np.abs(psi.amplitudes[-2:])))
+
+
+def check_truncation_edge(rep, psi: StateVector) -> float:
+    """edge_amplitude(psi); warns TruncationWarning when a Fock state leans on the edge."""
+    edge = edge_amplitude(psi)
+    if isinstance(rep, FockConfig) and edge > EDGE_AMPLITUDE_WARN:
+        warnings.warn(
+            f"top-two-level amplitude {edge:.2e} leans on the truncation edge",
+            TruncationWarning,
+            stacklevel=2,
+        )
+    return edge
 
 
 def gaussian_grid_state(

@@ -41,11 +41,10 @@ from .errors import (
     BasisMismatch,
     GridResolutionError,
     InvalidConfig,
-    NotHermitian,
     OrthogonalSelection,
     SelectionAnnihilated,
 )
-from .hilbert import GridConfig, Operator, StateVector
+from .hilbert import GridConfig, Operator, StateVector, require_hermitian
 from .weakcorr import FORWARD, REVERSE, weak_value
 
 ANNIHILATION_ATOL = 1e-15
@@ -57,8 +56,14 @@ DEFAULT_POINTER_POINTS = 1024
 DEFAULT_POINTER_WIDTHS = 40.0  # grid length in units of sigma
 
 
-def default_pointer_grid(sigma: float, hbar: float = 1.0) -> GridConfig:
-    return GridConfig(DEFAULT_POINTER_POINTS, DEFAULT_POINTER_WIDTHS * sigma, hbar)
+def pointer_grid(
+    sigma: float,
+    hbar: float = 1.0,
+    n_points: int = DEFAULT_POINTER_POINTS,
+    widths: float = DEFAULT_POINTER_WIDTHS,
+) -> GridConfig:
+    """Pointer grid of ``n_points`` spanning ``widths`` pointer widths sigma."""
+    return GridConfig(n_points, widths * sigma, hbar)
 
 
 @dataclass(frozen=True)
@@ -126,8 +131,8 @@ class CouplingSpec:
             raise InvalidConfig("sign must be +1 or -1")
 
 
-def gaussian_pointer(grid: GridConfig, sigma: float) -> PointerState:
-    """Real centered Gaussian of probability width sigma on the grid."""
+def check_resolution(grid: GridConfig, sigma: float) -> None:
+    """Raise GridResolutionError unless 4 * spacing <= sigma <= length/8."""
     if sigma < 4.0 * grid.spacing:
         raise GridResolutionError(
             f"sigma = {sigma} under-resolved: needs >= 4 * spacing = {4 * grid.spacing}"
@@ -136,6 +141,11 @@ def gaussian_pointer(grid: GridConfig, sigma: float) -> PointerState:
         raise GridResolutionError(
             f"sigma = {sigma} too wide for box: needs <= length/8 = {grid.length / 8}"
         )
+
+
+def gaussian_pointer(grid: GridConfig, sigma: float) -> PointerState:
+    """Real centered Gaussian of probability width sigma on the grid."""
+    check_resolution(grid, sigma)
     x = grid.positions()
     psi = np.exp(-(x**2) / (4.0 * sigma**2))
     return PointerState(grid, psi, sigma)
@@ -154,8 +164,7 @@ def _observable_eigensystem(op: Operator, eigensystem=None):
     through after the Hermiticity check instead of diagonalizing again.
     """
     mat = op.matrix
-    if np.max(np.abs(mat - mat.conj().T)) > 1e-12:
-        raise NotHermitian("coupled observable must be Hermitian")
+    require_hermitian(mat, "coupled observable")
     if eigensystem is not None:
         return eigensystem
     off = mat - np.diag(np.diag(mat))
@@ -306,14 +315,16 @@ def pointer_mean_momentum(p: PointerState) -> float:
     return float(np.sum(values * probs))
 
 
-def predicted_shifts(x_w: complex, sigma: float, hbar: float = 1.0) -> tuple[float, float]:
-    """First-order pointer shifts for an (already strength-scaled) weak value.
+def predicted_shifts(
+    x_w: complex, sigma: float, hbar: float = 1.0, g: float = 1.0
+) -> tuple[float, float]:
+    """First-order pointer shifts of a weak value measured at strength g.
 
-    dx = -2 sigma^2 Im{x_w} / hbar and dp = Re{x_w}.  Callers pass
-    g * (weak value); the hbar-consistent form of the position shift is
-    used (at hbar = 1 it coincides with the bare -2 sigma^2 Im{x_w}).
+    dx = -2 sigma^2 g Im{x_w} / hbar and dp = g Re{x_w}; the
+    hbar-consistent form of the position shift is used (at hbar = 1 it
+    coincides with the bare -2 sigma^2 g Im{x_w}).
     """
-    return -2.0 * sigma**2 * complex(x_w).imag / hbar, complex(x_w).real
+    return -2.0 * sigma**2 * g * complex(x_w).imag / hbar, g * complex(x_w).real
 
 
 @dataclass(frozen=True)
@@ -325,8 +336,8 @@ class WeakStageResult:
     amplitude: float
 
 
-def _pointer_grid(grid: GridConfig | None, sigma: float, hbar: float) -> GridConfig:
-    grid = grid or default_pointer_grid(sigma, hbar)
+def _grid_or_default(grid: GridConfig | None, sigma: float, hbar: float) -> GridConfig:
+    grid = grid or pointer_grid(sigma, hbar)
     if grid.hbar != hbar:
         raise InvalidConfig(
             f"pointer grid hbar {grid.hbar} != protocol hbar {hbar}"
@@ -356,7 +367,7 @@ def measure_weakly(
     hbar: float = 1.0,
 ) -> WeakStageResult:
     """Prepare i x Gaussian, couple, select f; exact throughout."""
-    phi = gaussian_pointer(_pointer_grid(grid, sigma, hbar), sigma)
+    phi = gaussian_pointer(_grid_or_default(grid, sigma, hbar), sigma)
     spec = CouplingSpec(observable, generator, g, sign)
     rows, amps = conditional_pointers([i], [f], spec, phi)
     return _stage_result(phi, rows[0], amps[0])
@@ -405,8 +416,8 @@ def run_ccr_protocols(
     GridResolutionError when a predicted shift exceeds a quarter of its
     grid, SelectionAnnihilated when a selection leaves no amplitude.
     """
-    grid = _pointer_grid(grid, sigma, hbar)
-    grid_prime = _pointer_grid(grid_prime, sigma_prime, hbar)
+    grid = _grid_or_default(grid, sigma, hbar)
+    grid_prime = _grid_or_default(grid_prime, sigma_prime, hbar)
     phi = gaussian_pointer(grid, sigma)
     phi_prime = gaussian_pointer(grid_prime, sigma_prime)
     rows1, amps1 = conditional_pointers(
@@ -425,8 +436,8 @@ def run_ccr_protocols(
             # predictions undefined; the exact chain decides whether the
             # selections annihilate
             x_w = p_w_bar = nan
-        predicted_dx = -2.0 * sigma**2 * g * x_w.imag / hbar
-        predicted_dx_prime = g * p_w_bar.real
+        predicted_dx = predicted_shifts(x_w, sigma, hbar, g)[0]
+        predicted_dx_prime = predicted_shifts(p_w_bar, sigma_prime, hbar, g)[1]
         if math.isfinite(predicted_dx) and abs(predicted_dx) > grid.length / 4.0:
             raise GridResolutionError(
                 f"predicted P shift {predicted_dx:.3g} exceeds length/4 = {grid.length / 4}"

@@ -64,18 +64,11 @@ class SelectionProtocol:
         object.__setattr__(self, "mid_sequence", tuple(self.mid_sequence))
         states = self.states
         for a, b in zip(states, states[1:]):
-            if abs(inner(b, a)) <= ORTHOGONALITY_EPS:
-                raise OrthogonalSelection(
-                    "adjacent selections are (numerically) orthogonal"
-                )
+            selection_overlap(b, a)
 
     @property
     def states(self) -> tuple:
         return (self.pre, *self.mid_sequence, self.post)
-
-    @property
-    def n_gaps(self) -> int:
-        return len(self.states) - 1
 
     @classmethod
     def alternating(cls, i: StateVector, f: StateVector, n_ops: int) -> "SelectionProtocol":
@@ -86,7 +79,8 @@ class SelectionProtocol:
         return cls(pre=seq[0], mid_sequence=tuple(seq[1:-1]), post=seq[-1])
 
 
-def _overlap_checked(bra: StateVector, ket: StateVector, eps: float) -> complex:
+def selection_overlap(bra: StateVector, ket: StateVector, eps: float = ORTHOGONALITY_EPS) -> complex:
+    """<bra|ket>; raises OrthogonalSelection when |<bra|ket>| <= eps."""
     ov = inner(bra, ket)
     if abs(ov) <= eps:
         raise OrthogonalSelection(
@@ -110,10 +104,10 @@ def weak_value(
     _require_same_basis(i, op)
     _require_same_basis(f, op)
     if direction == FORWARD:
-        ov = _overlap_checked(f, i, eps)
+        ov = selection_overlap(f, i, eps)
         val = complex(np.vdot(f.amplitudes, op.matrix @ i.amplitudes)) / ov
     elif direction == REVERSE:
-        ov = _overlap_checked(i, f, eps)
+        ov = selection_overlap(i, f, eps)
         val = complex(np.vdot(i.amplitudes, op.matrix @ f.amplitudes)) / ov
     else:
         raise ArityMismatch(f"direction must be forward or reverse, got {direction!r}")
@@ -132,7 +126,7 @@ def _chain_value(states, ops, eps: float) -> complex:
         lo, hi = states[k], states[k + 1]
         _require_same_basis(lo, op)
         _require_same_basis(hi, op)
-        den *= _overlap_checked(hi, lo, eps)
+        den *= selection_overlap(hi, lo, eps)
         num *= complex(np.vdot(hi.amplitudes, op.matrix @ lo.amplitudes))
     return num / den
 
@@ -250,23 +244,17 @@ def ccr_decomposition(
 def chain_weak_correlation(
     protocol: SelectionProtocol,
     ops,
-    times=None,
     eps: float = ORTHOGONALITY_EPS,
 ) -> complex:
     """High-order weak correlation over an alternating selection chain.
 
     ``ops`` are given in chronological order, one per selection gap; the
     value is the product of gap matrix elements over the product of gap
-    overlaps.  ``times`` (optional coupling timestamps, one per op) are
-    accepted and validated for arity only: the value is independent of
-    when each weak coupling happens inside its gap (simultaneity).
-    With two ops and protocol (i, f, i) this reduces bit-for-bit to
-    ``weak_correlation``.
+    overlaps.  It does not depend on when each weak coupling happens
+    inside its gap.  With two ops and protocol (i, f, i) this reduces
+    bit-for-bit to ``weak_correlation``.
     """
-    ops = tuple(ops)
-    if times is not None and len(tuple(times)) != len(ops):
-        raise ArityMismatch("one timestamp per operator, if given")
-    return _chain_value(protocol.states, ops, eps)
+    return _chain_value(protocol.states, tuple(ops), eps)
 
 
 def dual_weak_correlation(

@@ -110,7 +110,7 @@ def test_criterion_4_pointer_first_order_convergence():
     f = hilbert.StateVector(cfg.basis_id, f_amps)
     x_w = weakcorr.weak_value(i, f, x_op).value
     sigma = 1.0
-    grid = pointer.default_pointer_grid(sigma)
+    grid = pointer.pointer_grid(sigma)
     y = grid.positions()
 
     dev_x, dev_p, dev_state = {}, {}, {}

@@ -4,9 +4,12 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weaklab import cli
+from weaklab.errors import TruncationWarning
 
 
 def run_cli(argv):
@@ -219,3 +222,223 @@ def test_ccr_g_sweep_leading_minus(tmp_path, glued):
     assert [c["name"] for c in record["checks"]][-2:] == [
         "g_sweep_pointer_corr(g=-0.01)", "g_sweep_pointer_corr(g=0.01)",
     ]
+
+
+# -- config schema: one coercion point ---------------------------------------
+
+@pytest.mark.parametrize("yaml_text", [
+    "seed: true",
+    "workers: 0",
+    "ccr:\n  rep: {kind: fock, dim: 16.7}",
+    "hbar: .nan",
+    "ccr: fock",
+    "ccr:\n  state: {displacement: 1+2}",
+    "ccr:\n  state: {displacement: 1e400j}",
+])
+def test_rejected_config_exits_2_without_outputs(tmp_path, yaml_text):
+    cfgfile = tmp_path / "bad.yaml"
+    cfgfile.write_text(f"experiment: ccr\n{yaml_text}\n")
+    out = tmp_path / "never"
+    assert run_cli(["ccr", "--config", str(cfgfile), "--out", str(out)]) == cli.EXIT_CONFIG_ERROR
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", [["--workers", "0"], ["--dim", "16.7"], ["--seed", "1.5"]])
+def test_rejected_flag_exits_2_without_outputs(tmp_path, flag):
+    out = tmp_path / "never"
+    assert run_cli(["ccr", *flag, "--out", str(out)]) == cli.EXIT_CONFIG_ERROR
+    assert not out.exists()
+
+
+def test_yaml_decimal_string_is_a_number(tmp_path):
+    # PyYAML (YAML 1.1) reads 1e-2 as the string "1e-2"
+    cfgfile = tmp_path / "c.yaml"
+    cfgfile.write_text(
+        "experiment: ccr\nhbar: 1e-2\nccr:\n  n_trials: 0\n  run_pointer: false\n"
+        "  rep: {dim: 6.4e1}\n"
+    )
+    out = tmp_path / "o"
+    assert run_cli(["ccr", "--config", str(cfgfile), "--out", str(out)]) == 0
+    record = read_json(out / "run.json")
+    assert record["config"]["hbar"] == 0.01
+    assert record["config"]["ccr"]["rep"]["dim"] == 64
+    assert record["report"]["hbar"] == 0.01
+    assert record["report"]["representation"] == "fock(dim=64)"
+
+
+def test_complex_string_displacement_runs(tmp_path):
+    cfgfile = tmp_path / "c.yaml"
+    cfgfile.write_text(
+        "experiment: ccr\nccr:\n  n_trials: 0\n  run_pointer: false\n"
+        "  state: {displacement: \"0.5+0.5j\"}\n"
+    )
+    out = tmp_path / "o"
+    assert run_cli(["ccr", "--config", str(cfgfile), "--out", str(out)]) == 0
+    assert read_json(out / "run.json")["config"]["ccr"]["state"]["displacement"] == "0.5+0.5j"
+
+
+# Each precondition: validate reports the error class the run raises (or,
+# for TruncationWarning, warns).  The Hermitian residual has no config path:
+# every operator a config can build is Hermitian by construction.
+@pytest.mark.parametrize("experiment, yaml_text, error", [
+    ("pauli", f"pauli: {{alpha: {math.pi}}}", "AlphaOutOfRange"),
+    ("montecarlo", f"montecarlo: {{alpha: {-math.pi}}}", "AlphaOutOfRange"),
+    ("ccr", "ccr: {pointer_points: 64, n_trials: 0}", "GridResolutionError"),
+    ("ccr", "ccr: {sigma: 0.0, n_trials: 0}", "InvalidConfig"),
+    ("ccr", "ccr: {rep: {dim: 1}}", "InvalidConfig"),
+    ("riemann", "riemann: {rep: {dim: 96}, i_displacement: 4.0, f_displacement: -4.0}",
+     "OrthogonalSelection"),
+    ("ccr", "ccr: {rep: {dim: 8}, run_pointer: false, n_trials: 0}", "TruncationWarning"),
+    ("riemann", "riemann: {rep: {dim: 8}, i_displacement: 2.0}", "TruncationWarning"),
+])
+def test_validate_and_run_report_the_same_error(tmp_path, capsys, experiment, yaml_text, error):
+    cfgfile = tmp_path / "c.yaml"
+    cfgfile.write_text(f"experiment: {experiment}\n{yaml_text}\n")
+    assert run_cli(["validate", str(cfgfile)]) == cli.EXIT_CHECK_FAILED
+    diags = json.loads(capsys.readouterr().out)["diagnostics"]
+    assert error in {d["error"] for d in diags}
+    args = [experiment, "--config", str(cfgfile), "--out", str(tmp_path / "o")]
+    if error == "TruncationWarning":
+        with pytest.warns(TruncationWarning):
+            run_cli(args)
+    else:
+        assert run_cli(args) == cli.EXIT_NUMERICAL_ERROR
+        assert f"numerical error: {error}:" in capsys.readouterr().err
+
+
+def _reals():
+    """(raw value, the number it stands for or None)."""
+    finite = st.floats(-1e6, 1e6)
+    return st.one_of(
+        st.integers(-10, 10**6).map(lambda n: (n, n)),
+        st.integers(-10, 10**6).map(lambda n: (str(n), n)),
+        finite.map(lambda x: (x, x)),
+        finite.map(lambda x: (repr(x), x)),
+        st.sampled_from([("1e-2", 0.01), ("2E3", 2000.0), ("-.5", -0.5), ("+7", 7),
+                         ("4.5e6", 4.5e6), (16.7, 16.7), (2.25, 2.25)]),
+        st.sampled_from([math.nan, math.inf, -math.inf, "inf", "nan"]).map(lambda v: (v, None)),
+    )
+
+
+_OTHERS = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.sampled_from(["0.5+0.5j", "1j", "-2-1j", "nanj", "1e400j", "x", "", "fock", "grid",
+                     "json", "csv", "both", "spin", "./out"]),
+    st.lists(st.floats(-3, 3), max_size=3),
+    st.lists(st.one_of(st.booleans(), st.text("xyz", max_size=2)), min_size=1, max_size=2),
+    st.dictionaries(st.sampled_from(["a", "dim"]), st.integers(0, 3), max_size=1),
+).map(lambda v: (v, None))
+
+_WORKERS = st.one_of(st.integers(-2, 4).map(lambda n: (n, n)),
+                     st.sampled_from([("2", 2), ("3.0", 3.0), (2.5, 2.5), ("1e0", 1.0)]))
+
+
+def _expected(kind, raw, number):
+    """The coerced value resolve_config must give, or _REJECT."""
+    if isinstance(kind, tuple):
+        return raw if isinstance(raw, str) and raw in kind else _REJECT
+    if kind == "str":
+        return raw if isinstance(raw, str) else _REJECT
+    if kind == "bool":
+        return raw if isinstance(raw, bool) else _REJECT
+    if kind == "floats":
+        return list(raw) if isinstance(raw, list) and all(
+            isinstance(x, float) for x in raw) else _REJECT
+    if kind == "float?" and raw is None:
+        return None
+    if number is None:
+        if kind == "complex" and isinstance(raw, str) and raw:
+            try:
+                z = complex(raw)
+            except ValueError:
+                return _REJECT
+            return raw if math.isfinite(z.real) and math.isfinite(z.imag) else _REJECT
+        return _REJECT
+    if kind == "int":
+        return int(number) if float(number).is_integer() else _REJECT
+    return float(number)
+
+
+_REJECT = object()
+
+
+def _is_schema_type(kind, value):
+    if isinstance(kind, tuple):
+        return value in kind
+    return {
+        "int": lambda v: type(v) is int,
+        "float": lambda v: type(v) is float and math.isfinite(v),
+        "float?": lambda v: v is None or type(v) is float,
+        "complex": lambda v: type(v) in (float, str),
+        "floats": lambda v: type(v) is list and all(type(x) is float for x in v),
+        "bool": lambda v: type(v) is bool,
+        "str": lambda v: type(v) is str,
+    }[kind](value)
+
+
+@st.composite
+def _configs(draw):
+    experiment = draw(st.sampled_from(cli.EXPERIMENTS))
+    fields = cli._fields(experiment)
+    chosen = draw(st.lists(st.sampled_from(sorted(fields)), max_size=6, unique=True))
+    raw, expected = {}, {}
+    for path in chosen:
+        value, number = draw(_WORKERS if path == "workers" else st.one_of(_reals(), _OTHERS))
+        cli._put(raw, path, value)
+        expected[path] = _expected(fields[path].kind, value, number)
+    unknown = draw(st.sampled_from([None, "bogus", f"{experiment}.bogus", "rep"]))
+    if unknown is not None:
+        cli._put(raw, unknown, 1)
+    return experiment, raw, expected, unknown is not None
+
+
+@given(_configs())
+@settings(max_examples=200, deadline=None)
+def test_resolve_config_accepts_exactly_the_schema_types(case):
+    experiment, raw, expected, has_unknown = case
+    fields = cli._fields(experiment)
+    values = {path: expected.get(path, field.default) for path, field in fields.items()}
+    accept = (not has_unknown and _REJECT not in values.values()
+              and values["hbar"] > 0 and values["workers"] >= 1)
+    if not accept:
+        with pytest.raises(cli.ConfigError):
+            cli.resolve_config(experiment, raw, {})
+        return
+    cfg = cli.resolve_config(experiment, raw, {})
+    for path, field in fields.items():
+        got = cli._lookup(cfg, path)
+        assert _is_schema_type(field.kind, got), (path, got)
+        assert got == values[path], (path, got)
+    assert cli.resolve_config(experiment, cfg, {}) == cfg
+    stored = json.loads(json.dumps(cli.to_jsonable(cfg), allow_nan=False))
+    assert cli.resolve_config(experiment, stored, {}) == cfg
+
+
+# -- gates and the record ----------------------------------------------------
+
+def test_monte_carlo_budget_without_usable_selection_exits_3(tmp_path, capsys):
+    # 10 trials give no mid-selection the expected accepted count Monte Carlo
+    # needs; the MC gate used to pass with tolerance inf
+    out = tmp_path / "o"
+    status = run_cli(["ccr", "--rep", "grid", "--points", "128", "--n-trials", "10",
+                      "--out", str(out)])
+    assert status == cli.EXIT_NUMERICAL_ERROR
+    assert "NoAcceptedTrials" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_json_is_strict_json(tmp_path):
+    report = {"z": complex(math.nan, 0.0), "w": complex(1.0, -math.inf),
+              "f": np.float64(math.inf), "a": np.array([math.nan])}
+    record = {"report": cli.to_jsonable(report)}
+    cli.write_outputs({"out": str(tmp_path), "format": "json"}, record, {})
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    data = json.loads((tmp_path / "run.json").read_text(), parse_constant=reject)
+    assert data["report"] == {"z": {"re": "nan", "im": 0.0}, "w": {"re": 1.0, "im": "-inf"},
+                              "f": "inf", "a": ["nan"]}
+    with pytest.raises(ValueError):  # a bare non-finite float is refused, not written
+        cli.write_outputs({"out": str(tmp_path), "format": "json"}, {"x": math.nan}, {})

@@ -13,7 +13,6 @@ from weaklab.ensemble import (
     WeakValueTrialConfig,
     estimate_weak_value,
     run_trials,
-    substream,
     trial_uniforms,
 )
 from weaklab.errors import InvalidConfig, NoAcceptedTrials
@@ -31,22 +30,6 @@ def grid_setup(n_sys=64, length=20.0):
 def plane_wave(cfg, mode):
     k = 2.0 * np.pi * mode / cfg.length
     return hilbert.StateVector(cfg.basis_id, np.exp(1j * k * cfg.positions())), k
-
-
-def test_substream_deterministic_and_distinct():
-    a = substream(123, 5).random(16)
-    b = substream(123, 5).random(16)
-    np.testing.assert_array_equal(a, b)
-    c = substream(123, 6).random(16)
-    assert np.max(np.abs(a - c)) > 1e-3
-
-
-def test_substream_lag_correlation():
-    n = 100_000
-    a = substream(2024, 0).random(n)
-    b = substream(2024, 1).random(n)
-    r = np.corrcoef(a, b)[0, 1]
-    assert abs(r) < 0.01
 
 
 def test_trial_draws_are_pure_functions_of_index():

@@ -83,6 +83,10 @@ def test_ccr_experiment_warns_on_truncation_edge():
         rep = ccr_experiment(cfg, i_spec=state, n_trials=0, run_pointer=False)
     # the matrix oracle still matches exactly
     assert abs(rep.avg_commutator - rep.commutator_oracle) <= 1e-12
+    # i hbar is no target on the edge: the truncated reading is reported, not gated
+    assert "avg_commutator_vs_truncated_i_hbar" not in [c.name for c in rep.checks]
+    assert math.isfinite(rep.avg_commutator_vs_truncated_i_hbar)
+    assert all(math.isfinite(c.tol) for c in rep.checks)
 
 
 def test_ccr_experiment_grid_pointer_branch():
@@ -193,3 +197,39 @@ def test_ccr_experiment_matches_joint_state_oracle(rep, monkeypatch, oracle_prot
     for a, b in (pair for pair in simulated if pair[1].weight >= 1e-3):
         assert a.dx_d == pytest.approx(b.dx_d, abs=1e-13)
         assert a.dx_d_prime == pytest.approx(b.dx_d_prime, abs=1e-13)
+
+
+def test_acceptance_gate_is_finite_for_a_certain_selection():
+    # at g = 1e-9 the selection probability rounds to 1 (or just above it);
+    # the binomial band is then 0, not inf
+    rep = montecarlo_experiment(preset="spin", alpha=0.0, g=1e-9, n_trials=1000)
+    gate = {c.name: c for c in rep.checks}["acceptance_vs_born"]
+    assert rep.acceptance_expected == 1.0
+    assert gate.tol == 0.0 and gate.passed
+
+
+def test_montecarlo_runs_one_weak_stage(monkeypatch):
+    calls = []
+    real = experiments.mc.measure_weakly
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments.mc, "measure_weakly", counted)
+    rep = montecarlo_experiment(preset="fock", n_trials=2000, seed=1)
+    assert len(calls) == 1
+    assert rep.acceptance_expected == real(*calls[0], hbar=1.0).probability
+
+
+def test_riemann_experiment_builds_x_and_p_once(monkeypatch):
+    calls = []
+    real = experiments.make_grid_ops
+
+    def counted(cfg):
+        calls.append(cfg)
+        return real(cfg)
+
+    monkeypatch.setattr(experiments, "make_grid_ops", counted)
+    assert riemann_experiment(hilbert.GridConfig(64, 20.0)).passed
+    assert len(calls) == 1

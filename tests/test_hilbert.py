@@ -130,35 +130,6 @@ def test_hermitian_expectation_is_real(seed, dim):
     assert abs(hilbert.expectation(psi, op).imag) <= 1e-12
 
 
-def test_unitary_of_identity_at_zero_time():
-    h = hilbert.random_hermitian(6, seed=3)
-    u = hilbert.unitary_of(h, 0.0)
-    np.testing.assert_allclose(u.matrix, np.eye(6), atol=1e-14)
-
-
-def test_unitary_of_sigma_z_pi():
-    # diag(e^{-i pi}, e^{+i pi}) = -I, from the 2x2 diagonal exponential.
-    u = hilbert.unitary_of(hilbert.pauli("z"), np.pi)
-    np.testing.assert_allclose(u.matrix, -np.eye(2), atol=1e-14)
-
-
-@given(st.integers(0, 2**31))
-@settings(max_examples=25, deadline=None)
-def test_unitary_of_is_unitary_and_norm_preserving(seed):
-    h = hilbert.random_hermitian(7, seed)
-    u = hilbert.unitary_of(h, 0.83)
-    uu = u.matrix.conj().T @ u.matrix
-    assert np.max(np.abs(uu - np.eye(7))) <= 1e-10
-    psi = hilbert.random_state(7, seed + 9)
-    assert np.linalg.norm(u.matrix @ psi.amplitudes) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_unitary_of_rejects_non_hermitian():
-    bad = hilbert.Operator("generic(dim=2)", np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(NotHermitian):
-        hilbert.unitary_of(bad, 1.0)
-
-
 def test_born_probabilities_on_basis_element():
     basis = [hilbert.basis_state(4, j) for j in range(4)]
     w = hilbert.born_probabilities(basis[2], basis)

@@ -22,7 +22,6 @@ from weaklab.pointer import (
     PointerState,
     conditional_pointers,
     couple,
-    default_pointer_grid,
     gaussian_pointer,
     measure_weakly,
     momentum_distribution,

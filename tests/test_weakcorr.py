@@ -293,17 +293,6 @@ def test_chain_four_ops_matches_product_of_ratios_oracle():
     assert got == pytest.approx(oracle, abs=1e-12 * max(1.0, abs(oracle)))
 
 
-def test_chain_value_ignores_coupling_times():
-    i, f = spin_pair(0.9)
-    ops = (pauli("x"), pauli("y"))
-    protocol = SelectionProtocol.alternating(i, f, 2)
-    v1 = chain_weak_correlation(protocol, ops, times=(0.1, 0.9))
-    v2 = chain_weak_correlation(protocol, ops, times=(0.4999, 0.5001))
-    assert v1 == v2
-    with pytest.raises(ArityMismatch):
-        chain_weak_correlation(protocol, ops, times=(0.1,))
-
-
 def test_chain_arity_mismatch():
     i, f = spin_pair(1.0)
     protocol = SelectionProtocol.alternating(i, f, 2)
