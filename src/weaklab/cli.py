@@ -43,6 +43,11 @@ EXIT_NUMERICAL_ERROR = 3
 
 EXPERIMENTS = ("pauli", "ccr", "riemann", "chain", "montecarlo")
 
+# Upper bound on --workers.  The useful thread count is at most the number
+# of 65536-trial RNG blocks; the bound keeps a typo from asking for
+# thousands of threads.
+MAX_WORKERS = 64
+
 
 class ConfigError(Exception):
     """Raised on schema violations; maps to exit status 2."""
@@ -53,6 +58,8 @@ class Field:
     """One config leaf: default, type and command-line flag (None: file only).
 
     ``kind`` is one of the names in ``_KINDS`` or a tuple of allowed strings.
+    A callable ``default`` derives the value from the config resolved so
+    far (the fields listed before it in ``SCHEMA``).
     """
 
     default: object
@@ -75,7 +82,7 @@ SCHEMA = {
     "format": Field("json", ("json", "csv", "both"), "--format", "output files"),
     "seed": Field(0, "int", "--seed", "64-bit master seed"),
     "hbar": Field(1.0, "float", "--hbar", "hbar > 0"),
-    "workers": Field(1, "int", "--workers", "Monte Carlo worker threads, >= 1"),
+    "workers": Field(1, "int", "--workers", f"Monte Carlo worker threads, 1 to {MAX_WORKERS}"),
     "pauli.alpha": Field(math.pi / 3, "float", "--alpha", "spin angle"),
     "pauli.alpha_sweep": Field(
         [], "floats", "--alpha-sweep", "comma-separated angles; overrides alpha when nonempty"
@@ -87,7 +94,10 @@ SCHEMA = {
     "ccr.g_sweep": Field([], "floats", "--g-sweep", "comma-separated couplings, exact pointer only"),
     "ccr.n_trials": Field(200_000, "int", "--n-trials", "Monte Carlo attempt budget; 0 disables it"),
     "ccr.run_pointer": Field(True, "bool", "--no-pointer", "skip the pointer and Monte Carlo"),
-    "ccr.state.displacement": Field(2.0, "complex", None, "Fock initial coherent state"),
+    "ccr.state.displacement": Field(
+        lambda cfg: experiments.ccr_default_displacement(cfg["ccr"]["rep"]["dim"]),
+        "complex", None, "Fock initial coherent state; default min(2, sqrt(dim) / 4)",
+    ),
     "ccr.state.width": Field(None, "float?", None, "grid initial Gaussian width; null: length/24"),
     "ccr.pointer_points": Field(pointer.DEFAULT_POINTER_POINTS, "int", None, "pointer grid points"),
     "ccr.pointer_length_sigmas": Field(
@@ -280,7 +290,7 @@ def resolve_config(experiment: str, file_cfg: dict, overrides: dict) -> dict:
 
     Raises ConfigError on unknown fields, values of the wrong type
     (bools, fractional integers, non-finite numbers), hbar <= 0 and
-    workers < 1.
+    workers outside 1..MAX_WORKERS.
     """
     file_cfg = dict(file_cfg)
     declared = file_cfg.pop("experiment", experiment)
@@ -297,16 +307,18 @@ def resolve_config(experiment: str, file_cfg: dict, overrides: dict) -> dict:
     for source in (file_cfg, overrides):
         _check_keys(source, fields)
     for path, field in fields.items():
-        value = field.default
+        value = _MISSING
         for source in (file_cfg, overrides):
             found = _lookup(source, path)
             if found is not _MISSING:
                 value = found
+        if value is _MISSING:
+            value = field.default(cfg) if callable(field.default) else field.default
         _put(cfg, path, _coerce(path, field.kind, value))
     if cfg["hbar"] <= 0:
         raise ConfigError("hbar must be a positive real")
-    if cfg["workers"] < 1:
-        raise ConfigError("workers must be at least 1")
+    if not 1 <= cfg["workers"] <= MAX_WORKERS:
+        raise ConfigError(f"workers must be between 1 and {MAX_WORKERS}")
     return cfg
 
 
@@ -328,7 +340,7 @@ def _riemann_selections(rep, sub: dict):
     """(i, f) of a riemann run: a nonzero displacement gives a Fock coherent state."""
     i, f = (
         hilbert.coherent_state(rep, complex(sub[key]))
-        if isinstance(rep, hilbert.FockConfig) and sub[key] else None
+        if isinstance(rep, hilbert.FockConfig) and complex(sub[key]) != 0 else None
         for key in ("i_displacement", "f_displacement")
     )
     return experiments.riemann_selections(rep, i, f)

@@ -3,7 +3,10 @@
 A laboratory run is emulated trial by trial: each strong selection is
 passed with its exact Born probability (sampled against a uniform
 variate), failed trials are discarded, and surviving pointers are read
-out by inverse-CDF sampling on the grid readout distribution.
+out by inverse-CDF sampling on the grid readout distribution.  The
+inverse CDF is a guide table built once per readout distribution; it
+returns exactly the indices of a binary search (``searchsorted``), so
+every readout is bit-identical to that form.
 
 Reproducibility contract: the four uniforms of trial ``t`` are row
 ``t % BLOCK`` of a Philox stream keyed by (master_seed, stream, block
@@ -36,6 +39,9 @@ from .pointer import (
 
 BLOCK = 1 << 16  # trials per RNG block
 _DRAWS = 4  # uniforms per trial: accept-mid, accept-post, readout, readout'
+# Guide-table buckets of the readout sampler; a power of two, so u * K and
+# k / K are exact.
+GUIDE_BUCKETS = 1 << 14
 
 _STREAM_TRIALS = 1
 _STREAM_IMAG = 2
@@ -100,9 +106,33 @@ class EnsembleStats:
     stderr_product: float
 
 
-def _inverse_cdf(values: np.ndarray, cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(cdf, u, side="right")
-    return values[np.minimum(idx, values.size - 1)]
+def _inverse_cdf(values: np.ndarray, cdf: np.ndarray):
+    """Sampler u -> values[min(searchsorted(cdf, u, "right"), n - 1)] for u in [0, 1).
+
+    A guide table (Chen & Asau 1974) over GUIDE_BUCKETS equal buckets of
+    [0, 1): ``lo[k]`` is the binary-search index of the bucket's left
+    edge.  A key in bucket k has an index in [lo[k], hi[k]], hi[k] being
+    the count of cdf entries below the right edge; where hi - lo <= 1 one
+    comparison with ``cdf[lo[k]]`` decides it, and the few keys of wider
+    buckets are binary-searched.  The indices, so the readouts, equal the
+    binary search's bit for bit (``cdf`` nondecreasing).
+    """
+    edges = np.arange(GUIDE_BUCKETS + 1) / GUIDE_BUCKETS
+    lo = np.searchsorted(cdf, edges[:-1], side="right")
+    wide = np.searchsorted(cdf, edges[1:], side="left") - lo > 1
+    ext = np.append(cdf, np.inf)
+    last = values.size - 1
+
+    def sample(u: np.ndarray) -> np.ndarray:
+        k = (u * GUIDE_BUCKETS).astype(np.intp)
+        idx = lo[k]
+        idx += ext[idx] <= u
+        fallback = np.flatnonzero(wide[k])
+        if fallback.size:
+            idx[fallback] = np.searchsorted(cdf, u[fallback], side="right")
+        return values[np.minimum(idx, last, out=idx)]
+
+    return sample
 
 
 def _reduce_moments(partials, attempted):
@@ -133,8 +163,9 @@ def _run_blocks(master_seed, stream, n_trials, block_fn, n_workers):
         u = _block_stream(master_seed, stream, b).random((size, _DRAWS))
         return block_fn(u)
 
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+    n_threads = min(n_workers, len(blocks))
+    if n_threads > 1:
+        with ThreadPoolExecutor(max_workers=n_threads) as pool:
             return list(pool.map(one, blocks))
     return [one(b) for b in blocks]
 
@@ -165,12 +196,13 @@ def run_trials(
     q1, q2 = chain.prob_mid, chain.prob_post
     v1, p1 = readout_distribution(chain.pointer_first, cfg.readout_first)
     v2, p2 = readout_distribution(chain.pointer_second, cfg.readout_second)
-    cdf1, cdf2 = np.cumsum(p1), np.cumsum(p2)
+    readout1 = _inverse_cdf(v1, np.cumsum(p1))
+    readout2 = _inverse_cdf(v2, np.cumsum(p2))
 
     def block_fn(u):
         acc = (u[:, 0] < q1) & (u[:, 1] < q2)
-        r1 = _inverse_cdf(v1, cdf1, u[acc, 2])
-        r2 = _inverse_cdf(v2, cdf2, u[acc, 3])
+        r1 = readout1(np.compress(acc, u[:, 2]))
+        r2 = readout2(np.compress(acc, u[:, 3]))
         prod = r1 * r2
         return {
             "n": int(np.count_nonzero(acc)),
@@ -258,11 +290,11 @@ def estimate_weak_value(cfg: WeakValueTrialConfig, n_workers: int = 1) -> WeakVa
 
     def run_readout(kind, stream):
         values, probs = readout_distribution(stage.pointer, kind)
-        cdf = np.cumsum(probs)
+        readout = _inverse_cdf(values, np.cumsum(probs))
 
         def block_fn(u):
             acc = u[:, 0] < q
-            r = _inverse_cdf(values, cdf, u[acc, 2])
+            r = readout(np.compress(acc, u[:, 2]))
             return {"n": int(np.count_nonzero(acc)),
                     "s": float(np.sum(r)), "q": float(np.sum(r * r))}
 

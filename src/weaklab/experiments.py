@@ -216,9 +216,18 @@ _MC_MIN_EXPECTED_ACCEPTED = 25.0
 _POINTER_COVERAGE = 1.0 - 1e-9
 
 
+def ccr_default_displacement(dim: int) -> float:
+    """Displacement of the default Fock initial state, min(2, sqrt(dim) / 4).
+
+    The mean occupation |alpha|^2 is then at most dim / 16.  A ``dim``
+    below 1, which no Fock space has, gives 0.
+    """
+    return min(2.0, 0.25 * math.sqrt(max(dim, 0)))
+
+
 def _ccr_default_state(rep) -> StateVector:
     if isinstance(rep, FockConfig):
-        return coherent_state(rep, min(2.0, 0.25 * math.sqrt(rep.dim)))
+        return coherent_state(rep, ccr_default_displacement(rep.dim))
     return gaussian_grid_state(rep, width=rep.length / 24.0)
 
 

@@ -250,6 +250,45 @@ def test_rejected_flag_exits_2_without_outputs(tmp_path, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("workers", ["65", "1000000"])
+def test_workers_above_the_bound_exit_2_without_outputs(tmp_path, workers):
+    # resolve_config rejects it before any thread starts
+    out = tmp_path / "never"
+    assert run_cli(["montecarlo", "--workers", workers, "--out", str(out)]) == cli.EXIT_CONFIG_ERROR
+    assert not out.exists()
+
+
+def test_ccr_small_dim_default_state_passes(tmp_path):
+    out = tmp_path / "o"
+    assert run_cli(["ccr", "--dim", "16", "--n-trials", "0", "--no-pointer",
+                    "--out", str(out)]) == 0
+    record = read_json(out / "run.json")
+    assert record["config"]["ccr"]["state"]["displacement"] == 1.0
+    assert all(c["passed"] for c in record["checks"])
+
+
+@pytest.mark.parametrize("zero", ["0", "0.0", '"0j"', '"0+0j"'])
+def test_riemann_zero_f_displacement_means_f_is_i(tmp_path, capsys, zero):
+    def riemann_yaml(name, text):
+        path = tmp_path / name
+        path.write_text(f"experiment: riemann\nriemann: {{{text}}}\n")
+        return str(path)
+
+    reports = []
+    for name, f_text in (("zero", f", f_displacement: {zero}"), ("absent", "")):
+        cfgfile = riemann_yaml(f"{name}.yaml", f"rep: {{dim: 32}}, i_displacement: 1.0{f_text}")
+        out = tmp_path / name
+        assert run_cli(["riemann", "--config", cfgfile, "--out", str(out)]) == 0
+        reports.append(read_json(out / "run.json")["report"])
+    assert reports[0] == reports[1]
+    assert abs(reports[0]["rho_w"]["im"]) < 0.1  # the ground state as f gives -0.5
+    # validate builds (i, f) the same way: f = i, so no orthogonal selection
+    far = riemann_yaml("far.yaml", f"rep: {{dim: 160}}, i_displacement: 8.0, f_displacement: {zero}")
+    capsys.readouterr()
+    assert run_cli(["validate", far]) == 0
+    assert json.loads(capsys.readouterr().out)["diagnostics"] == []
+
+
 def test_yaml_decimal_string_is_a_number(tmp_path):
     # PyYAML (YAML 1.1) reads 1e-2 as the string "1e-2"
     cfgfile = tmp_path / "c.yaml"
@@ -330,8 +369,10 @@ _OTHERS = st.one_of(
     st.dictionaries(st.sampled_from(["a", "dim"]), st.integers(0, 3), max_size=1),
 ).map(lambda v: (v, None))
 
+# resolve_config starts no thread, so values past MAX_WORKERS are safe here
 _WORKERS = st.one_of(st.integers(-2, 4).map(lambda n: (n, n)),
-                     st.sampled_from([("2", 2), ("3.0", 3.0), (2.5, 2.5), ("1e0", 1.0)]))
+                     st.sampled_from([("2", 2), ("3.0", 3.0), (2.5, 2.5), ("1e0", 1.0),
+                                      (64, 64), ("65", 65), (10**6, 10**6)]))
 
 
 def _expected(kind, raw, number):
@@ -399,8 +440,12 @@ def test_resolve_config_accepts_exactly_the_schema_types(case):
     experiment, raw, expected, has_unknown = case
     fields = cli._fields(experiment)
     values = {path: expected.get(path, field.default) for path, field in fields.items()}
+    if experiment == "ccr" and "ccr.state.displacement" not in expected:
+        dim = values["ccr.rep.dim"]
+        values["ccr.state.displacement"] = (
+            _REJECT if dim is _REJECT else min(2.0, 0.25 * math.sqrt(max(dim, 0))))
     accept = (not has_unknown and _REJECT not in values.values()
-              and values["hbar"] > 0 and values["workers"] >= 1)
+              and values["hbar"] > 0 and 1 <= values["workers"] <= 64)
     if not accept:
         with pytest.raises(cli.ConfigError):
             cli.resolve_config(experiment, raw, {})

@@ -1,9 +1,11 @@
 """Tests for the Born-rule Monte Carlo engine."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weaklab import ensemble, hilbert, pointer
 from weaklab.ensemble import (
@@ -16,7 +18,14 @@ from weaklab.ensemble import (
     trial_uniforms,
 )
 from weaklab.errors import InvalidConfig, NoAcceptedTrials
-from weaklab.hilbert import GridConfig, gaussian_grid_state, make_grid_ops
+from weaklab.hilbert import (
+    FockConfig,
+    GridConfig,
+    coherent_state,
+    gaussian_grid_state,
+    make_fock_ops,
+    make_grid_ops,
+)
 from weaklab.weakcorr import weak_value
 
 
@@ -301,3 +310,136 @@ def test_run_trials_uses_a_given_chain(monkeypatch):
 
     monkeypatch.setattr(ensemble, "run_ccr_protocol", no_recompute)
     assert run_trials(cfg, chain=chain) == plain
+
+
+# -- guide-table readout: the same indices as binary search -------------------
+
+def reference_inverse_cdf(values, cdf):
+    """The binary-search readout the guide table must reproduce (test oracle)."""
+    return lambda u: values[np.minimum(np.searchsorted(cdf, u, side="right"), values.size - 1)]
+
+
+def probability_vector(kind, n, rng):
+    x = np.linspace(-1.0, 1.0, n)
+    if kind == "random":
+        return rng.random(n)
+    if kind == "uniform":
+        return np.ones(n)
+    if kind == "gaussian":
+        return np.exp(-((x - rng.uniform(-0.5, 0.5)) / rng.uniform(1e-3, 0.5)) ** 2)
+    if kind == "spiky":
+        return rng.random(n) ** 40
+    p = rng.random(n)  # zero runs: equal cdf entries
+    for start in rng.integers(0, n, size=3):
+        p[start:start + rng.integers(1, n + 1)] = 0.0
+    p[rng.integers(0, n)] = 1.0
+    return p
+
+
+def guide_keys(cdf, rng):
+    """Random keys plus every cdf entry, every bucket edge and their neighbours."""
+    edges = np.arange(ensemble.GUIDE_BUCKETS) / ensemble.GUIDE_BUCKETS
+    keys = np.concatenate([
+        rng.random(4096),
+        cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0),
+        edges, np.nextafter(edges, -1.0),
+        [0.0, 1.0 - 2.0**-53],
+    ])
+    return keys[(keys >= 0.0) & (keys < 1.0)]
+
+
+@given(
+    kind=st.sampled_from(["random", "uniform", "gaussian", "spiky", "zero-runs"]),
+    n=st.one_of(st.integers(1, 300), st.just(1024)),
+    total=st.sampled_from([1.0, 1.0 - 2**-52, 1.0 - 1e-12, 1.0 - 1e-6, 1.0 + 2**-52, 1.0 + 1e-9]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_guide_table_equals_binary_search(kind, n, total, seed):
+    rng = np.random.default_rng(seed)
+    p = probability_vector(kind, n, rng)
+    cdf = np.cumsum(p * (total / p.sum()))
+    values = rng.normal(size=n)
+    keys = guide_keys(cdf, rng)
+    got = ensemble._inverse_cdf(values, cdf)(keys)
+    np.testing.assert_array_equal(got, reference_inverse_cdf(values, cdf)(keys))
+
+
+def test_guide_table_dense_bucket_falls_back_to_binary_search():
+    # 1000 cdf entries inside the first bucket, so its keys take the fallback
+    p = np.concatenate([np.full(1000, 1e-9), [1.0], np.full(23, 1e-3)])
+    cdf = np.cumsum(p / p.sum())
+    values = np.arange(cdf.size, dtype=float)
+    keys = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.linspace(0.0, 2e-6, 5001)])
+    keys = keys[keys < 1.0]
+    got = ensemble._inverse_cdf(values, cdf)(keys)
+    np.testing.assert_array_equal(got, reference_inverse_cdf(values, cdf)(keys))
+    assert np.unique(got[keys < 1e-6]).size > 100
+
+
+def assert_equal_fields(a, b):
+    for field in dataclasses.fields(a):
+        assert getattr(a, field.name) == getattr(b, field.name), field.name
+
+
+def spin_trial_setup():
+    i, f = spin_pair(0.8)
+    return dict(i=i, f=f, x_op=hilbert.pauli("x"), p_op=hilbert.pauli("y"), g=0.05)
+
+
+def fock_trial_setup():
+    rep = FockConfig(dim=16)
+    x_op, p_op = make_fock_ops(rep)
+    return dict(i=coherent_state(rep, 1.0), f=coherent_state(rep, 0.5 + 0.5j),
+                x_op=x_op, p_op=p_op, g=0.05)
+
+
+def grid_trial_setup():
+    cfg, x_op, p_op, i = grid_setup()
+    f, _ = plane_wave(cfg, 1)
+    return dict(i=i, f=f, x_op=x_op, p_op=p_op, g=0.01)
+
+
+TRIAL_SETUPS = {"spin": spin_trial_setup, "fock": fock_trial_setup, "grid": grid_trial_setup}
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+@pytest.mark.parametrize("setup", sorted(TRIAL_SETUPS))
+def test_run_trials_equals_binary_search_readout(monkeypatch, setup, n_workers):
+    cfg = TrialConfig(sigma=1.0, sigma_prime=1.0, n_trials=2 * BLOCK + 999, master_seed=5,
+                      readout_second=pointer.MOMENTUM, **TRIAL_SETUPS[setup]())
+    guided = run_trials(cfg, n_workers)
+    monkeypatch.setattr(ensemble, "_inverse_cdf", reference_inverse_cdf)
+    assert_equal_fields(guided, run_trials(cfg, n_workers))
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+@pytest.mark.parametrize("setup", sorted(TRIAL_SETUPS))
+def test_estimate_weak_value_equals_binary_search_readout(monkeypatch, setup, n_workers):
+    kw = TRIAL_SETUPS[setup]()
+    cfg = WeakValueTrialConfig(i=kw["i"], f=kw["f"], observable=kw["x_op"], sigma=1.0,
+                               g=kw["g"], n_trials=2 * BLOCK + 999, master_seed=6)
+    guided = estimate_weak_value(cfg, n_workers)
+    monkeypatch.setattr(ensemble, "_inverse_cdf", reference_inverse_cdf)
+    assert_equal_fields(guided, estimate_weak_value(cfg, n_workers))
+
+
+@pytest.mark.parametrize("n_workers, n_trials, pool_size", [
+    (1, 3 * BLOCK, None),
+    (4, BLOCK, None),
+    (3, BLOCK + 1, 2),
+    (2, 3 * BLOCK, 2),
+])
+def test_run_blocks_starts_at_most_one_thread_per_block(monkeypatch, n_workers, n_trials,
+                                                        pool_size):
+    sizes = []
+
+    class Pool(ensemble.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(ensemble, "ThreadPoolExecutor", Pool)
+    counts = ensemble._run_blocks(3, 1, n_trials, len, n_workers)
+    assert sum(counts) == n_trials
+    assert sizes == ([] if pool_size is None else [pool_size])
