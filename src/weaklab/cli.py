@@ -96,7 +96,8 @@ SCHEMA = {
     "ccr.run_pointer": Field(True, "bool", "--no-pointer", "skip the pointer and Monte Carlo"),
     "ccr.state.displacement": Field(
         lambda cfg: experiments.ccr_default_displacement(cfg["ccr"]["rep"]["dim"]),
-        "complex", None, "Fock initial coherent state; default min(2, sqrt(dim) / 4)",
+        "complex", None,
+        "Fock initial coherent state; default min(2, sqrt(dim) / 4), kept off the truncation edge",
     ),
     "ccr.state.width": Field(None, "float?", None, "grid initial Gaussian width; null: length/24"),
     "ccr.pointer_points": Field(pointer.DEFAULT_POINTER_POINTS, "int", None, "pointer grid points"),
@@ -226,22 +227,40 @@ def _check_keys(tree: dict, fields: dict, prefix: str = "") -> None:
         _check_keys(value, fields, path + ".")
 
 
+_FIELD_NAMES: dict[type, tuple] = {}  # dataclass -> its field names
+
+
 def to_jsonable(obj):
     """Recursively convert dataclasses/complex/numpy into strict-JSON types.
 
     Non-finite floats, also the parts of a complex number, become the
-    strings "nan", "inf" and "-inf".
+    strings "nan", "inf" and "-inf".  The common exact types are dispatched
+    first; subclasses and numpy types take the isinstance branches below.
     """
+    t = type(obj)
+    if t is str or t is int or t is bool or obj is None:
+        return obj
+    if t is float:
+        return obj if math.isfinite(obj) else repr(obj)
+    if t is complex:
+        return {"re": to_jsonable(obj.real), "im": to_jsonable(obj.imag)}
+    if t is dict:
+        return {str(k): to_jsonable(v) for k, v in obj.items()}
+    if t is list or t is tuple:
+        return [to_jsonable(v) for v in obj]
+    names = _FIELD_NAMES.get(t)
+    if names is None and dataclasses.is_dataclass(t):
+        names = _FIELD_NAMES[t] = tuple(f.name for f in dataclasses.fields(t))
+    if names is not None:
+        out = {name: to_jsonable(getattr(obj, name)) for name in names}
+        if hasattr(obj, "passed"):
+            out["passed"] = bool(obj.passed)
+        return out
     if isinstance(obj, (float, np.floating)):
         obj = float(obj)
         return obj if math.isfinite(obj) else repr(obj)
     if isinstance(obj, complex):
         return {"re": to_jsonable(obj.real), "im": to_jsonable(obj.imag)}
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        out = {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-        if hasattr(obj, "passed"):
-            out["passed"] = bool(obj.passed)
-        return out
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, np.ndarray):

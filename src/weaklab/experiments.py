@@ -22,12 +22,15 @@ import numpy as np
 
 from .errors import AlphaOutOfRange, InvalidConfig, NoAcceptedTrials
 from .hilbert import (
+    EDGE_AMPLITUDE_WARN,
+    NATURAL_BASIS,
     FockConfig,
     GridConfig,
     Operator,
     StateVector,
     check_truncation_edge,
     coherent_state,
+    edge_amplitude,
     eigenbasis,
     expectation,
     gaussian_grid_state,
@@ -217,12 +220,32 @@ _POINTER_COVERAGE = 1.0 - 1e-9
 
 
 def ccr_default_displacement(dim: int) -> float:
-    """Displacement of the default Fock initial state, min(2, sqrt(dim) / 4).
+    """Displacement of the default Fock initial state.
 
-    The mean occupation |alpha|^2 is then at most dim / 16.  A ``dim``
-    below 1, which no Fock space has, gives 0.
+    min(2, sqrt(dim) / 4), so the mean occupation |alpha|^2 is at most
+    dim / 16, capped further by the largest displacement (found by
+    bisection) whose coherent state keeps its top-two-level amplitude at
+    or below EDGE_AMPLITUDE_WARN.  The cap binds only for dims 2-26; at
+    dim 2 no displacement keeps off the edge and the result is 0.  A
+    ``dim`` below 2, which no Fock space has, gives min(2, sqrt(dim) / 4)
+    (0 below 1).
     """
-    return min(2.0, 0.25 * math.sqrt(max(dim, 0)))
+    a = min(2.0, 0.25 * math.sqrt(max(dim, 0)))
+    if dim < 2:
+        return a
+
+    def off_edge(displacement: float) -> bool:
+        psi = coherent_state(FockConfig(dim=dim), displacement)
+        return edge_amplitude(psi) <= EDGE_AMPLITUDE_WARN
+
+    if off_edge(a):
+        return a
+    lo, hi = 0.0, a  # the edge amplitude grows with the displacement
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo
+        lo, hi = (mid, hi) if off_edge(mid) else (lo, mid)
 
 
 def _ccr_default_state(rep) -> StateVector:
@@ -232,14 +255,26 @@ def _ccr_default_state(rep) -> StateVector:
 
 
 def _ccr_ops(rep):
-    """x, p and the natural basis of a Fock or grid representation."""
+    """x and p of a Fock or grid representation."""
     if isinstance(rep, FockConfig):
-        x_op, p_op = make_fock_ops(rep)
-        return x_op, p_op, [basis_state(rep.dim, k, rep.basis_id) for k in range(rep.dim)]
+        return make_fock_ops(rep)
     if isinstance(rep, GridConfig):
-        x_op, p_op = make_grid_ops(rep)
-        return x_op, p_op, [basis_state(rep.n_points, k, rep.basis_id) for k in range(rep.n_points)]
+        return make_grid_ops(rep)
     raise InvalidConfig(f"representation must be FockConfig or GridConfig, got {type(rep)!r}")
+
+
+def _xp_px(x_op: Operator, p_op: Operator) -> tuple[np.ndarray, np.ndarray]:
+    """The dense products x p and p x.
+
+    A diagonal x scales the rows and the columns of p instead of entering
+    an O(n^3) matrix product; the entries are the same, since every other
+    term of the product is an exact zero.
+    """
+    p = p_op.matrix
+    if x_op.diagonal is not None:
+        d = x_op.diagonal
+        return d[:, None] * p, p * d[None, :]
+    return x_op.matrix @ p, p @ x_op.matrix
 
 
 def _subseed(master_seed: int, index: int) -> int:
@@ -274,7 +309,7 @@ def ccr_experiment(
     that leaves no selection its 25 expected accepted trials raises
     NoAcceptedTrials.
     """
-    x_op, p_op, natural_basis = _ccr_ops(rep)
+    x_op, p_op = _ccr_ops(rep)
     hbar = rep.hbar
     i = i_spec if i_spec is not None else _ccr_default_state(rep)
     if i.basis_id != x_op.basis_id:
@@ -282,8 +317,9 @@ def ccr_experiment(
     edge = check_truncation_edge(rep, i)
 
     # (a) exact f-average over the natural basis
-    avg_comm = averaged_weak_correlation(i, natural_basis, x_op, p_op, "commutator")
-    comm_matrix = x_op.matrix @ p_op.matrix - p_op.matrix @ x_op.matrix
+    avg_comm = averaged_weak_correlation(i, NATURAL_BASIS, x_op, p_op, "commutator")
+    xp, px = _xp_px(x_op, p_op)
+    comm_matrix = xp - px
     oracle = complex(np.vdot(i.amplitudes, comm_matrix @ i.amplitudes))
 
     # (b, c) momentum mid-selection basis
@@ -466,10 +502,14 @@ RIEMANN_TOL = 1e-12
 
 
 def riemann_ops(x_op: Operator, p_op: Operator, hbar: float) -> tuple[Operator, Operator]:
-    """rho = {x,p}/2hbar (Hermitian) and R = i p x / hbar."""
-    anti = (x_op.matrix @ p_op.matrix + p_op.matrix @ x_op.matrix) / (2.0 * hbar)
-    rho = Operator(x_op.basis_id, anti, units="action/hbar", hermitian_hint=True)
-    r = Operator(x_op.basis_id, 1j * (p_op.matrix @ x_op.matrix) / hbar)
+    """rho = {x,p}/2hbar and R = i p x / hbar.
+
+    rho is Hermitian up to roundoff; its residual is not checked here but
+    reported by riemann_experiment's rho_hermiticity check.
+    """
+    xp, px = _xp_px(x_op, p_op)
+    rho = Operator(x_op.basis_id, (xp + px) / (2.0 * hbar), units="action/hbar")
+    r = Operator(x_op.basis_id, 1j * px / hbar)
     return rho, r
 
 
@@ -503,7 +543,7 @@ def riemann_experiment(
     exists, so the residual of the same combination applied to the
     pre-selection state is reported instead.
     """
-    x_op, p_op, natural_basis = _ccr_ops(rep)
+    x_op, p_op = _ccr_ops(rep)
     hbar = rep.hbar
     rho, r_hat = riemann_ops(x_op, p_op, hbar)
     i, f = riemann_selections(rep, i, f)
@@ -527,7 +567,7 @@ def riemann_experiment(
     eq25_lhs = x_w.real * p_w.real + x_w.imag * p_w.imag
     eq25_rhs = hbar * rho_w
     avg_corr = (
-        averaged_weak_correlation(i, natural_basis, x_op, p_op, "anticommutator").real
+        averaged_weak_correlation(i, NATURAL_BASIS, x_op, p_op, "anticommutator").real
         / (2.0 * hbar)
     )
     rho_exp = expectation(i, rho).real

@@ -1,7 +1,11 @@
 """Finite-dimensional Hilbert-space foundation.
 
-States, dense operators, standard builders (Fock ladder, periodic grid,
-Pauli), inner products and Born probabilities.  All
+States, operators, standard builders (Fock ladder, periodic grid,
+Pauli), inner products and Born probabilities.  An operator is stored
+dense or, where the representation makes it so, as its diagonal: the grid
+position operator is diagonal, and its dense matrix is built only when a
+generic consumer asks for ``.matrix``.  The natural (computational) basis
+is passed as ``NATURAL_BASIS`` rather than as a list of basis states.  All
 objects are immutable values; all functions are pure.  hbar defaults to 1
 everywhere and can be overridden per call or per config.
 """
@@ -11,6 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,31 +61,56 @@ class StateVector:
         return self.amplitudes.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Operator:
-    """Dense complex square matrix over a labeled basis.
+    """Complex square matrix over a labeled basis, stored dense or diagonal.
 
+    Give either ``matrix`` or, for a diagonal operator, ``diagonal``; the
+    dense ``matrix`` of a diagonal operator is built on first access.
     ``units`` is carried as free-form metadata (e.g. "length").  If
-    ``hermitian_hint`` is set to True the matrix is checked against it at
+    ``hermitian_hint`` is True the operator is checked for Hermiticity at
     construction time.
     """
 
     basis_id: str
-    matrix: np.ndarray
-    units: str = ""
-    hermitian_hint: bool | None = None
+    diagonal: np.ndarray | None
+    units: str
 
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex).copy()
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise InvalidConfig(f"operator matrix must be square, got {mat.shape}")
-        if self.hermitian_hint:
-            require_hermitian(mat, "hermitian_hint=True")
-        object.__setattr__(self, "matrix", _freeze(mat))
+    def __init__(self, basis_id, matrix=None, units="", hermitian_hint=None, *, diagonal=None):
+        if (matrix is None) == (diagonal is None):
+            raise InvalidConfig("operator needs exactly one of matrix and diagonal")
+        if diagonal is not None:
+            values = np.asarray(diagonal, dtype=complex).copy()
+            if values.ndim != 1:
+                raise InvalidConfig(f"operator diagonal must be 1-D, got {values.shape}")
+        else:
+            values = np.asarray(matrix, dtype=complex).copy()
+            if values.ndim != 2 or values.shape[0] != values.shape[1]:
+                raise InvalidConfig(f"operator matrix must be square, got {values.shape}")
+        if hermitian_hint:
+            require_hermitian(values, "hermitian_hint=True")
+        object.__setattr__(self, "basis_id", basis_id)
+        object.__setattr__(self, "units", units)
+        object.__setattr__(self, "diagonal", None if diagonal is None else _freeze(values))
+        if diagonal is None:
+            # fills the cached_property below, so a dense matrix is stored as given
+            object.__setattr__(self, "matrix", _freeze(values))
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return _freeze(np.diag(self.diagonal))
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.diagonal.size if self.diagonal is not None else self.matrix.shape[0]
+
+    def apply(self, ket: np.ndarray) -> np.ndarray:
+        """op @ ket."""
+        return self.diagonal * ket if self.diagonal is not None else self.matrix @ ket
+
+    def apply_left(self, bra: np.ndarray) -> np.ndarray:
+        """bra @ op, for a row vector ``bra``."""
+        return bra * self.diagonal if self.diagonal is not None else bra @ self.matrix
 
 
 @dataclass(frozen=True)
@@ -133,7 +163,7 @@ class GridConfig:
 
 
 def hermitian_residual(matrix: np.ndarray) -> float:
-    """max |M - M^dag|."""
+    """max |M - M^dag|; a 1-D array is read as the diagonal of M."""
     return float(np.max(np.abs(matrix - matrix.conj().T)))
 
 
@@ -179,16 +209,12 @@ def make_fock_ops(cfg: FockConfig) -> tuple[Operator, Operator]:
 def make_grid_ops(cfg: GridConfig) -> tuple[Operator, Operator]:
     """Diagonal position and spectral (Fourier) momentum on the grid.
 
+    x is stored as its diagonal, the grid positions.
     The momentum matrix is exact on band-limited periodic states; it is
     symmetrized to remove FFT roundoff so the Hermiticity residual is 0.
     """
     n = cfg.n_points
-    x = Operator(
-        cfg.basis_id,
-        np.diag(cfg.positions().astype(complex)),
-        units="length",
-        hermitian_hint=True,
-    )
+    x = Operator(cfg.basis_id, diagonal=cfg.positions(), units="length", hermitian_hint=True)
     k = cfg.wavenumbers()
     pmat = np.fft.ifft(k[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0) * cfg.hbar
     pmat = 0.5 * (pmat + pmat.conj().T)
@@ -199,19 +225,21 @@ def make_grid_ops(cfg: GridConfig) -> tuple[Operator, Operator]:
 PAULI_BASIS_ID = "spin-1/2"
 
 _PAULI = {
-    "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+    axis: Operator(PAULI_BASIS_ID, mat, units="dimensionless", hermitian_hint=True)
+    for axis, mat in (
+        ("x", [[0.0, 1.0], [1.0, 0.0]]),
+        ("y", [[0.0, -1.0j], [1.0j, 0.0]]),
+        ("z", [[1.0, 0.0], [0.0, -1.0]]),
+    )
 }
 
 
 def pauli(axis: str) -> Operator:
-    """One of the three Pauli matrices on the spin-1/2 basis."""
+    """One of the three Pauli matrices on the spin-1/2 basis, built once."""
     try:
-        mat = _PAULI[axis]
+        return _PAULI[axis]
     except KeyError:
         raise InvalidConfig(f"pauli axis must be x, y or z, got {axis!r}") from None
-    return Operator(PAULI_BASIS_ID, mat, units="dimensionless", hermitian_hint=True)
 
 
 def inner(psi: StateVector, phi: StateVector) -> complex:
@@ -224,12 +252,18 @@ def matrix_element(psi: StateVector, op: Operator, phi: StateVector) -> complex:
     """<psi|op|phi>."""
     _require_same_basis(psi, op)
     _require_same_basis(op, phi)
-    return complex(np.vdot(psi.amplitudes, op.matrix @ phi.amplitudes))
+    return complex(np.vdot(psi.amplitudes, op.apply(phi.amplitudes)))
 
 
 def expectation(psi: StateVector, op: Operator) -> complex:
     """<psi|op|psi>."""
     return matrix_element(psi, op, psi)
+
+
+# Stands for the natural (computational) basis {|0>, ..., |dim-1>} wherever a
+# mid-selection basis is taken; its basis matrix is the identity, so it is
+# neither built nor Gram-checked.
+NATURAL_BASIS = None
 
 
 def _basis_matrix(basis, dim: int, basis_id: str) -> np.ndarray:
@@ -248,7 +282,9 @@ def _basis_matrix(basis, dim: int, basis_id: str) -> np.ndarray:
 
 
 def born_probabilities(psi: StateVector, basis) -> np.ndarray:
-    """Weights |<f|psi>|^2 over an orthonormal complete basis."""
+    """Weights |<f|psi>|^2 over an orthonormal complete basis or NATURAL_BASIS."""
+    if basis is NATURAL_BASIS:
+        return np.abs(psi.amplitudes) ** 2
     rows = _basis_matrix(basis, psi.dim, psi.basis_id)
     return np.abs(rows.conj() @ psi.amplitudes) ** 2
 

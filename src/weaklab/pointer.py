@@ -163,10 +163,13 @@ def _observable_eigensystem(op: Operator, eigensystem=None):
     A known ``eigensystem`` (e.g. from ``hilbert.eigenbasis``) is passed
     through after the Hermiticity check instead of diagonalizing again.
     """
-    mat = op.matrix
-    require_hermitian(mat, "coupled observable")
+    d = op.diagonal
+    require_hermitian(op.matrix if d is None else d, "coupled observable")
     if eigensystem is not None:
         return eigensystem
+    if d is not None:
+        return np.real(d), None
+    mat = op.matrix
     off = mat - np.diag(np.diag(mat))
     if np.count_nonzero(off) == 0:
         return np.real(np.diag(mat)), None  # already diagonal

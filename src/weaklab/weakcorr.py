@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArityMismatch, OrthogonalSelection
-from .hilbert import Operator, StateVector, _basis_matrix, _require_same_basis, inner
+from .hilbert import NATURAL_BASIS, Operator, StateVector, _basis_matrix, _require_same_basis, inner
 
 # Below this overlap (unit-norm states) the weak-value ratio has no
 # significant digits left in double precision.
@@ -105,10 +105,10 @@ def weak_value(
     _require_same_basis(f, op)
     if direction == FORWARD:
         ov = selection_overlap(f, i, eps)
-        val = complex(np.vdot(f.amplitudes, op.matrix @ i.amplitudes)) / ov
+        val = complex(np.vdot(f.amplitudes, op.apply(i.amplitudes))) / ov
     elif direction == REVERSE:
         ov = selection_overlap(i, f, eps)
-        val = complex(np.vdot(i.amplitudes, op.matrix @ f.amplitudes)) / ov
+        val = complex(np.vdot(i.amplitudes, op.apply(f.amplitudes))) / ov
     else:
         raise ArityMismatch(f"direction must be forward or reverse, got {direction!r}")
     return WeakValueResult(value=val, overlap=ov, direction=direction)
@@ -127,7 +127,7 @@ def _chain_value(states, ops, eps: float) -> complex:
         _require_same_basis(lo, op)
         _require_same_basis(hi, op)
         den *= selection_overlap(hi, lo, eps)
-        num *= complex(np.vdot(hi.amplitudes, op.matrix @ lo.amplitudes))
+        num *= complex(np.vdot(hi.amplitudes, op.apply(lo.amplitudes)))
     return num / den
 
 
@@ -169,6 +169,7 @@ def averaged_weak_correlation(
 ) -> complex:
     """Born-weighted sum over mid-selections f of the weak correlation.
 
+    ``basis`` is a complete orthonormal list of states or NATURAL_BASIS.
     Each admissible term |<f|i>|^2 <...>_w^(f) cancels algebraically to
     plain matrix elements (e.g. <i|a|f><f|b|i> for the product), which is
     how it is evaluated here; no small-overlap division occurs.  Terms
@@ -180,18 +181,25 @@ def averaged_weak_correlation(
         raise ArityMismatch(f"combine must be one of {_COMBINES}, got {combine!r}")
     _require_same_basis(i, a)
     _require_same_basis(i, b)
-    rows = _basis_matrix(basis, i.dim, i.basis_id)
-    overlaps = rows.conj() @ i.amplitudes  # <f|i> per basis row
-    keep = np.abs(overlaps) > eps
+    psi = i.amplitudes
+    # NATURAL_BASIS: the rows f are the identity, so both maps read entries off
+    rows = None if basis is NATURAL_BASIS else _basis_matrix(basis, i.dim, i.basis_id)
 
+    def f_ket(ket):  # <f|ket> for every f
+        return ket if rows is None else rows.conj() @ ket
+
+    def bra_f(bra):  # <bra|f> for every f, from the row vector <bra|
+        return bra if rows is None else bra @ rows.T
+
+    keep = np.abs(f_ket(psi)) > eps  # |<f|i>| per f
     # <i|a|f> and <f|b|i> for every f at once
-    i_a_f = (i.amplitudes.conj() @ a.matrix) @ rows.T
-    f_b_i = rows.conj() @ (b.matrix @ i.amplitudes)
+    i_a_f = bra_f(a.apply_left(psi.conj()))
+    f_b_i = f_ket(b.apply(psi))
     forward = i_a_f * f_b_i  # weight * <ab>_w^(f), cancelled form
     if combine == "product":
         return complex(np.sum(forward[keep]))
-    i_b_f = (i.amplitudes.conj() @ b.matrix) @ rows.T
-    f_a_i = rows.conj() @ (a.matrix @ i.amplitudes)
+    i_b_f = bra_f(b.apply_left(psi.conj()))
+    f_a_i = f_ket(a.apply(psi))
     swapped = i_b_f * f_a_i
     if combine == "commutator":
         return complex(np.sum(forward[keep] - swapped[keep]))

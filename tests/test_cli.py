@@ -1,14 +1,16 @@
 """End-to-end tests of the command-line runner."""
 
 import csv
+import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weaklab import cli
+from weaklab import cli, experiments, hilbert
 from weaklab.errors import TruncationWarning
 
 
@@ -258,13 +260,40 @@ def test_workers_above_the_bound_exit_2_without_outputs(tmp_path, workers):
     assert not out.exists()
 
 
-def test_ccr_small_dim_default_state_passes(tmp_path):
+def test_ccr_small_dim_default_state_passes(tmp_path, capsys):
     out = tmp_path / "o"
-    assert run_cli(["ccr", "--dim", "16", "--n-trials", "0", "--no-pointer",
-                    "--out", str(out)]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        assert run_cli(["ccr", "--dim", "16", "--n-trials", "0", "--no-pointer",
+                        "--out", str(out)]) == 0
     record = read_json(out / "run.json")
-    assert record["config"]["ccr"]["state"]["displacement"] == 1.0
+    # sqrt(16)/4 = 1.0 leans on the edge (2.05e-6); the edge cap binds
+    displacement = record["config"]["ccr"]["state"]["displacement"]
+    assert displacement == experiments.ccr_default_displacement(16)
+    assert displacement == pytest.approx(0.4786, abs=1e-4)
+    assert record["report"]["edge_amp"] <= hilbert.EDGE_AMPLITUDE_WARN
+    assert "avg_commutator_vs_i_hbar" in {c["name"] for c in record["checks"]}
     assert all(c["passed"] for c in record["checks"])
+    cfgfile = tmp_path / "c.yaml"
+    cfgfile.write_text("experiment: ccr\nccr: {rep: {dim: 16}, n_trials: 0, run_pointer: false}\n")
+    capsys.readouterr()
+    assert run_cli(["validate", str(cfgfile)]) == 0
+    assert json.loads(capsys.readouterr().out)["diagnostics"] == []
+
+
+@pytest.mark.parametrize("dim", [8, 16, 24, 32, 64])
+def test_ccr_default_displacement_keeps_off_the_edge(dim):
+    a = experiments.ccr_default_displacement(dim)
+    rule = min(2.0, 0.25 * math.sqrt(dim))
+    edge = hilbert.edge_amplitude(hilbert.coherent_state(hilbert.FockConfig(dim), a))
+    assert edge <= hilbert.EDGE_AMPLITUDE_WARN
+    if dim >= 32:
+        assert a == rule  # default records at dim 32 and up are unchanged
+    else:
+        assert a < rule
+        # largest such displacement: one part in 1e9 more crosses the threshold
+        bigger = hilbert.coherent_state(hilbert.FockConfig(dim), a * (1 + 1e-9))
+        assert hilbert.edge_amplitude(bigger) > hilbert.EDGE_AMPLITUDE_WARN
 
 
 @pytest.mark.parametrize("zero", ["0", "0.0", '"0j"', '"0+0j"'])
@@ -327,7 +356,8 @@ def test_complex_string_displacement_runs(tmp_path):
     ("ccr", "ccr: {rep: {dim: 1}}", "InvalidConfig"),
     ("riemann", "riemann: {rep: {dim: 96}, i_displacement: 4.0, f_displacement: -4.0}",
      "OrthogonalSelection"),
-    ("ccr", "ccr: {rep: {dim: 8}, run_pointer: false, n_trials: 0}", "TruncationWarning"),
+    ("ccr", "ccr: {rep: {dim: 8}, run_pointer: false, n_trials: 0, state: {displacement: 1.0}}",
+     "TruncationWarning"),
     ("riemann", "riemann: {rep: {dim: 8}, i_displacement: 2.0}", "TruncationWarning"),
 ])
 def test_validate_and_run_report_the_same_error(tmp_path, capsys, experiment, yaml_text, error):
@@ -443,7 +473,7 @@ def test_resolve_config_accepts_exactly_the_schema_types(case):
     if experiment == "ccr" and "ccr.state.displacement" not in expected:
         dim = values["ccr.rep.dim"]
         values["ccr.state.displacement"] = (
-            _REJECT if dim is _REJECT else min(2.0, 0.25 * math.sqrt(max(dim, 0))))
+            _REJECT if dim is _REJECT else experiments.ccr_default_displacement(dim))
     accept = (not has_unknown and _REJECT not in values.values()
               and values["hbar"] > 0 and 1 <= values["workers"] <= 64)
     if not accept:
@@ -487,3 +517,53 @@ def test_run_json_is_strict_json(tmp_path):
                               "f": "inf", "a": ["nan"]}
     with pytest.raises(ValueError):  # a bare non-finite float is refused, not written
         cli.write_outputs({"out": str(tmp_path), "format": "json"}, {"x": math.nan}, {})
+
+
+def _to_jsonable_reference(obj):
+    """The isinstance-chain serializer that cli.to_jsonable must match."""
+    if isinstance(obj, (float, np.floating)):
+        obj = float(obj)
+        return obj if math.isfinite(obj) else repr(obj)
+    if isinstance(obj, complex):
+        return {"re": _to_jsonable_reference(obj.real), "im": _to_jsonable_reference(obj.imag)}
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        out = {f.name: _to_jsonable_reference(getattr(obj, f.name))
+               for f in dataclasses.fields(obj)}
+        if hasattr(obj, "passed"):
+            out["passed"] = bool(obj.passed)
+        return out
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.ndarray):
+        return [_to_jsonable_reference(v) for v in obj.tolist()]
+    if isinstance(obj, (list, tuple)):
+        return [_to_jsonable_reference(v) for v in obj]
+    if isinstance(obj, dict):
+        return {str(k): _to_jsonable_reference(v) for k, v in obj.items()}
+    return obj
+
+
+class _FloatSub(float):
+    pass
+
+
+def test_to_jsonable_matches_reference_byte_for_byte():
+    import collections
+
+    reports = [
+        experiments.pauli_suite(0.7),
+        experiments.riemann_experiment(hilbert.FockConfig(dim=16)),
+        experiments.chain_experiment(dim=3, n_ops=3, n_instances=2),
+        experiments.ccr_experiment(hilbert.FockConfig(dim=32), n_trials=0, run_pointer=False),
+    ]
+    odd = {
+        "numpy": [np.float64(-0.0), np.int64(3), np.complex128(1 - 2j), np.arange(3),
+                  np.array([np.inf, np.nan])],
+        "plain": [-0.0, float("inf"), float("-nan"), True, None, "s", 7, (1.5, 2j)],
+        "subclasses": [_FloatSub(2.5), collections.OrderedDict(a=1), _FloatSub("inf")],
+        3: experiments.make_check("c", 0.5, 1.0),
+    }
+    for obj in [*reports, odd]:
+        want = json.dumps(_to_jsonable_reference(obj), indent=2)
+        assert json.dumps(cli.to_jsonable(obj), indent=2) == want
+    assert cli.to_jsonable(experiments.Check) is experiments.Check  # a class is no record

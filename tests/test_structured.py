@@ -1,0 +1,113 @@
+"""The structured exact path against the dense oracle it replaced.
+
+The grid position operator is stored as its diagonal and the natural
+mid-selection basis as the identity.  Every product that involves them
+must give the same bits as the dense matrices did: the terms the dense
+products add are exact zeros.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from weaklab import experiments, hilbert
+from weaklab.errors import InvalidConfig, NotHermitian
+from weaklab.weakcorr import averaged_weak_correlation, weak_value
+
+grids = st.builds(
+    hilbert.GridConfig,
+    n_points=st.integers(8, 256),
+    length=st.floats(1.0, 100.0),
+    hbar=st.floats(0.25, 4.0),
+)
+
+
+def dense_x(cfg):
+    """The grid position matrix as it was built densely."""
+    return np.diag(cfg.positions().astype(complex))
+
+
+@settings(max_examples=30, deadline=None)
+@given(cfg=grids)
+def test_riemann_ops_bit_identical_to_dense(cfg):
+    x_op, p_op = hilbert.make_grid_ops(cfg)
+    rho, r = experiments.riemann_ops(x_op, p_op, cfg.hbar)
+    xm, pm = dense_x(cfg), p_op.matrix
+    assert np.array_equal(rho.matrix, (xm @ pm + pm @ xm) / (2.0 * cfg.hbar))
+    assert np.array_equal(r.matrix, 1j * (pm @ xm) / cfg.hbar)
+
+
+@settings(max_examples=30, deadline=None)
+@given(cfg=grids)
+def test_commutator_matrix_bit_identical_to_dense(cfg):
+    x_op, p_op = hilbert.make_grid_ops(cfg)
+    xp, px = experiments._xp_px(x_op, p_op)
+    xm, pm = dense_x(cfg), p_op.matrix
+    assert np.array_equal(xp - px, xm @ pm - pm @ xm)
+
+
+@settings(max_examples=30, deadline=None)
+@given(cfg=grids, seed=st.integers(0, 2**31 - 1))
+def test_weak_value_on_diagonal_x_bit_identical(cfg, seed):
+    x_op, _ = hilbert.make_grid_ops(cfg)
+    x_dense = hilbert.Operator(cfg.basis_id, dense_x(cfg))
+    i = hilbert.random_state(cfg.n_points, seed, cfg.basis_id)
+    f = hilbert.random_state(cfg.n_points, seed + 1, cfg.basis_id)
+    for direction in ("forward", "reverse"):
+        got = weak_value(i, f, x_op, direction).value
+        assert got == weak_value(i, f, x_dense, direction).value
+
+
+@settings(max_examples=30, deadline=None)
+@given(cfg=grids, seed=st.integers(0, 2**31 - 1))
+def test_natural_basis_average_bit_identical_to_basis_list(cfg, seed):
+    x_op, p_op = hilbert.make_grid_ops(cfg)
+    x_dense = hilbert.Operator(cfg.basis_id, dense_x(cfg))
+    basis = [hilbert.basis_state(cfg.n_points, k, cfg.basis_id) for k in range(cfg.n_points)]
+    i = hilbert.random_state(cfg.n_points, seed, cfg.basis_id)
+    for combine in ("commutator", "anticommutator", "product"):
+        fast = averaged_weak_correlation(i, hilbert.NATURAL_BASIS, x_op, p_op, combine)
+        assert fast == averaged_weak_correlation(i, basis, x_dense, p_op, combine)
+        assert fast == averaged_weak_correlation(i, basis, x_op, p_op, combine)
+    assert np.array_equal(
+        hilbert.born_probabilities(i, hilbert.NATURAL_BASIS),
+        hilbert.born_probabilities(i, basis),
+    )
+
+
+def test_grid_x_is_stored_diagonal():
+    cfg = hilbert.GridConfig(16, 4.0)
+    x_op, p_op = hilbert.make_grid_ops(cfg)
+    assert np.array_equal(x_op.diagonal, cfg.positions())
+    assert x_op.dim == 16
+    assert np.array_equal(x_op.matrix, dense_x(cfg))
+    assert x_op.matrix is x_op.matrix  # built once, on first access
+    assert not x_op.matrix.flags.writeable and not x_op.diagonal.flags.writeable
+    assert p_op.diagonal is None
+
+
+def test_diagonal_hermiticity_residual_equals_dense():
+    d = np.array([1.0, 2.0 + 3e-12j, -1.0])
+    assert hilbert.hermitian_residual(d) == hilbert.hermitian_residual(np.diag(d))
+    with pytest.raises(NotHermitian):
+        hilbert.Operator("generic(dim=3)", diagonal=d, hermitian_hint=True)
+    hilbert.Operator("generic(dim=3)", diagonal=d.real, hermitian_hint=True)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {},
+    {"matrix": np.eye(2), "diagonal": np.ones(2)},
+    {"diagonal": np.eye(2)},
+])
+def test_operator_needs_one_storage(kwargs):
+    with pytest.raises(InvalidConfig):
+        hilbert.Operator("generic(dim=2)", **kwargs)
+
+
+def test_pauli_operators_are_built_once():
+    for axis in "xyz":
+        op = hilbert.pauli(axis)
+        assert op is hilbert.pauli(axis)
+        assert not op.matrix.flags.writeable
+    with pytest.raises(InvalidConfig):
+        hilbert.pauli("w")
