@@ -388,9 +388,7 @@ def _run_pauli(cfg):
             rows,
         )
     }
-    report = reports[0] if len(reports) == 1 else {
-        "sweep": [to_jsonable(r) for r in reports]
-    }
+    report = reports[0] if len(reports) == 1 else {"sweep": reports}
     checks = [c for r in reports for c in r.checks]
     return report, checks, tables
 
@@ -437,7 +435,7 @@ def _run_ccr(cfg):
                 )
             )
         tables["g_sweep"] = (["g", "pointer_corr_over_g2", "rel_residual"], g_rows)
-        report = {"base": to_jsonable(report), "g_sweep_rows": to_jsonable(g_rows)}
+        report = {"base": report, "g_sweep_rows": g_rows}
     return report, checks, tables
 
 
@@ -527,6 +525,9 @@ def validate_config(cfg: dict) -> list[dict]:
             check("pauli.alpha", experiments.spin_selections, a)
     if experiment == "montecarlo" and sub["preset"] == "spin":
         check("montecarlo.alpha", experiments.spin_selections, sub["alpha"])
+    if experiment == "chain":
+        for name in experiments.CHAIN_MINIMUM:
+            check(f"chain.{name}", experiments.require_chain_minimum, name, sub[name])
     if experiment not in ("ccr", "riemann"):
         return diags
     rep = check(f"{experiment}.rep", _build_rep, sub["rep"], cfg["hbar"])

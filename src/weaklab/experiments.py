@@ -650,8 +650,9 @@ def montecarlo_experiment(
     (closed form tan(alpha/2)); ``fock`` measures the position quadrature
     between the ground state and (|0> + |1>)/sqrt(2).  Both estimates
     must land within three standard errors of the closed form, and the
-    empirical acceptance rate within three binomial standard errors of
-    the exact selection probability.
+    acceptance rate of each readout stream (position: ``acceptance_vs_born``,
+    momentum: ``momentum_acceptance_vs_born``) within three binomial
+    standard errors of the exact selection probability.
     """
     if preset == "spin":
         sel = spin_selections(alpha)
@@ -687,10 +688,13 @@ def montecarlo_experiment(
             "im_est_within_3_stderr", abs(est.im_est - target.imag),
             MC_SIGMA_BAND * est.stderr_im,
         ),
-        make_check(
-            "acceptance_vs_born",
-            abs(est.accepted_position / n_trials - q),
-            MC_SIGMA_BAND * acc_se,
+        # each readout stream accepts its own n_trials attempts at rate q
+        *(
+            make_check(name, abs(accepted / n_trials - q), MC_SIGMA_BAND * acc_se)
+            for name, accepted in (
+                ("acceptance_vs_born", est.accepted_position),
+                ("momentum_acceptance_vs_born", est.accepted_momentum),
+            )
         ),
     )
     return McReport(
@@ -740,19 +744,57 @@ class ChainReport:
 
 
 CHAIN_TOL = 1e-12
+# Smallest value of each chain size, by its config name: the draws need a
+# dimension, the maxima an instance, and the dual symmetries two operators.
+CHAIN_MINIMUM = {"dim": 1, "n_ops": 2, "instances": 1}
+
+
+def require_chain_minimum(name: str, value: int) -> None:
+    """Raises InvalidConfig when the chain size ``name`` is below its minimum."""
+    if value < CHAIN_MINIMUM[name]:
+        raise InvalidConfig(f"chain {name} must be >= {CHAIN_MINIMUM[name]}, got {value}")
+
+
+def _slide(window: dict, seeds, draw) -> dict:
+    """{seed: draw} for ``seeds``, reusing the draws ``window`` already holds."""
+    return {q: window[q] if q in window else draw(q) for q in seeds}
 
 
 def chain_experiment(dim: int = 5, n_ops: int = 4, n_instances: int = 50, seed: int = 0) -> ChainReport:
-    """Random chains vs the product-of-ratios oracle, plus dual symmetries."""
+    """Random chains vs the product-of-ratios oracle, plus dual symmetries.
+
+    Instance ``inst`` draws i and f at seeds s and s + 1 and its operators
+    at s + 2 .. s + 1 + n_ops, with s = _subseed(seed, inst) and each seed
+    masked to 31 bits.  The next instance's s is one higher, so it shares
+    all but one state seed and one operator seed with this one.  The draws
+    of the current instance are kept in a window keyed by seed, and only
+    the new seeds are drawn: instances + 1 states and instances + n_ops - 1
+    operators in all.  The same seed gives the same draw, so every record
+    equals that of drawing each instance afresh.
+
+    Raises InvalidConfig, before any draw, for dim < 1, n_ops < 2 or
+    n_instances < 1.
+    """
+    # looked up at call time, so a wrapper installed on hilbert is seen
     from .hilbert import random_hermitian, random_state
     from .weakcorr import SelectionProtocol, chain_weak_correlation, symmetry_residuals
 
+    for name, value in (("dim", dim), ("n_ops", n_ops), ("instances", n_instances)):
+        require_chain_minimum(name, value)
+    mask = 0x7FFFFFFF
+    state_window, op_window = {}, {}
     rows = []
     for inst in range(n_instances):
         s = _subseed(seed, inst)
-        i = random_state(dim, s & 0x7FFFFFFF)
-        f = random_state(dim, (s + 1) & 0x7FFFFFFF)
-        ops = [random_hermitian(dim, (s + 2 + k) & 0x7FFFFFFF) for k in range(n_ops)]
+        state_window = _slide(
+            state_window, [s & mask, (s + 1) & mask], lambda q: random_state(dim, q)
+        )
+        op_window = _slide(
+            op_window, [(s + 2 + k) & mask for k in range(n_ops)],
+            lambda q: random_hermitian(dim, q),
+        )
+        i, f = state_window.values()
+        ops = list(op_window.values())
         protocol = SelectionProtocol.alternating(i, f, n_ops)
         chain = chain_weak_correlation(protocol, ops)
         states = protocol.states

@@ -174,6 +174,37 @@ def test_chain_subcommand(tmp_path):
     assert all(float(r["chain_residual"]) <= 1e-12 for r in rows)
 
 
+@pytest.mark.parametrize("flags, fields", [
+    (["--instances", "0"], {"chain.instances"}),
+    (["--instances", "-2"], {"chain.instances"}),
+    (["--n-ops", "1"], {"chain.n_ops"}),
+    (["--dim", "0"], {"chain.dim"}),
+])
+def test_chain_preconditions_exit_3_and_validate_agrees(tmp_path, capsys, flags, fields):
+    out = tmp_path / "o"
+    assert run_cli(["chain", *flags, "--out", str(out)]) == cli.EXIT_NUMERICAL_ERROR
+    assert "numerical error: InvalidConfig: chain " in capsys.readouterr().err
+    assert not out.exists()
+    keys = {"--instances": "instances", "--n-ops": "n_ops", "--dim": "dim"}
+    cfgfile = tmp_path / "c.yaml"
+    cfgfile.write_text(f"experiment: chain\nchain: {{{keys[flags[0]]}: {flags[1]}}}\n")
+    assert run_cli(["validate", str(cfgfile)]) == cli.EXIT_CHECK_FAILED
+    diags = json.loads(capsys.readouterr().out)["diagnostics"]
+    assert {d["field"] for d in diags} == fields
+    assert {d["error"] for d in diags} == {"InvalidConfig"}
+
+
+def test_validate_reports_every_chain_precondition(tmp_path, capsys):
+    cfgfile = tmp_path / "c.yaml"
+    cfgfile.write_text("experiment: chain\nchain: {instances: 0, n_ops: 1}\n")
+    assert run_cli(["validate", str(cfgfile)]) == cli.EXIT_CHECK_FAILED
+    diags = json.loads(capsys.readouterr().out)["diagnostics"]
+    assert [d["field"] for d in diags] == ["chain.n_ops", "chain.instances"]
+    cfgfile.write_text("experiment: chain\nchain: {dim: 1, instances: 1, n_ops: 2}\n")
+    assert run_cli(["validate", str(cfgfile)]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["diagnostics"] == []
+
+
 def test_csv_floats_round_trip(tmp_path):
     out = tmp_path / "r"
     assert run_cli([

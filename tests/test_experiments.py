@@ -1,5 +1,6 @@
 """Tests for the canned experiment presets."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -206,6 +207,27 @@ def test_acceptance_gate_is_finite_for_a_certain_selection():
     gate = {c.name: c for c in rep.checks}["acceptance_vs_born"]
     assert rep.acceptance_expected == 1.0
     assert gate.tol == 0.0 and gate.passed
+
+
+@pytest.mark.parametrize("field, check", [
+    ("accepted_position", "acceptance_vs_born"),
+    ("accepted_momentum", "momentum_acceptance_vs_born"),
+])
+def test_acceptance_gates_each_stream(monkeypatch, field, check):
+    # a count 4 binomial standard errors above q fails its own stream's gate only
+    n = 40_000
+    real = experiments.mc.estimate_weak_value
+
+    def planted(cfg, n_workers=1):
+        est = real(cfg, n_workers=n_workers)
+        q = est.probability
+        return dataclasses.replace(est, **{field: round(n * q + 4 * math.sqrt(n * q * (1 - q)))})
+
+    monkeypatch.setattr(experiments.mc, "estimate_weak_value", planted)
+    rep = montecarlo_experiment(preset="spin", n_trials=n, seed=9)
+    verdicts = {c.name: c.passed for c in rep.checks}
+    assert verdicts.pop(check) is False
+    assert all(verdicts.values())
 
 
 def test_montecarlo_runs_one_weak_stage(monkeypatch):

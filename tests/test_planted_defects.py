@@ -1,4 +1,5 @@
-"""Each exact riemann and ccr check fails on a planted defect.
+"""Each exact riemann, ccr and chain check and each Monte Carlo acceptance
+check fails on a planted defect.
 
 A defect is planted with ``monkeypatch`` in the function the check reads
 from; the run must report that check as failed and the CLI must exit 1.
@@ -12,11 +13,13 @@ import types
 import numpy as np
 import pytest
 
-from weaklab import cli, experiments, hilbert
+from weaklab import cli, ensemble, experiments, hilbert, weakcorr
 
 GRID_RIEMANN = ["riemann", "--rep", "grid", "--points", "64", "--length", "20"]
 GRID_CCR = ["ccr", "--rep", "grid", "--points", "64", "--length", "20",
             "--n-trials", "0", "--no-pointer"]
+CHAIN = ["chain", "--dim", "6", "--n-ops", "4", "--instances", "20"]
+MC_SPIN = ["montecarlo", "--preset", "spin", "--n-trials", "40000"]
 # complex weak values and a nonzero <{x, p}>: the grid's real Gaussian has neither
 FOCK_RIEMANN_YAML = (
     'experiment: riemann\nriemann: {rep: {dim: 32}, i_displacement: "1+1j", f_displacement: 0.5}\n'
@@ -81,6 +84,43 @@ def drop_eq9_term(monkeypatch):
     monkeypatch.setattr(experiments, "ccr_decomposition", planted)
 
 
+def reverse_chain_ops(monkeypatch):
+    """The chain applies its operators in reverse chronological order."""
+    orig = weakcorr.chain_weak_correlation
+    monkeypatch.setattr(
+        weakcorr, "chain_weak_correlation",
+        lambda protocol, ops, *args: orig(protocol, tuple(ops)[::-1], *args),
+    )
+
+
+def swap_dual_ops(monkeypatch):
+    """The dual procedure measures its two operators in the opposite order."""
+    orig = weakcorr.dual_weak_correlation
+    monkeypatch.setattr(
+        weakcorr, "dual_weak_correlation",
+        lambda i, f, ops, *args: orig(i, f, tuple(ops)[::-1], *args),
+    )
+
+
+def commutator_sign_dropped(monkeypatch):
+    """The weak commutator adds its two orderings: it is the anticommutator."""
+    monkeypatch.setattr(weakcorr, "weak_commutator", weakcorr.weak_anticommutator)
+
+
+def miscount_acceptance(field):
+    """One readout stream reports half its accepted trials."""
+    def plant(monkeypatch):
+        orig = ensemble.estimate_weak_value
+
+        def planted(*args, **kwargs):
+            est = orig(*args, **kwargs)
+            return dataclasses.replace(est, **{field: getattr(est, field) // 2})
+
+        monkeypatch.setattr(ensemble, "estimate_weak_value", planted)
+
+    return plant
+
+
 PLANTED = [
     ("rho_hermiticity", "grid", drop_px_column_scaling),
     ("half_line_residual", "grid", swap_products),
@@ -90,17 +130,20 @@ PLANTED = [
     ("avg_commutator_vs_i_hbar", "ccr", drop_row_diagonal),
     ("eq9_born_avg_vs_half_hbar", "ccr", drop_eq9_term),
     ("eq10_born_avg_vs_minus_half_hbar", "ccr", drop_ket_diagonal),
+    ("chain_vs_product_of_ratios", "chain", reverse_chain_ops),
+    ("dual_order_swap", "chain", swap_dual_ops),
+    ("dual_commutator_flip", "chain", commutator_sign_dropped),
+    ("acceptance_vs_born", "mc", miscount_acceptance("accepted_position")),
+    ("momentum_acceptance_vs_born", "mc", miscount_acceptance("accepted_momentum")),
 ]
+ARGV = {"grid": GRID_RIEMANN, "ccr": GRID_CCR, "chain": CHAIN, "mc": MC_SPIN}
 
 
 def run_checks(tmp_path, setup):
     """(exit status, {check name: passed}) of one CLI run."""
     out = tmp_path / "out"
-    if setup == "grid":
-        argv = GRID_RIEMANN
-    elif setup == "ccr":
-        argv = GRID_CCR
-    else:
+    argv = ARGV.get(setup)
+    if argv is None:
         cfgfile = tmp_path / "c.yaml"
         cfgfile.write_text(FOCK_RIEMANN_YAML)
         argv = ["riemann", "--config", str(cfgfile)]
@@ -109,7 +152,7 @@ def run_checks(tmp_path, setup):
     return status, {c["name"]: c["passed"] for c in record["checks"]}
 
 
-@pytest.mark.parametrize("setup", ["grid", "fock", "ccr"])
+@pytest.mark.parametrize("setup", ["grid", "fock", "ccr", "chain", "mc"])
 def test_unplanted_runs_pass(tmp_path, setup):
     status, checks = run_checks(tmp_path, setup)
     assert status == cli.EXIT_OK
