@@ -525,9 +525,11 @@ def validate_config(cfg: dict) -> list[dict]:
             check("pauli.alpha", experiments.spin_selections, a)
     if experiment == "montecarlo" and sub["preset"] == "spin":
         check("montecarlo.alpha", experiments.spin_selections, sub["alpha"])
-    if experiment == "chain":
-        for name in experiments.CHAIN_MINIMUM:
-            check(f"chain.{name}", experiments.require_chain_minimum, name, sub[name])
+    for path in experiments.PRECONDITIONS:
+        scope, name = path.split(".")
+        # the spin preset has no dimension
+        if scope == experiment and not (name == "dim" and sub.get("preset") == "spin"):
+            check(path, experiments.require_precondition, path, sub[name])
     if experiment not in ("ccr", "riemann"):
         return diags
     rep = check(f"{experiment}.rep", _build_rep, sub["rep"], cfg["hbar"])

@@ -78,6 +78,31 @@ def make_check(name: str, residual: float, tol: float) -> Check:
     return Check(name=name, residual=float(residual), tol=tol, passed=bool(residual <= tol))
 
 
+# The config preconditions that no other builder checks, by config path:
+# (holds, what it needs).  Each experiment raises InvalidConfig from
+# require_precondition before any work, and cli.validate_config calls it
+# with the same path, one diagnostic per field.
+PRECONDITIONS = {
+    "ccr.n_trials": (lambda v: v >= 0, ">= 0"),  # 0 disables the Monte Carlo
+    # the draws need a dimension, the maxima an instance, and the dual
+    # symmetries two operators
+    "chain.dim": (lambda v: v >= 1, ">= 1"),
+    "chain.n_ops": (lambda v: v >= 2, ">= 2"),
+    "chain.instances": (lambda v: v >= 1, ">= 1"),
+    "montecarlo.n_trials": (lambda v: v >= 1, ">= 1"),  # per readout stream
+    "montecarlo.g": (lambda v: v != 0, "!= 0"),  # the estimates divide by g
+    "montecarlo.sigma": (lambda v: v > 0, "> 0"),
+    "montecarlo.dim": (lambda v: v >= 2, ">= 2"),  # fock preset: f holds |1>
+}
+
+
+def require_precondition(path: str, value) -> None:
+    """Raises InvalidConfig when ``value`` fails the precondition of config ``path``."""
+    holds, need = PRECONDITIONS[path]
+    if not holds(value):
+        raise InvalidConfig(f"{path.replace('.', ' ')} must be {need}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SpinSelections:
     """The xz-plane spin selections: i at angle alpha, f along +x."""
@@ -307,8 +332,9 @@ def ccr_experiment(
     ``n_trials`` is the total attempt budget, allocated over the
     mid-selections proportionally to their Born weights; a positive budget
     that leaves no selection its 25 expected accepted trials raises
-    NoAcceptedTrials.
+    NoAcceptedTrials, and a negative one InvalidConfig before any work.
     """
+    require_precondition("ccr.n_trials", n_trials)
     x_op, p_op = _ccr_ops(rep)
     hbar = rep.hbar
     i = i_spec if i_spec is not None else _ccr_default_state(rep)
@@ -402,13 +428,7 @@ def ccr_experiment(
             for j, a, ok in zip(keep, alloc, usable):
                 if not ok:
                     continue
-                cfg = mc.TrialConfig(
-                    i=i, f=p_basis[j], x_op=x_op, p_op=p_op,
-                    sigma=sigma, sigma_prime=sigma_prime, g=g,
-                    n_trials=int(a), master_seed=_subseed(seed, j),
-                    grid=grid, grid_prime=grid_prime, hbar=hbar,
-                )
-                stats = mc.run_trials(cfg, n_workers=n_workers, chain=chains[j])
+                stats = mc.run_trials(chains[j], int(a), _subseed(seed, j), n_workers)
                 mc_terms.append(weights[j] * stats.mean_product)
                 mc_vars.append((weights[j] * stats.stderr_product) ** 2)
                 mc_accepted += stats.accepted
@@ -653,13 +673,20 @@ def montecarlo_experiment(
     acceptance rate of each readout stream (position: ``acceptance_vs_born``,
     momentum: ``momentum_acceptance_vs_born``) within three binomial
     standard errors of the exact selection probability.
+
+    Raises InvalidConfig, before any work, for n_trials < 1, g == 0,
+    sigma <= 0 or, under the fock preset, dim < 2.
     """
+    require_precondition("montecarlo.n_trials", n_trials)
+    require_precondition("montecarlo.g", g)
+    require_precondition("montecarlo.sigma", sigma)
     if preset == "spin":
         sel = spin_selections(alpha)
         i, f, obs = sel.i, sel.f, pauli("z")
         rep_dim = None
     elif preset == "fock":
-        fock = FockConfig(dim=max(2, dim), hbar=hbar)
+        require_precondition("montecarlo.dim", dim)
+        fock = FockConfig(dim=dim, hbar=hbar)
         x_op, _ = make_fock_ops(fock)
         i = basis_state(fock.dim, 0, fock.basis_id)
         amps = np.zeros(fock.dim)
@@ -671,13 +698,11 @@ def montecarlo_experiment(
         raise InvalidConfig(f"montecarlo preset must be spin or fock, got {preset!r}")
 
     target = weak_value(i, f, obs).value
-    cfg = mc.WeakValueTrialConfig(
-        i=i, f=f, observable=obs, sigma=sigma, g=g,
-        n_trials=n_trials, master_seed=seed, hbar=hbar,
-    )
-    est = mc.estimate_weak_value(cfg, n_workers=n_workers)
+    # through the ensemble's name, which bench/tracer.py wraps
+    stage = mc.measure_weakly(i, f, obs, sigma, g, hbar=hbar)
+    est = mc.estimate_weak_value(stage, sigma, g, n_trials, seed, hbar, n_workers)
     # roundoff can put a near-certain selection's probability just above 1
-    q = min(est.probability, 1.0)
+    q = min(stage.probability, 1.0)
     acc_se = math.sqrt(q * (1.0 - q) / n_trials)
     checks = (
         make_check(
@@ -744,15 +769,6 @@ class ChainReport:
 
 
 CHAIN_TOL = 1e-12
-# Smallest value of each chain size, by its config name: the draws need a
-# dimension, the maxima an instance, and the dual symmetries two operators.
-CHAIN_MINIMUM = {"dim": 1, "n_ops": 2, "instances": 1}
-
-
-def require_chain_minimum(name: str, value: int) -> None:
-    """Raises InvalidConfig when the chain size ``name`` is below its minimum."""
-    if value < CHAIN_MINIMUM[name]:
-        raise InvalidConfig(f"chain {name} must be >= {CHAIN_MINIMUM[name]}, got {value}")
 
 
 def _slide(window: dict, seeds, draw) -> dict:
@@ -780,7 +796,7 @@ def chain_experiment(dim: int = 5, n_ops: int = 4, n_instances: int = 50, seed: 
     from .weakcorr import SelectionProtocol, chain_weak_correlation, symmetry_residuals
 
     for name, value in (("dim", dim), ("n_ops", n_ops), ("instances", n_instances)):
-        require_chain_minimum(name, value)
+        require_precondition(f"chain.{name}", value)
     mask = 0x7FFFFFFF
     state_window, op_window = {}, {}
     rows = []

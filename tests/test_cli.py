@@ -194,6 +194,38 @@ def test_chain_preconditions_exit_3_and_validate_agrees(tmp_path, capsys, flags,
     assert {d["error"] for d in diags} == {"InvalidConfig"}
 
 
+@pytest.mark.parametrize("experiment, flags, yaml_text, field", [
+    ("montecarlo", ["--n-trials", "0"], "{n_trials: 0}", "montecarlo.n_trials"),
+    ("montecarlo", ["--g", "0"], "{g: 0}", "montecarlo.g"),
+    ("montecarlo", ["--sigma", "0"], "{sigma: 0}", "montecarlo.sigma"),
+    ("montecarlo", ["--sigma", "-1"], "{sigma: -1}", "montecarlo.sigma"),
+    ("montecarlo", ["--preset", "fock", "--dim", "1"], "{preset: fock, dim: 1}",
+     "montecarlo.dim"),
+    ("ccr", ["--n-trials", "-5"], "{n_trials: -5}", "ccr.n_trials"),
+])
+def test_monte_carlo_preconditions_exit_3_and_validate_agrees(tmp_path, capsys, experiment,
+                                                              flags, yaml_text, field):
+    out = tmp_path / "o"
+    assert run_cli([experiment, *flags, "--out", str(out)]) == cli.EXIT_NUMERICAL_ERROR
+    assert f"numerical error: InvalidConfig: {field.replace('.', ' ')} must be " in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
+    cfgfile = tmp_path / "c.yaml"
+    cfgfile.write_text(f"experiment: {experiment}\n{experiment}: {yaml_text}\n")
+    assert run_cli(["validate", str(cfgfile)]) == cli.EXIT_CHECK_FAILED
+    diags = json.loads(capsys.readouterr().out)["diagnostics"]
+    assert [(d["field"], d["error"]) for d in diags] == [(field, "InvalidConfig")]
+
+
+def test_spin_preset_ignores_the_fock_dimension(tmp_path, capsys):
+    cfgfile = tmp_path / "c.yaml"
+    cfgfile.write_text("experiment: montecarlo\nmontecarlo: {preset: spin, dim: 1, n_trials: 2000}\n")
+    assert run_cli(["validate", str(cfgfile)]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["diagnostics"] == []
+    assert run_cli(["montecarlo", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 0
+
+
 def test_validate_reports_every_chain_precondition(tmp_path, capsys):
     cfgfile = tmp_path / "c.yaml"
     cfgfile.write_text("experiment: chain\nchain: {instances: 0, n_ops: 1}\n")

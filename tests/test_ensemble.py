@@ -8,16 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weaklab import ensemble, hilbert, pointer
-from weaklab.ensemble import (
-    BLOCK,
-    EnsembleStats,
-    TrialConfig,
-    WeakValueTrialConfig,
-    estimate_weak_value,
-    run_trials,
-    trial_uniforms,
-)
-from weaklab.errors import InvalidConfig, NoAcceptedTrials
+from weaklab.ensemble import BLOCK, estimate_weak_value, run_trials, trial_uniforms
+from weaklab.errors import InvalidConfig, NoAcceptedTrials, SelectionAnnihilated
+from weaklab.experiments import montecarlo_experiment
 from weaklab.hilbert import (
     FockConfig,
     GridConfig,
@@ -26,7 +19,6 @@ from weaklab.hilbert import (
     make_fock_ops,
     make_grid_ops,
 )
-from weaklab.weakcorr import weak_value
 
 
 def grid_setup(n_sys=64, length=20.0):
@@ -51,27 +43,22 @@ def test_trial_draws_are_pure_functions_of_index():
     np.testing.assert_array_equal(trial_uniforms(99, 1, 17), direct[17])
 
 
-def base_config(**kw):
+def base_chain():
+    """The exact chain of a momentum-eigenvector mid-selection on the grid."""
     cfg, x_op, p_op, i = grid_setup()
     f, _ = plane_wave(cfg, 1)
-    defaults = dict(
-        i=i, f=f, x_op=x_op, p_op=p_op,
-        sigma=1.0, sigma_prime=1.0, g=0.01,
-        n_trials=50_000, master_seed=7,
-    )
-    defaults.update(kw)
-    return TrialConfig(**defaults)
+    return pointer.run_ccr_protocol(i, f, x_op, p_op, 1.0, 1.0, 0.01)
+
+
+def uncoupled_chain():
+    """i selected again after a zero coupling: every trial passes."""
+    cfg, x_op, p_op, i = grid_setup()
+    return pointer.run_ccr_protocol(i, i, x_op, p_op, 1.0, 1.0, 0.0)
 
 
 def test_same_selection_zero_coupling_accepts_everything():
-    cfg_g, x_op, p_op, i = grid_setup()
-    cfg = TrialConfig(
-        i=i, f=i, x_op=x_op, p_op=p_op,
-        sigma=1.0, sigma_prime=1.0, g=0.0,
-        n_trials=20_000, master_seed=11,
-    )
-    stats = run_trials(cfg)
-    assert stats.accepted == stats.attempted
+    stats = run_trials(uncoupled_chain(), 20_000, 11)
+    assert stats.accepted == stats.attempted == 20_000
     assert stats.acceptance_rate == 1.0
     assert abs(stats.mean_dx) <= 4.0 * stats.stderr_dx
     assert abs(stats.mean_dx_prime) <= 4.0 * stats.stderr_dx_prime
@@ -83,33 +70,28 @@ def test_orthogonal_selection_zero_coupling_accepts_nothing():
     xs = cfg_g.positions()
     orth = hilbert.StateVector(cfg_g.basis_id, amps * xs)  # odd * even = orthogonal
     assert abs(hilbert.inner(orth, i)) < 1e-12
-    cfg = TrialConfig(
-        i=i, f=orth, x_op=x_op, p_op=p_op,
-        sigma=1.0, sigma_prime=1.0, g=0.0,
-        n_trials=100, master_seed=3,
-    )
+    # the exact stage refuses the selection; a chain whose mid selection
+    # has probability 0 accepts no trial
+    with pytest.raises(SelectionAnnihilated):
+        pointer.run_ccr_protocol(i, orth, x_op, p_op, 1.0, 1.0, 0.0)
+    never = dataclasses.replace(uncoupled_chain(), prob_mid=0.0)
     with pytest.raises(NoAcceptedTrials):
-        run_trials(cfg)
+        run_trials(never, 100, 3)
 
 
 def test_acceptance_rate_matches_born_product():
-    cfg = base_config(n_trials=200_000)
-    chain = pointer.run_ccr_protocol(
-        cfg.i, cfg.f, cfg.x_op, cfg.p_op, cfg.sigma, cfg.sigma_prime, cfg.g
-    )
+    n = 200_000
+    chain = base_chain()
     q = chain.prob_mid * chain.prob_post
-    stats = run_trials(cfg)
-    se = math.sqrt(q * (1 - q) / cfg.n_trials)
+    stats = run_trials(chain, n, 7)
+    se = math.sqrt(q * (1 - q) / n)
     assert abs(stats.acceptance_rate - q) <= 3.0 * se
 
 
 def test_mean_product_matches_exact_chain():
     # momentum-eigenvector mid-selection, ~1e5 accepted trials
-    cfg = base_config(n_trials=3_200_000, master_seed=2)
-    chain = pointer.run_ccr_protocol(
-        cfg.i, cfg.f, cfg.x_op, cfg.p_op, cfg.sigma, cfg.sigma_prime, cfg.g
-    )
-    stats = run_trials(cfg)
+    chain = base_chain()
+    stats = run_trials(chain, 3_200_000, 2)
     assert stats.accepted >= 100_000
     exact = chain.dx_d * chain.dx_d_prime
     assert abs(stats.mean_product - exact) <= 3.0 * stats.stderr_product
@@ -118,42 +100,20 @@ def test_mean_product_matches_exact_chain():
 
 
 def test_bit_identical_reruns_and_worker_independence():
-    cfg = base_config(n_trials=150_000, master_seed=5)
-    a = run_trials(cfg, n_workers=1)
-    b = run_trials(cfg, n_workers=1)
-    c = run_trials(cfg, n_workers=3)
+    chain = base_chain()
+    a = run_trials(chain, 150_000, 5, n_workers=1)
+    b = run_trials(chain, 150_000, 5, n_workers=1)
+    c = run_trials(chain, 150_000, 5, n_workers=3)
     assert a == b
     assert a == c
 
 
 def test_stderr_scales_inverse_sqrt_accepted():
-    cfg_g, x_op, p_op, i = grid_setup()
-    small = TrialConfig(
-        i=i, f=i, x_op=x_op, p_op=p_op, sigma=1.0, sigma_prime=1.0,
-        g=0.0, n_trials=1_000, master_seed=13,
-    )
-    big = TrialConfig(
-        i=i, f=i, x_op=x_op, p_op=p_op, sigma=1.0, sigma_prime=1.0,
-        g=0.0, n_trials=100_000, master_seed=13,
-    )
-    s_small = run_trials(small)
-    s_big = run_trials(big)
+    chain = uncoupled_chain()
+    s_small = run_trials(chain, 1_000, 13)
+    s_big = run_trials(chain, 100_000, 13)
     ratio = s_small.stderr_dx / s_big.stderr_dx
     assert ratio == pytest.approx(10.0, rel=0.2)
-
-
-def test_invalid_trial_config():
-    cfg_g, x_op, p_op, i = grid_setup()
-    with pytest.raises(InvalidConfig):
-        TrialConfig(
-            i=i, f=i, x_op=x_op, p_op=p_op, sigma=1.0, sigma_prime=1.0,
-            g=0.0, n_trials=0, master_seed=1,
-        )
-    with pytest.raises(InvalidConfig):
-        TrialConfig(
-            i=i, f=i, x_op=x_op, p_op=p_op, sigma=1.0, sigma_prime=1.0,
-            g=0.0, n_trials=10, master_seed=1, readout_first="energy",
-        )
 
 
 def spin_pair(alpha):
@@ -165,13 +125,13 @@ def spin_pair(alpha):
     return i, f
 
 
+def weak_stage(i, f, observable, g=0.05):
+    return pointer.measure_weakly(i, f, observable, 1.0, g)
+
+
 def test_estimate_weak_value_spin():
     i, f = spin_pair(math.pi / 2)
-    cfg = WeakValueTrialConfig(
-        i=i, f=f, observable=hilbert.pauli("z"),
-        sigma=1.0, g=0.05, n_trials=40_000, master_seed=21,
-    )
-    est = estimate_weak_value(cfg)
+    est = estimate_weak_value(weak_stage(i, f, hilbert.pauli("z")), 1.0, 0.05, 40_000, 21)
     # closed form tan(pi/4) = 1, purely real
     assert abs(est.re_est - 1.0) <= 3.0 * est.stderr_re
     assert abs(est.im_est) <= 3.0 * est.stderr_im
@@ -180,11 +140,7 @@ def test_estimate_weak_value_spin():
 def test_estimate_weak_value_identity_observable():
     i, f = spin_pair(math.pi / 3)
     ident = hilbert.Operator(hilbert.PAULI_BASIS_ID, np.eye(2))
-    cfg = WeakValueTrialConfig(
-        i=i, f=f, observable=ident,
-        sigma=1.0, g=0.05, n_trials=40_000, master_seed=22,
-    )
-    est = estimate_weak_value(cfg)
+    est = estimate_weak_value(weak_stage(i, f, ident), 1.0, 0.05, 40_000, 22)
     assert abs(est.re_est - 1.0) <= 3.0 * est.stderr_re
     assert abs(est.im_est) <= 3.0 * est.stderr_im
 
@@ -194,31 +150,26 @@ def test_estimate_weak_value_fock_position():
     x_op, _ = hilbert.make_fock_ops(cfg_f)
     i = hilbert.basis_state(2, 0, cfg_f.basis_id)
     f = hilbert.StateVector(cfg_f.basis_id, np.array([1.0, 1.0]))
-    cfg = WeakValueTrialConfig(
-        i=i, f=f, observable=x_op,
-        sigma=1.0, g=0.05, n_trials=60_000, master_seed=23,
-    )
-    est = estimate_weak_value(cfg)
+    est = estimate_weak_value(weak_stage(i, f, x_op), 1.0, 0.05, 60_000, 23)
     assert abs(est.re_est - 1.0 / math.sqrt(2.0)) <= 3.0 * est.stderr_re
     assert abs(est.im_est) <= 3.0 * est.stderr_im
 
 
-def test_estimate_weak_value_requires_nonzero_g():
-    i, f = spin_pair(1.0)
-    with pytest.raises(InvalidConfig):
-        WeakValueTrialConfig(
-            i=i, f=f, observable=hilbert.pauli("z"),
-            sigma=1.0, g=0.0, n_trials=10, master_seed=1,
-        )
+def test_estimate_weak_value_requires_nonzero_g(monkeypatch):
+    # the estimates divide by g: the experiment refuses g = 0 before its stage
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a weak stage ran at g = 0")
+
+    monkeypatch.setattr(ensemble, "measure_weakly", no_stage)
+    with pytest.raises(InvalidConfig, match="montecarlo g must be != 0"):
+        montecarlo_experiment(alpha=1.0, g=0.0, n_trials=10, seed=1)
 
 
 def test_estimate_deterministic():
     i, f = spin_pair(0.8)
-    cfg = WeakValueTrialConfig(
-        i=i, f=f, observable=hilbert.pauli("z"),
-        sigma=1.0, g=0.05, n_trials=5_000, master_seed=31,
-    )
-    assert estimate_weak_value(cfg) == estimate_weak_value(cfg, n_workers=2)
+    stage = weak_stage(i, f, hilbert.pauli("z"))
+    assert (estimate_weak_value(stage, 1.0, 0.05, 5_000, 31)
+            == estimate_weak_value(stage, 1.0, 0.05, 5_000, 31, n_workers=2))
 
 
 @pytest.mark.parametrize("n", [1, 3, 1000, 12345, 65535])
@@ -231,18 +182,23 @@ def test_short_draw_is_prefix_of_full_block(n):
 
 
 def record_uniforms(monkeypatch):
-    """Spy on _run_blocks: the uniform rows each stream hands to its trials."""
+    """Spy on _block_stream: the uniform rows each stream hands to its trials."""
     seen = {}
-    real = ensemble._run_blocks
+    real = ensemble._block_stream
 
-    def spy(master_seed, stream, n_trials, block_fn, n_workers):
-        def recorded(u):
-            seen.setdefault(stream, []).append(u.copy())
-            return block_fn(u)
+    class Recorded:
+        def __init__(self, stream, gen):
+            self.stream, self.gen = stream, gen
 
-        return real(master_seed, stream, n_trials, recorded, n_workers)
+        def random(self, shape):
+            u = self.gen.random(shape)
+            seen.setdefault(self.stream, []).append(u.copy())
+            return u
 
-    monkeypatch.setattr(ensemble, "_run_blocks", spy)
+    monkeypatch.setattr(
+        ensemble, "_block_stream",
+        lambda seed, stream, block: Recorded(stream, real(seed, stream, block)),
+    )
     return seen
 
 
@@ -271,45 +227,28 @@ def assert_rows_are_trial_uniforms(blocks, seed, stream, n):
 
 def test_run_trials_consumes_trial_uniforms_row_by_row(monkeypatch):
     n = BLOCK + 40
-    cfg = base_config(n_trials=n, master_seed=17)
-    plain = run_trials(cfg)
+    chain = base_chain()
+    plain = run_trials(chain, n, 17)
     seen = record_uniforms(monkeypatch)
-    assert run_trials(cfg) == plain
+    assert run_trials(chain, n, 17) == plain
     assert list(seen) == [ensemble._STREAM_TRIALS]
     assert_rows_are_trial_uniforms(seen[ensemble._STREAM_TRIALS], 17, ensemble._STREAM_TRIALS, n)
     full_block_draws(monkeypatch)
-    assert run_trials(cfg) == plain
+    assert run_trials(chain, n, 17) == plain
 
 
 def test_estimate_weak_value_consumes_trial_uniforms_row_by_row(monkeypatch):
     n = BLOCK + 40
     i, f = spin_pair(0.8)
-    cfg = WeakValueTrialConfig(
-        i=i, f=f, observable=hilbert.pauli("z"),
-        sigma=1.0, g=0.05, n_trials=n, master_seed=41,
-    )
-    plain = estimate_weak_value(cfg)
+    stage = weak_stage(i, f, hilbert.pauli("z"))
+    plain = estimate_weak_value(stage, 1.0, 0.05, n, 41)
     seen = record_uniforms(monkeypatch)
-    assert estimate_weak_value(cfg) == plain
+    assert estimate_weak_value(stage, 1.0, 0.05, n, 41) == plain
     assert sorted(seen) == [ensemble._STREAM_IMAG, ensemble._STREAM_REAL]
     for stream, blocks in seen.items():
         assert_rows_are_trial_uniforms(blocks, 41, stream, n)
     full_block_draws(monkeypatch)
-    assert estimate_weak_value(cfg) == plain
-
-
-def test_run_trials_uses_a_given_chain(monkeypatch):
-    cfg = base_config(n_trials=30_000, master_seed=8)
-    chain = pointer.run_ccr_protocol(
-        cfg.i, cfg.f, cfg.x_op, cfg.p_op, cfg.sigma, cfg.sigma_prime, cfg.g
-    )
-    plain = run_trials(cfg)
-
-    def no_recompute(*a, **kw):
-        raise AssertionError("run_trials re-ran a chain it was given")
-
-    monkeypatch.setattr(ensemble, "run_ccr_protocol", no_recompute)
-    assert run_trials(cfg, chain=chain) == plain
+    assert estimate_weak_value(stage, 1.0, 0.05, n, 41) == plain
 
 
 # -- guide-table readout: the same indices as binary search -------------------
@@ -406,22 +345,57 @@ TRIAL_SETUPS = {"spin": spin_trial_setup, "fock": fock_trial_setup, "grid": grid
 @pytest.mark.parametrize("n_workers", [1, 2])
 @pytest.mark.parametrize("setup", sorted(TRIAL_SETUPS))
 def test_run_trials_equals_binary_search_readout(monkeypatch, setup, n_workers):
-    cfg = TrialConfig(sigma=1.0, sigma_prime=1.0, n_trials=2 * BLOCK + 999, master_seed=5,
-                      readout_second=pointer.MOMENTUM, **TRIAL_SETUPS[setup]())
-    guided = run_trials(cfg, n_workers)
+    kw = TRIAL_SETUPS[setup]()
+    chain = pointer.run_ccr_protocol(kw["i"], kw["f"], kw["x_op"], kw["p_op"], 1.0, 1.0, kw["g"])
+    guided = run_trials(chain, 2 * BLOCK + 999, 5, n_workers)
     monkeypatch.setattr(ensemble, "_inverse_cdf", reference_inverse_cdf)
-    assert_equal_fields(guided, run_trials(cfg, n_workers))
+    assert_equal_fields(guided, run_trials(chain, 2 * BLOCK + 999, 5, n_workers))
 
 
 @pytest.mark.parametrize("n_workers", [1, 2])
 @pytest.mark.parametrize("setup", sorted(TRIAL_SETUPS))
 def test_estimate_weak_value_equals_binary_search_readout(monkeypatch, setup, n_workers):
     kw = TRIAL_SETUPS[setup]()
-    cfg = WeakValueTrialConfig(i=kw["i"], f=kw["f"], observable=kw["x_op"], sigma=1.0,
-                               g=kw["g"], n_trials=2 * BLOCK + 999, master_seed=6)
-    guided = estimate_weak_value(cfg, n_workers)
+    stage = weak_stage(kw["i"], kw["f"], kw["x_op"], kw["g"])
+    guided = estimate_weak_value(stage, 1.0, kw["g"], 2 * BLOCK + 999, 6, n_workers=n_workers)
     monkeypatch.setattr(ensemble, "_inverse_cdf", reference_inverse_cdf)
-    assert_equal_fields(guided, estimate_weak_value(cfg, n_workers))
+    assert_equal_fields(
+        guided, estimate_weak_value(stage, 1.0, kw["g"], 2 * BLOCK + 999, 6, n_workers=n_workers)
+    )
+
+
+# float.hex of every output of the sampler on two fixed stages, from the
+# implementation with one block loop per sampler that preceded the shared
+# one.  A change of the Philox layout, the gate order, the readout columns
+# or the merge order changes them.
+PINNED_RUN_TRIALS = {
+    "attempted": 66535, "accepted": 24595,
+    "acceptance_rate": "0x1.7a86dbbc835b6p-2",
+    "mean_dx": "0x1.08f03b1ef7347p-5", "mean_dx_prime": "0x1.6eb2176b5d6aep-6",
+    "mean_product": "0x1.133b11a4821b9p-7",
+    "stderr_dx": "0x1.a39ebd04fefb6p-8", "stderr_dx_prime": "0x1.a49be7da2176fp-8",
+    "stderr_product": "0x1.aac43904c08e9p-8",
+}
+PINNED_ESTIMATE = {
+    "re_est": "0x1.84b7941a8db62p-2", "im_est": "-0x1.feb4dd07b1642p-5",
+    "stderr_re": "0x1.5b860164c05a4p-5", "stderr_im": "0x1.5607e3901cf7ep-5",
+    "attempted": 66535, "accepted_position": 56405, "accepted_momentum": 56119,
+}
+
+
+def hex_fields(result):
+    return {k: v.hex() if isinstance(v, float) else v for k, v in dataclasses.asdict(result).items()}
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_replay_layout_is_pinned(n_workers):
+    kw = fock_trial_setup()
+    chain = pointer.run_ccr_protocol(kw["i"], kw["f"], kw["x_op"], kw["p_op"], 1.0, 1.0, kw["g"])
+    assert hex_fields(run_trials(chain, BLOCK + 999, 5, n_workers)) == PINNED_RUN_TRIALS
+    i, f = spin_pair(0.8)
+    est = estimate_weak_value(weak_stage(i, f, hilbert.pauli("z")), 1.0, 0.05, BLOCK + 999, 41,
+                              n_workers=n_workers)
+    assert hex_fields(est) == PINNED_ESTIMATE
 
 
 @pytest.mark.parametrize("n_workers, n_trials, pool_size", [
@@ -440,6 +414,6 @@ def test_run_blocks_starts_at_most_one_thread_per_block(monkeypatch, n_workers, 
             super().__init__(max_workers=max_workers)
 
     monkeypatch.setattr(ensemble, "ThreadPoolExecutor", Pool)
-    counts = ensemble._run_blocks(3, 1, n_trials, len, n_workers)
-    assert sum(counts) == n_trials
+    # a gate above 1 passes every trial
+    assert ensemble._sample(3, 1, n_trials, (2.0,), (), n_workers) == (n_trials, [])
     assert sizes == ([] if pool_size is None else [pool_size])

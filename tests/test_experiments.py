@@ -218,9 +218,9 @@ def test_acceptance_gates_each_stream(monkeypatch, field, check):
     n = 40_000
     real = experiments.mc.estimate_weak_value
 
-    def planted(cfg, n_workers=1):
-        est = real(cfg, n_workers=n_workers)
-        q = est.probability
+    def planted(stage, *args):
+        est = real(stage, *args)
+        q = stage.probability
         return dataclasses.replace(est, **{field: round(n * q + 4 * math.sqrt(n * q * (1 - q)))})
 
     monkeypatch.setattr(experiments.mc, "estimate_weak_value", planted)

@@ -1,9 +1,9 @@
-"""Each exact riemann, ccr and chain check and each Monte Carlo acceptance
-check fails on a planted defect.
+"""Every check of the five experiments fails on a planted defect.
 
 A defect is planted with ``monkeypatch`` in the function the check reads
 from; the run must report that check as failed and the CLI must exit 1.
-The same runs pass unplanted, so no check here can pass vacuously.
+The same runs pass unplanted, so no check here can pass vacuously, and
+the checks the default runs emit are exactly the ones planted here.
 """
 
 import dataclasses
@@ -13,13 +13,16 @@ import types
 import numpy as np
 import pytest
 
-from weaklab import cli, ensemble, experiments, hilbert, weakcorr
+from weaklab import cli, ensemble, experiments, hilbert, pointer, weakcorr
+
+PAULI = ["pauli", "--alpha", "1.0"]
 
 GRID_RIEMANN = ["riemann", "--rep", "grid", "--points", "64", "--length", "20"]
 GRID_CCR = ["ccr", "--rep", "grid", "--points", "64", "--length", "20",
             "--n-trials", "0", "--no-pointer"]
 CHAIN = ["chain", "--dim", "6", "--n-ops", "4", "--instances", "20"]
 MC_SPIN = ["montecarlo", "--preset", "spin", "--n-trials", "40000"]
+FOCK_CCR_MC = ["ccr", "--dim", "16", "--n-trials", "300000"]
 # complex weak values and a nonzero <{x, p}>: the grid's real Gaussian has neither
 FOCK_RIEMANN_YAML = (
     'experiment: riemann\nriemann: {rep: {dim: 32}, i_displacement: "1+1j", f_displacement: 0.5}\n'
@@ -121,7 +124,76 @@ def miscount_acceptance(field):
     return plant
 
 
+def swap_correlation_operands(monkeypatch):
+    """<a b>_w is evaluated as <b a>_w."""
+    orig = experiments.weak_correlation
+    monkeypatch.setattr(experiments, "weak_correlation", lambda i, f, a, b: orig(i, f, b, a))
+
+
+def conjugate_correlation(monkeypatch):
+    """The weak correlation comes back complex conjugated."""
+    orig = experiments.weak_correlation
+    monkeypatch.setattr(
+        experiments, "weak_correlation", lambda *args: orig(*args).conjugate()
+    )
+
+
+def full_angle_target(monkeypatch):
+    """The closed form reads tan(alpha) where it means tan(alpha / 2)."""
+    fake_math = types.ModuleType("math")
+    fake_math.__dict__.update(vars(experiments.math))
+    fake_math.tan = lambda x: np.tan(2.0 * x)
+    monkeypatch.setattr(experiments, "math", fake_math)
+
+
+def anticommutator_sign_flipped(monkeypatch):
+    """The weak anticommutator subtracts its two orderings."""
+    monkeypatch.setattr(experiments, "weak_anticommutator", weakcorr.weak_commutator)
+
+
+def pauli_commutator_sign_dropped(monkeypatch):
+    """The suite's weak commutator adds its two orderings."""
+    monkeypatch.setattr(experiments, "weak_commutator", weakcorr.weak_anticommutator)
+
+
+def z_built_as_x(monkeypatch):
+    """pauli("z") builds sigma_x."""
+    orig = experiments.pauli
+    monkeypatch.setattr(experiments, "pauli", lambda axis: orig("x" if axis == "z" else axis))
+
+
+def second_coupling_sign_flipped(monkeypatch):
+    """Stage two couples momentum with the sign of stage one."""
+    orig = pointer.CouplingSpec
+    monkeypatch.setattr(
+        pointer, "CouplingSpec",
+        lambda op, generator, g, sign: orig(
+            op, generator, g, -sign if generator == pointer.MOMENTUM else sign
+        ),
+    )
+
+
+def readout_offset(kind):
+    """The sampler reads the ``kind`` readout of every pointer one unit high."""
+    def plant(monkeypatch):
+        orig = ensemble.readout_distribution
+
+        def planted(p, readout_kind):
+            values, probs = orig(p, readout_kind)
+            return (values + 1.0 if readout_kind == kind else values), probs
+
+        monkeypatch.setattr(ensemble, "readout_distribution", planted)
+
+    return plant
+
+
 PLANTED = [
+    ("sxsy_vs_i_tan", "pauli", swap_correlation_operands),
+    ("sysx_vs_minus_i_tan", "pauli", conjugate_correlation),
+    ("sz_w_vs_tan", "pauli", full_angle_target),
+    ("anticommutator_vs_zero", "pauli", anticommutator_sign_flipped),
+    ("commutator_vs_2i_tan", "pauli", pauli_commutator_sign_dropped),
+    ("commutator_vs_2i_sz_w", "pauli", z_built_as_x),
     ("rho_hermiticity", "grid", drop_px_column_scaling),
     ("half_line_residual", "grid", swap_products),
     ("eq25_lhs_vs_re_xw_conj_pw", "fock", drop_conjugate),
@@ -135,8 +207,13 @@ PLANTED = [
     ("dual_commutator_flip", "chain", commutator_sign_dropped),
     ("acceptance_vs_born", "mc", miscount_acceptance("accepted_position")),
     ("momentum_acceptance_vs_born", "mc", miscount_acceptance("accepted_momentum")),
+    ("re_est_within_3_stderr", "mc", readout_offset(pointer.MOMENTUM)),
+    ("im_est_within_3_stderr", "mc", readout_offset(pointer.POSITION)),
+    ("pointer_corr_vs_hbar_sigma2", "ccr_mc", second_coupling_sign_flipped),
+    ("mc_corr_vs_exact_pointer", "ccr_mc", readout_offset(pointer.POSITION)),
 ]
-ARGV = {"grid": GRID_RIEMANN, "ccr": GRID_CCR, "chain": CHAIN, "mc": MC_SPIN}
+ARGV = {"pauli": PAULI, "grid": GRID_RIEMANN, "ccr": GRID_CCR, "ccr_mc": FOCK_CCR_MC,
+        "chain": CHAIN, "mc": MC_SPIN}
 
 
 def run_checks(tmp_path, setup):
@@ -152,7 +229,7 @@ def run_checks(tmp_path, setup):
     return status, {c["name"]: c["passed"] for c in record["checks"]}
 
 
-@pytest.mark.parametrize("setup", ["grid", "fock", "ccr", "chain", "mc"])
+@pytest.mark.parametrize("setup", ["grid", "fock", "ccr", "chain", "mc", "pauli", "ccr_mc"])
 def test_unplanted_runs_pass(tmp_path, setup):
     status, checks = run_checks(tmp_path, setup)
     assert status == cli.EXIT_OK
@@ -166,3 +243,16 @@ def test_planted_defect_fails_its_check(tmp_path, monkeypatch, check, setup, pla
     status, checks = run_checks(tmp_path, setup)
     assert checks[check] is False
     assert status == cli.EXIT_CHECK_FAILED == 1
+
+
+def test_every_default_check_is_planted(tmp_path):
+    # a new check without a failing mutant here fails this test
+    emitted = set()
+    for experiment in cli.EXPERIMENTS:
+        out = tmp_path / experiment
+        assert cli.main([experiment, "--out", str(out)]) == cli.EXIT_OK
+        emitted |= {c["name"] for c in json.loads((out / "run.json").read_text())["checks"]}
+    emitted = {name for name in emitted if not name.startswith("g_sweep_pointer_corr(")}
+    planted = [name for name, _, _ in PLANTED]
+    assert len(planted) == len(set(planted)) == 23
+    assert emitted == set(planted)
