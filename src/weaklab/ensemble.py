@@ -58,7 +58,8 @@ _MASK64 = (1 << 64) - 1
 def _block_stream(master_seed: int, stream: int, block: int) -> np.random.Generator:
     if block >= 1 << 32:
         raise InvalidConfig("trial count exceeds the RNG block address space")
-    key = [master_seed & _MASK64, ((stream & _MASK64) << 32) | block]
+    # a uint64 array: numpy would read a list holding a value >= 2**63 as float64
+    key = np.array([master_seed & _MASK64, ((stream << 32) | block) & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -324,7 +324,9 @@ def ccr_experiment(
     (a) exact Born-averaged weak commutator over the representation's
     natural basis, against both i*hbar and the direct truncated
     expectation; (b) per-selection real-part combinations over the
-    momentum eigenbasis and their Born average vs hbar/2; (c) the
+    momentum eigenbasis and their Born average vs hbar/2 (on a grid the
+    closed-form plane waves exp(i k x) / sqrt(n) with eigenvalues hbar k,
+    in Fock one ``eigh`` of p); (c) the
     simplified Im{x_w} p_w average vs -hbar/2 (momentum mid-selections
     make every p_w real); (d) the exact two-pointer correlator and, when
     ``n_trials`` > 0, its Monte Carlo estimate, vs hbar * sigma^2.
@@ -348,8 +350,12 @@ def ccr_experiment(
     comm_matrix = xp - px
     oracle = complex(np.vdot(i.amplitudes, comm_matrix @ i.amplitudes))
 
-    # (b, c) momentum mid-selection basis
-    p_eigs, p_basis = eigenbasis(p_op)
+    # (b, c) momentum mid-selection basis: plane waves on the grid, eigh for Fock
+    if isinstance(rep, GridConfig):
+        p_eigs, v = rep.momentum_eigensystem()
+        p_basis = [StateVector(rep.basis_id, v[:, j]) for j in range(rep.n_points)]
+    else:
+        p_eigs, p_basis = eigenbasis(p_op)
     weights = np.array([abs(complex(np.vdot(f.amplitudes, i.amplitudes))) ** 2 for f in p_basis])
     rows = []
     eq9_terms = []

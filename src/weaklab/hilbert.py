@@ -157,6 +157,24 @@ class GridConfig:
         """Angular wavenumbers in FFT order."""
         return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.spacing)
 
+    def momentum_eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        """(w, v): eigenvalues and eigenvector columns of the grid momentum.
+
+        The spectral p of ``make_grid_ops`` is diagonal on the DFT basis:
+        its eigenvectors are the plane waves exp(i k x) / sqrt(n), with
+        eigenvalues hbar k.  The wavenumbers are sorted ascending (stable),
+        the order ``eigh`` returns; they are all distinct, the Nyquist one
+        occurring once.  The phase k_m x_j = 2 pi m j / n - pi m is reduced
+        modulo 2 pi in integers, so every entry is one of the n roots of
+        unity times (-1)^m and no column carries the roundoff of a large
+        argument.
+        """
+        n = self.n_points
+        m = np.arange(n) - n // 2  # the fftfreq integers, ascending
+        roots = np.exp(2j * np.pi / n * np.arange(n))
+        v = roots[np.outer(np.arange(n), m) % n] * (np.where(m % 2, -1.0, 1.0) / math.sqrt(n))
+        return self.hbar * np.sort(self.wavenumbers(), kind="stable"), v
+
     @property
     def basis_id(self) -> str:
         return f"grid(n={self.n_points},L={self.length!r})"
@@ -212,6 +230,9 @@ def make_grid_ops(cfg: GridConfig) -> tuple[Operator, Operator]:
     x is stored as its diagonal, the grid positions.
     The momentum matrix is exact on band-limited periodic states; it is
     symmetrized to remove FFT roundoff so the Hermiticity residual is 0.
+    Its eigensystem is known in closed form, the plane waves
+    exp(i k x) / sqrt(n) with eigenvalues hbar k
+    (``GridConfig.momentum_eigensystem``), so it is never diagonalized.
     """
     n = cfg.n_points
     x = Operator(cfg.basis_id, diagonal=cfg.positions(), units="length", hermitian_hint=True)

@@ -160,7 +160,8 @@ def product_joint(system: StateVector, pointer: PointerState) -> JointState:
 def _observable_eigensystem(op: Operator, eigensystem=None):
     """(w, v) of a Hermitian observable; v is None when it is diagonal.
 
-    A known ``eigensystem`` (e.g. from ``hilbert.eigenbasis``) is passed
+    A known ``eigensystem`` (from ``hilbert.eigenbasis`` or, for the grid
+    momentum, ``GridConfig.momentum_eigensystem``) is passed
     through after the Hermiticity check instead of diagonalizing again.
     """
     d = op.diagonal

@@ -43,6 +43,19 @@ def test_trial_draws_are_pure_functions_of_index():
     np.testing.assert_array_equal(trial_uniforms(99, 1, 17), direct[17])
 
 
+HIGH_SEEDS = [2**63, 2**63 + 1, 2**64 - 2, 2**64 - 1]
+
+
+@pytest.mark.filterwarnings("error")
+def test_seeds_above_int64_keep_their_philox_key():
+    # a key read as float64 would round these to multiples of 2048, and 2**64 - 1 to 0
+    for seed in HIGH_SEEDS:
+        key = ensemble._block_stream(seed, 1, 0).bit_generator.state["state"]["key"]
+        assert [int(k) for k in key] == [seed & ((1 << 64) - 1), 1 << 32]
+    rows = [trial_uniforms(seed, 1, 0).tobytes() for seed in [0, *HIGH_SEEDS]]
+    assert len(set(rows)) == len(rows)
+
+
 def base_chain():
     """The exact chain of a momentum-eigenvector mid-selection on the grid."""
     cfg, x_op, p_op, i = grid_setup()
@@ -264,10 +277,15 @@ def probability_vector(kind, n, rng):
         return rng.random(n)
     if kind == "uniform":
         return np.ones(n)
+    # the gaussian and spiky kinds are scaled so their largest entry is 1:
+    # a narrow peak between points, or one small draw at n = 1, would
+    # otherwise underflow to an all-zero vector
     if kind == "gaussian":
-        return np.exp(-((x - rng.uniform(-0.5, 0.5)) / rng.uniform(1e-3, 0.5)) ** 2)
+        d = ((x - rng.uniform(-0.5, 0.5)) / rng.uniform(1e-3, 0.5)) ** 2
+        return np.exp(-(d - d.min()))
     if kind == "spiky":
-        return rng.random(n) ** 40
+        r = rng.random(n)
+        return (r / r.max()) ** 40
     p = rng.random(n)  # zero runs: equal cdf entries
     for start in rng.integers(0, n, size=3):
         p[start:start + rng.integers(1, n + 1)] = 0.0
@@ -298,6 +316,7 @@ def test_guide_table_equals_binary_search(kind, n, total, seed):
     rng = np.random.default_rng(seed)
     p = probability_vector(kind, n, rng)
     cdf = np.cumsum(p * (total / p.sum()))
+    assert np.all(np.isfinite(cdf))
     values = rng.normal(size=n)
     keys = guide_keys(cdf, rng)
     got = ensemble._inverse_cdf(values, cdf)(keys)
@@ -385,6 +404,51 @@ PINNED_ESTIMATE = {
 
 def hex_fields(result):
     return {k: v.hex() if isinstance(v, float) else v for k, v in dataclasses.asdict(result).items()}
+
+
+def block_tagged_readout(seed, stream, n_blocks, block_values):
+    """Readout that reads ``block_values[b]`` and then zeros in block b.
+
+    A block is told by its first trial's readout uniform, so the readout
+    does not depend on the order in which blocks run.
+    """
+    tag = {trial_uniforms(seed, stream, b * ensemble.BLOCK)[2]: b for b in range(n_blocks)}
+
+    def readout(u):
+        out = np.zeros(u.size)
+        values = block_values[tag[u[0]]]
+        out[:len(values)] = values
+        return out
+
+    return readout
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_block_merge_is_exact(monkeypatch, n_workers):
+    # The per-block partial sums below round differently when added left to
+    # right; math.fsum merges them exactly.  A small BLOCK keeps 128 blocks
+    # cheap; the merge does not depend on the block size.
+    monkeypatch.setattr(ensemble, "BLOCK", 8)
+    seed, stream, n_blocks = 11, 1, 128
+    n_trials = 8 * n_blocks  # a power of two, so dividing by it is exact
+
+    def sample(block_values):
+        readout = block_tagged_readout(seed, stream, n_blocks, block_values)
+        accepted, [moments] = ensemble._sample(seed, stream, n_trials, (2.0,), (readout,),
+                                               n_workers)
+        assert accepted == n_trials  # a gate above 1 passes every trial
+        return moments
+
+    # sums 1 + 2**-53 + 2**-107: exactly above a tie, so 1 + 2**-52; left to
+    # right, and compensated (Neumaier) too, they give 1
+    mean, _ = sample([[1.0], [2.0**-53], [2.0**-107]] + [[]] * (n_blocks - 3))
+    assert mean == (1.0 + 2.0**-52) / n_trials
+    # sums 0, squares 1 + 127 * 2**-53; left to right each 2**-53 is half
+    # an ulp of 1 and rounds away
+    tiny = 2.0**-27
+    mean, stderr = sample([[0.5, -0.5, 0.5, -0.5]] + [[tiny, -tiny]] * (n_blocks - 1))
+    assert mean == 0.0
+    assert stderr == math.sqrt((1.0 + 127 * 2.0**-53) / (n_trials - 1) / n_trials)
 
 
 @pytest.mark.parametrize("n_workers", [1, 2])

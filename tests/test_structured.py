@@ -3,12 +3,14 @@
 The grid position operator is stored as its diagonal and the natural
 mid-selection basis as the identity.  Every product that involves them
 must give the same bits as the dense matrices did: the terms the dense
-products add are exact zeros.
+products add are exact zeros.  The grid momentum eigensystem is the
+closed-form plane waves; it agrees with ``eigh`` of the dense p to
+roundoff, not bit for bit, since eigenvector phases are arbitrary.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from weaklab import experiments, hilbert
 from weaklab.errors import InvalidConfig, NotHermitian
@@ -111,3 +113,53 @@ def test_pauli_operators_are_built_once():
         assert not op.matrix.flags.writeable
     with pytest.raises(InvalidConfig):
         hilbert.pauli("w")
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.one_of(
+        st.integers(4, 128).map(lambda h: 2 * h),  # even, 8..256
+        st.integers(4, 127).map(lambda h: 2 * h + 1),  # odd, 9..255
+    ),
+    length=st.floats(1.0, 100.0),
+    hbar=st.floats(0.25, 4.0),
+)
+@example(n=8, length=1.0, hbar=1.0)
+@example(n=9, length=3.3, hbar=0.25)
+@example(n=255, length=100.0, hbar=4.0)
+@example(n=256, length=40.0, hbar=1.0)
+def test_momentum_eigensystem_matches_eigh(n, length, hbar):
+    cfg = hilbert.GridConfig(n, length, hbar)
+    _, p_op = hilbert.make_grid_ops(cfg)
+    w, v = cfg.momentum_eigensystem()
+    scale = np.max(np.abs(hbar * cfg.wavenumbers()))
+    assert np.linalg.norm(p_op.matrix @ v - v * w) <= 1e-12 * scale
+    assert np.linalg.norm(v.conj().T @ v - np.eye(cfg.n_points)) <= 1e-12
+    assert np.max(np.abs(w - np.linalg.eigh(p_op.matrix)[0])) <= 1e-12 * scale
+    assert np.all(np.diff(w) > 0)
+
+
+def eigh_momentum_eigensystem(cfg):
+    """The eigensystem as the dense eigh of the grid p gave it."""
+    return np.linalg.eigh(hilbert.make_grid_ops(cfg)[1].matrix)
+
+
+def test_ccr_plane_waves_agree_with_eigh(monkeypatch):
+    cfg = hilbert.GridConfig(128, 40.0)
+    plane = experiments.ccr_experiment(cfg)
+    monkeypatch.setattr(hilbert.GridConfig, "momentum_eigensystem", eigh_momentum_eigensystem)
+    oracle = experiments.ccr_experiment(cfg)
+    verdicts = [[(c.name, c.passed) for c in rep.checks] for rep in (plane, oracle)]
+    assert verdicts[0] == verdicts[1]
+    assert plane.passed
+    assert [r.index for r in plane.per_f] == [r.index for r in oracle.per_f]
+    diff = abs(plane.pointer_corr_over_g2 - oracle.pointer_corr_over_g2)
+    assert diff <= 1e-13 * abs(oracle.pointer_corr_over_g2)
+
+
+def test_grid_ccr_runs_without_eigh(monkeypatch):
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("the grid ccr experiment called eigh")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    assert experiments.ccr_experiment(hilbert.GridConfig(64, 20.0)).passed
