@@ -35,7 +35,7 @@ def main():
     x = rep.positions()
     f = StateVector(rep.basis_id, np.exp(-((x - 2.0) ** 2) / 6.76 + 0.35j * x)
                     + 0.6 * np.exp(-((x + 1.5) ** 2) / 4.84 - 0.15j * x))
-    x_w = weak_value(i, f, x_op).value
+    x_w = weak_value(i, f, x_op)
     grid = pointer.pointer_grid(1.0)
 
     print(f"{'g':>8} {'corr/g^2':>12} {'corr resid':>11} "

@@ -374,9 +374,13 @@ def _check_ccr_pointer(sub: dict, name: str, hbar: float) -> None:
 # ---------------------------------------------------------------------------
 # experiment execution -> (report, csv tables)
 
+def _pauli_alphas(sub: dict) -> list:
+    """The angles a pauli run evaluates: the sweep, or else the one alpha."""
+    return sub["alpha_sweep"] or [sub["alpha"]]
+
+
 def _run_pauli(cfg):
-    sub = cfg["pauli"]
-    reports = [experiments.pauli_suite(a) for a in sub["alpha_sweep"] or [sub["alpha"]]]
+    reports = [experiments.pauli_suite(a) for a in _pauli_alphas(cfg["pauli"])]
     rows = [
         [r.alpha, r.sxsy.real, r.sxsy.imag, r.sz_w.real, r.commutator.imag,
          r.tan_half, r.max_residual]
@@ -521,7 +525,7 @@ def validate_config(cfg: dict) -> list[dict]:
     experiment = cfg["experiment"]
     sub = cfg[experiment]
     if experiment == "pauli":
-        for a in sub["alpha_sweep"] or [sub["alpha"]]:
+        for a in _pauli_alphas(sub):
             check("pauli.alpha", experiments.spin_selections, a)
     if experiment == "montecarlo" and sub["preset"] == "spin":
         check("montecarlo.alpha", experiments.spin_selections, sub["alpha"])

@@ -1,9 +1,11 @@
-"""Canned experiment presets with structured pass/fail reports.
+"""Canned experiments with structured pass/fail reports.
 
-Three presets bind the machinery together: the Pauli spin suite with its
-exact tan(alpha/2) targets, the canonical-commutator experiment (exact
-averages, per-selection tables, pointer simulation and Monte Carlo), and
-the Riemann-operator weak value.  Every report carries a list of named
+Five experiments bind the machinery together: the Pauli spin suite with
+its exact tan(alpha/2) targets, the canonical-commutator experiment
+(exact averages, per-selection tables, pointer simulation and Monte
+Carlo), the Riemann-operator weak value, random selection chains with
+their dual symmetries, and Monte Carlo weak-value estimation from
+sampled pointer shifts.  Every report carries a list of named
 residual checks with pinned tolerances; the CLI turns them into exit
 statuses.
 
@@ -103,17 +105,11 @@ def require_precondition(path: str, value) -> None:
         raise InvalidConfig(f"{path.replace('.', ' ')} must be {need}, got {value!r}")
 
 
-@dataclass(frozen=True)
-class SpinSelections:
-    """The xz-plane spin selections: i at angle alpha, f along +x."""
+def spin_selections(alpha: float) -> tuple[StateVector, StateVector]:
+    """(i, f): the xz-plane spin selections, i at angle alpha, f along +x.
 
-    alpha: float
-    i: StateVector
-    f: StateVector
-
-
-def spin_selections(alpha: float) -> SpinSelections:
-    """Raises AlphaOutOfRange when |alpha| is within 1e-6 of pi."""
+    Raises AlphaOutOfRange when |alpha| is within 1e-6 of pi.
+    """
     if not abs(alpha) < math.pi - 1e-6:
         raise AlphaOutOfRange(
             f"|alpha| = {abs(alpha)} too close to pi: selections go orthogonal"
@@ -121,7 +117,7 @@ def spin_selections(alpha: float) -> SpinSelections:
     c, s = math.cos(alpha / 2.0), math.sin(alpha / 2.0)
     i = StateVector("spin-1/2", np.array([c + s, c - s]) / math.sqrt(2.0))
     f = StateVector("spin-1/2", np.array([1.0, 1.0]) / math.sqrt(2.0))
-    return SpinSelections(alpha=alpha, i=i, f=f)
+    return i, f
 
 
 @dataclass(frozen=True)
@@ -155,14 +151,14 @@ def pauli_suite(alpha: float) -> PauliReport:
     Targets: <sx sy>_w = i tan(a/2), <sy sx>_w = -i tan(a/2),
     <sz>_w = tan(a/2), anticommutator 0, commutator 2i tan(a/2).
     """
-    sel = spin_selections(alpha)
+    i, f = spin_selections(alpha)
     sx, sy, sz = pauli("x"), pauli("y"), pauli("z")
     t = math.tan(alpha / 2.0)
-    sxsy = weak_correlation(sel.i, sel.f, sx, sy)
-    sysx = weak_correlation(sel.i, sel.f, sy, sx)
-    sz_w = weak_value(sel.i, sel.f, sz).value
-    anti = weak_anticommutator(sel.i, sel.f, sx, sy)
-    comm = weak_commutator(sel.i, sel.f, sx, sy)
+    sxsy = weak_correlation(i, f, sx, sy)
+    sysx = weak_correlation(i, f, sy, sx)
+    sz_w = weak_value(i, f, sz)
+    anti = weak_anticommutator(i, f, sx, sy)
+    comm = weak_commutator(i, f, sx, sy)
     checks = (
         make_check("sxsy_vs_i_tan", abs(sxsy - 1j * t), PAULI_TOL),
         make_check("sysx_vs_minus_i_tan", abs(sysx + 1j * t), PAULI_TOL),
@@ -534,7 +530,7 @@ def riemann_ops(x_op: Operator, p_op: Operator, hbar: float) -> tuple[Operator, 
     reported by riemann_experiment's rho_hermiticity check.
     """
     xp, px = _xp_px(x_op, p_op)
-    rho = Operator(x_op.basis_id, (xp + px) / (2.0 * hbar), units="action/hbar")
+    rho = Operator(x_op.basis_id, (xp + px) / (2.0 * hbar))
     r = Operator(x_op.basis_id, 1j * px / hbar)
     return rho, r
 
@@ -585,11 +581,11 @@ def riemann_experiment(
         half_resid = float(np.linalg.norm(half_line @ i.amplitudes))
         half_method = "state-residual(pre-selection)"
 
-    rho_w = weak_value(i, f, rho).value
+    rho_w = weak_value(i, f, rho)
     r_w = 0.5 + 1j * rho_w
     corr_form = weak_anticommutator(i, f, x_op, p_op) / (2.0 * hbar)
-    x_w = weak_value(i, f, x_op).value
-    p_w = weak_value(i, f, p_op).value
+    x_w = weak_value(i, f, x_op)
+    p_w = weak_value(i, f, p_op)
     eq25_lhs = x_w.real * p_w.real + x_w.imag * p_w.imag
     eq25_rhs = hbar * rho_w
     avg_corr = (
@@ -687,8 +683,8 @@ def montecarlo_experiment(
     require_precondition("montecarlo.g", g)
     require_precondition("montecarlo.sigma", sigma)
     if preset == "spin":
-        sel = spin_selections(alpha)
-        i, f, obs = sel.i, sel.f, pauli("z")
+        i, f = spin_selections(alpha)
+        obs = pauli("z")
         rep_dim = None
     elif preset == "fock":
         require_precondition("montecarlo.dim", dim)
@@ -703,7 +699,7 @@ def montecarlo_experiment(
     else:
         raise InvalidConfig(f"montecarlo preset must be spin or fock, got {preset!r}")
 
-    target = weak_value(i, f, obs).value
+    target = weak_value(i, f, obs)
     # through the ensemble's name, which bench/tracer.py wraps
     stage = mc.measure_weakly(i, f, obs, sigma, g, hbar=hbar)
     est = mc.estimate_weak_value(stage, sigma, g, n_trials, seed, hbar, n_workers)
@@ -799,7 +795,7 @@ def chain_experiment(dim: int = 5, n_ops: int = 4, n_instances: int = 50, seed: 
     """
     # looked up at call time, so a wrapper installed on hilbert is seen
     from .hilbert import random_hermitian, random_state
-    from .weakcorr import SelectionProtocol, chain_weak_correlation, symmetry_residuals
+    from .weakcorr import alternating, chain_weak_correlation, symmetry_residuals
 
     for name, value in (("dim", dim), ("n_ops", n_ops), ("instances", n_instances)):
         require_precondition(f"chain.{name}", value)
@@ -817,9 +813,8 @@ def chain_experiment(dim: int = 5, n_ops: int = 4, n_instances: int = 50, seed: 
         )
         i, f = state_window.values()
         ops = list(op_window.values())
-        protocol = SelectionProtocol.alternating(i, f, n_ops)
-        chain = chain_weak_correlation(protocol, ops)
-        states = protocol.states
+        states = alternating(i, f, n_ops)
+        chain = chain_weak_correlation(states, ops)
         oracle = complex(1.0)
         for k in range(n_ops):
             lo, hi = states[k].amplitudes, states[k + 1].amplitudes

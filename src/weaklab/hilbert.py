@@ -66,17 +66,15 @@ class Operator:
     """Complex square matrix over a labeled basis, stored dense or diagonal.
 
     Give either ``matrix`` or, for a diagonal operator, ``diagonal``; the
-    dense ``matrix`` of a diagonal operator is built on first access.
-    ``units`` is carried as free-form metadata (e.g. "length").  If
+    dense ``matrix`` of a diagonal operator is built on first access.  If
     ``hermitian_hint`` is True the operator is checked for Hermiticity at
     construction time.
     """
 
     basis_id: str
     diagonal: np.ndarray | None
-    units: str
 
-    def __init__(self, basis_id, matrix=None, units="", hermitian_hint=None, *, diagonal=None):
+    def __init__(self, basis_id, matrix=None, hermitian_hint=None, *, diagonal=None):
         if (matrix is None) == (diagonal is None):
             raise InvalidConfig("operator needs exactly one of matrix and diagonal")
         if diagonal is not None:
@@ -90,7 +88,6 @@ class Operator:
         if hermitian_hint:
             require_hermitian(values, "hermitian_hint=True")
         object.__setattr__(self, "basis_id", basis_id)
-        object.__setattr__(self, "units", units)
         object.__setattr__(self, "diagonal", None if diagonal is None else _freeze(values))
         if diagonal is None:
             # fills the cached_property below, so a dense matrix is stored as given
@@ -219,8 +216,8 @@ def make_fock_ops(cfg: FockConfig) -> tuple[Operator, Operator]:
     adag = a.conj().T
     cx = math.sqrt(cfg.hbar / (2.0 * cfg.mass_freq_product))
     cp = math.sqrt(cfg.hbar * cfg.mass_freq_product / 2.0)
-    x = Operator(cfg.basis_id, cx * (a + adag), units="length", hermitian_hint=True)
-    p = Operator(cfg.basis_id, 1j * cp * (adag - a), units="momentum", hermitian_hint=True)
+    x = Operator(cfg.basis_id, cx * (a + adag), hermitian_hint=True)
+    p = Operator(cfg.basis_id, 1j * cp * (adag - a), hermitian_hint=True)
     return x, p
 
 
@@ -235,18 +232,18 @@ def make_grid_ops(cfg: GridConfig) -> tuple[Operator, Operator]:
     (``GridConfig.momentum_eigensystem``), so it is never diagonalized.
     """
     n = cfg.n_points
-    x = Operator(cfg.basis_id, diagonal=cfg.positions(), units="length", hermitian_hint=True)
+    x = Operator(cfg.basis_id, diagonal=cfg.positions(), hermitian_hint=True)
     k = cfg.wavenumbers()
     pmat = np.fft.ifft(k[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0) * cfg.hbar
     pmat = 0.5 * (pmat + pmat.conj().T)
-    p = Operator(cfg.basis_id, pmat, units="momentum", hermitian_hint=True)
+    p = Operator(cfg.basis_id, pmat, hermitian_hint=True)
     return x, p
 
 
 PAULI_BASIS_ID = "spin-1/2"
 
 _PAULI = {
-    axis: Operator(PAULI_BASIS_ID, mat, units="dimensionless", hermitian_hint=True)
+    axis: Operator(PAULI_BASIS_ID, mat, hermitian_hint=True)
     for axis, mat in (
         ("x", [[0.0, 1.0], [1.0, 0.0]]),
         ("y", [[0.0, -1.0j], [1.0j, 0.0]]),

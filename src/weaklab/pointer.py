@@ -337,7 +337,6 @@ class WeakStageResult:
 
     pointer: PointerState
     probability: float
-    amplitude: float
 
 
 def _grid_or_default(grid: GridConfig | None, sigma: float, hbar: float) -> GridConfig:
@@ -355,7 +354,6 @@ def _stage_result(pointer: PointerState, row: np.ndarray, amplitude: float) -> W
     return WeakStageResult(
         pointer=PointerState(pointer.grid, row, pointer.sigma),
         probability=amplitude * amplitude,
-        amplitude=amplitude,
     )
 
 
@@ -434,8 +432,8 @@ def run_ccr_protocols(
     results = []
     for s, f in enumerate(finals):
         try:
-            x_w = weak_value(i, f, x_op, FORWARD).value
-            p_w_bar = weak_value(i, f, p_op, REVERSE).value  # <i|p|f>/<i|f>
+            x_w = weak_value(i, f, x_op, FORWARD)
+            p_w_bar = weak_value(i, f, p_op, REVERSE)  # <i|p|f>/<i|f>
         except OrthogonalSelection:
             # predictions undefined; the exact chain decides whether the
             # selections annihilate

@@ -5,6 +5,14 @@ Forward/reverse weak values, two-operator weak correlations and their
 mid-selection basis, high-order selection chains, dual correlations and
 the associated symmetry residuals.
 
+The values are plain numbers: ``weak_value`` and every correlation
+return a complex number, as in Aharonov-Albert-Vaidman.  A selection
+chain is a plain tuple of states (pre, mids, post), for example
+``alternating(i, f, n_ops)``; a near-orthogonal pair of neighbours raises
+OrthogonalSelection when the chain is evaluated.  Only the two
+multi-valued results, ``ccr_decomposition`` and ``symmetry_residuals``,
+return small records.
+
 Two readings of the bracket around operator products are implemented
 side by side: the per-selection product (single mid-state f) and the
 Born-weighted average over a complete basis {f}.  Only the averaged form
@@ -35,48 +43,11 @@ FORWARD = "forward"
 REVERSE = "reverse"
 
 
-@dataclass(frozen=True)
-class WeakValueResult:
-    """Complex weak value with its selection overlap and direction."""
-
-    value: complex
-    overlap: complex
-    direction: str
-
-    @property
-    def re(self) -> float:
-        return self.value.real
-
-    @property
-    def im(self) -> float:
-        return self.value.imag
-
-
-@dataclass(frozen=True)
-class SelectionProtocol:
-    """Ordered strong selections: pre, alternating mids, post."""
-
-    pre: StateVector
-    mid_sequence: tuple
-    post: StateVector
-
-    def __post_init__(self):
-        object.__setattr__(self, "mid_sequence", tuple(self.mid_sequence))
-        states = self.states
-        for a, b in zip(states, states[1:]):
-            selection_overlap(b, a)
-
-    @property
-    def states(self) -> tuple:
-        return (self.pre, *self.mid_sequence, self.post)
-
-    @classmethod
-    def alternating(cls, i: StateVector, f: StateVector, n_ops: int) -> "SelectionProtocol":
-        """The canonical |i>,|f>,|i>,|f>,... protocol with n_ops gaps."""
-        if n_ops < 1:
-            raise ArityMismatch("need at least one weakly measured operator")
-        seq = [i if k % 2 == 0 else f for k in range(n_ops + 1)]
-        return cls(pre=seq[0], mid_sequence=tuple(seq[1:-1]), post=seq[-1])
+def alternating(i: StateVector, f: StateVector, n_ops: int) -> tuple:
+    """The canonical selection chain (i, f, i, f, ...) with n_ops gaps."""
+    if n_ops < 1:
+        raise ArityMismatch("need at least one weakly measured operator")
+    return tuple(i if k % 2 == 0 else f for k in range(n_ops + 1))
 
 
 def selection_overlap(bra: StateVector, ket: StateVector, eps: float = ORTHOGONALITY_EPS) -> complex:
@@ -95,7 +66,7 @@ def weak_value(
     op: Operator,
     direction: str = FORWARD,
     eps: float = ORTHOGONALITY_EPS,
-) -> WeakValueResult:
+) -> complex:
     """<f|op|i>/<f|i> (forward) or <i|op|f>/<i|f> (reverse).
 
     For Hermitian op the reverse value is the complex conjugate of the
@@ -103,15 +74,12 @@ def weak_value(
     """
     _require_same_basis(i, op)
     _require_same_basis(f, op)
-    if direction == FORWARD:
-        ov = selection_overlap(f, i, eps)
-        val = complex(np.vdot(f.amplitudes, op.apply(i.amplitudes))) / ov
-    elif direction == REVERSE:
-        ov = selection_overlap(i, f, eps)
-        val = complex(np.vdot(i.amplitudes, op.apply(f.amplitudes))) / ov
-    else:
+    if direction == REVERSE:
+        i, f = f, i
+    elif direction != FORWARD:
         raise ArityMismatch(f"direction must be forward or reverse, got {direction!r}")
-    return WeakValueResult(value=val, overlap=ov, direction=direction)
+    ov = selection_overlap(f, i, eps)
+    return complex(np.vdot(f.amplitudes, op.apply(i.amplitudes))) / ov
 
 
 def _chain_value(states, ops, eps: float) -> complex:
@@ -211,18 +179,16 @@ class CcrDecomposition:
     """Per-selection real-part combination of the canonical commutator.
 
     ``lhs`` is Re{x_w}Im{p_w} - Im{x_w}Re{p_w} for one mid-selection;
-    only its Born average over a complete basis has to equal ``target``
-    (= hbar/2).  ``simplified_lhs`` is the Im{x_w} * p_w variant, valid
-    when ``p_imag_is_zero``; its averaged target is -hbar/2.
+    only its Born average over a complete basis has to equal hbar/2.
+    ``simplified_lhs`` is the Im{x_w} * p_w variant, valid when
+    ``p_imag_is_zero``; its averaged target is -hbar/2.
     """
 
     x_w: complex
     p_w: complex
     lhs: float
-    target: float
     p_imag_is_zero: bool
     simplified_lhs: float
-    simplified_target: float
 
 
 def ccr_decomposition(
@@ -234,35 +200,39 @@ def ccr_decomposition(
     imag_tol: float = 1e-10,
     eps: float = ORTHOGONALITY_EPS,
 ) -> CcrDecomposition:
-    """Real/imaginary split of the weak CCR for one mid-selection f."""
-    x_w = weak_value(i, f, x_op, FORWARD, eps).value
-    p_w = weak_value(i, f, p_op, FORWARD, eps).value
-    lhs = x_w.real * p_w.imag - x_w.imag * p_w.real
+    """Real/imaginary split of the weak CCR for one mid-selection f.
+
+    The per-selection values do not depend on ``hbar``; their Born
+    averages are compared with +-hbar/2 by the caller.
+    """
+    x_w = weak_value(i, f, x_op, FORWARD, eps)
+    p_w = weak_value(i, f, p_op, FORWARD, eps)
     return CcrDecomposition(
         x_w=x_w,
         p_w=p_w,
-        lhs=lhs,
-        target=0.5 * hbar,
+        lhs=x_w.real * p_w.imag - x_w.imag * p_w.real,
         p_imag_is_zero=abs(p_w.imag) <= imag_tol * max(1.0, abs(p_w)),
         simplified_lhs=x_w.imag * p_w.real,
-        simplified_target=-0.5 * hbar,
     )
 
 
 def chain_weak_correlation(
-    protocol: SelectionProtocol,
+    states: tuple,
     ops,
     eps: float = ORTHOGONALITY_EPS,
 ) -> complex:
     """High-order weak correlation over an alternating selection chain.
 
-    ``ops`` are given in chronological order, one per selection gap; the
-    value is the product of gap matrix elements over the product of gap
-    overlaps.  It does not depend on when each weak coupling happens
-    inside its gap.  With two ops and protocol (i, f, i) this reduces
+    ``states`` are the strong selections in order (pre, mids, post), for
+    example ``alternating(i, f, n_ops)``; ``ops`` are given in
+    chronological order, one per selection gap.  The value is the product
+    of gap matrix elements over the product of gap overlaps; it raises
+    OrthogonalSelection, before any division, when a gap overlap is
+    below ``eps``.  It does not depend on when each weak coupling happens
+    inside its gap.  With two ops and states (i, f, i) this reduces
     bit-for-bit to ``weak_correlation``.
     """
-    return _chain_value(protocol.states, tuple(ops), eps)
+    return _chain_value(tuple(states), tuple(ops), eps)
 
 
 def dual_weak_correlation(
@@ -273,8 +243,7 @@ def dual_weak_correlation(
 ) -> complex:
     """Chain value for the interchanged procedure (pre f, mid i, ...)."""
     ops = tuple(ops)
-    protocol = SelectionProtocol.alternating(f, i, len(ops))
-    return _chain_value(protocol.states, ops, eps)
+    return _chain_value(alternating(f, i, len(ops)), ops, eps)
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,8 @@ def _oracle_protocol(i, f, x_op, p_op, sigma, sigma_prime, g, grid, grid_prime):
     """
     hbar = grid.hbar
     try:
-        x_w = weak_value(i, f, x_op, FORWARD).value
-        p_w_bar = weak_value(i, f, p_op, REVERSE).value
+        x_w = weak_value(i, f, x_op, FORWARD)
+        p_w_bar = weak_value(i, f, p_op, REVERSE)
     except OrthogonalSelection:
         x_w = p_w_bar = complex(math.nan, math.nan)
     dx = -2.0 * sigma**2 * g * x_w.imag / hbar

@@ -108,7 +108,7 @@ def test_criterion_4_pointer_first_order_convergence():
         -((x + 1.5) ** 2) / (4 * 1.1**2) - 0.15j * x
     )
     f = hilbert.StateVector(cfg.basis_id, f_amps)
-    x_w = weakcorr.weak_value(i, f, x_op).value
+    x_w = weakcorr.weak_value(i, f, x_op)
     sigma = 1.0
     grid = pointer.pointer_grid(sigma)
     y = grid.positions()
@@ -185,13 +185,12 @@ def test_criterion_6_symmetries_and_chains():
         res = weakcorr.symmetry_residuals(i, f, a, b)
         scale = max(1.0, abs(weakcorr.weak_correlation(i, f, a, b)))
         worst_sym = max(worst_sym, res.order_swap / scale, res.commutator_flip / scale)
-        protocol = weakcorr.SelectionProtocol.alternating(i, f, 2)
-        if weakcorr.chain_weak_correlation(protocol, (b, a)) == weakcorr.weak_correlation(i, f, a, b):
+        states = weakcorr.alternating(i, f, 2)
+        if weakcorr.chain_weak_correlation(states, (b, a)) == weakcorr.weak_correlation(i, f, a, b):
             exact_reductions += 1
         ops = [hilbert.random_hermitian(5, seed + 4 + k) for k in range(4)]
-        protocol4 = weakcorr.SelectionProtocol.alternating(i, f, 4)
-        chain = weakcorr.chain_weak_correlation(protocol4, ops)
-        states = protocol4.states
+        states = weakcorr.alternating(i, f, 4)
+        chain = weakcorr.chain_weak_correlation(states, ops)
         oracle = complex(1.0)
         for k in range(4):
             lo, hi = states[k].amplitudes, states[k + 1].amplitudes

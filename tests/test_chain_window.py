@@ -8,7 +8,7 @@ import pytest
 from weaklab import cli, experiments, hilbert
 from weaklab.errors import InvalidConfig
 from weaklab.experiments import CHAIN_TOL, ChainInstanceRow, ChainReport, make_check
-from weaklab.weakcorr import SelectionProtocol, chain_weak_correlation, symmetry_residuals
+from weaklab.weakcorr import alternating, chain_weak_correlation, symmetry_residuals
 
 MASK = 0x7FFFFFFF
 
@@ -21,9 +21,8 @@ def fresh_draw_chain(dim, n_ops, n_instances, seed):
         i = hilbert.random_state(dim, s & MASK)
         f = hilbert.random_state(dim, (s + 1) & MASK)
         ops = [hilbert.random_hermitian(dim, (s + 2 + k) & MASK) for k in range(n_ops)]
-        protocol = SelectionProtocol.alternating(i, f, n_ops)
-        chain = chain_weak_correlation(protocol, ops)
-        states = protocol.states
+        states = alternating(i, f, n_ops)
+        chain = chain_weak_correlation(states, ops)
         oracle = complex(1.0)
         for k in range(n_ops):
             lo, hi = states[k].amplitudes, states[k + 1].amplitudes

@@ -24,8 +24,14 @@ ALPHA_SWEEP = [-5 * math.pi / 6, -math.pi / 2, -math.pi / 3, -math.pi / 6, 0.0,
 
 
 def test_spin_selections_overlap():
-    sel = spin_selections(math.pi / 3)
-    assert hilbert.inner(sel.f, sel.i) == pytest.approx(math.cos(math.pi / 6), abs=1e-12)
+    i, f = spin_selections(math.pi / 3)
+    assert hilbert.inner(f, i) == pytest.approx(math.cos(math.pi / 6), abs=1e-12)
+
+
+def test_spin_selections_is_an_i_f_pair():
+    pair = spin_selections(1.0)
+    assert type(pair) is tuple and len(pair) == 2
+    assert all(isinstance(s, hilbert.StateVector) for s in pair)
 
 
 @pytest.mark.parametrize("alpha", ALPHA_SWEEP)

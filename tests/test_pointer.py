@@ -136,7 +136,7 @@ def test_weakly_coupled_fock_pointer_matches_closed_form():
     f = hilbert.StateVector(cfg.basis_id, np.array([1.0, 1.0]))
     g = 0.02
     stage = measure_weakly(i, f, x_op, sigma=1.0, g=g, grid=GRID)
-    x_w = weak_value(i, f, x_op).value
+    x_w = weak_value(i, f, x_op)
     y = GRID.positions()
     closed = np.exp(1j * g * x_w * y) * np.exp(-(y**2) / 4.0)
     closed /= math.sqrt(float(np.sum(np.abs(closed) ** 2)) * GRID.spacing)
@@ -192,7 +192,7 @@ def test_run_ccr_protocol_convergence_orders():
     x_op, p_op = make_grid_ops(cfg)
     i = gaussian_grid_state(cfg, width=cfg.length / 24.0)
     f = two_hump_state(cfg)
-    x_w = weak_value(i, f, x_op).value
+    x_w = weak_value(i, f, x_op)
     devs = {}
     for g in (0.02, 0.01):
         res = run_ccr_protocol(i, f, x_op, p_op, 1.0, 1.0, g)

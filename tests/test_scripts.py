@@ -1,5 +1,6 @@
 """Smoke runs of the study scripts in scripts/."""
 
+import json
 import os
 import subprocess
 import sys
@@ -15,9 +16,38 @@ ROOT = Path(__file__).resolve().parent.parent
     ["riemann_scan.py", "--dim", "32", "--points", "3"],
 ])
 def test_script_runs(argv):
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
-                          env=env, capture_output=True, text=True, timeout=120)
+    proc = run_script(argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def run_script(argv):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_record_diff(tmp_path):
+    from weaklab import cli
+
+    assert cli.main(["chain", "--dim", "3", "--n-ops", "2", "--instances", "2",
+                     "--out", str(tmp_path / "a")]) == cli.EXIT_OK
+    assert cli.main(["chain", "--dim", "3", "--n-ops", "2", "--instances", "2",
+                     "--out", str(tmp_path / "b")]) == cli.EXIT_OK
+    a, b = tmp_path / "a" / "run.json", tmp_path / "b" / "run.json"
+    # the two records differ in config.out and possibly the timestamp only
+    same = run_script(["record_diff.py", str(a), str(b)])
+    assert same.returncode == 0, same.stdout
+    assert same.stdout.strip() == "identical"
+
+    record = json.loads(b.read_text())
+    old = record["report"]["max_chain_residual"]
+    record["report"]["max_chain_residual"] = old + 1e-3
+    b.write_text(json.dumps(record))
+    changed = run_script(["record_diff.py", str(a), str(b)])
+    assert changed.returncode == 1
+    line, summary = changed.stdout.strip().splitlines()
+    assert line.startswith("report.max_chain_residual: ")
+    assert "abs 1.000e-03" in line
+    assert summary == "1 differing field(s)"

@@ -56,8 +56,8 @@ def test_weak_value_on_diagonal_x_bit_identical(cfg, seed):
     i = hilbert.random_state(cfg.n_points, seed, cfg.basis_id)
     f = hilbert.random_state(cfg.n_points, seed + 1, cfg.basis_id)
     for direction in ("forward", "reverse"):
-        got = weak_value(i, f, x_op, direction).value
-        assert got == weak_value(i, f, x_dense, direction).value
+        got = weak_value(i, f, x_op, direction)
+        assert got == weak_value(i, f, x_dense, direction)
 
 
 @settings(max_examples=30, deadline=None)

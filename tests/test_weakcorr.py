@@ -12,7 +12,7 @@ from weaklab.hilbert import PAULI_BASIS_ID, pauli
 from weaklab.weakcorr import (
     FORWARD,
     REVERSE,
-    SelectionProtocol,
+    alternating,
     averaged_weak_correlation,
     ccr_decomposition,
     chain_weak_correlation,
@@ -39,20 +39,20 @@ ALPHAS = [-5 * math.pi / 6, -math.pi / 2, -math.pi / 3, math.pi / 6, math.pi / 3
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_spin_sigma_z_weak_value(alpha):
     i, f = spin_pair(alpha)
-    got = weak_value(i, f, pauli("z")).value
+    got = weak_value(i, f, pauli("z"))
     assert got == pytest.approx(math.tan(alpha / 2.0), abs=1e-12)
 
 
 def test_spin_weak_value_at_right_angle():
     i, f = spin_pair(math.pi / 2)
-    assert weak_value(i, f, pauli("z")).value == pytest.approx(1.0, abs=1e-12)
+    assert weak_value(i, f, pauli("z")) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_identity_weak_value_is_one():
     psi = hilbert.random_state(6, seed=1)
     phi = hilbert.random_state(6, seed=2)
     ident = hilbert.Operator(psi.basis_id, np.eye(6))
-    assert weak_value(psi, phi, ident).value == pytest.approx(1.0, abs=1e-12)
+    assert weak_value(psi, phi, ident) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fock_ground_state_weak_position():
@@ -61,7 +61,7 @@ def test_fock_ground_state_weak_position():
     x, _ = hilbert.make_fock_ops(cfg)
     i = hilbert.basis_state(2, 0, cfg.basis_id)
     f = hilbert.StateVector(cfg.basis_id, np.array([1.0, 1.0]))
-    assert weak_value(i, f, x).value == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
+    assert weak_value(i, f, x) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
 
 
 @given(st.integers(0, 2**31), st.integers(2, 9))
@@ -70,8 +70,8 @@ def test_reverse_is_conjugate_of_forward_for_hermitian(seed, dim):
     i = hilbert.random_state(dim, seed)
     f = hilbert.random_state(dim, seed + 1)
     op = hilbert.random_hermitian(dim, seed + 2)
-    fw = weak_value(i, f, op, FORWARD).value
-    rv = weak_value(i, f, op, REVERSE).value
+    fw = weak_value(i, f, op, FORWARD)
+    rv = weak_value(i, f, op, REVERSE)
     assert abs(rv - np.conj(fw)) <= 1e-14 * max(1.0, abs(fw))
 
 
@@ -91,7 +91,7 @@ def test_near_orthogonal_never_emits_nonfinite(overlap, seed):
     f = hilbert.StateVector(i.basis_id, np.array([overlap, 1.0]))
     op = hilbert.random_hermitian(2, seed, basis_id=i.basis_id)
     try:
-        val = weak_value(i, f, op).value
+        val = weak_value(i, f, op)
     except OrthogonalSelection:
         return
     assert np.isfinite(val.real) and np.isfinite(val.imag)
@@ -130,7 +130,7 @@ def test_pauli_commutator_and_anticommutator(alpha):
     assert weak_anticommutator(i, f, pauli("x"), pauli("y")) == pytest.approx(0.0, abs=1e-12)
     assert weak_commutator(i, f, pauli("x"), pauli("y")) == pytest.approx(2j * t, abs=1e-12)
     # commutator identity against the independently measured sigma_z
-    sz_w = weak_value(i, f, pauli("z")).value
+    sz_w = weak_value(i, f, pauli("z"))
     assert weak_commutator(i, f, pauli("x"), pauli("y")) == pytest.approx(2j * sz_w, abs=1e-12)
 
 
@@ -225,7 +225,6 @@ def test_ccr_decomposition_same_selection_vanishes():
     i = hilbert.coherent_state(hilbert.FockConfig(dim=8), 0.5)
     rec = ccr_decomposition(i, i, x, p)
     assert rec.lhs == pytest.approx(0.0, abs=1e-12)
-    assert rec.target == 0.5
 
 
 def test_ccr_decomposition_born_average_hits_half_hbar():
@@ -252,8 +251,8 @@ def test_single_generic_mid_selection_misses_half_hbar():
     f = hilbert.random_state(8, seed=21, basis_id=cfg.basis_id)
     rec = ccr_decomposition(i, f, x, p)
     # direct-evaluation oracle for this one selection
-    x_w = weak_value(i, f, x).value
-    p_w = weak_value(i, f, p).value
+    x_w = weak_value(i, f, x)
+    p_w = weak_value(i, f, p)
     want = x_w.real * p_w.imag - x_w.imag * p_w.real
     assert rec.lhs == pytest.approx(want, abs=1e-13)
     assert abs(rec.lhs - 0.5) > 1e-3  # generically off target per-selection
@@ -264,8 +263,8 @@ def test_chain_two_ops_reduces_to_weak_correlation():
     f = hilbert.random_state(5, seed=32)
     a = hilbert.random_hermitian(5, seed=33)
     b = hilbert.random_hermitian(5, seed=34)
-    protocol = SelectionProtocol.alternating(i, f, 2)
-    chain = chain_weak_correlation(protocol, (b, a))
+    states = alternating(i, f, 2)
+    chain = chain_weak_correlation(states, (b, a))
     assert chain == weak_correlation(i, f, a, b)
 
 
@@ -273,8 +272,8 @@ def test_chain_of_identities_is_one():
     i = hilbert.random_state(3, seed=41)
     f = hilbert.random_state(3, seed=42)
     ident = hilbert.Operator(i.basis_id, np.eye(3))
-    protocol = SelectionProtocol.alternating(i, f, 4)
-    assert chain_weak_correlation(protocol, [ident] * 4) == pytest.approx(1.0, abs=1e-12)
+    states = alternating(i, f, 4)
+    assert chain_weak_correlation(states, [ident] * 4) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_chain_four_ops_matches_product_of_ratios_oracle():
@@ -282,8 +281,8 @@ def test_chain_four_ops_matches_product_of_ratios_oracle():
     i = hilbert.random_state(2, seed=rng_seed, basis_id=PAULI_BASIS_ID)
     f = hilbert.random_state(2, seed=rng_seed + 1, basis_id=PAULI_BASIS_ID)
     ops = [hilbert.random_hermitian(2, seed=rng_seed + 2 + k, basis_id=PAULI_BASIS_ID) for k in range(4)]
-    protocol = SelectionProtocol.alternating(i, f, 4)
-    got = chain_weak_correlation(protocol, ops)
+    states = alternating(i, f, 4)
+    got = chain_weak_correlation(states, ops)
     # oracle: explicit product of the four single-gap weak values
     states = [i, f, i, f, i]
     oracle = 1.0 + 0j
@@ -295,16 +294,30 @@ def test_chain_four_ops_matches_product_of_ratios_oracle():
 
 def test_chain_arity_mismatch():
     i, f = spin_pair(1.0)
-    protocol = SelectionProtocol.alternating(i, f, 2)
+    states = alternating(i, f, 2)
     with pytest.raises(ArityMismatch):
-        chain_weak_correlation(protocol, (pauli("x"),))
+        chain_weak_correlation(states, (pauli("x"),))
 
 
-def test_protocol_rejects_orthogonal_neighbors():
+def test_chain_rejects_orthogonal_neighbors():
     up = hilbert.basis_state(2, 0, PAULI_BASIS_ID)
     down = hilbert.basis_state(2, 1, PAULI_BASIS_ID)
+    states = alternating(up, down, 2)  # building the chain checks nothing
     with pytest.raises(OrthogonalSelection):
-        SelectionProtocol.alternating(up, down, 2)
+        chain_weak_correlation(states, (pauli("x"), pauli("x")))
+
+
+def test_alternating_needs_an_operator():
+    i, f = spin_pair(1.0)
+    assert [s is i for s in alternating(i, f, 3)] == [True, False, True, False]
+    with pytest.raises(ArityMismatch):
+        alternating(i, f, 0)
+
+
+def test_weak_value_is_a_complex_number():
+    i, f = spin_pair(1.0)
+    for direction in (FORWARD, REVERSE):
+        assert type(weak_value(i, f, pauli("z"), direction)) is complex
 
 
 @pytest.mark.parametrize("alpha", [math.pi / 2, math.pi / 3])
@@ -342,9 +355,9 @@ def test_odd_order_chain_self_equality():
     i = hilbert.random_state(3, seed=81)
     f = hilbert.random_state(3, seed=82)
     ops = [hilbert.random_hermitian(3, seed=83 + k) for k in range(3)]
-    protocol = SelectionProtocol.alternating(i, f, 3)
-    val = chain_weak_correlation(protocol, ops)
-    assert val == chain_weak_correlation(protocol, ops)
+    states = alternating(i, f, 3)
+    val = chain_weak_correlation(states, ops)
+    assert val == chain_weak_correlation(states, ops)
 
 
 def test_dual_weak_correlation_explicit_form():
