@@ -238,6 +238,10 @@ CCR_POINTER_RTOL = 0.02
 MC_SIGMA_BAND = 3.0
 _MC_MIN_EXPECTED_ACCEPTED = 25.0
 _POINTER_COVERAGE = 1.0 - 1e-9
+# Weights this close (relative) to the smallest one the coverage cut keeps are
+# kept too: a cut inside a +-k pair of equal weights would otherwise keep one
+# of the two, chosen by roundoff.
+_POINTER_TIE_RTOL = 1e-9
 
 
 def ccr_default_displacement(dim: int) -> float:
@@ -390,6 +394,8 @@ def ccr_experiment(
         order = np.argsort(weights)[::-1]
         cum = np.cumsum(weights[order])
         n_keep = int(np.searchsorted(cum, _POINTER_COVERAGE * cum[-1])) + 1
+        w_cut = weights[order[n_keep - 1]] * (1.0 - _POINTER_TIE_RTOL)
+        n_keep = int(np.count_nonzero(weights[order] >= w_cut))  # order is descending
         keep = [int(j) for j in order[:n_keep] if weights[j] > 1e-24]
         row_by_index = {r.index: k for k, r in enumerate(rows)}
         exact_terms = []

@@ -24,14 +24,10 @@ ALPHA_SWEEP = [-5 * math.pi / 6, -math.pi / 2, -math.pi / 3, -math.pi / 6, 0.0,
 
 
 def test_spin_selections_overlap():
-    i, f = spin_selections(math.pi / 3)
+    pair = spin_selections(math.pi / 3)
+    assert type(pair) is tuple  # the (i, f) pair itself, no record
+    i, f = pair
     assert hilbert.inner(f, i) == pytest.approx(math.cos(math.pi / 6), abs=1e-12)
-
-
-def test_spin_selections_is_an_i_f_pair():
-    pair = spin_selections(1.0)
-    assert type(pair) is tuple and len(pair) == 2
-    assert all(isinstance(s, hilbert.StateVector) for s in pair)
 
 
 @pytest.mark.parametrize("alpha", ALPHA_SWEEP)
@@ -102,6 +98,16 @@ def test_ccr_experiment_grid_pointer_branch():
     assert rep.pointer_coverage > 1.0 - 1e-8
     assert rep.all_p_w_real
     assert rep.passed
+
+
+@pytest.mark.parametrize("n_points", [128, 512])
+def test_ccr_pointer_selections_keep_whole_plus_minus_k_pairs(n_points):
+    # the Gaussian's ±k weights are equal; the coverage cut used to fall
+    # inside the k = ±12 pair and keep one side, chosen by roundoff
+    rep = ccr_experiment(hilbert.GridConfig(n_points, 40.0), n_trials=0)
+    kept = {r.p_eigenvalue for r in rep.per_f if r.dx_d is not None}
+    assert len(kept) == 25
+    assert {-p for p in kept} == kept
 
 
 def test_ccr_experiment_pointer_g_halving():
