@@ -102,8 +102,8 @@ def test_ccr_experiment_grid_pointer_branch():
 
 @pytest.mark.parametrize("n_points", [128, 512])
 def test_ccr_pointer_selections_keep_whole_plus_minus_k_pairs(n_points):
-    # the Gaussian's ±k weights are equal; the coverage cut used to fall
-    # inside the k = ±12 pair and keep one side, chosen by roundoff
+    # the Gaussian's ±k weights are equal in exact arithmetic, and the
+    # coverage cut falls inside the k = ±12 pair: both sides are kept
     rep = ccr_experiment(hilbert.GridConfig(n_points, 40.0), n_trials=0)
     kept = {r.p_eigenvalue for r in rep.per_f if r.dx_d is not None}
     assert len(kept) == 25
