@@ -427,17 +427,13 @@ def _run_ccr(cfg):
     }
     checks = list(report.checks)
     if sub["g_sweep"]:
-        target = cfg["hbar"] * sub["sigma"] ** 2
         g_rows = []
         for g in sub["g_sweep"]:
             rg = experiments.ccr_experiment(rep, g=g, n_trials=0, run_pointer=True, **common)
-            rel = abs(rg.pointer_corr_over_g2 - target) / target
-            g_rows.append([g, rg.pointer_corr_over_g2, rel])
-            checks.append(
-                experiments.make_check(
-                    f"g_sweep_pointer_corr(g={g!r})", rel, experiments.CCR_POINTER_RTOL
-                )
-            )
+            # the sweep run's own pointer check, renamed after its g
+            check = next(c for c in rg.checks if c.name == "pointer_corr_vs_hbar_sigma2")
+            g_rows.append([g, rg.pointer_corr_over_g2, check.residual])
+            checks.append(dataclasses.replace(check, name=f"g_sweep_pointer_corr(g={g!r})"))
         tables["g_sweep"] = (["g", "pointer_corr_over_g2", "rel_residual"], g_rows)
         report = {"base": report, "g_sweep_rows": g_rows}
     return report, checks, tables

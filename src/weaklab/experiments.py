@@ -16,7 +16,6 @@ single mid-state next to Born-weighted averages over a complete basis.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -53,6 +52,8 @@ from .pointer import (  # noqa: F401
     run_ccr_protocols,
 )
 from .weakcorr import (
+    ORTHOGONALITY_EPS,
+    P_IMAG_TOL,
     averaged_weak_correlation,
     ccr_decomposition,
     weak_anticommutator,
@@ -242,6 +243,11 @@ _POINTER_COVERAGE = 1.0 - 1e-9
 # kept too: a cut inside a +-k pair of equal weights would otherwise keep one
 # of the two, chosen by roundoff.
 _POINTER_TIE_RTOL = 1e-9
+# Unit roundoff of a float64 operation, and the share of the p_imag_is_zero
+# tolerance that a row's roundoff bound may take for the row to decide
+# all_p_w_real.
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+_ROUNDOFF_SHARE = 0.1
 
 
 def ccr_default_displacement(dim: int) -> float:
@@ -357,34 +363,25 @@ def ccr_experiment(
     else:
         p_eigs, p_basis = eigenbasis(p_op)
     weights = np.array([abs(complex(np.vdot(f.amplitudes, i.amplitudes))) ** 2 for f in p_basis])
-    rows = []
-    eq9_terms = []
-    eq10_terms = []
-    all_real = True
-    admissible = weights > 1e-24  # overlap above the orthogonality eps
-    for idx in np.flatnonzero(admissible):
-        f = p_basis[idx]
-        rec = ccr_decomposition(i, f, x_op, p_op, hbar=hbar)
-        eq9_terms.append(weights[idx] * rec.lhs)
-        eq10_terms.append(weights[idx] * rec.simplified_lhs)
-        if weights[idx] > 1e-12:  # below that the ratio is pure roundoff
-            all_real = all_real and rec.p_imag_is_zero
-        rows.append(
-            MidSelectionRow(
-                index=int(idx),
-                p_eigenvalue=float(p_eigs[idx]),
-                weight=float(weights[idx]),
-                x_w=rec.x_w,
-                p_w=rec.p_w,
-                eq9_lhs=rec.lhs,
-                eq10_lhs=rec.simplified_lhs,
-            )
-        )
-    eq9_avg = math.fsum(eq9_terms)
-    eq10_avg = math.fsum(eq10_terms)
-    lhs_values = [r.eq9_lhs for r in rows]
+    admissible = weights > ORTHOGONALITY_EPS**2  # overlap above the orthogonality eps
+    decomps = {
+        int(j): ccr_decomposition(i, p_basis[j], x_op, p_op) for j in np.flatnonzero(admissible)
+    }
+    eq9_avg = math.fsum(weights[j] * d.lhs for j, d in decomps.items())
+    eq10_avg = math.fsum(weights[j] * d.simplified_lhs for j, d in decomps.items())
+    # A row decides all_p_w_real only when the roundoff bound of its ratio
+    # p_w = <f|p|i>/<f|i>, u (||p i|| + |p_w|) / |<f|i>|, is at most
+    # _ROUNDOFF_SHARE of its p_imag_is_zero tolerance; past that, roundoff
+    # alone can reach the tolerance.
+    p_i_norm = float(np.linalg.norm(p_op.apply(i.amplitudes)))
+    all_real = all(
+        d.p_imag_is_zero for j, d in decomps.items()
+        if _UNIT_ROUNDOFF * (p_i_norm + abs(d.p_w)) / math.sqrt(weights[j])
+        <= _ROUNDOFF_SHARE * P_IMAG_TOL * max(1.0, abs(d.p_w))
+    )
 
     # (d) pointer + Monte Carlo over the dominant mid-selections
+    chains, stats = {}, {}
     pointer_corr = pointer_cov = None
     mc_corr = mc_se = mc_cov = None
     mc_accepted = mc_attempted = None
@@ -396,24 +393,16 @@ def ccr_experiment(
         n_keep = int(np.searchsorted(cum, _POINTER_COVERAGE * cum[-1])) + 1
         w_cut = weights[order[n_keep - 1]] * (1.0 - _POINTER_TIE_RTOL)
         n_keep = int(np.count_nonzero(weights[order] >= w_cut))  # order is descending
-        keep = [int(j) for j in order[:n_keep] if weights[j] > 1e-24]
-        row_by_index = {r.index: k for k, r in enumerate(rows)}
-        exact_terms = []
+        keep = [int(j) for j in order[:n_keep] if admissible[j]]
         p_vectors = np.stack([f.amplitudes for f in p_basis], axis=1)
         chains = dict(zip(keep, run_ccr_protocols(
             i, [p_basis[j] for j in keep], x_op, p_op, sigma, sigma_prime, g,
             grid=grid, grid_prime=grid_prime, hbar=hbar,
             p_eigensystem=(p_eigs, p_vectors),
         )))
-        for j in keep:
-            res = chains[j]
-            exact_terms.append(weights[j] * res.dx_d * res.dx_d_prime)
-            k = row_by_index[j]
-            rows[k] = dataclasses.replace(
-                rows[k], dx_d=res.dx_d, dx_d_prime=res.dx_d_prime,
-                product_over_g2=res.dx_d * res.dx_d_prime / g**2,
-            )
-        pointer_corr = math.fsum(exact_terms) / g**2
+        pointer_corr = math.fsum(
+            weights[j] * c.dx_d * c.dx_d_prime for j, c in chains.items()
+        ) / g**2
         pointer_cov = float(np.sum(weights[keep]))
 
         if n_trials > 0:
@@ -430,26 +419,36 @@ def ccr_experiment(
                     f"a budget of {n_trials} trials gives no mid-selection the "
                     f"{_MC_MIN_EXPECTED_ACCEPTED:g} expected accepted trials it needs"
                 )
-            mc_terms, mc_vars = [], []
             mc_accepted = mc_attempted = 0
             mc_cov = 0.0
             for j, a, ok in zip(keep, alloc, usable):
                 if not ok:
                     continue
-                stats = mc.run_trials(chains[j], int(a), _subseed(seed, j), n_workers)
-                mc_terms.append(weights[j] * stats.mean_product)
-                mc_vars.append((weights[j] * stats.stderr_product) ** 2)
-                mc_accepted += stats.accepted
-                mc_attempted += stats.attempted
+                stats[j] = mc.run_trials(chains[j], int(a), _subseed(seed, j), n_workers)
+                mc_accepted += stats[j].accepted
+                mc_attempted += stats[j].attempted
                 mc_cov += float(weights[j])
-                k = row_by_index[j]
-                rows[k] = dataclasses.replace(
-                    rows[k], mc_mean_product=stats.mean_product,
-                    mc_stderr_product=stats.stderr_product,
-                    mc_accepted=stats.accepted, mc_attempted=stats.attempted,
-                )
-            mc_corr = math.fsum(mc_terms) / g**2
-            mc_se = math.sqrt(math.fsum(mc_vars)) / g**2
+            mc_corr = math.fsum(weights[j] * st.mean_product for j, st in stats.items()) / g**2
+            mc_se = math.sqrt(
+                math.fsum((weights[j] * st.stderr_product) ** 2 for j, st in stats.items())
+            ) / g**2
+
+    rows = []
+    for j, d in decomps.items():
+        chain, st = chains.get(j), stats.get(j)
+        rows.append(MidSelectionRow(
+            index=j, p_eigenvalue=float(p_eigs[j]), weight=float(weights[j]),
+            x_w=d.x_w, p_w=d.p_w, eq9_lhs=d.lhs, eq10_lhs=d.simplified_lhs,
+            **({} if chain is None else dict(
+                dx_d=chain.dx_d, dx_d_prime=chain.dx_d_prime,
+                product_over_g2=chain.dx_d * chain.dx_d_prime / g**2,
+            )),
+            **({} if st is None else dict(
+                mc_mean_product=st.mean_product, mc_stderr_product=st.stderr_product,
+                mc_accepted=st.accepted, mc_attempted=st.attempted,
+            )),
+        ))
+    lhs_values = [d.lhs for d in decomps.values()]
 
     on_edge = edge >= 1e-7
     checks = [

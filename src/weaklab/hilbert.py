@@ -1,13 +1,14 @@
 """Finite-dimensional Hilbert-space foundation.
 
 States, operators, standard builders (Fock ladder, periodic grid,
-Pauli), inner products and Born probabilities.  An operator is stored
+Pauli), inner products and expectation values.  An operator is stored
 dense or, where the representation makes it so, as its diagonal: the grid
 position operator is diagonal, and its dense matrix is built only when a
 generic consumer asks for ``.matrix``.  The natural (computational) basis
 is passed as ``NATURAL_BASIS`` rather than as a list of basis states.  All
 objects are immutable values; all functions are pure.  hbar defaults to 1
-everywhere and can be overridden per call or per config.
+everywhere and can be overridden per call or per config; the Fock ladder
+uses m*omega = 1.
 """
 
 from __future__ import annotations
@@ -116,13 +117,12 @@ class FockConfig:
 
     dim: int = 64
     hbar: float = 1.0
-    mass_freq_product: float = 1.0
 
     def __post_init__(self):
         if self.dim < 2:
             raise InvalidConfig(f"Fock truncation needs dim >= 2, got {self.dim}")
-        if self.hbar <= 0 or self.mass_freq_product <= 0:
-            raise InvalidConfig("hbar and mass_freq_product must be positive")
+        if self.hbar <= 0:
+            raise InvalidConfig("hbar must be positive")
 
     @property
     def basis_id(self) -> str:
@@ -206,18 +206,17 @@ def basis_state(dim: int, index: int, basis_id: str = "") -> StateVector:
 def make_fock_ops(cfg: FockConfig) -> tuple[Operator, Operator]:
     """Position and momentum in the truncated ladder representation.
 
-    x = sqrt(hbar/2mw)(a + a+), p = i sqrt(hbar mw/2)(a+ - a).  The
-    truncated commutator is i*hbar*diag(1, ..., 1, 1-N) exactly.
+    x = sqrt(hbar/2)(a + a+), p = i sqrt(hbar/2)(a+ - a) at m*omega = 1.
+    The truncated commutator is i*hbar*diag(1, ..., 1, 1-N) exactly.
     """
     n = cfg.dim
     a = np.zeros((n, n), dtype=complex)
     levels = np.arange(1, n)
     a[levels - 1, levels] = np.sqrt(levels)
     adag = a.conj().T
-    cx = math.sqrt(cfg.hbar / (2.0 * cfg.mass_freq_product))
-    cp = math.sqrt(cfg.hbar * cfg.mass_freq_product / 2.0)
-    x = Operator(cfg.basis_id, cx * (a + adag), hermitian_hint=True)
-    p = Operator(cfg.basis_id, 1j * cp * (adag - a), hermitian_hint=True)
+    c = math.sqrt(cfg.hbar / 2.0)
+    x = Operator(cfg.basis_id, c * (a + adag), hermitian_hint=True)
+    p = Operator(cfg.basis_id, 1j * c * (adag - a), hermitian_hint=True)
     return x, p
 
 
@@ -297,14 +296,6 @@ def _basis_matrix(basis, dim: int, basis_id: str) -> np.ndarray:
     if resid > BASIS_ATOL:
         raise IncompleteBasis(f"basis not orthonormal, Gram residual {resid:.3e}")
     return rows
-
-
-def born_probabilities(psi: StateVector, basis) -> np.ndarray:
-    """Weights |<f|psi>|^2 over an orthonormal complete basis or NATURAL_BASIS."""
-    if basis is NATURAL_BASIS:
-        return np.abs(psi.amplitudes) ** 2
-    rows = _basis_matrix(basis, psi.dim, psi.basis_id)
-    return np.abs(rows.conj() @ psi.amplitudes) ** 2
 
 
 def eigenbasis(op: Operator) -> tuple[np.ndarray, list[StateVector]]:

@@ -45,7 +45,7 @@ from .errors import (
     SelectionAnnihilated,
 )
 from .hilbert import GridConfig, Operator, StateVector, require_hermitian
-from .weakcorr import FORWARD, REVERSE, weak_value
+from .weakcorr import weak_value
 
 ANNIHILATION_ATOL = 1e-15
 
@@ -364,14 +364,14 @@ def measure_weakly(
     sigma: float,
     g: float,
     grid: GridConfig | None = None,
-    generator: str = POSITION,
-    sign: int = -1,
     hbar: float = 1.0,
 ) -> WeakStageResult:
-    """Prepare i x Gaussian, couple, select f; exact throughout."""
+    """Prepare i x Gaussian, couple position-position (sign -1), select f.
+
+    Exact throughout.
+    """
     phi = gaussian_pointer(_grid_or_default(grid, sigma, hbar), sigma)
-    spec = CouplingSpec(observable, generator, g, sign)
-    rows, amps = conditional_pointers([i], [f], spec, phi)
+    rows, amps = conditional_pointers([i], [f], CouplingSpec(observable, POSITION, g, -1), phi)
     return _stage_result(phi, rows[0], amps[0])
 
 
@@ -432,8 +432,8 @@ def run_ccr_protocols(
     results = []
     for s, f in enumerate(finals):
         try:
-            x_w = weak_value(i, f, x_op, FORWARD)
-            p_w_bar = weak_value(i, f, p_op, REVERSE)  # <i|p|f>/<i|f>
+            x_w = weak_value(i, f, x_op)
+            p_w_bar = weak_value(f, i, p_op)  # <i|p|f>/<i|f>
         except OrthogonalSelection:
             # predictions undefined; the exact chain decides whether the
             # selections annihilate

@@ -1,6 +1,6 @@
 """Closed-form weak values and weak correlation functions.
 
-Forward/reverse weak values, two-operator weak correlations and their
+Weak values, two-operator weak correlations and their
 (anti)commutator combinations, Born-weighted averages over a complete
 mid-selection basis, high-order selection chains, dual correlations and
 the associated symmetry residuals.
@@ -11,7 +11,8 @@ chain is a plain tuple of states (pre, mids, post), for example
 ``alternating(i, f, n_ops)``; a near-orthogonal pair of neighbours raises
 OrthogonalSelection when the chain is evaluated.  Only the two
 multi-valued results, ``ccr_decomposition`` and ``symmetry_residuals``,
-return small records.
+return small records.  The reverse weak value <i|A|f>/<i|f> is
+``weak_value(f, i, A)``: the forward one with the selections swapped.
 
 Two readings of the bracket around operator products are implemented
 side by side: the per-selection product (single mid-state f) and the
@@ -39,8 +40,9 @@ from .hilbert import NATURAL_BASIS, Operator, StateVector, _basis_matrix, _requi
 # significant digits left in double precision.
 ORTHOGONALITY_EPS = 1e-12
 
-FORWARD = "forward"
-REVERSE = "reverse"
+# Relative tolerance of CcrDecomposition.p_imag_is_zero: |Im p_w| at most
+# this times max(1, |p_w|).
+P_IMAG_TOL = 1e-10
 
 
 def alternating(i: StateVector, f: StateVector, n_ops: int) -> tuple:
@@ -50,39 +52,29 @@ def alternating(i: StateVector, f: StateVector, n_ops: int) -> tuple:
     return tuple(i if k % 2 == 0 else f for k in range(n_ops + 1))
 
 
-def selection_overlap(bra: StateVector, ket: StateVector, eps: float = ORTHOGONALITY_EPS) -> complex:
-    """<bra|ket>; raises OrthogonalSelection when |<bra|ket>| <= eps."""
+def selection_overlap(bra: StateVector, ket: StateVector) -> complex:
+    """<bra|ket>; raises OrthogonalSelection when |<bra|ket>| <= ORTHOGONALITY_EPS."""
     ov = inner(bra, ket)
-    if abs(ov) <= eps:
+    if abs(ov) <= ORTHOGONALITY_EPS:
         raise OrthogonalSelection(
-            f"selection overlap |<f|i>| = {abs(ov):.3e} <= eps = {eps:.1e}"
+            f"selection overlap |<f|i>| = {abs(ov):.3e} <= eps = {ORTHOGONALITY_EPS:.1e}"
         )
     return ov
 
 
-def weak_value(
-    i: StateVector,
-    f: StateVector,
-    op: Operator,
-    direction: str = FORWARD,
-    eps: float = ORTHOGONALITY_EPS,
-) -> complex:
-    """<f|op|i>/<f|i> (forward) or <i|op|f>/<i|f> (reverse).
+def weak_value(i: StateVector, f: StateVector, op: Operator) -> complex:
+    """<f|op|i>/<f|i>.
 
-    For Hermitian op the reverse value is the complex conjugate of the
-    forward one.
+    ``weak_value(f, i, op)`` is the reverse value <i|op|f>/<i|f>; for
+    Hermitian op it is the complex conjugate of the forward one.
     """
     _require_same_basis(i, op)
     _require_same_basis(f, op)
-    if direction == REVERSE:
-        i, f = f, i
-    elif direction != FORWARD:
-        raise ArityMismatch(f"direction must be forward or reverse, got {direction!r}")
-    ov = selection_overlap(f, i, eps)
+    ov = selection_overlap(f, i)
     return complex(np.vdot(f.amplitudes, op.apply(i.amplitudes))) / ov
 
 
-def _chain_value(states, ops, eps: float) -> complex:
+def _chain_value(states, ops) -> complex:
     """Product of gap matrix elements over product of gap overlaps."""
     if len(ops) != len(states) - 1:
         raise ArityMismatch(
@@ -94,7 +86,7 @@ def _chain_value(states, ops, eps: float) -> complex:
         lo, hi = states[k], states[k + 1]
         _require_same_basis(lo, op)
         _require_same_basis(hi, op)
-        den *= selection_overlap(hi, lo, eps)
+        den *= selection_overlap(hi, lo)
         num *= complex(np.vdot(hi.amplitudes, op.apply(lo.amplitudes)))
     return num / den
 
@@ -104,24 +96,23 @@ def weak_correlation(
     f: StateVector,
     a: Operator,
     b: Operator,
-    eps: float = ORTHOGONALITY_EPS,
 ) -> complex:
     """<i|a|f><f|b|i> / (<i|f><f|i>): b weakly measured first, then a.
 
-    Equals reverse-weak-value(a) times forward-weak-value(b).  Swapping
+    Equals weak_value(f, i, a) times weak_value(i, f, b).  Swapping
     the argument order gives the opposite measurement order.
     """
-    return _chain_value((i, f, i), (b, a), eps)
+    return _chain_value((i, f, i), (b, a))
 
 
-def weak_commutator(i, f, a, b, eps: float = ORTHOGONALITY_EPS) -> complex:
+def weak_commutator(i, f, a, b) -> complex:
     """Weak correlation of [a,b]; purely imaginary for Hermitian a, b."""
-    return weak_correlation(i, f, a, b, eps) - weak_correlation(i, f, b, a, eps)
+    return weak_correlation(i, f, a, b) - weak_correlation(i, f, b, a)
 
 
-def weak_anticommutator(i, f, a, b, eps: float = ORTHOGONALITY_EPS) -> complex:
+def weak_anticommutator(i, f, a, b) -> complex:
     """Weak correlation of {a,b}; real for Hermitian a, b."""
-    return weak_correlation(i, f, a, b, eps) + weak_correlation(i, f, b, a, eps)
+    return weak_correlation(i, f, a, b) + weak_correlation(i, f, b, a)
 
 
 _COMBINES = ("commutator", "anticommutator", "product")
@@ -133,7 +124,6 @@ def averaged_weak_correlation(
     a: Operator,
     b: Operator,
     combine: str = "product",
-    eps: float = ORTHOGONALITY_EPS,
 ) -> complex:
     """Born-weighted sum over mid-selections f of the weak correlation.
 
@@ -141,7 +131,7 @@ def averaged_weak_correlation(
     Each admissible term |<f|i>|^2 <...>_w^(f) cancels algebraically to
     plain matrix elements (e.g. <i|a|f><f|b|i> for the product), which is
     how it is evaluated here; no small-overlap division occurs.  Terms
-    with |<f|i>| <= eps are defined as zero (the weight annihilates the
+    with |<f|i>| <= ORTHOGONALITY_EPS are defined as zero (the weight annihilates the
     divergent weak value).  When no term is skipped the sum telescopes to
     <i| a b |i> (and the commutator/anticommutator analogues) exactly.
     """
@@ -159,7 +149,7 @@ def averaged_weak_correlation(
     def bra_f(bra):  # <bra|f> for every f, from the row vector <bra|
         return bra if rows is None else bra @ rows.T
 
-    keep = np.abs(f_ket(psi)) > eps  # |<f|i>| per f
+    keep = np.abs(f_ket(psi)) > ORTHOGONALITY_EPS  # |<f|i>| per f
     # <i|a|f> and <f|b|i> for every f at once
     i_a_f = bra_f(a.apply_left(psi.conj()))
     f_b_i = f_ket(b.apply(psi))
@@ -196,22 +186,19 @@ def ccr_decomposition(
     f: StateVector,
     x_op: Operator,
     p_op: Operator,
-    hbar: float = 1.0,
-    imag_tol: float = 1e-10,
-    eps: float = ORTHOGONALITY_EPS,
 ) -> CcrDecomposition:
     """Real/imaginary split of the weak CCR for one mid-selection f.
 
-    The per-selection values do not depend on ``hbar``; their Born
-    averages are compared with +-hbar/2 by the caller.
+    The per-selection values do not depend on hbar; their Born averages
+    are compared with +-hbar/2 by the caller.
     """
-    x_w = weak_value(i, f, x_op, FORWARD, eps)
-    p_w = weak_value(i, f, p_op, FORWARD, eps)
+    x_w = weak_value(i, f, x_op)
+    p_w = weak_value(i, f, p_op)
     return CcrDecomposition(
         x_w=x_w,
         p_w=p_w,
         lhs=x_w.real * p_w.imag - x_w.imag * p_w.real,
-        p_imag_is_zero=abs(p_w.imag) <= imag_tol * max(1.0, abs(p_w)),
+        p_imag_is_zero=abs(p_w.imag) <= P_IMAG_TOL * max(1.0, abs(p_w)),
         simplified_lhs=x_w.imag * p_w.real,
     )
 
@@ -219,7 +206,6 @@ def ccr_decomposition(
 def chain_weak_correlation(
     states: tuple,
     ops,
-    eps: float = ORTHOGONALITY_EPS,
 ) -> complex:
     """High-order weak correlation over an alternating selection chain.
 
@@ -228,22 +214,21 @@ def chain_weak_correlation(
     chronological order, one per selection gap.  The value is the product
     of gap matrix elements over the product of gap overlaps; it raises
     OrthogonalSelection, before any division, when a gap overlap is
-    below ``eps``.  It does not depend on when each weak coupling happens
+    at most ORTHOGONALITY_EPS.  It does not depend on when each weak coupling happens
     inside its gap.  With two ops and states (i, f, i) this reduces
     bit-for-bit to ``weak_correlation``.
     """
-    return _chain_value(tuple(states), tuple(ops), eps)
+    return _chain_value(tuple(states), tuple(ops))
 
 
 def dual_weak_correlation(
     i: StateVector,
     f: StateVector,
     ops,
-    eps: float = ORTHOGONALITY_EPS,
 ) -> complex:
     """Chain value for the interchanged procedure (pre f, mid i, ...)."""
     ops = tuple(ops)
-    return _chain_value(alternating(f, i, len(ops)), ops, eps)
+    return _chain_value(alternating(f, i, len(ops)), ops)
 
 
 @dataclass(frozen=True)
@@ -259,13 +244,12 @@ def symmetry_residuals(
     f: StateVector,
     a: Operator,
     b: Operator,
-    eps: float = ORTHOGONALITY_EPS,
 ) -> SymmetryResiduals:
     """Check <BA>_dual = <AB> and <[A,B]>_dual = -<[A,B]>."""
-    ab = weak_correlation(i, f, a, b, eps)
-    ba_dual = dual_weak_correlation(i, f, (a, b), eps)
-    comm = weak_commutator(i, f, a, b, eps)
-    comm_dual = weak_commutator(f, i, a, b, eps)
+    ab = weak_correlation(i, f, a, b)
+    ba_dual = dual_weak_correlation(i, f, (a, b))
+    comm = weak_commutator(i, f, a, b)
+    comm_dual = weak_commutator(f, i, a, b)
     return SymmetryResiduals(
         order_swap=abs(ba_dual - ab),
         commutator_flip=abs(comm + comm_dual),

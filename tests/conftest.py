@@ -16,7 +16,7 @@ from weaklab.pointer import (
     product_joint,
     select,
 )
-from weaklab.weakcorr import FORWARD, REVERSE, weak_value
+from weaklab.weakcorr import weak_value
 
 
 def _oracle_protocol(i, f, x_op, p_op, sigma, sigma_prime, g, grid, grid_prime):
@@ -28,8 +28,8 @@ def _oracle_protocol(i, f, x_op, p_op, sigma, sigma_prime, g, grid, grid_prime):
     """
     hbar = grid.hbar
     try:
-        x_w = weak_value(i, f, x_op, FORWARD)
-        p_w_bar = weak_value(i, f, p_op, REVERSE)
+        x_w = weak_value(i, f, x_op)
+        p_w_bar = weak_value(f, i, p_op)
     except OrthogonalSelection:
         x_w = p_w_bar = complex(math.nan, math.nan)
     dx = -2.0 * sigma**2 * g * x_w.imag / hbar

@@ -17,6 +17,7 @@ from weaklab.experiments import (
     riemann_experiment,
     spin_selections,
 )
+from weaklab.weakcorr import P_IMAG_TOL
 
 
 ALPHA_SWEEP = [-5 * math.pi / 6, -math.pi / 2, -math.pi / 3, -math.pi / 6, 0.0,
@@ -98,6 +99,28 @@ def test_ccr_experiment_grid_pointer_branch():
     assert rep.pointer_coverage > 1.0 - 1e-8
     assert rep.all_p_w_real
     assert rep.passed
+
+
+def test_ccr_all_p_w_real_is_not_decided_by_roundoff():
+    # momentum mid-selections make every p_w real.  At 1024 points the rows
+    # with |<f|i>| ~ 4e-6 carry |Im p_w| roundoff above the p_imag_is_zero
+    # tolerance; their roundoff bound keeps them from deciding the flag.
+    rep = ccr_experiment(hilbert.GridConfig(1024, 40.0), n_trials=0, run_pointer=False)
+    assert rep.all_p_w_real
+    assert any(
+        r.weight > 1e-12 and abs(r.p_w.imag) > P_IMAG_TOL * max(1.0, abs(r.p_w))
+        for r in rep.per_f
+    )
+
+
+def test_ccr_all_p_w_real_sees_a_complex_p_w(monkeypatch):
+    orig = experiments.ccr_decomposition
+    monkeypatch.setattr(
+        experiments, "ccr_decomposition",
+        lambda *args: dataclasses.replace(orig(*args), p_imag_is_zero=False),
+    )
+    rep = ccr_experiment(hilbert.GridConfig(128, 40.0), n_trials=0, run_pointer=False)
+    assert not rep.all_p_w_real
 
 
 @pytest.mark.parametrize("n_points", [128, 512])

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from weaklab import hilbert
 from weaklab.errors import (
     BasisMismatch,
-    IncompleteBasis,
     InvalidConfig,
     NotHermitian,
 )
@@ -49,7 +48,7 @@ def test_fock3_commutator_matches_matmul_oracle():
 
 
 def test_fock_commutator_diagonal_any_dim():
-    cfg = hilbert.FockConfig(dim=9, hbar=0.7, mass_freq_product=1.3)
+    cfg = hilbert.FockConfig(dim=9, hbar=0.7)
     x, p = hilbert.make_fock_ops(cfg)
     comm = x.matrix @ p.matrix - p.matrix @ x.matrix
     want = 1j * cfg.hbar * np.diag([1.0] * 8 + [1.0 - 9])
@@ -128,39 +127,6 @@ def test_hermitian_expectation_is_real(seed, dim):
     psi = hilbert.random_state(dim, seed)
     op = hilbert.random_hermitian(dim, seed + 1)
     assert abs(hilbert.expectation(psi, op).imag) <= 1e-12
-
-
-def test_born_probabilities_on_basis_element():
-    basis = [hilbert.basis_state(4, j) for j in range(4)]
-    w = hilbert.born_probabilities(basis[2], basis)
-    np.testing.assert_allclose(w, [0, 0, 1, 0], atol=1e-15)
-
-
-def test_born_probabilities_equal_superposition():
-    basis = [hilbert.basis_state(5, j) for j in range(5)]
-    psi = hilbert.StateVector("generic(dim=5)", np.ones(5))
-    np.testing.assert_allclose(hilbert.born_probabilities(psi, basis), 0.2, atol=1e-14)
-
-
-@given(st.integers(0, 2**31), st.integers(2, 10))
-@settings(max_examples=40, deadline=None)
-def test_born_probabilities_sum_to_one_in_rotated_basis(seed, dim):
-    psi = hilbert.random_state(dim, seed)
-    _, basis = hilbert.eigenbasis(hilbert.random_hermitian(dim, seed + 1))
-    w = hilbert.born_probabilities(psi, basis)
-    assert float(np.sum(w)) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_born_probabilities_incomplete_basis():
-    basis = [hilbert.basis_state(4, j) for j in range(3)]
-    psi = hilbert.random_state(4, seed=5, basis_id="generic(dim=4)")
-    with pytest.raises(IncompleteBasis):
-        hilbert.born_probabilities(psi, basis)
-    # complete count but not orthonormal
-    bad = [hilbert.basis_state(2, 0), hilbert.basis_state(2, 0)]
-    psi2 = hilbert.random_state(2, seed=6, basis_id="generic(dim=2)")
-    with pytest.raises(IncompleteBasis):
-        hilbert.born_probabilities(psi2, bad)
 
 
 @given(st.integers(0, 2**31), st.integers(2, 10))

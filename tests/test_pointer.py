@@ -16,6 +16,7 @@ from weaklab.errors import (
 )
 from weaklab.hilbert import GridConfig, gaussian_grid_state, make_grid_ops
 from weaklab.pointer import (
+    ANNIHILATION_ATOL,
     MOMENTUM,
     POSITION,
     CouplingSpec,
@@ -362,8 +363,10 @@ def test_annihilated_selection_raises_like_oracle(oracle_protocol, size, generat
     spec = CouplingSpec(x_op, generator, g, sign)
     with pytest.raises(SelectionAnnihilated):
         select(couple(product_joint(i, phi), spec), f)
+    _, amps = conditional_pointers([i], [f], spec, phi)
+    assert amps[0] <= ANNIHILATION_ATOL
     with pytest.raises(SelectionAnnihilated):
-        measure_weakly(i, f, x_op, 1.0, g, KERNEL_GRID, generator, sign)
+        measure_weakly(i, f, x_op, 1.0, g, KERNEL_GRID)
     args = (i, f, x_op, p_op, 1.0, 1.0, g, KERNEL_GRID, KERNEL_GRID)
     with pytest.raises(SelectionAnnihilated):
         oracle_protocol(*args)

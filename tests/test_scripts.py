@@ -51,3 +51,29 @@ def test_record_diff(tmp_path):
     assert line.startswith("report.max_chain_residual: ")
     assert "abs 1.000e-03" in line
     assert summary == "1 differing field(s)"
+
+
+def test_record_diff_directories(tmp_path):
+    from weaklab import cli
+
+    argv = ["chain", "--dim", "3", "--n-ops", "2", "--instances", "2", "--format", "both"]
+    for side in ("a", "b"):
+        assert cli.main([*argv, "--out", str(tmp_path / side / "chain")]) == cli.EXIT_OK
+    same = run_script(["record_diff.py", str(tmp_path / "a"), str(tmp_path / "b")])
+    assert same.returncode == 0, same.stdout
+    assert same.stdout.strip() == "identical"
+
+    record = tmp_path / "b" / "chain" / "run.json"
+    data = json.loads(record.read_text())
+    data["report"]["max_chain_residual"] += 1e-3
+    record.write_text(json.dumps(data))
+    table = tmp_path / "b" / "chain" / "instances.csv"
+    table.write_bytes(table.read_bytes().replace(b"\n1,", b"\n7,", 1))  # the seed-1 row
+    (tmp_path / "a" / "extra.csv").write_text("x\n")
+    changed = run_script(["record_diff.py", str(tmp_path / "a"), str(tmp_path / "b")])
+    assert changed.returncode == 1
+    csv_line, json_line, only_line, summary = changed.stdout.strip().splitlines()
+    assert csv_line == "chain/instances.csv: bytes differ from line 3"
+    assert json_line.startswith("chain/run.json: report.max_chain_residual: ")
+    assert only_line == f"extra.csv: only in {tmp_path / 'a'}"
+    assert summary == "3 difference(s)"

@@ -55,9 +55,8 @@ def test_weak_value_on_diagonal_x_bit_identical(cfg, seed):
     x_dense = hilbert.Operator(cfg.basis_id, dense_x(cfg))
     i = hilbert.random_state(cfg.n_points, seed, cfg.basis_id)
     f = hilbert.random_state(cfg.n_points, seed + 1, cfg.basis_id)
-    for direction in ("forward", "reverse"):
-        got = weak_value(i, f, x_op, direction)
-        assert got == weak_value(i, f, x_dense, direction)
+    for pre, post in ((i, f), (f, i)):
+        assert weak_value(pre, post, x_op) == weak_value(pre, post, x_dense)
 
 
 @settings(max_examples=30, deadline=None)
@@ -71,10 +70,6 @@ def test_natural_basis_average_bit_identical_to_basis_list(cfg, seed):
         fast = averaged_weak_correlation(i, hilbert.NATURAL_BASIS, x_op, p_op, combine)
         assert fast == averaged_weak_correlation(i, basis, x_dense, p_op, combine)
         assert fast == averaged_weak_correlation(i, basis, x_op, p_op, combine)
-    assert np.array_equal(
-        hilbert.born_probabilities(i, hilbert.NATURAL_BASIS),
-        hilbert.born_probabilities(i, basis),
-    )
 
 
 def test_grid_x_is_stored_diagonal():

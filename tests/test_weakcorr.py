@@ -10,8 +10,6 @@ from weaklab import hilbert, weakcorr
 from weaklab.errors import ArityMismatch, IncompleteBasis, OrthogonalSelection
 from weaklab.hilbert import PAULI_BASIS_ID, pauli
 from weaklab.weakcorr import (
-    FORWARD,
-    REVERSE,
     alternating,
     averaged_weak_correlation,
     ccr_decomposition,
@@ -70,8 +68,8 @@ def test_reverse_is_conjugate_of_forward_for_hermitian(seed, dim):
     i = hilbert.random_state(dim, seed)
     f = hilbert.random_state(dim, seed + 1)
     op = hilbert.random_hermitian(dim, seed + 2)
-    fw = weak_value(i, f, op, FORWARD)
-    rv = weak_value(i, f, op, REVERSE)
+    fw = weak_value(i, f, op)
+    rv = weak_value(f, i, op)  # <i|op|f>/<i|f>
     assert abs(rv - np.conj(fw)) <= 1e-14 * max(1.0, abs(fw))
 
 
@@ -217,6 +215,12 @@ def test_averaged_incomplete_basis_raises():
     a = hilbert.random_hermitian(4, seed=2, basis_id="generic(dim=4)")
     with pytest.raises(IncompleteBasis):
         averaged_weak_correlation(i, basis, a, a, "product")
+    # complete count but not orthonormal
+    i2 = hilbert.random_state(2, seed=6, basis_id="generic(dim=2)")
+    twice = [hilbert.basis_state(2, 0), hilbert.basis_state(2, 0)]
+    a2 = hilbert.random_hermitian(2, seed=7, basis_id="generic(dim=2)")
+    with pytest.raises(IncompleteBasis):
+        averaged_weak_correlation(i2, twice, a2, a2, "product")
 
 
 def test_ccr_decomposition_same_selection_vanishes():
@@ -316,8 +320,8 @@ def test_alternating_needs_an_operator():
 
 def test_weak_value_is_a_complex_number():
     i, f = spin_pair(1.0)
-    for direction in (FORWARD, REVERSE):
-        assert type(weak_value(i, f, pauli("z"), direction)) is complex
+    for pre, post in ((i, f), (f, i)):
+        assert type(weak_value(pre, post, pauli("z"))) is complex
 
 
 @pytest.mark.parametrize("alpha", [math.pi / 2, math.pi / 3])
