@@ -4,9 +4,12 @@
 Runs every invocation below in this process, each into ``OUT/<name>/``:
 the commands of the four benchmark workloads at their default seeds (taken
 from ``bench/run.py``), the five default experiment runs, a grid ``ccr``
-with Monte Carlo, a Fock ``montecarlo`` and a Fock ``riemann`` with
-displaced selections.  Two such directories, from two versions of the
-code, are compared with ``scripts/record_diff.py A B``.
+with Monte Carlo, a Fock ``montecarlo``, a Fock ``riemann`` with
+displaced selections, and three runs that reach the pointer's hbar and
+the coupling sweep: a Fock ``ccr`` with Monte Carlo at hbar = 0.5, a
+Fock ``ccr`` g-sweep, and a Fock-preset ``montecarlo`` at hbar = 0.5.
+Two such directories, from two versions of the code, are compared with
+``scripts/record_diff.py A B``.
 
     python scripts/record_set.py /tmp/records-old
 
@@ -54,6 +57,12 @@ def invocations(config_dir: Path) -> list:
         ("montecarlo-fock8", ["montecarlo", "--preset", "fock", "--dim", "8",
                               "--n-trials", "3000000", "--seed", "5", "--format", "both"]),
         ("riemann-fock-displaced", ["riemann", "--config", str(config)]),
+        ("ccr-fock32-hbar0.5-mc", ["ccr", "--dim", "32", "--hbar", "0.5", "--n-trials", "400000",
+                                   "--seed", "3", "--format", "both"]),
+        ("ccr-fock32-g-sweep", ["ccr", "--dim", "32", "--n-trials", "0",
+                                "--g-sweep", "0.01,0.02,-0.05", "--format", "both"]),
+        ("montecarlo-fock-hbar0.5", ["montecarlo", "--preset", "fock", "--hbar", "0.5",
+                                     "--n-trials", "2000000", "--seed", "4"]),
     ]
     return runs
 

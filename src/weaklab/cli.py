@@ -399,6 +399,7 @@ def _run_pauli(cfg):
 
 def _run_ccr(cfg):
     sub = cfg["ccr"]
+    experiments.require_precondition("ccr.g_sweep", sub["g_sweep"])
     rep = _build_rep(sub["rep"], cfg["hbar"])
     common = dict(
         i_spec=_ccr_state(rep, sub["state"]), sigma=sub["sigma"],

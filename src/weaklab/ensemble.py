@@ -208,13 +208,13 @@ def estimate_weak_value(
     g: float,
     n_trials: int,
     master_seed: int,
-    hbar: float = 1.0,
     n_workers: int = 1,
 ) -> WeakValueEstimate:
     """Invert sampled pointer shifts of one weak stage into Re/Im of the weak value.
 
     Im{O_w} = -<dx> * hbar / (2 sigma^2 g) from a position-readout
-    ensemble, Re{O_w} = <dp> / g from a momentum-readout ensemble; each
+    ensemble, with hbar that of the stage's pointer grid, and
+    Re{O_w} = <dp> / g from a momentum-readout ensemble; each
     ensemble runs ``n_trials`` attempts on its own stream, accepted at the
     stage's selection probability.  The estimates converge to the
     closed-form weak value as n_trials grows and g shrinks.
@@ -224,7 +224,7 @@ def estimate_weak_value(
                 (_readout(stage.pointer, kind),), n_workers)
         for kind, stream in ((POSITION, _STREAM_IMAG), (MOMENTUM, _STREAM_REAL))
     )
-    scale_im = -hbar / (2.0 * sigma**2 * g)
+    scale_im = -stage.pointer.grid.hbar / (2.0 * sigma**2 * g)
     return WeakValueEstimate(
         re_est=mean_dp / g,
         im_est=mean_dx * scale_im,

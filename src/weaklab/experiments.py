@@ -87,6 +87,9 @@ def make_check(name: str, residual: float, tol: float) -> Check:
 # with the same path, one diagnostic per field.
 PRECONDITIONS = {
     "ccr.n_trials": (lambda v: v >= 0, ">= 0"),  # 0 disables the Monte Carlo
+    # the correlators divide by g**2, which must not underflow to 0
+    "ccr.g": (lambda v: v * v > 0, "nonzero with g * g > 0"),
+    "ccr.g_sweep": (lambda v: all(g * g > 0 for g in v), "couplings each with g * g > 0"),
     # the draws need a dimension, the maxima an instance, and the dual
     # symmetries two operators
     "chain.dim": (lambda v: v >= 1, ">= 1"),
@@ -340,9 +343,11 @@ def ccr_experiment(
     ``n_trials`` is the total attempt budget, allocated over the
     mid-selections proportionally to their Born weights; a positive budget
     that leaves no selection its 25 expected accepted trials raises
-    NoAcceptedTrials, and a negative one InvalidConfig before any work.
+    NoAcceptedTrials.  A negative budget, or a ``g`` whose square is 0,
+    raises InvalidConfig before any work.
     """
     require_precondition("ccr.n_trials", n_trials)
+    require_precondition("ccr.g", g)
     x_op, p_op = _ccr_ops(rep)
     hbar = rep.hbar
     i = i_spec if i_spec is not None else _ccr_default_state(rep)
@@ -397,8 +402,7 @@ def ccr_experiment(
         p_vectors = np.stack([f.amplitudes for f in p_basis], axis=1)
         chains = dict(zip(keep, run_ccr_protocols(
             i, [p_basis[j] for j in keep], x_op, p_op, sigma, sigma_prime, g,
-            grid=grid, grid_prime=grid_prime, hbar=hbar,
-            p_eigensystem=(p_eigs, p_vectors),
+            grid, grid_prime, p_eigensystem=(p_eigs, p_vectors),
         )))
         pointer_corr = math.fsum(
             weights[j] * c.dx_d * c.dx_d_prime for j, c in chains.items()
@@ -706,8 +710,8 @@ def montecarlo_experiment(
 
     target = weak_value(i, f, obs)
     # through the ensemble's name, which bench/tracer.py wraps
-    stage = mc.measure_weakly(i, f, obs, sigma, g, hbar=hbar)
-    est = mc.estimate_weak_value(stage, sigma, g, n_trials, seed, hbar, n_workers)
+    stage = mc.measure_weakly(i, f, obs, sigma, g, pointer_grid(sigma, hbar))
+    est = mc.estimate_weak_value(stage, sigma, g, n_trials, seed, n_workers)
     # roundoff can put a near-certain selection's probability just above 1
     q = min(stage.probability, 1.0)
     acc_se = math.sqrt(q * (1.0 - q) / n_trials)

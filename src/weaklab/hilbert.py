@@ -121,8 +121,8 @@ class FockConfig:
     def __post_init__(self):
         if self.dim < 2:
             raise InvalidConfig(f"Fock truncation needs dim >= 2, got {self.dim}")
-        if self.hbar <= 0:
-            raise InvalidConfig("hbar must be positive")
+        if not (math.isfinite(self.hbar) and self.hbar > 0):
+            raise InvalidConfig(f"hbar must be positive and finite, got {self.hbar!r}")
 
     @property
     def basis_id(self) -> str:
@@ -140,8 +140,10 @@ class GridConfig:
     def __post_init__(self):
         if self.n_points < 8:
             raise InvalidConfig(f"grid needs n_points >= 8, got {self.n_points}")
-        if self.length <= 0:
-            raise InvalidConfig("grid length must be positive")
+        if not (math.isfinite(self.length) and self.length > 0):
+            raise InvalidConfig(f"grid length must be positive and finite, got {self.length!r}")
+        if not (math.isfinite(self.hbar) and self.hbar > 0):
+            raise InvalidConfig(f"hbar must be positive and finite, got {self.hbar!r}")
 
     @property
     def spacing(self) -> float:

@@ -8,9 +8,10 @@ selections, and pointer readout in position and momentum.
 Conventions: pointers live on periodic grids with L2 normalization
 sum |psi|^2 dx = 1.  The coupling Hamiltonian is
 sign * g * (observable x generator) integrated to unit impulse, so the
-applied unitary is exp(-i * sign * g * observable x generator / hbar);
-the position-position stage uses sign = -1, the momentum-momentum stage
-sign = +1.  hbar is taken from the pointer grid config.
+applied unitary is exp(-i * sign * g * observable x generator / hbar).
+The sign is fixed by the generator (``COUPLING_SIGN``): -1 for the
+position-position stage, +1 for the momentum-momentum stage.  hbar is
+the pointer grid's ``GridConfig.hbar``; no stage takes it separately.
 
 Every stage is linear in the system state.  With (w_l, v_l) the
 eigensystem of the coupled observable, preparing |a> x phi, coupling and
@@ -51,6 +52,8 @@ ANNIHILATION_ATOL = 1e-15
 
 POSITION = "position"
 MOMENTUM = "momentum"
+# sign of the coupling Hamiltonian sign * g * observable x generator
+COUPLING_SIGN = {POSITION: -1, MOMENTUM: +1}
 
 DEFAULT_POINTER_POINTS = 1024
 DEFAULT_POINTER_WIDTHS = 40.0  # grid length in units of sigma
@@ -68,11 +71,10 @@ def pointer_grid(
 
 @dataclass(frozen=True)
 class PointerState:
-    """One-dimensional grid wavefunction with its nominal Gaussian width."""
+    """One-dimensional grid wavefunction."""
 
     grid: GridConfig
     wavefunction: np.ndarray
-    sigma: float
 
     def __post_init__(self):
         psi = np.asarray(self.wavefunction, dtype=complex).reshape(-1).copy()
@@ -93,7 +95,6 @@ class JointState:
     system_basis_id: str
     grid: GridConfig
     amplitudes: np.ndarray
-    sigma: float
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex).copy()
@@ -113,12 +114,14 @@ class JointState:
 
 @dataclass(frozen=True)
 class CouplingSpec:
-    """Impulsive coupling sign * g * observable x pointer-quadrature."""
+    """Impulsive coupling sign * g * observable x pointer-quadrature.
+
+    The sign is ``COUPLING_SIGN[pointer_generator]``.
+    """
 
     observable: Operator
     pointer_generator: str
     strength: float
-    sign: int = -1
 
     def __post_init__(self):
         if self.pointer_generator not in (POSITION, MOMENTUM):
@@ -127,8 +130,6 @@ class CouplingSpec:
             )
         if not math.isfinite(self.strength):
             raise InvalidConfig("coupling strength must be finite")
-        if self.sign not in (-1, 1):
-            raise InvalidConfig("sign must be +1 or -1")
 
 
 def check_resolution(grid: GridConfig, sigma: float) -> None:
@@ -148,13 +149,13 @@ def gaussian_pointer(grid: GridConfig, sigma: float) -> PointerState:
     check_resolution(grid, sigma)
     x = grid.positions()
     psi = np.exp(-(x**2) / (4.0 * sigma**2))
-    return PointerState(grid, psi, sigma)
+    return PointerState(grid, psi)
 
 
 def product_joint(system: StateVector, pointer: PointerState) -> JointState:
     """|system> x |pointer>."""
     amps = np.outer(system.amplitudes, pointer.wavefunction)
-    return JointState(system.basis_id, pointer.grid, amps, pointer.sigma)
+    return JointState(system.basis_id, pointer.grid, amps)
 
 
 def _observable_eigensystem(op: Operator, eigensystem=None):
@@ -201,7 +202,7 @@ def couple(joint: JointState, spec: CouplingSpec) -> JointState:
         raise BasisMismatch("observable dimension does not match joint system")
     w, v = _observable_eigensystem(spec.observable)
     b = joint.amplitudes if v is None else v.conj().T @ joint.amplitudes
-    coeff = -1j * spec.sign * spec.strength
+    coeff = -1j * COUPLING_SIGN[spec.pointer_generator] * spec.strength
     if spec.pointer_generator == POSITION:
         phase = np.exp(coeff * np.outer(w, joint.grid.positions()) / joint.grid.hbar)
         b = b * phase
@@ -210,7 +211,7 @@ def couple(joint: JointState, spec: CouplingSpec) -> JointState:
         phase = np.exp(coeff * np.outer(w, k))
         b = np.fft.ifft(np.fft.fft(b, axis=1) * phase, axis=1)
     amps = b if v is None else v @ b
-    return JointState(joint.system_basis_id, joint.grid, amps, joint.sigma)
+    return JointState(joint.system_basis_id, joint.grid, amps)
 
 
 def select(joint: JointState, target: StateVector) -> tuple[PointerState, float]:
@@ -229,7 +230,7 @@ def select(joint: JointState, target: StateVector) -> tuple[PointerState, float]
     raw = target.amplitudes.conj() @ joint.amplitudes
     amplitude = math.sqrt(float(np.sum(np.abs(raw) ** 2)) * joint.grid.spacing)
     _check_amplitude(amplitude)
-    return PointerState(joint.grid, raw, joint.sigma), amplitude
+    return PointerState(joint.grid, raw), amplitude
 
 
 def _state_columns(states, observable: Operator) -> np.ndarray:
@@ -273,7 +274,7 @@ def conditional_pointers(
         b = v.conj().T @ b
     coeffs = b.conj().T * a.T  # <b_s|v_l><v_l|a_s>, shape (selections, levels)
     grid = pointer.grid
-    coeff = -1j * spec.sign * spec.strength
+    coeff = -1j * COUPLING_SIGN[spec.pointer_generator] * spec.strength
     if spec.pointer_generator == POSITION:
         kernel = np.exp(coeff * np.outer(w, grid.positions()) / grid.hbar)
         kernel *= pointer.wavefunction
@@ -284,12 +285,6 @@ def conditional_pointers(
         rows = np.fft.ifft(coeffs @ kernel, axis=1)
     amplitudes = np.sqrt(np.sum(np.abs(rows) ** 2, axis=1) * grid.spacing)
     return rows, amplitudes
-
-
-def pointer_mean_position(p: PointerState) -> float:
-    """Grid-quadrature mean of the position readout."""
-    prob = np.abs(p.wavefunction) ** 2 * p.grid.spacing
-    return float(np.sum(p.grid.positions() * prob))
 
 
 def momentum_distribution(p: PointerState) -> tuple[np.ndarray, np.ndarray]:
@@ -313,8 +308,14 @@ def readout_distribution(p: PointerState, kind: str) -> tuple[np.ndarray, np.nda
     raise InvalidConfig(f"readout kind must be {POSITION!r} or {MOMENTUM!r}")
 
 
+def pointer_mean_position(p: PointerState) -> float:
+    """Mean of the position readout distribution."""
+    values, probs = position_distribution(p)
+    return float(np.sum(values * probs))
+
+
 def pointer_mean_momentum(p: PointerState) -> float:
-    """Fourier-quadrature mean of the momentum readout."""
+    """Mean of the momentum readout distribution."""
     values, probs = momentum_distribution(p)
     return float(np.sum(values * probs))
 
@@ -339,20 +340,11 @@ class WeakStageResult:
     probability: float
 
 
-def _grid_or_default(grid: GridConfig | None, sigma: float, hbar: float) -> GridConfig:
-    grid = grid or pointer_grid(sigma, hbar)
-    if grid.hbar != hbar:
-        raise InvalidConfig(
-            f"pointer grid hbar {grid.hbar} != protocol hbar {hbar}"
-        )
-    return grid
-
-
 def _stage_result(pointer: PointerState, row: np.ndarray, amplitude: float) -> WeakStageResult:
     amplitude = float(amplitude)
     _check_amplitude(amplitude)
     return WeakStageResult(
-        pointer=PointerState(pointer.grid, row, pointer.sigma),
+        pointer=PointerState(pointer.grid, row),
         probability=amplitude * amplitude,
     )
 
@@ -363,15 +355,14 @@ def measure_weakly(
     observable: Operator,
     sigma: float,
     g: float,
-    grid: GridConfig | None = None,
-    hbar: float = 1.0,
+    grid: GridConfig,
 ) -> WeakStageResult:
-    """Prepare i x Gaussian, couple position-position (sign -1), select f.
+    """Prepare i x Gaussian on ``grid``, couple position-position, select f.
 
     Exact throughout.
     """
-    phi = gaussian_pointer(_grid_or_default(grid, sigma, hbar), sigma)
-    rows, amps = conditional_pointers([i], [f], CouplingSpec(observable, POSITION, g, -1), phi)
+    phi = gaussian_pointer(grid, sigma)
+    rows, amps = conditional_pointers([i], [f], CouplingSpec(observable, POSITION, g), phi)
     return _stage_result(phi, rows[0], amps[0])
 
 
@@ -385,10 +376,6 @@ class CcrProtocolResult:
     prob_post: float
     pointer_first: PointerState
     pointer_second: PointerState
-    x_w: complex
-    p_w_bar: complex
-    predicted_dx: float
-    predicted_dx_prime: float
 
 
 def run_ccr_protocols(
@@ -399,34 +386,29 @@ def run_ccr_protocols(
     sigma: float,
     sigma_prime: float,
     g: float,
-    grid: GridConfig | None = None,
-    grid_prime: GridConfig | None = None,
-    hbar: float = 1.0,
+    grid: GridConfig,
+    grid_prime: GridConfig,
     p_eigensystem=None,
 ) -> list[CcrProtocolResult]:
     """Exact two-pointer commutator chains for a list of mid-selections.
 
-    Stage one: prepare i x P, couple position-position with strength g
-    (attractive sign), select f, read P's position.  Stage two: prepare
-    f x P', couple momentum-momentum, select i again, read P''s position.
-    First-order predictions from the closed-form weak values ride along
-    so the weakness error is measurable.
+    Stage one: prepare i x P on ``grid``, couple position-position with
+    strength g, select f, read P's position.  Stage two: prepare f x P' on
+    ``grid_prime``, couple momentum-momentum, select i again, read P''s
+    position.
 
     Each stage is one ``conditional_pointers`` call for all of ``finals``;
     ``p_eigensystem`` (w, v) of ``p_op`` skips its diagonalization.  Rows
     are checked in order, and the first failing one raises:
-    GridResolutionError when a predicted shift exceeds a quarter of its
-    grid, SelectionAnnihilated when a selection leaves no amplitude.
+    GridResolutionError when a first-order shift of the closed-form weak
+    values (``predicted_shifts``) exceeds a quarter of its grid,
+    SelectionAnnihilated when a selection leaves no amplitude.
     """
-    grid = _grid_or_default(grid, sigma, hbar)
-    grid_prime = _grid_or_default(grid_prime, sigma_prime, hbar)
     phi = gaussian_pointer(grid, sigma)
     phi_prime = gaussian_pointer(grid_prime, sigma_prime)
-    rows1, amps1 = conditional_pointers(
-        [i], finals, CouplingSpec(x_op, POSITION, g, -1), phi
-    )
+    rows1, amps1 = conditional_pointers([i], finals, CouplingSpec(x_op, POSITION, g), phi)
     rows2, amps2 = conditional_pointers(
-        finals, [i], CouplingSpec(p_op, MOMENTUM, g, +1), phi_prime, p_eigensystem
+        finals, [i], CouplingSpec(p_op, MOMENTUM, g), phi_prime, p_eigensystem
     )
     nan = complex(float("nan"), float("nan"))
     results = []
@@ -438,8 +420,7 @@ def run_ccr_protocols(
             # predictions undefined; the exact chain decides whether the
             # selections annihilate
             x_w = p_w_bar = nan
-        predicted_dx = predicted_shifts(x_w, sigma, hbar, g)[0]
-        predicted_dx_prime = predicted_shifts(p_w_bar, sigma_prime, hbar, g)[1]
+        predicted_dx = predicted_shifts(x_w, sigma, grid.hbar, g)[0]
         if math.isfinite(predicted_dx) and abs(predicted_dx) > grid.length / 4.0:
             raise GridResolutionError(
                 f"predicted P shift {predicted_dx:.3g} exceeds length/4 = {grid.length / 4}"
@@ -459,10 +440,6 @@ def run_ccr_protocols(
                 prob_post=stage2.probability,
                 pointer_first=stage1.pointer,
                 pointer_second=stage2.pointer,
-                x_w=x_w,
-                p_w_bar=p_w_bar,
-                predicted_dx=predicted_dx,
-                predicted_dx_prime=predicted_dx_prime,
             )
         )
     return results
@@ -476,13 +453,9 @@ def run_ccr_protocol(
     sigma: float,
     sigma_prime: float,
     g: float,
-    grid: GridConfig | None = None,
-    grid_prime: GridConfig | None = None,
-    hbar: float = 1.0,
+    grid: GridConfig,
+    grid_prime: GridConfig,
 ) -> CcrProtocolResult:
     """Full exact chain of the two-pointer commutator measurement for one
     mid-selection ``f``; see ``run_ccr_protocols``."""
-    return run_ccr_protocols(
-        i, [f], x_op, p_op, sigma, sigma_prime, g,
-        grid=grid, grid_prime=grid_prime, hbar=hbar,
-    )[0]
+    return run_ccr_protocols(i, [f], x_op, p_op, sigma, sigma_prime, g, grid, grid_prime)[0]

@@ -25,6 +25,8 @@ def _oracle_protocol(i, f, x_op, p_op, sigma, sigma_prime, g, grid, grid_prime):
     Same guards as ``pointer.run_ccr_protocol``, written out separately:
     a predicted shift beyond a quarter of its grid raises
     GridResolutionError, an annihilated selection SelectionAnnihilated.
+    hbar is the pointer grid's; ``couple`` takes each stage's coupling
+    sign from its generator (``pointer.COUPLING_SIGN``).
     """
     hbar = grid.hbar
     try:
@@ -38,9 +40,9 @@ def _oracle_protocol(i, f, x_op, p_op, sigma, sigma_prime, g, grid, grid_prime):
     if math.isfinite(abs(g * p_w_bar)) and abs(g * p_w_bar) > grid_prime.length / 4.0:
         raise GridResolutionError("oracle: P' translation beyond length/4")
     joint = product_joint(i, gaussian_pointer(grid, sigma))
-    first, amp1 = select(couple(joint, CouplingSpec(x_op, POSITION, g, -1)), f)
+    first, amp1 = select(couple(joint, CouplingSpec(x_op, POSITION, g)), f)
     joint = product_joint(f, gaussian_pointer(grid_prime, sigma_prime))
-    second, amp2 = select(couple(joint, CouplingSpec(p_op, MOMENTUM, g, +1)), i)
+    second, amp2 = select(couple(joint, CouplingSpec(p_op, MOMENTUM, g)), i)
     return CcrProtocolResult(
         dx_d=pointer_mean_position(first),
         dx_d_prime=pointer_mean_position(second),
@@ -48,10 +50,6 @@ def _oracle_protocol(i, f, x_op, p_op, sigma, sigma_prime, g, grid, grid_prime):
         prob_post=amp2 * amp2,
         pointer_first=first,
         pointer_second=second,
-        x_w=x_w,
-        p_w_bar=p_w_bar,
-        predicted_dx=dx,
-        predicted_dx_prime=g * p_w_bar.real,
     )
 
 

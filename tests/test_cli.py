@@ -202,6 +202,10 @@ def test_chain_preconditions_exit_3_and_validate_agrees(tmp_path, capsys, flags,
     ("montecarlo", ["--preset", "fock", "--dim", "1"], "{preset: fock, dim: 1}",
      "montecarlo.dim"),
     ("ccr", ["--n-trials", "-5"], "{n_trials: -5}", "ccr.n_trials"),
+    # the correlators divide by g**2: 0, one that underflows, and 0 in a sweep
+    ("ccr", ["--g", "0"], "{g: 0}", "ccr.g"),
+    ("ccr", ["--g", "1e-170"], "{g: 1e-170}", "ccr.g"),
+    ("ccr", ["--g-sweep", "0.01,0"], "{g_sweep: [0.01, 0]}", "ccr.g_sweep"),
 ])
 def test_monte_carlo_preconditions_exit_3_and_validate_agrees(tmp_path, capsys, experiment,
                                                               flags, yaml_text, field):

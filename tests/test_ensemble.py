@@ -20,6 +20,9 @@ from weaklab.hilbert import (
     make_grid_ops,
 )
 
+# the pointer grid of a unit-width pointer at hbar = 1
+POINTER_GRID = pointer.pointer_grid(1.0)
+
 
 def grid_setup(n_sys=64, length=20.0):
     cfg = GridConfig(n_sys, length)
@@ -60,13 +63,13 @@ def base_chain():
     """The exact chain of a momentum-eigenvector mid-selection on the grid."""
     cfg, x_op, p_op, i = grid_setup()
     f, _ = plane_wave(cfg, 1)
-    return pointer.run_ccr_protocol(i, f, x_op, p_op, 1.0, 1.0, 0.01)
+    return pointer.run_ccr_protocol(i, f, x_op, p_op, 1.0, 1.0, 0.01, POINTER_GRID, POINTER_GRID)
 
 
 def uncoupled_chain():
     """i selected again after a zero coupling: every trial passes."""
     cfg, x_op, p_op, i = grid_setup()
-    return pointer.run_ccr_protocol(i, i, x_op, p_op, 1.0, 1.0, 0.0)
+    return pointer.run_ccr_protocol(i, i, x_op, p_op, 1.0, 1.0, 0.0, POINTER_GRID, POINTER_GRID)
 
 
 def test_same_selection_zero_coupling_accepts_everything():
@@ -86,7 +89,7 @@ def test_orthogonal_selection_zero_coupling_accepts_nothing():
     # the exact stage refuses the selection; a chain whose mid selection
     # has probability 0 accepts no trial
     with pytest.raises(SelectionAnnihilated):
-        pointer.run_ccr_protocol(i, orth, x_op, p_op, 1.0, 1.0, 0.0)
+        pointer.run_ccr_protocol(i, orth, x_op, p_op, 1.0, 1.0, 0.0, POINTER_GRID, POINTER_GRID)
     never = dataclasses.replace(uncoupled_chain(), prob_mid=0.0)
     with pytest.raises(NoAcceptedTrials):
         run_trials(never, 100, 3)
@@ -139,7 +142,7 @@ def spin_pair(alpha):
 
 
 def weak_stage(i, f, observable, g=0.05):
-    return pointer.measure_weakly(i, f, observable, 1.0, g)
+    return pointer.measure_weakly(i, f, observable, 1.0, g, POINTER_GRID)
 
 
 def test_estimate_weak_value_spin():
@@ -365,7 +368,8 @@ TRIAL_SETUPS = {"spin": spin_trial_setup, "fock": fock_trial_setup, "grid": grid
 @pytest.mark.parametrize("setup", sorted(TRIAL_SETUPS))
 def test_run_trials_equals_binary_search_readout(monkeypatch, setup, n_workers):
     kw = TRIAL_SETUPS[setup]()
-    chain = pointer.run_ccr_protocol(kw["i"], kw["f"], kw["x_op"], kw["p_op"], 1.0, 1.0, kw["g"])
+    chain = pointer.run_ccr_protocol(kw["i"], kw["f"], kw["x_op"], kw["p_op"], 1.0, 1.0, kw["g"],
+                                     POINTER_GRID, POINTER_GRID)
     guided = run_trials(chain, 2 * BLOCK + 999, 5, n_workers)
     monkeypatch.setattr(ensemble, "_inverse_cdf", reference_inverse_cdf)
     assert_equal_fields(guided, run_trials(chain, 2 * BLOCK + 999, 5, n_workers))
@@ -454,7 +458,8 @@ def test_block_merge_is_exact(monkeypatch, n_workers):
 @pytest.mark.parametrize("n_workers", [1, 2])
 def test_replay_layout_is_pinned(n_workers):
     kw = fock_trial_setup()
-    chain = pointer.run_ccr_protocol(kw["i"], kw["f"], kw["x_op"], kw["p_op"], 1.0, 1.0, kw["g"])
+    chain = pointer.run_ccr_protocol(kw["i"], kw["f"], kw["x_op"], kw["p_op"], 1.0, 1.0, kw["g"],
+                                     POINTER_GRID, POINTER_GRID)
     assert hex_fields(run_trials(chain, BLOCK + 999, 5, n_workers)) == PINNED_RUN_TRIALS
     i, f = spin_pair(0.8)
     est = estimate_weak_value(weak_stage(i, f, hilbert.pauli("z")), 1.0, 0.05, BLOCK + 999, 41,

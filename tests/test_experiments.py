@@ -217,7 +217,7 @@ def test_ccr_experiment_matches_joint_state_oracle(rep, monkeypatch, oracle_prot
     fast = ccr_experiment(rep, n_trials=0)
 
     def oracle_chains(i, finals, x_op, p_op, sigma, sigma_prime, g, grid, grid_prime,
-                      hbar, **eigensystems):
+                      **eigensystems):
         return [oracle_protocol(i, f, x_op, p_op, sigma, sigma_prime, g, grid, grid_prime)
                 for f in finals]
 
@@ -276,7 +276,7 @@ def test_montecarlo_runs_one_weak_stage(monkeypatch):
     monkeypatch.setattr(experiments.mc, "measure_weakly", counted)
     rep = montecarlo_experiment(preset="fock", n_trials=2000, seed=1)
     assert len(calls) == 1
-    assert rep.acceptance_expected == real(*calls[0], hbar=1.0).probability
+    assert rep.acceptance_expected == real(*calls[0]).probability
 
 
 def test_riemann_experiment_builds_x_and_p_once(monkeypatch):

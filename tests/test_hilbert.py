@@ -1,5 +1,7 @@
 """Tests for the Hilbert-space foundation layer."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -58,6 +60,21 @@ def test_fock_commutator_diagonal_any_dim():
 def test_fock_dim_too_small():
     with pytest.raises(InvalidConfig):
         hilbert.FockConfig(dim=1)
+
+
+@pytest.mark.parametrize("hbar", [0.0, -1.0, math.nan, math.inf])
+def test_configs_reject_an_hbar_that_is_not_positive_and_finite(hbar):
+    # a grid at hbar = 0 would give a pointer stage a nan probability
+    with pytest.raises(InvalidConfig, match="hbar must be positive and finite"):
+        hilbert.GridConfig(64, 10.0, hbar)
+    with pytest.raises(InvalidConfig, match="hbar must be positive and finite"):
+        hilbert.FockConfig(dim=8, hbar=hbar)
+
+
+@pytest.mark.parametrize("length", [0.0, -1.0, math.nan, math.inf])
+def test_grid_rejects_a_length_that_is_not_positive_and_finite(length):
+    with pytest.raises(InvalidConfig, match="grid length must be positive and finite"):
+        hilbert.GridConfig(64, length)
 
 
 def test_grid_plane_wave_is_momentum_eigenfunction():

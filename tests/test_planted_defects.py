@@ -164,13 +164,7 @@ def z_built_as_x(monkeypatch):
 
 def second_coupling_sign_flipped(monkeypatch):
     """Stage two couples momentum with the sign of stage one."""
-    orig = pointer.CouplingSpec
-    monkeypatch.setattr(
-        pointer, "CouplingSpec",
-        lambda op, generator, g, sign: orig(
-            op, generator, g, -sign if generator == pointer.MOMENTUM else sign
-        ),
-    )
+    monkeypatch.setitem(pointer.COUPLING_SIGN, pointer.MOMENTUM, -1)
 
 
 def readout_offset(kind):
