@@ -527,10 +527,15 @@ def validate_config(cfg: dict) -> list[dict]:
     if experiment == "montecarlo" and sub["preset"] == "spin":
         check("montecarlo.alpha", experiments.spin_selections, sub["alpha"])
     for path in experiments.PRECONDITIONS:
-        scope, name = path.split(".")
-        # the spin preset has no dimension
-        if scope == experiment and not (name == "dim" and sub.get("preset") == "spin"):
-            check(path, experiments.require_precondition, path, sub[name])
+        scope, *parents, name = path.split(".")
+        if scope != experiment:
+            continue
+        fields = sub
+        for key in parents:
+            fields = fields[key]
+        # the spin preset and the grid have no dimension
+        if not (name == "dim" and (fields.get("preset") == "spin" or fields.get("kind") == "grid")):
+            check(path, experiments.require_precondition, path, fields[name])
     if experiment not in ("ccr", "riemann"):
         return diags
     rep = check(f"{experiment}.rep", _build_rep, sub["rep"], cfg["hbar"])

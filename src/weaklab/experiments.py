@@ -35,6 +35,7 @@ from .hilbert import (
     eigenbasis,
     expectation,
     gaussian_grid_state,
+    hermitian_part,
     hermitian_residual,
     make_fock_ops,
     make_grid_ops,
@@ -99,6 +100,8 @@ PRECONDITIONS = {
     "montecarlo.g": (lambda v: v != 0, "!= 0"),  # the estimates divide by g
     "montecarlo.sigma": (lambda v: v > 0, "> 0"),
     "montecarlo.dim": (lambda v: v >= 2, ">= 2"),  # fock preset: f holds |1>
+    # Fock only: the half-line residual is a maximum over levels 0..dim-3
+    "riemann.rep.dim": (lambda v: v >= 3, ">= 3"),
 }
 
 
@@ -358,8 +361,8 @@ def ccr_experiment(
     # (a) exact f-average over the natural basis
     avg_comm = averaged_weak_correlation(i, NATURAL_BASIS, x_op, p_op, "commutator")
     xp, px = _xp_px(x_op, p_op)
-    comm_matrix = xp - px
-    oracle = complex(np.vdot(i.amplitudes, comm_matrix @ i.amplitudes))
+    oracle = complex(np.vdot(i.amplitudes, (xp - px) @ i.amplitudes))
+    del xp, px  # not kept through the pointer stage
 
     # (b, c) momentum mid-selection basis: plane waves on the grid, eigh for Fock
     if isinstance(rep, GridConfig):
@@ -539,9 +542,17 @@ def riemann_ops(x_op: Operator, p_op: Operator, hbar: float) -> tuple[Operator, 
     reported by riemann_experiment's rho_hermiticity check.
     """
     xp, px = _xp_px(x_op, p_op)
-    rho = Operator(x_op.basis_id, (xp + px) / (2.0 * hbar))
-    r = Operator(x_op.basis_id, 1j * px / hbar)
-    return rho, r
+    # each matrix in one new buffer; xp and px may be read-only, so only
+    # the buffers allocated here are written
+    rho_m = np.add(xp, px)
+    del xp
+    rho_m /= 2.0 * hbar
+    rho = Operator(x_op.basis_id, rho_m)
+    del rho_m
+    r_m = np.multiply(1j, px)
+    del px
+    r_m /= hbar
+    return rho, Operator(x_op.basis_id, r_m)
 
 
 def riemann_selections(rep, i: StateVector | None = None, f: StateVector | None = None):
@@ -572,8 +583,11 @@ def riemann_experiment(
     ||(R + R^dag)/2 - 1/2|| is a matrix max-norm restricted to levels
     0..N-3 in the Fock representation; on a grid no finite level cut
     exists, so the residual of the same combination applied to the
-    pre-selection state is reported instead.
+    pre-selection state is reported instead.  A Fock ``rep`` of fewer than
+    3 levels raises InvalidConfig before any work.
     """
+    if isinstance(rep, FockConfig):
+        require_precondition("riemann.rep.dim", rep.dim)
     x_op, p_op = _ccr_ops(rep)
     hbar = rep.hbar
     rho, r_hat = riemann_ops(x_op, p_op, hbar)
@@ -581,7 +595,10 @@ def riemann_experiment(
     check_truncation_edge(rep, i)
 
     herm_resid = hermitian_residual(rho.matrix)
-    half_line = 0.5 * (r_hat.matrix + r_hat.matrix.conj().T) - 0.5 * np.eye(rho.dim)
+    # (R + R^dag)/2 - 1/2 in one C-contiguous buffer, so the grid mat-vec
+    # below takes the same BLAS path; subtracting 0 off the diagonal changes no bit
+    half_line = hermitian_part(r_hat.matrix)
+    half_line[np.diag_indices(rho.dim)] -= 0.5
     if isinstance(rep, FockConfig):
         safe = half_line[: rep.dim - 2, : rep.dim - 2]
         half_resid = float(np.max(np.abs(safe)))

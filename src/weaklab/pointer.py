@@ -275,12 +275,16 @@ def conditional_pointers(
     coeffs = b.conj().T * a.T  # <b_s|v_l><v_l|a_s>, shape (selections, levels)
     grid = pointer.grid
     coeff = -1j * COUPLING_SIGN[spec.pointer_generator] * spec.strength
+    # the phase kernel exp(coeff w x / hbar), built in one buffer
     if spec.pointer_generator == POSITION:
-        kernel = np.exp(coeff * np.outer(w, grid.positions()) / grid.hbar)
+        kernel = np.multiply(coeff, np.outer(w, grid.positions()))
+        kernel /= grid.hbar
+        np.exp(kernel, out=kernel)
         kernel *= pointer.wavefunction
         rows = coeffs @ kernel
     else:
-        kernel = np.exp(coeff * np.outer(w, grid.wavenumbers()))  # the hbar cancels
+        kernel = np.multiply(coeff, np.outer(w, grid.wavenumbers()))  # the hbar cancels
+        np.exp(kernel, out=kernel)
         kernel *= np.fft.fft(pointer.wavefunction)
         rows = np.fft.ifft(coeffs @ kernel, axis=1)
     amplitudes = np.sqrt(np.sum(np.abs(rows) ** 2, axis=1) * grid.spacing)

@@ -230,6 +230,32 @@ def test_spin_preset_ignores_the_fock_dimension(tmp_path, capsys):
     assert run_cli(["montecarlo", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 0
 
 
+def test_fock_riemann_needs_three_levels(tmp_path, capsys):
+    # dim 2 leaves the half-line residual no level 0..N-3 to take its maximum over
+    out = tmp_path / "o"
+    assert run_cli(["riemann", "--dim", "2", "--out", str(out)]) == cli.EXIT_NUMERICAL_ERROR
+    assert "numerical error: InvalidConfig: riemann rep dim must be >= 3, got 2" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
+    cfgfile = tmp_path / "c.yaml"
+    cfgfile.write_text("experiment: riemann\nriemann: {rep: {dim: 2}}\n")
+    assert run_cli(["validate", str(cfgfile)]) == cli.EXIT_CHECK_FAILED
+    diags = json.loads(capsys.readouterr().out)["diagnostics"]
+    assert ("riemann.rep.dim", "InvalidConfig") in [(d["field"], d["error"]) for d in diags]
+    assert run_cli(["riemann", "--dim", "3", "--out", str(out)]) == cli.EXIT_OK
+
+
+def test_grid_riemann_ignores_the_fock_dimension(tmp_path, capsys):
+    cfgfile = tmp_path / "c.yaml"
+    cfgfile.write_text(
+        "experiment: riemann\nriemann: {rep: {kind: grid, dim: 2, n_points: 64, length: 20}}\n"
+    )
+    assert run_cli(["validate", str(cfgfile)]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["diagnostics"] == []
+    assert run_cli(["riemann", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 0
+
+
 def test_validate_reports_every_chain_precondition(tmp_path, capsys):
     cfgfile = tmp_path / "c.yaml"
     cfgfile.write_text("experiment: chain\nchain: {instances: 0, n_ops: 1}\n")

@@ -6,13 +6,21 @@ must give the same bits as the dense matrices did: the terms the dense
 products add are exact zeros.  The grid momentum eigensystem is the
 closed-form plane waves; it agrees with ``eigh`` of the dense p to
 roundoff, not bit for bit, since eigenvector phases are arbitrary.
+
+The dense grid matrices (p, rho, R, the half line, the pointer phase
+kernel) are built each in one buffer, in place; the expressions they
+were built from before stay here as oracles, equal bit for bit, and a
+traced memory budget holds the buffers to that count.
 """
+
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from weaklab import experiments, hilbert
+from weaklab import experiments, hilbert, pointer
 from weaklab.errors import InvalidConfig, NotHermitian
 from weaklab.weakcorr import averaged_weak_correlation, weak_value
 
@@ -158,3 +166,119 @@ def test_grid_ccr_runs_without_eigh(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     assert experiments.ccr_experiment(hilbert.GridConfig(64, 20.0)).passed
+
+
+@settings(max_examples=30, deadline=None)
+@given(cfg=grids)
+def test_grid_momentum_bit_identical_to_dense(cfg):
+    n = cfg.n_points
+    pm = np.fft.ifft(cfg.wavenumbers()[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0) * cfg.hbar
+    _, p_op = hilbert.make_grid_ops(cfg)
+    assert np.array_equal(p_op.matrix, 0.5 * (pm + pm.conj().T))
+
+
+def dense_hermitian_residual(m):
+    return float(np.max(np.abs(m - m.conj().T)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(1, 40), slab_entries=st.integers(1, 1600), seed=st.integers(0, 2**31 - 1))
+@example(n=37, slab_entries=64, seed=0)  # slabs of 1 row
+@example(n=37, slab_entries=370, seed=1)  # 10-row slabs and a 7-row tail
+def test_slabbed_hermitian_residual_equals_dense(n, slab_entries, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hilbert, "_SLAB_ENTRIES", slab_entries)
+        assert hilbert.hermitian_residual(m) == dense_hermitian_residual(m)
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (150, 7), (299, 299)])
+def test_slabbed_hermitian_residual_propagates_nan(entry):
+    # 300 rows: slabs of 218 and 82 rows at the default slab size; a NaN
+    # at (299, 299) lies in the last slab only
+    rng = np.random.default_rng(entry[0])
+    m = rng.standard_normal((300, 300)) + 1j * rng.standard_normal((300, 300))
+    assert hilbert.hermitian_residual(m) == dense_hermitian_residual(m)
+    m[entry] = np.nan
+    assert math.isnan(dense_hermitian_residual(m))
+    assert math.isnan(hilbert.hermitian_residual(m))
+
+
+def dense_half_line_residual(rep, r, i):
+    """The half-line residual as riemann_experiment computed it from dense temporaries."""
+    half_line = 0.5 * (r.matrix + r.matrix.conj().T) - 0.5 * np.eye(r.dim)
+    if isinstance(rep, hilbert.FockConfig):
+        return float(np.max(np.abs(half_line[: rep.dim - 2, : rep.dim - 2])))
+    return float(np.linalg.norm(half_line @ i.amplitudes))
+
+
+@settings(max_examples=30, deadline=None)
+@given(rep=st.one_of(grids, st.builds(hilbert.FockConfig, dim=st.integers(3, 64),
+                                      hbar=st.floats(0.25, 4.0))))
+def test_half_line_residual_bit_identical_to_dense(rep):
+    x_op, p_op = experiments._ccr_ops(rep)
+    _, r = experiments.riemann_ops(x_op, p_op, rep.hbar)
+    i, _ = experiments.riemann_selections(rep)
+    report = experiments.riemann_experiment(rep)
+    assert report.half_line_residual == dense_half_line_residual(rep, r, i)
+
+
+def dense_kernel_rows(initial, final, spec, phi, eigensystem):
+    """conditional_pointers' rows with the phase kernel built as one exp of temporaries."""
+    a = np.stack([s.amplitudes for s in initial], axis=1)
+    b = np.stack([s.amplitudes for s in final], axis=1)
+    w, v = eigensystem
+    if v is not None:
+        a, b = v.conj().T @ a, v.conj().T @ b
+    coeffs = b.conj().T * a.T
+    grid = phi.grid
+    coeff = -1j * pointer.COUPLING_SIGN[spec.pointer_generator] * spec.strength
+    if spec.pointer_generator == pointer.POSITION:
+        kernel = np.exp(coeff * np.outer(w, grid.positions()) / grid.hbar)
+        kernel *= phi.wavefunction
+        return coeffs @ kernel
+    kernel = np.exp(coeff * np.outer(w, grid.wavenumbers()))
+    kernel *= np.fft.fft(phi.wavefunction)
+    return np.fft.ifft(coeffs @ kernel, axis=1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    cfg=grids,
+    which=st.sampled_from(["x", "p"]),
+    generator=st.sampled_from([pointer.POSITION, pointer.MOMENTUM]),
+    g=st.floats(-0.1, 0.1),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_pointer_kernel_bit_identical_to_dense(cfg, which, generator, g, seed):
+    x_op, p_op = hilbert.make_grid_ops(cfg)
+    obs, eigensystem = (
+        (x_op, (x_op.diagonal.real, None)) if which == "x" else (p_op, cfg.momentum_eigensystem())
+    )
+    i = hilbert.random_state(cfg.n_points, seed, cfg.basis_id)
+    fs = [hilbert.random_state(cfg.n_points, seed + k, cfg.basis_id) for k in (1, 2)]
+    phi = pointer.gaussian_pointer(pointer.pointer_grid(1.0, cfg.hbar, 256), 1.0)
+    spec = pointer.CouplingSpec(obs, generator, g)
+    rows, _ = pointer.conditional_pointers([i], fs, spec, phi, eigensystem)
+    assert np.array_equal(rows, dense_kernel_rows([i], fs, spec, phi, eigensystem))
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes numpy and Python allocate while ``fn`` runs, above what was live before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_dense_grid_path_memory_budget():
+    # in units of one n x n complex matrix; the dense temporaries this path
+    # once built peaked at 4.03 (make_grid_ops) and 6.0 (riemann_experiment)
+    cfg = hilbert.GridConfig(512, 40.0)
+    unit = cfg.n_points**2 * 16
+    assert traced_peak(lambda: hilbert.make_grid_ops(cfg)) <= 3.0 * unit
+    assert traced_peak(lambda: experiments.riemann_experiment(cfg)) <= 4.5 * unit
