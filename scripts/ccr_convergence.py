@@ -41,14 +41,14 @@ def main():
     print(f"{'g':>8} {'corr/g^2':>12} {'corr resid':>11} "
           f"{'|dev dx|/g':>11} {'|dev dp|/g':>11}")
     gs = [args.g0 / 2**k for k in range(args.steps)]
-    for g in gs:
-        rep_g = ccr_experiment(rep, sigma=1.0, sigma_prime=1.0, g=g, n_trials=0)
+    sweep = ccr_experiment(rep, sigma=1.0, sigma_prime=1.0, g=gs[0], g_sweep=gs,
+                           n_trials=0, run_pointer=False).g_sweep_rows
+    for g, corr, _ in sweep:
         stage = pointer.measure_weakly(i, f, x_op, 1.0, g, grid)
         dx = pointer.pointer_mean_position(stage.pointer)
         dp = pointer.pointer_mean_momentum(stage.pointer)
         dev_x = abs(dx + 2.0 * g * x_w.imag) / g
         dev_p = abs(dp - g * x_w.real) / g
-        corr = rep_g.pointer_corr_over_g2
         print(f"{g:8.4f} {corr:12.6f} {abs(corr - 1.0):11.2e} "
               f"{dev_x:11.2e} {dev_p:11.2e}")
 

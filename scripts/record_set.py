@@ -5,10 +5,10 @@ Runs every invocation below in this process, each into ``OUT/<name>/``:
 the commands of the four benchmark workloads at their default seeds (taken
 from ``bench/run.py``), the five default experiment runs, a grid ``ccr``
 with Monte Carlo, a Fock ``montecarlo``, a Fock ``riemann`` with
-displaced selections, three runs that reach the pointer's hbar and the
-coupling sweep (a Fock ``ccr`` with Monte Carlo at hbar = 0.5, a Fock
-``ccr`` g-sweep, and a Fock-preset ``montecarlo`` at hbar = 0.5), and a
-grid ``riemann`` at 2048 points, where the dense grid matrices are
+displaced selections, four runs that reach the pointer's hbar and the
+coupling sweep (a Fock ``ccr`` with Monte Carlo at hbar = 0.5, a Fock and
+a grid ``ccr`` g-sweep, and a Fock-preset ``montecarlo`` at hbar = 0.5),
+and a grid ``riemann`` at 2048 points, where the dense grid matrices are
 largest.
 Two such directories, from two versions of the code, are compared with
 ``scripts/record_diff.py A B``.
@@ -63,6 +63,8 @@ def invocations(config_dir: Path) -> list:
                                    "--seed", "3", "--format", "both"]),
         ("ccr-fock32-g-sweep", ["ccr", "--dim", "32", "--n-trials", "0",
                                 "--g-sweep", "0.01,0.02,-0.05", "--format", "both"]),
+        ("ccr-grid128-g-sweep", ["ccr", "--rep", "grid", "--points", "128", "--n-trials", "0",
+                                 "--g-sweep", "0.01,-0.03", "--format", "both"]),
         ("montecarlo-fock-hbar0.5", ["montecarlo", "--preset", "fock", "--hbar", "0.5",
                                      "--n-trials", "2000000", "--seed", "4"]),
         ("riemann-grid2048", ["riemann", "--rep", "grid", "--points", "2048"]),

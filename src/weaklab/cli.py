@@ -80,7 +80,7 @@ def _rep_fields(experiment: str) -> dict:
 SCHEMA = {
     "out": Field("./weaklab-out", "str", "--out", "output directory"),
     "format": Field("json", ("json", "csv", "both"), "--format", "output files"),
-    "seed": Field(0, "int", "--seed", "64-bit master seed"),
+    "seed": Field(0, "int", "--seed", "master seed, 0 to 2**64 - 1"),
     "hbar": Field(1.0, "float", "--hbar", "hbar > 0"),
     "workers": Field(1, "int", "--workers", f"Monte Carlo worker threads, 1 to {MAX_WORKERS}"),
     "pauli.alpha": Field(math.pi / 3, "float", "--alpha", "spin angle"),
@@ -308,8 +308,8 @@ def resolve_config(experiment: str, file_cfg: dict, overrides: dict) -> dict:
     """defaults <- config file <- CLI flags, each leaf coerced to its SCHEMA type.
 
     Raises ConfigError on unknown fields, values of the wrong type
-    (bools, fractional integers, non-finite numbers), hbar <= 0 and
-    workers outside 1..MAX_WORKERS.
+    (bools, fractional integers, non-finite numbers), hbar <= 0, a seed
+    outside [0, 2**64) and workers outside 1..MAX_WORKERS.
     """
     file_cfg = dict(file_cfg)
     declared = file_cfg.pop("experiment", experiment)
@@ -336,6 +336,9 @@ def resolve_config(experiment: str, file_cfg: dict, overrides: dict) -> dict:
         _put(cfg, path, _coerce(path, field.kind, value))
     if cfg["hbar"] <= 0:
         raise ConfigError("hbar must be a positive real")
+    # Monte Carlo keys and chain seeds take it modulo 2**64: one outside aliases one inside
+    if not 0 <= cfg["seed"] < 1 << 64:
+        raise ConfigError(f"seed must be in [0, 2**64), got {cfg['seed']}")
     if not 1 <= cfg["workers"] <= MAX_WORKERS:
         raise ConfigError(f"workers must be between 1 and {MAX_WORKERS}")
     return cfg
@@ -399,16 +402,13 @@ def _run_pauli(cfg):
 
 def _run_ccr(cfg):
     sub = cfg["ccr"]
-    experiments.require_precondition("ccr.g_sweep", sub["g_sweep"])
     rep = _build_rep(sub["rep"], cfg["hbar"])
-    common = dict(
-        i_spec=_ccr_state(rep, sub["state"]), sigma=sub["sigma"],
-        sigma_prime=sub["sigma_prime"], seed=cfg["seed"],
-        pointer_points=sub["pointer_points"], pointer_sigmas=sub["pointer_length_sigmas"],
-    )
     report = experiments.ccr_experiment(
-        rep, g=sub["g"], n_trials=sub["n_trials"], run_pointer=sub["run_pointer"],
-        n_workers=cfg["workers"], **common,
+        rep, i_spec=_ccr_state(rep, sub["state"]), sigma=sub["sigma"],
+        sigma_prime=sub["sigma_prime"], g=sub["g"], g_sweep=sub["g_sweep"],
+        n_trials=sub["n_trials"], seed=cfg["seed"], run_pointer=sub["run_pointer"],
+        n_workers=cfg["workers"], pointer_points=sub["pointer_points"],
+        pointer_sigmas=sub["pointer_length_sigmas"],
     )
     rows = [
         [r.index, r.p_eigenvalue, r.weight, r.x_w.real, r.x_w.imag,
@@ -426,18 +426,9 @@ def _run_ccr(cfg):
             rows,
         )
     }
-    checks = list(report.checks)
-    if sub["g_sweep"]:
-        g_rows = []
-        for g in sub["g_sweep"]:
-            rg = experiments.ccr_experiment(rep, g=g, n_trials=0, run_pointer=True, **common)
-            # the sweep run's own pointer check, renamed after its g
-            check = next(c for c in rg.checks if c.name == "pointer_corr_vs_hbar_sigma2")
-            g_rows.append([g, rg.pointer_corr_over_g2, check.residual])
-            checks.append(dataclasses.replace(check, name=f"g_sweep_pointer_corr(g={g!r})"))
-        tables["g_sweep"] = (["g", "pointer_corr_over_g2", "rel_residual"], g_rows)
-        report = {"base": report, "g_sweep_rows": g_rows}
-    return report, checks, tables
+    if report.g_sweep_rows:
+        tables["g_sweep"] = (["g", "pointer_corr_over_g2", "rel_residual"], report.g_sweep_rows)
+    return report, list(report.checks), tables
 
 
 def _run_riemann(cfg):

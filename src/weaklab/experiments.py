@@ -32,7 +32,7 @@ from .hilbert import (
     check_truncation_edge,
     coherent_state,
     edge_amplitude,
-    eigenbasis,
+    eigenbasis,  # noqa: F401  (unused; bench/tracer.py wraps it under this name)
     expectation,
     gaussian_grid_state,
     hermitian_part,
@@ -233,6 +233,8 @@ class CcrReport:
     mc_accepted: int | None
     mc_attempted: int | None
     mc_coverage: float | None
+    # (g, pointer_corr_over_g2, its relative residual) per g_sweep coupling
+    g_sweep_rows: tuple
     checks: tuple
 
     @property
@@ -324,6 +326,7 @@ def ccr_experiment(
     sigma: float = 1.0,
     sigma_prime: float = 1.0,
     g: float = 0.01,
+    g_sweep: tuple | list = (),
     n_trials: int = 0,
     seed: int = 0,
     run_pointer: bool = True,
@@ -343,14 +346,19 @@ def ccr_experiment(
     make every p_w real); (d) the exact two-pointer correlator and, when
     ``n_trials`` > 0, its Monte Carlo estimate, vs hbar * sigma^2.
 
+    ``g_sweep`` reruns only the exact pointer stage, at each of its
+    couplings and also under ``run_pointer=False``: one ``g_sweep_rows`` entry
+    (g, pointer_corr_over_g2, relative residual) and one check each.
+
     ``n_trials`` is the total attempt budget, allocated over the
     mid-selections proportionally to their Born weights; a positive budget
     that leaves no selection its 25 expected accepted trials raises
-    NoAcceptedTrials.  A negative budget, or a ``g`` whose square is 0,
-    raises InvalidConfig before any work.
+    NoAcceptedTrials.  A negative budget, or a ``g`` or ``g_sweep``
+    coupling whose square is 0, raises InvalidConfig before any work.
     """
     require_precondition("ccr.n_trials", n_trials)
     require_precondition("ccr.g", g)
+    require_precondition("ccr.g_sweep", g_sweep)
     x_op, p_op = _ccr_ops(rep)
     hbar = rep.hbar
     i = i_spec if i_spec is not None else _ccr_default_state(rep)
@@ -364,17 +372,21 @@ def ccr_experiment(
     oracle = complex(np.vdot(i.amplitudes, (xp - px) @ i.amplitudes))
     del xp, px  # not kept through the pointer stage
 
-    # (b, c) momentum mid-selection basis: plane waves on the grid, eigh for Fock
+    # (b, c) momentum mid-selection basis: plane waves on the grid, eigh for
+    # Fock, held once in v.  Each column becomes its StateVector's amplitudes;
+    # the StateVectors of the admissible rows are the mid-selections.
     if isinstance(rep, GridConfig):
         p_eigs, v = rep.momentum_eigensystem()
-        p_basis = [StateVector(rep.basis_id, v[:, j]) for j in range(rep.n_points)]
     else:
-        p_eigs, p_basis = eigenbasis(p_op)
-    weights = np.array([abs(complex(np.vdot(f.amplitudes, i.amplitudes))) ** 2 for f in p_basis])
-    admissible = weights > ORTHOGONALITY_EPS**2  # overlap above the orthogonality eps
-    decomps = {
-        int(j): ccr_decomposition(i, p_basis[j], x_op, p_op) for j in np.flatnonzero(admissible)
-    }
+        p_eigs, v = np.linalg.eigh(p_op.matrix)
+    weights, mids = np.empty(len(p_eigs)), {}
+    for j in range(len(p_eigs)):
+        f = StateVector(rep.basis_id, v[:, j])
+        v[:, j] = f.amplitudes
+        weights[j] = abs(complex(np.vdot(f.amplitudes, i.amplitudes))) ** 2
+        if weights[j] > ORTHOGONALITY_EPS**2:  # overlap above the orthogonality eps
+            mids[j] = f
+    decomps = {j: ccr_decomposition(i, f, x_op, p_op) for j, f in mids.items()}
     eq9_avg = math.fsum(weights[j] * d.lhs for j, d in decomps.items())
     eq10_avg = math.fsum(weights[j] * d.simplified_lhs for j, d in decomps.items())
     # A row decides all_p_w_real only when the roundoff bound of its ratio
@@ -388,12 +400,11 @@ def ccr_experiment(
         <= _ROUNDOFF_SHARE * P_IMAG_TOL * max(1.0, abs(d.p_w))
     )
 
-    # (d) pointer + Monte Carlo over the dominant mid-selections
+    # (d) pointer + Monte Carlo over the dominant mid-selections; only d depends on g
     chains, stats = {}, {}
-    pointer_corr = pointer_cov = None
-    mc_corr = mc_se = mc_cov = None
-    mc_accepted = mc_attempted = None
-    if run_pointer:
+    pointer_corr = pointer_resid = pointer_cov = None
+    mc_corr = mc_se = mc_cov = mc_accepted = mc_attempted = None
+    if run_pointer or g_sweep:
         grid = pointer_grid(sigma, hbar, pointer_points, pointer_sigmas)
         grid_prime = pointer_grid(sigma_prime, hbar, pointer_points, pointer_sigmas)
         order = np.argsort(weights)[::-1]
@@ -401,33 +412,33 @@ def ccr_experiment(
         n_keep = int(np.searchsorted(cum, _POINTER_COVERAGE * cum[-1])) + 1
         w_cut = weights[order[n_keep - 1]] * (1.0 - _POINTER_TIE_RTOL)
         n_keep = int(np.count_nonzero(weights[order] >= w_cut))  # order is descending
-        keep = [int(j) for j in order[:n_keep] if admissible[j]]
-        p_vectors = np.stack([f.amplitudes for f in p_basis], axis=1)
+        keep = [int(j) for j in order[:n_keep] if j in mids]
+
+    def pointer_stage(g_s):  # -> chains, pointer_corr_over_g2, its relative residual
         chains = dict(zip(keep, run_ccr_protocols(
-            i, [p_basis[j] for j in keep], x_op, p_op, sigma, sigma_prime, g,
-            grid, grid_prime, p_eigensystem=(p_eigs, p_vectors),
+            i, [mids[j] for j in keep], x_op, p_op, sigma, sigma_prime, g_s,
+            grid, grid_prime, p_eigensystem=(p_eigs, v),
         )))
-        pointer_corr = math.fsum(
-            weights[j] * c.dx_d * c.dx_d_prime for j, c in chains.items()
-        ) / g**2
+        corr = math.fsum(weights[j] * c.dx_d * c.dx_d_prime for j, c in chains.items()) / g_s**2
+        return chains, corr, abs(corr - hbar * sigma**2) / (hbar * sigma**2)
+
+    if run_pointer:
+        chains, pointer_corr, pointer_resid = pointer_stage(g)
         pointer_cov = float(np.sum(weights[keep]))
 
         if n_trials > 0:
             # attempts proportional to Born weight; keep selections whose
             # expected accepted count is workable
-            w_keep = np.array([weights[j] for j in keep])
+            w_keep = weights[keep]
             alloc = np.ceil(n_trials * w_keep / np.sum(w_keep)).astype(int)
-            acc_prob = np.array(
-                [chains[j].prob_mid * chains[j].prob_post for j in keep]
-            )
+            acc_prob = np.array([chains[j].prob_mid * chains[j].prob_post for j in keep])
             usable = alloc * acc_prob >= _MC_MIN_EXPECTED_ACCEPTED
             if not usable.any():
                 raise NoAcceptedTrials(
                     f"a budget of {n_trials} trials gives no mid-selection the "
                     f"{_MC_MIN_EXPECTED_ACCEPTED:g} expected accepted trials it needs"
                 )
-            mc_accepted = mc_attempted = 0
-            mc_cov = 0.0
+            mc_accepted, mc_attempted, mc_cov = 0, 0, 0.0
             for j, a, ok in zip(keep, alloc, usable):
                 if not ok:
                     continue
@@ -467,17 +478,14 @@ def ccr_experiment(
         make_check("eq10_born_avg_vs_minus_half_hbar", abs(eq10_avg + 0.5 * hbar), CCR_EXACT_TOL),
     ]
     if pointer_corr is not None:
-        checks.append(
-            make_check(
-                "pointer_corr_vs_hbar_sigma2",
-                abs(pointer_corr - hbar * sigma**2) / (hbar * sigma**2),
-                CCR_POINTER_RTOL,
-            )
-        )
+        checks.append(make_check("pointer_corr_vs_hbar_sigma2", pointer_resid, CCR_POINTER_RTOL))
     if mc_corr is not None:
         checks.append(make_check(
             "mc_corr_vs_exact_pointer", abs(mc_corr - pointer_corr), MC_SIGMA_BAND * mc_se
         ))
+    sweep_rows = tuple((g_s, *pointer_stage(g_s)[1:]) for g_s in g_sweep)
+    checks += [make_check(f"g_sweep_pointer_corr(g={g_s!r})", resid, CCR_POINTER_RTOL)
+               for g_s, _, resid in sweep_rows]
 
     return CcrReport(
         representation=rep.basis_id,
@@ -502,6 +510,7 @@ def ccr_experiment(
         mc_accepted=mc_accepted,
         mc_attempted=mc_attempted,
         mc_coverage=mc_cov,
+        g_sweep_rows=sweep_rows,
         checks=tuple(checks),
     )
 

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from weaklab import cli, experiments, hilbert
 from weaklab.errors import TruncationWarning
@@ -319,6 +319,23 @@ def test_ccr_g_sweep_leading_minus(tmp_path, glued):
     ]
 
 
+def test_ccr_g_sweep_reruns_only_the_pointer_stage(tmp_path, monkeypatch):
+    calls = {"_ccr_ops": 0, "ccr_decomposition": 0}
+    for name in calls:
+        def counted(*args, _name=name, _orig=getattr(experiments, name)):
+            calls[_name] += 1
+            return _orig(*args)
+
+        monkeypatch.setattr(experiments, name, counted)
+    out = tmp_path / "r"
+    assert run_cli(["ccr", "--rep", "grid", "--points", "64", "--length", "20", "--n-trials", "0",
+                    "--g-sweep", "0.01,0.02,-0.03", "--out", str(out)]) == 0
+    assert calls["_ccr_ops"] == 1
+    report = read_json(out / "run.json")["report"]
+    assert calls["ccr_decomposition"] == len(report["per_f"])
+    assert [row[0] for row in report["g_sweep_rows"]] == [0.01, 0.02, -0.03]
+
+
 # -- config schema: one coercion point ---------------------------------------
 
 @pytest.mark.parametrize("yaml_text", [
@@ -343,6 +360,22 @@ def test_rejected_flag_exits_2_without_outputs(tmp_path, flag):
     out = tmp_path / "never"
     assert run_cli(["ccr", *flag, "--out", str(out)]) == cli.EXIT_CONFIG_ERROR
     assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_64_bits_exits_2_and_validate_reports_it(tmp_path, capsys, seed):
+    # the Monte Carlo keys take the seed modulo 2**64: -1 would replay 2**64 - 1
+    # and 2**64 would replay 0, each under a record stating another seed
+    out = tmp_path / "never"
+    assert run_cli(["montecarlo", "--seed", str(seed), "--out", str(out)]) == cli.EXIT_CONFIG_ERROR
+    assert not out.exists()
+    cfgfile = tmp_path / "c.yaml"
+    cfgfile.write_text(f"experiment: chain\nseed: {seed}\n")
+    capsys.readouterr()
+    assert run_cli(["validate", str(cfgfile)]) == cli.EXIT_CONFIG_ERROR
+    diags = json.loads(capsys.readouterr().out)["diagnostics"]
+    assert [(d["field"], d["error"]) for d in diags] == [("config", "ConfigError")]
+    assert diags[0]["message"].startswith("seed must be in [0, 2**64)")
 
 
 @pytest.mark.parametrize("workers", ["65", "1000000"])
@@ -558,6 +591,9 @@ def _configs(draw):
 
 
 @given(_configs())
+@example(("chain", {"seed": -1}, {"seed": -1}, False))
+@example(("chain", {"seed": 2**64}, {"seed": 2**64}, False))
+@example(("chain", {"seed": 2**64 - 1}, {"seed": 2**64 - 1}, False))
 @settings(max_examples=200, deadline=None)
 def test_resolve_config_accepts_exactly_the_schema_types(case):
     experiment, raw, expected, has_unknown = case
@@ -568,7 +604,8 @@ def test_resolve_config_accepts_exactly_the_schema_types(case):
         values["ccr.state.displacement"] = (
             _REJECT if dim is _REJECT else experiments.ccr_default_displacement(dim))
     accept = (not has_unknown and _REJECT not in values.values()
-              and values["hbar"] > 0 and 1 <= values["workers"] <= 64)
+              and values["hbar"] > 0 and 0 <= values["seed"] < 2**64
+              and 1 <= values["workers"] <= 64)
     if not accept:
         with pytest.raises(cli.ConfigError):
             cli.resolve_config(experiment, raw, {})

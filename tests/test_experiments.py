@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from weaklab import experiments, hilbert
-from weaklab.errors import AlphaOutOfRange, TruncationWarning
+from weaklab.errors import AlphaOutOfRange, InvalidConfig, TruncationWarning
 from weaklab.experiments import (
     REFERENCE_ZEROS,
     ccr_experiment,
@@ -139,6 +139,32 @@ def test_ccr_experiment_pointer_g_halving():
     resid_a = abs(rep_a.pointer_corr_over_g2 - 1.0)
     resid_b = abs(rep_b.pointer_corr_over_g2 - 1.0)
     assert resid_a / resid_b == pytest.approx(4.0, rel=0.2)
+
+
+@pytest.mark.parametrize("rep", [hilbert.GridConfig(64, 20.0), hilbert.FockConfig(dim=24)],
+                         ids=["grid", "fock"])
+def test_ccr_g_sweep_rows_equal_separate_runs(rep):
+    gs = [0.01, -0.03, 0.02]
+    swept = ccr_experiment(rep, g=0.015, g_sweep=gs, n_trials=0, run_pointer=False)
+    assert swept.pointer_corr_over_g2 is None
+    sweep_checks = [c for c in swept.checks if c.name.startswith("g_sweep_pointer_corr(")]
+    assert [row[0] for row in swept.g_sweep_rows] == gs
+    for (g, corr, resid), check in zip(swept.g_sweep_rows, sweep_checks, strict=True):
+        alone = ccr_experiment(rep, g=g, n_trials=0)
+        (target,) = [c for c in alone.checks if c.name == "pointer_corr_vs_hbar_sigma2"]
+        assert corr == alone.pointer_corr_over_g2  # bit for bit
+        assert resid == target.residual
+        assert check == dataclasses.replace(target, name=f"g_sweep_pointer_corr(g={g!r})")
+    assert ccr_experiment(rep, n_trials=0, run_pointer=False).g_sweep_rows == ()
+
+
+def test_ccr_g_sweep_precondition_raises_before_any_work(monkeypatch):
+    def no_work(rep):
+        raise AssertionError("operators built before the precondition")
+
+    monkeypatch.setattr(experiments, "_ccr_ops", no_work)
+    with pytest.raises(InvalidConfig, match="ccr g_sweep must be"):
+        ccr_experiment(hilbert.GridConfig(64, 20.0), g_sweep=[0.01, 0.0])
 
 
 def test_ccr_experiment_monte_carlo_branch():

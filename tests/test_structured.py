@@ -277,8 +277,10 @@ def traced_peak(fn) -> int:
 
 def test_dense_grid_path_memory_budget():
     # in units of one n x n complex matrix; the dense temporaries this path
-    # once built peaked at 4.03 (make_grid_ops) and 6.0 (riemann_experiment)
+    # once built peaked at 4.03 (make_grid_ops) and 6.0 (riemann_experiment),
+    # and ccr_experiment, holding its momentum basis three times, at 7.28
     cfg = hilbert.GridConfig(512, 40.0)
     unit = cfg.n_points**2 * 16
     assert traced_peak(lambda: hilbert.make_grid_ops(cfg)) <= 3.0 * unit
     assert traced_peak(lambda: experiments.riemann_experiment(cfg)) <= 4.5 * unit
+    assert traced_peak(lambda: experiments.ccr_experiment(cfg, n_trials=0)) <= 5.75 * unit
