@@ -43,13 +43,14 @@ def main():
     gs = [args.g0 / 2**k for k in range(args.steps)]
     sweep = ccr_experiment(rep, sigma=1.0, sigma_prime=1.0, g=gs[0], g_sweep=gs,
                            n_trials=0, run_pointer=False).g_sweep_rows
-    for g, corr, _ in sweep:
+    for g, corr, resid in sweep:
         stage = pointer.measure_weakly(i, f, x_op, 1.0, g, grid)
         dx = pointer.pointer_mean_position(stage.pointer)
         dp = pointer.pointer_mean_momentum(stage.pointer)
-        dev_x = abs(dx + 2.0 * g * x_w.imag) / g
-        dev_p = abs(dp - g * x_w.real) / g
-        print(f"{g:8.4f} {corr:12.6f} {abs(corr - 1.0):11.2e} "
+        pred_dx, pred_dp = pointer.predicted_shifts(x_w, 1.0, grid.hbar, g)
+        dev_x = abs(dx - pred_dx) / g
+        dev_p = abs(dp - pred_dp) / g
+        print(f"{g:8.4f} {corr:12.6f} {resid:11.2e} "
               f"{dev_x:11.2e} {dev_p:11.2e}")
 
 

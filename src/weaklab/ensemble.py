@@ -23,8 +23,10 @@ block order.
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -63,25 +65,13 @@ def _block_stream(master_seed: int, stream: int, block: int) -> np.random.Genera
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def trial_uniforms(master_seed: int, stream: int, trial_index: int) -> np.ndarray:
-    """The four uniforms consumed by one trial (for purity checks)."""
-    block, row = divmod(trial_index, BLOCK)
-    u = _block_stream(master_seed, stream, block).random((BLOCK, _DRAWS))
-    return u[row]
-
-
 @dataclass(frozen=True)
 class EnsembleStats:
     """Accepted-trial statistics of one Monte Carlo run."""
 
     attempted: int
     accepted: int
-    acceptance_rate: float
-    mean_dx: float
-    mean_dx_prime: float
     mean_product: float
-    stderr_dx: float
-    stderr_dx_prime: float
     stderr_product: float
 
 
@@ -120,11 +110,11 @@ def _readout(pointer, kind: str):
 
 
 def _sample(master_seed, stream, n_trials, gates, readouts, n_workers):
-    """(accepted, [(mean, stderr), ...]) of ``n_trials`` trials of one stream.
+    """(accepted, (mean, stderr)) of ``n_trials`` trials of one stream.
 
     A trial passes when ``u[:, k] < gates[k]`` for every gate k; readout m
-    reads column 2 + m of the accepted rows.  The moments are one per
-    readout and, with two readouts, a last one of their product.
+    reads column 2 + m of the accepted rows.  The moments are those of the
+    product of the readouts, so of the readout itself when there is one.
     """
     blocks = range((n_trials + BLOCK - 1) // BLOCK)
 
@@ -135,10 +125,9 @@ def _sample(master_seed, stream, n_trials, gates, readouts, n_workers):
         acc = u[:, 0] < gates[0]
         for k in range(1, len(gates)):
             acc &= u[:, k] < gates[k]
-        r = [readout(np.compress(acc, u[:, 2 + m])) for m, readout in enumerate(readouts)]
-        if len(r) == 2:
-            r.append(r[0] * r[1])
-        return int(np.count_nonzero(acc)), [(float(np.sum(v)), float(np.sum(v * v))) for v in r]
+        v = reduce(operator.mul, (readout(np.compress(acc, u[:, 2 + m]))
+                                  for m, readout in enumerate(readouts)))
+        return int(np.count_nonzero(acc)), float(np.sum(v)), float(np.sum(v * v))
 
     n_threads = min(n_workers, len(blocks))
     if n_threads > 1:
@@ -147,19 +136,15 @@ def _sample(master_seed, stream, n_trials, gates, readouts, n_workers):
     else:
         partials = [one(b) for b in blocks]
 
-    accepted = sum(n for n, _ in partials)
+    accepted = sum(n for n, _, _ in partials)
     if accepted == 0:
         raise NoAcceptedTrials(f"0 of {n_trials} trials passed all selections")
-
-    def moment(sums):
-        mean = math.fsum(s for s, _ in sums) / accepted
-        if accepted < 2:
-            return mean, float("nan")
-        total_sq = math.fsum(q for _, q in sums)
-        var = max(0.0, (total_sq - accepted * mean * mean) / (accepted - 1))
-        return mean, math.sqrt(var / accepted)
-
-    return accepted, [moment(sums) for sums in zip(*(s for _, s in partials))]
+    mean = math.fsum(s for _, s, _ in partials) / accepted
+    if accepted < 2:
+        return accepted, (mean, float("nan"))
+    total_sq = math.fsum(q for _, _, q in partials)
+    var = max(0.0, (total_sq - accepted * mean * mean) / (accepted - 1))
+    return accepted, (mean, math.sqrt(var / accepted))
 
 
 def run_trials(
@@ -169,24 +154,15 @@ def run_trials(
 
     Per-trial randomness is the two selection gates (``prob_mid``,
     ``prob_post``) and the two position readouts of the conditional
-    pointers; see the module docstring.
+    pointers; see the module docstring.  The moments are those of the
+    readouts' product dx * dx'.
     """
-    accepted, ((mean_dx, se_dx), (mean_dxp, se_dxp), (mean_prod, se_prod)) = _sample(
+    accepted, (mean, stderr) = _sample(
         master_seed, _STREAM_TRIALS, n_trials, (chain.prob_mid, chain.prob_post),
         (_readout(chain.pointer_first, POSITION), _readout(chain.pointer_second, POSITION)),
         n_workers,
     )
-    return EnsembleStats(
-        attempted=n_trials,
-        accepted=accepted,
-        acceptance_rate=accepted / n_trials,
-        mean_dx=mean_dx,
-        mean_dx_prime=mean_dxp,
-        mean_product=mean_prod,
-        stderr_dx=se_dx,
-        stderr_dx_prime=se_dxp,
-        stderr_product=se_prod,
-    )
+    return EnsembleStats(n_trials, accepted, mean, stderr)
 
 
 @dataclass(frozen=True)
@@ -219,7 +195,7 @@ def estimate_weak_value(
     stage's selection probability.  The estimates converge to the
     closed-form weak value as n_trials grows and g shrinks.
     """
-    (n_pos, [(mean_dx, se_dx)]), (n_mom, [(mean_dp, se_dp)]) = (
+    (n_pos, (mean_dx, se_dx)), (n_mom, (mean_dp, se_dp)) = (
         _sample(master_seed, stream, n_trials, (stage.probability,),
                 (_readout(stage.pointer, kind),), n_workers)
         for kind, stream in ((POSITION, _STREAM_IMAG), (MOMENTUM, _STREAM_REAL))

@@ -712,7 +712,9 @@ def montecarlo_experiment(
     standard errors of the exact selection probability.
 
     Raises InvalidConfig, before any work, for n_trials < 1, g == 0,
-    sigma <= 0 or, under the fock preset, dim < 2.
+    sigma <= 0 or, under the fock preset, dim < 2, and GridResolutionError
+    when the coupling kicks weight past a quarter of the pointer grid
+    (at sigma = hbar = 1, |g| > 40.2 for the spin preset).
     """
     require_precondition("montecarlo.n_trials", n_trials)
     require_precondition("montecarlo.g", g)

@@ -29,6 +29,15 @@ inverse FFT along the rows.  ``measure_weakly``, ``run_ccr_protocol`` and
 (``product_joint`` -> ``couple`` -> ``select``) evolves the full
 system x pointer state and is kept as the oracle the kernel is tested
 against.
+
+A periodic pointer wraps a displacement past a quarter of its grid: level
+l translates the pointer by g w_l (momentum generator) or kicks its
+wavenumber by g w_l / hbar (position generator), and a quarter grid is
+length/4 or pi / (2 spacing).  ``conditional_pointers`` raises
+GridResolutionError when, for some selection, the levels displaced past a
+quarter grid carry more than ``WRAP_SHARE`` of sum_l |<b|v_l><v_l|a>|.
+The rule reads the exact coupling; the first-order shifts of the weak
+values (``predicted_shifts``) are predictions, never a guard.
 """
 
 from __future__ import annotations
@@ -42,13 +51,16 @@ from .errors import (
     BasisMismatch,
     GridResolutionError,
     InvalidConfig,
-    OrthogonalSelection,
     SelectionAnnihilated,
 )
 from .hilbert import GridConfig, Operator, StateVector, require_hermitian
-from .weakcorr import weak_value
+# not called here; importable because bench/tracer.py wraps pointer.weak_value
+from .weakcorr import weak_value  # noqa: F401
 
 ANNIHILATION_ATOL = 1e-15
+# largest share of sum_l |<b|v_l><v_l|a>| that a stage may displace past a
+# quarter of its pointer grid
+WRAP_SHARE = 1e-12
 
 POSITION = "position"
 MOMENTUM = "momentum"
@@ -112,26 +124,6 @@ class JointState:
         return self.amplitudes.shape[0]
 
 
-@dataclass(frozen=True)
-class CouplingSpec:
-    """Impulsive coupling sign * g * observable x pointer-quadrature.
-
-    The sign is ``COUPLING_SIGN[pointer_generator]``.
-    """
-
-    observable: Operator
-    pointer_generator: str
-    strength: float
-
-    def __post_init__(self):
-        if self.pointer_generator not in (POSITION, MOMENTUM):
-            raise InvalidConfig(
-                f"pointer_generator must be {POSITION!r} or {MOMENTUM!r}"
-            )
-        if not math.isfinite(self.strength):
-            raise InvalidConfig("coupling strength must be finite")
-
-
 def check_resolution(grid: GridConfig, sigma: float) -> None:
     """Raise GridResolutionError unless 4 * spacing <= sigma <= length/8."""
     if sigma < 4.0 * grid.spacing:
@@ -186,24 +178,33 @@ def _check_amplitude(amplitude: float) -> None:
         )
 
 
-def couple(joint: JointState, spec: CouplingSpec) -> JointState:
+def _coupling_coeff(generator: str, g: float) -> complex:
+    """-i * sign * g of the coupling unitary, after checking generator and g."""
+    if generator not in (POSITION, MOMENTUM):
+        raise InvalidConfig(f"generator must be {POSITION!r} or {MOMENTUM!r}")
+    if not math.isfinite(g):
+        raise InvalidConfig("coupling strength must be finite")
+    return -1j * COUPLING_SIGN[generator] * g
+
+
+def couple(joint: JointState, observable: Operator, generator: str, g: float) -> JointState:
     """Apply exp(-i * sign * g * observable x generator / hbar) exactly.
 
     Position generator: system-conditional phase profile.  Momentum
     generator: system-conditional translation, applied in the Fourier
     domain (exact for band-limited pointers).
     """
-    if spec.observable.basis_id != joint.system_basis_id:
+    coeff = _coupling_coeff(generator, g)
+    if observable.basis_id != joint.system_basis_id:
         raise BasisMismatch(
-            f"observable on {spec.observable.basis_id!r}, joint system on "
+            f"observable on {observable.basis_id!r}, joint system on "
             f"{joint.system_basis_id!r}"
         )
-    if spec.observable.dim != joint.system_dim:
+    if observable.dim != joint.system_dim:
         raise BasisMismatch("observable dimension does not match joint system")
-    w, v = _observable_eigensystem(spec.observable)
+    w, v = _observable_eigensystem(observable)
     b = joint.amplitudes if v is None else v.conj().T @ joint.amplitudes
-    coeff = -1j * COUPLING_SIGN[spec.pointer_generator] * spec.strength
-    if spec.pointer_generator == POSITION:
+    if generator == POSITION:
         phase = np.exp(coeff * np.outer(w, joint.grid.positions()) / joint.grid.hbar)
         b = b * phase
     else:
@@ -248,7 +249,9 @@ def _state_columns(states, observable: Operator) -> np.ndarray:
 def conditional_pointers(
     initial,
     final,
-    spec: CouplingSpec,
+    observable: Operator,
+    generator: str,
+    g: float,
     pointer: PointerState,
     eigensystem=None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -261,22 +264,43 @@ def conditional_pointers(
     is paired with every entry of the other.  ``eigensystem`` (w, v) of
     the observable skips its diagonalization.  Returns the rows, shape
     (selections, n_points), and their L2 norms (selection amplitudes).
+
+    Raises GridResolutionError when a selection's coupling wraps the
+    pointer (the module docstring's rule).
     """
-    a = _state_columns(initial, spec.observable)
-    b = _state_columns(final, spec.observable)
+    coeff = _coupling_coeff(generator, g)
+    a = _state_columns(initial, observable)
+    b = _state_columns(final, observable)
     if a.shape[1] != b.shape[1] and 1 not in (a.shape[1], b.shape[1]):
         raise InvalidConfig(
             f"{a.shape[1]} initial states cannot pair with {b.shape[1]} final states"
         )
-    w, v = _observable_eigensystem(spec.observable, eigensystem)
+    w, v = _observable_eigensystem(observable, eigensystem)
     if v is not None:
         a = v.conj().T @ a
         b = v.conj().T @ b
     coeffs = b.conj().T * a.T  # <b_s|v_l><v_l|a_s>, shape (selections, levels)
     grid = pointer.grid
-    coeff = -1j * COUPLING_SIGN[spec.pointer_generator] * spec.strength
+    if generator == POSITION:
+        reach, quarter = np.abs(g * w) / grid.hbar, math.pi / (2.0 * grid.spacing)
+    else:
+        reach, quarter = np.abs(g * w), grid.length / 4.0
+    beyond = reach > quarter
+    if beyond.any():
+        weight = np.abs(coeffs)
+        wrapped = weight[:, beyond].sum(axis=1)
+        total = weight.sum(axis=1)
+        wraps = np.flatnonzero(wrapped > WRAP_SHARE * total)
+        if wraps.size:
+            s = wraps[0]
+            raise GridResolutionError(
+                f"selection {s}: levels displaced past a quarter of the pointer grid "
+                f"({quarter:.3g}, {generator} generator) carry a share "
+                f"{wrapped[s] / total[s]:.3g} > {WRAP_SHARE:g} of its weight; the "
+                f"largest displacement is {reach.max():.3g}"
+            )
     # the phase kernel exp(coeff w x / hbar), built in one buffer
-    if spec.pointer_generator == POSITION:
+    if generator == POSITION:
         kernel = np.multiply(coeff, np.outer(w, grid.positions()))
         kernel /= grid.hbar
         np.exp(kernel, out=kernel)
@@ -363,10 +387,11 @@ def measure_weakly(
 ) -> WeakStageResult:
     """Prepare i x Gaussian on ``grid``, couple position-position, select f.
 
-    Exact throughout.
+    Exact throughout; a coupling that wraps the pointer raises
+    GridResolutionError (see ``conditional_pointers``).
     """
     phi = gaussian_pointer(grid, sigma)
-    rows, amps = conditional_pointers([i], [f], CouplingSpec(observable, POSITION, g), phi)
+    rows, amps = conditional_pointers([i], [f], observable, POSITION, g, phi)
     return _stage_result(phi, rows[0], amps[0])
 
 
@@ -402,38 +427,17 @@ def run_ccr_protocols(
     position.
 
     Each stage is one ``conditional_pointers`` call for all of ``finals``;
-    ``p_eigensystem`` (w, v) of ``p_op`` skips its diagonalization.  Rows
-    are checked in order, and the first failing one raises:
-    GridResolutionError when a first-order shift of the closed-form weak
-    values (``predicted_shifts``) exceeds a quarter of its grid,
-    SelectionAnnihilated when a selection leaves no amplitude.
+    ``p_eigensystem`` (w, v) of ``p_op`` skips its diagonalization.  A
+    coupling that wraps its pointer raises GridResolutionError (see
+    ``conditional_pointers``); then rows are checked in order, and the
+    first selection that leaves no amplitude raises SelectionAnnihilated.
     """
     phi = gaussian_pointer(grid, sigma)
     phi_prime = gaussian_pointer(grid_prime, sigma_prime)
-    rows1, amps1 = conditional_pointers([i], finals, CouplingSpec(x_op, POSITION, g), phi)
-    rows2, amps2 = conditional_pointers(
-        finals, [i], CouplingSpec(p_op, MOMENTUM, g), phi_prime, p_eigensystem
-    )
-    nan = complex(float("nan"), float("nan"))
+    rows1, amps1 = conditional_pointers([i], finals, x_op, POSITION, g, phi)
+    rows2, amps2 = conditional_pointers(finals, [i], p_op, MOMENTUM, g, phi_prime, p_eigensystem)
     results = []
-    for s, f in enumerate(finals):
-        try:
-            x_w = weak_value(i, f, x_op)
-            p_w_bar = weak_value(f, i, p_op)  # <i|p|f>/<i|f>
-        except OrthogonalSelection:
-            # predictions undefined; the exact chain decides whether the
-            # selections annihilate
-            x_w = p_w_bar = nan
-        predicted_dx = predicted_shifts(x_w, sigma, grid.hbar, g)[0]
-        if math.isfinite(predicted_dx) and abs(predicted_dx) > grid.length / 4.0:
-            raise GridResolutionError(
-                f"predicted P shift {predicted_dx:.3g} exceeds length/4 = {grid.length / 4}"
-            )
-        if math.isfinite(abs(g * p_w_bar)) and abs(g * p_w_bar) > grid_prime.length / 4.0:
-            raise GridResolutionError(
-                f"predicted P' translation {abs(g * p_w_bar):.3g} exceeds "
-                f"length/4 = {grid_prime.length / 4}"
-            )
+    for s in range(len(finals)):
         stage1 = _stage_result(phi, rows1[s], amps1[s])
         stage2 = _stage_result(phi_prime, rows2[s], amps2[s])
         results.append(

@@ -119,6 +119,18 @@ def test_numerical_error_exit_status(tmp_path):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("g, status", [(90.0, cli.EXIT_NUMERICAL_ERROR), (40.0, cli.EXIT_OK)])
+def test_montecarlo_coupling_that_wraps_the_pointer_exits_3(tmp_path, capsys, g, status):
+    # sigma = hbar = 1 on 1024 points over 40: the spin kick +-g wraps past
+    # the quarter grid pi / (2 spacing) = 40.2
+    out = tmp_path / "o"
+    argv = ["montecarlo", "--g", str(g), "--n-trials", "200000", "--out", str(out)]
+    assert run_cli(argv) == status
+    wraps = status == cli.EXIT_NUMERICAL_ERROR
+    assert ("numerical error: GridResolutionError:" in capsys.readouterr().err) == wraps
+    assert out.exists() != wraps
+
+
 def test_validate_clean_config(tmp_path, capsys):
     cfgfile = tmp_path / "ok.yaml"
     cfgfile.write_text("experiment: ccr\nccr:\n  sigma: 1.0\n")

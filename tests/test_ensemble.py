@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weaklab import ensemble, hilbert, pointer
-from weaklab.ensemble import BLOCK, estimate_weak_value, run_trials, trial_uniforms
+from weaklab.ensemble import BLOCK, estimate_weak_value, run_trials
 from weaklab.errors import InvalidConfig, NoAcceptedTrials, SelectionAnnihilated
 from weaklab.experiments import montecarlo_experiment
 from weaklab.hilbert import (
@@ -22,6 +22,20 @@ from weaklab.hilbert import (
 
 # the pointer grid of a unit-width pointer at hbar = 1
 POINTER_GRID = pointer.pointer_grid(1.0)
+
+
+def trial_uniforms(master_seed, stream, trial_index):
+    """The four uniforms consumed by one trial, drawn the way the sampler draws them."""
+    block, row = divmod(trial_index, ensemble.BLOCK)
+    return ensemble._block_stream(master_seed, stream, block).random((ensemble.BLOCK, 4))[row]
+
+
+def readout_moments(chain, n_trials, seed, pointer_state):
+    """(accepted, (mean, stderr)) of one position readout of ``pointer_state``
+    under both gates of ``chain``: the per-readout view of ``run_trials``."""
+    return ensemble._sample(seed, ensemble._STREAM_TRIALS, n_trials,
+                            (chain.prob_mid, chain.prob_post),
+                            (ensemble._readout(pointer_state, pointer.POSITION),), 1)
 
 
 def grid_setup(n_sys=64, length=20.0):
@@ -73,11 +87,13 @@ def uncoupled_chain():
 
 
 def test_same_selection_zero_coupling_accepts_everything():
-    stats = run_trials(uncoupled_chain(), 20_000, 11)
+    chain = uncoupled_chain()
+    stats = run_trials(chain, 20_000, 11)
     assert stats.accepted == stats.attempted == 20_000
-    assert stats.acceptance_rate == 1.0
-    assert abs(stats.mean_dx) <= 4.0 * stats.stderr_dx
-    assert abs(stats.mean_dx_prime) <= 4.0 * stats.stderr_dx_prime
+    for pointer_state in (chain.pointer_first, chain.pointer_second):
+        accepted, (mean, stderr) = readout_moments(chain, 20_000, 11, pointer_state)
+        assert accepted == 20_000
+        assert abs(mean) <= 4.0 * stderr
 
 
 def test_orthogonal_selection_zero_coupling_accepts_nothing():
@@ -101,7 +117,7 @@ def test_acceptance_rate_matches_born_product():
     q = chain.prob_mid * chain.prob_post
     stats = run_trials(chain, n, 7)
     se = math.sqrt(q * (1 - q) / n)
-    assert abs(stats.acceptance_rate - q) <= 3.0 * se
+    assert abs(stats.accepted / stats.attempted - q) <= 3.0 * se
 
 
 def test_mean_product_matches_exact_chain():
@@ -111,8 +127,10 @@ def test_mean_product_matches_exact_chain():
     assert stats.accepted >= 100_000
     exact = chain.dx_d * chain.dx_d_prime
     assert abs(stats.mean_product - exact) <= 3.0 * stats.stderr_product
-    assert abs(stats.mean_dx - chain.dx_d) <= 3.0 * stats.stderr_dx
-    assert abs(stats.mean_dx_prime - chain.dx_d_prime) <= 3.0 * stats.stderr_dx_prime
+    for pointer_state, dx in ((chain.pointer_first, chain.dx_d),
+                              (chain.pointer_second, chain.dx_d_prime)):
+        _, (mean, stderr) = readout_moments(chain, 3_200_000, 2, pointer_state)
+        assert abs(mean - dx) <= 3.0 * stderr
 
 
 def test_bit_identical_reruns_and_worker_independence():
@@ -126,9 +144,9 @@ def test_bit_identical_reruns_and_worker_independence():
 
 def test_stderr_scales_inverse_sqrt_accepted():
     chain = uncoupled_chain()
-    s_small = run_trials(chain, 1_000, 13)
-    s_big = run_trials(chain, 100_000, 13)
-    ratio = s_small.stderr_dx / s_big.stderr_dx
+    _, (_, se_small) = readout_moments(chain, 1_000, 13, chain.pointer_first)
+    _, (_, se_big) = readout_moments(chain, 100_000, 13, chain.pointer_first)
+    ratio = se_small / se_big
     assert ratio == pytest.approx(10.0, rel=0.2)
 
 
@@ -393,11 +411,7 @@ def test_estimate_weak_value_equals_binary_search_readout(monkeypatch, setup, n_
 # or the merge order changes them.
 PINNED_RUN_TRIALS = {
     "attempted": 66535, "accepted": 24595,
-    "acceptance_rate": "0x1.7a86dbbc835b6p-2",
-    "mean_dx": "0x1.08f03b1ef7347p-5", "mean_dx_prime": "0x1.6eb2176b5d6aep-6",
-    "mean_product": "0x1.133b11a4821b9p-7",
-    "stderr_dx": "0x1.a39ebd04fefb6p-8", "stderr_dx_prime": "0x1.a49be7da2176fp-8",
-    "stderr_product": "0x1.aac43904c08e9p-8",
+    "mean_product": "0x1.133b11a4821b9p-7", "stderr_product": "0x1.aac43904c08e9p-8",
 }
 PINNED_ESTIMATE = {
     "re_est": "0x1.84b7941a8db62p-2", "im_est": "-0x1.feb4dd07b1642p-5",
@@ -438,8 +452,8 @@ def test_block_merge_is_exact(monkeypatch, n_workers):
 
     def sample(block_values):
         readout = block_tagged_readout(seed, stream, n_blocks, block_values)
-        accepted, [moments] = ensemble._sample(seed, stream, n_trials, (2.0,), (readout,),
-                                               n_workers)
+        accepted, moments = ensemble._sample(seed, stream, n_trials, (2.0,), (readout,),
+                                             n_workers)
         assert accepted == n_trials  # a gate above 1 passes every trial
         return moments
 
@@ -484,5 +498,6 @@ def test_run_blocks_starts_at_most_one_thread_per_block(monkeypatch, n_workers, 
 
     monkeypatch.setattr(ensemble, "ThreadPoolExecutor", Pool)
     # a gate above 1 passes every trial
-    assert ensemble._sample(3, 1, n_trials, (2.0,), (), n_workers) == (n_trials, [])
+    accepted, _ = ensemble._sample(3, 1, n_trials, (2.0,), (np.zeros_like,), n_workers)
+    assert accepted == n_trials
     assert sizes == ([] if pool_size is None else [pool_size])

@@ -19,7 +19,6 @@ from weaklab.pointer import (
     ANNIHILATION_ATOL,
     MOMENTUM,
     POSITION,
-    CouplingSpec,
     PointerState,
     conditional_pointers,
     couple,
@@ -73,7 +72,7 @@ def test_couple_zero_strength_is_identity():
     up = hilbert.basis_state(2, 0, hilbert.PAULI_BASIS_ID)
     phi = gaussian_pointer(GRID, 1.0)
     joint = product_joint(up, phi)
-    out = couple(joint, CouplingSpec(hilbert.pauli("z"), "momentum", 0.0))
+    out = couple(joint, hilbert.pauli("z"), "momentum", 0.0)
     np.testing.assert_allclose(out.amplitudes, joint.amplitudes, atol=1e-15)
 
 
@@ -83,10 +82,7 @@ def test_couple_translates_eigenstate_by_g_lambda():
     up = hilbert.basis_state(2, 0, hilbert.PAULI_BASIS_ID)
     phi = gaussian_pointer(GRID, 1.0)
     g = 0.3
-    joint = couple(
-        product_joint(up, phi),
-        CouplingSpec(hilbert.pauli("z"), "momentum", g),
-    )
+    joint = couple(product_joint(up, phi), hilbert.pauli("z"), "momentum", g)
     cond, amp = select(joint, up)
     assert amp == pytest.approx(1.0, abs=1e-12)
     assert pointer_mean_position(cond) == pytest.approx(g, abs=1e-10)
@@ -102,7 +98,7 @@ def test_couple_preserves_norm():
     xs_op, _ = make_grid_ops(cfg)
     i = gaussian_grid_state(cfg, width=1.5)
     phi = gaussian_pointer(GRID, 1.0)
-    joint = couple(product_joint(i, phi), CouplingSpec(xs_op, "position", 0.7))
+    joint = couple(product_joint(i, phi), xs_op, "position", 0.7)
     total = float(np.sum(np.abs(joint.amplitudes) ** 2)) * GRID.spacing
     assert total == pytest.approx(1.0, abs=1e-10)
 
@@ -111,7 +107,7 @@ def test_couple_basis_mismatch():
     up = hilbert.basis_state(2, 0, "elsewhere")
     phi = gaussian_pointer(GRID, 1.0)
     with pytest.raises(BasisMismatch):
-        couple(product_joint(up, phi), CouplingSpec(hilbert.pauli("z"), "position", 0.1))
+        couple(product_joint(up, phi), hilbert.pauli("z"), "position", 0.1)
 
 
 def test_select_product_state_returns_pointer():
@@ -291,19 +287,39 @@ def test_conditional_pointers_match_joint_state_oracle(
     one = hilbert.random_state(size, seed, cfg.basis_id)
     many = [hilbert.random_state(size, seed + 1 + k, cfg.basis_id) for k in range(n_sel)]
     initial, final = (many, [one]) if batch_initial else ([one], many)
-    spec = CouplingSpec(obs, generator, g)
     phi = gaussian_pointer(KERNEL_GRID, 1.0)
     eigensystem = None
     if reuse_eigensystem:
         w, states = hilbert.eigenbasis(obs)
         eigensystem = (w, np.stack([s.amplitudes for s in states], axis=1))
-    rows, amps = conditional_pointers(initial, final, spec, phi, eigensystem)
+    rows, amps = conditional_pointers(initial, final, obs, generator, g, phi, eigensystem)
     assert rows.shape == (n_sel, KERNEL_GRID.n_points)
     for s in range(n_sel):
         a = many[s] if batch_initial else one
         b = one if batch_initial else many[s]
-        cond, amp = select(couple(product_joint(a, phi), spec), b)
+        cond, amp = select(couple(product_joint(a, phi), obs, generator, g), b)
         assert_stage_matches(rows[s], amps[s], cond, amp, KERNEL_GRID)
+
+
+def assert_protocol_matches_oracle(oracle_protocol, *args):
+    """run_ccr_protocol(*args) raises what the oracle raises, or matches its
+    stages; returns the protocol's result (None when both raised)."""
+    grid, grid_prime = args[-2:]
+    try:
+        want = oracle_protocol(*args)
+    except (GridResolutionError, SelectionAnnihilated) as exc:
+        with pytest.raises(type(exc)):
+            run_ccr_protocol(*args)
+        return None
+    got = run_ccr_protocol(*args)
+    assert_stage_matches(got.pointer_first.wavefunction * got.prob_mid**0.5,
+                         got.prob_mid**0.5, want.pointer_first, want.prob_mid**0.5, grid)
+    assert_stage_matches(got.pointer_second.wavefunction * got.prob_post**0.5,
+                         got.prob_post**0.5, want.pointer_second, want.prob_post**0.5, grid_prime)
+    if min(want.prob_mid, want.prob_post) >= 1e-3:
+        assert got.dx_d == pytest.approx(want.dx_d, abs=1e-11)
+        assert got.dx_d_prime == pytest.approx(want.dx_d_prime, abs=1e-11)
+    return got
 
 
 @given(
@@ -316,26 +332,33 @@ def test_conditional_pointers_match_joint_state_oracle(
 def test_run_ccr_protocol_matches_oracle_and_its_guards(
     oracle_protocol, kind, size, g, seed
 ):
-    # a small pointer box (quarter length 2) so large g trips the shift guard
+    # a small pointer box (quarter length 2) so large g trips the wrap guard
     cfg, (x_op, p_op) = system(kind, size)
     grid = GridConfig(128, 8.0)
     i = hilbert.random_state(size, seed, cfg.basis_id)
     f = hilbert.random_state(size, seed + 1, cfg.basis_id)
-    args = (i, f, x_op, p_op, 0.75, 0.75, g, grid, grid)
-    try:
-        want = oracle_protocol(*args)
-    except (GridResolutionError, SelectionAnnihilated) as exc:
-        with pytest.raises(type(exc)):
-            run_ccr_protocol(*args)
-        return
-    got = run_ccr_protocol(*args)
-    assert_stage_matches(got.pointer_first.wavefunction * got.prob_mid**0.5,
-                         got.prob_mid**0.5, want.pointer_first, want.prob_mid**0.5, grid)
-    assert_stage_matches(got.pointer_second.wavefunction * got.prob_post**0.5,
-                         got.prob_post**0.5, want.pointer_second, want.prob_post**0.5, grid)
-    if min(want.prob_mid, want.prob_post) >= 1e-3:
-        assert got.dx_d == pytest.approx(want.dx_d, abs=1e-11)
-        assert got.dx_d_prime == pytest.approx(want.dx_d_prime, abs=1e-11)
+    assert_protocol_matches_oracle(oracle_protocol, i, f, x_op, p_op, 0.75, 0.75, g, grid, grid)
+
+
+def test_near_orthogonal_selection_runs_without_weak_values(oracle_protocol, monkeypatch):
+    # <f|i> = 0.01: the first-order P' translation g |<i|p|f>/<i|f>| = 91.7
+    # is far past length/4 = 10, but the exact translations g p_l stay
+    # within g max|p| = 5.03, so the stage runs
+    def no_weak_value(*args):
+        raise AssertionError("the pointer stage computed a weak value")
+
+    monkeypatch.setattr(pointer, "weak_value", no_weak_value)
+    cfg = GridConfig(128, 40.0)
+    x_op, p_op = make_grid_ops(cfg)
+    i = gaussian_grid_state(cfg, width=cfg.length / 24.0)
+    x = cfg.positions()
+    f = hilbert.StateVector(cfg.basis_id, x * np.exp(-x**2 / (4 * 1.67**2)) + 0.01 * i.amplitudes)
+    grid = pointer.pointer_grid(1.0)
+    got = assert_protocol_matches_oracle(oracle_protocol, i, f, x_op, p_op, 1.0, 1.0, 0.5,
+                                         grid, grid)
+    assert got.prob_post >= 1e-3
+    assert abs(got.dx_d_prime) < 1e-12
+
 
 
 @given(
@@ -359,10 +382,9 @@ def test_annihilated_selection_raises_like_oracle(oracle_protocol, size, generat
     i = hilbert.StateVector(cfg.basis_id, a)
     f = hilbert.StateVector(cfg.basis_id, b)
     phi = gaussian_pointer(KERNEL_GRID, 1.0)
-    spec = CouplingSpec(x_op, generator, g)
     with pytest.raises(SelectionAnnihilated):
-        select(couple(product_joint(i, phi), spec), f)
-    _, amps = conditional_pointers([i], [f], spec, phi)
+        select(couple(product_joint(i, phi), x_op, generator, g), f)
+    _, amps = conditional_pointers([i], [f], x_op, generator, g, phi)
     assert amps[0] <= ANNIHILATION_ATOL
     with pytest.raises(SelectionAnnihilated):
         measure_weakly(i, f, x_op, 1.0, g, KERNEL_GRID)
@@ -401,11 +423,40 @@ def test_conditional_pointers_guards():
     phi = gaussian_pointer(KERNEL_GRID, 1.0)
     elsewhere = hilbert.StateVector("elsewhere", i.amplitudes)
     with pytest.raises(BasisMismatch):
-        conditional_pointers([i], [elsewhere], CouplingSpec(x_op, POSITION, 0.01), phi)
+        conditional_pointers([i], [elsewhere], x_op, POSITION, 0.01, phi)
     with pytest.raises(BasisMismatch):
-        conditional_pointers([elsewhere], [i], CouplingSpec(x_op, POSITION, 0.01), phi)
+        conditional_pointers([elsewhere], [i], x_op, POSITION, 0.01, phi)
     skew = hilbert.Operator(cfg.basis_id, 1j * np.eye(16))
     with pytest.raises(NotHermitian):
-        conditional_pointers([i], [i], CouplingSpec(skew, MOMENTUM, 0.01), phi)
+        conditional_pointers([i], [i], skew, MOMENTUM, 0.01, phi)
     with pytest.raises(InvalidConfig):
-        conditional_pointers([i, i], [i, i, i], CouplingSpec(x_op, POSITION, 0.01), phi)
+        conditional_pointers([i, i], [i, i, i], x_op, POSITION, 0.01, phi)
+    with pytest.raises(InvalidConfig, match="generator"):
+        conditional_pointers([i], [i], x_op, "angle", 0.01, phi)
+    with pytest.raises(InvalidConfig, match="finite"):
+        conditional_pointers([i], [i], x_op, POSITION, math.inf, phi)
+
+
+@pytest.mark.parametrize("generator, g_fits, g_wraps", [
+    # a kick of g / hbar against pi / (2 spacing) = 40.2 on GRID
+    (POSITION, 40.0, 40.3),
+    # a translation of g against length/4 = 10
+    (MOMENTUM, 10.0, 10.1),
+])
+def test_wrap_guard_reads_the_exact_spectrum(generator, g_fits, g_wraps):
+    # sigma_z has levels +-1, so the coupling displaces the pointer by +-g
+    # (in wavenumber for the position generator)
+    i, f = (hilbert.StateVector(hilbert.PAULI_BASIS_ID, a) for a in ([1.0, 0.3], [1.0, 1.0]))
+    phi = gaussian_pointer(GRID, 1.0)
+    _, amps = conditional_pointers([i], [f], hilbert.pauli("z"), generator, g_fits, phi)
+    assert amps[0] > 0.0
+    with pytest.raises(GridResolutionError, match="quarter"):
+        conditional_pointers([i], [f], hilbert.pauli("z"), generator, g_wraps, phi)
+    # an eigenstate selection puts no weight on the wrapping level
+    up = hilbert.basis_state(2, 0, hilbert.PAULI_BASIS_ID)
+    down = hilbert.basis_state(2, 1, hilbert.PAULI_BASIS_ID)
+    z_shifted = hilbert.Operator(hilbert.PAULI_BASIS_ID, np.diag([g_fits / g_wraps, 5.0]))
+    _, amps = conditional_pointers([up], [up], z_shifted, generator, g_wraps, phi)
+    assert amps[0] == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(GridResolutionError):
+        conditional_pointers([down], [down], z_shifted, generator, g_wraps, phi)

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from weaklab import experiments, hilbert, pointer
-from weaklab.errors import InvalidConfig, NotHermitian
+from weaklab.errors import GridResolutionError, InvalidConfig, NotHermitian
 from weaklab.weakcorr import averaged_weak_correlation, weak_value
 
 grids = st.builds(
@@ -224,7 +224,7 @@ def test_half_line_residual_bit_identical_to_dense(rep):
     assert report.half_line_residual == dense_half_line_residual(rep, r, i)
 
 
-def dense_kernel_rows(initial, final, spec, phi, eigensystem):
+def dense_kernel_rows(initial, final, generator, g, phi, eigensystem):
     """conditional_pointers' rows with the phase kernel built as one exp of temporaries."""
     a = np.stack([s.amplitudes for s in initial], axis=1)
     b = np.stack([s.amplitudes for s in final], axis=1)
@@ -233,8 +233,8 @@ def dense_kernel_rows(initial, final, spec, phi, eigensystem):
         a, b = v.conj().T @ a, v.conj().T @ b
     coeffs = b.conj().T * a.T
     grid = phi.grid
-    coeff = -1j * pointer.COUPLING_SIGN[spec.pointer_generator] * spec.strength
-    if spec.pointer_generator == pointer.POSITION:
+    coeff = -1j * pointer.COUPLING_SIGN[generator] * g
+    if generator == pointer.POSITION:
         kernel = np.exp(coeff * np.outer(w, grid.positions()) / grid.hbar)
         kernel *= phi.wavefunction
         return coeffs @ kernel
@@ -251,7 +251,7 @@ def dense_kernel_rows(initial, final, spec, phi, eigensystem):
     g=st.floats(-0.1, 0.1),
     seed=st.integers(0, 2**31 - 1),
 )
-def test_pointer_kernel_bit_identical_to_dense(cfg, which, generator, g, seed):
+def test_pointer_kernel_bit_identical_to_dense(oracle_wraps, cfg, which, generator, g, seed):
     x_op, p_op = hilbert.make_grid_ops(cfg)
     obs, eigensystem = (
         (x_op, (x_op.diagonal.real, None)) if which == "x" else (p_op, cfg.momentum_eigensystem())
@@ -259,9 +259,13 @@ def test_pointer_kernel_bit_identical_to_dense(cfg, which, generator, g, seed):
     i = hilbert.random_state(cfg.n_points, seed, cfg.basis_id)
     fs = [hilbert.random_state(cfg.n_points, seed + k, cfg.basis_id) for k in (1, 2)]
     phi = pointer.gaussian_pointer(pointer.pointer_grid(1.0, cfg.hbar, 256), 1.0)
-    spec = pointer.CouplingSpec(obs, generator, g)
-    rows, _ = pointer.conditional_pointers([i], fs, spec, phi, eigensystem)
-    assert np.array_equal(rows, dense_kernel_rows([i], fs, spec, phi, eigensystem))
+    if any(oracle_wraps(i, f, obs, generator, g, phi.grid) for f in fs):
+        # the coupling wraps the pointer, so the kernel returns no rows
+        with pytest.raises(GridResolutionError):
+            pointer.conditional_pointers([i], fs, obs, generator, g, phi, eigensystem)
+        return
+    rows, _ = pointer.conditional_pointers([i], fs, obs, generator, g, phi, eigensystem)
+    assert np.array_equal(rows, dense_kernel_rows([i], fs, generator, g, phi, eigensystem))
 
 
 def traced_peak(fn) -> int:
