@@ -8,8 +8,8 @@ with Monte Carlo, a Fock ``montecarlo``, a Fock ``riemann`` with
 displaced selections, four runs that reach the pointer's hbar and the
 coupling sweep (a Fock ``ccr`` with Monte Carlo at hbar = 0.5, a Fock and
 a grid ``ccr`` g-sweep, and a Fock-preset ``montecarlo`` at hbar = 0.5),
-a grid ``riemann`` at 2048 points, where the dense grid matrices are
-largest, and two couplings near the pointer's wrap guard (a spin
+grid ``riemann`` runs at 2048 and 4096 points, the largest grids, and
+two couplings near the pointer's wrap guard (a spin
 ``montecarlo`` at g = 40, the largest the guard admits at sigma = 1, and
 a Fock ``ccr`` at g = 0.3).
 Two such directories, from two versions of the code, are compared with
@@ -70,6 +70,7 @@ def invocations(config_dir: Path) -> list:
         ("montecarlo-fock-hbar0.5", ["montecarlo", "--preset", "fock", "--hbar", "0.5",
                                      "--n-trials", "2000000", "--seed", "4"]),
         ("riemann-grid2048", ["riemann", "--rep", "grid", "--points", "2048"]),
+        ("riemann-grid4096", ["riemann", "--rep", "grid", "--points", "4096"]),
         ("montecarlo-spin-g40", ["montecarlo", "--g", "40", "--n-trials", "2000000",
                                  "--seed", "6"]),
         ("ccr-fock32-g0.3", ["ccr", "--dim", "32", "--g", "0.3", "--n-trials", "0",

@@ -527,6 +527,13 @@ def validate_config(cfg: dict) -> list[dict]:
         # the spin preset and the grid have no dimension
         if not (name == "dim" and (fields.get("preset") == "spin" or fields.get("kind") == "grid")):
             check(path, experiments.require_precondition, path, fields[name])
+    if experiment == "montecarlo" and not diags:
+        # the run's pointer stage, whose wrap guard reads the exact coupling
+        i, f, obs = experiments.montecarlo_selections(
+            sub["preset"], sub["alpha"], sub["dim"], cfg["hbar"]
+        )
+        grid = pointer.pointer_grid(sub["sigma"], cfg["hbar"])
+        check("montecarlo.g", pointer.measure_weakly, i, f, obs, sub["sigma"], sub["g"], grid)
     if experiment not in ("ccr", "riemann"):
         return diags
     rep = check(f"{experiment}.rep", _build_rep, sub["rep"], cfg["hbar"])

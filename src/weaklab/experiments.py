@@ -33,10 +33,8 @@ from .hilbert import (
     coherent_state,
     edge_amplitude,
     eigenbasis,  # noqa: F401  (unused; bench/tracer.py wraps it under this name)
-    expectation,
     gaussian_grid_state,
     hermitian_part,
-    hermitian_residual,
     make_fock_ops,
     make_grid_ops,
     basis_state,
@@ -57,6 +55,7 @@ from .weakcorr import (
     P_IMAG_TOL,
     averaged_weak_correlation,
     ccr_decomposition,
+    selection_overlap,
     weak_anticommutator,
     weak_commutator,
     weak_correlation,
@@ -214,7 +213,7 @@ class CcrReport:
     edge_amp: float
     # (a) exact f-averaged weak commutator
     avg_commutator: complex
-    commutator_oracle: complex  # direct <i|[x,p]|i> by matrix multiplication
+    commutator_oracle: complex  # direct <i|x p i> - <i|p x i>, by operator applications
     # |avg_commutator - i hbar (1 - N edge^2)| for a state on the truncation
     # edge (edge_amp >= 1e-7), where i hbar itself is not the target; else None
     avg_commutator_vs_truncated_i_hbar: float | None
@@ -302,18 +301,13 @@ def _ccr_ops(rep):
     raise InvalidConfig(f"representation must be FockConfig or GridConfig, got {type(rep)!r}")
 
 
-def _xp_px(x_op: Operator, p_op: Operator) -> tuple[np.ndarray, np.ndarray]:
-    """The dense products x p and p x.
+def _xp_px_on(x_op: Operator, p_op: Operator, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x p psi, p x psi), each from two operator applications.
 
-    A diagonal x scales the rows and the columns of p instead of entering
-    an O(n^3) matrix product; the entries are the same, since every other
-    term of the product is an exact zero.
+    ``psi`` is a state's amplitudes; for a dense pair it may be the
+    identity, which gives the dense products x p and p x themselves.
     """
-    p = p_op.matrix
-    if x_op.diagonal is not None:
-        d = x_op.diagonal
-        return d[:, None] * p, p * d[None, :]
-    return x_op.matrix @ p, p @ x_op.matrix
+    return x_op.apply(p_op.apply(psi)), p_op.apply(x_op.apply(psi))
 
 
 def _subseed(master_seed: int, index: int) -> int:
@@ -368,9 +362,8 @@ def ccr_experiment(
 
     # (a) exact f-average over the natural basis
     avg_comm = averaged_weak_correlation(i, NATURAL_BASIS, x_op, p_op, "commutator")
-    xp, px = _xp_px(x_op, p_op)
-    oracle = complex(np.vdot(i.amplitudes, (xp - px) @ i.amplitudes))
-    del xp, px  # not kept through the pointer stage
+    xp_i, px_i = _xp_px_on(x_op, p_op, i.amplitudes)
+    oracle = complex(np.vdot(i.amplitudes, xp_i - px_i))  # <i|x p i> - <i|p x i>
 
     # (b, c) momentum mid-selection basis: plane waves on the grid, eigh for
     # Fock, held once in v.  Each column becomes its StateVector's amplitudes;
@@ -530,7 +523,7 @@ class RiemannReport:
     eq25_mismatch: float
     correlation_f_averaged: float
     rho_expectation: float
-    hermiticity_residual: float
+    hermiticity_residual: float  # |<a|rho b> - <rho a|b>| on two fixed unit probes
     half_line_residual: float
     half_line_method: str
     reference_zeros: tuple
@@ -544,24 +537,30 @@ class RiemannReport:
 RIEMANN_TOL = 1e-12
 
 
-def riemann_ops(x_op: Operator, p_op: Operator, hbar: float) -> tuple[Operator, Operator]:
-    """rho = {x,p}/2hbar and R = i p x / hbar.
+# Seed of the two unit probes of rho_hermiticity: fixed, so replay is bit-identical.
+_HERMITICITY_PROBE_SEED = 0
 
-    rho is Hermitian up to roundoff; its residual is not checked here but
-    reported by riemann_experiment's rho_hermiticity check.
+
+def _rho_on(x_op: Operator, p_op: Operator, hbar: float, psi: np.ndarray) -> np.ndarray:
+    """rho psi = (x p psi + p x psi) / 2 hbar, from operator applications."""
+    xp, px = _xp_px_on(x_op, p_op, psi)
+    out = np.add(xp, px)
+    out /= 2.0 * hbar
+    return out
+
+
+def _rho_hermiticity(x_op: Operator, p_op: Operator, hbar: float) -> float:
+    """|<a|rho b> - <rho a|b>| on two fixed unit probes a and b.
+
+    The probes are complex Gaussian vectors drawn at a fixed seed, so every
+    level and wavenumber enters; a Hermitian rho gives 0 up to roundoff.
     """
-    xp, px = _xp_px(x_op, p_op)
-    # each matrix in one new buffer; xp and px may be read-only, so only
-    # the buffers allocated here are written
-    rho_m = np.add(xp, px)
-    del xp
-    rho_m /= 2.0 * hbar
-    rho = Operator(x_op.basis_id, rho_m)
-    del rho_m
-    r_m = np.multiply(1j, px)
-    del px
-    r_m /= hbar
-    return rho, Operator(x_op.basis_id, r_m)
+    rng = np.random.default_rng(_HERMITICITY_PROBE_SEED)
+    a, b = rng.standard_normal((2, x_op.dim)) + 1j * rng.standard_normal((2, x_op.dim))
+    a /= np.linalg.norm(a)
+    b /= np.linalg.norm(b)
+    rho_a, rho_b = (_rho_on(x_op, p_op, hbar, v) for v in (a, b))
+    return abs(complex(np.vdot(a, rho_b)) - complex(np.vdot(rho_a, b)))
 
 
 def riemann_selections(rep, i: StateVector | None = None, f: StateVector | None = None):
@@ -586,37 +585,47 @@ def riemann_experiment(
 ) -> RiemannReport:
     """Weak value of rho and the residuals tying R to the half line.
 
-    The operator weak value <f|rho|i>/<f|i> and the per-selection
-    correlation form generally differ; both are reported along with
-    their difference rather than conflated.  The half-line residual
-    ||(R + R^dag)/2 - 1/2|| is a matrix max-norm restricted to levels
-    0..N-3 in the Fock representation; on a grid no finite level cut
-    exists, so the residual of the same combination applied to the
-    pre-selection state is reported instead.  A Fock ``rep`` of fewer than
-    3 levels raises InvalidConfig before any work.
+    rho = {x,p}/2hbar and R = i p x / hbar are applied to states, never
+    built: rho|i> = (x p i + p x i)/2hbar from operator applications.  The
+    operator weak value <f|rho|i>/<f|i> and the per-selection correlation
+    form generally differ; both are reported along with their difference
+    rather than conflated.  ``rho_hermiticity`` is |<a|rho b> - <rho a|b>|
+    on two fixed unit probes, through the same rho applications.  The
+    half-line residual ||(R + R^dag)/2 - 1/2|| is a matrix max-norm
+    restricted to levels 0..N-3 in the Fock representation, from the dense
+    products x p and p x; on a grid no finite level cut exists, so the
+    residual of the same combination applied to the pre-selection state,
+    ||(i/2hbar)(p x i - x p i) - i/2||, is reported instead.  A Fock
+    ``rep`` of fewer than 3 levels raises InvalidConfig before any work.
     """
     if isinstance(rep, FockConfig):
         require_precondition("riemann.rep.dim", rep.dim)
     x_op, p_op = _ccr_ops(rep)
     hbar = rep.hbar
-    rho, r_hat = riemann_ops(x_op, p_op, hbar)
     i, f = riemann_selections(rep, i, f)
     check_truncation_edge(rep, i)
+    psi = i.amplitudes
 
-    herm_resid = hermitian_residual(rho.matrix)
-    # (R + R^dag)/2 - 1/2 in one C-contiguous buffer, so the grid mat-vec
-    # below takes the same BLAS path; subtracting 0 off the diagonal changes no bit
-    half_line = hermitian_part(r_hat.matrix)
-    half_line[np.diag_indices(rho.dim)] -= 0.5
+    herm_resid = _rho_hermiticity(x_op, p_op, hbar)
     if isinstance(rep, FockConfig):
-        safe = half_line[: rep.dim - 2, : rep.dim - 2]
-        half_resid = float(np.max(np.abs(safe)))
+        # (R + R^dag)/2 - 1/2 as a dense matrix, R = i p x / hbar; the
+        # identity's columns give the product p x itself
+        r_m = np.multiply(1j, _xp_px_on(x_op, p_op, np.eye(rep.dim))[1])
+        r_m /= hbar
+        half_line = hermitian_part(r_m)
+        half_line[np.diag_indices(rep.dim)] -= 0.5
+        half_resid = float(np.max(np.abs(half_line[: rep.dim - 2, : rep.dim - 2])))
         half_method = "matrix-max-norm(levels 0..N-3)"
     else:
-        half_resid = float(np.linalg.norm(half_line @ i.amplitudes))
+        xp_i, px_i = _xp_px_on(x_op, p_op, psi)
+        half = px_i - xp_i
+        half *= 0.5j / hbar
+        half -= 0.5 * psi
+        half_resid = float(np.linalg.norm(half))
         half_method = "state-residual(pre-selection)"
 
-    rho_w = weak_value(i, f, rho)
+    rho_i = _rho_on(x_op, p_op, hbar, psi)
+    rho_w = complex(np.vdot(f.amplitudes, rho_i)) / selection_overlap(f, i)
     r_w = 0.5 + 1j * rho_w
     corr_form = weak_anticommutator(i, f, x_op, p_op) / (2.0 * hbar)
     x_w = weak_value(i, f, x_op)
@@ -627,7 +636,7 @@ def riemann_experiment(
         averaged_weak_correlation(i, NATURAL_BASIS, x_op, p_op, "anticommutator").real
         / (2.0 * hbar)
     )
-    rho_exp = expectation(i, rho).real
+    rho_exp = complex(np.vdot(psi, rho_i)).real
 
     checks = (
         make_check("rho_hermiticity", herm_resid, RIEMANN_TOL),
@@ -690,6 +699,29 @@ class McReport:
         return all(c.passed for c in self.checks)
 
 
+def montecarlo_selections(preset: str, alpha: float, dim: int, hbar: float):
+    """(i, f, observable) of a montecarlo preset.
+
+    ``spin``: sigma_z between the xz-plane selections at angle alpha;
+    ``fock``: the position quadrature of ``dim`` levels between the ground
+    state and (|0> + |1>)/sqrt(2).  Raises AlphaOutOfRange, InvalidConfig
+    for a fock ``dim`` below 2, or InvalidConfig for an unknown preset.
+    """
+    if preset == "spin":
+        return (*spin_selections(alpha), pauli("z"))
+    if preset != "fock":
+        raise InvalidConfig(f"montecarlo preset must be spin or fock, got {preset!r}")
+    require_precondition("montecarlo.dim", dim)
+    fock = FockConfig(dim=dim, hbar=hbar)
+    amps = np.zeros(fock.dim)
+    amps[0] = amps[1] = 1.0
+    return (
+        basis_state(fock.dim, 0, fock.basis_id),
+        StateVector(fock.basis_id, amps),
+        make_fock_ops(fock)[0],
+    )
+
+
 def montecarlo_experiment(
     preset: str = "spin",
     alpha: float = math.pi / 2,
@@ -719,22 +751,7 @@ def montecarlo_experiment(
     require_precondition("montecarlo.n_trials", n_trials)
     require_precondition("montecarlo.g", g)
     require_precondition("montecarlo.sigma", sigma)
-    if preset == "spin":
-        i, f = spin_selections(alpha)
-        obs = pauli("z")
-        rep_dim = None
-    elif preset == "fock":
-        require_precondition("montecarlo.dim", dim)
-        fock = FockConfig(dim=dim, hbar=hbar)
-        x_op, _ = make_fock_ops(fock)
-        i = basis_state(fock.dim, 0, fock.basis_id)
-        amps = np.zeros(fock.dim)
-        amps[0] = amps[1] = 1.0
-        f = StateVector(fock.basis_id, amps)
-        obs = x_op
-        rep_dim = fock.dim
-    else:
-        raise InvalidConfig(f"montecarlo preset must be spin or fock, got {preset!r}")
+    i, f, obs = montecarlo_selections(preset, alpha, dim, hbar)
 
     target = weak_value(i, f, obs)
     # through the ensemble's name, which bench/tracer.py wraps
@@ -764,7 +781,7 @@ def montecarlo_experiment(
     return McReport(
         preset=preset,
         alpha=alpha if preset == "spin" else None,
-        dim=rep_dim,
+        dim=dim if preset == "fock" else None,
         sigma=sigma, g=g, n_trials=n_trials, master_seed=seed,
         target=target,
         re_est=est.re_est, im_est=est.im_est,

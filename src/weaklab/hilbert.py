@@ -1,10 +1,12 @@
 """Finite-dimensional Hilbert-space foundation.
 
 States, operators, standard builders (Fock ladder, periodic grid,
-Pauli), inner products and expectation values.  An operator is stored
-dense or, where the representation makes it so, as its diagonal: the grid
-position operator is diagonal, and its dense matrix is built only when a
-generic consumer asks for ``.matrix``.  The natural (computational) basis
+Pauli), inner products and expectation values.  An operator is stored in
+one of three forms: dense; diagonal, as the grid position operator is;
+or spectral, as the grid momentum is, by its multiplier in the discrete
+Fourier basis, applied to a state by two FFTs.  A diagonal or spectral
+operator builds its dense matrix only when a generic consumer asks for
+``.matrix``.  The natural (computational) basis
 is passed as ``NATURAL_BASIS`` rather than as a list of basis states.  All
 objects are immutable values; all functions are pure.  hbar defaults to 1
 everywhere and can be overridden per call or per config; the Fock ladder
@@ -64,51 +66,81 @@ class StateVector:
 
 @dataclass(frozen=True, init=False, eq=False)
 class Operator:
-    """Complex square matrix over a labeled basis, stored dense or diagonal.
+    """Complex square matrix over a labeled basis: dense, diagonal or spectral.
 
-    Give either ``matrix`` or, for a diagonal operator, ``diagonal``; the
-    dense ``matrix`` of a diagonal operator is built on first access.  If
-    ``hermitian_hint`` is True the operator is checked for Hermiticity at
-    construction time.
+    Give exactly one of ``matrix``, ``diagonal`` or ``spectrum``.  A
+    spectral operator is scale * ifft(spectrum * fft(psi)) on a state psi,
+    with a real ``scale``; it is Hermitian, with eigenvalues
+    scale * spectrum (FFT order), when the spectrum is real.  The dense
+    ``matrix`` of a diagonal or spectral operator is built on first
+    access.  If ``hermitian_hint`` is True the operator is checked for
+    Hermiticity at construction time, a diagonal or spectral one on its
+    1-D array.
     """
 
     basis_id: str
     diagonal: np.ndarray | None
+    spectrum: np.ndarray | None
+    scale: float
 
-    def __init__(self, basis_id, matrix=None, hermitian_hint=None, *, diagonal=None):
-        if (matrix is None) == (diagonal is None):
-            raise InvalidConfig("operator needs exactly one of matrix and diagonal")
-        if diagonal is not None:
-            values = np.asarray(diagonal, dtype=complex).copy()
-            if values.ndim != 1:
-                raise InvalidConfig(f"operator diagonal must be 1-D, got {values.shape}")
-        else:
-            values = np.asarray(matrix, dtype=complex).copy()
-            if values.ndim != 2 or values.shape[0] != values.shape[1]:
-                raise InvalidConfig(f"operator matrix must be square, got {values.shape}")
+    def __init__(
+        self, basis_id, matrix=None, hermitian_hint=None, *,
+        diagonal=None, spectrum=None, scale=1.0,
+    ):
+        given = [a for a in (matrix, diagonal, spectrum) if a is not None]
+        if len(given) != 1:
+            raise InvalidConfig("operator needs exactly one of matrix, diagonal and spectrum")
+        values = np.asarray(given[0], dtype=complex).copy()
+        if matrix is None and values.ndim != 1:
+            kind = "diagonal" if spectrum is None else "spectrum"
+            raise InvalidConfig(f"operator {kind} must be 1-D, got {values.shape}")
+        if matrix is not None and (values.ndim != 2 or values.shape[0] != values.shape[1]):
+            raise InvalidConfig(f"operator matrix must be square, got {values.shape}")
         if hermitian_hint:
             require_hermitian(values, "hermitian_hint=True")
         object.__setattr__(self, "basis_id", basis_id)
         object.__setattr__(self, "diagonal", None if diagonal is None else _freeze(values))
-        if diagonal is None:
+        object.__setattr__(self, "spectrum", None if spectrum is None else _freeze(values))
+        object.__setattr__(self, "scale", float(scale))
+        if matrix is not None:
             # fills the cached_property below, so a dense matrix is stored as given
             object.__setattr__(self, "matrix", _freeze(values))
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        return _freeze(np.diag(self.diagonal))
+        if self.diagonal is not None:
+            return _freeze(np.diag(self.diagonal))
+        # the columns of the identity, transformed in place where numpy allows
+        dense = np.fft.fft(np.eye(self.dim), axis=0)
+        dense *= self.spectrum[:, None]
+        dense = np.fft.ifft(dense, axis=0)
+        dense *= self.scale
+        return _freeze(hermitian_part(dense))
 
     @property
     def dim(self) -> int:
-        return self.diagonal.size if self.diagonal is not None else self.matrix.shape[0]
+        compact = self.diagonal if self.diagonal is not None else self.spectrum
+        return compact.size if compact is not None else self.matrix.shape[0]
 
     def apply(self, ket: np.ndarray) -> np.ndarray:
         """op @ ket."""
-        return self.diagonal * ket if self.diagonal is not None else self.matrix @ ket
+        if self.diagonal is not None:
+            return self.diagonal * ket
+        if self.spectrum is not None:
+            out = np.fft.ifft(self.spectrum * np.fft.fft(ket))
+            out *= self.scale
+            return out
+        return self.matrix @ ket
 
     def apply_left(self, bra: np.ndarray) -> np.ndarray:
         """bra @ op, for a row vector ``bra``."""
-        return bra * self.diagonal if self.diagonal is not None else bra @ self.matrix
+        if self.diagonal is not None:
+            return bra * self.diagonal
+        if self.spectrum is not None:
+            out = np.fft.fft(self.spectrum * np.fft.ifft(bra))
+            out *= self.scale
+            return out
+        return bra @ self.matrix
 
 
 @dataclass(frozen=True)
@@ -249,23 +281,17 @@ def make_fock_ops(cfg: FockConfig) -> tuple[Operator, Operator]:
 def make_grid_ops(cfg: GridConfig) -> tuple[Operator, Operator]:
     """Diagonal position and spectral (Fourier) momentum on the grid.
 
-    x is stored as its diagonal, the grid positions.
-    The momentum matrix is exact on band-limited periodic states; it is
-    symmetrized to remove FFT roundoff so the Hermiticity residual is 0.
-    Its eigensystem is known in closed form, the plane waves
-    exp(i k x) / sqrt(n) with eigenvalues hbar k
+    x is stored as its diagonal, the grid positions; p as its spectrum,
+    p psi = hbar * ifft(k * fft(psi)) with the wavenumbers k in FFT order.
+    Neither builds an n x n buffer.  The momentum is exact on band-limited
+    periodic states.  Its eigensystem is known in closed form, the plane
+    waves exp(i k x) / sqrt(n) with eigenvalues hbar k
     (``GridConfig.momentum_eigensystem``), so it is never diagonalized.
+    A consumer that reads ``p.matrix`` gets the dense FFT matrix of the
+    identity, scaled by k and hbar and symmetrized to remove FFT roundoff.
     """
-    n = cfg.n_points
     x = Operator(cfg.basis_id, diagonal=cfg.positions(), hermitian_hint=True)
-    k = cfg.wavenumbers()
-    spectrum = np.fft.fft(np.eye(n), axis=0)
-    spectrum *= k[:, None]
-    pmat = np.fft.ifft(spectrum, axis=0)
-    del spectrum
-    pmat *= cfg.hbar
-    pmat = hermitian_part(pmat)
-    p = Operator(cfg.basis_id, pmat, hermitian_hint=True)
+    p = Operator(cfg.basis_id, spectrum=cfg.wavenumbers(), scale=cfg.hbar, hermitian_hint=True)
     return x, p
 
 

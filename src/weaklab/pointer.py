@@ -156,9 +156,12 @@ def _observable_eigensystem(op: Operator, eigensystem=None):
     A known ``eigensystem`` (from ``hilbert.eigenbasis`` or, for the grid
     momentum, ``GridConfig.momentum_eigensystem``) is passed
     through after the Hermiticity check instead of diagonalizing again.
+    A diagonal or spectral operator is checked on its 1-D array, so only a
+    dense one is scanned as a matrix.
     """
     d = op.diagonal
-    require_hermitian(op.matrix if d is None else d, "coupled observable")
+    compact = d if d is not None else op.spectrum
+    require_hermitian(op.matrix if compact is None else compact, "coupled observable")
     if eigensystem is not None:
         return eigensystem
     if d is not None:

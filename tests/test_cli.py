@@ -131,6 +131,16 @@ def test_montecarlo_coupling_that_wraps_the_pointer_exits_3(tmp_path, capsys, g,
     assert out.exists() != wraps
 
 
+@pytest.mark.parametrize("g, status", [(90.0, cli.EXIT_CHECK_FAILED), (40.0, cli.EXIT_OK)])
+def test_validate_runs_the_montecarlo_wrap_guard(tmp_path, capsys, g, status):
+    cfgfile = tmp_path / "mc.yaml"
+    cfgfile.write_text(f"experiment: montecarlo\nmontecarlo: {{g: {g}}}\n")
+    assert run_cli(["validate", str(cfgfile)]) == status
+    diags = json.loads(capsys.readouterr().out)["diagnostics"]
+    expected = [("montecarlo.g", "GridResolutionError")] if g == 90.0 else []
+    assert [(d["field"], d["error"]) for d in diags] == expected
+
+
 def test_validate_clean_config(tmp_path, capsys):
     cfgfile = tmp_path / "ok.yaml"
     cfgfile.write_text("experiment: ccr\nccr:\n  sigma: 1.0\n")
@@ -489,6 +499,7 @@ def test_complex_string_displacement_runs(tmp_path):
 @pytest.mark.parametrize("experiment, yaml_text, error", [
     ("pauli", f"pauli: {{alpha: {math.pi}}}", "AlphaOutOfRange"),
     ("montecarlo", f"montecarlo: {{alpha: {-math.pi}}}", "AlphaOutOfRange"),
+    ("montecarlo", "montecarlo: {g: 90}", "GridResolutionError"),
     ("ccr", "ccr: {pointer_points: 64, n_trials: 0}", "GridResolutionError"),
     ("ccr", "ccr: {sigma: 0.0, n_trials: 0}", "InvalidConfig"),
     ("ccr", "ccr: {rep: {dim: 1}}", "InvalidConfig"),

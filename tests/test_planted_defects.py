@@ -30,15 +30,17 @@ FOCK_RIEMANN_YAML = (
 
 
 def drop_px_column_scaling(monkeypatch):
-    """p x comes back as p: the diagonal's column scaling is dropped."""
-    orig = experiments._xp_px
-    monkeypatch.setattr(experiments, "_xp_px", lambda x, p: (orig(x, p)[0], p.matrix))
+    """p x psi comes back as p psi: x's scaling before p is dropped."""
+    orig = experiments._xp_px_on
+    monkeypatch.setattr(
+        experiments, "_xp_px_on", lambda x, p, psi: (orig(x, p, psi)[0], p.apply(psi))
+    )
 
 
 def swap_products(monkeypatch):
-    """x p and p x come back swapped: rho is unchanged, R becomes i x p / hbar."""
-    orig = experiments._xp_px
-    monkeypatch.setattr(experiments, "_xp_px", lambda x, p: orig(x, p)[::-1])
+    """x p psi and p x psi come back swapped: rho is unchanged, R becomes i x p / hbar."""
+    orig = experiments._xp_px_on
+    monkeypatch.setattr(experiments, "_xp_px_on", lambda x, p, psi: orig(x, p, psi)[::-1])
 
 
 def drop_conjugate(monkeypatch):
