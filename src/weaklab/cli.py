@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import __version__, experiments, hilbert, pointer, weakcorr
+from . import __version__, experiments, hilbert, pointer
 from .errors import TruncationWarning, WeakLabError
 
 EXIT_OK = 0
@@ -99,10 +99,9 @@ SCHEMA = {
         "complex", None,
         "Fock initial coherent state; default min(2, sqrt(dim) / 4), kept off the truncation edge",
     ),
-    "ccr.state.width": Field(None, "float?", None, "grid initial Gaussian width; null: length/24"),
-    "ccr.pointer_points": Field(pointer.DEFAULT_POINTER_POINTS, "int", None, "pointer grid points"),
-    "ccr.pointer_length_sigmas": Field(
-        pointer.DEFAULT_POINTER_WIDTHS, "float", None, "pointer grid length in units of sigma"
+    "ccr.state.width": Field(
+        lambda cfg: experiments.ccr_default_width(cfg["ccr"]["rep"]["length"]), "float", None,
+        "grid initial Gaussian width; default length / 24",
     ),
     **_rep_fields("riemann"),
     "riemann.i_displacement": Field(0.0, "complex", None, "Fock pre-selection; 0: ground state"),
@@ -171,7 +170,6 @@ def _typed(kind):
 _KINDS = {
     "int": (_int, "an integer"),
     "float": (_float, "a finite real number"),
-    "float?": (lambda v: None if v is None else _float(v), "a finite real number or null"),
     "complex": (_complex, 'a finite real number or a complex string such as "0.5+0.5j"'),
     "floats": (_floats, "a list of finite real numbers"),
     "bool": (_typed(bool), "true or false"),
@@ -353,37 +351,15 @@ def _build_rep(rep_cfg: dict, hbar: float):
 def _ccr_state(rep, state_cfg: dict):
     if isinstance(rep, hilbert.FockConfig):
         return hilbert.coherent_state(rep, complex(state_cfg["displacement"]))
-    if state_cfg["width"] is None:
-        return experiments._ccr_default_state(rep)
     return hilbert.gaussian_grid_state(rep, width=state_cfg["width"])
-
-
-def _riemann_selections(rep, sub: dict):
-    """(i, f) of a riemann run: a nonzero displacement gives a Fock coherent state."""
-    i, f = (
-        hilbert.coherent_state(rep, complex(sub[key]))
-        if isinstance(rep, hilbert.FockConfig) and complex(sub[key]) != 0 else None
-        for key in ("i_displacement", "f_displacement")
-    )
-    return experiments.riemann_selections(rep, i, f)
-
-
-def _check_ccr_pointer(sub: dict, name: str, hbar: float) -> None:
-    """The grid checks a ccr run makes before it prepares the pointer of width sub[name]."""
-    grid = pointer.pointer_grid(sub[name], hbar, sub["pointer_points"], sub["pointer_length_sigmas"])
-    pointer.check_resolution(grid, sub[name])
 
 
 # ---------------------------------------------------------------------------
 # experiment execution -> (report, csv tables)
 
-def _pauli_alphas(sub: dict) -> list:
-    """The angles a pauli run evaluates: the sweep, or else the one alpha."""
-    return sub["alpha_sweep"] or [sub["alpha"]]
-
-
 def _run_pauli(cfg):
-    reports = [experiments.pauli_suite(a) for a in _pauli_alphas(cfg["pauli"])]
+    sub = cfg["pauli"]
+    reports = [experiments.pauli_suite(a) for a in sub["alpha_sweep"] or [sub["alpha"]]]
     rows = [
         [r.alpha, r.sxsy.real, r.sxsy.imag, r.sz_w.real, r.commutator.imag,
          r.tan_half, r.max_residual]
@@ -407,8 +383,7 @@ def _run_ccr(cfg):
         rep, i_spec=_ccr_state(rep, sub["state"]), sigma=sub["sigma"],
         sigma_prime=sub["sigma_prime"], g=sub["g"], g_sweep=sub["g_sweep"],
         n_trials=sub["n_trials"], seed=cfg["seed"], run_pointer=sub["run_pointer"],
-        n_workers=cfg["workers"], pointer_points=sub["pointer_points"],
-        pointer_sigmas=sub["pointer_length_sigmas"],
+        n_workers=cfg["workers"],
     )
     rows = [
         [r.index, r.p_eigenvalue, r.weight, r.x_w.real, r.x_w.imag,
@@ -434,7 +409,12 @@ def _run_ccr(cfg):
 def _run_riemann(cfg):
     sub = cfg["riemann"]
     rep = _build_rep(sub["rep"], cfg["hbar"])
-    i, f = _riemann_selections(rep, sub)
+    # a nonzero displacement gives a Fock coherent state, else the default selection
+    i, f = (
+        hilbert.coherent_state(rep, complex(sub[key]))
+        if isinstance(rep, hilbert.FockConfig) and complex(sub[key]) != 0 else None
+        for key in ("i_displacement", "f_displacement")
+    )
     report = experiments.riemann_experiment(rep, i=i, f=f)
     return report, list(report.checks), {}
 
@@ -490,33 +470,44 @@ _RUNNERS = {
 
 
 # ---------------------------------------------------------------------------
-# validation: the run's own precondition functions, without the run
+# validation: the bounds, then the run itself up to its first trial
 
 def validate_config(cfg: dict) -> list[dict]:
     """Physics-precondition diagnostics; empty list means runnable.
 
-    Each precondition is checked by calling the function the run raises
-    (or, for TruncationWarning, warns) from; every error it raises
-    becomes one diagnostic.
+    First the ``experiments.PRECONDITIONS`` bounds, one diagnostic per
+    field.  When they hold, the run itself runs up to its first Monte
+    Carlo trial and writes nothing: the experiment's runner, with
+    ``ccr.n_trials`` at 0, or for ``montecarlo`` (whose budget cannot be 0)
+    its selections and pointer stage.  An error the run raises becomes one
+    diagnostic named after the experiment's section (``montecarlo.alpha``
+    and ``montecarlo.g`` for the two montecarlo stages); each
+    TruncationWarning it warns becomes one more, and the run goes on past
+    it as a real run does.
     """
     diags = []
 
     def check(field, fn, *args):
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", TruncationWarning)
-                return fn(*args)
-        except (WeakLabError, TruncationWarning) as exc:
-            diags.append({"field": field, "error": type(exc).__name__, "message": str(exc)})
-            return None
+        """fn(*args), or None when it raises WeakLabError; both become diagnostics of field."""
+        result = raised = None
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", TruncationWarning)
+            try:
+                result = fn(*args)
+            except WeakLabError as exc:
+                raised = exc
+        for w in caught:
+            if issubclass(w.category, TruncationWarning):
+                diags.append({"field": field, "error": w.category.__name__,
+                              "message": str(w.message)})
+            else:  # any other warning is shown as the run would show it
+                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+        if raised is not None:
+            diags.append({"field": field, "error": type(raised).__name__, "message": str(raised)})
+        return result
 
     experiment = cfg["experiment"]
     sub = cfg[experiment]
-    if experiment == "pauli":
-        for a in _pauli_alphas(sub):
-            check("pauli.alpha", experiments.spin_selections, a)
-    if experiment == "montecarlo" and sub["preset"] == "spin":
-        check("montecarlo.alpha", experiments.spin_selections, sub["alpha"])
     for path in experiments.PRECONDITIONS:
         scope, *parents, name = path.split(".")
         if scope != experiment:
@@ -527,29 +518,18 @@ def validate_config(cfg: dict) -> list[dict]:
         # the spin preset and the grid have no dimension
         if not (name == "dim" and (fields.get("preset") == "spin" or fields.get("kind") == "grid")):
             check(path, experiments.require_precondition, path, fields[name])
-    if experiment == "montecarlo" and not diags:
-        # the run's pointer stage, whose wrap guard reads the exact coupling
-        i, f, obs = experiments.montecarlo_selections(
-            sub["preset"], sub["alpha"], sub["dim"], cfg["hbar"]
-        )
-        grid = pointer.pointer_grid(sub["sigma"], cfg["hbar"])
-        check("montecarlo.g", pointer.measure_weakly, i, f, obs, sub["sigma"], sub["g"], grid)
-    if experiment not in ("ccr", "riemann"):
+    if diags:
         return diags
-    rep = check(f"{experiment}.rep", _build_rep, sub["rep"], cfg["hbar"])
-    if rep is None:
+    if experiment == "montecarlo":
+        selections = check("montecarlo.alpha", experiments.montecarlo_selections,
+                           sub["preset"], sub["alpha"], sub["dim"], cfg["hbar"])
+        if selections is not None:
+            grid = pointer.pointer_grid(sub["sigma"], cfg["hbar"])
+            check("montecarlo.g", pointer.measure_weakly, *selections, sub["sigma"], sub["g"], grid)
         return diags
     if experiment == "ccr":
-        state = check("ccr.state", _ccr_state, rep, sub["state"])
-        if state is not None:
-            check("ccr.state", hilbert.check_truncation_edge, rep, state)
-        if sub["run_pointer"] or sub["g_sweep"]:
-            for name in ("sigma", "sigma_prime"):
-                check(f"ccr.{name}", _check_ccr_pointer, sub, name, cfg["hbar"])
-    else:
-        i, f = _riemann_selections(rep, sub)
-        check("riemann.i_displacement", hilbert.check_truncation_edge, rep, i)
-        check("riemann.selections", weakcorr.selection_overlap, f, i)
+        cfg = {**cfg, "ccr": {**sub, "n_trials": 0}}
+    check(experiment, _RUNNERS[experiment], cfg)
     return diags
 
 
@@ -649,7 +629,9 @@ def build_parser() -> argparse.ArgumentParser:
                 kwargs["choices"] = field.kind
             p.add_argument(field.flag, **kwargs)
 
-    p = subs.add_parser("validate", help="check a config without running it")
+    p = subs.add_parser(
+        "validate", help="check a config: run it up to its first Monte Carlo trial, write nothing"
+    )
     p.add_argument("config_path", help="YAML config file")
     return parser
 

@@ -44,8 +44,6 @@ from . import ensemble as mc
 # run_ccr_protocol is the one-selection form of run_ccr_protocols; it stays
 # importable here because bench/tracer.py wraps it under this module's name.
 from .pointer import (  # noqa: F401
-    DEFAULT_POINTER_POINTS,
-    DEFAULT_POINTER_WIDTHS,
     pointer_grid,
     run_ccr_protocol,
     run_ccr_protocols,
@@ -90,6 +88,8 @@ PRECONDITIONS = {
     # the correlators divide by g**2, which must not underflow to 0
     "ccr.g": (lambda v: v * v > 0, "nonzero with g * g > 0"),
     "ccr.g_sweep": (lambda v: all(g * g > 0 for g in v), "couplings each with g * g > 0"),
+    "ccr.sigma": (lambda v: v > 0, "> 0"),
+    "ccr.sigma_prime": (lambda v: v > 0, "> 0"),
     # the draws need a dimension, the maxima an instance, and the dual
     # symmetries two operators
     "chain.dim": (lambda v: v >= 1, ">= 1"),
@@ -286,10 +286,15 @@ def ccr_default_displacement(dim: int) -> float:
         lo, hi = (mid, hi) if off_edge(mid) else (lo, mid)
 
 
+def ccr_default_width(length: float) -> float:
+    """Width of the default grid initial Gaussian: length / 24."""
+    return length / 24.0
+
+
 def _ccr_default_state(rep) -> StateVector:
     if isinstance(rep, FockConfig):
         return coherent_state(rep, ccr_default_displacement(rep.dim))
-    return gaussian_grid_state(rep, width=rep.length / 24.0)
+    return gaussian_grid_state(rep, width=ccr_default_width(rep.length))
 
 
 def _ccr_ops(rep):
@@ -325,8 +330,6 @@ def ccr_experiment(
     seed: int = 0,
     run_pointer: bool = True,
     n_workers: int = 1,
-    pointer_points: int = DEFAULT_POINTER_POINTS,
-    pointer_sigmas: float = DEFAULT_POINTER_WIDTHS,
 ) -> CcrReport:
     """Measure [x,p] = i hbar every way the machinery allows.
 
@@ -347,12 +350,17 @@ def ccr_experiment(
     ``n_trials`` is the total attempt budget, allocated over the
     mid-selections proportionally to their Born weights; a positive budget
     that leaves no selection its 25 expected accepted trials raises
-    NoAcceptedTrials.  A negative budget, or a ``g`` or ``g_sweep``
-    coupling whose square is 0, raises InvalidConfig before any work.
+    NoAcceptedTrials.  A negative budget, a ``g`` or ``g_sweep`` coupling
+    whose square is 0, or a pointer width ``sigma`` or ``sigma_prime`` that
+    is not positive raises InvalidConfig before any work, also under
+    ``run_pointer=False``.  Each pointer lives on ``pointer_grid`` of its
+    width.
     """
     require_precondition("ccr.n_trials", n_trials)
     require_precondition("ccr.g", g)
     require_precondition("ccr.g_sweep", g_sweep)
+    require_precondition("ccr.sigma", sigma)
+    require_precondition("ccr.sigma_prime", sigma_prime)
     x_op, p_op = _ccr_ops(rep)
     hbar = rep.hbar
     i = i_spec if i_spec is not None else _ccr_default_state(rep)
@@ -398,8 +406,8 @@ def ccr_experiment(
     pointer_corr = pointer_resid = pointer_cov = None
     mc_corr = mc_se = mc_cov = mc_accepted = mc_attempted = None
     if run_pointer or g_sweep:
-        grid = pointer_grid(sigma, hbar, pointer_points, pointer_sigmas)
-        grid_prime = pointer_grid(sigma_prime, hbar, pointer_points, pointer_sigmas)
+        grid = pointer_grid(sigma, hbar)
+        grid_prime = pointer_grid(sigma_prime, hbar)
         order = np.argsort(weights)[::-1]
         cum = np.cumsum(weights[order])
         n_keep = int(np.searchsorted(cum, _POINTER_COVERAGE * cum[-1])) + 1

@@ -198,12 +198,16 @@ class GridConfig:
         occurring once.  The phase k_m x_j = 2 pi m j / n - pi m is reduced
         modulo 2 pi in integers, so every entry is one of the n roots of
         unity times (-1)^m and no column carries the roundoff of a large
-        argument.
+        argument.  The rows are written one at a time into ``v``, so no
+        n x n index matrix is built.
         """
         n = self.n_points
         m = np.arange(n) - n // 2  # the fftfreq integers, ascending
         roots = np.exp(2j * np.pi / n * np.arange(n))
-        v = roots[np.outer(np.arange(n), m) % n] * (np.where(m % 2, -1.0, 1.0) / math.sqrt(n))
+        sign = np.where(m % 2, -1.0, 1.0) / math.sqrt(n)
+        v = np.empty((n, n), dtype=complex)
+        for r in range(n):
+            np.multiply(roots[(r * m) % n], sign, out=v[r])
         return self.hbar * np.sort(self.wavenumbers(), kind="stable"), v
 
     @property

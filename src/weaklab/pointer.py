@@ -67,18 +67,16 @@ MOMENTUM = "momentum"
 # sign of the coupling Hamiltonian sign * g * observable x generator
 COUPLING_SIGN = {POSITION: -1, MOMENTUM: +1}
 
-DEFAULT_POINTER_POINTS = 1024
-DEFAULT_POINTER_WIDTHS = 40.0  # grid length in units of sigma
+# Every pointer grid: 1024 points spanning 40 pointer widths sigma.  Its
+# spacing is sigma / 25.6 and its length/8 is 5 sigma, so check_resolution
+# passes for every sigma > 0.
+POINTER_POINTS = 1024
+POINTER_WIDTHS = 40.0
 
 
-def pointer_grid(
-    sigma: float,
-    hbar: float = 1.0,
-    n_points: int = DEFAULT_POINTER_POINTS,
-    widths: float = DEFAULT_POINTER_WIDTHS,
-) -> GridConfig:
-    """Pointer grid of ``n_points`` spanning ``widths`` pointer widths sigma."""
-    return GridConfig(n_points, widths * sigma, hbar)
+def pointer_grid(sigma: float, hbar: float = 1.0) -> GridConfig:
+    """Pointer grid of ``POINTER_POINTS`` spanning ``POINTER_WIDTHS`` pointer widths sigma."""
+    return GridConfig(POINTER_POINTS, POINTER_WIDTHS * sigma, hbar)
 
 
 @dataclass(frozen=True)

@@ -150,7 +150,7 @@ def test_validate_clean_config(tmp_path, capsys):
 
 def test_validate_grid_resolution_diagnostic(tmp_path, capsys):
     cfgfile = tmp_path / "coarse.yaml"
-    cfgfile.write_text("experiment: ccr\nccr:\n  pointer_points: 64\n")
+    cfgfile.write_text("experiment: ccr\nccr:\n  g: 5.0\n")
     assert run_cli(["validate", str(cfgfile)]) == 1
     diags = json.loads(capsys.readouterr().out)["diagnostics"]
     assert any(d["error"] == "GridResolutionError" for d in diags)
@@ -182,6 +182,50 @@ def test_validate_alpha_diagnostic(tmp_path, capsys):
     assert run_cli(["validate", str(cfgfile)]) == 1
     diags = json.loads(capsys.readouterr().out)["diagnostics"]
     assert any(d["error"] == "AlphaOutOfRange" for d in diags)
+
+
+@pytest.mark.parametrize("yaml_text", [
+    "{g: 5.0, n_trials: 0}",
+    "{run_pointer: false, n_trials: 0, g_sweep: [0.01, 5.0]}",
+])
+def test_validate_runs_the_ccr_wrap_guard(tmp_path, capsys, yaml_text):
+    # a coupling of 5 kicks the sigma = 1 position pointer past a quarter of its grid
+    cfgfile = tmp_path / "c.yaml"
+    cfgfile.write_text(f"experiment: ccr\nccr: {yaml_text}\n")
+    assert run_cli(["validate", str(cfgfile)]) == cli.EXIT_CHECK_FAILED
+    diags = json.loads(capsys.readouterr().out)["diagnostics"]
+    assert [(d["field"], d["error"]) for d in diags] == [("ccr", "GridResolutionError")]
+    out = tmp_path / "o"
+    assert run_cli(["ccr", "--config", str(cfgfile), "--out", str(out)]) == cli.EXIT_NUMERICAL_ERROR
+    assert "numerical error: GridResolutionError:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_validate_runs_on_past_a_truncation_warning(tmp_path, capsys):
+    cfgfile = tmp_path / "c.yaml"
+    cfgfile.write_text(
+        "experiment: ccr\nccr: {rep: {dim: 8}, state: {displacement: 2.0}, g: 5.0, n_trials: 0}\n"
+    )
+    assert run_cli(["validate", str(cfgfile)]) == cli.EXIT_CHECK_FAILED
+    diags = json.loads(capsys.readouterr().out)["diagnostics"]
+    assert [(d["field"], d["error"]) for d in diags] == [
+        ("ccr", "TruncationWarning"), ("ccr", "GridResolutionError"),
+    ]
+
+
+@pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+def test_validate_samples_no_trial_and_writes_nothing(tmp_path, capsys, monkeypatch, experiment):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("validate sampled Monte Carlo trials")
+
+    monkeypatch.setattr(experiments.mc, "run_trials", no_trials)
+    monkeypatch.setattr(experiments.mc, "estimate_weak_value", no_trials)
+    out = tmp_path / "o"
+    cfgfile = tmp_path / "c.yaml"
+    cfgfile.write_text(f"experiment: {experiment}\nout: {out}\n")  # ccr: 200,000 trials
+    assert run_cli(["validate", str(cfgfile)]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["diagnostics"] == []
+    assert not out.exists()
 
 
 def test_chain_subcommand(tmp_path):
@@ -228,6 +272,9 @@ def test_chain_preconditions_exit_3_and_validate_agrees(tmp_path, capsys, flags,
     ("ccr", ["--g", "0"], "{g: 0}", "ccr.g"),
     ("ccr", ["--g", "1e-170"], "{g: 1e-170}", "ccr.g"),
     ("ccr", ["--g-sweep", "0.01,0"], "{g_sweep: [0.01, 0]}", "ccr.g_sweep"),
+    # the pointer widths, also under --no-pointer
+    ("ccr", ["--no-pointer", "--sigma", "0"], "{run_pointer: false, sigma: 0}", "ccr.sigma"),
+    ("ccr", ["--sigma-prime", "-1"], "{sigma_prime: -1}", "ccr.sigma_prime"),
 ])
 def test_monte_carlo_preconditions_exit_3_and_validate_agrees(tmp_path, capsys, experiment,
                                                               flags, yaml_text, field):
@@ -500,7 +547,7 @@ def test_complex_string_displacement_runs(tmp_path):
     ("pauli", f"pauli: {{alpha: {math.pi}}}", "AlphaOutOfRange"),
     ("montecarlo", f"montecarlo: {{alpha: {-math.pi}}}", "AlphaOutOfRange"),
     ("montecarlo", "montecarlo: {g: 90}", "GridResolutionError"),
-    ("ccr", "ccr: {pointer_points: 64, n_trials: 0}", "GridResolutionError"),
+    ("ccr", "ccr: {g: 5.0, n_trials: 0}", "GridResolutionError"),
     ("ccr", "ccr: {sigma: 0.0, n_trials: 0}", "InvalidConfig"),
     ("ccr", "ccr: {rep: {dim: 1}}", "InvalidConfig"),
     ("riemann", "riemann: {rep: {dim: 96}, i_displacement: 4.0, f_displacement: -4.0}",
@@ -565,8 +612,6 @@ def _expected(kind, raw, number):
     if kind == "floats":
         return list(raw) if isinstance(raw, list) and all(
             isinstance(x, float) for x in raw) else _REJECT
-    if kind == "float?" and raw is None:
-        return None
     if number is None:
         if kind == "complex" and isinstance(raw, str) and raw:
             try:
@@ -589,7 +634,6 @@ def _is_schema_type(kind, value):
     return {
         "int": lambda v: type(v) is int,
         "float": lambda v: type(v) is float and math.isfinite(v),
-        "float?": lambda v: v is None or type(v) is float,
         "complex": lambda v: type(v) in (float, str),
         "floats": lambda v: type(v) is list and all(type(x) is float for x in v),
         "bool": lambda v: type(v) is bool,
@@ -626,6 +670,10 @@ def test_resolve_config_accepts_exactly_the_schema_types(case):
         dim = values["ccr.rep.dim"]
         values["ccr.state.displacement"] = (
             _REJECT if dim is _REJECT else experiments.ccr_default_displacement(dim))
+    if experiment == "ccr" and "ccr.state.width" not in expected:
+        length = values["ccr.rep.length"]
+        values["ccr.state.width"] = (
+            _REJECT if length is _REJECT else experiments.ccr_default_width(length))
     accept = (not has_unknown and _REJECT not in values.values()
               and values["hbar"] > 0 and 0 <= values["seed"] < 2**64
               and 1 <= values["workers"] <= 64)

@@ -1,5 +1,6 @@
 """Smoke runs of the study scripts in scripts/."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -77,3 +78,21 @@ def test_record_diff_directories(tmp_path):
     assert json_line.startswith("chain/run.json: report.max_chain_residual: ")
     assert only_line == f"extra.csv: only in {tmp_path / 'a'}"
     assert summary == "3 difference(s)"
+
+
+def test_validate_accepts_every_recorded_run(tmp_path):
+    # every record_set.py run writes a record, so validate must refuse none of them
+    from weaklab import cli
+
+    spec = importlib.util.spec_from_file_location("record_set", ROOT / "scripts" / "record_set.py")
+    record_set = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(record_set)
+    refused = {}
+    for name, argv in record_set.invocations(tmp_path):
+        args = cli.build_parser().parse_args(cli._attach_list_values(argv))
+        file_cfg = cli.load_config_file(args.config) if args.config else {}
+        cfg = cli.resolve_config(args.command, file_cfg, cli._flag_overrides(args, args.command))
+        diags = cli.validate_config(cfg)
+        if diags:
+            refused[name] = diags
+    assert refused == {}

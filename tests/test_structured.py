@@ -226,6 +226,24 @@ def test_momentum_eigensystem_matches_eigh(n, length, hbar):
     assert np.all(np.diff(w) > 0)
 
 
+def index_matrix_momentum_eigensystem(cfg):
+    """The plane waves as one gather through the n x n index matrix (r m) % n."""
+    n = cfg.n_points
+    m = np.arange(n) - n // 2
+    roots = np.exp(2j * np.pi / n * np.arange(n))
+    v = roots[np.outer(np.arange(n), m) % n] * (np.where(m % 2, -1.0, 1.0) / math.sqrt(n))
+    return cfg.hbar * np.sort(cfg.wavenumbers(), kind="stable"), v
+
+
+@pytest.mark.parametrize("n", [8, 9, 64, 127, 128, 255, 512, 1001])
+def test_momentum_eigensystem_bit_identical_to_index_matrix(n):
+    cfg = hilbert.GridConfig(n, 40.0, 0.5)
+    w, v = cfg.momentum_eigensystem()
+    w_old, v_old = index_matrix_momentum_eigensystem(cfg)
+    assert np.array_equal(w, w_old)
+    assert np.array_equal(v, v_old)
+
+
 def eigh_momentum_eigensystem(cfg):
     """The eigensystem as the dense eigh of the grid p gave it."""
     return np.linalg.eigh(hilbert.make_grid_ops(cfg)[1].matrix)
@@ -347,7 +365,7 @@ def test_pointer_kernel_bit_identical_to_dense(oracle_wraps, cfg, which, generat
     )
     i = hilbert.random_state(cfg.n_points, seed, cfg.basis_id)
     fs = [hilbert.random_state(cfg.n_points, seed + k, cfg.basis_id) for k in (1, 2)]
-    phi = pointer.gaussian_pointer(pointer.pointer_grid(1.0, cfg.hbar, 256), 1.0)
+    phi = pointer.gaussian_pointer(hilbert.GridConfig(256, 40.0, cfg.hbar), 1.0)
     if any(oracle_wraps(i, f, obs, generator, g, phi.grid) for f in fs):
         # the coupling wraps the pointer, so the kernel returns no rows
         with pytest.raises(GridResolutionError):
@@ -373,9 +391,12 @@ def test_dense_grid_path_memory_budget():
     # riemann run build no such buffer (measured 0.009 and 0.031; the dense
     # path once peaked at 2.53 and 4.04).  ccr_experiment holds its momentum
     # basis once and the pointer stage's kernels: measured 4.34, bound with
-    # a margin of 0.16 (5.33 before p was applied by FFTs).
+    # a margin of 0.16 (5.33 before p was applied by FFTs).  The momentum
+    # eigensystem writes its plane waves row by row into its one n x n
+    # output (2.04 through an n x n index matrix).
     cfg = hilbert.GridConfig(512, 40.0)
     unit = cfg.n_points**2 * 16
     assert traced_peak(lambda: hilbert.make_grid_ops(cfg)) <= 0.05 * unit
+    assert traced_peak(cfg.momentum_eigensystem) <= 1.1 * unit
     assert traced_peak(lambda: experiments.riemann_experiment(cfg)) <= 0.05 * unit
     assert traced_peak(lambda: experiments.ccr_experiment(cfg, n_trials=0)) <= 4.5 * unit
