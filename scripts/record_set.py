@@ -8,8 +8,8 @@ with Monte Carlo, a Fock ``montecarlo``, a Fock ``riemann`` with
 displaced selections, four runs that reach the pointer's hbar and the
 coupling sweep (a Fock ``ccr`` with Monte Carlo at hbar = 0.5, a Fock and
 a grid ``ccr`` g-sweep, and a Fock-preset ``montecarlo`` at hbar = 0.5),
-grid ``riemann`` runs at 2048 and 4096 points, the largest grids, and
-two couplings near the pointer's wrap guard (a spin
+grid ``riemann`` runs at 2048 and 4096 points and a grid ``ccr`` at 8192
+points, the largest grids, and two couplings near the pointer's wrap guard (a spin
 ``montecarlo`` at g = 40, the largest the guard admits at sigma = 1, and
 a Fock ``ccr`` at g = 0.3).
 Two such directories, from two versions of the code, are compared with
@@ -71,6 +71,7 @@ def invocations(config_dir: Path) -> list:
                                      "--n-trials", "2000000", "--seed", "4"]),
         ("riemann-grid2048", ["riemann", "--rep", "grid", "--points", "2048"]),
         ("riemann-grid4096", ["riemann", "--rep", "grid", "--points", "4096"]),
+        ("ccr-grid8192", ["ccr", "--rep", "grid", "--points", "8192", "--n-trials", "0"]),
         ("montecarlo-spin-g40", ["montecarlo", "--g", "40", "--n-trials", "2000000",
                                  "--seed", "6"]),
         ("ccr-fock32-g0.3", ["ccr", "--dim", "32", "--g", "0.3", "--n-trials", "0",

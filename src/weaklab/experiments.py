@@ -336,9 +336,9 @@ def ccr_experiment(
     (a) exact Born-averaged weak commutator over the representation's
     natural basis, against both i*hbar and the direct truncated
     expectation; (b) per-selection real-part combinations over the
-    momentum eigenbasis and their Born average vs hbar/2 (on a grid the
-    closed-form plane waves exp(i k x) / sqrt(n) with eigenvalues hbar k,
-    in Fock one ``eigh`` of p); (c) the
+    momentum eigenbasis and their Born average vs hbar/2 (its eigenvalues
+    and row weights: hbar k and |FFT(i)|^2 / n on a grid, one ``eigh`` of
+    p in Fock; states only for the admissible rows); (c) the
     simplified Im{x_w} p_w average vs -hbar/2 (momentum mid-selections
     make every p_w real); (d) the exact two-pointer correlator and, when
     ``n_trials`` > 0, its Monte Carlo estimate, vs hbar * sigma^2.
@@ -373,20 +373,17 @@ def ccr_experiment(
     xp_i, px_i = _xp_px_on(x_op, p_op, i.amplitudes)
     oracle = complex(np.vdot(i.amplitudes, xp_i - px_i))  # <i|x p i> - <i|p x i>
 
-    # (b, c) momentum mid-selection basis: plane waves on the grid, eigh for
-    # Fock, held once in v.  Each column becomes its StateVector's amplitudes;
-    # the StateVectors of the admissible rows are the mid-selections.
+    # (b, c) momentum basis as eigenvalues and weights |<f_j|i>|^2; only the
+    # admissible rows become StateVectors (on a grid, one plane wave each)
     if isinstance(rep, GridConfig):
-        p_eigs, v = rep.momentum_eigensystem()
+        p_eigs = hbar * np.fft.fftshift(rep.wavenumbers())
+        weights = np.abs(np.fft.fftshift(np.fft.fft(i.amplitudes))) ** 2 / rep.n_points
     else:
         p_eigs, v = np.linalg.eigh(p_op.matrix)
-    weights, mids = np.empty(len(p_eigs)), {}
-    for j in range(len(p_eigs)):
-        f = StateVector(rep.basis_id, v[:, j])
-        v[:, j] = f.amplitudes
-        weights[j] = abs(complex(np.vdot(f.amplitudes, i.amplitudes))) ** 2
-        if weights[j] > ORTHOGONALITY_EPS**2:  # overlap above the orthogonality eps
-            mids[j] = f
+        weights = np.abs(i.amplitudes.conj() @ v) ** 2  # |(v^dag i)_j|^2
+    admissible = np.flatnonzero(weights > ORTHOGONALITY_EPS**2)  # overlap above the orthogonality eps
+    columns = rep.plane_waves(admissible) if isinstance(rep, GridConfig) else v[:, admissible]
+    mids = {int(j): StateVector(rep.basis_id, columns[:, c]) for c, j in enumerate(admissible)}
     decomps = {j: ccr_decomposition(i, f, x_op, p_op) for j, f in mids.items()}
     eq9_avg = math.fsum(weights[j] * d.lhs for j, d in decomps.items())
     eq10_avg = math.fsum(weights[j] * d.simplified_lhs for j, d in decomps.items())
@@ -415,10 +412,12 @@ def ccr_experiment(
         n_keep = int(np.count_nonzero(weights[order] >= w_cut))  # order is descending
         keep = [int(j) for j in order[:n_keep] if j in mids]
 
+        finals = [mids[j] for j in keep]
+        # each final is a p eigenvector, so stage two expands exactly on their columns
+        p_kept = (p_eigs[keep], np.stack([f.amplitudes for f in finals], axis=1))
     def pointer_stage(g_s):  # -> chains, pointer_corr_over_g2, its relative residual
         chains = dict(zip(keep, run_ccr_protocols(
-            i, [mids[j] for j in keep], x_op, p_op, sigma, sigma_prime, g_s,
-            grid, grid_prime, p_eigensystem=(p_eigs, v),
+            i, finals, x_op, p_op, sigma, sigma_prime, g_s, grid, grid_prime, p_eigensystem=p_kept,
         )))
         corr = math.fsum(weights[j] * c.dx_d * c.dx_d_prime for j, c in chains.items()) / g_s**2
         return chains, corr, abs(corr - hbar * sigma**2) / (hbar * sigma**2)

@@ -6,7 +6,8 @@ one of three forms: dense; diagonal, as the grid position operator is;
 or spectral, as the grid momentum is, by its multiplier in the discrete
 Fourier basis, applied to a state by two FFTs.  A diagonal or spectral
 operator builds its dense matrix only when a generic consumer asks for
-``.matrix``.  The natural (computational) basis
+``.matrix``; the grid momentum's plane-wave eigenvectors are built only
+for the columns asked for.  The natural (computational) basis
 is passed as ``NATURAL_BASIS`` rather than as a list of basis states.  All
 objects are immutable values; all functions are pure.  hbar defaults to 1
 everywhere and can be overridden per call or per config; the Fock ladder
@@ -188,27 +189,22 @@ class GridConfig:
         """Angular wavenumbers in FFT order."""
         return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.spacing)
 
-    def momentum_eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """(w, v): eigenvalues and eigenvector columns of the grid momentum.
+    def plane_waves(self, index) -> np.ndarray:
+        """Plane-wave columns exp(i k x) / sqrt(n), eigenvectors of the grid p.
 
-        The spectral p of ``make_grid_ops`` is diagonal on the DFT basis:
-        its eigenvectors are the plane waves exp(i k x) / sqrt(n), with
-        eigenvalues hbar k.  The wavenumbers are sorted ascending (stable),
-        the order ``eigh`` returns; they are all distinct, the Nyquist one
-        occurring once.  The phase k_m x_j = 2 pi m j / n - pi m is reduced
-        modulo 2 pi in integers, so every entry is one of the n roots of
-        unity times (-1)^m and no column carries the roundoff of a large
-        argument.  The rows are written one at a time into ``v``, so no
-        n x n index matrix is built.
+        Column c has the wavenumber ``fftshift(wavenumbers())[index[c]]``
+        (ascending) and eigenvalue hbar times it.  Its phase
+        k_m x_j = 2 pi m j / n - pi m is reduced modulo 2 pi in integers, so
+        each entry is (-1)^m times one of the n roots of unity of one table,
+        without the roundoff of a large argument; no n x n array is built.
         """
         n = self.n_points
-        m = np.arange(n) - n // 2  # the fftfreq integers, ascending
         roots = np.exp(2j * np.pi / n * np.arange(n))
-        sign = np.where(m % 2, -1.0, 1.0) / math.sqrt(n)
-        v = np.empty((n, n), dtype=complex)
-        for r in range(n):
-            np.multiply(roots[(r * m) % n], sign, out=v[r])
-        return self.hbar * np.sort(self.wavenumbers(), kind="stable"), v
+        rows = np.arange(n)
+        cols = np.empty((n, len(index)), dtype=complex)
+        for c, m in enumerate(np.asarray(index, dtype=int) - n // 2):
+            np.multiply(roots[(rows * m) % n], (-1.0 if m % 2 else 1.0) / math.sqrt(n), out=cols[:, c])
+        return cols
 
     @property
     def basis_id(self) -> str:
@@ -289,8 +285,8 @@ def make_grid_ops(cfg: GridConfig) -> tuple[Operator, Operator]:
     p psi = hbar * ifft(k * fft(psi)) with the wavenumbers k in FFT order.
     Neither builds an n x n buffer.  The momentum is exact on band-limited
     periodic states.  Its eigensystem is known in closed form, the plane
-    waves exp(i k x) / sqrt(n) with eigenvalues hbar k
-    (``GridConfig.momentum_eigensystem``), so it is never diagonalized.
+    waves exp(i k x) / sqrt(n) (``GridConfig.plane_waves``) with eigenvalues
+    hbar k; a state's overlaps with them are one FFT.  It is never diagonalized.
     A consumer that reads ``p.matrix`` gets the dense FFT matrix of the
     identity, scaled by k and hbar and symmetrized to remove FFT roundoff.
     """

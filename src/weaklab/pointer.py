@@ -151,9 +151,9 @@ def product_joint(system: StateVector, pointer: PointerState) -> JointState:
 def _observable_eigensystem(op: Operator, eigensystem=None):
     """(w, v) of a Hermitian observable; v is None when it is diagonal.
 
-    A known ``eigensystem`` (from ``hilbert.eigenbasis`` or, for the grid
-    momentum, ``GridConfig.momentum_eigensystem``) is passed
-    through after the Hermiticity check instead of diagonalizing again.
+    A known ``eigensystem`` (from ``hilbert.eigenbasis``, an ``eigh``, or
+    some of its eigenvector columns, as ``conditional_pointers`` allows) is
+    passed through after the Hermiticity check instead of diagonalizing again.
     A diagonal or spectral operator is checked on its 1-D array, so only a
     dense one is scanned as a matrix.
     """
@@ -263,8 +263,10 @@ def conditional_pointers(
     would leave it before renormalization.  ``initial`` and ``final`` are
     sequences of states of equal length, or one of them has length one and
     is paired with every entry of the other.  ``eigensystem`` (w, v) of
-    the observable skips its diagonalization.  Returns the rows, shape
-    (selections, n_points), and their L2 norms (selection amplitudes).
+    the observable skips its diagonalization; its columns may span only an
+    eigen-subspace that holds every initial state, which keeps the expansion
+    exact.  Returns the rows, shape (selections, n_points), and their L2
+    norms (selection amplitudes).
 
     Raises GridResolutionError when a selection's coupling wraps the
     pointer (the module docstring's rule).
@@ -428,7 +430,8 @@ def run_ccr_protocols(
     position.
 
     Each stage is one ``conditional_pointers`` call for all of ``finals``;
-    ``p_eigensystem`` (w, v) of ``p_op`` skips its diagonalization.  A
+    ``p_eigensystem`` (w, v) of ``p_op`` skips its diagonalization, and
+    when every final is a p eigenvector it may hold just their columns.  A
     coupling that wraps its pointer raises GridResolutionError (see
     ``conditional_pointers``); then rows are checked in order, and the
     first selection that leaves no amplitude raises SelectionAnnihilated.

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weaklab import hilbert, pointer
+from weaklab import experiments, hilbert, pointer
 from weaklab.errors import (
     BasisMismatch,
     GridResolutionError,
@@ -141,6 +141,22 @@ def test_weakly_coupled_fock_pointer_matches_closed_form():
     fidelity = abs(ov) ** 2
     assert fidelity >= 1.0 - 10.0 * g**2
     assert fidelity <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("sigma, hbar", [(1.0, 1.0), (0.7, 0.5), (1.3, 2.0)])
+@pytest.mark.parametrize("g", [1e-3, 1e-2, 0.1])
+@pytest.mark.parametrize("alpha", [math.pi / 2, 2.5, 2 * math.atan(100)])
+def test_qubit_pointer_momentum_matches_closed_form(alpha, g, sigma, hbar):
+    # Duck, Stevenson & Sudarshan (1989): the sigma_z kicks of +-g leave the
+    # pointer a(phi at +g) + b(phi at -g) in momentum, whose two Gaussians
+    # overlap by exp(-2 g^2 sigma^2 / hbar^2) and give no cross term to <p>
+    i, f = experiments.spin_selections(alpha)
+    a = np.conj(f.amplitudes[0]) * i.amplitudes[0]
+    b = np.conj(f.amplitudes[1]) * i.amplitudes[1]
+    overlap = math.exp(-2.0 * g**2 * sigma**2 / hbar**2)
+    law = (abs(a) ** 2 - abs(b) ** 2) / (abs(a) ** 2 + abs(b) ** 2 + 2.0 * (a * np.conj(b)).real * overlap)
+    stage = measure_weakly(i, f, hilbert.pauli("z"), sigma, g, pointer.pointer_grid(sigma, hbar))
+    assert abs(pointer_mean_momentum(stage.pointer) / g - law) <= 1e-11 * abs(law)
 
 
 def test_mean_momentum_of_phase_modulated_gaussian():

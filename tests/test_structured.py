@@ -7,13 +7,16 @@ same bits as the dense matrices did: the terms the dense products add
 are exact zeros.  The spectral p is applied by FFTs, so it agrees with the
 dense p, and rho, R and the half line built on it agree with their dense
 expressions, to a stated roundoff tolerance; the lazily built dense p is
-the old matrix bit for bit.  The grid momentum eigensystem is the
-closed-form plane waves; it agrees with ``eigh`` of the dense p to
-roundoff, not bit for bit, since eigenvector phases are arbitrary.
+the old matrix bit for bit.  The grid momentum eigenvectors are the
+closed-form plane waves of ``GridConfig.plane_waves``; they agree with
+``eigh`` of the dense p to roundoff, not bit for bit, since eigenvector
+phases are arbitrary.  A ccr run expands its momentum stage on the kept
+mid-selection columns only, and that stage equals the one on the whole
+eigenbasis.
 
 The dense expressions the grid path was built from stay here as oracles,
-and a traced memory budget holds a grid riemann run and the grid operator
-builder to no n x n buffer at all.
+and a traced memory budget holds a grid riemann run, a grid ccr run and
+the grid operator builder to no n x n buffer at all.
 """
 
 import math
@@ -218,7 +221,8 @@ def test_pauli_operators_are_built_once():
 def test_momentum_eigensystem_matches_eigh(n, length, hbar):
     cfg = hilbert.GridConfig(n, length, hbar)
     _, p_op = hilbert.make_grid_ops(cfg)
-    w, v = cfg.momentum_eigensystem()
+    w = hbar * np.fft.fftshift(cfg.wavenumbers())
+    v = cfg.plane_waves(np.arange(n))
     scale = np.max(np.abs(hbar * cfg.wavenumbers()))
     assert np.linalg.norm(p_op.matrix @ v - v * w) <= 1e-12 * scale
     assert np.linalg.norm(v.conj().T @ v - np.eye(cfg.n_points)) <= 1e-12
@@ -238,28 +242,94 @@ def index_matrix_momentum_eigensystem(cfg):
 @pytest.mark.parametrize("n", [8, 9, 64, 127, 128, 255, 512, 1001])
 def test_momentum_eigensystem_bit_identical_to_index_matrix(n):
     cfg = hilbert.GridConfig(n, 40.0, 0.5)
-    w, v = cfg.momentum_eigensystem()
     w_old, v_old = index_matrix_momentum_eigensystem(cfg)
-    assert np.array_equal(w, w_old)
-    assert np.array_equal(v, v_old)
+    assert np.array_equal(cfg.hbar * np.fft.fftshift(cfg.wavenumbers()), w_old)
+    assert np.array_equal(cfg.plane_waves(np.arange(n)), v_old)
+    # each column is built alone, whatever the others are
+    some = [n - 1, 0, n // 2, 3]
+    assert np.array_equal(cfg.plane_waves(some), v_old[:, some])
+    assert cfg.plane_waves([]).shape == (n, 0)
 
 
-def eigh_momentum_eigensystem(cfg):
-    """The eigensystem as the dense eigh of the grid p gave it."""
-    return np.linalg.eigh(hilbert.make_grid_ops(cfg)[1].matrix)
+def spy_ccr_stages(monkeypatch):
+    """Record the finals and p eigensystem of every run_ccr_protocols call of ccr_experiment."""
+    calls = []
+    real = experiments.run_ccr_protocols
+
+    def spy(i, finals, *args, p_eigensystem=None):
+        calls.append((i, finals, p_eigensystem))
+        return real(i, finals, *args, p_eigensystem=p_eigensystem)
+
+    monkeypatch.setattr(experiments, "run_ccr_protocols", spy)
+    return calls
 
 
 def test_ccr_plane_waves_agree_with_eigh(monkeypatch):
     cfg = hilbert.GridConfig(128, 40.0)
-    plane = experiments.ccr_experiment(cfg)
-    monkeypatch.setattr(hilbert.GridConfig, "momentum_eigensystem", eigh_momentum_eigensystem)
-    oracle = experiments.ccr_experiment(cfg)
-    verdicts = [[(c.name, c.passed) for c in rep.checks] for rep in (plane, oracle)]
-    assert verdicts[0] == verdicts[1]
-    assert plane.passed
-    assert [r.index for r in plane.per_f] == [r.index for r in oracle.per_f]
-    diff = abs(plane.pointer_corr_over_g2 - oracle.pointer_corr_over_g2)
-    assert diff <= 1e-13 * abs(oracle.pointer_corr_over_g2)
+    calls = spy_ccr_stages(monkeypatch)
+    report = experiments.ccr_experiment(cfg)
+    assert report.passed
+    (i, finals, (p_kept, v_kept)), = calls
+    p_matrix = hilbert.make_grid_ops(cfg)[1].matrix
+    w, v = np.linalg.eigh(p_matrix)
+    scale = np.max(np.abs(w))
+    # eigenvalue and FFT weight of every admissible row, against eigh and |vdot|^2
+    for r in report.per_f:
+        assert abs(r.p_eigenvalue - w[r.index]) <= 1e-12 * scale
+        assert abs(r.weight - abs(np.vdot(v[:, r.index], i.amplitudes)) ** 2) <= 1e-14
+    # each kept mid-selection column is that row's eigh eigenvector, up to a phase
+    index_of = {r.p_eigenvalue: r.index for r in report.per_f}
+    weight_of = {r.index: r.weight for r in report.per_f}
+    kept = [index_of[float(p)] for p in p_kept]
+    assert sorted(kept) == [r.index for r in report.per_f if r.dx_d is not None]
+    assert len(kept) >= 10
+    for s, (j, f) in enumerate(zip(kept, finals)):
+        assert np.array_equal(v_kept[:, s], f.amplitudes)
+        assert np.linalg.norm(p_matrix @ f.amplitudes - p_kept[s] * f.amplitudes) <= 1e-12 * scale
+        assert abs(abs(np.vdot(v[:, j], f.amplitudes)) - 1.0) <= 1e-12
+        assert abs(weight_of[j] - abs(np.vdot(f.amplitudes, i.amplitudes)) ** 2) <= 1e-15
+
+
+def full_momentum_eigensystem(rep):
+    """The whole p eigensystem: the index-matrix plane waves on a grid, eigh in Fock."""
+    if isinstance(rep, hilbert.GridConfig):
+        return index_matrix_momentum_eigensystem(rep)
+    return np.linalg.eigh(experiments._ccr_ops(rep)[1].matrix)
+
+
+@pytest.mark.parametrize("g", [0.01, 0.2])
+@pytest.mark.parametrize("rep", [
+    hilbert.FockConfig(64), hilbert.FockConfig(32, 0.5), hilbert.GridConfig(512, 40.0),
+], ids=["fock64", "fock32-hbar0.5", "grid512"])
+def test_ccr_stage_two_on_kept_columns_equals_full_basis(monkeypatch, rep, g):
+    # every kept mid-selection is a p eigenvector, so the stage that expands
+    # on the kept columns alone is the full-basis stage up to roundoff
+    calls = spy_ccr_stages(monkeypatch)
+    report = experiments.ccr_experiment(rep, g=g)
+    (i, finals, kept), = calls
+    _, p_op = experiments._ccr_ops(rep)
+    phi = pointer.gaussian_pointer(pointer.pointer_grid(1.0, rep.hbar), 1.0)
+    stage = [pointer.conditional_pointers(finals, [i], p_op, pointer.MOMENTUM, g, phi, eigensystem)
+             for eigensystem in (kept, full_momentum_eigensystem(rep))]
+    (rows, amps), (full_rows, full_amps) = stage
+    assert np.sqrt(np.sum(np.abs(rows - full_rows) ** 2, axis=1) * phi.grid.spacing).max() <= 1e-12
+    # the full expansion carries an absolute roundoff of its n levels, so
+    # prob_post is compared relative to the stage's largest one
+    prob, full_prob = amps**2, full_amps**2
+    assert np.max(np.abs(prob - full_prob)) <= 1e-14 * np.max(full_prob)
+    # stage two translates P' by g p_s
+    row_of = {r.p_eigenvalue: r for r in report.per_f}
+    for p_s in kept[0]:
+        assert abs(row_of[float(p_s)].dx_d_prime - g * p_s) <= 1e-11
+
+
+def test_ccr_stage_two_alone_wraps():
+    rep = hilbert.FockConfig(64)
+    # stage one is the same at both widths, and runs
+    assert experiments.ccr_experiment(rep, g=0.2, sigma_prime=0.1).pointer_corr_over_g2 is not None
+    # a quarter of P''s grid is 10 sigma_prime = 0.3 < |g p_s| for the outer kept rows
+    with pytest.raises(GridResolutionError, match="momentum generator"):
+        experiments.ccr_experiment(rep, g=0.2, sigma_prime=0.03)
 
 
 def test_grid_ccr_runs_without_eigh(monkeypatch):
@@ -361,7 +431,8 @@ def dense_kernel_rows(initial, final, generator, g, phi, eigensystem):
 def test_pointer_kernel_bit_identical_to_dense(oracle_wraps, cfg, which, generator, g, seed):
     x_op, p_op = hilbert.make_grid_ops(cfg)
     obs, eigensystem = (
-        (x_op, (x_op.diagonal.real, None)) if which == "x" else (p_op, cfg.momentum_eigensystem())
+        (x_op, (x_op.diagonal.real, None)) if which == "x"
+        else (p_op, index_matrix_momentum_eigensystem(cfg))
     )
     i = hilbert.random_state(cfg.n_points, seed, cfg.basis_id)
     fs = [hilbert.random_state(cfg.n_points, seed + k, cfg.basis_id) for k in (1, 2)]
@@ -389,14 +460,16 @@ def traced_peak(fn) -> int:
 def test_dense_grid_path_memory_budget():
     # in units of one n x n complex matrix.  The grid operators and a grid
     # riemann run build no such buffer (measured 0.009 and 0.031; the dense
-    # path once peaked at 2.53 and 4.04).  ccr_experiment holds its momentum
-    # basis once and the pointer stage's kernels: measured 4.34, bound with
-    # a margin of 0.16 (5.33 before p was applied by FFTs).  The momentum
-    # eigensystem writes its plane waves row by row into its one n x n
-    # output (2.04 through an n x n index matrix).
+    # path once peaked at 2.53 and 4.04).
     cfg = hilbert.GridConfig(512, 40.0)
     unit = cfg.n_points**2 * 16
     assert traced_peak(lambda: hilbert.make_grid_ops(cfg)) <= 0.05 * unit
-    assert traced_peak(cfg.momentum_eigensystem) <= 1.1 * unit
     assert traced_peak(lambda: experiments.riemann_experiment(cfg)) <= 0.05 * unit
-    assert traced_peak(lambda: experiments.ccr_experiment(cfg, n_trials=0)) <= 4.5 * unit
+    # in units of one n x 1024 complex pointer kernel, the largest buffer a
+    # grid ccr run needs: it holds only its kept plane waves and each
+    # stage's (levels x 1024) kernel.  Measured 1.70 at 512 and 1.66 at
+    # 2048 points; an n x n buffer alone is 2.0 units at 2048.
+    for n in (512, 2048):
+        cfg = hilbert.GridConfig(n, 40.0)
+        peak = traced_peak(lambda: experiments.ccr_experiment(cfg, n_trials=0))
+        assert peak <= 2.0 * n * pointer.POINTER_POINTS * 16
