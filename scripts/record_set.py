@@ -90,7 +90,7 @@ def main(argv=None) -> int:
     failed = []
     with tempfile.TemporaryDirectory() as tmp:
         for name, run_argv in invocations(Path(tmp)):
-            # the per-check console lines (12,000 for the pauli sweep) are dropped
+            # the console lines, one per check, are dropped
             with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
                 status = cli.main([*run_argv, "--out", str(out / name)])
             print(f"{name}: exit {status}", flush=True)

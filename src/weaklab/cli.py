@@ -4,10 +4,12 @@ Subcommands: pauli, ccr, riemann, chain, montecarlo, validate.  Each run
 resolves its configuration (the defaults in ``SCHEMA`` <- YAML config
 file <- command-line flags), executes the experiment, and writes
 ``run.json`` (the full RunRecord: resolved config, version, timestamp,
-report, checks) plus per-sweep CSV tables into the output directory.
-Exit status 0 means every residual check passed its pinned tolerance, 1
-means a tolerance failure, 2 a configuration problem, 3 a numerical
-error from the physics layers.
+report, checks) plus per-sweep CSV tables into the output directory,
+and prints one line per check.  A swept run (pauli angles, ccr
+couplings, chain instances) reports one row per point and one check per
+name, at its worst row.  Exit status 0 means every residual check passed
+its pinned tolerance, 1 means a tolerance failure, 2 a configuration
+problem, 3 a numerical error from the physics layers.
 
 Config files are YAML (JSON works too).  A stored ``run.json`` can be
 fed back via --config; its embedded resolved config reproduces every
@@ -359,11 +361,11 @@ def _ccr_state(rep, state_cfg: dict):
 
 def _run_pauli(cfg):
     sub = cfg["pauli"]
-    reports = [experiments.pauli_suite(a) for a in sub["alpha_sweep"] or [sub["alpha"]]]
+    report = experiments.pauli_suite(sub["alpha_sweep"] or [sub["alpha"]])
     rows = [
         [r.alpha, r.sxsy.real, r.sxsy.imag, r.sz_w.real, r.commutator.imag,
          r.tan_half, r.max_residual]
-        for r in reports
+        for r in report.rows
     ]
     tables = {
         "alpha_sweep": (
@@ -371,9 +373,7 @@ def _run_pauli(cfg):
             rows,
         )
     }
-    report = reports[0] if len(reports) == 1 else {"sweep": reports}
-    checks = [c for r in reports for c in r.checks]
-    return report, checks, tables
+    return report, list(report.checks), tables
 
 
 def _run_ccr(cfg):

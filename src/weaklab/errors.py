@@ -32,6 +32,9 @@ class ArityMismatch(WeakLabError):
 class GridResolutionError(WeakLabError):
     """Pointer grid cannot resolve or contain the requested wavepacket."""
 
+    # the row of a conditional_pointers stage whose coupling wraps, else None
+    selection: int | None = None
+
 
 class SelectionAnnihilated(WeakLabError):
     """A strong selection left (numerically) zero amplitude."""

@@ -7,7 +7,10 @@ Carlo), the Riemann-operator weak value, random selection chains with
 their dual symmetries, and Monte Carlo weak-value estimation from
 sampled pointer shifts.  Every report carries a list of named
 residual checks with pinned tolerances; the CLI turns them into exit
-statuses.
+statuses.  A swept experiment (Pauli angles, the CCR coupling sweep,
+chain instances) holds one row per point and checks each name once,
+at its worst row (``worst``), so a check passes exactly when every
+point does.
 
 Where the bracket notation around operator products is ambiguous, the
 reports deliberately show both readings: per-selection products for a
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlphaOutOfRange, InvalidConfig, NoAcceptedTrials
+from .errors import AlphaOutOfRange, GridResolutionError, InvalidConfig, NoAcceptedTrials
 from .hilbert import (
     EDGE_AMPLITUDE_WARN,
     NATURAL_BASIS,
@@ -79,6 +82,20 @@ def make_check(name: str, residual: float, tol: float) -> Check:
     return Check(name=name, residual=float(residual), tol=tol, passed=bool(residual <= tol))
 
 
+def worst(residuals) -> float:
+    """The largest of ``residuals``, NaN when any is NaN.
+
+    A swept run checks each name once, at its worst row, so the check
+    passes exactly when every row does.  Python's ``max`` would skip a NaN
+    that is not first: max([0.1, nan, 0.05]) is 0.1.
+    """
+    return float(np.max(residuals))
+
+
+# A pointer width: the pointer is exp(-x^2 / 4 sigma^2), and ccr divides by hbar sigma^2.
+_WIDTH = (lambda v: v > 0 and 0 < v * v < math.inf, "> 0 with a positive, finite square")
+
+
 # The config preconditions that no other builder checks, by config path:
 # (holds, what it needs).  Each experiment raises InvalidConfig from
 # require_precondition before any work, and cli.validate_config calls it
@@ -88,8 +105,8 @@ PRECONDITIONS = {
     # the correlators divide by g**2, which must not underflow to 0
     "ccr.g": (lambda v: v * v > 0, "nonzero with g * g > 0"),
     "ccr.g_sweep": (lambda v: all(g * g > 0 for g in v), "couplings each with g * g > 0"),
-    "ccr.sigma": (lambda v: v > 0, "> 0"),
-    "ccr.sigma_prime": (lambda v: v > 0, "> 0"),
+    "ccr.sigma": _WIDTH,
+    "ccr.sigma_prime": _WIDTH,
     # the draws need a dimension, the maxima an instance, and the dual
     # symmetries two operators
     "chain.dim": (lambda v: v >= 1, ">= 1"),
@@ -97,7 +114,7 @@ PRECONDITIONS = {
     "chain.instances": (lambda v: v >= 1, ">= 1"),
     "montecarlo.n_trials": (lambda v: v >= 1, ">= 1"),  # per readout stream
     "montecarlo.g": (lambda v: v != 0, "!= 0"),  # the estimates divide by g
-    "montecarlo.sigma": (lambda v: v > 0, "> 0"),
+    "montecarlo.sigma": _WIDTH,
     "montecarlo.dim": (lambda v: v >= 2, ">= 2"),  # fock preset: f holds |1>
     # Fock only: the half-line residual is a maximum over levels 0..dim-3
     "riemann.rep.dim": (lambda v: v >= 3, ">= 3"),
@@ -127,8 +144,8 @@ def spin_selections(alpha: float) -> tuple[StateVector, StateVector]:
 
 
 @dataclass(frozen=True)
-class PauliReport:
-    """Weak Pauli (anti)commutator suite vs the exact closed forms."""
+class PauliRow:
+    """The weak Pauli values at one spin angle, and the largest of its residuals."""
 
     alpha: float
     tan_half: float
@@ -137,46 +154,59 @@ class PauliReport:
     sz_w: complex
     anticommutator: complex
     commutator: complex
+    max_residual: float
+
+
+@dataclass(frozen=True)
+class PauliReport:
+    """Weak Pauli (anti)commutator suite vs the exact closed forms, one row per angle."""
+
+    rows: tuple
     checks: tuple
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    @property
-    def max_residual(self) -> float:
-        return max(c.residual for c in self.checks)
-
 
 PAULI_TOL = 1e-12
+_PAULI_CHECKS = (
+    "sxsy_vs_i_tan", "sysx_vs_minus_i_tan", "sz_w_vs_tan",
+    "anticommutator_vs_zero", "commutator_vs_2i_tan", "commutator_vs_2i_sz_w",
+)
 
 
-def pauli_suite(alpha: float) -> PauliReport:
-    """sigma_x/sigma_y weak correlations at spin angle alpha.
+def pauli_suite(alphas) -> PauliReport:
+    """sigma_x/sigma_y weak correlations at each spin angle of ``alphas``.
 
     Targets: <sx sy>_w = i tan(a/2), <sy sx>_w = -i tan(a/2),
-    <sz>_w = tan(a/2), anticommutator 0, commutator 2i tan(a/2).
+    <sz>_w = tan(a/2), anticommutator 0, commutator 2i tan(a/2) and
+    2i <sz>_w.  One check per target (``_PAULI_CHECKS``), at its worst
+    angle.  Raises AlphaOutOfRange for an angle within 1e-6 of +-pi.
     """
-    i, f = spin_selections(alpha)
     sx, sy, sz = pauli("x"), pauli("y"), pauli("z")
-    t = math.tan(alpha / 2.0)
-    sxsy = weak_correlation(i, f, sx, sy)
-    sysx = weak_correlation(i, f, sy, sx)
-    sz_w = weak_value(i, f, sz)
-    anti = weak_anticommutator(i, f, sx, sy)
-    comm = weak_commutator(i, f, sx, sy)
-    checks = (
-        make_check("sxsy_vs_i_tan", abs(sxsy - 1j * t), PAULI_TOL),
-        make_check("sysx_vs_minus_i_tan", abs(sysx + 1j * t), PAULI_TOL),
-        make_check("sz_w_vs_tan", abs(sz_w - t), PAULI_TOL),
-        make_check("anticommutator_vs_zero", abs(anti), PAULI_TOL),
-        make_check("commutator_vs_2i_tan", abs(comm - 2j * t), PAULI_TOL),
-        make_check("commutator_vs_2i_sz_w", abs(comm - 2j * sz_w), PAULI_TOL),
+    rows, residuals = [], []
+    for alpha in alphas:
+        i, f = spin_selections(alpha)
+        t = math.tan(alpha / 2.0)
+        sxsy = weak_correlation(i, f, sx, sy)
+        sysx = weak_correlation(i, f, sy, sx)
+        sz_w = weak_value(i, f, sz)
+        anti = weak_anticommutator(i, f, sx, sy)
+        comm = weak_commutator(i, f, sx, sy)
+        r = (abs(sxsy - 1j * t), abs(sysx + 1j * t), abs(sz_w - t),
+             abs(anti), abs(comm - 2j * t), abs(comm - 2j * sz_w))
+        residuals.append(r)
+        rows.append(PauliRow(
+            alpha=alpha, tan_half=t, sxsy=sxsy, sysx=sysx, sz_w=sz_w,
+            anticommutator=anti, commutator=comm, max_residual=worst(r),
+        ))
+    if not rows:
+        raise InvalidConfig("the Pauli suite needs at least one angle")
+    checks = tuple(
+        make_check(name, worst(col), PAULI_TOL) for name, col in zip(_PAULI_CHECKS, zip(*residuals))
     )
-    return PauliReport(
-        alpha=alpha, tan_half=t, sxsy=sxsy, sysx=sysx, sz_w=sz_w,
-        anticommutator=anti, commutator=comm, checks=checks,
-    )
+    return PauliReport(rows=tuple(rows), checks=checks)
 
 
 @dataclass(frozen=True)
@@ -345,15 +375,16 @@ def ccr_experiment(
 
     ``g_sweep`` reruns only the exact pointer stage, at each of its
     couplings and also under ``run_pointer=False``: one ``g_sweep_rows`` entry
-    (g, pointer_corr_over_g2, relative residual) and one check each.
+    (g, pointer_corr_over_g2, relative residual) each, and one
+    ``g_sweep_pointer_corr`` check at the worst of them.
 
     ``n_trials`` is the total attempt budget, allocated over the
     mid-selections proportionally to their Born weights; a positive budget
     that leaves no selection its 25 expected accepted trials raises
     NoAcceptedTrials.  A negative budget, a ``g`` or ``g_sweep`` coupling
     whose square is 0, or a pointer width ``sigma`` or ``sigma_prime`` that
-    is not positive raises InvalidConfig before any work, also under
-    ``run_pointer=False``.  Each pointer lives on ``pointer_grid`` of its
+    is not positive or whose square overflows or underflows raises
+    InvalidConfig before any work, also under ``run_pointer=False``.  Each pointer lives on ``pointer_grid`` of its
     width.
     """
     require_precondition("ccr.n_trials", n_trials)
@@ -416,9 +447,17 @@ def ccr_experiment(
         # each final is a p eigenvector, so stage two expands exactly on their columns
         p_kept = (p_eigs[keep], np.stack([f.amplitudes for f in finals], axis=1))
     def pointer_stage(g_s):  # -> chains, pointer_corr_over_g2, its relative residual
-        chains = dict(zip(keep, run_ccr_protocols(
-            i, finals, x_op, p_op, sigma, sigma_prime, g_s, grid, grid_prime, p_eigensystem=p_kept,
-        )))
+        try:
+            protocols = run_ccr_protocols(
+                i, finals, x_op, p_op, sigma, sigma_prime, g_s, grid, grid_prime,
+                p_eigensystem=p_kept,
+            )
+        except GridResolutionError as exc:  # name the row by the index the report uses
+            s = exc.selection
+            if s is not None:
+                exc.args = (str(exc).replace(f"selection {s}:", f"selection {keep[s]}:", 1),)
+            raise
+        chains = dict(zip(keep, protocols))
         corr = math.fsum(weights[j] * c.dx_d * c.dx_d_prime for j, c in chains.items()) / g_s**2
         return chains, corr, abs(corr - hbar * sigma**2) / (hbar * sigma**2)
 
@@ -484,8 +523,10 @@ def ccr_experiment(
             "mc_corr_vs_exact_pointer", abs(mc_corr - pointer_corr), MC_SIGMA_BAND * mc_se
         ))
     sweep_rows = tuple((g_s, *pointer_stage(g_s)[1:]) for g_s in g_sweep)
-    checks += [make_check(f"g_sweep_pointer_corr(g={g_s!r})", resid, CCR_POINTER_RTOL)
-               for g_s, _, resid in sweep_rows]
+    if sweep_rows:
+        checks.append(make_check(
+            "g_sweep_pointer_corr", worst([resid for _, _, resid in sweep_rows]), CCR_POINTER_RTOL
+        ))
 
     return CcrReport(
         representation=rep.basis_id,
@@ -750,8 +791,9 @@ def montecarlo_experiment(
     momentum: ``momentum_acceptance_vs_born``) within three binomial
     standard errors of the exact selection probability.
 
-    Raises InvalidConfig, before any work, for n_trials < 1, g == 0,
-    sigma <= 0 or, under the fock preset, dim < 2, and GridResolutionError
+    Raises InvalidConfig, before any work, for n_trials < 1, g == 0, a
+    sigma that is not positive or whose square overflows or underflows,
+    or, under the fock preset, dim < 2, and GridResolutionError
     when the coupling kicks weight past a quarter of the pointer grid
     (at sigma = hbar = 1, |g| > 40.2 for the spin preset).
     """
@@ -852,7 +894,8 @@ def chain_experiment(dim: int = 5, n_ops: int = 4, n_instances: int = 50, seed: 
     equals that of drawing each instance afresh.
 
     Raises InvalidConfig, before any draw, for dim < 1, n_ops < 2 or
-    n_instances < 1.
+    n_instances < 1, and WeakLabError for a chain whose products leave the
+    normal float range (``chain_weak_correlation``).
     """
     # looked up at call time, so a wrapper installed on hilbert is seen
     from .hilbert import random_hermitian, random_state
@@ -893,9 +936,9 @@ def chain_experiment(dim: int = 5, n_ops: int = 4, n_instances: int = 50, seed: 
                 commutator_flip_residual=sym.commutator_flip / scale,
             )
         )
-    max_chain = max(r.chain_residual for r in rows)
-    max_swap = max(r.order_swap_residual for r in rows)
-    max_flip = max(r.commutator_flip_residual for r in rows)
+    max_chain = worst([r.chain_residual for r in rows])
+    max_swap = worst([r.order_swap_residual for r in rows])
+    max_flip = worst([r.commutator_flip_residual for r in rows])
     checks = (
         make_check("chain_vs_product_of_ratios", max_chain, CHAIN_TOL),
         make_check("dual_order_swap", max_swap, CHAIN_TOL),

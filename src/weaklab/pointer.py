@@ -269,7 +269,7 @@ def conditional_pointers(
     norms (selection amplitudes).
 
     Raises GridResolutionError when a selection's coupling wraps the
-    pointer (the module docstring's rule).
+    pointer (the module docstring's rule); its ``selection`` is that row.
     """
     coeff = _coupling_coeff(generator, g)
     a = _state_columns(initial, observable)
@@ -295,13 +295,15 @@ def conditional_pointers(
         total = weight.sum(axis=1)
         wraps = np.flatnonzero(wrapped > WRAP_SHARE * total)
         if wraps.size:
-            s = wraps[0]
-            raise GridResolutionError(
+            s = int(wraps[0])
+            exc = GridResolutionError(
                 f"selection {s}: levels displaced past a quarter of the pointer grid "
                 f"({quarter:.3g}, {generator} generator) carry a share "
                 f"{wrapped[s] / total[s]:.3g} > {WRAP_SHARE:g} of its weight; the "
                 f"largest displacement is {reach.max():.3g}"
             )
+            exc.selection = s
+            raise exc
     # the phase kernel exp(coeff w x / hbar), built in one buffer
     if generator == POSITION:
         kernel = np.multiply(coeff, np.outer(w, grid.positions()))

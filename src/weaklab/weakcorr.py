@@ -29,16 +29,21 @@ construction and are not separately implemented.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArityMismatch, OrthogonalSelection
+from .errors import ArityMismatch, OrthogonalSelection, WeakLabError
 from .hilbert import NATURAL_BASIS, Operator, StateVector, _basis_matrix, _require_same_basis, inner
 
 # Below this overlap (unit-norm states) the weak-value ratio has no
 # significant digits left in double precision.
 ORTHOGONALITY_EPS = 1e-12
+
+# Smallest normal float; below it a product has lost significant digits.
+_TINY = sys.float_info.min
 
 # Relative tolerance of CcrDecomposition.p_imag_is_zero: |Im p_w| at most
 # this times max(1, |p_w|).
@@ -88,6 +93,13 @@ def _chain_value(states, ops) -> complex:
         _require_same_basis(hi, op)
         den *= selection_overlap(hi, lo)
         num *= complex(np.vdot(hi.amplitudes, op.apply(lo.amplitudes)))
+    # |overlap| <= 1, so den only shrinks: one check after the loop sees it
+    # leave the normal range.  num may be exactly 0, as a zero factor makes it.
+    if not (abs(den) >= _TINY and (num == 0 or _TINY <= abs(num) < math.inf)):
+        raise WeakLabError(
+            f"chain products leave the normal float range: |numerator| = {abs(num):.3e}, "
+            f"|overlaps| = {abs(den):.3e}"
+        )
     return num / den
 
 
@@ -214,8 +226,10 @@ def chain_weak_correlation(
     chronological order, one per selection gap.  The value is the product
     of gap matrix elements over the product of gap overlaps; it raises
     OrthogonalSelection, before any division, when a gap overlap is
-    at most ORTHOGONALITY_EPS.  It does not depend on when each weak coupling happens
-    inside its gap.  With two ops and states (i, f, i) this reduces
+    at most ORTHOGONALITY_EPS, and WeakLabError when either product
+    leaves the normal float range (a long chain's overlaps underflow).
+    It does not depend on when each weak coupling happens inside its gap.
+    With two ops and states (i, f, i) this reduces
     bit-for-bit to ``weak_correlation``.
     """
     return _chain_value(tuple(states), tuple(ops))

@@ -25,15 +25,14 @@ def verdict(n, ok, detail):
 def test_criterion_1_pauli_closed_forms():
     t0 = time.perf_counter()
     worst = 0.0
-    for alpha in (math.pi / 6, math.pi / 3, math.pi / 2):
-        rep = experiments.pauli_suite(alpha)
-        t = math.tan(alpha / 2.0)
+    for row in experiments.pauli_suite([math.pi / 6, math.pi / 3, math.pi / 2]).rows:
+        t = math.tan(row.alpha / 2.0)
         residuals = (
-            abs(rep.sxsy - 1j * t),
-            abs(rep.sysx + 1j * t),
-            abs(rep.sz_w - t),
-            abs(rep.anticommutator),
-            abs(rep.commutator - 2j * t),
+            abs(row.sxsy - 1j * t),
+            abs(row.sysx + 1j * t),
+            abs(row.sz_w - t),
+            abs(row.anticommutator),
+            abs(row.commutator - 2j * t),
         )
         worst = max(worst, *residuals)
     ms = (time.perf_counter() - t0) * 1e3

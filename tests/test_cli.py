@@ -44,7 +44,49 @@ def test_pauli_single_alpha_record(tmp_path):
     out = tmp_path / "r"
     assert run_cli(["pauli", "--alpha", str(math.pi / 3), "--out", str(out)]) == 0
     record = read_json(out / "run.json")
-    assert record["report"]["sz_w"]["re"] == pytest.approx(math.tan(math.pi / 6))
+    (row,) = record["report"]["rows"]
+    assert row["sz_w"]["re"] == pytest.approx(math.tan(math.pi / 6))
+
+
+def _angles(n):
+    return ",".join(repr(-3.0 + 6.0 * k / (n - 1)) for k in range(n))
+
+
+def test_pauli_record_has_one_shape_for_any_number_of_angles(tmp_path):
+    records = {}
+    for n, flag in ((1, ["--alpha", "0.7"]), (2000, [f"--alpha-sweep={_angles(2000)}"])):
+        out = tmp_path / str(n)
+        assert run_cli(["pauli", *flag, "--out", str(out)]) == 0
+        records[n] = read_json(out / "run.json")
+    one, many = records[1], records[2000]
+    assert one.keys() == many.keys()
+    assert one["report"].keys() == many["report"].keys() == {"rows", "checks", "passed"}
+    assert (len(one["report"]["rows"]), len(many["report"]["rows"])) == (1, 2000)
+    assert one["report"]["rows"][0].keys() == many["report"]["rows"][-1].keys()
+    for record in (one, many):
+        assert len(record["checks"]) == 6
+        assert record["checks"] == record["report"]["checks"]
+    assert [c["name"] for c in one["checks"]] == [c["name"] for c in many["checks"]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["pauli"],
+    ["pauli", f"--alpha-sweep={_angles(2000)}"],
+    ["ccr", "--dim", "16", "--n-trials", "20000", "--g-sweep", "0.01,0.02"],
+    ["riemann"],
+    ["chain", "--instances", "30"],
+    ["montecarlo", "--n-trials", "4000"],
+], ids=["pauli", "pauli-sweep", "ccr-sweep", "riemann", "chain", "montecarlo"])
+def test_console_prints_one_line_per_check(tmp_path, capsys, argv):
+    out = tmp_path / "r"
+    assert run_cli([*argv, "--out", str(out)]) in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED)
+    lines = capsys.readouterr().out.splitlines()
+    checks = read_json(out / "run.json")["checks"]
+    assert len(lines) == len(checks) + 1
+    assert [line.split(":")[0] for line in lines[:-1]] == [
+        f"[{'PASS' if c['passed'] else 'FAIL'}] {c['name']}" for c in checks
+    ]
+    assert lines[-1] == f"wrote {out / 'run.json'}"
 
 
 def test_ccr_fock_run_is_reproducible(tmp_path):
@@ -275,6 +317,13 @@ def test_chain_preconditions_exit_3_and_validate_agrees(tmp_path, capsys, flags,
     # the pointer widths, also under --no-pointer
     ("ccr", ["--no-pointer", "--sigma", "0"], "{run_pointer: false, sigma: 0}", "ccr.sigma"),
     ("ccr", ["--sigma-prime", "-1"], "{sigma_prime: -1}", "ccr.sigma_prime"),
+    # widths whose square overflows or underflows
+    ("ccr", ["--sigma", "1e300", "--n-trials", "0"], "{sigma: 1e300, n_trials: 0}", "ccr.sigma"),
+    ("ccr", ["--sigma-prime", "1e200", "--n-trials", "0"], "{sigma_prime: 1e200, n_trials: 0}",
+     "ccr.sigma_prime"),
+    ("montecarlo", ["--sigma", "1e300", "--n-trials", "10"], "{sigma: 1e300, n_trials: 10}",
+     "montecarlo.sigma"),
+    ("ccr", ["--sigma", "1e-200", "--n-trials", "0"], "{sigma: 1e-200, n_trials: 0}", "ccr.sigma"),
 ])
 def test_monte_carlo_preconditions_exit_3_and_validate_agrees(tmp_path, capsys, experiment,
                                                               flags, yaml_text, field):
@@ -289,6 +338,24 @@ def test_monte_carlo_preconditions_exit_3_and_validate_agrees(tmp_path, capsys, 
     assert run_cli(["validate", str(cfgfile)]) == cli.EXIT_CHECK_FAILED
     diags = json.loads(capsys.readouterr().out)["diagnostics"]
     assert [(d["field"], d["error"]) for d in diags] == [(field, "InvalidConfig")]
+
+
+@pytest.mark.parametrize("n_ops", [280, 300])
+def test_chain_whose_overlap_product_underflows_exits_3(tmp_path, capsys, n_ops):
+    # dim 64: the gap overlaps multiply to a subnormal number (280) or to 0 (300)
+    out = tmp_path / "o"
+    assert run_cli(["chain", "--dim", "64", "--n-ops", str(n_ops), "--out", str(out)]) == (
+        cli.EXIT_NUMERICAL_ERROR
+    )
+    assert "numerical error: WeakLabError: chain products leave the normal float range" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
+    cfgfile = tmp_path / "c.yaml"
+    cfgfile.write_text(f"experiment: chain\nchain: {{dim: 64, n_ops: {n_ops}}}\n")
+    assert run_cli(["validate", str(cfgfile)]) == cli.EXIT_CHECK_FAILED
+    diags = json.loads(capsys.readouterr().out)["diagnostics"]
+    assert [(d["field"], d["error"]) for d in diags] == [("chain", "WeakLabError")]
 
 
 def test_spin_preset_ignores_the_fock_dimension(tmp_path, capsys):
@@ -383,9 +450,8 @@ def test_ccr_g_sweep_leading_minus(tmp_path, glued):
     assert run_cli(args) == 0
     record = read_json(out / "run.json")
     assert record["config"]["ccr"]["g_sweep"] == [-0.01, 0.01]
-    assert [c["name"] for c in record["checks"]][-2:] == [
-        "g_sweep_pointer_corr(g=-0.01)", "g_sweep_pointer_corr(g=0.01)",
-    ]
+    assert [c["name"] for c in record["checks"]][-1] == "g_sweep_pointer_corr"
+    assert [row[0] for row in record["report"]["g_sweep_rows"]] == [-0.01, 0.01]
 
 
 def test_ccr_g_sweep_reruns_only_the_pointer_stage(tmp_path, monkeypatch):
@@ -752,7 +818,7 @@ def test_to_jsonable_matches_reference_byte_for_byte():
     import collections
 
     reports = [
-        experiments.pauli_suite(0.7),
+        experiments.pauli_suite([0.7, -1.2]),
         experiments.riemann_experiment(hilbert.FockConfig(dim=16)),
         experiments.chain_experiment(dim=3, n_ops=3, n_instances=2),
         experiments.ccr_experiment(hilbert.FockConfig(dim=32), n_trials=0, run_pointer=False),

@@ -33,28 +33,41 @@ def test_spin_selections_overlap():
 
 @pytest.mark.parametrize("alpha", ALPHA_SWEEP)
 def test_pauli_suite_sweep(alpha):
-    rep = pauli_suite(alpha)
+    rep = pauli_suite([alpha])
     assert rep.passed
-    assert rep.max_residual <= 1e-12
+    assert rep.rows[0].max_residual <= 1e-12
 
 
 def test_pauli_suite_core_values():
-    rep = pauli_suite(math.pi / 2)
-    assert rep.sxsy == pytest.approx(1j, abs=1e-12)
-    assert rep.sz_w == pytest.approx(1.0, abs=1e-12)
-    rep3 = pauli_suite(math.pi / 3)
-    assert rep3.sz_w == pytest.approx(math.tan(math.pi / 6), abs=1e-12)
-    rep0 = pauli_suite(0.0)
-    assert abs(rep0.sxsy) <= 1e-12
-    assert abs(rep0.sz_w) <= 1e-12
-    assert abs(rep0.commutator) <= 1e-12
+    row, row3, row0 = pauli_suite([math.pi / 2, math.pi / 3, 0.0]).rows
+    assert row.sxsy == pytest.approx(1j, abs=1e-12)
+    assert row.sz_w == pytest.approx(1.0, abs=1e-12)
+    assert row3.sz_w == pytest.approx(math.tan(math.pi / 6), abs=1e-12)
+    assert abs(row0.sxsy) <= 1e-12
+    assert abs(row0.sz_w) <= 1e-12
+    assert abs(row0.commutator) <= 1e-12
 
 
 def test_pauli_suite_alpha_out_of_range():
     with pytest.raises(AlphaOutOfRange):
-        pauli_suite(math.pi)
+        pauli_suite([math.pi])
     with pytest.raises(AlphaOutOfRange):
-        pauli_suite(-math.pi + 1e-9)
+        pauli_suite([0.5, -math.pi + 1e-9])
+    with pytest.raises(InvalidConfig):  # no angle, no vacuous pass
+        pauli_suite([])
+
+
+def test_pauli_sweep_checks_each_name_at_its_worst_angle():
+    report = pauli_suite(ALPHA_SWEEP)
+    alone = [pauli_suite([a]) for a in ALPHA_SWEEP]
+    assert report.rows == tuple(r.rows[0] for r in alone)
+    for k, check in enumerate(report.checks):
+        assert check.residual == max(r.checks[k].residual for r in alone)
+        assert check.tol == experiments.PAULI_TOL
+    assert [c.name for c in report.checks] == [c.name for c in alone[0].checks]
+    assert [r.max_residual for r in report.rows] == [
+        max(c.residual for c in r.checks) for r in alone
+    ]
 
 
 def test_ccr_experiment_fock_exact_branches():
@@ -145,15 +158,20 @@ def test_ccr_g_sweep_rows_equal_separate_runs(rep):
     gs = [0.01, -0.03, 0.02]
     swept = ccr_experiment(rep, g=0.015, g_sweep=gs, n_trials=0, run_pointer=False)
     assert swept.pointer_corr_over_g2 is None
-    sweep_checks = [c for c in swept.checks if c.name.startswith("g_sweep_pointer_corr(")]
     assert [row[0] for row in swept.g_sweep_rows] == gs
-    for (g, corr, resid), check in zip(swept.g_sweep_rows, sweep_checks, strict=True):
+    targets = []
+    for g, corr, resid in swept.g_sweep_rows:
         alone = ccr_experiment(rep, g=g, n_trials=0)
         (target,) = [c for c in alone.checks if c.name == "pointer_corr_vs_hbar_sigma2"]
         assert corr == alone.pointer_corr_over_g2  # bit for bit
         assert resid == target.residual
-        assert check == dataclasses.replace(target, name=f"g_sweep_pointer_corr(g={g!r})")
-    assert ccr_experiment(rep, n_trials=0, run_pointer=False).g_sweep_rows == ()
+        targets.append(target)
+    worst = max(targets, key=lambda c: c.residual)
+    (check,) = [c for c in swept.checks if c.name == "g_sweep_pointer_corr"]
+    assert check == dataclasses.replace(worst, name="g_sweep_pointer_corr")
+    unswept = ccr_experiment(rep, n_trials=0, run_pointer=False)
+    assert unswept.g_sweep_rows == ()
+    assert "g_sweep_pointer_corr" not in [c.name for c in unswept.checks]
 
 
 def test_ccr_g_sweep_precondition_raises_before_any_work(monkeypatch):

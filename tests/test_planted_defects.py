@@ -3,11 +3,15 @@
 A defect is planted with ``monkeypatch`` in the function the check reads
 from; the run must report that check as failed and the CLI must exit 1.
 The same runs pass unplanted, so no check here can pass vacuously, and
-the checks the default runs emit are exactly the ones planted here.
+the checks the default runs and a ccr coupling sweep emit are exactly the
+ones planted here.  A swept run checks each name at its worst row, so a
+defect or a NaN at any one row fails the run.
 """
 
 import dataclasses
+import itertools
 import json
+import math
 import types
 
 import numpy as np
@@ -23,6 +27,8 @@ GRID_CCR = ["ccr", "--rep", "grid", "--points", "64", "--length", "20",
 CHAIN = ["chain", "--dim", "6", "--n-ops", "4", "--instances", "20"]
 MC_SPIN = ["montecarlo", "--preset", "spin", "--n-trials", "40000"]
 FOCK_CCR_MC = ["ccr", "--dim", "16", "--n-trials", "300000"]
+CCR_SWEEP = ["ccr", "--dim", "16", "--n-trials", "0", "--g-sweep", "0.01,-0.02,0.015"]
+PAULI_SWEEP = ["pauli", "--alpha-sweep", "0.3,1.0,2.0", "--format", "both"]
 # complex weak values and a nonzero <{x, p}>: the grid's real Gaussian has neither
 FOCK_RIEMANN_YAML = (
     'experiment: riemann\nriemann: {rep: {dim: 32}, i_displacement: "1+1j", f_displacement: 0.5}\n'
@@ -183,6 +189,29 @@ def readout_offset(kind):
     return plant
 
 
+def spoil_call(module, name, call, spoil):
+    """The ``call``-th call of module.name, counted from 1, returns spoil(result)."""
+    def plant(monkeypatch):
+        orig = getattr(module, name)
+        calls = itertools.count(1)
+
+        def planted(*args, **kwargs):
+            result = orig(*args, **kwargs)
+            return spoil(result) if next(calls) == call else result
+
+        monkeypatch.setattr(module, name, planted)
+
+    return plant
+
+
+def nan_value(value):
+    return complex(math.nan, 0.0)
+
+
+def nan_first_readouts(chains):
+    return [dataclasses.replace(c, dx_d=math.nan) for c in chains]
+
+
 PLANTED = [
     ("sxsy_vs_i_tan", "pauli", swap_correlation_operands),
     ("sysx_vs_minus_i_tan", "pauli", conjugate_correlation),
@@ -207,9 +236,22 @@ PLANTED = [
     ("im_est_within_3_stderr", "mc", readout_offset(pointer.POSITION)),
     ("pointer_corr_vs_hbar_sigma2", "ccr_mc", second_coupling_sign_flipped),
     ("mc_corr_vs_exact_pointer", "ccr_mc", readout_offset(pointer.POSITION)),
+    ("g_sweep_pointer_corr", "ccr_sweep", second_coupling_sign_flipped),
 ]
 ARGV = {"pauli": PAULI, "grid": GRID_RIEMANN, "ccr": GRID_CCR, "ccr_mc": FOCK_CCR_MC,
-        "chain": CHAIN, "mc": MC_SPIN}
+        "chain": CHAIN, "mc": MC_SPIN, "ccr_sweep": CCR_SWEEP, "pauli_sweep": PAULI_SWEEP}
+
+# A NaN residual at a row other than the first: Python's max would skip it.
+NAN_ROW = [
+    # instance 1's chain value
+    ("chain_vs_product_of_ratios", "chain",
+     spoil_call(weakcorr, "chain_weak_correlation", 2, nan_value)),
+    # <sz>_w at the second angle
+    ("sz_w_vs_tan", "pauli_sweep", spoil_call(experiments, "weak_value", 2, nan_value)),
+    # the second swept coupling (call 1 is the run's own g)
+    ("g_sweep_pointer_corr", "ccr_sweep",
+     spoil_call(experiments, "run_ccr_protocols", 3, nan_first_readouts)),
+]
 
 
 def run_checks(tmp_path, setup):
@@ -225,7 +267,8 @@ def run_checks(tmp_path, setup):
     return status, {c["name"]: c["passed"] for c in record["checks"]}
 
 
-@pytest.mark.parametrize("setup", ["grid", "fock", "ccr", "chain", "mc", "pauli", "ccr_mc"])
+@pytest.mark.parametrize("setup", ["grid", "fock", "ccr", "chain", "mc", "pauli", "ccr_mc",
+                                   "ccr_sweep", "pauli_sweep"])
 def test_unplanted_runs_pass(tmp_path, setup):
     status, checks = run_checks(tmp_path, setup)
     assert status == cli.EXIT_OK
@@ -241,14 +284,41 @@ def test_planted_defect_fails_its_check(tmp_path, monkeypatch, check, setup, pla
     assert status == cli.EXIT_CHECK_FAILED == 1
 
 
+@pytest.mark.parametrize("check, setup, plant", NAN_ROW, ids=[p[1] for p in NAN_ROW])
+def test_nan_row_fails_its_check(tmp_path, monkeypatch, check, setup, plant):
+    plant(monkeypatch)
+    status, checks = run_checks(tmp_path, setup)
+    assert checks[check] is False
+    assert status == cli.EXIT_CHECK_FAILED
+
+
+def test_defect_at_one_angle_fails_the_sweep(tmp_path, monkeypatch):
+    """The closed form reads tan(alpha) at alpha = 1.0 only, the middle of three angles."""
+    fake_math = types.ModuleType("math")
+    fake_math.__dict__.update(vars(experiments.math))
+    fake_math.tan = lambda x: np.tan(2.0 * x) if x == 0.5 else math.tan(x)
+    monkeypatch.setattr(experiments, "math", fake_math)
+    status, checks = run_checks(tmp_path, "pauli_sweep")
+    assert status == cli.EXIT_CHECK_FAILED
+    # the four checks against tan(alpha / 2) fail; the two without it pass
+    assert checks == {
+        "sxsy_vs_i_tan": False, "sysx_vs_minus_i_tan": False, "sz_w_vs_tan": False,
+        "anticommutator_vs_zero": True, "commutator_vs_2i_tan": False,
+        "commutator_vs_2i_sz_w": True,
+    }
+    with open(tmp_path / "out" / "alpha_sweep.csv") as fh:
+        residuals = [float(line.split(",")[-1]) for line in fh.read().splitlines()[1:]]
+    assert [r > experiments.PAULI_TOL for r in residuals] == [False, True, False]
+
+
 def test_every_default_check_is_planted(tmp_path):
     # a new check without a failing mutant here fails this test
     emitted = set()
-    for experiment in cli.EXPERIMENTS:
-        out = tmp_path / experiment
-        assert cli.main([experiment, "--out", str(out)]) == cli.EXIT_OK
+    runs = [[experiment] for experiment in cli.EXPERIMENTS] + [CCR_SWEEP]
+    for k, argv in enumerate(runs):
+        out = tmp_path / str(k)
+        assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_OK
         emitted |= {c["name"] for c in json.loads((out / "run.json").read_text())["checks"]}
-    emitted = {name for name in emitted if not name.startswith("g_sweep_pointer_corr(")}
     planted = [name for name, _, _ in PLANTED]
-    assert len(planted) == len(set(planted)) == 23
+    assert len(planted) == len(set(planted)) == 24
     assert emitted == set(planted)

@@ -20,6 +20,7 @@ the grid operator builder to no n x n buffer at all.
 """
 
 import math
+import re
 import tracemalloc
 from functools import cached_property
 
@@ -330,6 +331,19 @@ def test_ccr_stage_two_alone_wraps():
     # a quarter of P''s grid is 10 sigma_prime = 0.3 < |g p_s| for the outer kept rows
     with pytest.raises(GridResolutionError, match="momentum generator"):
         experiments.ccr_experiment(rep, g=0.2, sigma_prime=0.03)
+
+
+def test_ccr_wrap_guard_names_the_mid_selection_index():
+    rep, g, sigma_prime = hilbert.FockConfig(64), 0.2, 0.03
+    with pytest.raises(GridResolutionError) as caught:
+        experiments.ccr_experiment(rep, g=g, sigma_prime=sigma_prime)
+    named = int(re.match(r"selection (\d+): ", str(caught.value)).group(1))
+    rows = experiments.ccr_experiment(rep, g=g, n_trials=0, run_pointer=False).per_f
+    quarter = pointer.pointer_grid(sigma_prime).length / 4.0
+    # stage two checks its kept rows by descending weight: the heaviest that wraps is named
+    wrapping = [r for r in rows if abs(g * r.p_eigenvalue) > quarter]
+    assert named == max(wrapping, key=lambda r: r.weight).index
+    assert named != caught.value.selection  # its place in the kept rows is not the index
 
 
 def test_grid_ccr_runs_without_eigh(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weaklab import hilbert, weakcorr
-from weaklab.errors import ArityMismatch, IncompleteBasis, OrthogonalSelection
+from weaklab.errors import ArityMismatch, IncompleteBasis, OrthogonalSelection, WeakLabError
 from weaklab.hilbert import PAULI_BASIS_ID, pauli
 from weaklab.weakcorr import (
     alternating,
@@ -301,6 +301,24 @@ def test_chain_arity_mismatch():
     states = alternating(i, f, 2)
     with pytest.raises(ArityMismatch):
         chain_weak_correlation(states, (pauli("x"),))
+
+
+def test_chain_raises_once_a_product_leaves_the_normal_range():
+    up = hilbert.basis_state(2, 0, PAULI_BASIS_ID)
+    tilted = hilbert.StateVector(PAULI_BASIS_ID, np.array([1e-11, 1.0]))
+    ident = hilbert.Operator(PAULI_BASIS_ID, np.eye(2))
+    # every gap overlap is 1e-11, above ORTHOGONALITY_EPS; 27 gaps give 1e-297
+    assert chain_weak_correlation(alternating(up, tilted, 27), [ident] * 27) == pytest.approx(1.0)
+    # 29 gaps give about 1e-319, a subnormal overlap product (the matrix elements too)
+    with pytest.raises(WeakLabError, match="normal float range"):
+        chain_weak_correlation(alternating(up, tilted, 29), [ident] * 29)
+    # the overlaps stay 1, the matrix elements multiply to 1e-320
+    small = hilbert.Operator(PAULI_BASIS_ID, 1e-20 * np.eye(2))
+    with pytest.raises(WeakLabError, match="normal float range"):
+        chain_weak_correlation(alternating(up, up, 16), [small] * 16)
+    # a zero matrix element is exact: the chain is 0
+    zero = hilbert.Operator(PAULI_BASIS_ID, np.zeros((2, 2)))
+    assert chain_weak_correlation(alternating(up, tilted, 4), [ident, zero, ident, ident]) == 0
 
 
 def test_chain_rejects_orthogonal_neighbors():
