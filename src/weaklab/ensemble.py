@@ -3,21 +3,25 @@
 The module simulates nothing: a two-stage commutator chain
 (``pointer.run_ccr_protocol``) or a weak stage (``pointer.measure_weakly``)
 is evolved exactly by the caller and handed in.  A laboratory run on it is
-emulated trial by trial: each strong selection is passed with its exact
-Born probability (sampled against a uniform variate), failed trials are
-discarded, and surviving pointers are read out by inverse-CDF sampling on
-the grid readout distribution.  The inverse CDF is a guide table built
-once per readout distribution; it returns exactly the indices of a binary
-search (``searchsorted``), so every readout is bit-identical to that form.
+emulated by binomial thinning: the trials of a block pass their strong
+selections independently, each with its exact Born probability, so the
+block's accepted count is drawn at once as Binomial(trials, product of the
+gate probabilities), and only the accepted trials draw uniforms, one per
+readout, read out by inverse-CDF sampling on the grid readout
+distribution.  This is equal in law to passing each trial against its own
+uniform and discarding the failures.  The inverse CDF is a guide table
+built once per readout distribution; it returns exactly the indices of a
+binary search (``searchsorted``), so every readout is bit-identical to
+that form.
 
-Reproducibility contract: the four uniforms of trial ``t`` are row
-``t % BLOCK`` of a Philox stream keyed by (master_seed, stream, block
-``t // BLOCK``), so every trial is a pure function of (stage, seed, t) and
-results are bit-identical regardless of execution order or worker
-count.  Draw count per trial is fixed (inverse-CDF, never rejection),
-which is what keeps the counter layout stable.  Accumulation is
-single-pass per block with exact (math.fsum) merging across blocks in
-block order.
+Reproducibility contract: block ``b`` holds trials ``b * BLOCK`` up to
+``(b + 1) * BLOCK`` and draws from its own Philox stream keyed by
+(master_seed, stream, b): first its accepted count n, then an (n,
+readouts) array of uniforms, row k read by the k-th accepted trial.  So
+every block is a pure function of (stage, seed, stream, b), and results
+are bit-identical regardless of execution order or worker count.
+Accumulation is single-pass per block with exact (math.fsum) merging
+across blocks in block order.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ from .pointer import (  # noqa: F401
 )
 
 BLOCK = 1 << 16  # trials per RNG block
-_DRAWS = 4  # uniforms per trial: accept-mid, accept-post, readout, readout'
 # Guide-table buckets of the readout sampler; a power of two, so u * K and
 # k / K are exact.
 GUIDE_BUCKETS = 1 << 14
@@ -112,22 +115,23 @@ def _readout(pointer, kind: str):
 def _sample(master_seed, stream, n_trials, gates, readouts, n_workers):
     """(accepted, (mean, stderr)) of ``n_trials`` trials of one stream.
 
-    A trial passes when ``u[:, k] < gates[k]`` for every gate k; readout m
-    reads column 2 + m of the accepted rows.  The moments are those of the
-    product of the readouts, so of the readout itself when there is one.
+    A trial passes gate k with probability ``gates[k]``, independently;
+    readout m reads column m of the accepted trials' uniforms.  The
+    moments are those of the product of the readouts, so of the readout
+    itself when there is one.
     """
     blocks = range((n_trials + BLOCK - 1) // BLOCK)
+    # each gate reads as the test u < gate: one at or above 1 (roundoff can
+    # put a near-certain selection there) passes every trial, one not above
+    # 0, NaN included, passes none
+    p = math.prod(1.0 if g >= 1.0 else g if g > 0.0 else 0.0 for g in gates)
 
     def one(b):
-        size = min(BLOCK, n_trials - b * BLOCK)
-        # random((size, 4)) is the first ``size`` rows of random((BLOCK, 4))
-        u = _block_stream(master_seed, stream, b).random((size, _DRAWS))
-        acc = u[:, 0] < gates[0]
-        for k in range(1, len(gates)):
-            acc &= u[:, k] < gates[k]
-        v = reduce(operator.mul, (readout(np.compress(acc, u[:, 2 + m]))
-                                  for m, readout in enumerate(readouts)))
-        return int(np.count_nonzero(acc)), float(np.sum(v)), float(np.sum(v * v))
+        gen = _block_stream(master_seed, stream, b)
+        n = int(gen.binomial(min(BLOCK, n_trials - b * BLOCK), p))
+        u = gen.random((n, len(readouts)))
+        v = reduce(operator.mul, (readout(u[:, m]) for m, readout in enumerate(readouts)))
+        return n, float(np.sum(v)), float(np.sum(v * v))
 
     n_threads = min(n_workers, len(blocks))
     if n_threads > 1:
@@ -152,10 +156,10 @@ def run_trials(
 ) -> EnsembleStats:
     """Sample ``n_trials`` runs of a two-stage commutator chain.
 
-    Per-trial randomness is the two selection gates (``prob_mid``,
-    ``prob_post``) and the two position readouts of the conditional
-    pointers; see the module docstring.  The moments are those of the
-    readouts' product dx * dx'.
+    A trial passes the two selection gates (``prob_mid``, ``prob_post``)
+    and reads the two position readouts of the conditional pointers; see
+    the module docstring.  The moments are those of the readouts' product
+    dx * dx'.
     """
     accepted, (mean, stderr) = _sample(
         master_seed, _STREAM_TRIALS, n_trials, (chain.prob_mid, chain.prob_post),

@@ -20,6 +20,7 @@ single mid-state next to Born-weighted averages over a complete basis.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -382,16 +383,23 @@ def ccr_experiment(
     mid-selections proportionally to their Born weights; a positive budget
     that leaves no selection its 25 expected accepted trials raises
     NoAcceptedTrials.  A negative budget, a ``g`` or ``g_sweep`` coupling
-    whose square is 0, or a pointer width ``sigma`` or ``sigma_prime`` that
-    is not positive or whose square overflows or underflows raises
-    InvalidConfig before any work, also under ``run_pointer=False``.  Each pointer lives on ``pointer_grid`` of its
-    width.
+    whose square is 0, a pointer width ``sigma`` or ``sigma_prime`` that
+    is not positive or whose square overflows or underflows, or an
+    ``hbar * sigma**2`` outside the normal floats raises InvalidConfig
+    before any work, also under ``run_pointer=False``.  Each pointer
+    lives on ``pointer_grid`` of its width.
     """
     require_precondition("ccr.n_trials", n_trials)
     require_precondition("ccr.g", g)
     require_precondition("ccr.g_sweep", g_sweep)
     require_precondition("ccr.sigma", sigma)
     require_precondition("ccr.sigma_prime", sigma_prime)
+    # the pointer residual is relative to hbar sigma^2, which no per-field bound sees
+    if not sys.float_info.min <= rep.hbar * sigma**2 < math.inf:
+        raise InvalidConfig(
+            f"ccr must be run at a positive normal hbar * sigma**2, got "
+            f"{rep.hbar!r} * {sigma!r}**2 = {rep.hbar * sigma**2!r}"
+        )
     x_op, p_op = _ccr_ops(rep)
     hbar = rep.hbar
     i = i_spec if i_spec is not None else _ccr_default_state(rep)

@@ -324,6 +324,9 @@ def test_chain_preconditions_exit_3_and_validate_agrees(tmp_path, capsys, flags,
     ("montecarlo", ["--sigma", "1e300", "--n-trials", "10"], "{sigma: 1e300, n_trials: 10}",
      "montecarlo.sigma"),
     ("ccr", ["--sigma", "1e-200", "--n-trials", "0"], "{sigma: 1e-200, n_trials: 0}", "ccr.sigma"),
+    # each field in range, but hbar * sigma**2 underflows; validate names the run's section
+    ("ccr", ["--sigma", "1e-160", "--hbar", "1e-10", "--n-trials", "0"],
+     "{sigma: 1e-160, n_trials: 0}\nhbar: 1e-10", "ccr"),
 ])
 def test_monte_carlo_preconditions_exit_3_and_validate_agrees(tmp_path, capsys, experiment,
                                                               flags, yaml_text, field):

@@ -24,10 +24,20 @@ from weaklab.hilbert import (
 POINTER_GRID = pointer.pointer_grid(1.0)
 
 
-def trial_uniforms(master_seed, stream, trial_index):
-    """The four uniforms consumed by one trial, drawn the way the sampler draws them."""
-    block, row = divmod(trial_index, ensemble.BLOCK)
-    return ensemble._block_stream(master_seed, stream, block).random((ensemble.BLOCK, 4))[row]
+# the sampler's block streams, also while a test spies on them
+BLOCK_STREAM = ensemble._block_stream
+
+
+def block_draws(master_seed, stream, block, size, p, n_readouts):
+    """(accepted count, readout uniforms) of one block, drawn the way the sampler draws them.
+
+    The block's stream draws Binomial(size, p) accepted trials, then an
+    (accepted, n_readouts) array of uniforms, row k for the k-th accepted
+    trial.
+    """
+    gen = BLOCK_STREAM(master_seed, stream, block)
+    n = int(gen.binomial(size, p))
+    return n, gen.random((n, n_readouts))
 
 
 def readout_moments(chain, n_trials, seed, pointer_state):
@@ -51,13 +61,13 @@ def plane_wave(cfg, mode):
 
 
 def test_trial_draws_are_pure_functions_of_index():
-    # the same uniforms come back no matter how the block is regenerated
-    for idx in (0, 17, BLOCK - 1, BLOCK, BLOCK + 3):
-        u1 = trial_uniforms(99, 1, idx)
-        u2 = trial_uniforms(99, 1, idx)
-        np.testing.assert_array_equal(u1, u2)
-    direct = ensemble._block_stream(99, 1, 0).random((BLOCK, 4))
-    np.testing.assert_array_equal(trial_uniforms(99, 1, 17), direct[17])
+    # the same count and uniforms come back no matter how the block is regenerated
+    draws = [block_draws(99, 1, b, BLOCK, 0.3, 2) for b in (0, 1, 5)]
+    for b, (n, u) in zip((0, 1, 5), draws):
+        n2, u2 = block_draws(99, 1, b, BLOCK, 0.3, 2)
+        assert n2 == n
+        np.testing.assert_array_equal(u2, u)
+    assert len({u.tobytes() for _, u in draws}) == len(draws)
 
 
 HIGH_SEEDS = [2**63, 2**63 + 1, 2**64 - 2, 2**64 - 1]
@@ -69,7 +79,7 @@ def test_seeds_above_int64_keep_their_philox_key():
     for seed in HIGH_SEEDS:
         key = ensemble._block_stream(seed, 1, 0).bit_generator.state["state"]["key"]
         assert [int(k) for k in key] == [seed & ((1 << 64) - 1), 1 << 32]
-    rows = [trial_uniforms(seed, 1, 0).tobytes() for seed in [0, *HIGH_SEEDS]]
+    rows = [ensemble._block_stream(seed, 1, 0).random(4).tobytes() for seed in [0, *HIGH_SEEDS]]
     assert len(set(rows)) == len(rows)
 
 
@@ -208,65 +218,87 @@ def test_estimate_deterministic():
 
 @pytest.mark.parametrize("n", [1, 3, 1000, 12345, 65535])
 def test_short_draw_is_prefix_of_full_block(n):
-    # the last, partial block draws only the rows it needs
+    # a block draws only the readout rows its accepted trials read; they
+    # are the leading rows of any longer draw from the same point
     for seed, stream, block in ((99, 1, 0), (2**63 + 5, 3, 7)):
-        full = ensemble._block_stream(seed, stream, block).random((BLOCK, 4))
-        short = ensemble._block_stream(seed, stream, block).random((n, 4))
+        full = ensemble._block_stream(seed, stream, block).random((BLOCK, 2))
+        short = ensemble._block_stream(seed, stream, block).random((n, 2))
         np.testing.assert_array_equal(short, full[:n])
 
 
-def record_uniforms(monkeypatch):
-    """Spy on _block_stream: the uniform rows each stream hands to its trials."""
+def record_draws(monkeypatch):
+    """Spy on _block_stream: per stream, block -> [size, p, accepted, readout uniforms].
+
+    A block's stream offers only the two draws of the thinned layout, so
+    any other draw raises AttributeError.
+    """
     seen = {}
-    real = ensemble._block_stream
 
     class Recorded:
-        def __init__(self, stream, gen):
-            self.stream, self.gen = stream, gen
+        def __init__(self, draws, gen):
+            self.draws, self.gen = draws, gen
+
+        def binomial(self, size, p):
+            n = self.gen.binomial(size, p)
+            self.draws += [size, p, n]
+            return n
 
         def random(self, shape):
             u = self.gen.random(shape)
-            seen.setdefault(self.stream, []).append(u.copy())
+            self.draws.append(u.copy())
             return u
 
-    monkeypatch.setattr(
-        ensemble, "_block_stream",
-        lambda seed, stream, block: Recorded(stream, real(seed, stream, block)),
-    )
+    def spy(seed, stream, block):
+        draws = seen.setdefault(stream, {}).setdefault(block, [])
+        return Recorded(draws, BLOCK_STREAM(seed, stream, block))
+
+    monkeypatch.setattr(ensemble, "_block_stream", spy)
     return seen
 
 
 def full_block_draws(monkeypatch):
-    """Draw whole blocks and slice, as the tail block used to."""
-    real = ensemble._block_stream
+    """Draw a whole block of readout rows after the count and slice the accepted ones."""
 
     class FullBlock:
         def __init__(self, gen):
             self.gen = gen
 
+        def binomial(self, size, p):
+            return self.gen.binomial(size, p)
+
         def random(self, shape):
             return self.gen.random((BLOCK, shape[1]))[: shape[0]]
 
     monkeypatch.setattr(
-        ensemble, "_block_stream", lambda *a: FullBlock(real(*a))
+        ensemble, "_block_stream", lambda *a: FullBlock(BLOCK_STREAM(*a))
     )
 
 
-def assert_rows_are_trial_uniforms(blocks, seed, stream, n):
-    rows = np.concatenate(blocks)
-    assert rows.shape == (n, 4)
-    for t in (0, 17, BLOCK - 1, *range(BLOCK, n)):
-        np.testing.assert_array_equal(rows[t], trial_uniforms(seed, stream, t))
+def assert_thinned_layout(blocks, seed, stream, n_trials, p, n_readouts):
+    """Every block drew one count of its trials at ``p``, then one row of
+    ``n_readouts`` uniforms per accepted trial, and nothing else; returns
+    the accepted total."""
+    assert sorted(blocks) == list(range((n_trials + BLOCK - 1) // BLOCK))
+    for b, (size, p_drawn, n, u) in blocks.items():
+        assert (size, p_drawn) == (min(BLOCK, n_trials - b * BLOCK), p)
+        assert u.shape == (n, n_readouts)
+        n_ref, u_ref = block_draws(seed, stream, b, size, p, n_readouts)
+        assert n == n_ref
+        np.testing.assert_array_equal(u, u_ref)
+    return sum(n for _, _, n, _ in blocks.values())
 
 
 def test_run_trials_consumes_trial_uniforms_row_by_row(monkeypatch):
     n = BLOCK + 40
     chain = base_chain()
     plain = run_trials(chain, n, 17)
-    seen = record_uniforms(monkeypatch)
+    seen = record_draws(monkeypatch)
     assert run_trials(chain, n, 17) == plain
     assert list(seen) == [ensemble._STREAM_TRIALS]
-    assert_rows_are_trial_uniforms(seen[ensemble._STREAM_TRIALS], 17, ensemble._STREAM_TRIALS, n)
+    # both gates at once; one position readout per pointer
+    accepted = assert_thinned_layout(seen[ensemble._STREAM_TRIALS], 17, ensemble._STREAM_TRIALS,
+                                     n, chain.prob_mid * chain.prob_post, 2)
+    assert accepted == plain.accepted
     full_block_draws(monkeypatch)
     assert run_trials(chain, n, 17) == plain
 
@@ -276,13 +308,59 @@ def test_estimate_weak_value_consumes_trial_uniforms_row_by_row(monkeypatch):
     i, f = spin_pair(0.8)
     stage = weak_stage(i, f, hilbert.pauli("z"))
     plain = estimate_weak_value(stage, 1.0, 0.05, n, 41)
-    seen = record_uniforms(monkeypatch)
+    seen = record_draws(monkeypatch)
     assert estimate_weak_value(stage, 1.0, 0.05, n, 41) == plain
     assert sorted(seen) == [ensemble._STREAM_IMAG, ensemble._STREAM_REAL]
-    for stream, blocks in seen.items():
-        assert_rows_are_trial_uniforms(blocks, 41, stream, n)
+    for stream, accepted in ((ensemble._STREAM_IMAG, plain.accepted_position),
+                             (ensemble._STREAM_REAL, plain.accepted_momentum)):
+        assert assert_thinned_layout(seen[stream], 41, stream, n, stage.probability, 1) == accepted
     full_block_draws(monkeypatch)
     assert estimate_weak_value(stage, 1.0, 0.05, n, 41) == plain
+
+
+def uniforms_drawn(seen):
+    return sum(draws[-1].size for blocks in seen.values() for draws in blocks.values())
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_sampler_draws_only_the_uniforms_it_reads(monkeypatch, n_workers):
+    # a per-trial draw takes at least one uniform per gate for every attempt
+    n = 3 * BLOCK + 5
+    chain = base_chain()
+    stage = weak_stage(*spin_pair(2.6), hilbert.pauli("z"))
+    assert chain.prob_mid * chain.prob_post < 0.5 and stage.probability < 0.5
+    seen = record_draws(monkeypatch)
+    stats = run_trials(chain, n, 8, n_workers)
+    assert uniforms_drawn(seen) == 2 * stats.accepted
+    seen.clear()
+    est = estimate_weak_value(stage, 1.0, 0.05, n, 9, n_workers=n_workers)
+    assert uniforms_drawn(seen) == est.accepted_position + est.accepted_momentum
+
+
+@pytest.mark.parametrize("gate, accepts", [
+    (1.0 + 2**-52, True),  # roundoff above a certain selection
+    (math.inf, True),
+    (math.nan, False),  # u < nan passes no trial
+    (-0.0, False),
+])
+def test_gate_outside_unit_interval_reads_as_u_below_gate(gate, accepts):
+    chain = uncoupled_chain()
+    assert chain.prob_mid == pytest.approx(1.0) and chain.prob_post == pytest.approx(1.0)
+    stage = weak_stage(*spin_pair(math.pi / 2), hilbert.pauli("z"))
+    for mid, post in ((gate, 1.0), (1.0, gate), (gate, gate)):
+        odd = dataclasses.replace(chain, prob_mid=mid, prob_post=post)
+        if accepts:
+            assert run_trials(odd, 1000, 3).accepted == 1000
+        else:
+            with pytest.raises(NoAcceptedTrials):
+                run_trials(odd, 1000, 3)
+    odd_stage = dataclasses.replace(stage, probability=gate)
+    if accepts:
+        est = estimate_weak_value(odd_stage, 1.0, 0.05, 1000, 4)
+        assert est.accepted_position == est.accepted_momentum == 1000
+    else:
+        with pytest.raises(NoAcceptedTrials):
+            estimate_weak_value(odd_stage, 1.0, 0.05, 1000, 4)
 
 
 # -- guide-table readout: the same indices as binary search -------------------
@@ -405,18 +483,18 @@ def test_estimate_weak_value_equals_binary_search_readout(monkeypatch, setup, n_
     )
 
 
-# float.hex of every output of the sampler on two fixed stages, from the
-# implementation with one block loop per sampler that preceded the shared
-# one.  A change of the Philox layout, the gate order, the readout columns
-# or the merge order changes them.
+# float.hex of every output of the sampler on two fixed stages, under
+# binomial thinning: per block one accepted count, then one row of readout
+# uniforms per accepted trial.  A change of the Philox layout, the gate
+# product, the readout columns or the merge order changes them.
 PINNED_RUN_TRIALS = {
-    "attempted": 66535, "accepted": 24595,
-    "mean_product": "0x1.133b11a4821b9p-7", "stderr_product": "0x1.aac43904c08e9p-8",
+    "attempted": 66535, "accepted": 24532,
+    "mean_product": "-0x1.532a48b6a90d8p-10", "stderr_product": "0x1.9d293e0ccd302p-8",
 }
 PINNED_ESTIMATE = {
-    "re_est": "0x1.84b7941a8db62p-2", "im_est": "-0x1.feb4dd07b1642p-5",
-    "stderr_re": "0x1.5b860164c05a4p-5", "stderr_im": "0x1.5607e3901cf7ep-5",
-    "attempted": 66535, "accepted_position": 56405, "accepted_momentum": 56119,
+    "re_est": "0x1.84518d6368c26p-2", "im_est": "0x1.d04a0ce2deb20p-6",
+    "stderr_re": "0x1.5b0fc6452bee8p-5", "stderr_im": "0x1.5914a72697322p-5",
+    "attempted": 66535, "accepted_position": 56420, "accepted_momentum": 56334,
 }
 
 
@@ -427,10 +505,12 @@ def hex_fields(result):
 def block_tagged_readout(seed, stream, n_blocks, block_values):
     """Readout that reads ``block_values[b]`` and then zeros in block b.
 
-    A block is told by its first trial's readout uniform, so the readout
-    does not depend on the order in which blocks run.
+    A block is told by its first accepted trial's readout uniform under a
+    gate that passes every trial, so the readout does not depend on the
+    order in which blocks run.
     """
-    tag = {trial_uniforms(seed, stream, b * ensemble.BLOCK)[2]: b for b in range(n_blocks)}
+    size = ensemble.BLOCK
+    tag = {block_draws(seed, stream, b, size, 1.0, 1)[1][0, 0]: b for b in range(n_blocks)}
 
     def readout(u):
         out = np.zeros(u.size)
@@ -501,3 +581,87 @@ def test_run_blocks_starts_at_most_one_thread_per_block(monkeypatch, n_workers, 
     accepted, _ = ensemble._sample(3, 1, n_trials, (2.0,), (np.zeros_like,), n_workers)
     assert accepted == n_trials
     assert sizes == ([] if pool_size is None else [pool_size])
+
+
+# -- false alarms over fixed seeds, and the per-trial form as an oracle --------
+
+def per_trial_sample(master_seed, stream, n_trials, gates, readouts, n_workers):
+    """The per-trial form of ``ensemble._sample`` (test oracle).
+
+    Trial t reads row t % BLOCK of a (BLOCK, gates + readouts) uniform draw
+    of block t // BLOCK: it passes when each gate's uniform is below the
+    gate, and reads readout m from column len(gates) + m.
+    """
+    k = len(gates)
+    partials = []
+    for b in range((n_trials + BLOCK - 1) // BLOCK):
+        size = min(BLOCK, n_trials - b * BLOCK)
+        u = BLOCK_STREAM(master_seed, stream, b).random((size, k + len(readouts)))
+        acc = np.all(u[:, :k] < np.asarray(gates), axis=1)
+        v = np.prod([readout(u[acc, k + m]) for m, readout in enumerate(readouts)], axis=0)
+        partials.append((int(np.count_nonzero(acc)), float(np.sum(v)), float(np.sum(v * v))))
+    accepted = sum(n for n, _, _ in partials)
+    if accepted == 0:
+        raise NoAcceptedTrials(f"0 of {n_trials} trials passed all selections")
+    mean = math.fsum(s for _, s, _ in partials) / accepted
+    total_sq = math.fsum(q for _, _, q in partials)
+    var = max(0.0, (total_sq - accepted * mean * mean) / (accepted - 1))
+    return accepted, (mean, math.sqrt(var / accepted))
+
+
+FALSE_ALARM_SEEDS = range(300)
+FALSE_ALARM_TRIALS = 100_000
+MC_CHECKS = ("re_est_within_3_stderr", "im_est_within_3_stderr",
+             "acceptance_vs_born", "momentum_acceptance_vs_born")
+
+
+def standardized_residuals(report):
+    """Signed residual over standard error of each of MC_CHECKS, in that order."""
+    n, q = report.n_trials, report.acceptance_expected
+    acc_se = math.sqrt(q * (1.0 - q) / n)
+    return [(report.re_est - report.target.real) / report.stderr_re,
+            (report.im_est - report.target.imag) / report.stderr_im,
+            (report.accepted_position / n - q) / acc_se,
+            (report.accepted_momentum / n - q) / acc_se]
+
+
+def spin_runs_at_zero_bias():
+    """(fail flags, standardized residuals), one row per seed, of the spin
+    montecarlo run at alpha = pi/2, where |A_w| = 1 and the exact pointer
+    reads tan(alpha/2) = 1 at every g."""
+    fails, z = [], []
+    for seed in FALSE_ALARM_SEEDS:
+        report = montecarlo_experiment(alpha=math.pi / 2, n_trials=FALSE_ALARM_TRIALS, seed=seed)
+        assert tuple(c.name for c in report.checks) == MC_CHECKS
+        fails.append([not c.passed for c in report.checks])
+        z.append(standardized_residuals(report))
+    return np.array(fails), np.array(z)
+
+
+def ks_distance(a, b):
+    """Two-sample Kolmogorov-Smirnov statistic: the largest gap between the empirical CDFs."""
+    at = np.concatenate([a, b])
+    return float(np.max(np.abs(np.searchsorted(np.sort(a), at, side="right") / a.size
+                               - np.searchsorted(np.sort(b), at, side="right") / b.size)))
+
+
+def test_unbiased_spin_run_fails_at_the_nominal_rate(monkeypatch):
+    # Each check is a 3-standard-error band, nominal false-alarm 0.27%.
+    # Over 300 seeds the fail count of one check is Binomial(300, 0.0027),
+    # mean 0.81; it exceeds 4 with probability 0.15%.  The standardized
+    # residuals must be unit normal: their sample mean over 300 seeds has
+    # standard error 0.058 and their sample variance 0.082, and the bounds
+    # are four of those.
+    fails, z = spin_runs_at_zero_bias()
+    assert fails.sum(axis=0).max() <= 4, dict(zip(MC_CHECKS, fails.sum(axis=0)))
+    assert np.all(np.abs(z.mean(axis=0)) <= 4 / math.sqrt(z.shape[0])), z.mean(axis=0)
+    assert np.all(np.abs(z.var(axis=0, ddof=1) - 1.0) <= 4 * math.sqrt(2 / (z.shape[0] - 1)))
+    # the thinned sampler and the per-trial form are equal in law: over the
+    # same seeds each standardized residual passes a two-sample KS test at
+    # level 1e-3 (asymptotic critical distance 1.949 sqrt(2 / 300) = 0.159)
+    monkeypatch.setattr(ensemble, "_sample", per_trial_sample)
+    oracle_fails, oracle_z = spin_runs_at_zero_bias()
+    assert oracle_fails.sum(axis=0).max() <= 4
+    critical = 1.949 * math.sqrt(2 / len(FALSE_ALARM_SEEDS))
+    for k, name in enumerate(MC_CHECKS):
+        assert ks_distance(z[:, k], oracle_z[:, k]) <= critical, name
