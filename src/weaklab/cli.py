@@ -45,12 +45,6 @@ EXIT_NUMERICAL_ERROR = 3
 
 EXPERIMENTS = ("pauli", "ccr", "riemann", "chain", "montecarlo")
 
-# Upper bound on --workers.  The useful thread count is at most the number
-# of 65536-trial RNG blocks; the bound keeps a typo from asking for
-# thousands of threads.
-MAX_WORKERS = 64
-
-
 class ConfigError(Exception):
     """Raised on schema violations; maps to exit status 2."""
 
@@ -84,7 +78,6 @@ SCHEMA = {
     "format": Field("json", ("json", "csv", "both"), "--format", "output files"),
     "seed": Field(0, "int", "--seed", "master seed, 0 to 2**64 - 1"),
     "hbar": Field(1.0, "float", "--hbar", "hbar > 0"),
-    "workers": Field(1, "int", "--workers", f"Monte Carlo worker threads, 1 to {MAX_WORKERS}"),
     "pauli.alpha": Field(math.pi / 3, "float", "--alpha", "spin angle"),
     "pauli.alpha_sweep": Field(
         [], "floats", "--alpha-sweep", "comma-separated angles; overrides alpha when nonempty"
@@ -308,8 +301,8 @@ def resolve_config(experiment: str, file_cfg: dict, overrides: dict) -> dict:
     """defaults <- config file <- CLI flags, each leaf coerced to its SCHEMA type.
 
     Raises ConfigError on unknown fields, values of the wrong type
-    (bools, fractional integers, non-finite numbers), hbar <= 0, a seed
-    outside [0, 2**64) and workers outside 1..MAX_WORKERS.
+    (bools, fractional integers, non-finite numbers), hbar <= 0 and a seed
+    outside [0, 2**64).
     """
     file_cfg = dict(file_cfg)
     declared = file_cfg.pop("experiment", experiment)
@@ -339,8 +332,6 @@ def resolve_config(experiment: str, file_cfg: dict, overrides: dict) -> dict:
     # Monte Carlo keys and chain seeds take it modulo 2**64: one outside aliases one inside
     if not 0 <= cfg["seed"] < 1 << 64:
         raise ConfigError(f"seed must be in [0, 2**64), got {cfg['seed']}")
-    if not 1 <= cfg["workers"] <= MAX_WORKERS:
-        raise ConfigError(f"workers must be between 1 and {MAX_WORKERS}")
     return cfg
 
 
@@ -383,7 +374,6 @@ def _run_ccr(cfg):
         rep, i_spec=_ccr_state(rep, sub["state"]), sigma=sub["sigma"],
         sigma_prime=sub["sigma_prime"], g=sub["g"], g_sweep=sub["g_sweep"],
         n_trials=sub["n_trials"], seed=cfg["seed"], run_pointer=sub["run_pointer"],
-        n_workers=cfg["workers"],
     )
     rows = [
         [r.index, r.p_eigenvalue, r.weight, r.x_w.real, r.x_w.imag,
@@ -445,7 +435,6 @@ def _run_montecarlo(cfg):
     report = experiments.montecarlo_experiment(
         preset=sub["preset"], alpha=sub["alpha"], dim=sub["dim"], sigma=sub["sigma"],
         g=sub["g"], n_trials=sub["n_trials"], seed=cfg["seed"], hbar=cfg["hbar"],
-        n_workers=cfg["workers"],
     )
     rows = [[report.re_est, report.im_est, report.stderr_re, report.stderr_im,
              report.target.real, report.target.imag,
@@ -470,20 +459,20 @@ _RUNNERS = {
 
 
 # ---------------------------------------------------------------------------
-# validation: the bounds, then the run itself up to its first trial
+# validation: the bounds, then the run itself
 
 def validate_config(cfg: dict) -> list[dict]:
     """Physics-precondition diagnostics; empty list means runnable.
 
     First the ``experiments.PRECONDITIONS`` bounds, one diagnostic per
-    field.  When they hold, the run itself runs up to its first Monte
-    Carlo trial and writes nothing: the experiment's runner, with
-    ``ccr.n_trials`` at 0, or for ``montecarlo`` (whose budget cannot be 0)
-    its selections and pointer stage.  An error the run raises becomes one
-    diagnostic named after the experiment's section (``montecarlo.alpha``
-    and ``montecarlo.g`` for the two montecarlo stages); each
-    TruncationWarning it warns becomes one more, and the run goes on past
-    it as a real run does.
+    field.  When they hold, the run itself runs, Monte Carlo trials
+    included, and writes nothing: the experiment's runner, after, for
+    ``montecarlo``, its selections and pointer stage.  So validate fails
+    exactly where the run at the same seed fails with an error.  An error
+    the run raises becomes one diagnostic named after the experiment's
+    section (``montecarlo.alpha`` and ``montecarlo.g`` for the two
+    montecarlo stages); each TruncationWarning it warns becomes one more,
+    and the run goes on past it as a real run does.
     """
     diags = []
 
@@ -523,12 +512,10 @@ def validate_config(cfg: dict) -> list[dict]:
     if experiment == "montecarlo":
         selections = check("montecarlo.alpha", experiments.montecarlo_selections,
                            sub["preset"], sub["alpha"], sub["dim"], cfg["hbar"])
-        if selections is not None:
-            grid = pointer.pointer_grid(sub["sigma"], cfg["hbar"])
-            check("montecarlo.g", pointer.measure_weakly, *selections, sub["sigma"], sub["g"], grid)
-        return diags
-    if experiment == "ccr":
-        cfg = {**cfg, "ccr": {**sub, "n_trials": 0}}
+        grid = pointer.pointer_grid(sub["sigma"], cfg["hbar"])
+        if selections is None or check("montecarlo.g", pointer.measure_weakly, *selections,
+                                       sub["sigma"], sub["g"], grid) is None:
+            return diags
     check(experiment, _RUNNERS[experiment], cfg)
     return diags
 
@@ -630,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(field.flag, **kwargs)
 
     p = subs.add_parser(
-        "validate", help="check a config: run it up to its first Monte Carlo trial, write nothing"
+        "validate", help="check a config: run it, Monte Carlo trials included, write nothing"
     )
     p.add_argument("config_path", help="YAML config file")
     return parser

@@ -97,12 +97,18 @@ def worst(residuals) -> float:
 _WIDTH = (lambda v: v > 0 and 0 < v * v < math.inf, "> 0 with a positive, finite square")
 
 
+# The largest trial budget.  Up to 2**53 a budget is an exact float, so
+# ccr's allocation n_trials * w / sum(w) stays exact, and the int64
+# binomial of the sampler holds it.
+_MAX_TRIALS = 1 << 53
+
 # The config preconditions that no other builder checks, by config path:
 # (holds, what it needs).  Each experiment raises InvalidConfig from
 # require_precondition before any work, and cli.validate_config calls it
 # with the same path, one diagnostic per field.
 PRECONDITIONS = {
-    "ccr.n_trials": (lambda v: v >= 0, ">= 0"),  # 0 disables the Monte Carlo
+    # 0 disables the Monte Carlo
+    "ccr.n_trials": (lambda v: 0 <= v <= _MAX_TRIALS, ">= 0 and <= 2**53"),
     # the correlators divide by g**2, which must not underflow to 0
     "ccr.g": (lambda v: v * v > 0, "nonzero with g * g > 0"),
     "ccr.g_sweep": (lambda v: all(g * g > 0 for g in v), "couplings each with g * g > 0"),
@@ -113,7 +119,7 @@ PRECONDITIONS = {
     "chain.dim": (lambda v: v >= 1, ">= 1"),
     "chain.n_ops": (lambda v: v >= 2, ">= 2"),
     "chain.instances": (lambda v: v >= 1, ">= 1"),
-    "montecarlo.n_trials": (lambda v: v >= 1, ">= 1"),  # per readout stream
+    "montecarlo.n_trials": (lambda v: 1 <= v <= _MAX_TRIALS, ">= 1 and <= 2**53"),  # per stream
     "montecarlo.g": (lambda v: v != 0, "!= 0"),  # the estimates divide by g
     "montecarlo.sigma": _WIDTH,
     "montecarlo.dim": (lambda v: v >= 2, ">= 2"),  # fock preset: f holds |1>
@@ -360,7 +366,6 @@ def ccr_experiment(
     n_trials: int = 0,
     seed: int = 0,
     run_pointer: bool = True,
-    n_workers: int = 1,
 ) -> CcrReport:
     """Measure [x,p] = i hbar every way the machinery allows.
 
@@ -382,12 +387,12 @@ def ccr_experiment(
     ``n_trials`` is the total attempt budget, allocated over the
     mid-selections proportionally to their Born weights; a positive budget
     that leaves no selection its 25 expected accepted trials raises
-    NoAcceptedTrials.  A negative budget, a ``g`` or ``g_sweep`` coupling
-    whose square is 0, a pointer width ``sigma`` or ``sigma_prime`` that
-    is not positive or whose square overflows or underflows, or an
-    ``hbar * sigma**2`` outside the normal floats raises InvalidConfig
-    before any work, also under ``run_pointer=False``.  Each pointer
-    lives on ``pointer_grid`` of its width.
+    NoAcceptedTrials.  A budget outside [0, 2**53], a ``g`` or
+    ``g_sweep`` coupling whose square is 0, a pointer width ``sigma`` or
+    ``sigma_prime`` that is not positive or whose square overflows or
+    underflows, or an ``hbar * sigma**2`` outside the normal floats raises
+    InvalidConfig before any work, also under ``run_pointer=False``.  Each
+    pointer lives on ``pointer_grid`` of its width.
     """
     require_precondition("ccr.n_trials", n_trials)
     require_precondition("ccr.g", g)
@@ -489,7 +494,7 @@ def ccr_experiment(
             for j, a, ok in zip(keep, alloc, usable):
                 if not ok:
                     continue
-                stats[j] = mc.run_trials(chains[j], int(a), _subseed(seed, j), n_workers)
+                stats[j] = mc.run_trials(chains[j], int(a), _subseed(seed, j))
                 mc_accepted += stats[j].accepted
                 mc_attempted += stats[j].attempted
                 mc_cov += float(weights[j])
@@ -787,7 +792,6 @@ def montecarlo_experiment(
     n_trials: int = 40_000,
     seed: int = 0,
     hbar: float = 1.0,
-    n_workers: int = 1,
 ) -> McReport:
     """Estimate a weak value from sampled pointer shifts.
 
@@ -799,11 +803,11 @@ def montecarlo_experiment(
     momentum: ``momentum_acceptance_vs_born``) within three binomial
     standard errors of the exact selection probability.
 
-    Raises InvalidConfig, before any work, for n_trials < 1, g == 0, a
-    sigma that is not positive or whose square overflows or underflows,
-    or, under the fock preset, dim < 2, and GridResolutionError
-    when the coupling kicks weight past a quarter of the pointer grid
-    (at sigma = hbar = 1, |g| > 40.2 for the spin preset).
+    Raises InvalidConfig, before any work, for n_trials outside
+    [1, 2**53], g == 0, a sigma that is not positive or whose square
+    overflows or underflows, or, under the fock preset, dim < 2, and
+    GridResolutionError when the coupling kicks weight past a quarter of
+    the pointer grid (at sigma = hbar = 1, |g| > 40.2 for the spin preset).
     """
     require_precondition("montecarlo.n_trials", n_trials)
     require_precondition("montecarlo.g", g)
@@ -813,7 +817,7 @@ def montecarlo_experiment(
     target = weak_value(i, f, obs)
     # through the ensemble's name, which bench/tracer.py wraps
     stage = mc.measure_weakly(i, f, obs, sigma, g, pointer_grid(sigma, hbar))
-    est = mc.estimate_weak_value(stage, sigma, g, n_trials, seed, n_workers)
+    est = mc.estimate_weak_value(stage, sigma, g, n_trials, seed)
     # roundoff can put a near-certain selection's probability just above 1
     q = min(stage.probability, 1.0)
     acc_se = math.sqrt(q * (1.0 - q) / n_trials)

@@ -238,31 +238,30 @@ def test_criterion_8_reproducibility(tmp_path):
         "--n-trials", "60000", "--seed", "11",
     ]
     out_a, out_b, out_c = (tmp_path / n for n in ("a", "b", "c"))
-    assert cli.main(ccr_args + ["--out", str(out_a), "--workers", "1"]) == 0
-    assert cli.main(ccr_args + ["--out", str(out_b), "--workers", "1"]) == 0
-    assert cli.main(ccr_args + ["--out", str(out_c), "--workers", "4"]) == 0
+    assert cli.main(ccr_args + ["--out", str(out_a)]) == 0
+    assert cli.main(ccr_args + ["--out", str(out_b)]) == 0
+    # replay from the stored record
+    assert cli.main(["ccr", "--config", str(out_a / "run.json"), "--out", str(out_c)]) == 0
     recs = []
     for out in (out_a, out_b, out_c):
         rec = json.loads((out / "run.json").read_text())
         rec.pop("timestamp")
         rec["config"].pop("out")
-        rec["config"].pop("workers")
         recs.append(rec)
     ccr_ok = recs[0] == recs[1] == recs[2]
 
     mc_args = ["montecarlo", "--preset", "fock", "--n-trials", "30000", "--seed", "4"]
     out_d, out_e = tmp_path / "d", tmp_path / "e"
-    assert cli.main(mc_args + ["--out", str(out_d), "--workers", "1"]) == 0
-    assert cli.main(mc_args + ["--out", str(out_e), "--workers", "3"]) == 0
+    assert cli.main(mc_args + ["--out", str(out_d)]) == 0
+    assert cli.main(["montecarlo", "--config", str(out_d / "run.json"), "--out", str(out_e)]) == 0
     mc_recs = []
     for out in (out_d, out_e):
         rec = json.loads((out / "run.json").read_text())
         rec.pop("timestamp")
         rec["config"].pop("out")
-        rec["config"].pop("workers")
         mc_recs.append(rec)
     mc_ok = mc_recs[0] == mc_recs[1]
     dt = time.perf_counter() - t0
     verdict(8, ccr_ok and mc_ok,
-            f"ccr rerun + 4-worker rerun identical: {ccr_ok}; montecarlo "
-            f"3-worker rerun identical: {mc_ok} ({dt:.1f} s)")
+            f"ccr rerun + replay from run.json identical: {ccr_ok}; montecarlo "
+            f"replay from run.json identical: {mc_ok} ({dt:.1f} s)")

@@ -104,23 +104,6 @@ def test_ccr_fock_run_is_reproducible(tmp_path):
     assert first == second
 
 
-def test_ccr_worker_count_does_not_change_outputs(tmp_path):
-    base = [
-        "ccr", "--rep", "grid", "--points", "96", "--length", "40",
-        "--n-trials", "50000", "--seed", "5",
-    ]
-    out1, out2 = tmp_path / "w1", tmp_path / "w2"
-    assert run_cli(base + ["--out", str(out1), "--workers", "1"]) == 0
-    assert run_cli(base + ["--out", str(out2), "--workers", "4"]) == 0
-    a = read_json(out1 / "run.json")
-    b = read_json(out2 / "run.json")
-    for rec in (a, b):
-        rec.pop("timestamp")
-        rec["config"].pop("out")
-        rec["config"].pop("workers")
-    assert a == b
-
-
 def test_stored_run_record_round_trips(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run_cli([
@@ -255,7 +238,7 @@ def test_validate_runs_on_past_a_truncation_warning(tmp_path, capsys):
     ]
 
 
-@pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+@pytest.mark.parametrize("experiment", ["pauli", "riemann", "chain"])
 def test_validate_samples_no_trial_and_writes_nothing(tmp_path, capsys, monkeypatch, experiment):
     def no_trials(*args, **kwargs):
         raise AssertionError("validate sampled Monte Carlo trials")
@@ -264,10 +247,53 @@ def test_validate_samples_no_trial_and_writes_nothing(tmp_path, capsys, monkeypa
     monkeypatch.setattr(experiments.mc, "estimate_weak_value", no_trials)
     out = tmp_path / "o"
     cfgfile = tmp_path / "c.yaml"
-    cfgfile.write_text(f"experiment: {experiment}\nout: {out}\n")  # ccr: 200,000 trials
+    cfgfile.write_text(f"experiment: {experiment}\nout: {out}\n")
     assert run_cli(["validate", str(cfgfile)]) == cli.EXIT_OK
     assert json.loads(capsys.readouterr().out)["diagnostics"] == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment, sampler", [
+    ("ccr", "run_trials"),  # 200,000 trials over the kept mid-selections
+    ("montecarlo", "estimate_weak_value"),  # 40,000 trials per stream
+])
+def test_validate_runs_the_trials_and_writes_nothing(tmp_path, capsys, monkeypatch, experiment,
+                                                     sampler):
+    calls = []
+    orig = getattr(experiments.mc, sampler)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(experiments.mc, sampler, counted)
+    out = tmp_path / "o"
+    cfgfile = tmp_path / "c.yaml"
+    cfgfile.write_text(f"experiment: {experiment}\nout: {out}\n")
+    assert run_cli(["validate", str(cfgfile)]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["diagnostics"] == []
+    assert calls
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment, flags, yaml_text", [
+    # no mid-selection gets its 25 expected accepted trials
+    ("ccr", ["--n-trials", "100"], "{n_trials: 100}"),
+    # P(f) = 1e-4 at A_w = 100: one trial per stream is accepted by neither
+    ("montecarlo", ["--n-trials", "1", "--alpha", "3.1215953196"],
+     "{n_trials: 1, alpha: 3.1215953196}"),
+])
+def test_validate_fails_where_the_trials_accept_nothing(tmp_path, capsys, experiment, flags,
+                                                        yaml_text):
+    out = tmp_path / "o"
+    assert run_cli([experiment, *flags, "--out", str(out)]) == cli.EXIT_NUMERICAL_ERROR
+    assert "numerical error: NoAcceptedTrials: " in capsys.readouterr().err
+    assert not out.exists()
+    cfgfile = tmp_path / "c.yaml"
+    cfgfile.write_text(f"experiment: {experiment}\n{experiment}: {yaml_text}\n")
+    assert run_cli(["validate", str(cfgfile)]) == cli.EXIT_CHECK_FAILED
+    diags = json.loads(capsys.readouterr().out)["diagnostics"]
+    assert [(d["field"], d["error"]) for d in diags] == [(experiment, "NoAcceptedTrials")]
 
 
 def test_chain_subcommand(tmp_path):
@@ -327,6 +353,13 @@ def test_chain_preconditions_exit_3_and_validate_agrees(tmp_path, capsys, flags,
     # each field in range, but hbar * sigma**2 underflows; validate names the run's section
     ("ccr", ["--sigma", "1e-160", "--hbar", "1e-10", "--n-trials", "0"],
      "{sigma: 1e-160, n_trials: 0}\nhbar: 1e-10", "ccr"),
+    # budgets above 2**53, the largest the binomial and ccr's allocation hold exactly
+    ("montecarlo", ["--n-trials", "100000000000000000000"], "{n_trials: 100000000000000000000}",
+     "montecarlo.n_trials"),
+    ("montecarlo", ["--n-trials", str(2**53 + 1)], f"{{n_trials: {2**53 + 1}}}",
+     "montecarlo.n_trials"),
+    ("ccr", ["--n-trials", "100000000000000000000"], "{n_trials: 100000000000000000000}",
+     "ccr.n_trials"),
 ])
 def test_monte_carlo_preconditions_exit_3_and_validate_agrees(tmp_path, capsys, experiment,
                                                               flags, yaml_text, field):
@@ -493,7 +526,7 @@ def test_rejected_config_exits_2_without_outputs(tmp_path, yaml_text):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag", [["--workers", "0"], ["--dim", "16.7"], ["--seed", "1.5"]])
+@pytest.mark.parametrize("flag", [["--hbar", "0"], ["--dim", "16.7"], ["--seed", "1.5"]])
 def test_rejected_flag_exits_2_without_outputs(tmp_path, flag):
     out = tmp_path / "never"
     assert run_cli(["ccr", *flag, "--out", str(out)]) == cli.EXIT_CONFIG_ERROR
@@ -516,12 +549,22 @@ def test_seed_outside_64_bits_exits_2_and_validate_reports_it(tmp_path, capsys, 
     assert diags[0]["message"].startswith("seed must be in [0, 2**64)")
 
 
-@pytest.mark.parametrize("workers", ["65", "1000000"])
-def test_workers_above_the_bound_exit_2_without_outputs(tmp_path, workers):
-    # resolve_config rejects it before any thread starts
+@pytest.mark.parametrize("experiment", ["ccr", "montecarlo"])
+def test_config_still_setting_workers_exits_2_as_an_unknown_field(tmp_path, capsys, experiment):
+    # the sampler runs no threads, and the field went with them
+    cfgfile = tmp_path / "c.yaml"
+    cfgfile.write_text(f"experiment: {experiment}\nworkers: 1\n")
     out = tmp_path / "never"
-    assert run_cli(["montecarlo", "--workers", workers, "--out", str(out)]) == cli.EXIT_CONFIG_ERROR
+    assert run_cli([experiment, "--config", str(cfgfile), "--out", str(out)]) == (
+        cli.EXIT_CONFIG_ERROR
+    )
+    assert "config error: unknown config field 'workers'" in capsys.readouterr().err
     assert not out.exists()
+    assert run_cli(["validate", str(cfgfile)]) == cli.EXIT_CONFIG_ERROR
+    diags = json.loads(capsys.readouterr().out)["diagnostics"]
+    assert [(d["field"], d["error"], d["message"]) for d in diags] == [
+        ("config", "ConfigError", "unknown config field 'workers'")
+    ]
 
 
 def test_ccr_small_dim_default_state_passes(tmp_path, capsys):
@@ -664,12 +707,6 @@ _OTHERS = st.one_of(
     st.dictionaries(st.sampled_from(["a", "dim"]), st.integers(0, 3), max_size=1),
 ).map(lambda v: (v, None))
 
-# resolve_config starts no thread, so values past MAX_WORKERS are safe here
-_WORKERS = st.one_of(st.integers(-2, 4).map(lambda n: (n, n)),
-                     st.sampled_from([("2", 2), ("3.0", 3.0), (2.5, 2.5), ("1e0", 1.0),
-                                      (64, 64), ("65", 65), (10**6, 10**6)]))
-
-
 def _expected(kind, raw, number):
     """The coerced value resolve_config must give, or _REJECT."""
     if isinstance(kind, tuple):
@@ -717,7 +754,7 @@ def _configs(draw):
     chosen = draw(st.lists(st.sampled_from(sorted(fields)), max_size=6, unique=True))
     raw, expected = {}, {}
     for path in chosen:
-        value, number = draw(_WORKERS if path == "workers" else st.one_of(_reals(), _OTHERS))
+        value, number = draw(st.one_of(_reals(), _OTHERS))
         cli._put(raw, path, value)
         expected[path] = _expected(fields[path].kind, value, number)
     unknown = draw(st.sampled_from([None, "bogus", f"{experiment}.bogus", "rep"]))
@@ -744,8 +781,7 @@ def test_resolve_config_accepts_exactly_the_schema_types(case):
         values["ccr.state.width"] = (
             _REJECT if length is _REJECT else experiments.ccr_default_width(length))
     accept = (not has_unknown and _REJECT not in values.values()
-              and values["hbar"] > 0 and 0 <= values["seed"] < 2**64
-              and 1 <= values["workers"] <= 64)
+              and values["hbar"] > 0 and 0 <= values["seed"] < 2**64)
     if not accept:
         with pytest.raises(cli.ConfigError):
             cli.resolve_config(experiment, raw, {})

@@ -5,10 +5,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from weaklab import ensemble, hilbert, pointer
-from weaklab.ensemble import BLOCK, estimate_weak_value, run_trials
+from weaklab.ensemble import estimate_weak_value, run_trials
 from weaklab.errors import InvalidConfig, NoAcceptedTrials, SelectionAnnihilated
 from weaklab.experiments import montecarlo_experiment
 from weaklab.hilbert import (
@@ -24,28 +23,12 @@ from weaklab.hilbert import (
 POINTER_GRID = pointer.pointer_grid(1.0)
 
 
-# the sampler's block streams, also while a test spies on them
-BLOCK_STREAM = ensemble._block_stream
-
-
-def block_draws(master_seed, stream, block, size, p, n_readouts):
-    """(accepted count, readout uniforms) of one block, drawn the way the sampler draws them.
-
-    The block's stream draws Binomial(size, p) accepted trials, then an
-    (accepted, n_readouts) array of uniforms, row k for the k-th accepted
-    trial.
-    """
-    gen = BLOCK_STREAM(master_seed, stream, block)
-    n = int(gen.binomial(size, p))
-    return n, gen.random((n, n_readouts))
-
-
 def readout_moments(chain, n_trials, seed, pointer_state):
     """(accepted, (mean, stderr)) of one position readout of ``pointer_state``
     under both gates of ``chain``: the per-readout view of ``run_trials``."""
     return ensemble._sample(seed, ensemble._STREAM_TRIALS, n_trials,
                             (chain.prob_mid, chain.prob_post),
-                            (ensemble._readout(pointer_state, pointer.POSITION),), 1)
+                            (ensemble._readout(pointer_state, pointer.POSITION),))
 
 
 def grid_setup(n_sys=64, length=20.0):
@@ -60,16 +43,6 @@ def plane_wave(cfg, mode):
     return hilbert.StateVector(cfg.basis_id, np.exp(1j * k * cfg.positions())), k
 
 
-def test_trial_draws_are_pure_functions_of_index():
-    # the same count and uniforms come back no matter how the block is regenerated
-    draws = [block_draws(99, 1, b, BLOCK, 0.3, 2) for b in (0, 1, 5)]
-    for b, (n, u) in zip((0, 1, 5), draws):
-        n2, u2 = block_draws(99, 1, b, BLOCK, 0.3, 2)
-        assert n2 == n
-        np.testing.assert_array_equal(u2, u)
-    assert len({u.tobytes() for _, u in draws}) == len(draws)
-
-
 HIGH_SEEDS = [2**63, 2**63 + 1, 2**64 - 2, 2**64 - 1]
 
 
@@ -77,9 +50,9 @@ HIGH_SEEDS = [2**63, 2**63 + 1, 2**64 - 2, 2**64 - 1]
 def test_seeds_above_int64_keep_their_philox_key():
     # a key read as float64 would round these to multiples of 2048, and 2**64 - 1 to 0
     for seed in HIGH_SEEDS:
-        key = ensemble._block_stream(seed, 1, 0).bit_generator.state["state"]["key"]
-        assert [int(k) for k in key] == [seed & ((1 << 64) - 1), 1 << 32]
-    rows = [ensemble._block_stream(seed, 1, 0).random(4).tobytes() for seed in [0, *HIGH_SEEDS]]
+        key = ensemble._generator(seed, 1).bit_generator.state["state"]["key"]
+        assert [int(k) for k in key] == [seed & ((1 << 64) - 1), 1]
+    rows = [ensemble._generator(seed, 1).random(4).tobytes() for seed in [0, *HIGH_SEEDS]]
     assert len(set(rows)) == len(rows)
 
 
@@ -143,13 +116,16 @@ def test_mean_product_matches_exact_chain():
         assert abs(mean - dx) <= 3.0 * stderr
 
 
-def test_bit_identical_reruns_and_worker_independence():
+def test_bit_identical_reruns():
+    # a stream is a pure function of (stage, seed, stream, n_trials)
     chain = base_chain()
-    a = run_trials(chain, 150_000, 5, n_workers=1)
-    b = run_trials(chain, 150_000, 5, n_workers=1)
-    c = run_trials(chain, 150_000, 5, n_workers=3)
-    assert a == b
-    assert a == c
+    a = run_trials(chain, 150_000, 5)
+    assert run_trials(chain, 150_000, 5) == a
+    assert run_trials(chain, 150_000, 6) != a
+    for seed, stream in ((5, 1), (2**64 - 1, 3)):
+        first = [ensemble._generator(seed, stream).random(3) for _ in range(2)]
+        np.testing.assert_array_equal(*first)
+    assert (ensemble._generator(5, 1).random(3) != ensemble._generator(5, 2).random(3)).all()
 
 
 def test_stderr_scales_inverse_sqrt_accepted():
@@ -213,23 +189,13 @@ def test_estimate_deterministic():
     i, f = spin_pair(0.8)
     stage = weak_stage(i, f, hilbert.pauli("z"))
     assert (estimate_weak_value(stage, 1.0, 0.05, 5_000, 31)
-            == estimate_weak_value(stage, 1.0, 0.05, 5_000, 31, n_workers=2))
-
-
-@pytest.mark.parametrize("n", [1, 3, 1000, 12345, 65535])
-def test_short_draw_is_prefix_of_full_block(n):
-    # a block draws only the readout rows its accepted trials read; they
-    # are the leading rows of any longer draw from the same point
-    for seed, stream, block in ((99, 1, 0), (2**63 + 5, 3, 7)):
-        full = ensemble._block_stream(seed, stream, block).random((BLOCK, 2))
-        short = ensemble._block_stream(seed, stream, block).random((n, 2))
-        np.testing.assert_array_equal(short, full[:n])
+            == estimate_weak_value(stage, 1.0, 0.05, 5_000, 31))
 
 
 def record_draws(monkeypatch):
-    """Spy on _block_stream: per stream, block -> [size, p, accepted, readout uniforms].
+    """Spy on _generator: per stream, the list of (method, n, p or pvals, result) it drew.
 
-    A block's stream offers only the two draws of the thinned layout, so
+    A stream's generator offers only the binomial and the multinomial, so
     any other draw raises AttributeError.
     """
     seen = {}
@@ -238,103 +204,80 @@ def record_draws(monkeypatch):
         def __init__(self, draws, gen):
             self.draws, self.gen = draws, gen
 
-        def binomial(self, size, p):
-            n = self.gen.binomial(size, p)
-            self.draws += [size, p, n]
-            return n
+        def binomial(self, n, p):
+            result = self.gen.binomial(n, p)
+            self.draws.append(("binomial", n, p, result))
+            return result
 
-        def random(self, shape):
-            u = self.gen.random(shape)
-            self.draws.append(u.copy())
-            return u
+        def multinomial(self, n, pvals):
+            result = self.gen.multinomial(n, pvals)
+            self.draws.append(("multinomial", np.copy(n), np.copy(pvals), result.copy()))
+            return result
 
-    def spy(seed, stream, block):
-        draws = seen.setdefault(stream, {}).setdefault(block, [])
-        return Recorded(draws, BLOCK_STREAM(seed, stream, block))
+    real = ensemble._generator
 
-    monkeypatch.setattr(ensemble, "_block_stream", spy)
+    def spy(seed, stream):
+        assert stream not in seen, "a stream built its generator twice"
+        return Recorded(seen.setdefault(stream, []), real(seed, stream))
+
+    monkeypatch.setattr(ensemble, "_generator", spy)
     return seen
 
 
-def full_block_draws(monkeypatch):
-    """Draw a whole block of readout rows after the count and slice the accepted ones."""
-
-    class FullBlock:
-        def __init__(self, gen):
-            self.gen = gen
-
-        def binomial(self, size, p):
-            return self.gen.binomial(size, p)
-
-        def random(self, shape):
-            return self.gen.random((BLOCK, shape[1]))[: shape[0]]
-
-    monkeypatch.setattr(
-        ensemble, "_block_stream", lambda *a: FullBlock(BLOCK_STREAM(*a))
-    )
-
-
-def assert_thinned_layout(blocks, seed, stream, n_trials, p, n_readouts):
-    """Every block drew one count of its trials at ``p``, then one row of
-    ``n_readouts`` uniforms per accepted trial, and nothing else; returns
-    the accepted total."""
-    assert sorted(blocks) == list(range((n_trials + BLOCK - 1) // BLOCK))
-    for b, (size, p_drawn, n, u) in blocks.items():
-        assert (size, p_drawn) == (min(BLOCK, n_trials - b * BLOCK), p)
-        assert u.shape == (n, n_readouts)
-        n_ref, u_ref = block_draws(seed, stream, b, size, p, n_readouts)
-        assert n == n_ref
-        np.testing.assert_array_equal(u, u_ref)
-    return sum(n for _, _, n, _ in blocks.values())
+def assert_counts_layout(draws, n_trials, p, readouts):
+    """One Binomial(n_trials, p), then one multinomial per readout: the
+    first over the accepted count, the second (vectorized) over the first
+    readout's nonzero cells; returns the accepted count."""
+    assert [d[0] for d in draws] == ["binomial"] + ["multinomial"] * len(readouts)
+    (_, n, p_drawn, accepted), (_, n1, pvals1, counts1), *second = draws
+    assert (n, p_drawn) == (n_trials, p)
+    assert int(n1) == accepted and counts1.sum() == accepted
+    np.testing.assert_array_equal(pvals1, readouts[0][1])
+    if second:
+        (_, n2, pvals2, counts2), = second
+        np.testing.assert_array_equal(n2, counts1[counts1 > 0])
+        np.testing.assert_array_equal(pvals2, readouts[1][1])
+        np.testing.assert_array_equal(counts2.sum(axis=1), n2)
+    return int(accepted)
 
 
-def test_run_trials_consumes_trial_uniforms_row_by_row(monkeypatch):
-    n = BLOCK + 40
-    chain = base_chain()
-    plain = run_trials(chain, n, 17)
-    seen = record_draws(monkeypatch)
-    assert run_trials(chain, n, 17) == plain
-    assert list(seen) == [ensemble._STREAM_TRIALS]
-    # both gates at once; one position readout per pointer
-    accepted = assert_thinned_layout(seen[ensemble._STREAM_TRIALS], 17, ensemble._STREAM_TRIALS,
-                                     n, chain.prob_mid * chain.prob_post, 2)
-    assert accepted == plain.accepted
-    full_block_draws(monkeypatch)
-    assert run_trials(chain, n, 17) == plain
-
-
-def test_estimate_weak_value_consumes_trial_uniforms_row_by_row(monkeypatch):
-    n = BLOCK + 40
-    i, f = spin_pair(0.8)
-    stage = weak_stage(i, f, hilbert.pauli("z"))
-    plain = estimate_weak_value(stage, 1.0, 0.05, n, 41)
-    seen = record_draws(monkeypatch)
-    assert estimate_weak_value(stage, 1.0, 0.05, n, 41) == plain
-    assert sorted(seen) == [ensemble._STREAM_IMAG, ensemble._STREAM_REAL]
-    for stream, accepted in ((ensemble._STREAM_IMAG, plain.accepted_position),
-                             (ensemble._STREAM_REAL, plain.accepted_momentum)):
-        assert assert_thinned_layout(seen[stream], 41, stream, n, stage.probability, 1) == accepted
-    full_block_draws(monkeypatch)
-    assert estimate_weak_value(stage, 1.0, 0.05, n, 41) == plain
-
-
-def uniforms_drawn(seen):
-    return sum(draws[-1].size for blocks in seen.values() for draws in blocks.values())
-
-
-@pytest.mark.parametrize("n_workers", [1, 2])
-def test_sampler_draws_only_the_uniforms_it_reads(monkeypatch, n_workers):
-    # a per-trial draw takes at least one uniform per gate for every attempt
-    n = 3 * BLOCK + 5
+@pytest.mark.parametrize("n_trials", [200_000, 10**13])
+def test_sampler_draws_one_binomial_and_one_multinomial_per_readout(monkeypatch, n_trials):
+    # the draws do not grow with the budget: 10**13 trials take the same three
+    # draws as 200,000
     chain = base_chain()
     stage = weak_stage(*spin_pair(2.6), hilbert.pauli("z"))
-    assert chain.prob_mid * chain.prob_post < 0.5 and stage.probability < 0.5
+    plain = run_trials(chain, n_trials, 8), estimate_weak_value(stage, 1.0, 0.05, n_trials, 9)
     seen = record_draws(monkeypatch)
-    stats = run_trials(chain, n, 8, n_workers)
-    assert uniforms_drawn(seen) == 2 * stats.accepted
+    stats = run_trials(chain, n_trials, 8)
+    assert stats == plain[0]
+    assert list(seen) == [ensemble._STREAM_TRIALS]
+    readouts = [ensemble._readout(p, pointer.POSITION)
+                for p in (chain.pointer_first, chain.pointer_second)]
+    assert assert_counts_layout(seen[ensemble._STREAM_TRIALS], n_trials,
+                                chain.prob_mid * chain.prob_post, readouts) == stats.accepted
     seen.clear()
-    est = estimate_weak_value(stage, 1.0, 0.05, n, 9, n_workers=n_workers)
-    assert uniforms_drawn(seen) == est.accepted_position + est.accepted_momentum
+    est = estimate_weak_value(stage, 1.0, 0.05, n_trials, 9)
+    assert est == plain[1]
+    assert sorted(seen) == [ensemble._STREAM_IMAG, ensemble._STREAM_REAL]
+    for stream, kind, accepted in (
+        (ensemble._STREAM_IMAG, pointer.POSITION, est.accepted_position),
+        (ensemble._STREAM_REAL, pointer.MOMENTUM, est.accepted_momentum),
+    ):
+        readouts = [ensemble._readout(stage.pointer, kind)]
+        assert assert_counts_layout(seen[stream], n_trials, stage.probability,
+                                    readouts) == accepted
+
+
+def test_readout_lists_the_readable_cells_most_probable_first(monkeypatch):
+    # ties keep grid order; cells of probability 0 are left out
+    probs = np.array([0.1, 0.0, 0.4, 0.1, 0.0, 0.4]) * 3.0
+    monkeypatch.setattr(ensemble, "readout_distribution",
+                        lambda p, kind: (np.arange(6.0), probs))
+    values, cell_probs = ensemble._readout(None, pointer.POSITION)
+    np.testing.assert_array_equal(values, [2.0, 5.0, 0.0, 3.0])
+    np.testing.assert_allclose(cell_probs, [0.4, 0.4, 0.1, 0.1], rtol=1e-15)
+    assert abs(math.fsum(cell_probs) - 1.0) <= 1e-15
 
 
 @pytest.mark.parametrize("gate, accepts", [
@@ -363,87 +306,6 @@ def test_gate_outside_unit_interval_reads_as_u_below_gate(gate, accepts):
             estimate_weak_value(odd_stage, 1.0, 0.05, 1000, 4)
 
 
-# -- guide-table readout: the same indices as binary search -------------------
-
-def reference_inverse_cdf(values, cdf):
-    """The binary-search readout the guide table must reproduce (test oracle)."""
-    return lambda u: values[np.minimum(np.searchsorted(cdf, u, side="right"), values.size - 1)]
-
-
-def probability_vector(kind, n, rng):
-    x = np.linspace(-1.0, 1.0, n)
-    if kind == "random":
-        return rng.random(n)
-    if kind == "uniform":
-        return np.ones(n)
-    # the gaussian and spiky kinds are scaled so their largest entry is 1:
-    # a narrow peak between points, or one small draw at n = 1, would
-    # otherwise underflow to an all-zero vector
-    if kind == "gaussian":
-        d = ((x - rng.uniform(-0.5, 0.5)) / rng.uniform(1e-3, 0.5)) ** 2
-        return np.exp(-(d - d.min()))
-    if kind == "spiky":
-        r = rng.random(n)
-        return (r / r.max()) ** 40
-    p = rng.random(n)  # zero runs: equal cdf entries
-    for start in rng.integers(0, n, size=3):
-        p[start:start + rng.integers(1, n + 1)] = 0.0
-    p[rng.integers(0, n)] = 1.0
-    return p
-
-
-def guide_keys(cdf, rng):
-    """Random keys plus every cdf entry, every bucket edge and their neighbours."""
-    edges = np.arange(ensemble.GUIDE_BUCKETS) / ensemble.GUIDE_BUCKETS
-    keys = np.concatenate([
-        rng.random(4096),
-        cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0),
-        edges, np.nextafter(edges, -1.0),
-        [0.0, 1.0 - 2.0**-53],
-    ])
-    return keys[(keys >= 0.0) & (keys < 1.0)]
-
-
-@given(
-    kind=st.sampled_from(["random", "uniform", "gaussian", "spiky", "zero-runs"]),
-    n=st.one_of(st.integers(1, 300), st.just(1024)),
-    total=st.sampled_from([1.0, 1.0 - 2**-52, 1.0 - 1e-12, 1.0 - 1e-6, 1.0 + 2**-52, 1.0 + 1e-9]),
-    seed=st.integers(0, 2**32 - 1),
-)
-@settings(max_examples=150, deadline=None)
-def test_guide_table_equals_binary_search(kind, n, total, seed):
-    rng = np.random.default_rng(seed)
-    p = probability_vector(kind, n, rng)
-    cdf = np.cumsum(p * (total / p.sum()))
-    assert np.all(np.isfinite(cdf))
-    values = rng.normal(size=n)
-    keys = guide_keys(cdf, rng)
-    got = ensemble._inverse_cdf(values, cdf)(keys)
-    np.testing.assert_array_equal(got, reference_inverse_cdf(values, cdf)(keys))
-
-
-def test_guide_table_dense_bucket_falls_back_to_binary_search():
-    # 1000 cdf entries inside the first bucket, so its keys take the fallback
-    p = np.concatenate([np.full(1000, 1e-9), [1.0], np.full(23, 1e-3)])
-    cdf = np.cumsum(p / p.sum())
-    values = np.arange(cdf.size, dtype=float)
-    keys = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.linspace(0.0, 2e-6, 5001)])
-    keys = keys[keys < 1.0]
-    got = ensemble._inverse_cdf(values, cdf)(keys)
-    np.testing.assert_array_equal(got, reference_inverse_cdf(values, cdf)(keys))
-    assert np.unique(got[keys < 1e-6]).size > 100
-
-
-def assert_equal_fields(a, b):
-    for field in dataclasses.fields(a):
-        assert getattr(a, field.name) == getattr(b, field.name), field.name
-
-
-def spin_trial_setup():
-    i, f = spin_pair(0.8)
-    return dict(i=i, f=f, x_op=hilbert.pauli("x"), p_op=hilbert.pauli("y"), g=0.05)
-
-
 def fock_trial_setup():
     rep = FockConfig(dim=16)
     x_op, p_op = make_fock_ops(rep)
@@ -451,50 +313,18 @@ def fock_trial_setup():
                 x_op=x_op, p_op=p_op, g=0.05)
 
 
-def grid_trial_setup():
-    cfg, x_op, p_op, i = grid_setup()
-    f, _ = plane_wave(cfg, 1)
-    return dict(i=i, f=f, x_op=x_op, p_op=p_op, g=0.01)
-
-
-TRIAL_SETUPS = {"spin": spin_trial_setup, "fock": fock_trial_setup, "grid": grid_trial_setup}
-
-
-@pytest.mark.parametrize("n_workers", [1, 2])
-@pytest.mark.parametrize("setup", sorted(TRIAL_SETUPS))
-def test_run_trials_equals_binary_search_readout(monkeypatch, setup, n_workers):
-    kw = TRIAL_SETUPS[setup]()
-    chain = pointer.run_ccr_protocol(kw["i"], kw["f"], kw["x_op"], kw["p_op"], 1.0, 1.0, kw["g"],
-                                     POINTER_GRID, POINTER_GRID)
-    guided = run_trials(chain, 2 * BLOCK + 999, 5, n_workers)
-    monkeypatch.setattr(ensemble, "_inverse_cdf", reference_inverse_cdf)
-    assert_equal_fields(guided, run_trials(chain, 2 * BLOCK + 999, 5, n_workers))
-
-
-@pytest.mark.parametrize("n_workers", [1, 2])
-@pytest.mark.parametrize("setup", sorted(TRIAL_SETUPS))
-def test_estimate_weak_value_equals_binary_search_readout(monkeypatch, setup, n_workers):
-    kw = TRIAL_SETUPS[setup]()
-    stage = weak_stage(kw["i"], kw["f"], kw["x_op"], kw["g"])
-    guided = estimate_weak_value(stage, 1.0, kw["g"], 2 * BLOCK + 999, 6, n_workers=n_workers)
-    monkeypatch.setattr(ensemble, "_inverse_cdf", reference_inverse_cdf)
-    assert_equal_fields(
-        guided, estimate_weak_value(stage, 1.0, kw["g"], 2 * BLOCK + 999, 6, n_workers=n_workers)
-    )
-
-
-# float.hex of every output of the sampler on two fixed stages, under
-# binomial thinning: per block one accepted count, then one row of readout
-# uniforms per accepted trial.  A change of the Philox layout, the gate
-# product, the readout columns or the merge order changes them.
+# float.hex of every output of the sampler on two fixed stages, at a budget
+# no per-trial draw could reach.  A change of the Philox key, the gate
+# product, the order of the draws, the cell order of a readout or the
+# merge changes them.
 PINNED_RUN_TRIALS = {
-    "attempted": 66535, "accepted": 24532,
-    "mean_product": "-0x1.532a48b6a90d8p-10", "stderr_product": "0x1.9d293e0ccd302p-8",
+    "attempted": 10**12, "accepted": 367592717255,
+    "mean_product": "0x1.45d52ea465c5ep-11", "stderr_product": "0x1.baad79112f55bp-20",
 }
 PINNED_ESTIMATE = {
-    "re_est": "0x1.84518d6368c26p-2", "im_est": "0x1.d04a0ce2deb20p-6",
-    "stderr_re": "0x1.5b0fc6452bee8p-5", "stderr_im": "0x1.5914a72697322p-5",
-    "attempted": 66535, "accepted_position": 56420, "accepted_momentum": 56334,
+    "re_est": "0x1.b1d51ad782100p-2", "im_est": "-0x1.1647d8c552c4dp-18",
+    "stderr_re": "0x1.6d6caff0f8b83p-17", "stderr_im": "0x1.6bed9de88b7f9p-17",
+    "attempted": 10**12, "accepted_position": 846615936871, "accepted_momentum": 846615762859,
 }
 
 
@@ -502,90 +332,98 @@ def hex_fields(result):
     return {k: v.hex() if isinstance(v, float) else v for k, v in dataclasses.asdict(result).items()}
 
 
-def block_tagged_readout(seed, stream, n_blocks, block_values):
-    """Readout that reads ``block_values[b]`` and then zeros in block b.
-
-    A block is told by its first accepted trial's readout uniform under a
-    gate that passes every trial, so the readout does not depend on the
-    order in which blocks run.
-    """
-    size = ensemble.BLOCK
-    tag = {block_draws(seed, stream, b, size, 1.0, 1)[1][0, 0]: b for b in range(n_blocks)}
-
-    def readout(u):
-        out = np.zeros(u.size)
-        values = block_values[tag[u[0]]]
-        out[:len(values)] = values
-        return out
-
-    return readout
+@pytest.mark.parametrize("n_readouts", [1, 2])
+def test_replay_layout_is_pinned(n_readouts):
+    if n_readouts == 1:
+        i, f = spin_pair(0.8)
+        est = estimate_weak_value(weak_stage(i, f, hilbert.pauli("z")), 1.0, 0.05, 10**12, 41)
+        assert hex_fields(est) == PINNED_ESTIMATE
+    else:
+        kw = fock_trial_setup()
+        chain = pointer.run_ccr_protocol(kw["i"], kw["f"], kw["x_op"], kw["p_op"], 1.0, 1.0,
+                                         kw["g"], POINTER_GRID, POINTER_GRID)
+        assert hex_fields(run_trials(chain, 10**12, 5)) == PINNED_RUN_TRIALS
 
 
-@pytest.mark.parametrize("n_workers", [1, 2])
-def test_block_merge_is_exact(monkeypatch, n_workers):
-    # The per-block partial sums below round differently when added left to
-    # right; math.fsum merges them exactly.  A small BLOCK keeps 128 blocks
-    # cheap; the merge does not depend on the block size.
-    monkeypatch.setattr(ensemble, "BLOCK", 8)
-    seed, stream, n_blocks = 11, 1, 128
-    n_trials = 8 * n_blocks  # a power of two, so dividing by it is exact
+class FixedCounts:
+    """A stream whose gate passes every trial and whose readouts fall one
+    trial per cell: the first readout's counts are all 1, and the second's
+    put the k-th trial of the first in cell k."""
 
-    def sample(block_values):
-        readout = block_tagged_readout(seed, stream, n_blocks, block_values)
-        accepted, moments = ensemble._sample(seed, stream, n_trials, (2.0,), (readout,),
-                                             n_workers)
-        assert accepted == n_trials  # a gate above 1 passes every trial
+    def binomial(self, n, p):
+        assert p == 1.0
+        return n
+
+    def multinomial(self, n, pvals):
+        if np.ndim(n) == 0:
+            assert n == len(pvals)
+            return np.ones(len(pvals), dtype=np.int64)
+        return np.eye(len(n), len(pvals), dtype=np.int64)
+
+
+@pytest.mark.parametrize("n_readouts", [1, 2])
+def test_cell_merge_is_exact(monkeypatch, n_readouts):
+    # The per-cell terms below round differently when added left to right;
+    # math.fsum merges them exactly.  With two readouts the first carries
+    # the values and the second reads 1 in every cell, so the terms are the
+    # same products v_k * S_k.
+    monkeypatch.setattr(ensemble, "_generator", lambda seed, stream: FixedCounts())
+
+    def sample(values):
+        values = np.array(values)
+        readouts = [(values, np.full(values.size, 1.0 / values.size))]
+        if n_readouts == 2:
+            readouts.append((np.ones(values.size), readouts[0][1]))
+        accepted, moments = ensemble._sample(11, 1, values.size, (2.0,), readouts)
+        assert accepted == values.size  # one trial per cell
         return moments
 
-    # sums 1 + 2**-53 + 2**-107: exactly above a tie, so 1 + 2**-52; left to
-    # right, and compensated (Neumaier) too, they give 1
-    mean, _ = sample([[1.0], [2.0**-53], [2.0**-107]] + [[]] * (n_blocks - 3))
-    assert mean == (1.0 + 2.0**-52) / n_trials
-    # sums 0, squares 1 + 127 * 2**-53; left to right each 2**-53 is half
-    # an ulp of 1 and rounds away
+    # terms 1 + 2**-53 + 2**-107: exactly above a tie, so 1 + 2**-52; left to
+    # right, and compensated (Neumaier) too, they give 1.  Four cells: the
+    # division by the accepted count is exact.
+    mean, _ = sample([1.0, 2.0**-53, 2.0**-107, 0.0])
+    assert mean == (1.0 + 2.0**-52) / 4
+    # terms sum to 0, squares to 1 + 254 * 2**-54; left to right each
+    # 2**-54 is a quarter ulp of 1 and rounds away
     tiny = 2.0**-27
-    mean, stderr = sample([[0.5, -0.5, 0.5, -0.5]] + [[tiny, -tiny]] * (n_blocks - 1))
+    values = [0.5, -0.5, 0.5, -0.5] + [tiny, -tiny] * 127
+    mean, stderr = sample(values)
+    n = len(values)
     assert mean == 0.0
-    assert stderr == math.sqrt((1.0 + 127 * 2.0**-53) / (n_trials - 1) / n_trials)
+    assert stderr == math.sqrt((1.0 + 127 * 2.0**-53) / (n - 1) / n)
 
 
-@pytest.mark.parametrize("n_workers", [1, 2])
-def test_replay_layout_is_pinned(n_workers):
-    kw = fock_trial_setup()
-    chain = pointer.run_ccr_protocol(kw["i"], kw["f"], kw["x_op"], kw["p_op"], 1.0, 1.0, kw["g"],
-                                     POINTER_GRID, POINTER_GRID)
-    assert hex_fields(run_trials(chain, BLOCK + 999, 5, n_workers)) == PINNED_RUN_TRIALS
-    i, f = spin_pair(0.8)
-    est = estimate_weak_value(weak_stage(i, f, hilbert.pauli("z")), 1.0, 0.05, BLOCK + 999, 41,
-                              n_workers=n_workers)
-    assert hex_fields(est) == PINNED_ESTIMATE
+# -- false alarms over fixed seeds, and the two earlier forms as oracles ------
+
+BLOCK = 1 << 16  # trials per block of the two oracles
 
 
-@pytest.mark.parametrize("n_workers, n_trials, pool_size", [
-    (1, 3 * BLOCK, None),
-    (4, BLOCK, None),
-    (3, BLOCK + 1, 2),
-    (2, 3 * BLOCK, 2),
-])
-def test_run_blocks_starts_at_most_one_thread_per_block(monkeypatch, n_workers, n_trials,
-                                                        pool_size):
-    sizes = []
-
-    class Pool(ensemble.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(ensemble, "ThreadPoolExecutor", Pool)
-    # a gate above 1 passes every trial
-    accepted, _ = ensemble._sample(3, 1, n_trials, (2.0,), (np.zeros_like,), n_workers)
-    assert accepted == n_trials
-    assert sizes == ([] if pool_size is None else [pool_size])
+def block_stream(master_seed, stream, block):
+    """The Philox stream of one block of the oracles, keyed (seed, stream << 32 | block)."""
+    key = np.array([master_seed & ((1 << 64) - 1), (stream << 32) | block], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
-# -- false alarms over fixed seeds, and the per-trial form as an oracle --------
+def inverse_cdf(values, probs):
+    """Readout by binary search: u in [0, 1) reads the cell its cdf entry passes."""
+    cdf = np.cumsum(probs)
+    return lambda u: values[np.minimum(np.searchsorted(cdf, u, side="right"), values.size - 1)]
 
-def per_trial_sample(master_seed, stream, n_trials, gates, readouts, n_workers):
+
+def merged_moments(n_trials, partials):
+    """(accepted, (mean, stderr)) from per-block (accepted, sum, sum of squares)."""
+    accepted = sum(n for n, _, _ in partials)
+    if accepted == 0:
+        raise NoAcceptedTrials(f"0 of {n_trials} trials passed all selections")
+    mean = math.fsum(s for _, s, _ in partials) / accepted
+    if accepted < 2:
+        return accepted, (mean, float("nan"))
+    total_sq = math.fsum(q for _, _, q in partials)
+    var = max(0.0, (total_sq - accepted * mean * mean) / (accepted - 1))
+    return accepted, (mean, math.sqrt(var / accepted))
+
+
+def per_trial_sample(master_seed, stream, n_trials, gates, readouts):
     """The per-trial form of ``ensemble._sample`` (test oracle).
 
     Trial t reads row t % BLOCK of a (BLOCK, gates + readouts) uniform draw
@@ -593,20 +431,33 @@ def per_trial_sample(master_seed, stream, n_trials, gates, readouts, n_workers):
     gate, and reads readout m from column len(gates) + m.
     """
     k = len(gates)
+    read = [inverse_cdf(values, probs) for values, probs in readouts]
     partials = []
     for b in range((n_trials + BLOCK - 1) // BLOCK):
         size = min(BLOCK, n_trials - b * BLOCK)
-        u = BLOCK_STREAM(master_seed, stream, b).random((size, k + len(readouts)))
+        u = block_stream(master_seed, stream, b).random((size, k + len(readouts)))
         acc = np.all(u[:, :k] < np.asarray(gates), axis=1)
-        v = np.prod([readout(u[acc, k + m]) for m, readout in enumerate(readouts)], axis=0)
+        v = np.prod([r(u[acc, k + m]) for m, r in enumerate(read)], axis=0)
         partials.append((int(np.count_nonzero(acc)), float(np.sum(v)), float(np.sum(v * v))))
-    accepted = sum(n for n, _, _ in partials)
-    if accepted == 0:
-        raise NoAcceptedTrials(f"0 of {n_trials} trials passed all selections")
-    mean = math.fsum(s for _, s, _ in partials) / accepted
-    total_sq = math.fsum(q for _, _, q in partials)
-    var = max(0.0, (total_sq - accepted * mean * mean) / (accepted - 1))
-    return accepted, (mean, math.sqrt(var / accepted))
+    return merged_moments(n_trials, partials)
+
+
+def thinned_sample(master_seed, stream, n_trials, gates, readouts):
+    """The block-thinned form of ``ensemble._sample`` (test oracle).
+
+    Block b draws its accepted count Binomial(size, product of the gates),
+    then one row of readout uniforms per accepted trial.
+    """
+    p = math.prod(1.0 if g >= 1.0 else g if g > 0.0 else 0.0 for g in gates)
+    read = [inverse_cdf(values, probs) for values, probs in readouts]
+    partials = []
+    for b in range((n_trials + BLOCK - 1) // BLOCK):
+        gen = block_stream(master_seed, stream, b)
+        n = int(gen.binomial(min(BLOCK, n_trials - b * BLOCK), p))
+        u = gen.random((n, len(readouts)))
+        v = np.prod([r(u[:, m]) for m, r in enumerate(read)], axis=0)
+        partials.append((n, float(np.sum(v)), float(np.sum(v * v))))
+    return merged_moments(n_trials, partials)
 
 
 FALSE_ALARM_SEEDS = range(300)
@@ -656,12 +507,14 @@ def test_unbiased_spin_run_fails_at_the_nominal_rate(monkeypatch):
     assert fails.sum(axis=0).max() <= 4, dict(zip(MC_CHECKS, fails.sum(axis=0)))
     assert np.all(np.abs(z.mean(axis=0)) <= 4 / math.sqrt(z.shape[0])), z.mean(axis=0)
     assert np.all(np.abs(z.var(axis=0, ddof=1) - 1.0) <= 4 * math.sqrt(2 / (z.shape[0] - 1)))
-    # the thinned sampler and the per-trial form are equal in law: over the
-    # same seeds each standardized residual passes a two-sample KS test at
-    # level 1e-3 (asymptotic critical distance 1.949 sqrt(2 / 300) = 0.159)
-    monkeypatch.setattr(ensemble, "_sample", per_trial_sample)
-    oracle_fails, oracle_z = spin_runs_at_zero_bias()
-    assert oracle_fails.sum(axis=0).max() <= 4
+    # the counts form, the block-thinned form and the per-trial form are
+    # equal in law: over the same seeds each standardized residual of the
+    # counts form passes a two-sample KS test against each oracle at level
+    # 1e-3 (asymptotic critical distance 1.949 sqrt(2 / 300) = 0.159)
     critical = 1.949 * math.sqrt(2 / len(FALSE_ALARM_SEEDS))
-    for k, name in enumerate(MC_CHECKS):
-        assert ks_distance(z[:, k], oracle_z[:, k]) <= critical, name
+    for oracle in (thinned_sample, per_trial_sample):
+        monkeypatch.setattr(ensemble, "_sample", oracle)
+        oracle_fails, oracle_z = spin_runs_at_zero_bias()
+        assert oracle_fails.sum(axis=0).max() <= 4, oracle.__name__
+        for k, name in enumerate(MC_CHECKS):
+            assert ks_distance(z[:, k], oracle_z[:, k]) <= critical, (oracle.__name__, name)

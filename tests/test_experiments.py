@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from weaklab import experiments, hilbert
+from weaklab import experiments, hilbert, pointer
 from weaklab.errors import AlphaOutOfRange, InvalidConfig, TruncationWarning
 from weaklab.experiments import (
     REFERENCE_ZEROS,
@@ -248,7 +248,7 @@ def test_montecarlo_experiment_fock():
 
 def test_montecarlo_experiment_determinism():
     a = montecarlo_experiment(preset="spin", alpha=0.9, n_trials=10_000, seed=12)
-    b = montecarlo_experiment(preset="spin", alpha=0.9, n_trials=10_000, seed=12, n_workers=3)
+    b = montecarlo_experiment(preset="spin", alpha=0.9, n_trials=10_000, seed=12)
     assert a == b
 
 
@@ -319,6 +319,29 @@ def test_montecarlo_runs_one_weak_stage(monkeypatch):
     rep = montecarlo_experiment(preset="fock", n_trials=2000, seed=1)
     assert len(calls) == 1
     assert rep.acceptance_expected == real(*calls[0]).probability
+
+
+def test_montecarlo_spin_100_reads_the_exact_pointer_not_the_first_order_value(monkeypatch):
+    # Aharonov, Albert & Vaidman's spin 100: A_w = tan(alpha / 2) = 100.  At
+    # g = 0.001 the exact pointer reads <p>/g = 99.01, 1% below the
+    # first-order 100 (Duck, Stevenson & Sudarshan 1989); 2.5e11 trials per
+    # stream, at P(f) = 1e-4, resolve the two.
+    stages = []
+    real = experiments.mc.measure_weakly
+
+    def kept(*args, **kwargs):
+        stages.append(real(*args, **kwargs))
+        return stages[-1]
+
+    monkeypatch.setattr(experiments.mc, "measure_weakly", kept)
+    g = 0.001
+    rep = montecarlo_experiment(alpha=2.0 * math.atan(100.0), g=g, n_trials=250_000_000_000,
+                                seed=0)
+    assert rep.target.real == pytest.approx(100.0, rel=1e-9)
+    exact = pointer.pointer_mean_momentum(stages[0].pointer) / g
+    assert 98.9 < exact < 99.1
+    assert abs(rep.re_est - exact) <= 3.0 * rep.stderr_re
+    assert abs(rep.re_est - rep.target.real) >= 5.0 * rep.stderr_re
 
 
 def test_riemann_experiment_builds_x_and_p_once(monkeypatch):
