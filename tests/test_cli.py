@@ -549,22 +549,28 @@ def test_seed_outside_64_bits_exits_2_and_validate_reports_it(tmp_path, capsys, 
     assert diags[0]["message"].startswith("seed must be in [0, 2**64)")
 
 
-@pytest.mark.parametrize("experiment", ["ccr", "montecarlo"])
-def test_config_still_setting_workers_exits_2_as_an_unknown_field(tmp_path, capsys, experiment):
-    # the sampler runs no threads, and the field went with them
-    cfgfile = tmp_path / "c.yaml"
-    cfgfile.write_text(f"experiment: {experiment}\nworkers: 1\n")
-    out = tmp_path / "never"
-    assert run_cli([experiment, "--config", str(cfgfile), "--out", str(out)]) == (
-        cli.EXIT_CONFIG_ERROR
-    )
-    assert "config error: unknown config field 'workers'" in capsys.readouterr().err
-    assert not out.exists()
-    assert run_cli(["validate", str(cfgfile)]) == cli.EXIT_CONFIG_ERROR
-    diags = json.loads(capsys.readouterr().out)["diagnostics"]
-    assert [(d["field"], d["error"], d["message"]) for d in diags] == [
-        ("config", "ConfigError", "unknown config field 'workers'")
-    ]
+@pytest.mark.parametrize("workers", ["65", "1000000"])
+def test_workers_above_the_bound_exit_2_without_outputs(tmp_path, capsys, workers):
+    # the sampler runs no threads, and the field, its flag and its 1..64
+    # bound went with them: any value is an unknown field
+    for experiment in ("ccr", "montecarlo"):
+        out = tmp_path / experiment
+        with pytest.raises(SystemExit) as flag_exit:
+            run_cli([experiment, "--workers", workers, "--out", str(out)])
+        assert flag_exit.value.code == cli.EXIT_CONFIG_ERROR
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
+        cfgfile = tmp_path / f"{experiment}.yaml"
+        cfgfile.write_text(f"experiment: {experiment}\nworkers: {workers}\n")
+        assert run_cli([experiment, "--config", str(cfgfile), "--out", str(out)]) == (
+            cli.EXIT_CONFIG_ERROR
+        )
+        assert "config error: unknown config field 'workers'" in capsys.readouterr().err
+        assert not out.exists()
+        assert run_cli(["validate", str(cfgfile)]) == cli.EXIT_CONFIG_ERROR
+        diags = json.loads(capsys.readouterr().out)["diagnostics"]
+        assert [(d["field"], d["error"], d["message"]) for d in diags] == [
+            ("config", "ConfigError", "unknown config field 'workers'")
+        ]
 
 
 def test_ccr_small_dim_default_state_passes(tmp_path, capsys):

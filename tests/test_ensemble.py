@@ -122,10 +122,23 @@ def test_bit_identical_reruns():
     a = run_trials(chain, 150_000, 5)
     assert run_trials(chain, 150_000, 5) == a
     assert run_trials(chain, 150_000, 6) != a
-    for seed, stream in ((5, 1), (2**64 - 1, 3)):
-        first = [ensemble._generator(seed, stream).random(3) for _ in range(2)]
-        np.testing.assert_array_equal(*first)
-    assert (ensemble._generator(5, 1).random(3) != ensemble._generator(5, 2).random(3)).all()
+
+
+def stream_draws(master_seed, stream):
+    """A binomial and a multinomial of one stream's generator, as the sampler draws them."""
+    gen = ensemble._generator(master_seed, stream)
+    return int(gen.binomial(10**12, 0.3)), gen.multinomial(10**6, [0.5, 0.3, 0.2]).tolist()
+
+
+def test_trial_draws_are_pure_functions_of_index():
+    # a stream's draws are a pure function of its index (seed, stream): the
+    # same count and cell counts come back however often its generator is
+    # rebuilt, and other indices draw others
+    index = [(5, 1), (5, 2), (5, 3), (6, 1), (2**64 - 1, 3)]
+    draws = [stream_draws(seed, stream) for seed, stream in index]
+    for (seed, stream), first in zip(index, draws):
+        assert stream_draws(seed, stream) == first
+    assert len({repr(d) for d in draws}) == len(draws)
 
 
 def test_stderr_scales_inverse_sqrt_accepted():
@@ -241,32 +254,181 @@ def assert_counts_layout(draws, n_trials, p, readouts):
     return int(accepted)
 
 
-@pytest.mark.parametrize("n_trials", [200_000, 10**13])
-def test_sampler_draws_one_binomial_and_one_multinomial_per_readout(monkeypatch, n_trials):
-    # the draws do not grow with the budget: 10**13 trials take the same three
-    # draws as 200,000
-    chain = base_chain()
-    stage = weak_stage(*spin_pair(2.6), hilbert.pauli("z"))
-    plain = run_trials(chain, n_trials, 8), estimate_weak_value(stage, 1.0, 0.05, n_trials, 9)
-    seen = record_draws(monkeypatch)
+def sampled_streams(n_readouts, chain, stage, n_trials):
+    """(result, {stream: (gate product, readouts, accepted)}) of the sampler
+    with ``n_readouts`` readouts per stream: estimate_weak_value for 1 (a
+    position and a momentum stream), run_trials for 2 (one stream of dx * dx')."""
+    if n_readouts == 1:
+        est = estimate_weak_value(stage, 1.0, 0.05, n_trials, 9)
+        return est, {
+            stream: (stage.probability, [ensemble._readout(stage.pointer, kind)], accepted)
+            for stream, kind, accepted in (
+                (ensemble._STREAM_IMAG, pointer.POSITION, est.accepted_position),
+                (ensemble._STREAM_REAL, pointer.MOMENTUM, est.accepted_momentum),
+            )
+        }
     stats = run_trials(chain, n_trials, 8)
-    assert stats == plain[0]
-    assert list(seen) == [ensemble._STREAM_TRIALS]
     readouts = [ensemble._readout(p, pointer.POSITION)
                 for p in (chain.pointer_first, chain.pointer_second)]
-    assert assert_counts_layout(seen[ensemble._STREAM_TRIALS], n_trials,
-                                chain.prob_mid * chain.prob_post, readouts) == stats.accepted
-    seen.clear()
-    est = estimate_weak_value(stage, 1.0, 0.05, n_trials, 9)
-    assert est == plain[1]
-    assert sorted(seen) == [ensemble._STREAM_IMAG, ensemble._STREAM_REAL]
-    for stream, kind, accepted in (
-        (ensemble._STREAM_IMAG, pointer.POSITION, est.accepted_position),
-        (ensemble._STREAM_REAL, pointer.MOMENTUM, est.accepted_momentum),
-    ):
-        readouts = [ensemble._readout(stage.pointer, kind)]
-        assert assert_counts_layout(seen[stream], n_trials, stage.probability,
-                                    readouts) == accepted
+    return stats, {ensemble._STREAM_TRIALS: (chain.prob_mid * chain.prob_post, readouts,
+                                             stats.accepted)}
+
+
+@pytest.mark.parametrize("n_readouts", [1, 2])
+def test_sampler_draws_only_the_uniforms_it_reads(monkeypatch, n_readouts):
+    # A per-trial draw takes at least one uniform per gate for every
+    # attempt, and the block-thinned oracle one per readout of every
+    # accepted trial.  The counts form reads no uniform and draws none: per
+    # stream one Binomial(N, p) and one multinomial per readout, the same
+    # draws at 10**13 trials as at 3 * BLOCK + 5.
+    chain = base_chain()
+    stage = weak_stage(*spin_pair(2.6), hilbert.pauli("z"))
+    assert chain.prob_mid * chain.prob_post < 0.5 and stage.probability < 0.5
+    for n_trials in (3 * BLOCK + 5, 10**13):
+        plain, _ = sampled_streams(n_readouts, chain, stage, n_trials)
+        seen = record_draws(monkeypatch)
+        result, streams = sampled_streams(n_readouts, chain, stage, n_trials)
+        monkeypatch.undo()
+        assert result == plain
+        assert sorted(seen) == sorted(streams)
+        for stream, (p, readouts, accepted) in streams.items():
+            assert assert_counts_layout(seen[stream], n_trials, p, readouts) == accepted
+    monkeypatch.setattr(ensemble, "_sample", thinned_sample)
+    blocks = record_block_draws(monkeypatch)
+    _, streams = sampled_streams(n_readouts, chain, stage, 3 * BLOCK + 5)
+    assert uniforms_drawn(blocks) == n_readouts * sum(a for _, _, a in streams.values())
+
+
+# -- the counts form against trials read one by one by binary search ----------
+
+def cells_read(probs, u):
+    """Binary-search readout: the cell whose cdf entry u in [0, 1) first passes."""
+    return np.minimum(np.searchsorted(np.cumsum(probs), u, side="right"), probs.size - 1)
+
+
+def trial_rows(master_seed, stream, n_trials, n_readouts):
+    """Per-trial uniforms: row t is trial t's gate uniform, then one per readout."""
+    return np.random.default_rng([master_seed, stream]).random((n_trials, 1 + n_readouts))
+
+
+class CountedRows:
+    """A stream that counts given trials instead of drawing their counts.
+
+    The binomial counts the rows of ``u`` whose gate uniform is below p;
+    the multinomials read the accepted rows' readout uniforms by binary
+    search over the probabilities they are handed and count the cells,
+    the second readout's per nonzero cell of the first, in cell order.
+    """
+
+    def __init__(self, u):
+        self.u = u
+
+    def binomial(self, n, p):
+        assert n == len(self.u)
+        self.rows = self.u[self.u[:, 0] < p]
+        return len(self.rows)
+
+    def multinomial(self, n, pvals):
+        if np.ndim(n) == 0:
+            assert n == len(self.rows)
+            self.first = cells_read(pvals, self.rows[:, 1])
+            return np.bincount(self.first, minlength=pvals.size)
+        second = cells_read(pvals, self.rows[:, 2])
+        counts = np.array([np.bincount(second[self.first == k], minlength=pvals.size)
+                           for k in np.unique(self.first)])
+        np.testing.assert_array_equal(counts.sum(axis=1), n)
+        return counts
+
+
+def binary_search_moments(u, p, readouts):
+    """(accepted, mean, stderr, mean |v|) of the trials of ``u``, each read by binary search."""
+    rows = u[u[:, 0] < p]
+    v = np.prod([values[cells_read(probs, rows[:, 1 + m])]
+                 for m, (values, probs) in enumerate(readouts)], axis=0)
+    n = v.size
+    mean = math.fsum(v) / n
+    var = max(0.0, (math.fsum(v * v) - n * mean * mean) / (n - 1))
+    return n, mean, math.sqrt(var / n), math.fsum(np.abs(v)) / n
+
+
+# The counts form rounds each cell's term once, and for two readouts also
+# the numpy sums over the second readout's cells (at most 1024): 64 units of
+# roundoff of the readouts' scale bound that with room.
+CELL_ROUNDOFF = 64 * 2.0**-53
+
+
+def assert_counted_moments(mean, stderr, scale, reference):
+    """``mean`` and ``stderr``, scaled by ``scale``, are the reference trials' to roundoff."""
+    _, ref_mean, ref_stderr, abs_mean = reference
+    assert abs(mean - ref_mean * scale) <= CELL_ROUNDOFF * abs(abs_mean * scale)
+    assert abs(stderr - ref_stderr * abs(scale)) <= CELL_ROUNDOFF * abs(ref_stderr * scale)
+
+
+def spin_trial_setup():
+    i, f = spin_pair(0.8)
+    return dict(i=i, f=f, x_op=hilbert.pauli("x"), p_op=hilbert.pauli("y"), g=0.05)
+
+
+def fock_trial_setup():
+    rep = FockConfig(dim=16)
+    x_op, p_op = make_fock_ops(rep)
+    return dict(i=coherent_state(rep, 1.0), f=coherent_state(rep, 0.5 + 0.5j),
+                x_op=x_op, p_op=p_op, g=0.05)
+
+
+def grid_trial_setup():
+    cfg, x_op, p_op, i = grid_setup()
+    f, _ = plane_wave(cfg, 1)
+    return dict(i=i, f=f, x_op=x_op, p_op=p_op, g=0.01)
+
+
+TRIAL_SETUPS = {"spin": spin_trial_setup, "fock": fock_trial_setup, "grid": grid_trial_setup}
+
+
+def count_trial_rows(monkeypatch, n_trials, n_readouts):
+    monkeypatch.setattr(ensemble, "_generator", lambda seed, stream: CountedRows(
+        trial_rows(seed, stream, n_trials, n_readouts)))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("setup", sorted(TRIAL_SETUPS))
+def test_run_trials_equals_binary_search_readout(monkeypatch, setup, seed):
+    # handed the cell counts of per-trial uniforms read by binary search,
+    # the counts form gives those trials' accepted count and, to roundoff,
+    # the moments of their product dx * dx'
+    kw = TRIAL_SETUPS[setup]()
+    chain = pointer.run_ccr_protocol(kw["i"], kw["f"], kw["x_op"], kw["p_op"], 1.0, 1.0, kw["g"],
+                                     POINTER_GRID, POINTER_GRID)
+    n = 2 * BLOCK + 999
+    count_trial_rows(monkeypatch, n, 2)
+    stats = run_trials(chain, n, seed)
+    readouts = [ensemble._readout(p, pointer.POSITION)
+                for p in (chain.pointer_first, chain.pointer_second)]
+    reference = binary_search_moments(trial_rows(seed, ensemble._STREAM_TRIALS, n, 2),
+                                      chain.prob_mid * chain.prob_post, readouts)
+    assert (stats.attempted, stats.accepted) == (n, reference[0])
+    assert_counted_moments(stats.mean_product, stats.stderr_product, 1.0, reference)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("setup", sorted(TRIAL_SETUPS))
+def test_estimate_weak_value_equals_binary_search_readout(monkeypatch, setup, seed):
+    # the same per stream: the position stream gives Im, the momentum stream Re
+    kw = TRIAL_SETUPS[setup]()
+    stage = weak_stage(kw["i"], kw["f"], kw["x_op"], kw["g"])
+    n = 2 * BLOCK + 999
+    count_trial_rows(monkeypatch, n, 1)
+    est = estimate_weak_value(stage, 1.0, kw["g"], n, seed)
+    pos, mom = (
+        binary_search_moments(trial_rows(seed, stream, n, 1), stage.probability,
+                              [ensemble._readout(stage.pointer, kind)])
+        for stream, kind in ((ensemble._STREAM_IMAG, pointer.POSITION),
+                             (ensemble._STREAM_REAL, pointer.MOMENTUM))
+    )
+    assert (est.attempted, est.accepted_position, est.accepted_momentum) == (n, pos[0], mom[0])
+    assert_counted_moments(est.im_est, est.stderr_im,
+                           -stage.pointer.grid.hbar / (2.0 * kw["g"]), pos)
+    assert_counted_moments(est.re_est, est.stderr_re, 1.0 / kw["g"], mom)
 
 
 def test_readout_lists_the_readable_cells_most_probable_first(monkeypatch):
@@ -304,13 +466,6 @@ def test_gate_outside_unit_interval_reads_as_u_below_gate(gate, accepts):
     else:
         with pytest.raises(NoAcceptedTrials):
             estimate_weak_value(odd_stage, 1.0, 0.05, 1000, 4)
-
-
-def fock_trial_setup():
-    rep = FockConfig(dim=16)
-    x_op, p_op = make_fock_ops(rep)
-    return dict(i=coherent_state(rep, 1.0), f=coherent_state(rep, 0.5 + 0.5j),
-                x_op=x_op, p_op=p_op, g=0.05)
 
 
 # float.hex of every output of the sampler on two fixed stages, at a budget
@@ -406,8 +561,7 @@ def block_stream(master_seed, stream, block):
 
 def inverse_cdf(values, probs):
     """Readout by binary search: u in [0, 1) reads the cell its cdf entry passes."""
-    cdf = np.cumsum(probs)
-    return lambda u: values[np.minimum(np.searchsorted(cdf, u, side="right"), values.size - 1)]
+    return lambda u: values[cells_read(probs, u)]
 
 
 def merged_moments(n_trials, partials):
@@ -458,6 +612,159 @@ def thinned_sample(master_seed, stream, n_trials, gates, readouts):
         v = np.prod([r(u[:, m]) for m, r in enumerate(read)], axis=0)
         partials.append((n, float(np.sum(v)), float(np.sum(v * v))))
     return merged_moments(n_trials, partials)
+
+
+# the oracles' block streams, also while a test spies on them
+BLOCK_STREAM = block_stream
+
+
+def block_draws(master_seed, stream, block, size, p, n_readouts):
+    """(accepted count, readout uniforms) of one block, drawn the way the thinned oracle draws them.
+
+    The block's stream draws Binomial(size, p) accepted trials, then an
+    (accepted, n_readouts) array of uniforms, row k for the k-th accepted
+    trial.
+    """
+    gen = BLOCK_STREAM(master_seed, stream, block)
+    n = int(gen.binomial(size, p))
+    return n, gen.random((n, n_readouts))
+
+
+@pytest.mark.parametrize("n", [1, 3, 1000, 12345, 65535])
+def test_short_draw_is_prefix_of_full_block(n):
+    # a block of the thinned oracle draws only the readout rows its accepted
+    # trials read; they are the leading rows of any longer draw from the
+    # same point
+    for seed, stream, block in ((99, 1, 0), (2**63 + 5, 3, 7)):
+        full = block_stream(seed, stream, block).random((BLOCK, 2))
+        short = block_stream(seed, stream, block).random((n, 2))
+        np.testing.assert_array_equal(short, full[:n])
+
+
+def record_block_draws(monkeypatch):
+    """Spy on the oracles' block_stream: per stream, block -> [size, p, accepted, readout uniforms].
+
+    A block's stream offers only the two draws of the thinned layout, so
+    any other draw raises AttributeError.
+    """
+    seen = {}
+
+    class Recorded:
+        def __init__(self, draws, gen):
+            self.draws, self.gen = draws, gen
+
+        def binomial(self, size, p):
+            n = self.gen.binomial(size, p)
+            self.draws += [size, p, n]
+            return n
+
+        def random(self, shape):
+            u = self.gen.random(shape)
+            self.draws.append(u.copy())
+            return u
+
+    def spy(seed, stream, block):
+        draws = seen.setdefault(stream, {}).setdefault(block, [])
+        return Recorded(draws, BLOCK_STREAM(seed, stream, block))
+
+    monkeypatch.setitem(globals(), "block_stream", spy)
+    return seen
+
+
+def uniforms_drawn(seen):
+    return sum(draws[-1].size for blocks in seen.values() for draws in blocks.values())
+
+
+def full_block_draws(monkeypatch):
+    """Draw a whole block of readout rows after the count and slice the accepted ones."""
+
+    class FullBlock:
+        def __init__(self, gen):
+            self.gen = gen
+
+        def binomial(self, size, p):
+            return self.gen.binomial(size, p)
+
+        def random(self, shape):
+            return self.gen.random((BLOCK, shape[1]))[: shape[0]]
+
+    monkeypatch.setitem(globals(), "block_stream", lambda *a: FullBlock(BLOCK_STREAM(*a)))
+
+
+def assert_thinned_layout(blocks, seed, stream, n_trials, p, n_readouts):
+    """Every block drew one count of its trials at ``p``, then one row of
+    ``n_readouts`` uniforms per accepted trial, and nothing else; returns
+    the accepted total."""
+    assert sorted(blocks) == list(range((n_trials + BLOCK - 1) // BLOCK))
+    for b, (size, p_drawn, n, u) in blocks.items():
+        assert (size, p_drawn) == (min(BLOCK, n_trials - b * BLOCK), p)
+        assert u.shape == (n, n_readouts)
+        n_ref, u_ref = block_draws(seed, stream, b, size, p, n_readouts)
+        assert n == n_ref
+        np.testing.assert_array_equal(u, u_ref)
+    return sum(n for _, _, n, _ in blocks.values())
+
+
+# float.hex of the block-thinned sampler's outputs on the stages of
+# test_replay_layout_is_pinned at BLOCK + 999 trials, its readouts in grid
+# order, as pinned before the counts form replaced it: the thinned oracle
+# is that sampler
+PINNED_THINNED_RUN_TRIALS = {
+    "attempted": 66535, "accepted": 24532,
+    "mean_product": "-0x1.532a48b6a90d8p-10", "stderr_product": "0x1.9d293e0ccd302p-8",
+}
+PINNED_THINNED_ESTIMATE = {
+    "re_est": "0x1.84518d6368c26p-2", "im_est": "0x1.d04a0ce2deb20p-6",
+    "stderr_re": "0x1.5b0fc6452bee8p-5", "stderr_im": "0x1.5914a72697322p-5",
+    "attempted": 66535, "accepted_position": 56420, "accepted_momentum": 56334,
+}
+
+
+def grid_order_readouts(monkeypatch):
+    monkeypatch.setattr(ensemble, "_readout", pointer.readout_distribution)
+
+
+def test_run_trials_consumes_trial_uniforms_row_by_row(monkeypatch):
+    # run_trials hands the thinned oracle both gates at once and one position
+    # readout per pointer; the oracle reads row k of a block's uniforms for
+    # its k-th accepted trial, the rows a full block's leading rows
+    monkeypatch.setattr(ensemble, "_sample", thinned_sample)
+    n = BLOCK + 40
+    chain = base_chain()
+    plain = run_trials(chain, n, 17)
+    seen = record_block_draws(monkeypatch)
+    assert run_trials(chain, n, 17) == plain
+    assert list(seen) == [ensemble._STREAM_TRIALS]
+    accepted = assert_thinned_layout(seen[ensemble._STREAM_TRIALS], 17, ensemble._STREAM_TRIALS,
+                                     n, chain.prob_mid * chain.prob_post, 2)
+    assert accepted == plain.accepted
+    full_block_draws(monkeypatch)
+    assert run_trials(chain, n, 17) == plain
+    grid_order_readouts(monkeypatch)
+    kw = fock_trial_setup()
+    chain = pointer.run_ccr_protocol(kw["i"], kw["f"], kw["x_op"], kw["p_op"], 1.0, 1.0, kw["g"],
+                                     POINTER_GRID, POINTER_GRID)
+    assert hex_fields(run_trials(chain, BLOCK + 999, 5)) == PINNED_THINNED_RUN_TRIALS
+
+
+def test_estimate_weak_value_consumes_trial_uniforms_row_by_row(monkeypatch):
+    monkeypatch.setattr(ensemble, "_sample", thinned_sample)
+    n = BLOCK + 40
+    i, f = spin_pair(0.8)
+    stage = weak_stage(i, f, hilbert.pauli("z"))
+    plain = estimate_weak_value(stage, 1.0, 0.05, n, 41)
+    seen = record_block_draws(monkeypatch)
+    assert estimate_weak_value(stage, 1.0, 0.05, n, 41) == plain
+    assert sorted(seen) == [ensemble._STREAM_IMAG, ensemble._STREAM_REAL]
+    for stream, accepted in ((ensemble._STREAM_IMAG, plain.accepted_position),
+                             (ensemble._STREAM_REAL, plain.accepted_momentum)):
+        assert assert_thinned_layout(seen[stream], 41, stream, n, stage.probability, 1) == accepted
+    full_block_draws(monkeypatch)
+    assert estimate_weak_value(stage, 1.0, 0.05, n, 41) == plain
+    grid_order_readouts(monkeypatch)
+    assert hex_fields(estimate_weak_value(stage, 1.0, 0.05, BLOCK + 999, 41)) == (
+        PINNED_THINNED_ESTIMATE
+    )
 
 
 FALSE_ALARM_SEEDS = range(300)
