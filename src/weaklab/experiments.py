@@ -135,17 +135,20 @@ def require_precondition(path: str, value) -> None:
         raise InvalidConfig(f"{path.replace('.', ' ')} must be {need}, got {value!r}")
 
 
-def spin_selections(alpha: float) -> tuple[StateVector, StateVector]:
+def spin_selections(alpha) -> tuple[StateVector, StateVector]:
     """(i, f): the xz-plane spin selections, i at angle alpha, f along +x.
 
-    Raises AlphaOutOfRange when |alpha| is within 1e-6 of pi.
+    ``alpha`` is one angle, or a sequence of angles that makes i a stack
+    with one column per angle.  Raises AlphaOutOfRange when some |alpha| is
+    within 1e-6 of pi.
     """
-    if not abs(alpha) < math.pi - 1e-6:
-        raise AlphaOutOfRange(
-            f"|alpha| = {abs(alpha)} too close to pi: selections go orthogonal"
-        )
-    c, s = math.cos(alpha / 2.0), math.sin(alpha / 2.0)
-    i = StateVector("spin-1/2", np.array([c + s, c - s]) / math.sqrt(2.0))
+    alphas = np.ravel(alpha).tolist()
+    for a in alphas:
+        if not abs(a) < math.pi - 1e-6:
+            raise AlphaOutOfRange(f"|alpha| = {abs(a)} too close to pi: selections go orthogonal")
+    c, s = np.array([(math.cos(a / 2.0), math.sin(a / 2.0)) for a in alphas]).T
+    amps = np.array([c + s, c - s]) / math.sqrt(2.0)
+    i = StateVector("spin-1/2", amps if np.ndim(alpha) else amps[:, 0])
     f = StateVector("spin-1/2", np.array([1.0, 1.0]) / math.sqrt(2.0))
     return i, f
 
@@ -189,31 +192,29 @@ def pauli_suite(alphas) -> PauliReport:
     Targets: <sx sy>_w = i tan(a/2), <sy sx>_w = -i tan(a/2),
     <sz>_w = tan(a/2), anticommutator 0, commutator 2i tan(a/2) and
     2i <sz>_w.  One check per target (``_PAULI_CHECKS``), at its worst
-    angle.  Raises AlphaOutOfRange for an angle within 1e-6 of +-pi.
+    angle.  The angles are one stack of pre-selections, so each weak value
+    and correlation is evaluated once for all of them.  Raises
+    AlphaOutOfRange for an angle within 1e-6 of +-pi.
     """
-    sx, sy, sz = pauli("x"), pauli("y"), pauli("z")
-    rows, residuals = [], []
-    for alpha in alphas:
-        i, f = spin_selections(alpha)
-        t = math.tan(alpha / 2.0)
-        sxsy = weak_correlation(i, f, sx, sy)
-        sysx = weak_correlation(i, f, sy, sx)
-        sz_w = weak_value(i, f, sz)
-        anti = weak_anticommutator(i, f, sx, sy)
-        comm = weak_commutator(i, f, sx, sy)
-        r = (abs(sxsy - 1j * t), abs(sysx + 1j * t), abs(sz_w - t),
-             abs(anti), abs(comm - 2j * t), abs(comm - 2j * sz_w))
-        residuals.append(r)
-        rows.append(PauliRow(
-            alpha=alpha, tan_half=t, sxsy=sxsy, sysx=sysx, sz_w=sz_w,
-            anticommutator=anti, commutator=comm, max_residual=worst(r),
-        ))
-    if not rows:
+    alphas = list(alphas)
+    if not alphas:
         raise InvalidConfig("the Pauli suite needs at least one angle")
+    sx, sy, sz = pauli("x"), pauli("y"), pauli("z")
+    i, f = spin_selections(alphas)
+    t = np.array([math.tan(alpha / 2.0) for alpha in alphas])
+    sxsy = weak_correlation(i, f, sx, sy)
+    sysx = weak_correlation(i, f, sy, sx)
+    sz_w = weak_value(i, f, sz)
+    anti = weak_anticommutator(i, f, sx, sy)
+    comm = weak_commutator(i, f, sx, sy)
+    residuals = np.abs([sxsy - 1j * t, sysx + 1j * t, sz_w - t,
+                        anti, comm - 2j * t, comm - 2j * sz_w])  # one row per check
+    columns = (t, sxsy, sysx, sz_w, anti, comm, np.max(residuals, axis=0))  # PauliRow's order
+    rows = tuple(PauliRow(*row) for row in zip(alphas, *(c.tolist() for c in columns)))
     checks = tuple(
-        make_check(name, worst(col), PAULI_TOL) for name, col in zip(_PAULI_CHECKS, zip(*residuals))
+        make_check(name, worst(col), PAULI_TOL) for name, col in zip(_PAULI_CHECKS, residuals)
     )
-    return PauliReport(rows=tuple(rows), checks=checks)
+    return PauliReport(rows=rows, checks=checks)
 
 
 @dataclass(frozen=True)
@@ -266,6 +267,8 @@ class CcrReport:
     pointer_coverage: float | None
     mc_corr_over_g2: float | None
     mc_stderr_over_g2: float | None
+    # exact correlator over the rows the Monte Carlo sampled: mc_corr_over_g2's target
+    mc_exact_corr_over_g2: float | None
     mc_accepted: int | None
     mc_attempted: int | None
     mc_coverage: float | None
@@ -374,10 +377,12 @@ def ccr_experiment(
     expectation; (b) per-selection real-part combinations over the
     momentum eigenbasis and their Born average vs hbar/2 (its eigenvalues
     and row weights: hbar k and |FFT(i)|^2 / n on a grid, one ``eigh`` of
-    p in Fock; states only for the admissible rows); (c) the
-    simplified Im{x_w} p_w average vs -hbar/2 (momentum mid-selections
-    make every p_w real); (d) the exact two-pointer correlator and, when
-    ``n_trials`` > 0, its Monte Carlo estimate, vs hbar * sigma^2.
+    p in Fock; the admissible rows are one stack of states, decomposed in
+    one ``ccr_decomposition``); (c) the simplified Im{x_w} p_w average vs
+    -hbar/2 (momentum mid-selections make every p_w real); (d) the exact
+    two-pointer correlator vs hbar * sigma^2 and, when ``n_trials`` > 0,
+    its Monte Carlo estimate vs the exact correlator over the rows it
+    sampled (``mc_exact_corr_over_g2``).
 
     ``g_sweep`` reruns only the exact pointer stage, at each of its
     couplings and also under ``run_pointer=False``: one ``g_sweep_rows`` entry
@@ -417,35 +422,36 @@ def ccr_experiment(
     xp_i, px_i = _xp_px_on(x_op, p_op, i.amplitudes)
     oracle = complex(np.vdot(i.amplitudes, xp_i - px_i))  # <i|x p i> - <i|p x i>
 
-    # (b, c) momentum basis as eigenvalues and weights |<f_j|i>|^2; only the
-    # admissible rows become StateVectors (on a grid, one plane wave each)
+    # (b, c) momentum basis as eigenvalues and weights |<f_j|i>|^2; the
+    # admissible rows are one stack of mid-selections (on a grid, plane waves)
     if isinstance(rep, GridConfig):
         p_eigs = hbar * np.fft.fftshift(rep.wavenumbers())
         weights = np.abs(np.fft.fftshift(np.fft.fft(i.amplitudes))) ** 2 / rep.n_points
     else:
         p_eigs, v = np.linalg.eigh(p_op.matrix)
         weights = np.abs(i.amplitudes.conj() @ v) ** 2  # |(v^dag i)_j|^2
-    admissible = np.flatnonzero(weights > ORTHOGONALITY_EPS**2)  # overlap above the orthogonality eps
-    columns = rep.plane_waves(admissible) if isinstance(rep, GridConfig) else v[:, admissible]
-    mids = {int(j): StateVector(rep.basis_id, columns[:, c]) for c, j in enumerate(admissible)}
-    decomps = {j: ccr_decomposition(i, f, x_op, p_op) for j, f in mids.items()}
-    eq9_avg = math.fsum(weights[j] * d.lhs for j, d in decomps.items())
-    eq10_avg = math.fsum(weights[j] * d.simplified_lhs for j, d in decomps.items())
+    admissible = weights > ORTHOGONALITY_EPS**2  # overlap above the orthogonality eps
+    adm = np.flatnonzero(admissible)
+    w_adm = weights[adm]
+    columns = rep.plane_waves(adm) if isinstance(rep, GridConfig) else v[:, adm]
+    mids = StateVector(rep.basis_id, columns)
+    decomp = ccr_decomposition(i, mids, x_op, p_op)
+    eq9_avg = math.fsum(w_adm * decomp.lhs)
+    eq10_avg = math.fsum(w_adm * decomp.simplified_lhs)
     # A row decides all_p_w_real only when the roundoff bound of its ratio
     # p_w = <f|p|i>/<f|i>, u (||p i|| + |p_w|) / |<f|i>|, is at most
     # _ROUNDOFF_SHARE of its p_imag_is_zero tolerance; past that, roundoff
     # alone can reach the tolerance.
     p_i_norm = float(np.linalg.norm(p_op.apply(i.amplitudes)))
-    all_real = all(
-        d.p_imag_is_zero for j, d in decomps.items()
-        if _UNIT_ROUNDOFF * (p_i_norm + abs(d.p_w)) / math.sqrt(weights[j])
-        <= _ROUNDOFF_SHARE * P_IMAG_TOL * max(1.0, abs(d.p_w))
-    )
+    p_w_size = np.abs(decomp.p_w)
+    decides = (_UNIT_ROUNDOFF * (p_i_norm + p_w_size) / np.sqrt(w_adm)
+               <= _ROUNDOFF_SHARE * P_IMAG_TOL * np.maximum(1.0, p_w_size))
+    all_real = bool(np.all(decomp.p_imag_is_zero | ~decides))
 
     # (d) pointer + Monte Carlo over the dominant mid-selections; only d depends on g
     chains, stats = {}, {}
     pointer_corr = pointer_resid = pointer_cov = None
-    mc_corr = mc_se = mc_cov = mc_accepted = mc_attempted = None
+    mc_corr = mc_se = mc_exact = mc_cov = mc_accepted = mc_attempted = None
     if run_pointer or g_sweep:
         grid = pointer_grid(sigma, hbar)
         grid_prime = pointer_grid(sigma_prime, hbar)
@@ -454,11 +460,15 @@ def ccr_experiment(
         n_keep = int(np.searchsorted(cum, _POINTER_COVERAGE * cum[-1])) + 1
         w_cut = weights[order[n_keep - 1]] * (1.0 - _POINTER_TIE_RTOL)
         n_keep = int(np.count_nonzero(weights[order] >= w_cut))  # order is descending
-        keep = [int(j) for j in order[:n_keep] if j in mids]
+        keep = [int(j) for j in order[:n_keep] if admissible[j]]
 
-        finals = [mids[j] for j in keep]
+        finals = StateVector(rep.basis_id, mids.amplitudes[:, np.searchsorted(adm, keep)])
         # each final is a p eigenvector, so stage two expands exactly on their columns
-        p_kept = (p_eigs[keep], np.stack([f.amplitudes for f in finals], axis=1))
+        p_kept = (p_eigs[keep], finals.amplitudes)
+
+    def corr_over_g2(chains, rows, g_s):  # the exact two-pointer correlator over rows
+        return math.fsum(weights[j] * chains[j].dx_d * chains[j].dx_d_prime for j in rows) / g_s**2
+
     def pointer_stage(g_s):  # -> chains, pointer_corr_over_g2, its relative residual
         try:
             protocols = run_ccr_protocols(
@@ -471,7 +481,7 @@ def ccr_experiment(
                 exc.args = (str(exc).replace(f"selection {s}:", f"selection {keep[s]}:", 1),)
             raise
         chains = dict(zip(keep, protocols))
-        corr = math.fsum(weights[j] * c.dx_d * c.dx_d_prime for j, c in chains.items()) / g_s**2
+        corr = corr_over_g2(chains, keep, g_s)
         return chains, corr, abs(corr - hbar * sigma**2) / (hbar * sigma**2)
 
     if run_pointer:
@@ -499,16 +509,17 @@ def ccr_experiment(
                 mc_attempted += stats[j].attempted
                 mc_cov += float(weights[j])
             mc_corr = math.fsum(weights[j] * st.mean_product for j, st in stats.items()) / g**2
+            mc_exact = corr_over_g2(chains, stats, g)
             mc_se = math.sqrt(
                 math.fsum((weights[j] * st.stderr_product) ** 2 for j, st in stats.items())
             ) / g**2
 
     rows = []
-    for j, d in decomps.items():
+    exact = (decomp.x_w, decomp.p_w, decomp.lhs, decomp.simplified_lhs)  # MidSelectionRow's order
+    for j, *values in zip(adm.tolist(), *(column.tolist() for column in exact)):
         chain, st = chains.get(j), stats.get(j)
         rows.append(MidSelectionRow(
-            index=j, p_eigenvalue=float(p_eigs[j]), weight=float(weights[j]),
-            x_w=d.x_w, p_w=d.p_w, eq9_lhs=d.lhs, eq10_lhs=d.simplified_lhs,
+            j, float(p_eigs[j]), float(weights[j]), *values,
             **({} if chain is None else dict(
                 dx_d=chain.dx_d, dx_d_prime=chain.dx_d_prime,
                 product_over_g2=chain.dx_d * chain.dx_d_prime / g**2,
@@ -518,7 +529,6 @@ def ccr_experiment(
                 mc_accepted=st.accepted, mc_attempted=st.attempted,
             )),
         ))
-    lhs_values = [d.lhs for d in decomps.values()]
 
     on_edge = edge >= 1e-7
     checks = [
@@ -533,7 +543,7 @@ def ccr_experiment(
         checks.append(make_check("pointer_corr_vs_hbar_sigma2", pointer_resid, CCR_POINTER_RTOL))
     if mc_corr is not None:
         checks.append(make_check(
-            "mc_corr_vs_exact_pointer", abs(mc_corr - pointer_corr), MC_SIGMA_BAND * mc_se
+            "mc_corr_vs_exact_pointer", abs(mc_corr - mc_exact), MC_SIGMA_BAND * mc_se
         ))
     sweep_rows = tuple((g_s, *pointer_stage(g_s)[1:]) for g_s in g_sweep)
     if sweep_rows:
@@ -555,12 +565,13 @@ def ccr_experiment(
         eq10_born_avg=eq10_avg,
         all_p_w_real=all_real,
         per_f=tuple(rows),
-        per_f_lhs_min=min(lhs_values) if lhs_values else float("nan"),
-        per_f_lhs_max=max(lhs_values) if lhs_values else float("nan"),
+        per_f_lhs_min=min(decomp.lhs.tolist()),
+        per_f_lhs_max=max(decomp.lhs.tolist()),
         pointer_corr_over_g2=pointer_corr,
         pointer_coverage=pointer_cov,
         mc_corr_over_g2=mc_corr,
         mc_stderr_over_g2=mc_se,
+        mc_exact_corr_over_g2=mc_exact,
         mc_accepted=mc_accepted,
         mc_attempted=mc_attempted,
         mc_coverage=mc_cov,
@@ -596,6 +607,9 @@ class RiemannReport:
 
 
 RIEMANN_TOL = 1e-12
+# Relative tolerances of eq25_lhs_vs_re_xw_conj_pw and f_averaged_correlation_vs_rho_expectation
+RIEMANN_EQ25_RTOL = 1e-13
+RIEMANN_AVERAGE_RTOL = 1e-10
 
 
 # Seed of the two unit probes of rho_hermiticity: fixed, so replay is bit-identical.
@@ -705,12 +719,12 @@ def riemann_experiment(
         make_check(
             "eq25_lhs_vs_re_xw_conj_pw",
             abs(eq25_lhs - (np.conj(x_w) * p_w).real),
-            1e-13 * max(1.0, abs(x_w * p_w)),
+            RIEMANN_EQ25_RTOL * max(1.0, abs(x_w * p_w)),
         ),
         make_check(
             "f_averaged_correlation_vs_rho_expectation",
             abs(avg_corr - rho_exp),
-            1e-10 * max(1.0, abs(rho_exp)),
+            RIEMANN_AVERAGE_RTOL * max(1.0, abs(rho_exp)),
         ),
     )
     return RiemannReport(

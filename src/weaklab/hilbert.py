@@ -46,23 +46,26 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StateVector:
-    """Normalized complex amplitudes over a labeled finite basis."""
+    """Normalized complex amplitudes over a labeled finite basis: one state,
+    shape (dim,), or a stack of states, the columns of a (dim, rows) array."""
 
     basis_id: str
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1).copy()
+        amps = np.array(self.amplitudes, dtype=complex)
+        if amps.ndim != 2:
+            amps = amps.reshape(-1)
         if amps.size < 1:
             raise InvalidConfig("state needs at least one amplitude")
-        norm = float(np.linalg.norm(amps))
-        if norm < 1e-300:
+        norm = np.linalg.norm(amps, axis=0 if amps.ndim == 2 else None)
+        if np.any(norm < 1e-300):
             raise InvalidConfig("cannot normalize a zero state vector")
         object.__setattr__(self, "amplitudes", _freeze(amps / norm))
 
     @property
     def dim(self) -> int:
-        return self.amplitudes.size
+        return self.amplitudes.shape[0]
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -124,11 +127,12 @@ class Operator:
         return compact.size if compact is not None else self.matrix.shape[0]
 
     def apply(self, ket: np.ndarray) -> np.ndarray:
-        """op @ ket."""
+        """op @ ket, for a ket of shape (dim,) or a block of columns (dim, k)."""
+        column = (slice(None),) + (None,) * (ket.ndim - 1)
         if self.diagonal is not None:
-            return self.diagonal * ket
+            return self.diagonal[column] * ket
         if self.spectrum is not None:
-            out = np.fft.ifft(self.spectrum * np.fft.fft(ket))
+            out = np.fft.ifft(self.spectrum[column] * np.fft.fft(ket, axis=0), axis=0)
             out *= self.scale
             return out
         return self.matrix @ ket
@@ -321,16 +325,10 @@ def inner(psi: StateVector, phi: StateVector) -> complex:
     return complex(np.vdot(psi.amplitudes, phi.amplitudes))
 
 
-def matrix_element(psi: StateVector, op: Operator, phi: StateVector) -> complex:
-    """<psi|op|phi>."""
-    _require_same_basis(psi, op)
-    _require_same_basis(op, phi)
-    return complex(np.vdot(psi.amplitudes, op.apply(phi.amplitudes)))
-
-
 def expectation(psi: StateVector, op: Operator) -> complex:
     """<psi|op|psi>."""
-    return matrix_element(psi, op, psi)
+    _require_same_basis(psi, op)
+    return complex(np.vdot(psi.amplitudes, op.apply(psi.amplitudes)))
 
 
 # Stands for the natural (computational) basis {|0>, ..., |dim-1>} wherever a

@@ -22,9 +22,10 @@ selecting <b| leaves the unnormalized conditional pointer
 where K_l is the phase profile exp(-i sign g w_l x / hbar) (position
 generator) or the translation exp(-i sign g w_l k) applied in the Fourier
 domain (momentum generator).  ``conditional_pointers`` evaluates this for
-a whole list of selections at once: one (selections x levels) by
-(levels x points) product, followed for the momentum generator by one
-inverse FFT along the rows.  ``measure_weakly``, ``run_ccr_protocol`` and
+every row of a stack of selections (one ``StateVector`` whose columns are
+the states) at once: one (selections x levels) by (levels x points)
+product, followed for the momentum generator by one inverse FFT along the
+rows.  ``measure_weakly``, ``run_ccr_protocol`` and
 ``run_ccr_protocols`` are built on it.  The joint-state path
 (``product_joint`` -> ``couple`` -> ``select``) evolves the full
 system x pointer state and is kept as the oracle the kernel is tested
@@ -235,16 +236,12 @@ def select(joint: JointState, target: StateVector) -> tuple[PointerState, float]
     return PointerState(joint.grid, raw), amplitude
 
 
-def _state_columns(states, observable: Operator) -> np.ndarray:
-    """Amplitudes of ``states`` as columns, checked against the observable's basis."""
-    for s in states:
-        if s.basis_id != observable.basis_id:
-            raise BasisMismatch(
-                f"observable on {observable.basis_id!r}, state on {s.basis_id!r}"
-            )
-        if s.dim != observable.dim:
-            raise BasisMismatch("observable dimension does not match state")
-    return np.stack([s.amplitudes for s in states], axis=1)
+def _state_columns(state: StateVector, observable: Operator) -> np.ndarray:
+    """Amplitudes of a state or stack as columns, checked against the observable's basis."""
+    if state.basis_id != observable.basis_id or state.dim != observable.dim:
+        raise BasisMismatch(f"observable on {observable.basis_id!r} (dim {observable.dim}), "
+                            f"state on {state.basis_id!r} (dim {state.dim})")
+    return state.amplitudes.reshape(state.dim, -1)
 
 
 def conditional_pointers(
@@ -261,8 +258,8 @@ def conditional_pointers(
     Row s is <final_s| exp(-i sign g observable x generator / hbar)
     |initial_s> x pointer, exactly as ``select(couple(product_joint(...)))``
     would leave it before renormalization.  ``initial`` and ``final`` are
-    sequences of states of equal length, or one of them has length one and
-    is paired with every entry of the other.  ``eigensystem`` (w, v) of
+    stacks (``StateVector``) of as many rows, or one of them is a single
+    state, paired with every row of the other.  ``eigensystem`` (w, v) of
     the observable skips its diagonalization; its columns may span only an
     eigen-subspace that holds every initial state, which keeps the expansion
     exact.  Returns the rows, shape (selections, n_points), and their L2
@@ -396,7 +393,7 @@ def measure_weakly(
     GridResolutionError (see ``conditional_pointers``).
     """
     phi = gaussian_pointer(grid, sigma)
-    rows, amps = conditional_pointers([i], [f], observable, POSITION, g, phi)
+    rows, amps = conditional_pointers(i, f, observable, POSITION, g, phi)
     return _stage_result(phi, rows[0], amps[0])
 
 
@@ -424,14 +421,15 @@ def run_ccr_protocols(
     grid_prime: GridConfig,
     p_eigensystem=None,
 ) -> list[CcrProtocolResult]:
-    """Exact two-pointer commutator chains for a list of mid-selections.
+    """Exact two-pointer commutator chains for a stack of mid-selections.
 
     Stage one: prepare i x P on ``grid``, couple position-position with
     strength g, select f, read P's position.  Stage two: prepare f x P' on
     ``grid_prime``, couple momentum-momentum, select i again, read P''s
     position.
 
-    Each stage is one ``conditional_pointers`` call for all of ``finals``;
+    ``finals`` is one state or a stack (``StateVector``), one result per
+    row.  Each stage is one ``conditional_pointers`` call for all of them;
     ``p_eigensystem`` (w, v) of ``p_op`` skips its diagonalization, and
     when every final is a p eigenvector it may hold just their columns.  A
     coupling that wraps its pointer raises GridResolutionError (see
@@ -440,22 +438,17 @@ def run_ccr_protocols(
     """
     phi = gaussian_pointer(grid, sigma)
     phi_prime = gaussian_pointer(grid_prime, sigma_prime)
-    rows1, amps1 = conditional_pointers([i], finals, x_op, POSITION, g, phi)
-    rows2, amps2 = conditional_pointers(finals, [i], p_op, MOMENTUM, g, phi_prime, p_eigensystem)
+    rows1, amps1 = conditional_pointers(i, finals, x_op, POSITION, g, phi)
+    rows2, amps2 = conditional_pointers(finals, i, p_op, MOMENTUM, g, phi_prime, p_eigensystem)
     results = []
-    for s in range(len(finals)):
-        stage1 = _stage_result(phi, rows1[s], amps1[s])
-        stage2 = _stage_result(phi_prime, rows2[s], amps2[s])
-        results.append(
-            CcrProtocolResult(
-                dx_d=pointer_mean_position(stage1.pointer),
-                dx_d_prime=pointer_mean_position(stage2.pointer),
-                prob_mid=stage1.probability,
-                prob_post=stage2.probability,
-                pointer_first=stage1.pointer,
-                pointer_second=stage2.pointer,
-            )
-        )
+    for row1, amp1, row2, amp2 in zip(rows1, amps1, rows2, amps2):
+        first, second = _stage_result(phi, row1, amp1), _stage_result(phi_prime, row2, amp2)
+        results.append(CcrProtocolResult(
+            dx_d=pointer_mean_position(first.pointer),
+            dx_d_prime=pointer_mean_position(second.pointer),
+            prob_mid=first.probability, prob_post=second.probability,
+            pointer_first=first.pointer, pointer_second=second.pointer,
+        ))
     return results
 
 
@@ -472,4 +465,4 @@ def run_ccr_protocol(
 ) -> CcrProtocolResult:
     """Full exact chain of the two-pointer commutator measurement for one
     mid-selection ``f``; see ``run_ccr_protocols``."""
-    return run_ccr_protocols(i, [f], x_op, p_op, sigma, sigma_prime, g, grid, grid_prime)[0]
+    return run_ccr_protocols(i, f, x_op, p_op, sigma, sigma_prime, g, grid, grid_prime)[0]

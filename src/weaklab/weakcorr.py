@@ -5,14 +5,17 @@ Weak values, two-operator weak correlations and their
 mid-selection basis, high-order selection chains, dual correlations and
 the associated symmetry residuals.
 
-The values are plain numbers: ``weak_value`` and every correlation
-return a complex number, as in Aharonov-Albert-Vaidman.  A selection
-chain is a plain tuple of states (pre, mids, post), for example
-``alternating(i, f, n_ops)``; a near-orthogonal pair of neighbours raises
-OrthogonalSelection when the chain is evaluated.  Only the two
-multi-valued results, ``ccr_decomposition`` and ``symmetry_residuals``,
-return small records.  The reverse weak value <i|A|f>/<i|f> is
-``weak_value(f, i, A)``: the forward one with the selections swapped.
+Every weak value and correlation is one selection chain, a plain tuple
+of states (pre, mids, post) such as ``alternating(i, f, n_ops)``,
+evaluated by ``_chain_value``; ``weak_value`` is the chain of one gap.
+A state may be a stack (a ``StateVector`` whose columns are the
+selections, say one pre-selection per spin angle).  Each gap pairs a
+stack with one state, so a chain returns one complex value per row in
+one pass, and a plain complex number when no state is a stack.  A
+near-orthogonal pair of neighbours raises OrthogonalSelection, naming
+the first row of a stack that fails.  Only ``ccr_decomposition`` and
+``symmetry_residuals`` return small records.  The reverse weak value
+<i|A|f>/<i|f> is ``weak_value(f, i, A)``.
 
 Two readings of the bracket around operator products are implemented
 side by side: the per-selection product (single mid-state f) and the
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArityMismatch, OrthogonalSelection, WeakLabError
-from .hilbert import NATURAL_BASIS, Operator, StateVector, _basis_matrix, _require_same_basis, inner
+from .hilbert import NATURAL_BASIS, Operator, StateVector, _basis_matrix, _require_same_basis
 
 # Below this overlap (unit-norm states) the weak-value ratio has no
 # significant digits left in double precision.
@@ -57,58 +60,66 @@ def alternating(i: StateVector, f: StateVector, n_ops: int) -> tuple:
     return tuple(i if k % 2 == 0 else f for k in range(n_ops + 1))
 
 
-def selection_overlap(bra: StateVector, ket: StateVector) -> complex:
-    """<bra|ket>; raises OrthogonalSelection when |<bra|ket>| <= ORTHOGONALITY_EPS."""
-    ov = inner(bra, ket)
-    if abs(ov) <= ORTHOGONALITY_EPS:
-        raise OrthogonalSelection(
-            f"selection overlap |<f|i>| = {abs(ov):.3e} <= eps = {ORTHOGONALITY_EPS:.1e}"
-        )
+def _braket(bra: StateVector, ket: np.ndarray):
+    """<bra|ket> per row: one matrix-vector product, as at most one side is a stack."""
+    if bra.amplitudes.ndim == ket.ndim == 2:
+        raise ArityMismatch("a selection gap pairs a stack with one state, not two stacks")
+    value = bra.amplitudes.conj().T @ ket
+    return complex(value) if value.ndim == 0 else value
+
+
+def _raise_at_first(bad, exc_type, template: str, *values) -> None:
+    """Raise exc_type at the first row where ``bad`` holds, with that row's ``values``."""
+    rows = np.flatnonzero(bad)
+    if rows.size:
+        r = int(rows[0])
+        where = "" if np.ndim(bad) == 0 else f"row {r}: "
+        raise exc_type(where + template.format(*(np.ravel(v)[r] for v in values)))
+
+
+def selection_overlap(bra: StateVector, ket: StateVector):
+    """<bra|ket> per row; OrthogonalSelection at a row where it is <= ORTHOGONALITY_EPS."""
+    _require_same_basis(bra, ket)
+    ov = _braket(bra, ket.amplitudes)
+    size = np.abs(ov)
+    _raise_at_first(size <= ORTHOGONALITY_EPS, OrthogonalSelection,
+                    f"selection overlap |<f|i>| = {{:.3e}} <= eps = {ORTHOGONALITY_EPS:.1e}", size)
     return ov
 
 
-def weak_value(i: StateVector, f: StateVector, op: Operator) -> complex:
-    """<f|op|i>/<f|i>.
+def weak_value(i: StateVector, f: StateVector, op: Operator):
+    """<f|op|i>/<f|i>, the chain of one gap.
 
     ``weak_value(f, i, op)`` is the reverse value <i|op|f>/<i|f>; for
     Hermitian op it is the complex conjugate of the forward one.
     """
-    _require_same_basis(i, op)
-    _require_same_basis(f, op)
-    ov = selection_overlap(f, i)
-    return complex(np.vdot(f.amplitudes, op.apply(i.amplitudes))) / ov
+    return _chain_value((i, f), (op,))
 
 
-def _chain_value(states, ops) -> complex:
-    """Product of gap matrix elements over product of gap overlaps."""
+def _chain_value(states, ops):
+    """Product of gap matrix elements over product of gap overlaps, every row at once.
+
+    The overlap and normal-range checks run per row and name the first row
+    that fails.
+    """
     if len(ops) != len(states) - 1:
-        raise ArityMismatch(
-            f"{len(ops)} operators for {len(states) - 1} selection gaps"
-        )
-    num = complex(1.0)
-    den = complex(1.0)
-    for k, op in enumerate(ops):
-        lo, hi = states[k], states[k + 1]
+        raise ArityMismatch(f"{len(ops)} operators for {len(states) - 1} selection gaps")
+    num = den = complex(1.0)
+    for lo, op, hi in zip(states, ops, states[1:]):
         _require_same_basis(lo, op)
         _require_same_basis(hi, op)
-        den *= selection_overlap(hi, lo)
-        num *= complex(np.vdot(hi.amplitudes, op.apply(lo.amplitudes)))
+        den = den * selection_overlap(hi, lo)
+        num = num * _braket(hi, op.apply(lo.amplitudes))
     # |overlap| <= 1, so den only shrinks: one check after the loop sees it
     # leave the normal range.  num may be exactly 0, as a zero factor makes it.
-    if not (abs(den) >= _TINY and (num == 0 or _TINY <= abs(num) < math.inf)):
-        raise WeakLabError(
-            f"chain products leave the normal float range: |numerator| = {abs(num):.3e}, "
-            f"|overlaps| = {abs(den):.3e}"
-        )
+    size_num, size_den = np.abs(num), np.abs(den)
+    normal = (size_den >= _TINY) & ((num == 0) | ((_TINY <= size_num) & (size_num < math.inf)))
+    _raise_at_first(np.logical_not(normal), WeakLabError, "chain products leave the normal float "
+                    "range: |numerator| = {:.3e}, |overlaps| = {:.3e}", size_num, size_den)
     return num / den
 
 
-def weak_correlation(
-    i: StateVector,
-    f: StateVector,
-    a: Operator,
-    b: Operator,
-) -> complex:
+def weak_correlation(i: StateVector, f: StateVector, a: Operator, b: Operator) -> complex:
     """<i|a|f><f|b|i> / (<i|f><f|i>): b weakly measured first, then a.
 
     Equals weak_value(f, i, a) times weak_value(i, f, b).  Swapping
@@ -130,13 +141,8 @@ def weak_anticommutator(i, f, a, b) -> complex:
 _COMBINES = ("commutator", "anticommutator", "product")
 
 
-def averaged_weak_correlation(
-    i: StateVector,
-    basis,
-    a: Operator,
-    b: Operator,
-    combine: str = "product",
-) -> complex:
+def averaged_weak_correlation(i: StateVector, basis, a: Operator, b: Operator,
+                              combine: str = "product") -> complex:
     """Born-weighted sum over mid-selections f of the weak correlation.
 
     ``basis`` is a complete orthonormal list of states or NATURAL_BASIS.
@@ -183,7 +189,8 @@ class CcrDecomposition:
     ``lhs`` is Re{x_w}Im{p_w} - Im{x_w}Re{p_w} for one mid-selection;
     only its Born average over a complete basis has to equal hbar/2.
     ``simplified_lhs`` is the Im{x_w} * p_w variant, valid when
-    ``p_imag_is_zero``; its averaged target is -hbar/2.
+    ``p_imag_is_zero``; its averaged target is -hbar/2.  For a stack of
+    mid-selections every field holds one entry per row.
     """
 
     x_w: complex
@@ -193,13 +200,9 @@ class CcrDecomposition:
     simplified_lhs: float
 
 
-def ccr_decomposition(
-    i: StateVector,
-    f: StateVector,
-    x_op: Operator,
-    p_op: Operator,
-) -> CcrDecomposition:
-    """Real/imaginary split of the weak CCR for one mid-selection f.
+def ccr_decomposition(i: StateVector, f: StateVector, x_op: Operator,
+                      p_op: Operator) -> CcrDecomposition:
+    """Real/imaginary split of the weak CCR for a mid-selection f or a stack of them.
 
     The per-selection values do not depend on hbar; their Born averages
     are compared with +-hbar/2 by the caller.
@@ -210,36 +213,27 @@ def ccr_decomposition(
         x_w=x_w,
         p_w=p_w,
         lhs=x_w.real * p_w.imag - x_w.imag * p_w.real,
-        p_imag_is_zero=abs(p_w.imag) <= P_IMAG_TOL * max(1.0, abs(p_w)),
+        p_imag_is_zero=np.abs(p_w.imag) <= P_IMAG_TOL * np.maximum(1.0, np.abs(p_w)),
         simplified_lhs=x_w.imag * p_w.real,
     )
 
 
-def chain_weak_correlation(
-    states: tuple,
-    ops,
-) -> complex:
-    """High-order weak correlation over an alternating selection chain.
+def chain_weak_correlation(states: tuple, ops) -> complex:
+    """High-order weak correlation over a selection chain (``_chain_value``).
 
     ``states`` are the strong selections in order (pre, mids, post), for
     example ``alternating(i, f, n_ops)``; ``ops`` are given in
-    chronological order, one per selection gap.  The value is the product
-    of gap matrix elements over the product of gap overlaps; it raises
-    OrthogonalSelection, before any division, when a gap overlap is
-    at most ORTHOGONALITY_EPS, and WeakLabError when either product
-    leaves the normal float range (a long chain's overlaps underflow).
-    It does not depend on when each weak coupling happens inside its gap.
-    With two ops and states (i, f, i) this reduces
-    bit-for-bit to ``weak_correlation``.
+    chronological order, one per selection gap.  It raises
+    OrthogonalSelection, before any division, when a gap overlap is at most
+    ORTHOGONALITY_EPS, and WeakLabError when either product leaves the
+    normal float range (a long chain's overlaps underflow).  It does not
+    depend on when each weak coupling happens inside its gap; with two ops
+    and states (i, f, i) it is ``weak_correlation`` bit for bit.
     """
     return _chain_value(tuple(states), tuple(ops))
 
 
-def dual_weak_correlation(
-    i: StateVector,
-    f: StateVector,
-    ops,
-) -> complex:
+def dual_weak_correlation(i: StateVector, f: StateVector, ops) -> complex:
     """Chain value for the interchanged procedure (pre f, mid i, ...)."""
     ops = tuple(ops)
     return _chain_value(alternating(f, i, len(ops)), ops)
@@ -253,18 +247,18 @@ class SymmetryResiduals:
     commutator_flip: float  # |<[A,B]> + <[A,B]>_dual|
 
 
-def symmetry_residuals(
-    i: StateVector,
-    f: StateVector,
-    a: Operator,
-    b: Operator,
-) -> SymmetryResiduals:
-    """Check <BA>_dual = <AB> and <[A,B]>_dual = -<[A,B]>."""
+def symmetry_residuals(i: StateVector, f: StateVector, a: Operator,
+                       b: Operator) -> SymmetryResiduals:
+    """Check <BA>_dual = <AB> and <[A,B]>_dual = -<[A,B]>.
+
+    Four distinct chains, each evaluated once: the dual <BA> is the chain
+    of ``weak_correlation(f, i, b, a)``.
+    """
     ab = weak_correlation(i, f, a, b)
+    ba = weak_correlation(i, f, b, a)
     ba_dual = dual_weak_correlation(i, f, (a, b))
-    comm = weak_commutator(i, f, a, b)
-    comm_dual = weak_commutator(f, i, a, b)
+    ab_dual = weak_correlation(f, i, a, b)
     return SymmetryResiduals(
         order_swap=abs(ba_dual - ab),
-        commutator_flip=abs(comm + comm_dual),
+        commutator_flip=abs((ab - ba) + (ab_dual - ba_dual)),
     )

@@ -503,7 +503,9 @@ def test_ccr_g_sweep_reruns_only_the_pointer_stage(tmp_path, monkeypatch):
                     "--g-sweep", "0.01,0.02,-0.03", "--out", str(out)]) == 0
     assert calls["_ccr_ops"] == 1
     report = read_json(out / "run.json")["report"]
-    assert calls["ccr_decomposition"] == len(report["per_f"])
+    # one decomposition over the stack of every admissible mid-selection
+    assert calls["ccr_decomposition"] == 1
+    assert len(report["per_f"]) == 39
     assert [row[0] for row in report["g_sweep_rows"]] == [0.01, 0.02, -0.03]
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from weaklab import experiments, hilbert, pointer
+from weaklab import experiments, hilbert, pointer, weakcorr
 from weaklab.errors import AlphaOutOfRange, InvalidConfig, TruncationWarning
 from weaklab.experiments import (
     REFERENCE_ZEROS,
@@ -22,6 +22,19 @@ from weaklab.weakcorr import P_IMAG_TOL
 
 ALPHA_SWEEP = [-5 * math.pi / 6, -math.pi / 2, -math.pi / 3, -math.pi / 6, 0.0,
                math.pi / 6, math.pi / 3, math.pi / 2, 5 * math.pi / 6]
+
+
+def test_tolerance_constants_are_pinned():
+    # a loosened tolerance must show up as an edit of this test
+    assert (experiments.CCR_EXACT_TOL, experiments.CCR_POINTER_RTOL,
+            experiments.MC_SIGMA_BAND) == (1e-10, 0.02, 3.0)
+    assert (experiments.PAULI_TOL, experiments.RIEMANN_TOL, experiments.CHAIN_TOL) == (
+        1e-12, 1e-12, 1e-12)
+    assert (experiments.RIEMANN_EQ25_RTOL, experiments.RIEMANN_AVERAGE_RTOL) == (1e-13, 1e-10)
+    assert (weakcorr.P_IMAG_TOL, weakcorr.ORTHOGONALITY_EPS, pointer.WRAP_SHARE) == (
+        1e-10, 1e-12, 1e-12)
+    assert (pointer.ANNIHILATION_ATOL, hilbert.HERMITIAN_ATOL) == (1e-15, 1e-12)
+    assert experiments._POINTER_COVERAGE == 1.0 - 1e-9
 
 
 def test_spin_selections_overlap():
@@ -57,17 +70,29 @@ def test_pauli_suite_alpha_out_of_range():
         pauli_suite([])
 
 
+def pauli_row_residuals(row):
+    """The six residuals of one row, in the order of the suite's checks."""
+    t = row.tan_half
+    return (abs(row.sxsy - 1j * t), abs(row.sysx + 1j * t), abs(row.sz_w - t),
+            abs(row.anticommutator), abs(row.commutator - 2j * t),
+            abs(row.commutator - 2j * row.sz_w))
+
+
 def test_pauli_sweep_checks_each_name_at_its_worst_angle():
     report = pauli_suite(ALPHA_SWEEP)
-    alone = [pauli_suite([a]) for a in ALPHA_SWEEP]
-    assert report.rows == tuple(r.rows[0] for r in alone)
+    residuals = [pauli_row_residuals(row) for row in report.rows]
     for k, check in enumerate(report.checks):
-        assert check.residual == max(r.checks[k].residual for r in alone)
+        assert check.residual == max(r[k] for r in residuals)
         assert check.tol == experiments.PAULI_TOL
+    assert [r.max_residual for r in report.rows] == [max(r) for r in residuals]
+    # the sweep evaluates its angles as one stack: each row is the
+    # single-angle run up to roundoff, and so are the checks
+    alone = [pauli_suite([a]) for a in ALPHA_SWEEP]
     assert [c.name for c in report.checks] == [c.name for c in alone[0].checks]
-    assert [r.max_residual for r in report.rows] == [
-        max(c.residual for c in r.checks) for r in alone
-    ]
+    for row, one in zip(report.rows, (r.rows[0] for r in alone)):
+        assert (row.alpha, row.tan_half) == (one.alpha, one.tan_half)
+        for a, b in zip(dataclasses.astuple(row)[2:7], dataclasses.astuple(one)[2:7]):
+            assert abs(a - b) <= 4 * np.finfo(float).eps * max(1.0, abs(b))
 
 
 def test_ccr_experiment_fock_exact_branches():
@@ -190,6 +215,24 @@ def test_ccr_experiment_monte_carlo_branch():
     assert rep.passed
 
 
+def test_ccr_mc_gate_reads_the_rows_it_sampled():
+    # the ccr-mc benchmark's config (Fock 128, seed 42) at the largest budget,
+    # where the estimate resolves the correlator: 1.0101 +- 0.0331
+    rep = ccr_experiment(hilbert.FockConfig(128), n_trials=2**53, seed=42)
+    sampled = [r for r in rep.per_f if r.mc_attempted is not None]
+    assert len(sampled) == 30
+    same_rows = math.fsum(r.weight * r.dx_d * r.dx_d_prime for r in sampled) / rep.g**2
+    assert rep.mc_exact_corr_over_g2 == same_rows
+    assert abs(same_rows - 0.99926) <= 1e-5
+    check = next(c for c in rep.checks if c.name == "mc_corr_vs_exact_pointer")
+    assert (check.residual, check.tol) == (
+        abs(rep.mc_corr_over_g2 - same_rows), experiments.MC_SIGMA_BAND * rep.mc_stderr_over_g2
+    )
+    # the band is a tenth of the target, so a sign error in the estimate fails it
+    assert check.tol <= 0.1 * same_rows
+    assert check.passed
+
+
 def test_riemann_experiment_fock_ground_state():
     rep = riemann_experiment(hilbert.FockConfig(dim=64))
     assert rep.rho_w == pytest.approx(0.0, abs=1e-12)
@@ -260,8 +303,9 @@ def test_ccr_experiment_matches_joint_state_oracle(rep, monkeypatch, oracle_prot
 
     def oracle_chains(i, finals, x_op, p_op, sigma, sigma_prime, g, grid, grid_prime,
                       **eigensystems):
-        return [oracle_protocol(i, f, x_op, p_op, sigma, sigma_prime, g, grid, grid_prime)
-                for f in finals]
+        return [oracle_protocol(i, hilbert.StateVector(finals.basis_id, f), x_op, p_op, sigma,
+                                sigma_prime, g, grid, grid_prime)
+                for f in finals.amplitudes.T]
 
     monkeypatch.setattr(experiments, "run_ccr_protocols", oracle_chains)
     slow = ccr_experiment(rep, n_trials=0)

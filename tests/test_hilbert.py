@@ -210,6 +210,33 @@ def test_state_normalizes_on_construction():
         hilbert.StateVector("generic(dim=2)", [0.0, 0.0])
 
 
+def test_stack_normalizes_each_column():
+    amps = np.array([[3.0, 1.0], [0.0, 1.0], [4.0, 0.0]])
+    stack = hilbert.StateVector("generic(dim=3)", amps)
+    assert stack.dim == 3 and stack.amplitudes.shape == (3, 2)
+    for c in range(2):
+        one = hilbert.StateVector("generic(dim=3)", amps[:, c])
+        assert np.abs(stack.amplitudes[:, c] - one.amplitudes).max() <= 1e-16
+    with pytest.raises(InvalidConfig):
+        hilbert.StateVector("generic(dim=2)", [[1.0, 0.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("kind", ["dense", "diagonal", "spectral"])
+def test_operator_apply_on_a_block_equals_its_columns(kind):
+    cfg = hilbert.GridConfig(32, 10.0, 0.7)
+    x, p = hilbert.make_grid_ops(cfg)
+    op = {"dense": hilbert.random_hermitian(32, 5, cfg.basis_id), "diagonal": x, "spectral": p}[kind]
+    rng = np.random.default_rng(11)
+    block = rng.standard_normal((32, 5)) + 1j * rng.standard_normal((32, 5))
+    columns = np.stack([op.apply(block[:, c]) for c in range(5)], axis=1)
+    if kind == "dense":
+        # one matrix product against five matrix-vector products: BLAS may
+        # round them differently
+        assert np.abs(op.apply(block) - columns).max() <= 1e-14 * np.abs(columns).max()
+    else:
+        assert np.array_equal(op.apply(block), columns)
+
+
 def test_operator_hint_checked():
     with pytest.raises(NotHermitian):
         hilbert.Operator(

@@ -113,11 +113,6 @@ def swap_dual_ops(monkeypatch):
     )
 
 
-def commutator_sign_dropped(monkeypatch):
-    """The weak commutator adds its two orderings: it is the anticommutator."""
-    monkeypatch.setattr(weakcorr, "weak_commutator", weakcorr.weak_anticommutator)
-
-
 def miscount_acceptance(field):
     """One readout stream reports half its accepted trials."""
     def plant(monkeypatch):
@@ -208,6 +203,16 @@ def nan_value(value):
     return complex(math.nan, 0.0)
 
 
+def nan_second_row(values):
+    spoiled = np.array(values, dtype=complex)
+    spoiled[1] = math.nan
+    return spoiled
+
+
+def negate(value):
+    return -value
+
+
 def nan_first_readouts(chains):
     return [dataclasses.replace(c, dx_d=math.nan) for c in chains]
 
@@ -229,7 +234,9 @@ PLANTED = [
     ("eq10_born_avg_vs_minus_half_hbar", "ccr", drop_ket_diagonal),
     ("chain_vs_product_of_ratios", "chain", reverse_chain_ops),
     ("dual_order_swap", "chain", swap_dual_ops),
-    ("dual_commutator_flip", "chain", commutator_sign_dropped),
+    # the dual procedure's <AB>, the third weak correlation of instance 0's
+    # symmetry_residuals, comes back negated: only the commutator flip reads it
+    ("dual_commutator_flip", "chain", spoil_call(weakcorr, "weak_correlation", 3, negate)),
     ("acceptance_vs_born", "mc", miscount_acceptance("accepted_position")),
     ("momentum_acceptance_vs_born", "mc", miscount_acceptance("accepted_momentum")),
     ("re_est_within_3_stderr", "mc", readout_offset(pointer.MOMENTUM)),
@@ -246,8 +253,8 @@ NAN_ROW = [
     # instance 1's chain value
     ("chain_vs_product_of_ratios", "chain",
      spoil_call(weakcorr, "chain_weak_correlation", 2, nan_value)),
-    # <sz>_w at the second angle
-    ("sz_w_vs_tan", "pauli_sweep", spoil_call(experiments, "weak_value", 2, nan_value)),
+    # <sz>_w at the second angle: row 2 of the one weak_value call over the stack
+    ("sz_w_vs_tan", "pauli_sweep", spoil_call(experiments, "weak_value", 1, nan_second_row)),
     # the second swept coupling (call 1 is the run's own g)
     ("g_sweep_pointer_corr", "ccr_sweep",
      spoil_call(experiments, "run_ccr_protocols", 3, nan_first_readouts)),

@@ -39,6 +39,11 @@ from weaklab.weakcorr import weak_value
 GRID = GridConfig(1024, 40.0)
 
 
+def stack(states):
+    """The states as one stack, one column each."""
+    return hilbert.StateVector(states[0].basis_id, np.stack([s.amplitudes for s in states], axis=1))
+
+
 def two_hump_state(cfg):
     """Irregular mid-selection with complex weak values; non-Gaussian so
     the higher-order pointer corrections do not cancel."""
@@ -302,7 +307,7 @@ def test_conditional_pointers_match_joint_state_oracle(
     obs = x_op if which == "x" else p_op
     one = hilbert.random_state(size, seed, cfg.basis_id)
     many = [hilbert.random_state(size, seed + 1 + k, cfg.basis_id) for k in range(n_sel)]
-    initial, final = (many, [one]) if batch_initial else ([one], many)
+    initial, final = (stack(many), one) if batch_initial else (one, stack(many))
     phi = gaussian_pointer(KERNEL_GRID, 1.0)
     eigensystem = None
     if reuse_eigensystem:
@@ -400,7 +405,7 @@ def test_annihilated_selection_raises_like_oracle(oracle_protocol, size, generat
     phi = gaussian_pointer(KERNEL_GRID, 1.0)
     with pytest.raises(SelectionAnnihilated):
         select(couple(product_joint(i, phi), x_op, generator, g), f)
-    _, amps = conditional_pointers([i], [f], x_op, generator, g, phi)
+    _, amps = conditional_pointers(i, f, x_op, generator, g, phi)
     assert amps[0] <= ANNIHILATION_ATOL
     with pytest.raises(SelectionAnnihilated):
         measure_weakly(i, f, x_op, 1.0, g, KERNEL_GRID)
@@ -411,7 +416,7 @@ def test_annihilated_selection_raises_like_oracle(oracle_protocol, size, generat
         run_ccr_protocol(*args)
     # one annihilated row fails the whole batch
     with pytest.raises(SelectionAnnihilated):
-        run_ccr_protocols(i, [i, f], x_op, p_op, 1.0, 1.0, g, KERNEL_GRID, KERNEL_GRID)
+        run_ccr_protocols(i, stack([i, f]), x_op, p_op, 1.0, 1.0, g, KERNEL_GRID, KERNEL_GRID)
 
 
 def test_run_ccr_protocols_rows_equal_single_runs():
@@ -421,7 +426,7 @@ def test_run_ccr_protocols_rows_equal_single_runs():
     w, states = hilbert.eigenbasis(p_op)
     finals = [two_hump_state(cfg), states[30], states[33]]
     batch = run_ccr_protocols(
-        i, finals, x_op, p_op, 1.0, 1.0, 0.01, GRID, GRID,
+        i, stack(finals), x_op, p_op, 1.0, 1.0, 0.01, GRID, GRID,
         p_eigensystem=(w, np.stack([s.amplitudes for s in states], axis=1)),
     )
     for f, res in zip(finals, batch):
@@ -439,18 +444,18 @@ def test_conditional_pointers_guards():
     phi = gaussian_pointer(KERNEL_GRID, 1.0)
     elsewhere = hilbert.StateVector("elsewhere", i.amplitudes)
     with pytest.raises(BasisMismatch):
-        conditional_pointers([i], [elsewhere], x_op, POSITION, 0.01, phi)
+        conditional_pointers(i, elsewhere, x_op, POSITION, 0.01, phi)
     with pytest.raises(BasisMismatch):
-        conditional_pointers([elsewhere], [i], x_op, POSITION, 0.01, phi)
+        conditional_pointers(elsewhere, i, x_op, POSITION, 0.01, phi)
     skew = hilbert.Operator(cfg.basis_id, 1j * np.eye(16))
     with pytest.raises(NotHermitian):
-        conditional_pointers([i], [i], skew, MOMENTUM, 0.01, phi)
+        conditional_pointers(i, i, skew, MOMENTUM, 0.01, phi)
     with pytest.raises(InvalidConfig):
-        conditional_pointers([i, i], [i, i, i], x_op, POSITION, 0.01, phi)
+        conditional_pointers(stack([i, i]), stack([i, i, i]), x_op, POSITION, 0.01, phi)
     with pytest.raises(InvalidConfig, match="generator"):
-        conditional_pointers([i], [i], x_op, "angle", 0.01, phi)
+        conditional_pointers(i, i, x_op, "angle", 0.01, phi)
     with pytest.raises(InvalidConfig, match="finite"):
-        conditional_pointers([i], [i], x_op, POSITION, math.inf, phi)
+        conditional_pointers(i, i, x_op, POSITION, math.inf, phi)
 
 
 @pytest.mark.parametrize("generator, g_fits, g_wraps", [
@@ -464,15 +469,15 @@ def test_wrap_guard_reads_the_exact_spectrum(generator, g_fits, g_wraps):
     # (in wavenumber for the position generator)
     i, f = (hilbert.StateVector(hilbert.PAULI_BASIS_ID, a) for a in ([1.0, 0.3], [1.0, 1.0]))
     phi = gaussian_pointer(GRID, 1.0)
-    _, amps = conditional_pointers([i], [f], hilbert.pauli("z"), generator, g_fits, phi)
+    _, amps = conditional_pointers(i, f, hilbert.pauli("z"), generator, g_fits, phi)
     assert amps[0] > 0.0
     with pytest.raises(GridResolutionError, match="quarter"):
-        conditional_pointers([i], [f], hilbert.pauli("z"), generator, g_wraps, phi)
+        conditional_pointers(i, f, hilbert.pauli("z"), generator, g_wraps, phi)
     # an eigenstate selection puts no weight on the wrapping level
     up = hilbert.basis_state(2, 0, hilbert.PAULI_BASIS_ID)
     down = hilbert.basis_state(2, 1, hilbert.PAULI_BASIS_ID)
     z_shifted = hilbert.Operator(hilbert.PAULI_BASIS_ID, np.diag([g_fits / g_wraps, 5.0]))
-    _, amps = conditional_pointers([up], [up], z_shifted, generator, g_wraps, phi)
+    _, amps = conditional_pointers(up, up, z_shifted, generator, g_wraps, phi)
     assert amps[0] == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(GridResolutionError):
-        conditional_pointers([down], [down], z_shifted, generator, g_wraps, phi)
+        conditional_pointers(down, down, z_shifted, generator, g_wraps, phi)

@@ -284,11 +284,11 @@ def test_ccr_plane_waves_agree_with_eigh(monkeypatch):
     kept = [index_of[float(p)] for p in p_kept]
     assert sorted(kept) == [r.index for r in report.per_f if r.dx_d is not None]
     assert len(kept) >= 10
-    for s, (j, f) in enumerate(zip(kept, finals)):
-        assert np.array_equal(v_kept[:, s], f.amplitudes)
-        assert np.linalg.norm(p_matrix @ f.amplitudes - p_kept[s] * f.amplitudes) <= 1e-12 * scale
-        assert abs(abs(np.vdot(v[:, j], f.amplitudes)) - 1.0) <= 1e-12
-        assert abs(weight_of[j] - abs(np.vdot(f.amplitudes, i.amplitudes)) ** 2) <= 1e-15
+    assert np.array_equal(v_kept, finals.amplitudes)
+    for j, p_s, f in zip(kept, p_kept, finals.amplitudes.T):
+        assert np.linalg.norm(p_matrix @ f - p_s * f) <= 1e-12 * scale
+        assert abs(abs(np.vdot(v[:, j], f)) - 1.0) <= 1e-12
+        assert abs(weight_of[j] - abs(np.vdot(f, i.amplitudes)) ** 2) <= 1e-15
 
 
 def full_momentum_eigensystem(rep):
@@ -310,7 +310,7 @@ def test_ccr_stage_two_on_kept_columns_equals_full_basis(monkeypatch, rep, g):
     (i, finals, kept), = calls
     _, p_op = experiments._ccr_ops(rep)
     phi = pointer.gaussian_pointer(pointer.pointer_grid(1.0, rep.hbar), 1.0)
-    stage = [pointer.conditional_pointers(finals, [i], p_op, pointer.MOMENTUM, g, phi, eigensystem)
+    stage = [pointer.conditional_pointers(finals, i, p_op, pointer.MOMENTUM, g, phi, eigensystem)
              for eigensystem in (kept, full_momentum_eigensystem(rep))]
     (rows, amps), (full_rows, full_amps) = stage
     assert np.sqrt(np.sum(np.abs(rows - full_rows) ** 2, axis=1) * phi.grid.spacing).max() <= 1e-12
@@ -417,8 +417,8 @@ def test_half_line_residual_matches_dense_oracle(rep):
 
 def dense_kernel_rows(initial, final, generator, g, phi, eigensystem):
     """conditional_pointers' rows with the phase kernel built as one exp of temporaries."""
-    a = np.stack([s.amplitudes for s in initial], axis=1)
-    b = np.stack([s.amplitudes for s in final], axis=1)
+    a = initial.amplitudes.reshape(initial.dim, -1)
+    b = final.amplitudes.reshape(final.dim, -1)
     w, v = eigensystem
     if v is not None:
         a, b = v.conj().T @ a, v.conj().T @ b
@@ -450,14 +450,15 @@ def test_pointer_kernel_bit_identical_to_dense(oracle_wraps, cfg, which, generat
     )
     i = hilbert.random_state(cfg.n_points, seed, cfg.basis_id)
     fs = [hilbert.random_state(cfg.n_points, seed + k, cfg.basis_id) for k in (1, 2)]
+    finals = hilbert.StateVector(cfg.basis_id, np.stack([f.amplitudes for f in fs], axis=1))
     phi = pointer.gaussian_pointer(hilbert.GridConfig(256, 40.0, cfg.hbar), 1.0)
     if any(oracle_wraps(i, f, obs, generator, g, phi.grid) for f in fs):
         # the coupling wraps the pointer, so the kernel returns no rows
         with pytest.raises(GridResolutionError):
-            pointer.conditional_pointers([i], fs, obs, generator, g, phi, eigensystem)
+            pointer.conditional_pointers(i, finals, obs, generator, g, phi, eigensystem)
         return
-    rows, _ = pointer.conditional_pointers([i], fs, obs, generator, g, phi, eigensystem)
-    assert np.array_equal(rows, dense_kernel_rows([i], fs, generator, g, phi, eigensystem))
+    rows, _ = pointer.conditional_pointers(i, finals, obs, generator, g, phi, eigensystem)
+    assert np.array_equal(rows, dense_kernel_rows(i, finals, generator, g, phi, eigensystem))
 
 
 def traced_peak(fn) -> int:

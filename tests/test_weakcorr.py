@@ -393,3 +393,44 @@ def test_dual_weak_correlation_explicit_form():
     )
     den = np.vdot(i.amplitudes, f.amplitudes) * np.vdot(f.amplitudes, i.amplitudes)
     assert got == pytest.approx(num / den, abs=1e-12 * max(1.0, abs(num / den)))
+
+
+def stack(states):
+    """The states as one stack, one column each."""
+    return hilbert.StateVector(states[0].basis_id, np.stack([s.amplitudes for s in states], axis=1))
+
+
+@given(st.integers(0, 2**31), st.integers(2, 9))
+@settings(max_examples=30, deadline=None)
+def test_a_stack_evaluates_each_row_as_its_single_state(seed, dim):
+    rows = [hilbert.random_state(dim, seed + k) for k in range(4)]
+    f = hilbert.random_state(dim, seed + 4)
+    a = hilbert.random_hermitian(dim, seed + 5)
+    b = hilbert.random_hermitian(dim, seed + 6)
+    evaluations = [
+        lambda i, f: weak_value(i, f, a),
+        lambda i, f: weak_value(f, i, a),
+        lambda i, f: weak_correlation(i, f, a, b),
+        lambda i, f: dual_weak_correlation(i, f, (a, b, a)),
+        lambda i, f: chain_weak_correlation(alternating(i, f, 3), (a, b, a)),
+    ]
+    for evaluate in evaluations:
+        got = evaluate(stack(rows), f)
+        assert got.shape == (4,)
+        for value, i in zip(got, rows):
+            one = evaluate(i, f)
+            assert abs(value - one) <= 1e-13 * max(1.0, abs(one))
+
+
+def test_a_stack_names_its_first_failing_row():
+    up = hilbert.basis_state(2, 0, PAULI_BASIS_ID)
+    down = hilbert.basis_state(2, 1, PAULI_BASIS_ID)
+    tilted = hilbert.StateVector(PAULI_BASIS_ID, np.array([1e-11, 1.0]))
+    ident = hilbert.Operator(PAULI_BASIS_ID, np.eye(2))
+    with pytest.raises(OrthogonalSelection, match="^row 2: selection overlap"):
+        weak_value(stack([tilted, tilted, up, up]), down, ident)
+    # row 1's 29 overlaps of 1e-11 underflow; row 0's overlaps are 1
+    with pytest.raises(WeakLabError, match="^row 1: chain products leave the normal float range"):
+        chain_weak_correlation(alternating(stack([tilted, up]), tilted, 29), [ident] * 29)
+    with pytest.raises(ArityMismatch, match="two stacks"):
+        weak_value(stack([up, tilted]), stack([tilted, up]), ident)
