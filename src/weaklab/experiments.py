@@ -462,8 +462,9 @@ def ccr_experiment(
         n_keep = int(np.count_nonzero(weights[order] >= w_cut))  # order is descending
         keep = [int(j) for j in order[:n_keep] if admissible[j]]
 
-        finals = StateVector(rep.basis_id, mids.amplitudes[:, np.searchsorted(adm, keep)])
-        # each final is a p eigenvector, so stage two expands exactly on their columns
+        # the kept columns, normalized as in mids (a column's norm is its own);
+        # each final is a p eigenvector, so stage two expands exactly on them
+        finals = StateVector(rep.basis_id, columns[:, np.searchsorted(adm, keep)])
         p_kept = (p_eigs[keep], finals.amplitudes)
 
     def corr_over_g2(chains, rows, g_s):  # the exact two-pointer correlator over rows

@@ -1,7 +1,9 @@
 """Finite-dimensional Hilbert-space foundation.
 
 States, operators, standard builders (Fock ladder, periodic grid,
-Pauli), inner products and expectation values.  An operator is stored in
+Pauli) and the inner product ``braket``.  A ``StateVector`` holds one
+state or a stack of them as columns; ``braket`` and ``Operator.apply``
+work on either.  An operator is stored in
 one of three forms: dense; diagonal, as the grid position operator is;
 or spectral, as the grid momentum is, by its multiplier in the discrete
 Fourier basis, applied to a state by two FFTs.  A diagonal or spectral
@@ -53,13 +55,13 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=complex)
-        if amps.ndim != 2:
-            amps = amps.reshape(-1)
+        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = amps if amps.ndim == 2 else amps.reshape(-1)
         if amps.size < 1:
             raise InvalidConfig("state needs at least one amplitude")
-        norm = np.linalg.norm(amps, axis=0 if amps.ndim == 2 else None)
-        if np.any(norm < 1e-300):
+        rows = np.ascontiguousarray(amps.T)  # np.linalg.norm's sums, one BLAS call per column
+        norm = np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))
+        if (norm < 1e-300).any():
             raise InvalidConfig("cannot normalize a zero state vector")
         object.__setattr__(self, "amplitudes", _freeze(amps / norm))
 
@@ -319,16 +321,13 @@ def pauli(axis: str) -> Operator:
         raise InvalidConfig(f"pauli axis must be x, y or z, got {axis!r}") from None
 
 
-def inner(psi: StateVector, phi: StateVector) -> complex:
-    """<psi|phi>, conjugate-linear in the first argument."""
-    _require_same_basis(psi, phi)
-    return complex(np.vdot(psi.amplitudes, phi.amplitudes))
-
-
-def expectation(psi: StateVector, op: Operator) -> complex:
-    """<psi|op|psi>."""
-    _require_same_basis(psi, op)
-    return complex(np.vdot(psi.amplitudes, op.apply(psi.amplitudes)))
+def braket(bra: np.ndarray, ket: np.ndarray):
+    """<bra|ket> of amplitudes (dim,) or stacks (dim, rows): a complex number
+    for two states, else one per row (a state pairs with every row, two
+    stacks row by row).  Each row is its own contiguous dot, as ``np.vdot``
+    computes it, so its bits do not depend on the other rows."""
+    value = np.vecdot(np.ascontiguousarray(bra.T), np.ascontiguousarray(ket.T))
+    return complex(value) if value.ndim == 0 else value
 
 
 # Stands for the natural (computational) basis {|0>, ..., |dim-1>} wherever a

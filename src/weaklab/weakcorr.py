@@ -11,9 +11,9 @@ evaluated by ``_chain_value``; ``weak_value`` is the chain of one gap.
 A state may be a stack (a ``StateVector`` whose columns are the
 selections, say one pre-selection per spin angle).  Each gap pairs a
 stack with one state, so a chain returns one complex value per row in
-one pass, and a plain complex number when no state is a stack.  A
-near-orthogonal pair of neighbours raises OrthogonalSelection, naming
-the first row of a stack that fails.  Only ``ccr_decomposition`` and
+one pass, the same bits in a stack of any width, and a plain complex
+number when no state is a stack.  A near-orthogonal pair of neighbours
+raises OrthogonalSelection, naming the first row of a stack that fails.  Only ``ccr_decomposition`` and
 ``symmetry_residuals`` return small records.  The reverse weak value
 <i|A|f>/<i|f> is ``weak_value(f, i, A)``.
 
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArityMismatch, OrthogonalSelection, WeakLabError
-from .hilbert import NATURAL_BASIS, Operator, StateVector, _basis_matrix, _require_same_basis
+from .hilbert import NATURAL_BASIS, Operator, StateVector, _basis_matrix, _require_same_basis, braket
 
 # Below this overlap (unit-norm states) the weak-value ratio has no
 # significant digits left in double precision.
@@ -60,28 +60,22 @@ def alternating(i: StateVector, f: StateVector, n_ops: int) -> tuple:
     return tuple(i if k % 2 == 0 else f for k in range(n_ops + 1))
 
 
-def _braket(bra: StateVector, ket: np.ndarray):
-    """<bra|ket> per row: one matrix-vector product, as at most one side is a stack."""
-    if bra.amplitudes.ndim == ket.ndim == 2:
-        raise ArityMismatch("a selection gap pairs a stack with one state, not two stacks")
-    value = bra.amplitudes.conj().T @ ket
-    return complex(value) if value.ndim == 0 else value
-
-
 def _raise_at_first(bad, exc_type, template: str, *values) -> None:
-    """Raise exc_type at the first row where ``bad`` holds, with that row's ``values``."""
-    rows = np.flatnonzero(bad)
-    if rows.size:
-        r = int(rows[0])
-        where = "" if np.ndim(bad) == 0 else f"row {r}: "
+    """Raise exc_type at the first row where ``bad`` holds, with that row's
+    ``values``; the message names the row when ``bad`` has one per row."""
+    bad = np.asarray(bad)
+    r = int(bad.argmax())
+    if bad.flat[r]:
+        where = f"row {r}: " if bad.ndim else ""
         raise exc_type(where + template.format(*(np.ravel(v)[r] for v in values)))
 
 
 def selection_overlap(bra: StateVector, ket: StateVector):
-    """<bra|ket> per row; OrthogonalSelection at a row where it is <= ORTHOGONALITY_EPS."""
+    """<bra|ket>, one value per row of a stack; OrthogonalSelection at the
+    first row where it is <= ORTHOGONALITY_EPS."""
     _require_same_basis(bra, ket)
-    ov = _braket(bra, ket.amplitudes)
-    size = np.abs(ov)
+    ov = braket(bra.amplitudes, ket.amplitudes)
+    size = abs(ov)
     _raise_at_first(size <= ORTHOGONALITY_EPS, OrthogonalSelection,
                     f"selection overlap |<f|i>| = {{:.3e}} <= eps = {ORTHOGONALITY_EPS:.1e}", size)
     return ov
@@ -99,8 +93,10 @@ def weak_value(i: StateVector, f: StateVector, op: Operator):
 def _chain_value(states, ops):
     """Product of gap matrix elements over product of gap overlaps, every row at once.
 
-    The overlap and normal-range checks run per row and name the first row
-    that fails.
+    In each gap the operator acts on the side that is one state (from the
+    left, as <hi|op, when the stack is below it), so a row rounds the same
+    in a stack of any width.  The overlap and normal-range checks run per
+    row and name the first row that fails.
     """
     if len(ops) != len(states) - 1:
         raise ArityMismatch(f"{len(ops)} operators for {len(states) - 1} selection gaps")
@@ -108,18 +104,28 @@ def _chain_value(states, ops):
     for lo, op, hi in zip(states, ops, states[1:]):
         _require_same_basis(lo, op)
         _require_same_basis(hi, op)
+        if lo.amplitudes.ndim == hi.amplitudes.ndim == 2:
+            raise ArityMismatch("a selection gap pairs a stack with one state, not two stacks")
         den = den * selection_overlap(hi, lo)
-        num = num * _braket(hi, op.apply(lo.amplitudes))
+        if lo.amplitudes.ndim == 2:
+            num = num * braket(op.apply_left(hi.amplitudes.conj()).conj(), lo.amplitudes)
+        else:
+            num = num * braket(hi.amplitudes, op.apply(lo.amplitudes))
     # |overlap| <= 1, so den only shrinks: one check after the loop sees it
     # leave the normal range.  num may be exactly 0, as a zero factor makes it.
-    size_num, size_den = np.abs(num), np.abs(den)
-    normal = (size_den >= _TINY) & ((num == 0) | ((_TINY <= size_num) & (size_num < math.inf)))
-    _raise_at_first(np.logical_not(normal), WeakLabError, "chain products leave the normal float "
-                    "range: |numerator| = {:.3e}, |overlaps| = {:.3e}", size_num, size_den)
+    size_num, size_den = abs(num), abs(den)
+    normal = (size_den >= _TINY) & ((size_num == 0) | ((size_num >= _TINY) & (size_num < math.inf)))
+    _raise_at_first(np.logical_not(normal), WeakLabError, "chain products leave the normal "
+                    "float range: |numerator| = {:.3e}, |overlaps| = {:.3e}", size_num, size_den)
     return num / den
 
 
-def weak_correlation(i: StateVector, f: StateVector, a: Operator, b: Operator) -> complex:
+def weak_correlation(
+    i: StateVector,
+    f: StateVector,
+    a: Operator,
+    b: Operator,
+) -> complex:
     """<i|a|f><f|b|i> / (<i|f><f|i>): b weakly measured first, then a.
 
     Equals weak_value(f, i, a) times weak_value(i, f, b).  Swapping
@@ -141,8 +147,13 @@ def weak_anticommutator(i, f, a, b) -> complex:
 _COMBINES = ("commutator", "anticommutator", "product")
 
 
-def averaged_weak_correlation(i: StateVector, basis, a: Operator, b: Operator,
-                              combine: str = "product") -> complex:
+def averaged_weak_correlation(
+    i: StateVector,
+    basis,
+    a: Operator,
+    b: Operator,
+    combine: str = "product",
+) -> complex:
     """Born-weighted sum over mid-selections f of the weak correlation.
 
     ``basis`` is a complete orthonormal list of states or NATURAL_BASIS.
@@ -200,8 +211,12 @@ class CcrDecomposition:
     simplified_lhs: float
 
 
-def ccr_decomposition(i: StateVector, f: StateVector, x_op: Operator,
-                      p_op: Operator) -> CcrDecomposition:
+def ccr_decomposition(
+    i: StateVector,
+    f: StateVector,
+    x_op: Operator,
+    p_op: Operator,
+) -> CcrDecomposition:
     """Real/imaginary split of the weak CCR for a mid-selection f or a stack of them.
 
     The per-selection values do not depend on hbar; their Born averages
@@ -218,22 +233,31 @@ def ccr_decomposition(i: StateVector, f: StateVector, x_op: Operator,
     )
 
 
-def chain_weak_correlation(states: tuple, ops) -> complex:
-    """High-order weak correlation over a selection chain (``_chain_value``).
+def chain_weak_correlation(
+    states: tuple,
+    ops,
+) -> complex:
+    """High-order weak correlation over an alternating selection chain.
 
     ``states`` are the strong selections in order (pre, mids, post), for
     example ``alternating(i, f, n_ops)``; ``ops`` are given in
-    chronological order, one per selection gap.  It raises
-    OrthogonalSelection, before any division, when a gap overlap is at most
-    ORTHOGONALITY_EPS, and WeakLabError when either product leaves the
-    normal float range (a long chain's overlaps underflow).  It does not
-    depend on when each weak coupling happens inside its gap; with two ops
-    and states (i, f, i) it is ``weak_correlation`` bit for bit.
+    chronological order, one per selection gap.  The value is the product
+    of gap matrix elements over the product of gap overlaps; it raises
+    OrthogonalSelection, before any division, when a gap overlap is
+    at most ORTHOGONALITY_EPS, and WeakLabError when either product
+    leaves the normal float range (a long chain's overlaps underflow).
+    It does not depend on when each weak coupling happens inside its gap.
+    With two ops and states (i, f, i) this reduces
+    bit-for-bit to ``weak_correlation``.
     """
     return _chain_value(tuple(states), tuple(ops))
 
 
-def dual_weak_correlation(i: StateVector, f: StateVector, ops) -> complex:
+def dual_weak_correlation(
+    i: StateVector,
+    f: StateVector,
+    ops,
+) -> complex:
     """Chain value for the interchanged procedure (pre f, mid i, ...)."""
     ops = tuple(ops)
     return _chain_value(alternating(f, i, len(ops)), ops)
@@ -247,13 +271,14 @@ class SymmetryResiduals:
     commutator_flip: float  # |<[A,B]> + <[A,B]>_dual|
 
 
-def symmetry_residuals(i: StateVector, f: StateVector, a: Operator,
-                       b: Operator) -> SymmetryResiduals:
-    """Check <BA>_dual = <AB> and <[A,B]>_dual = -<[A,B]>.
-
-    Four distinct chains, each evaluated once: the dual <BA> is the chain
-    of ``weak_correlation(f, i, b, a)``.
-    """
+def symmetry_residuals(
+    i: StateVector,
+    f: StateVector,
+    a: Operator,
+    b: Operator,
+) -> SymmetryResiduals:
+    """Check <BA>_dual = <AB> and <[A,B]>_dual = -<[A,B]>, from four chains
+    evaluated once each (the dual <BA> is ``weak_correlation(f, i, b, a)``)."""
     ab = weak_correlation(i, f, a, b)
     ba = weak_correlation(i, f, b, a)
     ba_dual = dual_weak_correlation(i, f, (a, b))

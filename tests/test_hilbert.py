@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weaklab import hilbert
+from weaklab import hilbert, weakcorr
 from weaklab.errors import (
     BasisMismatch,
     InvalidConfig,
@@ -115,27 +115,40 @@ def test_pauli_matrices_exact():
     np.testing.assert_array_equal(zz, np.eye(2))
 
 
+def inner(psi, phi):
+    """<psi|phi> of two single states: a plain complex number."""
+    value = hilbert.braket(psi.amplitudes, phi.amplitudes)
+    assert type(value) is complex
+    return value
+
+
+def expectation(psi, op):
+    """<psi|op|psi> of a single state."""
+    return hilbert.braket(psi.amplitudes, op.apply(psi.amplitudes))
+
+
 def test_inner_and_expectation_basics():
     up = hilbert.basis_state(2, 0, hilbert.PAULI_BASIS_ID)
     down = hilbert.basis_state(2, 1, hilbert.PAULI_BASIS_ID)
-    assert hilbert.inner(up, up) == pytest.approx(1.0)
-    assert hilbert.inner(up, down) == 0.0
-    assert hilbert.expectation(up, hilbert.pauli("z")) == pytest.approx(1.0)
+    assert inner(up, up) == pytest.approx(1.0)
+    assert inner(up, down) == 0.0
+    assert expectation(up, hilbert.pauli("z")) == pytest.approx(1.0)
 
 
 def test_inner_conjugate_linear_in_first_argument():
     psi = hilbert.random_state(5, seed=11)
     phi = hilbert.random_state(5, seed=12)
-    assert hilbert.inner(psi, phi) == pytest.approx(np.conj(hilbert.inner(phi, psi)))
+    assert inner(psi, phi) == pytest.approx(np.conj(inner(phi, psi)))
+    assert inner(psi, phi) == np.vdot(psi.amplitudes, phi.amplitudes)  # the same dot
 
 
 def test_basis_mismatch_raises():
     psi = hilbert.random_state(2, seed=1, basis_id="a")
     phi = hilbert.random_state(2, seed=2, basis_id="b")
     with pytest.raises(BasisMismatch):
-        hilbert.inner(psi, phi)
+        weakcorr.selection_overlap(psi, phi)
     with pytest.raises(BasisMismatch):
-        hilbert.expectation(psi, hilbert.pauli("z"))
+        weakcorr.weak_value(psi, psi, hilbert.pauli("z"))
 
 
 @given(st.integers(0, 2**31), st.integers(2, 12))
@@ -143,7 +156,7 @@ def test_basis_mismatch_raises():
 def test_hermitian_expectation_is_real(seed, dim):
     psi = hilbert.random_state(dim, seed)
     op = hilbert.random_hermitian(dim, seed + 1)
-    assert abs(hilbert.expectation(psi, op).imag) <= 1e-12
+    assert abs(expectation(psi, op).imag) <= 1e-12
 
 
 @given(st.integers(0, 2**31), st.integers(2, 10))
@@ -152,8 +165,8 @@ def test_resolution_of_identity(seed, dim):
     psi = hilbert.random_state(dim, seed)
     phi = hilbert.random_state(dim, seed + 1)
     _, basis = hilbert.eigenbasis(hilbert.random_hermitian(dim, seed + 2))
-    total = sum(hilbert.inner(psi, f) * hilbert.inner(f, phi) for f in basis)
-    assert abs(total - hilbert.inner(psi, phi)) <= 1e-10
+    total = sum(inner(psi, f) * inner(f, phi) for f in basis)
+    assert abs(total - inner(psi, phi)) <= 1e-10
 
 
 @given(st.integers(0, 2**31))
@@ -166,7 +179,7 @@ def test_truncated_ccr_exact_off_the_edge(seed):
     amps[:11] = rng.standard_normal(11) + 1j * rng.standard_normal(11)
     psi = hilbert.StateVector(cfg.basis_id, amps)
     comm = hilbert.Operator(cfg.basis_id, x.matrix @ p.matrix - p.matrix @ x.matrix)
-    assert abs(hilbert.expectation(psi, comm) - 1j * cfg.hbar) <= 1e-12
+    assert abs(expectation(psi, comm) - 1j * cfg.hbar) <= 1e-12
 
 
 def test_random_state_deterministic_and_normalized():
@@ -216,7 +229,15 @@ def test_stack_normalizes_each_column():
     assert stack.dim == 3 and stack.amplitudes.shape == (3, 2)
     for c in range(2):
         one = hilbert.StateVector("generic(dim=3)", amps[:, c])
-        assert np.abs(stack.amplitudes[:, c] - one.amplitudes).max() <= 1e-16
+        assert np.array_equal(stack.amplitudes[:, c], one.amplitudes)
+    # a column's norm is its own: the same bits in a stack of any width
+    rng = np.random.default_rng(5)
+    wide = rng.standard_normal((40, 9)) + 1j * rng.standard_normal((40, 9))
+    full = hilbert.StateVector("generic(dim=40)", wide).amplitudes
+    for c in range(9):
+        for part in (wide[:, c], wide[:, c:]):
+            normalized = hilbert.StateVector("generic(dim=40)", part).amplitudes
+            assert np.array_equal(full[:, c] if part.ndim == 1 else full[:, c:], normalized)
     with pytest.raises(InvalidConfig):
         hilbert.StateVector("generic(dim=2)", [[1.0, 0.0], [1.0, 0.0]])
 
@@ -235,6 +256,25 @@ def test_operator_apply_on_a_block_equals_its_columns(kind):
         assert np.abs(op.apply(block) - columns).max() <= 1e-14 * np.abs(columns).max()
     else:
         assert np.array_equal(op.apply(block), columns)
+
+
+def test_braket_pairs_rows_and_rounds_each_row_alone():
+    rng = np.random.default_rng(3)
+    bras = rng.standard_normal((33, 6)) + 1j * rng.standard_normal((33, 6))
+    kets = rng.standard_normal((33, 6)) + 1j * rng.standard_normal((33, 6))
+    one = kets[:, 0].copy()
+    # a state pairs with every row of a stack, two stacks pair row by row
+    assert hilbert.braket(bras, one).tolist() == [
+        hilbert.braket(bras[:, c].copy(), one) for c in range(6)]
+    assert hilbert.braket(one, bras).tolist() == [
+        hilbert.braket(one, bras[:, c].copy()) for c in range(6)]
+    assert hilbert.braket(bras, kets).tolist() == [
+        hilbert.braket(bras[:, c].copy(), kets[:, c].copy()) for c in range(6)]
+    assert hilbert.braket(bras[:, 2:4], kets[:, 2:4]).tolist() == (
+        hilbert.braket(bras, kets)[2:4].tolist())
+    # a single pair rounds as np.vdot does
+    assert hilbert.braket(bras[:, 1].copy(), one) == np.vdot(bras[:, 1].copy(), one)
+    assert np.allclose(hilbert.braket(bras, kets), np.einsum("jc,jc->c", bras.conj(), kets))
 
 
 def test_operator_hint_checked():

@@ -255,7 +255,7 @@ def test_run_ccr_protocol_probabilities_near_born_weights():
     i = gaussian_grid_state(cfg, width=cfg.length / 24.0)
     k = 2.0 * np.pi / cfg.length
     f = hilbert.StateVector(cfg.basis_id, np.exp(1j * k * cfg.positions()))
-    w = abs(hilbert.inner(f, i)) ** 2
+    w = abs(np.vdot(f.amplitudes, i.amplitudes)) ** 2
     res = run_ccr_protocol(i, f, x_op, p_op, 1.0, 1.0, 0.01, GRID, GRID)
     assert res.prob_mid == pytest.approx(w, rel=1e-3)
     assert res.prob_post == pytest.approx(w, rel=1e-12)  # eigenvector stage exact
