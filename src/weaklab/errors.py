@@ -4,6 +4,9 @@
 class WeakLabError(Exception):
     """Base class for all weaklab errors."""
 
+    # the row of a stack that failed a per-row check, else None
+    row: int | None = None
+
 
 class InvalidConfig(WeakLabError):
     """A configuration object violates its invariants."""

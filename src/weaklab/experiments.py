@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlphaOutOfRange, GridResolutionError, InvalidConfig, NoAcceptedTrials
+from .errors import AlphaOutOfRange, GridResolutionError, InvalidConfig, NoAcceptedTrials, WeakLabError
 from .hilbert import (
     EDGE_AMPLITUDE_WARN,
     NATURAL_BASIS,
@@ -903,9 +903,9 @@ class ChainReport:
 CHAIN_TOL = 1e-12
 
 
-def _slide(window: dict, seeds, draw) -> dict:
-    """{seed: draw} for ``seeds``, reusing the draws ``window`` already holds."""
-    return {q: window[q] if q in window else draw(q) for q in seeds}
+# Operator entries per block of chain instances: 2**16 complex entries, 1 MiB,
+# the size of hilbert's slabs.  A block holds at least one instance.
+_CHAIN_BLOCK_ENTRIES = 1 << 16
 
 
 def chain_experiment(dim: int = 5, n_ops: int = 4, n_instances: int = 50, seed: int = 0) -> ChainReport:
@@ -913,16 +913,23 @@ def chain_experiment(dim: int = 5, n_ops: int = 4, n_instances: int = 50, seed: 
 
     Instance ``inst`` draws i and f at seeds s and s + 1 and its operators
     at s + 2 .. s + 1 + n_ops, with s = _subseed(seed, inst) and each seed
-    masked to 31 bits.  The next instance's s is one higher, so it shares
-    all but one state seed and one operator seed with this one.  The draws
-    of the current instance are kept in a window keyed by seed, and only
-    the new seeds are drawn: instances + 1 states and instances + n_ops - 1
-    operators in all.  The same seed gives the same draw, so every record
-    equals that of drawing each instance afresh.
+    masked to 31 bits.  The next instance's s is one higher: its i is this
+    instance's f, and it shares all but one operator with this one.  So
+    instances + 1 states and instances + n_ops - 1 operators are drawn in
+    all, each seed once, and every record equals that of drawing each
+    instance afresh.
+
+    Instances are evaluated a block at a time, one row of the block's
+    stacks each.  The block's operators are one frozen array of at most
+    _CHAIN_BLOCK_ENTRIES entries (or one instance's); gap j of row r takes
+    operator r + j, so each gap's stack is a view of that array.  The last
+    state and n_ops - 1 operators carry over to the next block.  A row's
+    bits do not depend on its block.
 
     Raises InvalidConfig, before any draw, for dim < 1, n_ops < 2 or
     n_instances < 1, and WeakLabError for a chain whose products leave the
-    normal float range (``chain_weak_correlation``).
+    normal float range (``chain_weak_correlation``).  A failing row's
+    error names its instance.
     """
     # looked up at call time, so a wrapper installed on hilbert is seen
     from .hilbert import random_hermitian, random_state
@@ -931,38 +938,47 @@ def chain_experiment(dim: int = 5, n_ops: int = 4, n_instances: int = 50, seed: 
     for name, value in (("dim", dim), ("n_ops", n_ops), ("instances", n_instances)):
         require_precondition(f"chain.{name}", value)
     mask = 0x7FFFFFFF
-    state_window, op_window = {}, {}
-    rows = []
-    for inst in range(n_instances):
-        s = _subseed(seed, inst)
-        state_window = _slide(
-            state_window, [s & mask, (s + 1) & mask], lambda q: random_state(dim, q)
-        )
-        op_window = _slide(
-            op_window, [(s + 2 + k) & mask for k in range(n_ops)],
-            lambda q: random_hermitian(dim, q),
-        )
-        i, f = state_window.values()
-        ops = list(op_window.values())
-        states = alternating(i, f, n_ops)
-        chain = chain_weak_correlation(states, ops)
-        oracle = complex(1.0)
-        for k in range(n_ops):
-            lo, hi = states[k].amplitudes, states[k + 1].amplitudes
-            oracle *= complex(np.vdot(hi, ops[k].matrix @ lo)) / complex(np.vdot(hi, lo))
-        sym = symmetry_residuals(i, f, ops[0], ops[1])
-        scale = max(1.0, abs(oracle))
-        rows.append(
-            ChainInstanceRow(
-                seed=inst,
-                n_ops=n_ops,
-                chain_value=chain,
-                oracle_value=oracle,
-                chain_residual=abs(chain - oracle) / scale,
-                order_swap_residual=sym.order_swap / scale,
-                commutator_flip_residual=sym.commutator_flip / scale,
-            )
-        )
+    width = max(1, _CHAIN_BLOCK_ENTRIES // (dim * dim) - (n_ops - 1))
+    states, mats, rows = [], [], []
+    for start in range(0, n_instances, width):
+        stop = min(start + width, n_instances)
+        states = states[-1:]
+        states += [random_state(dim, _subseed(seed, t) & mask)
+                   for t in range(start + len(states), stop + 1)]
+        mats = mats[-(n_ops - 1):]
+        mats += [random_hermitian(dim, (_subseed(seed, t) + 2) & mask).matrix
+                 for t in range(start + len(mats), stop + n_ops - 1)]
+        i, f = StateVector.stack(states[:-1]), StateVector.stack(states[1:])
+        block = np.stack(mats)
+        block.flags.writeable = False
+        ops = [Operator(i.basis_id, block[j:j + stop - start]) for j in range(n_ops)]
+        try:
+            chain = chain_weak_correlation(alternating(i, f, n_ops), ops)
+            sym = symmetry_residuals(i, f, ops[0], ops[1])
+        except WeakLabError as exc:
+            if exc.row is None:
+                raise
+            detail = str(exc).removeprefix(f"row {exc.row}: ")
+            raise type(exc)(f"{detail} (instance {start + exc.row})") from None
+        # the oracle: each gap's matrix elements and overlaps over the block,
+        # then each row's product of ratios in Python complex arithmetic
+        rows_i, rows_f = i.amplitudes.T, f.amplitudes.T
+        elements, overlaps = [], []
+        for j, op in enumerate(ops):
+            lo, hi = (rows_i, rows_f) if j % 2 == 0 else (rows_f, rows_i)
+            elements.append(np.vecdot(hi, np.matmul(op.matrix, lo[..., None])[..., 0]).tolist())
+            overlaps.append(np.vecdot(hi, lo).tolist())
+        for r, (value, swap, flip) in enumerate(zip(
+                chain.tolist(), sym.order_swap.tolist(), sym.commutator_flip.tolist())):
+            oracle = complex(1.0)
+            for element, overlap in zip(elements, overlaps):
+                oracle *= element[r] / overlap[r]
+            scale = max(1.0, abs(oracle))
+            rows.append(ChainInstanceRow(
+                seed=start + r, n_ops=n_ops, chain_value=value, oracle_value=oracle,
+                chain_residual=abs(value - oracle) / scale,
+                order_swap_residual=swap / scale, commutator_flip_residual=flip / scale,
+            ))
     max_chain = worst([r.chain_residual for r in rows])
     max_swap = worst([r.order_swap_residual for r in rows])
     max_flip = worst([r.commutator_flip_residual for r in rows])

@@ -4,7 +4,8 @@ States, operators, standard builders (Fock ladder, periodic grid,
 Pauli) and the inner product ``braket``.  A ``StateVector`` holds one
 state or a stack of them as columns; ``braket`` and ``Operator.apply``
 work on either.  An operator is stored in
-one of three forms: dense; diagonal, as the grid position operator is;
+one of three forms: dense, or a stack of dense matrices, one per column
+of the states it meets; diagonal, as the grid position operator is;
 or spectral, as the grid momentum is, by its multiplier in the discrete
 Fourier basis, applied to a state by two FFTs.  A diagonal or spectral
 operator builds its dense matrix only when a generic consumer asks for
@@ -65,6 +66,17 @@ class StateVector:
             raise InvalidConfig("cannot normalize a zero state vector")
         object.__setattr__(self, "amplitudes", _freeze(amps / norm))
 
+    @classmethod
+    def stack(cls, states) -> StateVector:
+        """Unit states as the columns of one stack, their bits kept: no second normalization."""
+        for s in states[1:]:
+            _require_same_basis(states[0], s)
+        out = object.__new__(cls)
+        object.__setattr__(out, "basis_id", states[0].basis_id)
+        # each column contiguous, as braket and Operator.apply read them
+        object.__setattr__(out, "amplitudes", _freeze(np.stack([s.amplitudes for s in states]).T))
+        return out
+
     @property
     def dim(self) -> int:
         return self.amplitudes.shape[0]
@@ -75,6 +87,9 @@ class Operator:
     """Complex square matrix over a labeled basis: dense, diagonal or spectral.
 
     Give exactly one of ``matrix``, ``diagonal`` or ``spectrum``.  A
+    ``matrix`` of shape (rows, dim, dim) is a stack, one matrix per column
+    of the states it is applied to.  A read-only array, such as a view of
+    a frozen block of matrices, is kept as it is; any other is copied.  A
     spectral operator is scale * ifft(spectrum * fft(psi)) on a state psi,
     with a real ``scale``; it is Hermitian, with eigenvalues
     scale * spectrum (FFT order), when the spectrum is real.  The dense
@@ -96,12 +111,15 @@ class Operator:
         given = [a for a in (matrix, diagonal, spectrum) if a is not None]
         if len(given) != 1:
             raise InvalidConfig("operator needs exactly one of matrix, diagonal and spectrum")
-        values = np.asarray(given[0], dtype=complex).copy()
+        values = np.asarray(given[0], dtype=complex)
+        if values.flags.writeable:
+            values = values.copy()
         if matrix is None and values.ndim != 1:
             kind = "diagonal" if spectrum is None else "spectrum"
             raise InvalidConfig(f"operator {kind} must be 1-D, got {values.shape}")
-        if matrix is not None and (values.ndim != 2 or values.shape[0] != values.shape[1]):
-            raise InvalidConfig(f"operator matrix must be square, got {values.shape}")
+        if matrix is not None and (values.ndim not in (2, 3) or values.shape[-2] != values.shape[-1]):
+            raise InvalidConfig(f"operator matrix must be square, or a stack of square matrices, "
+                                f"got {values.shape}")
         if hermitian_hint:
             require_hermitian(values, "hermitian_hint=True")
         object.__setattr__(self, "basis_id", basis_id)
@@ -126,10 +144,21 @@ class Operator:
     @property
     def dim(self) -> int:
         compact = self.diagonal if self.diagonal is not None else self.spectrum
-        return compact.size if compact is not None else self.matrix.shape[0]
+        return compact.size if compact is not None else self.matrix.shape[-1]
+
+    @property
+    def rows(self) -> int | None:
+        """The number of matrices of a stack; None for one operator."""
+        if self.diagonal is None and self.spectrum is None and self.matrix.ndim == 3:
+            return self.matrix.shape[0]
+        return None
 
     def apply(self, ket: np.ndarray) -> np.ndarray:
-        """op @ ket, for a ket of shape (dim,) or a block of columns (dim, k)."""
+        """op @ ket, for a ket of shape (dim,) or a block of columns (dim, k).
+
+        A stack applies its matrix r to column r of the block, or each of
+        its matrices to one ket; a column rounds as its matrix times it alone.
+        """
         column = (slice(None),) + (None,) * (ket.ndim - 1)
         if self.diagonal is not None:
             return self.diagonal[column] * ket
@@ -137,6 +166,8 @@ class Operator:
             out = np.fft.ifft(self.spectrum[column] * np.fft.fft(ket, axis=0), axis=0)
             out *= self.scale
             return out
+        if self.matrix.ndim == 3:
+            return np.matmul(self.matrix, np.ascontiguousarray(ket.T)[..., None])[..., 0].T
         return self.matrix @ ket
 
     def apply_left(self, bra: np.ndarray) -> np.ndarray:
@@ -222,7 +253,8 @@ _SLAB_ENTRIES = 1 << 16
 
 
 def hermitian_residual(matrix: np.ndarray) -> float:
-    """max |M - M^dag|; a 1-D array is read as the diagonal of M.
+    """max |M - M^dag|; a 1-D array is read as the diagonal of M, a 3-D one
+    as a stack of matrices M.
 
     A matrix is taken in slabs of rows, so no n x n difference is built;
     each entry is the same |M_jk - conj(M_kj)| and the maximum is exact.
@@ -230,10 +262,11 @@ def hermitian_residual(matrix: np.ndarray) -> float:
     """
     if matrix.ndim == 1:
         return float(np.max(np.abs(matrix - matrix.conj())))
-    step = max(1, _SLAB_ENTRIES // max(1, matrix.shape[0]))
+    n = matrix.shape[-1]
+    step = max(1, _SLAB_ENTRIES // max(1, matrix.size // n))
     return float(np.max([
-        np.max(np.abs(matrix[r:r + step] - matrix[:, r:r + step].conj().T))
-        for r in range(0, matrix.shape[0], step)
+        np.max(np.abs(matrix[..., r:r + step, :] - np.swapaxes(matrix[..., r:r + step], -1, -2).conj()))
+        for r in range(0, n, step)
     ]))
 
 
@@ -373,12 +406,12 @@ def random_hermitian(dim: int, seed: int, basis_id: str = "") -> Operator:
     if dim < 1:
         raise InvalidConfig("dim must be >= 1")
     rng = np.random.default_rng(seed)
-    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return Operator(
-        basis_id or f"generic(dim={dim})",
-        0.5 * (m + m.conj().T),
-        hermitian_hint=True,
-    )
+    # the real parts, then the imaginary, in the order two (dim, dim) draws take them
+    parts = np.empty((2, dim, dim))
+    rng.standard_normal(out=parts)
+    m = np.empty((dim, dim), dtype=complex)
+    m.real, m.imag = parts
+    return Operator(basis_id or f"generic(dim={dim})", _freeze(hermitian_part(m)), hermitian_hint=True)
 
 
 def edge_amplitude(psi: StateVector) -> float:

@@ -9,11 +9,13 @@ Every weak value and correlation is one selection chain, a plain tuple
 of states (pre, mids, post) such as ``alternating(i, f, n_ops)``,
 evaluated by ``_chain_value``; ``weak_value`` is the chain of one gap.
 A state may be a stack (a ``StateVector`` whose columns are the
-selections, say one pre-selection per spin angle).  Each gap pairs a
-stack with one state, so a chain returns one complex value per row in
-one pass, the same bits in a stack of any width, and a plain complex
-number when no state is a stack.  A near-orthogonal pair of neighbours
-raises OrthogonalSelection, naming the first row of a stack that fails.  Only ``ccr_decomposition`` and
+selections, say one pre-selection per spin angle).  A gap pairs a stack
+with one state; a gap whose operator is a stack, one matrix per row (say
+one random instance per row), pairs two stacks row by row.  So a chain
+returns one complex value per row in one pass, the same bits in a stack
+of any width, and a plain complex number when no state or operator is a
+stack.  A near-orthogonal pair of neighbours raises OrthogonalSelection,
+naming the first row of a stack that fails.  Only ``ccr_decomposition`` and
 ``symmetry_residuals`` return small records.  The reverse weak value
 <i|A|f>/<i|f> is ``weak_value(f, i, A)``.
 
@@ -62,12 +64,15 @@ def alternating(i: StateVector, f: StateVector, n_ops: int) -> tuple:
 
 def _raise_at_first(bad, exc_type, template: str, *values) -> None:
     """Raise exc_type at the first row where ``bad`` holds, with that row's
-    ``values``; the message names the row when ``bad`` has one per row."""
+    ``values``; the message and the error's ``row`` name the row when
+    ``bad`` has one per row."""
     bad = np.asarray(bad)
     r = int(bad.argmax())
     if bad.flat[r]:
         where = f"row {r}: " if bad.ndim else ""
-        raise exc_type(where + template.format(*(np.ravel(v)[r] for v in values)))
+        exc = exc_type(where + template.format(*(np.ravel(v)[r] for v in values)))
+        exc.row = r if bad.ndim else None
+        raise exc
 
 
 def selection_overlap(bra: StateVector, ket: StateVector):
@@ -93,10 +98,11 @@ def weak_value(i: StateVector, f: StateVector, op: Operator):
 def _chain_value(states, ops):
     """Product of gap matrix elements over product of gap overlaps, every row at once.
 
-    In each gap the operator acts on the side that is one state (from the
-    left, as <hi|op, when the stack is below it), so a row rounds the same
-    in a stack of any width.  The overlap and normal-range checks run per
-    row and name the first row that fails.
+    In each gap one operator acts on the side that is one state (from the
+    left, as <hi|op, when the stack is below it), and a stack of operators
+    acts on ``lo`` row by row, so a row rounds the same in a stack of any
+    width.  The overlap and normal-range checks run per row and name the
+    first row that fails.
     """
     if len(ops) != len(states) - 1:
         raise ArityMismatch(f"{len(ops)} operators for {len(states) - 1} selection gaps")
@@ -104,10 +110,13 @@ def _chain_value(states, ops):
     for lo, op, hi in zip(states, ops, states[1:]):
         _require_same_basis(lo, op)
         _require_same_basis(hi, op)
-        if lo.amplitudes.ndim == hi.amplitudes.ndim == 2:
+        widths = [s.amplitudes.shape[1] for s in (lo, hi) if s.amplitudes.ndim == 2]
+        if op.rows is None and len(widths) == 2:
             raise ArityMismatch("a selection gap pairs a stack with one state, not two stacks")
+        if op.rows is not None and any(w != op.rows for w in widths):
+            raise ArityMismatch(f"a stack of {op.rows} operators meets state stacks of widths {widths}")
         den = den * selection_overlap(hi, lo)
-        if lo.amplitudes.ndim == 2:
+        if lo.amplitudes.ndim == 2 and op.rows is None:
             num = num * braket(op.apply_left(hi.amplitudes.conj()).conj(), lo.amplitudes)
         else:
             num = num * braket(hi.amplitudes, op.apply(lo.amplitudes))

@@ -196,6 +196,33 @@ def test_random_hermitian_deterministic_and_hermitian():
     assert np.max(np.abs(a.matrix - a.matrix.conj().T)) == 0.0
 
 
+@pytest.mark.parametrize("seed", [0, 5, 12345, 2**31 - 1])
+@pytest.mark.parametrize("dim", [1, 2, 64])
+def test_random_hermitian_keeps_the_bits_of_its_formula(seed, dim):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    assert hilbert.random_hermitian(dim, seed).matrix.tobytes() == (0.5 * (m + m.conj().T)).tobytes()
+
+
+def test_an_operator_stack_applies_each_matrix_to_its_own_column():
+    mats = np.stack([hilbert.random_hermitian(5, seed).matrix for seed in range(3)])
+    kets = np.stack([hilbert.random_state(5, 10 + seed).amplitudes for seed in range(3)], axis=1)
+    op = hilbert.Operator("generic(dim=5)", mats, hermitian_hint=True)
+    assert (op.rows, op.dim) == (3, 5)
+    got = op.apply(kets)
+    for r in range(3):
+        assert got[:, r].tobytes() == (mats[r] @ kets[:, r]).tobytes()
+        assert op.apply(kets[:, 0])[:, r].tobytes() == (mats[r] @ kets[:, 0]).tobytes()
+    assert hilbert.Operator("generic(dim=5)", mats[0]).rows is None
+    # a read-only array is kept, not copied; a writable one is copied
+    mats.flags.writeable = False
+    assert hilbert.Operator("generic(dim=5)", mats[1:]).matrix.base is mats
+    bent = mats.copy()
+    bent[2, 0, 1] += 1e-9
+    with pytest.raises(NotHermitian):
+        hilbert.Operator("generic(dim=5)", bent, hermitian_hint=True)
+
+
 def test_coherent_state_safe_edge():
     cfg = hilbert.FockConfig(dim=64)
     psi = hilbert.coherent_state(cfg, 2.0)

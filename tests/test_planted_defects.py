@@ -199,10 +199,6 @@ def spoil_call(module, name, call, spoil):
     return plant
 
 
-def nan_value(value):
-    return complex(math.nan, 0.0)
-
-
 def nan_second_row(values):
     spoiled = np.array(values, dtype=complex)
     spoiled[1] = math.nan
@@ -234,7 +230,7 @@ PLANTED = [
     ("eq10_born_avg_vs_minus_half_hbar", "ccr", drop_ket_diagonal),
     ("chain_vs_product_of_ratios", "chain", reverse_chain_ops),
     ("dual_order_swap", "chain", swap_dual_ops),
-    # the dual procedure's <AB>, the third weak correlation of instance 0's
+    # the dual procedure's <AB>, the third weak correlation of the block's
     # symmetry_residuals, comes back negated: only the commutator flip reads it
     ("dual_commutator_flip", "chain", spoil_call(weakcorr, "weak_correlation", 3, negate)),
     ("acceptance_vs_born", "mc", miscount_acceptance("accepted_position")),
@@ -250,9 +246,9 @@ ARGV = {"pauli": PAULI, "grid": GRID_RIEMANN, "ccr": GRID_CCR, "ccr_mc": FOCK_CC
 
 # A NaN residual at a row other than the first: Python's max would skip it.
 NAN_ROW = [
-    # instance 1's chain value
+    # instance 1's chain value, the second row of the block's one chain_weak_correlation call
     ("chain_vs_product_of_ratios", "chain",
-     spoil_call(weakcorr, "chain_weak_correlation", 2, nan_value)),
+     spoil_call(weakcorr, "chain_weak_correlation", 1, nan_second_row)),
     # <sz>_w at the second angle: row 2 of the one weak_value call over the stack
     ("sz_w_vs_tan", "pauli_sweep", spoil_call(experiments, "weak_value", 1, nan_second_row)),
     # the second swept coupling (call 1 is the run's own g)

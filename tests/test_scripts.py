@@ -96,3 +96,13 @@ def test_validate_accepts_every_recorded_run(tmp_path):
         if diags:
             refused[name] = diags
     assert refused == {}
+
+
+def test_each_mutant_text_occurs_once_in_its_file():
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    assert len({name for name, *_ in mutants.MUTANTS}) == len(mutants.MUTANTS)
+    for name, file, old, new in mutants.MUTANTS:
+        assert (ROOT / file).read_text().count(old) == 1, name
+        assert new != old, name

@@ -428,6 +428,33 @@ def test_a_stack_evaluates_each_row_as_its_single_state(seed, dim):
             one = evaluate(i, f)
             assert abs(value - one) <= 1e-13 * max(1.0, abs(one))
 
+    # per-row operators pair two stacks row by row, or a stack with one state
+    raw_f = np.stack([hilbert.random_state(dim, seed + 7 + k).amplitudes for k in range(4)], axis=1)
+    a_rows = np.stack([hilbert.random_hermitian(dim, seed + 11 + k).matrix for k in range(4)])
+    b_rows = np.stack([hilbert.random_hermitian(dim, seed + 15 + k).matrix for k in range(4)])
+    basis = f"generic(dim={dim})"
+
+    def rows_of(lo, hi):
+        return (hilbert.StateVector(basis, raw[:, lo:hi]), hilbert.StateVector(basis, raw_f[:, lo:hi]),
+                hilbert.Operator(basis, a_rows[lo:hi]), hilbert.Operator(basis, b_rows[lo:hi]))
+
+    row_paired = [
+        lambda i, f, a, b: weak_value(i, f, a),
+        lambda i, f, a, b: weak_value(f, i, a),
+        lambda i, f, a, b: weak_correlation(i, f, a, b),
+        lambda i, f_, a, b: weak_correlation(i, f, a, b),
+        lambda i, f, a, b: dual_weak_correlation(i, f, (a, b, a)),
+        lambda i, f, a, b: chain_weak_correlation(alternating(i, f, 3), (a, b, a)),
+    ]
+    for evaluate in row_paired:
+        got = evaluate(*rows_of(0, 4))
+        assert got.shape == (4,)
+        for r in range(4):
+            assert evaluate(*rows_of(r, r + 1)).tolist() == got[r:r + 1].tolist()
+            one = evaluate(rows[r], hilbert.StateVector(basis, raw_f[:, r]),
+                           hilbert.Operator(basis, a_rows[r]), hilbert.Operator(basis, b_rows[r]))
+            assert abs(got[r] - one) <= 1e-13 * max(1.0, abs(one))
+
 
 def test_a_stack_names_its_first_failing_row():
     up = hilbert.basis_state(2, 0, PAULI_BASIS_ID)
@@ -443,3 +470,10 @@ def test_a_stack_names_its_first_failing_row():
         weak_value(stack([up, tilted]), stack([tilted, up]), ident)
     with pytest.raises(ArityMismatch, match="two stacks"):
         weak_value(stack([up, tilted]), stack([tilted, up, up]), ident)
+    # a stack of operators pairs two stacks row by row, each of its width
+    idents = hilbert.Operator(PAULI_BASIS_ID, np.stack([np.eye(2)] * 2))
+    assert weak_value(stack([up, tilted]), stack([tilted, up]), idents).shape == (2,)
+    with pytest.raises(OrthogonalSelection, match="^row 1: selection overlap"):
+        weak_value(stack([up, up]), stack([up, down]), idents)
+    with pytest.raises(ArityMismatch, match=r"a stack of 2 operators meets state stacks of widths \[2, 3\]"):
+        weak_value(stack([up, tilted]), stack([tilted, up, up]), idents)
