@@ -7,9 +7,7 @@ directory, and each mutant is applied there in turn, never to the checkout.
 The tier-1 suite runs against it with ``-x``.  A mutant that the suite
 passes has survived: no test sees that defect.
 
-    python scripts/mutants.py              # every mutant
-    python scripts/mutants.py --list       # the names only
-    python scripts/mutants.py oracle       # the mutants whose name holds "oracle"
+    python scripts/mutants.py
 
 Prints one line per mutant and then the survivors.  Exits 0 when every
 mutant is killed and 1 when any survives.  A mutant takes as long as
@@ -17,7 +15,6 @@ tier-1 takes to reach its first failure, up to the whole suite (about 25 s
 on 2 vCPUs) for a survivor.
 """
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -32,8 +29,8 @@ WEAKCORR = "src/weaklab/weakcorr.py"
 
 MUTANTS = (
     ("chain operator window off by one", EXPERIMENTS,
-     "ops = [Operator(i.basis_id, block[j:j + stop - start]) for j in range(n_ops)]",
-     "ops = [Operator(i.basis_id, block[j + 1:j + 1 + stop - start]) for j in range(n_ops)]"),
+     "ops = [Operator(i.basis_id, block[j:j + width]) for j in range(n_ops)]",
+     "ops = [Operator(i.basis_id, block[j + 1:j + 1 + width]) for j in range(n_ops)]"),
     ("oracle lo/hi parity swapped", EXPERIMENTS,
      "lo, hi = (rows_i, rows_f) if j % 2 == 0 else (rows_f, rows_i)",
      "lo, hi = (rows_f, rows_i) if j % 2 == 0 else (rows_i, rows_f)"),
@@ -67,20 +64,12 @@ def run_suite(repo: Path) -> subprocess.CompletedProcess:
     )
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("match", nargs="?", default="", help="run the mutants whose name holds this")
-    parser.add_argument("--list", action="store_true", help="print the mutant names and exit")
-    args = parser.parse_args(argv)
-    chosen = [m for m in MUTANTS if args.match in m[0]]
-    if args.list:
-        print("\n".join(name for name, *_ in chosen))
-        return 0
+def main() -> int:
     survivors = []
     with tempfile.TemporaryDirectory(prefix="weaklab-mutants-") as tmp:
         repo = Path(tmp) / "repo"
         shutil.copytree(ROOT, repo, ignore=IGNORED)
-        for name, file, old, new in chosen:
+        for name, file, old, new in MUTANTS:
             path = repo / file
             original = path.read_text()
             if original.count(old) != 1:
@@ -97,7 +86,7 @@ def main(argv=None) -> int:
                   flush=True)
             if passed:
                 survivors.append(name)
-    print(f"{len(survivors)} of {len(chosen)} mutants survived" + "".join(f"\n  {s}" for s in survivors))
+    print(f"{len(survivors)} of {len(MUTANTS)} mutants survived" + "".join(f"\n  {s}" for s in survivors))
     return 1 if survivors else 0
 
 

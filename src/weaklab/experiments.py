@@ -904,8 +904,48 @@ CHAIN_TOL = 1e-12
 
 
 # Operator entries per block of chain instances: 2**16 complex entries, 1 MiB,
-# the size of hilbert's slabs.  A block holds at least one instance.
+# the size of hilbert's slabs.  A block holds at least n_ops - 1 instances, so
+# the n_ops - 1 operators it carries over cost at most one copy per instance.
 _CHAIN_BLOCK_ENTRIES = 1 << 16
+
+
+def _chain_block_rows(start: int, i: StateVector, f: StateVector, block: np.ndarray) -> list:
+    """The ChainInstanceRows of instances start, start + 1, ..: row r pairs
+    column r of the stacks i and f, and its gap j takes block[r + j]."""
+    from .weakcorr import alternating, chain_weak_correlation, symmetry_residuals
+
+    width = i.amplitudes.shape[1]
+    n_ops = block.shape[0] - width + 1
+    ops = [Operator(i.basis_id, block[j:j + width]) for j in range(n_ops)]
+    try:
+        chain = chain_weak_correlation(alternating(i, f, n_ops), ops)
+        sym = symmetry_residuals(i, f, ops[0], ops[1])
+    except WeakLabError as exc:
+        if exc.row is None:
+            raise
+        detail = str(exc).removeprefix(f"row {exc.row}: ")
+        raise type(exc)(f"{detail} (instance {start + exc.row})") from None
+    # the oracle: each gap's matrix elements and overlaps over the block,
+    # then each row's product of ratios in Python complex arithmetic
+    rows_i, rows_f = i.amplitudes.T, f.amplitudes.T
+    elements, overlaps = [], []
+    for j, op in enumerate(ops):
+        lo, hi = (rows_i, rows_f) if j % 2 == 0 else (rows_f, rows_i)
+        elements.append(np.vecdot(hi, np.matmul(op.matrix, lo[..., None])[..., 0]).tolist())
+        overlaps.append(np.vecdot(hi, lo).tolist())
+    rows = []
+    for r, (value, swap, flip) in enumerate(zip(
+            chain.tolist(), sym.order_swap.tolist(), sym.commutator_flip.tolist())):
+        oracle = complex(1.0)
+        for element, overlap in zip(elements, overlaps):
+            oracle *= element[r] / overlap[r]
+        scale = max(1.0, abs(oracle))
+        rows.append(ChainInstanceRow(
+            seed=start + r, n_ops=n_ops, chain_value=value, oracle_value=oracle,
+            chain_residual=abs(value - oracle) / scale,
+            order_swap_residual=swap / scale, commutator_flip_residual=flip / scale,
+        ))
+    return rows
 
 
 def chain_experiment(dim: int = 5, n_ops: int = 4, n_instances: int = 50, seed: int = 0) -> ChainReport:
@@ -920,9 +960,10 @@ def chain_experiment(dim: int = 5, n_ops: int = 4, n_instances: int = 50, seed: 
     instance afresh.
 
     Instances are evaluated a block at a time, one row of the block's
-    stacks each.  The block's operators are one frozen array of at most
-    _CHAIN_BLOCK_ENTRIES entries (or one instance's); gap j of row r takes
-    operator r + j, so each gap's stack is a view of that array.  The last
+    stacks each.  The block's operators are drawn into one buffer of at
+    most _CHAIN_BLOCK_ENTRIES entries, or of 2 (n_ops - 1) operators when
+    that is more, frozen while the block is evaluated; gap j of row r takes
+    operator r + j, so each gap's stack is a view of that buffer.  The last
     state and n_ops - 1 operators carry over to the next block.  A row's
     bits do not depend on its block.
 
@@ -933,52 +974,28 @@ def chain_experiment(dim: int = 5, n_ops: int = 4, n_instances: int = 50, seed: 
     """
     # looked up at call time, so a wrapper installed on hilbert is seen
     from .hilbert import random_hermitian, random_state
-    from .weakcorr import alternating, chain_weak_correlation, symmetry_residuals
 
     for name, value in (("dim", dim), ("n_ops", n_ops), ("instances", n_instances)):
         require_precondition(f"chain.{name}", value)
     mask = 0x7FFFFFFF
-    width = max(1, _CHAIN_BLOCK_ENTRIES // (dim * dim) - (n_ops - 1))
-    states, mats, rows = [], [], []
+    width = min(n_instances, max(n_ops - 1, _CHAIN_BLOCK_ENTRIES // (dim * dim) - (n_ops - 1)))
+    blocks = np.empty((width + n_ops - 1, dim, dim), dtype=complex)
+    states, rows = [], []
     for start in range(0, n_instances, width):
         stop = min(start + width, n_instances)
         states = states[-1:]
         states += [random_state(dim, _subseed(seed, t) & mask)
                    for t in range(start + len(states), stop + 1)]
-        mats = mats[-(n_ops - 1):]
-        mats += [random_hermitian(dim, (_subseed(seed, t) + 2) & mask).matrix
-                 for t in range(start + len(mats), stop + n_ops - 1)]
-        i, f = StateVector.stack(states[:-1]), StateVector.stack(states[1:])
-        block = np.stack(mats)
-        block.flags.writeable = False
-        ops = [Operator(i.basis_id, block[j:j + stop - start]) for j in range(n_ops)]
-        try:
-            chain = chain_weak_correlation(alternating(i, f, n_ops), ops)
-            sym = symmetry_residuals(i, f, ops[0], ops[1])
-        except WeakLabError as exc:
-            if exc.row is None:
-                raise
-            detail = str(exc).removeprefix(f"row {exc.row}: ")
-            raise type(exc)(f"{detail} (instance {start + exc.row})") from None
-        # the oracle: each gap's matrix elements and overlaps over the block,
-        # then each row's product of ratios in Python complex arithmetic
-        rows_i, rows_f = i.amplitudes.T, f.amplitudes.T
-        elements, overlaps = [], []
-        for j, op in enumerate(ops):
-            lo, hi = (rows_i, rows_f) if j % 2 == 0 else (rows_f, rows_i)
-            elements.append(np.vecdot(hi, np.matmul(op.matrix, lo[..., None])[..., 0]).tolist())
-            overlaps.append(np.vecdot(hi, lo).tolist())
-        for r, (value, swap, flip) in enumerate(zip(
-                chain.tolist(), sym.order_swap.tolist(), sym.commutator_flip.tolist())):
-            oracle = complex(1.0)
-            for element, overlap in zip(elements, overlaps):
-                oracle *= element[r] / overlap[r]
-            scale = max(1.0, abs(oracle))
-            rows.append(ChainInstanceRow(
-                seed=start + r, n_ops=n_ops, chain_value=value, oracle_value=oracle,
-                chain_residual=abs(value - oracle) / scale,
-                order_swap_residual=swap / scale, commutator_flip_residual=flip / scale,
-            ))
+        # the last block's operators died with _chain_block_rows, so its
+        # buffer is written again: first the n_ops - 1 carried over
+        blocks.flags.writeable = True
+        carried = 0 if start == 0 else n_ops - 1
+        blocks[:carried] = blocks[width:width + carried]
+        for t in range(start + carried, stop + n_ops - 1):
+            blocks[t - start] = random_hermitian(dim, (_subseed(seed, t) + 2) & mask).matrix
+        blocks.flags.writeable = False
+        block = blocks[:stop - start + n_ops - 1]
+        rows += _chain_block_rows(start, StateVector.stack(states[:-1]), StateVector.stack(states[1:]), block)
     max_chain = worst([r.chain_residual for r in rows])
     max_swap = worst([r.order_swap_residual for r in rows])
     max_flip = worst([r.commutator_flip_residual for r in rows])

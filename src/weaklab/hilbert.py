@@ -47,6 +47,17 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _frozen_to_owner(arr: np.ndarray) -> bool:
+    """Whether arr and every array it views are read-only."""
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return False
+        if arr.base is None:
+            return True
+        arr = arr.base
+    return False  # memory owned by some other object, which may change it
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Normalized complex amplitudes over a labeled finite basis: one state,
@@ -88,8 +99,9 @@ class Operator:
 
     Give exactly one of ``matrix``, ``diagonal`` or ``spectrum``.  A
     ``matrix`` of shape (rows, dim, dim) is a stack, one matrix per column
-    of the states it is applied to.  A read-only array, such as a view of
-    a frozen block of matrices, is kept as it is; any other is copied.  A
+    of the states it is applied to.  An array that is read-only down to
+    the array that owns its memory, such as a view of a frozen block of
+    matrices, is kept as it is; any other is copied.  A
     spectral operator is scale * ifft(spectrum * fft(psi)) on a state psi,
     with a real ``scale``; it is Hermitian, with eigenvalues
     scale * spectrum (FFT order), when the spectrum is real.  The dense
@@ -112,7 +124,7 @@ class Operator:
         if len(given) != 1:
             raise InvalidConfig("operator needs exactly one of matrix, diagonal and spectrum")
         values = np.asarray(given[0], dtype=complex)
-        if values.flags.writeable:
+        if not _frozen_to_owner(values):
             values = values.copy()
         if matrix is None and values.ndim != 1:
             kind = "diagonal" if spectrum is None else "spectrum"
@@ -121,6 +133,8 @@ class Operator:
             raise InvalidConfig(f"operator matrix must be square, or a stack of square matrices, "
                                 f"got {values.shape}")
         if hermitian_hint:
+            if values.ndim == 3:
+                raise InvalidConfig("hermitian_hint=True needs one matrix, not a stack")
             require_hermitian(values, "hermitian_hint=True")
         object.__setattr__(self, "basis_id", basis_id)
         object.__setattr__(self, "diagonal", None if diagonal is None else _freeze(values))
@@ -253,8 +267,7 @@ _SLAB_ENTRIES = 1 << 16
 
 
 def hermitian_residual(matrix: np.ndarray) -> float:
-    """max |M - M^dag|; a 1-D array is read as the diagonal of M, a 3-D one
-    as a stack of matrices M.
+    """max |M - M^dag|; a 1-D array is read as the diagonal of M.
 
     A matrix is taken in slabs of rows, so no n x n difference is built;
     each entry is the same |M_jk - conj(M_kj)| and the maximum is exact.
@@ -262,11 +275,10 @@ def hermitian_residual(matrix: np.ndarray) -> float:
     """
     if matrix.ndim == 1:
         return float(np.max(np.abs(matrix - matrix.conj())))
-    n = matrix.shape[-1]
-    step = max(1, _SLAB_ENTRIES // max(1, matrix.size // n))
+    step = max(1, _SLAB_ENTRIES // max(1, matrix.shape[0]))
     return float(np.max([
-        np.max(np.abs(matrix[..., r:r + step, :] - np.swapaxes(matrix[..., r:r + step], -1, -2).conj()))
-        for r in range(0, n, step)
+        np.max(np.abs(matrix[r:r + step] - matrix[:, r:r + step].conj().T))
+        for r in range(0, matrix.shape[0], step)
     ]))
 
 

@@ -157,7 +157,7 @@ def test_rows_agree_with_lone_state_chains(dim, n_ops, n_instances, seed):
             assert abs(getattr(row, name) - getattr(lone, name)) <= 1e-13
 
 
-@pytest.mark.parametrize("dim, n_ops", [(4, 3), (2, 8)])
+@pytest.mark.parametrize("dim, n_ops", [(3, 2), (4, 3), (2, 8)])
 def test_rows_do_not_depend_on_the_block_width(monkeypatch, dim, n_ops):
     whole = json.dumps(cli.to_jsonable(experiments.chain_experiment(dim, n_ops, 130, 7)))
     for width in (1, 7, 60):

@@ -207,20 +207,31 @@ def test_random_hermitian_keeps_the_bits_of_its_formula(seed, dim):
 def test_an_operator_stack_applies_each_matrix_to_its_own_column():
     mats = np.stack([hilbert.random_hermitian(5, seed).matrix for seed in range(3)])
     kets = np.stack([hilbert.random_state(5, 10 + seed).amplitudes for seed in range(3)], axis=1)
-    op = hilbert.Operator("generic(dim=5)", mats, hermitian_hint=True)
+    op = hilbert.Operator("generic(dim=5)", mats)
     assert (op.rows, op.dim) == (3, 5)
     got = op.apply(kets)
     for r in range(3):
         assert got[:, r].tobytes() == (mats[r] @ kets[:, r]).tobytes()
         assert op.apply(kets[:, 0])[:, r].tobytes() == (mats[r] @ kets[:, 0]).tobytes()
     assert hilbert.Operator("generic(dim=5)", mats[0]).rows is None
-    # a read-only array is kept, not copied; a writable one is copied
+    with pytest.raises(InvalidConfig, match="not a stack"):
+        hilbert.Operator("generic(dim=5)", mats, hermitian_hint=True)
+
+
+def test_an_operator_keeps_only_memory_that_nothing_can_write():
+    mats = np.stack([hilbert.random_hermitian(3, seed).matrix for seed in range(3)])
+    # read-only views of memory that is writable elsewhere are copied
+    view = mats.view()
+    view.flags.writeable = False
+    spread = np.broadcast_to(mats[0], (2, 3, 3))
+    for values in (mats, view, spread):
+        op = hilbert.Operator("generic(dim=3)", values)
+        before = op.matrix.copy()
+        mats[0, 0, 0] += 1.0
+        assert op.matrix.tobytes() == before.tobytes()
+    # a view of a frozen owner is kept, not copied
     mats.flags.writeable = False
-    assert hilbert.Operator("generic(dim=5)", mats[1:]).matrix.base is mats
-    bent = mats.copy()
-    bent[2, 0, 1] += 1e-9
-    with pytest.raises(NotHermitian):
-        hilbert.Operator("generic(dim=5)", bent, hermitian_hint=True)
+    assert hilbert.Operator("generic(dim=3)", mats[1:]).matrix.base is mats
 
 
 def test_coherent_state_safe_edge():
