@@ -979,7 +979,7 @@ def chain_experiment(dim: int = 5, n_ops: int = 4, n_instances: int = 50, seed: 
         require_precondition(f"chain.{name}", value)
     mask = 0x7FFFFFFF
     width = min(n_instances, max(n_ops - 1, _CHAIN_BLOCK_ENTRIES // (dim * dim) - (n_ops - 1)))
-    blocks = np.empty((width + n_ops - 1, dim, dim), dtype=complex)
+    buffer = np.empty((width + n_ops - 1, dim, dim), dtype=complex)
     states, rows = [], []
     for start in range(0, n_instances, width):
         stop = min(start + width, n_instances)
@@ -988,13 +988,13 @@ def chain_experiment(dim: int = 5, n_ops: int = 4, n_instances: int = 50, seed: 
                    for t in range(start + len(states), stop + 1)]
         # the last block's operators died with _chain_block_rows, so its
         # buffer is written again: first the n_ops - 1 carried over
-        blocks.flags.writeable = True
+        buffer.flags.writeable = True
         carried = 0 if start == 0 else n_ops - 1
-        blocks[:carried] = blocks[width:width + carried]
+        buffer[:carried] = buffer[width:width + carried]
         for t in range(start + carried, stop + n_ops - 1):
-            blocks[t - start] = random_hermitian(dim, (_subseed(seed, t) + 2) & mask).matrix
-        blocks.flags.writeable = False
-        block = blocks[:stop - start + n_ops - 1]
+            buffer[t - start] = random_hermitian(dim, (_subseed(seed, t) + 2) & mask).matrix
+        buffer.flags.writeable = False
+        block = buffer[:stop - start + n_ops - 1]
         rows += _chain_block_rows(start, StateVector.stack(states[:-1]), StateVector.stack(states[1:]), block)
     max_chain = worst([r.chain_residual for r in rows])
     max_swap = worst([r.order_swap_residual for r in rows])
