@@ -26,6 +26,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 EXPERIMENTS = "src/weaklab/experiments.py"
 WEAKCORR = "src/weaklab/weakcorr.py"
+POINTER = "src/weaklab/pointer.py"
 
 MUTANTS = (
     ("chain operator window off by one", EXPERIMENTS,
@@ -35,8 +36,8 @@ MUTANTS = (
      "lo, hi = (rows_i, rows_f) if j % 2 == 0 else (rows_f, rows_i)",
      "lo, hi = (rows_f, rows_i) if j % 2 == 0 else (rows_i, rows_f)"),
     ("per-row overlap check dropped", WEAKCORR,
-     "_raise_at_first(size <= ORTHOGONALITY_EPS, OrthogonalSelection,",
-     "_raise_at_first(size < 0, OrthogonalSelection,"),
+     "raise_first_row(size <= ORTHOGONALITY_EPS, OrthogonalSelection,",
+     "raise_first_row(size < 0, OrthogonalSelection,"),
     ("oracle overlap conjugated", EXPERIMENTS,
      "overlaps.append(np.vecdot(hi, lo).tolist())",
      "overlaps.append(np.vecdot(lo, hi).tolist())"),
@@ -49,6 +50,18 @@ MUTANTS = (
     ("ccr pointer tolerance x 10", EXPERIMENTS,
      "CCR_POINTER_RTOL = 0.02",
      "CCR_POINTER_RTOL = 0.2"),
+    ("coupled observable's Hermiticity guard dropped", POINTER,
+     'require_hermitian(op.matrix if compact is None else compact, "coupled observable")',
+     "pass"),
+    ("ccr names the stack row, not the mid-selection", EXPERIMENTS,
+     'exc.rename_row("selection", keep[exc.row])',
+     'exc.rename_row("selection", exc.row)'),
+    ("chain names the block row, not the instance", EXPERIMENTS,
+     'exc.rename_row("instance", start + exc.row)',
+     'exc.rename_row("instance", exc.row)'),
+    ("wrap share x 1e6", POINTER,
+     "wrapped > WRAP_SHARE * total",
+     "wrapped > WRAP_SHARE * 1e6 * total"),
 )
 
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",

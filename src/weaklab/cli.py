@@ -228,7 +228,8 @@ def to_jsonable(obj):
 
     Non-finite floats, also the parts of a complex number, become the
     strings "nan", "inf" and "-inf".  The common exact types are dispatched
-    first; subclasses and numpy types take the isinstance branches below.
+    first; a numpy value is turned into Python values, and a subclass into
+    its base, and then dispatched through the same branches.
     """
     t = type(obj)
     if t is str or t is int or t is bool or obj is None:
@@ -249,19 +250,11 @@ def to_jsonable(obj):
         if hasattr(obj, "passed"):
             out["passed"] = bool(obj.passed)
         return out
-    if isinstance(obj, (float, np.floating)):
-        obj = float(obj)
-        return obj if math.isfinite(obj) else repr(obj)
-    if isinstance(obj, complex):
-        return {"re": to_jsonable(obj.real), "im": to_jsonable(obj.imag)}
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return to_jsonable(obj.tolist())
+    for base in (int, float, complex, list, tuple, dict):
+        if isinstance(obj, base):
+            return to_jsonable(base(obj))
     return obj
 
 
@@ -364,7 +357,7 @@ def _run_pauli(cfg):
             rows,
         )
     }
-    return report, list(report.checks), tables
+    return report, tables
 
 
 def _run_ccr(cfg):
@@ -393,7 +386,7 @@ def _run_ccr(cfg):
     }
     if report.g_sweep_rows:
         tables["g_sweep"] = (["g", "pointer_corr_over_g2", "rel_residual"], report.g_sweep_rows)
-    return report, list(report.checks), tables
+    return report, tables
 
 
 def _run_riemann(cfg):
@@ -406,7 +399,7 @@ def _run_riemann(cfg):
         for key in ("i_displacement", "f_displacement")
     )
     report = experiments.riemann_experiment(rep, i=i, f=f)
-    return report, list(report.checks), {}
+    return report, {}
 
 
 def _run_chain(cfg):
@@ -427,7 +420,7 @@ def _run_chain(cfg):
             rows,
         )
     }
-    return report, list(report.checks), tables
+    return report, tables
 
 
 def _run_montecarlo(cfg):
@@ -446,7 +439,7 @@ def _run_montecarlo(cfg):
             rows,
         )
     }
-    return report, list(report.checks), tables
+    return report, tables
 
 
 _RUNNERS = {
@@ -654,27 +647,26 @@ def main(argv=None) -> int:
         return EXIT_CONFIG_ERROR
 
     try:
-        report, checks, tables = _RUNNERS[experiment](cfg)
+        report, tables = _RUNNERS[experiment](cfg)
     except WeakLabError as exc:
         print(f"numerical error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_ERROR
 
-    passed = all(c.passed for c in checks)
     record = {
         "experiment": experiment,
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "config": to_jsonable(cfg),
         "report": to_jsonable(report),
-        "checks": to_jsonable(list(checks)),
-        "passed": passed,
+        "checks": to_jsonable(report.checks),
+        "passed": report.passed,
     }
-    write_outputs(cfg, record, tables if cfg["format"] in ("csv", "both") else {})
-    for c in checks:
+    write_outputs(cfg, record, tables)
+    for c in report.checks:
         status = "PASS" if c.passed else "FAIL"
         print(f"[{status}] {c.name}: residual {c.residual:.3e} (tol {c.tol:.3e})")
     print(f"wrote {Path(cfg['out']) / 'run.json'}")
-    return EXIT_OK if passed else EXIT_CHECK_FAILED
+    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

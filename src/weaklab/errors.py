@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all weaklab modules."""
+"""Exception hierarchy shared by all weaklab modules, and the one raiser of
+per-row checks."""
+
+import numpy as np
 
 
 class WeakLabError(Exception):
@@ -6,6 +9,25 @@ class WeakLabError(Exception):
 
     # the row of a stack that failed a per-row check, else None
     row: int | None = None
+
+    def rename_row(self, label: str, index: int) -> None:
+        """Name the failing row by the run's own index of it: the message's
+        "row r: " becomes "label index: ", and ``row`` becomes ``index``."""
+        self.args = (f"{label} {index}: " + str(self).removeprefix(f"row {self.row}: "),)
+        self.row = index
+
+
+def raise_first_row(bad, exc_type, template: str, *values) -> None:
+    """Raise exc_type at the first row where ``bad`` holds, with that row's
+    ``values`` formatted into ``template``.  When ``bad`` has one entry per
+    row, the message starts "row r: " and the error's ``row`` is r."""
+    bad = np.asarray(bad)
+    r = int(bad.argmax())
+    if bad.flat[r]:
+        detail = template.format(*(np.ravel(v)[r] for v in values))
+        exc = exc_type(f"row {r}: {detail}" if bad.ndim else detail)
+        exc.row = r if bad.ndim else None
+        raise exc
 
 
 class InvalidConfig(WeakLabError):
@@ -34,9 +56,6 @@ class ArityMismatch(WeakLabError):
 
 class GridResolutionError(WeakLabError):
     """Pointer grid cannot resolve or contain the requested wavepacket."""
-
-    # the row of a conditional_pointers stage whose coupling wraps, else None
-    selection: int | None = None
 
 
 class SelectionAnnihilated(WeakLabError):

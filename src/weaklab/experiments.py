@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlphaOutOfRange, GridResolutionError, InvalidConfig, NoAcceptedTrials, WeakLabError
+from .errors import AlphaOutOfRange, InvalidConfig, NoAcceptedTrials, WeakLabError
 from .hilbert import (
     EDGE_AMPLITUDE_WARN,
     NATURAL_BASIS,
@@ -81,6 +81,15 @@ class Check:
 
 def make_check(name: str, residual: float, tol: float) -> Check:
     return Check(name=name, residual=float(residual), tol=tol, passed=bool(residual <= tol))
+
+
+class Report:
+    """A report's verdict: it passed when each of its ``checks`` did.  No
+    dataclass fields, so a report's record keeps its own keys in their order."""
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
 
 
 def worst(residuals) -> float:
@@ -168,15 +177,11 @@ class PauliRow:
 
 
 @dataclass(frozen=True)
-class PauliReport:
+class PauliReport(Report):
     """Weak Pauli (anti)commutator suite vs the exact closed forms, one row per angle."""
 
     rows: tuple
     checks: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
 
 PAULI_TOL = 1e-12
@@ -238,7 +243,7 @@ class MidSelectionRow:
 
 
 @dataclass(frozen=True)
-class CcrReport:
+class CcrReport(Report):
     """All four branches of the commutator experiment."""
 
     representation: str
@@ -275,10 +280,6 @@ class CcrReport:
     # (g, pointer_corr_over_g2, its relative residual) per g_sweep coupling
     g_sweep_rows: tuple
     checks: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
 
 CCR_EXACT_TOL = 1e-10
@@ -476,10 +477,9 @@ def ccr_experiment(
                 i, finals, x_op, p_op, sigma, sigma_prime, g_s, grid, grid_prime,
                 p_eigensystem=p_kept,
             )
-        except GridResolutionError as exc:  # name the row by the index the report uses
-            s = exc.selection
-            if s is not None:
-                exc.args = (str(exc).replace(f"selection {s}:", f"selection {keep[s]}:", 1),)
+        except WeakLabError as exc:  # name the row by the index the report uses
+            if exc.row is not None:
+                exc.rename_row("selection", keep[exc.row])
             raise
         chains = dict(zip(keep, protocols))
         corr = corr_over_g2(chains, keep, g_s)
@@ -582,7 +582,7 @@ def ccr_experiment(
 
 
 @dataclass(frozen=True)
-class RiemannReport:
+class RiemannReport(Report):
     """Weak value of the Hermitian part generator rho = {x,p}/2hbar."""
 
     representation: str
@@ -601,10 +601,6 @@ class RiemannReport:
     half_line_method: str
     reference_zeros: tuple
     checks: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
 
 RIEMANN_TOL = 1e-12
@@ -749,7 +745,7 @@ def riemann_experiment(
 
 
 @dataclass(frozen=True)
-class McReport:
+class McReport(Report):
     """Monte Carlo weak-value estimation against the closed form."""
 
     preset: str
@@ -769,10 +765,6 @@ class McReport:
     accepted_momentum: int
     acceptance_expected: float
     checks: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
 
 def montecarlo_selections(preset: str, alpha: float, dim: int, hbar: float):
@@ -884,7 +876,7 @@ class ChainInstanceRow:
 
 
 @dataclass(frozen=True)
-class ChainReport:
+class ChainReport(Report):
     """Random-instance verification of chains and dual symmetries."""
 
     dim: int
@@ -894,10 +886,6 @@ class ChainReport:
     max_order_swap: float
     max_commutator_flip: float
     checks: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
 
 CHAIN_TOL = 1e-12
@@ -921,10 +909,9 @@ def _chain_block_rows(start: int, i: StateVector, f: StateVector, block: np.ndar
         chain = chain_weak_correlation(alternating(i, f, n_ops), ops)
         sym = symmetry_residuals(i, f, ops[0], ops[1])
     except WeakLabError as exc:
-        if exc.row is None:
-            raise
-        detail = str(exc).removeprefix(f"row {exc.row}: ")
-        raise type(exc)(f"{detail} (instance {start + exc.row})") from None
+        if exc.row is not None:
+            exc.rename_row("instance", start + exc.row)
+        raise
     # the oracle: each gap's matrix elements and overlaps over the block,
     # then each row's product of ratios in Python complex arithmetic
     rows_i, rows_f = i.amplitudes.T, f.amplitudes.T

@@ -106,9 +106,8 @@ class Operator:
     with a real ``scale``; it is Hermitian, with eigenvalues
     scale * spectrum (FFT order), when the spectrum is real.  The dense
     ``matrix`` of a diagonal or spectral operator is built on first
-    access.  If ``hermitian_hint`` is True the operator is checked for
-    Hermiticity at construction time, a diagonal or spectral one on its
-    1-D array.
+    access.  Hermiticity is not checked here: it is checked where an
+    observable is coupled (``pointer``) or diagonalized (``eigenbasis``).
     """
 
     basis_id: str
@@ -116,10 +115,7 @@ class Operator:
     spectrum: np.ndarray | None
     scale: float
 
-    def __init__(
-        self, basis_id, matrix=None, hermitian_hint=None, *,
-        diagonal=None, spectrum=None, scale=1.0,
-    ):
+    def __init__(self, basis_id, matrix=None, *, diagonal=None, spectrum=None, scale=1.0):
         given = [a for a in (matrix, diagonal, spectrum) if a is not None]
         if len(given) != 1:
             raise InvalidConfig("operator needs exactly one of matrix, diagonal and spectrum")
@@ -132,10 +128,6 @@ class Operator:
         if matrix is not None and (values.ndim not in (2, 3) or values.shape[-2] != values.shape[-1]):
             raise InvalidConfig(f"operator matrix must be square, or a stack of square matrices, "
                                 f"got {values.shape}")
-        if hermitian_hint:
-            if values.ndim == 3:
-                raise InvalidConfig("hermitian_hint=True needs one matrix, not a stack")
-            require_hermitian(values, "hermitian_hint=True")
         object.__setattr__(self, "basis_id", basis_id)
         object.__setattr__(self, "diagonal", None if diagonal is None else _freeze(values))
         object.__setattr__(self, "spectrum", None if spectrum is None else _freeze(values))
@@ -316,7 +308,9 @@ def make_fock_ops(cfg: FockConfig) -> tuple[Operator, Operator]:
     """Position and momentum in the truncated ladder representation.
 
     x = sqrt(hbar/2)(a + a+), p = i sqrt(hbar/2)(a+ - a) at m*omega = 1.
-    The truncated commutator is i*hbar*diag(1, ..., 1, 1-N) exactly.
+    The truncated commutator is i*hbar*diag(1, ..., 1, 1-N) exactly.  Both
+    equal their conjugate transposes exactly: a + a+ is real symmetric and
+    a+ - a real antisymmetric.
     """
     n = cfg.dim
     a = np.zeros((n, n), dtype=complex)
@@ -324,8 +318,8 @@ def make_fock_ops(cfg: FockConfig) -> tuple[Operator, Operator]:
     a[levels - 1, levels] = np.sqrt(levels)
     adag = a.conj().T
     c = math.sqrt(cfg.hbar / 2.0)
-    x = Operator(cfg.basis_id, c * (a + adag), hermitian_hint=True)
-    p = Operator(cfg.basis_id, 1j * c * (adag - a), hermitian_hint=True)
+    x = Operator(cfg.basis_id, c * (a + adag))
+    p = Operator(cfg.basis_id, 1j * c * (adag - a))
     return x, p
 
 
@@ -341,15 +335,15 @@ def make_grid_ops(cfg: GridConfig) -> tuple[Operator, Operator]:
     A consumer that reads ``p.matrix`` gets the dense FFT matrix of the
     identity, scaled by k and hbar and symmetrized to remove FFT roundoff.
     """
-    x = Operator(cfg.basis_id, diagonal=cfg.positions(), hermitian_hint=True)
-    p = Operator(cfg.basis_id, spectrum=cfg.wavenumbers(), scale=cfg.hbar, hermitian_hint=True)
+    x = Operator(cfg.basis_id, diagonal=cfg.positions())
+    p = Operator(cfg.basis_id, spectrum=cfg.wavenumbers(), scale=cfg.hbar)
     return x, p
 
 
 PAULI_BASIS_ID = "spin-1/2"
 
 _PAULI = {
-    axis: Operator(PAULI_BASIS_ID, mat, hermitian_hint=True)
+    axis: Operator(PAULI_BASIS_ID, mat)
     for axis, mat in (
         ("x", [[0.0, 1.0], [1.0, 0.0]]),
         ("y", [[0.0, -1.0j], [1.0j, 0.0]]),
@@ -414,7 +408,8 @@ def random_state(dim: int, seed: int, basis_id: str = "") -> StateVector:
 
 
 def random_hermitian(dim: int, seed: int, basis_id: str = "") -> Operator:
-    """Random Hermitian matrix (GUE-style), deterministic for fixed seed."""
+    """Random Hermitian matrix (GUE-style), deterministic for fixed seed; Hermitian
+    bit for bit, as entries j,k and k,j are conjugate sums of the same two numbers."""
     if dim < 1:
         raise InvalidConfig("dim must be >= 1")
     rng = np.random.default_rng(seed)
@@ -423,7 +418,7 @@ def random_hermitian(dim: int, seed: int, basis_id: str = "") -> Operator:
     rng.standard_normal(out=parts)
     m = np.empty((dim, dim), dtype=complex)
     m.real, m.imag = parts
-    return Operator(basis_id or f"generic(dim={dim})", _freeze(hermitian_part(m)), hermitian_hint=True)
+    return Operator(basis_id or f"generic(dim={dim})", _freeze(hermitian_part(m)))
 
 
 def edge_amplitude(psi: StateVector) -> float:

@@ -53,6 +53,7 @@ from .errors import (
     GridResolutionError,
     InvalidConfig,
     SelectionAnnihilated,
+    raise_first_row,
 )
 from .hilbert import GridConfig, Operator, StateVector, require_hermitian
 # not called here; importable because bench/tracer.py wraps pointer.weak_value
@@ -173,11 +174,11 @@ def _observable_eigensystem(op: Operator, eigensystem=None):
     return w, v
 
 
-def _check_amplitude(amplitude: float) -> None:
-    if amplitude <= ANNIHILATION_ATOL:
-        raise SelectionAnnihilated(
-            f"selection amplitude {amplitude:.3e} <= {ANNIHILATION_ATOL}"
-        )
+def _check_amplitude(amplitude) -> None:
+    """SelectionAnnihilated when an amplitude, or a row of an array of them, is at
+    most ANNIHILATION_ATOL."""
+    raise_first_row(amplitude <= ANNIHILATION_ATOL, SelectionAnnihilated,
+                    f"selection amplitude {{:.3e}} <= {ANNIHILATION_ATOL}", amplitude)
 
 
 def _coupling_coeff(generator: str, g: float) -> complex:
@@ -266,7 +267,7 @@ def conditional_pointers(
     norms (selection amplitudes).
 
     Raises GridResolutionError when a selection's coupling wraps the
-    pointer (the module docstring's rule); its ``selection`` is that row.
+    pointer (the module docstring's rule), naming the first such row.
     """
     coeff = _coupling_coeff(generator, g)
     a = _state_columns(initial, observable)
@@ -288,19 +289,13 @@ def conditional_pointers(
     beyond = reach > quarter
     if beyond.any():
         weight = np.abs(coeffs)
-        wrapped = weight[:, beyond].sum(axis=1)
-        total = weight.sum(axis=1)
-        wraps = np.flatnonzero(wrapped > WRAP_SHARE * total)
-        if wraps.size:
-            s = int(wraps[0])
-            exc = GridResolutionError(
-                f"selection {s}: levels displaced past a quarter of the pointer grid "
-                f"({quarter:.3g}, {generator} generator) carry a share "
-                f"{wrapped[s] / total[s]:.3g} > {WRAP_SHARE:g} of its weight; the "
-                f"largest displacement is {reach.max():.3g}"
-            )
-            exc.selection = s
-            raise exc
+        wrapped, total = weight[:, beyond].sum(axis=1), weight.sum(axis=1)
+        with np.errstate(invalid="ignore"):  # a row of no weight wraps none of it
+            share = wrapped / total
+        raise_first_row(wrapped > WRAP_SHARE * total, GridResolutionError,
+                        f"levels displaced past a quarter of the pointer grid ({quarter:.3g}, "
+                        f"{generator} generator) carry a share {{:.3g}} > {WRAP_SHARE:g} of its "
+                        f"weight; the largest displacement is {reach.max():.3g}", share)
     # the phase kernel exp(coeff w x / hbar), built in one buffer
     if generator == POSITION:
         kernel = np.multiply(coeff, np.outer(w, grid.positions()))
@@ -372,7 +367,6 @@ class WeakStageResult:
 
 def _stage_result(pointer: PointerState, row: np.ndarray, amplitude: float) -> WeakStageResult:
     amplitude = float(amplitude)
-    _check_amplitude(amplitude)
     return WeakStageResult(
         pointer=PointerState(pointer.grid, row),
         probability=amplitude * amplitude,
@@ -394,6 +388,7 @@ def measure_weakly(
     """
     phi = gaussian_pointer(grid, sigma)
     rows, amps = conditional_pointers(i, f, observable, POSITION, g, phi)
+    _check_amplitude(amps[0])
     return _stage_result(phi, rows[0], amps[0])
 
 
@@ -433,13 +428,14 @@ def run_ccr_protocols(
     ``p_eigensystem`` (w, v) of ``p_op`` skips its diagonalization, and
     when every final is a p eigenvector it may hold just their columns.  A
     coupling that wraps its pointer raises GridResolutionError (see
-    ``conditional_pointers``); then rows are checked in order, and the
-    first selection that leaves no amplitude raises SelectionAnnihilated.
+    ``conditional_pointers``); then the first row where either stage leaves
+    no amplitude raises SelectionAnnihilated.  Either error names its row.
     """
     phi = gaussian_pointer(grid, sigma)
     phi_prime = gaussian_pointer(grid_prime, sigma_prime)
     rows1, amps1 = conditional_pointers(i, finals, x_op, POSITION, g, phi)
     rows2, amps2 = conditional_pointers(finals, i, p_op, MOMENTUM, g, phi_prime, p_eigensystem)
+    _check_amplitude(np.minimum(amps1, amps2))
     results = []
     for row1, amp1, row2, amp2 in zip(rows1, amps1, rows2, amps2):
         first, second = _stage_result(phi, row1, amp1), _stage_result(phi_prime, row2, amp2)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArityMismatch, OrthogonalSelection, WeakLabError
+from .errors import ArityMismatch, OrthogonalSelection, WeakLabError, raise_first_row
 from .hilbert import NATURAL_BASIS, Operator, StateVector, _basis_matrix, _require_same_basis, braket
 
 # Below this overlap (unit-norm states) the weak-value ratio has no
@@ -62,26 +62,13 @@ def alternating(i: StateVector, f: StateVector, n_ops: int) -> tuple:
     return tuple(i if k % 2 == 0 else f for k in range(n_ops + 1))
 
 
-def _raise_at_first(bad, exc_type, template: str, *values) -> None:
-    """Raise exc_type at the first row where ``bad`` holds, with that row's
-    ``values``; the message and the error's ``row`` name the row when
-    ``bad`` has one per row."""
-    bad = np.asarray(bad)
-    r = int(bad.argmax())
-    if bad.flat[r]:
-        where = f"row {r}: " if bad.ndim else ""
-        exc = exc_type(where + template.format(*(np.ravel(v)[r] for v in values)))
-        exc.row = r if bad.ndim else None
-        raise exc
-
-
 def selection_overlap(bra: StateVector, ket: StateVector):
     """<bra|ket>, one value per row of a stack; OrthogonalSelection at the
     first row where it is <= ORTHOGONALITY_EPS."""
     _require_same_basis(bra, ket)
     ov = braket(bra.amplitudes, ket.amplitudes)
     size = abs(ov)
-    _raise_at_first(size <= ORTHOGONALITY_EPS, OrthogonalSelection,
+    raise_first_row(size <= ORTHOGONALITY_EPS, OrthogonalSelection,
                     f"selection overlap |<f|i>| = {{:.3e}} <= eps = {ORTHOGONALITY_EPS:.1e}", size)
     return ov
 
@@ -124,7 +111,7 @@ def _chain_value(states, ops):
     # leave the normal range.  num may be exactly 0, as a zero factor makes it.
     size_num, size_den = abs(num), abs(den)
     normal = (size_den >= _TINY) & ((size_num == 0) | ((size_num >= _TINY) & (size_num < math.inf)))
-    _raise_at_first(np.logical_not(normal), WeakLabError, "chain products leave the normal "
+    raise_first_row(np.logical_not(normal), WeakLabError, "chain products leave the normal "
                     "float range: |numerator| = {:.3e}, |overlaps| = {:.3e}", size_num, size_den)
     return num / den
 

@@ -180,5 +180,6 @@ def test_a_failing_instance_past_the_first_block_is_named_by_its_index(monkeypat
 
     monkeypatch.setattr(hilbert, "random_state", planted)
     assert experiments._CHAIN_BLOCK_ENTRIES // 64**2 - 7 == 9
-    with pytest.raises(OrthogonalSelection, match=r"^selection overlap .* \(instance 20\)$"):
+    with pytest.raises(OrthogonalSelection, match=r"^instance 20: selection overlap ") as caught:
         experiments.chain_experiment(64, 8, 30, 0)
+    assert caught.value.row == 20  # the same exception, its row named by the instance

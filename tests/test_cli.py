@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -383,9 +384,8 @@ def test_chain_whose_overlap_product_underflows_exits_3(tmp_path, capsys, n_ops)
     assert run_cli(["chain", "--dim", "64", "--n-ops", str(n_ops), "--out", str(out)]) == (
         cli.EXIT_NUMERICAL_ERROR
     )
-    assert "numerical error: WeakLabError: chain products leave the normal float range" in (
-        capsys.readouterr().err
-    )
+    assert re.search(r"numerical error: WeakLabError: instance \d+: chain products leave the "
+                     r"normal float range", capsys.readouterr().err)
     assert not out.exists()
     cfgfile = tmp_path / "c.yaml"
     cfgfile.write_text(f"experiment: chain\nchain: {{dim: 64, n_ops: {n_ops}}}\n")

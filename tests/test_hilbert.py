@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weaklab import hilbert, weakcorr
+from weaklab import hilbert, pointer, weakcorr
 from weaklab.errors import (
     BasisMismatch,
     InvalidConfig,
@@ -214,8 +214,6 @@ def test_an_operator_stack_applies_each_matrix_to_its_own_column():
         assert got[:, r].tobytes() == (mats[r] @ kets[:, r]).tobytes()
         assert op.apply(kets[:, 0])[:, r].tobytes() == (mats[r] @ kets[:, 0]).tobytes()
     assert hilbert.Operator("generic(dim=5)", mats[0]).rows is None
-    with pytest.raises(InvalidConfig, match="not a stack"):
-        hilbert.Operator("generic(dim=5)", mats, hermitian_hint=True)
 
 
 def test_an_operator_keeps_only_memory_that_nothing_can_write():
@@ -315,10 +313,34 @@ def test_braket_pairs_rows_and_rounds_each_row_alone():
     assert np.allclose(hilbert.braket(bras, kets), np.einsum("jc,jc->c", bras.conj(), kets))
 
 
-def test_operator_hint_checked():
-    with pytest.raises(NotHermitian):
-        hilbert.Operator(
-            "generic(dim=2)",
-            np.array([[0.0, 1.0], [0.0, 0.0]]),
-            hermitian_hint=True,
-        )
+def test_a_non_hermitian_matrix_is_refused_where_it_is_coupled_or_diagonalized():
+    op = hilbert.Operator("generic(dim=2)", np.array([[0.0, 1.0], [0.0, 0.0]]))
+    i = hilbert.basis_state(2, 0)
+    phi = pointer.gaussian_pointer(pointer.pointer_grid(1.0), 1.0)
+    for generator in (pointer.POSITION, pointer.MOMENTUM):
+        with pytest.raises(NotHermitian, match="coupled observable"):
+            pointer.conditional_pointers(i, i, op, generator, 0.01, phi)
+    with pytest.raises(NotHermitian, match="eigenbasis"):
+        hilbert.eigenbasis(op)
+
+
+def _builder_operators():
+    for dim in (2, 3, 16, 64):
+        for hbar in (0.25, 1.0, 3.7):
+            yield from hilbert.make_fock_ops(hilbert.FockConfig(dim, hbar))
+    for n, length, hbar in ((8, 10.0, 1.0), (128, 40.0, 0.5), (1023, 7.3, 2.0)):
+        x, p = hilbert.make_grid_ops(hilbert.GridConfig(n, length, hbar))
+        yield from (x.diagonal, p.spectrum)  # each Hermitian when real
+    for axis in "xyz":
+        yield hilbert.pauli(axis)
+    for seed in (0, 5, 12345, 2**31 - 1):
+        for dim in (1, 2, 64):
+            yield hilbert.random_hermitian(dim, seed)
+
+
+def test_every_builder_is_hermitian_bit_for_bit():
+    # the builders run no Hermiticity check, so each must equal its
+    # conjugate transpose exactly (signed zeros may differ, so no bytes)
+    for op in _builder_operators():
+        m = op if isinstance(op, np.ndarray) else op.matrix
+        assert np.array_equal(m, m.conj().T)

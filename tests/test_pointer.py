@@ -437,6 +437,41 @@ def test_run_ccr_protocols_rows_equal_single_runs():
         assert res.prob_post == pytest.approx(one.prob_post, abs=1e-15)
 
 
+def test_the_wrap_guard_trips_above_its_share_and_names_the_row():
+    cfg = GridConfig(16, 10.0)
+    x_op, _ = make_grid_ops(cfg)
+    phi = gaussian_pointer(GRID, 1.0)
+    g = 10.0
+    # levels |x| >= 4.375 kick the pointer past a quarter of its wavenumbers, pi / (2 spacing)
+    beyond = np.abs(g * cfg.positions()) > math.pi / (2.0 * GRID.spacing)
+    assert np.count_nonzero(beyond) == 3
+    centre = hilbert.basis_state(16, 8, cfg.basis_id)  # x = 0: no weight wraps
+
+    def stage(tail):  # |amplitude|^2 of each wrapping level, 1 elsewhere: a share 3 tail / (3 tail + 13)
+        amps = np.ones(16)
+        amps[beyond] = math.sqrt(tail)
+        tailed = hilbert.StateVector(cfg.basis_id, amps)
+        return conditional_pointers(tailed, stack([centre, tailed]), x_op, POSITION, g, phi)
+
+    stage(1e-14)  # a share of 2.3e-15, under WRAP_SHARE = 1e-12
+    with pytest.raises(GridResolutionError, match=r"^row 1: .* carry a share 2\.31e-10 ") as caught:
+        stage(1e-9)
+    assert caught.value.row == 1
+
+
+def test_an_annihilated_row_of_run_ccr_protocols_is_named():
+    cfg = GridConfig(16, 10.0)
+    x_op, p_op = make_grid_ops(cfg)
+    left, right = np.zeros(16), np.zeros(16)
+    left[:8], right[8:] = 1.0, 1.0
+    i, f = hilbert.StateVector(cfg.basis_id, left), hilbert.StateVector(cfg.basis_id, right)
+    grid = pointer.pointer_grid(1.0)
+    # x couples no amplitude from the left half to the right: row 1's first stage leaves none
+    with pytest.raises(SelectionAnnihilated, match=r"^row 1: selection amplitude 0\.000e\+00 ") as caught:
+        run_ccr_protocols(i, stack([i, f, i]), x_op, p_op, 1.0, 1.0, 0.01, grid, grid)
+    assert caught.value.row == 1
+
+
 def test_conditional_pointers_guards():
     cfg = GridConfig(16, 10.0)
     x_op, _ = make_grid_ops(cfg)

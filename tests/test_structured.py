@@ -29,7 +29,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from weaklab import experiments, hilbert, pointer
-from weaklab.errors import GridResolutionError, InvalidConfig, NotHermitian
+from weaklab.errors import GridResolutionError, InvalidConfig, NotHermitian, SelectionAnnihilated
 from weaklab.weakcorr import averaged_weak_correlation, weak_value
 
 grids = st.builds(
@@ -148,11 +148,20 @@ def test_grid_x_is_stored_diagonal():
     assert p_op.matrix is p_op.matrix and not p_op.matrix.flags.writeable
 
 
+def couple_observable(op):
+    """One pointer stage of ``op`` between two copies of basis state 0."""
+    i = hilbert.basis_state(op.dim, 0, op.basis_id)
+    phi = pointer.gaussian_pointer(pointer.pointer_grid(1.0), 1.0)
+    return pointer.conditional_pointers(i, i, op, pointer.MOMENTUM, 0.01, phi)
+
+
 def test_spectral_hermiticity_reads_the_spectrum():
+    # the dense matrix of any spectrum is symmetrized, so only the spectrum shows this
     k = np.array([0.0, 1.0, -1.0 + 3e-12j])
-    with pytest.raises(NotHermitian):
-        hilbert.Operator("generic(dim=3)", spectrum=k, hermitian_hint=True)
-    op = hilbert.Operator("generic(dim=3)", spectrum=k.real, scale=2.0, hermitian_hint=True)
+    with pytest.raises(NotHermitian, match="coupled observable"):
+        couple_observable(hilbert.Operator("generic(dim=3)", spectrum=k))
+    op = hilbert.Operator("generic(dim=3)", spectrum=k.real, scale=2.0)
+    couple_observable(op)
     assert np.array_equal(op.matrix, op.matrix.conj().T)
     w = np.linalg.eigvalsh(op.matrix)
     assert np.max(np.abs(w - np.sort(2.0 * k.real))) <= 1e-15
@@ -180,9 +189,9 @@ def test_grid_runs_read_no_dense_matrix(monkeypatch):
 def test_diagonal_hermiticity_residual_equals_dense():
     d = np.array([1.0, 2.0 + 3e-12j, -1.0])
     assert hilbert.hermitian_residual(d) == hilbert.hermitian_residual(np.diag(d))
-    with pytest.raises(NotHermitian):
-        hilbert.Operator("generic(dim=3)", diagonal=d, hermitian_hint=True)
-    hilbert.Operator("generic(dim=3)", diagonal=d.real, hermitian_hint=True)
+    with pytest.raises(NotHermitian, match="coupled observable"):
+        couple_observable(hilbert.Operator("generic(dim=3)", diagonal=d))
+    couple_observable(hilbert.Operator("generic(dim=3)", diagonal=d.real))
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -343,7 +352,17 @@ def test_ccr_wrap_guard_names_the_mid_selection_index():
     # stage two checks its kept rows by descending weight: the heaviest that wraps is named
     wrapping = [r for r in rows if abs(g * r.p_eigenvalue) > quarter]
     assert named == max(wrapping, key=lambda r: r.weight).index
-    assert named != caught.value.selection  # its place in the kept rows is not the index
+    assert caught.value.row == named  # the error's row is the index its message names
+
+
+def test_ccr_names_an_annihilated_mid_selection_by_its_index(monkeypatch):
+    rep = hilbert.FockConfig(64)
+    rows = experiments.ccr_experiment(rep, n_trials=0, run_pointer=False).per_f
+    heaviest = max(rows, key=lambda r: r.weight).index  # stage one's first kept row
+    monkeypatch.setattr(pointer, "ANNIHILATION_ATOL", 1.0)  # every selection amplitude is below 1
+    with pytest.raises(SelectionAnnihilated, match=rf"^selection {heaviest}: selection amplitude ") as caught:
+        experiments.ccr_experiment(rep, n_trials=0)
+    assert caught.value.row == heaviest != 0
 
 
 def test_grid_ccr_runs_without_eigh(monkeypatch):
