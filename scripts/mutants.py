@@ -27,6 +27,7 @@ ROOT = Path(__file__).resolve().parent.parent
 EXPERIMENTS = "src/weaklab/experiments.py"
 WEAKCORR = "src/weaklab/weakcorr.py"
 POINTER = "src/weaklab/pointer.py"
+CLI = "src/weaklab/cli.py"
 
 MUTANTS = (
     ("chain operator window off by one", EXPERIMENTS,
@@ -62,6 +63,9 @@ MUTANTS = (
     ("wrap share x 1e6", POINTER,
      "wrapped > WRAP_SHARE * total",
      "wrapped > WRAP_SHARE * 1e6 * total"),
+    ("pauli CSV cell is a numpy scalar", CLI,
+     "[r.alpha, r.sxsy.real,",
+     "[np.float64(r.alpha), r.sxsy.real,"),
 )
 
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",

@@ -11,11 +11,12 @@ name, at its worst row.  Exit status 0 means every residual check passed
 its pinned tolerance, 1 means a tolerance failure, 2 a configuration
 problem, 3 a numerical error from the physics layers.
 
-Config files are YAML (JSON works too).  A stored ``run.json`` can be
-fed back via --config; its embedded resolved config reproduces every
-non-timestamp field bit-identically.  ``SCHEMA`` lists every field with
-its default, its type and its flag; ``resolve_config`` is the one place
-values are coerced to those types.
+Config files are JSON or YAML: a file that parses as JSON is read as
+JSON, any other as YAML.  ``run.json`` is one line of strict JSON, and a
+stored one can be fed back via --config; its embedded resolved config
+reproduces every non-timestamp field bit-identically.  ``SCHEMA`` lists
+every field with its default, its type and its flag; ``resolve_config``
+is the one place values are coerced to those types.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import __version__, experiments, hilbert, pointer
 from .errors import TruncationWarning, WeakLabError
@@ -258,26 +258,21 @@ def to_jsonable(obj):
     return obj
 
 
-def _fmt(v) -> str:
-    """Shortest round-trip decimal for CSV cells."""
-    if v is None:
-        return ""
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    if isinstance(v, np.integer):
-        return str(int(v))
-    return str(v)
-
-
 def load_config_file(path: str) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     try:
-        data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config parse error in {path!r}: {exc}") from exc
+        data = json.loads(text)
+    except json.JSONDecodeError:
+        # YAML only when the text is not JSON: PyYAML is slow to import and to read
+        import yaml
+
+        try:
+            data = yaml.safe_load(text)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"config parse error in {path!r}: {exc}") from exc
     if data is None:
         return {}
     if not isinstance(data, dict):
@@ -519,14 +514,15 @@ def validate_config(cfg: dict) -> list[dict]:
 def write_outputs(cfg: dict, record: dict, tables: dict) -> None:
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "run.json").write_text(json.dumps(record, indent=2, allow_nan=False) + "\n")
+    # one line: with an indent, json falls back from its C encoder to pure Python
+    (out_dir / "run.json").write_text(json.dumps(record, allow_nan=False) + "\n")
     if cfg["format"] in ("csv", "both"):
+        # every cell is an int, a float (written by repr) or None (written empty)
         for name, (header, rows) in tables.items():
             with open(out_dir / f"{name}.csv", "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(header)
-                for row in rows:
-                    writer.writerow([_fmt(v) for v in row])
+                writer.writerows(rows)
 
 
 def _flag_overrides(args, experiment) -> dict:
@@ -595,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
     }
     for experiment in EXPERIMENTS:
         p = subs.add_parser(experiment, help=helps[experiment])
-        p.add_argument("--config", help="YAML config file (or a stored run.json)")
+        p.add_argument("--config", help="JSON or YAML config file (or a stored run.json)")
         for path, field in _fields(experiment).items():
             if field.flag is None:
                 continue
@@ -612,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser(
         "validate", help="check a config: run it, Monte Carlo trials included, write nothing"
     )
-    p.add_argument("config_path", help="YAML config file")
+    p.add_argument("config_path", help="JSON or YAML config file")
     return parser
 
 

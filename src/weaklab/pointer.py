@@ -49,6 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ArityMismatch,
     BasisMismatch,
     GridResolutionError,
     InvalidConfig,
@@ -157,8 +158,11 @@ def _observable_eigensystem(op: Operator, eigensystem=None):
     some of its eigenvector columns, as ``conditional_pointers`` allows) is
     passed through after the Hermiticity check instead of diagonalizing again.
     A diagonal or spectral operator is checked on its 1-D array, so only a
-    dense one is scanned as a matrix.
+    dense one is scanned as a matrix.  A stack of operators is refused: a
+    stage couples one observable to its pointer.
     """
+    if op.rows is not None:
+        raise ArityMismatch(f"a pointer stage couples one observable, not a stack of {op.rows}")
     d = op.diagonal
     compact = d if d is not None else op.spectrum
     require_hermitian(op.matrix if compact is None else compact, "coupled observable")

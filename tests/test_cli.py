@@ -2,10 +2,15 @@
 
 import csv
 import dataclasses
+import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -831,6 +836,99 @@ def test_run_json_is_strict_json(tmp_path):
                               "f": "inf", "a": ["nan"]}
     with pytest.raises(ValueError):  # a bare non-finite float is refused, not written
         cli.write_outputs({"out": str(tmp_path), "format": "json"}, {"x": math.nan}, {})
+
+
+def test_run_json_is_one_line_written_by_the_c_encoder(tmp_path):
+    out = tmp_path / "r"
+    assert run_cli(["pauli", f"--alpha-sweep={_angles(200)}", "--out", str(out)]) == 0
+    text = (out / "run.json").read_text()
+    assert text == json.dumps(json.loads(text), allow_nan=False) + "\n"
+
+
+def _fmt_reference(v) -> str:
+    """A CSV cell as text: shortest round-trip decimal, None empty, a numpy
+    scalar as the Python number it holds."""
+    if v is None:
+        return ""
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    if isinstance(v, np.integer):
+        return str(int(v))
+    return str(v)
+
+
+@pytest.mark.parametrize("argv", [
+    ["pauli", "--alpha-sweep", "0,0.5236,-1.0472,1e-05"],
+    ["ccr", "--dim", "16", "--n-trials", "20000"],
+    ["ccr", "--rep", "grid", "--points", "128", "--n-trials", "0", "--g-sweep", "0.01,0.02"],
+    ["chain", "--dim", "3", "--n-ops", "3", "--instances", "3"],
+    ["montecarlo", "--n-trials", "4000"],
+], ids=["pauli", "ccr-fock-mc", "ccr-grid-sweep", "chain", "montecarlo"])
+def test_csv_cells_are_plain_and_written_as_by_the_reference(tmp_path, argv):
+    args = cli.build_parser().parse_args(cli._attach_list_values([*argv, "--out", str(tmp_path)]))
+    cfg = cli.resolve_config(args.command, {"format": "csv"}, cli._flag_overrides(args, args.command))
+    _, tables = cli._RUNNERS[args.command](cfg)
+    assert tables
+    for header, rows in tables.values():
+        for row in rows:
+            assert len(row) == len(header)
+            # exact types: a numpy scalar, even a float subclass, is refused
+            assert all(type(v) in (int, float, type(None)) for v in row), row
+    cli.write_outputs(cfg, {}, tables)
+    for name, (header, rows) in tables.items():
+        want = io.StringIO()
+        writer = csv.writer(want)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt_reference(v) for v in row])
+        assert (tmp_path / f"{name}.csv").read_bytes() == want.getvalue().encode()
+
+
+def test_json_replay_never_imports_yaml(tmp_path):
+    argv = ["chain", "--dim", "3", "--n-ops", "2", "--instances", "2"]
+    assert run_cli([*argv, "--out", str(tmp_path / "a")]) == cli.EXIT_OK
+    yaml_cfg = tmp_path / "c.yaml"
+    yaml_cfg.write_text("experiment: chain\nchain: {dim: 3, n_ops: 2, instances: 2}\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    imported = {}
+    for name, config in (("b", tmp_path / "a" / "run.json"), ("c", yaml_cfg)):
+        code = ("import sys\nfrom weaklab import cli\n"
+                f"rc = cli.main(['chain', '--config', {str(config)!r}, "
+                f"'--out', {str(tmp_path / name)!r}])\n"
+                "print(rc, 'yaml' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        rc, imported[name] = proc.stdout.split()[-2:]
+        assert rc == "0"
+    assert imported == {"b": "False", "c": "True"}  # a YAML config still reads as YAML
+    a, b, c = (read_json(tmp_path / name / "run.json") for name in "abc")
+    assert a["report"] == b["report"] == c["report"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["pauli", "--alpha-sweep", "0.7,-1.2,1e-05"],
+    ["ccr", "--rep", "grid", "--points", "128", "--n-trials", "0", "--g-sweep", "1e-05,0.02"],
+    ["riemann", "--rep", "fock", "--dim", "32"],
+    ["chain", "--dim", "3", "--n-ops", "2", "--instances", "2"],
+    ["montecarlo", "--n-trials", "4000"],
+], ids=["pauli", "ccr", "riemann", "chain", "montecarlo"])
+def test_stored_record_resolves_alike_through_json_and_yaml(tmp_path, argv):
+    # YAML 1.1 reads an exponent without a dot (1e-05) as a string, which
+    # resolve_config reads back as the same float
+    import yaml
+
+    out = tmp_path / "r"
+    assert run_cli([*argv, "--out", str(out)]) in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED)
+    path = out / "run.json"
+    via_json = cli.load_config_file(str(path))
+    via_yaml = yaml.safe_load(path.read_text())["config"]
+    assert (via_json != via_yaml) == ("1e-05" in " ".join(argv))
+    experiment = argv[0]
+    resolved = cli.resolve_config(experiment, via_json, {})
+    assert cli.resolve_config(experiment, via_yaml, {}) == resolved
+    assert cli.to_jsonable(resolved) == read_json(path)["config"]
 
 
 def _to_jsonable_reference(obj):

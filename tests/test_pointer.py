@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from weaklab import experiments, hilbert, pointer
 from weaklab.errors import (
+    ArityMismatch,
     BasisMismatch,
     GridResolutionError,
     InvalidConfig,
@@ -516,3 +517,19 @@ def test_wrap_guard_reads_the_exact_spectrum(generator, g_fits, g_wraps):
     assert amps[0] == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(GridResolutionError):
         conditional_pointers(down, down, z_shifted, generator, g_wraps, phi)
+
+
+def test_a_stage_refuses_an_operator_stack():
+    # one observable per stage: a stack is refused as a WeakLabError (exit 3
+    # from the CLI) before its Hermiticity check, which reads one matrix
+    mats = np.stack([hilbert.random_hermitian(4, s).matrix for s in range(3)])
+    i, f = hilbert.random_state(4, 0), hilbert.random_state(4, 1)
+    phi = gaussian_pointer(KERNEL_GRID, 1.0)
+    for values in (mats, 1j * mats):  # Hermitian rows, and skew ones
+        ops = hilbert.Operator(i.basis_id, values)
+        with pytest.raises(ArityMismatch, match="not a stack of 3"):
+            measure_weakly(i, f, ops, 1.0, 0.01, pointer.pointer_grid(1.0))
+        with pytest.raises(ArityMismatch):
+            conditional_pointers(i, f, ops, MOMENTUM, 0.01, phi)
+        with pytest.raises(ArityMismatch):
+            couple(pointer.product_joint(i, phi), ops, POSITION, 0.01)
