@@ -63,9 +63,12 @@ MUTANTS = (
     ("wrap share x 1e6", POINTER,
      "wrapped > WRAP_SHARE * total",
      "wrapped > WRAP_SHARE * 1e6 * total"),
-    ("pauli CSV cell is a numpy scalar", CLI,
-     "[r.alpha, r.sxsy.real,",
-     "[np.float64(r.alpha), r.sxsy.real,"),
+    ("CSV _im cell written from the real part", CLI,
+     "else row[name][part] for name, part in columns]",
+     'else row[name]["re"] for name, part in columns]'),
+    ("predicted position shift times hbar", POINTER,
+     "complex(x_w).imag / hbar",
+     "complex(x_w).imag * hbar"),
 )
 
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",

@@ -4,8 +4,9 @@ Subcommands: pauli, ccr, riemann, chain, montecarlo, validate.  Each run
 resolves its configuration (the defaults in ``SCHEMA`` <- YAML config
 file <- command-line flags), executes the experiment, and writes
 ``run.json`` (the full RunRecord: resolved config, version, timestamp,
-report, checks) plus per-sweep CSV tables into the output directory,
-and prints one line per check.  A swept run (pauli angles, ccr
+report, checks) into the output directory, with ``--format csv|both``
+also the CSV tables of ``TABLES``, each a projection of rows the record
+holds, and prints one line per check.  A swept run (pauli angles, ccr
 couplings, chain instances) reports one row per point and one check per
 name, at its worst row.  Exit status 0 means every residual check passed
 its pinned tolerance, 1 means a tolerance failure, 2 a configuration
@@ -29,6 +30,7 @@ import math
 import re
 import sys
 import time
+import typing
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -237,7 +239,9 @@ def to_jsonable(obj):
     if t is float:
         return obj if math.isfinite(obj) else repr(obj)
     if t is complex:
-        return {"re": to_jsonable(obj.real), "im": to_jsonable(obj.imag)}
+        re, im = obj.real, obj.imag
+        return {"re": re if math.isfinite(re) else repr(re),
+                "im": im if math.isfinite(im) else repr(im)}
     if t is dict:
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if t is list or t is tuple:
@@ -247,8 +251,8 @@ def to_jsonable(obj):
         names = _FIELD_NAMES[t] = tuple(f.name for f in dataclasses.fields(t))
     if names is not None:
         out = {name: to_jsonable(getattr(obj, name)) for name in names}
-        if hasattr(obj, "passed"):
-            out["passed"] = bool(obj.passed)
+        if isinstance(obj, experiments.Report):
+            out["passed"] = obj.passed
         return out
     if isinstance(obj, (np.generic, np.ndarray)):
         return to_jsonable(obj.tolist())
@@ -336,52 +340,21 @@ def _ccr_state(rep, state_cfg: dict):
 
 
 # ---------------------------------------------------------------------------
-# experiment execution -> (report, csv tables)
+# experiment execution: config -> report
 
 def _run_pauli(cfg):
     sub = cfg["pauli"]
-    report = experiments.pauli_suite(sub["alpha_sweep"] or [sub["alpha"]])
-    rows = [
-        [r.alpha, r.sxsy.real, r.sxsy.imag, r.sz_w.real, r.commutator.imag,
-         r.tan_half, r.max_residual]
-        for r in report.rows
-    ]
-    tables = {
-        "alpha_sweep": (
-            ["alpha", "sxsy_re", "sxsy_im", "sz_w", "commutator_im", "target", "residual"],
-            rows,
-        )
-    }
-    return report, tables
+    return experiments.pauli_suite(sub["alpha_sweep"] or [sub["alpha"]])
 
 
 def _run_ccr(cfg):
     sub = cfg["ccr"]
     rep = _build_rep(sub["rep"], cfg["hbar"])
-    report = experiments.ccr_experiment(
+    return experiments.ccr_experiment(
         rep, i_spec=_ccr_state(rep, sub["state"]), sigma=sub["sigma"],
         sigma_prime=sub["sigma_prime"], g=sub["g"], g_sweep=sub["g_sweep"],
         n_trials=sub["n_trials"], seed=cfg["seed"], run_pointer=sub["run_pointer"],
     )
-    rows = [
-        [r.index, r.p_eigenvalue, r.weight, r.x_w.real, r.x_w.imag,
-         r.p_w.real, r.p_w.imag, r.eq9_lhs, r.eq10_lhs, r.dx_d, r.dx_d_prime,
-         r.product_over_g2, r.mc_mean_product, r.mc_stderr_product,
-         r.mc_accepted, r.mc_attempted]
-        for r in report.per_f
-    ]
-    tables = {
-        "mid_selections": (
-            ["index", "p_eigenvalue", "weight", "x_w_re", "x_w_im", "p_w_re",
-             "p_w_im", "eq9_lhs", "eq10_lhs", "dx_d", "dx_d_prime",
-             "product_over_g2", "mc_mean_product", "mc_stderr_product",
-             "mc_accepted", "mc_attempted"],
-            rows,
-        )
-    }
-    if report.g_sweep_rows:
-        tables["g_sweep"] = (["g", "pointer_corr_over_g2", "rel_residual"], report.g_sweep_rows)
-    return report, tables
 
 
 def _run_riemann(cfg):
@@ -393,48 +366,22 @@ def _run_riemann(cfg):
         if isinstance(rep, hilbert.FockConfig) and complex(sub[key]) != 0 else None
         for key in ("i_displacement", "f_displacement")
     )
-    report = experiments.riemann_experiment(rep, i=i, f=f)
-    return report, {}
+    return experiments.riemann_experiment(rep, i=i, f=f)
 
 
 def _run_chain(cfg):
     sub = cfg["chain"]
-    report = experiments.chain_experiment(
+    return experiments.chain_experiment(
         dim=sub["dim"], n_ops=sub["n_ops"], n_instances=sub["instances"], seed=cfg["seed"],
     )
-    rows = [
-        [r.seed, r.n_ops, r.chain_value.real, r.chain_value.imag,
-         r.oracle_value.real, r.oracle_value.imag, r.chain_residual,
-         r.order_swap_residual, r.commutator_flip_residual]
-        for r in report.instances
-    ]
-    tables = {
-        "instances": (
-            ["seed", "n_ops", "chain_re", "chain_im", "oracle_re", "oracle_im",
-             "chain_residual", "order_swap_residual", "commutator_flip_residual"],
-            rows,
-        )
-    }
-    return report, tables
 
 
 def _run_montecarlo(cfg):
     sub = cfg["montecarlo"]
-    report = experiments.montecarlo_experiment(
+    return experiments.montecarlo_experiment(
         preset=sub["preset"], alpha=sub["alpha"], dim=sub["dim"], sigma=sub["sigma"],
         g=sub["g"], n_trials=sub["n_trials"], seed=cfg["seed"], hbar=cfg["hbar"],
     )
-    rows = [[report.re_est, report.im_est, report.stderr_re, report.stderr_im,
-             report.target.real, report.target.imag,
-             report.accepted_position, report.accepted_momentum, report.attempted]]
-    tables = {
-        "estimates": (
-            ["re_est", "im_est", "stderr_re", "stderr_im", "target_re",
-             "target_im", "accepted_position", "accepted_momentum", "attempted"],
-            rows,
-        )
-    }
-    return report, tables
 
 
 _RUNNERS = {
@@ -511,18 +458,48 @@ def validate_config(cfg: dict) -> list[dict]:
 # ---------------------------------------------------------------------------
 # output
 
-def write_outputs(cfg: dict, record: dict, tables: dict) -> None:
+# Each experiment's CSV tables: file name -> the report field whose rows the
+# table holds (None: the report itself, as one row).
+TABLES = {
+    "pauli": {"alpha_sweep": "rows"},
+    "ccr": {"mid_selections": "per_f", "g_sweep": "g_sweep_rows"},
+    "riemann": {},
+    "chain": {"instances": "instances"},
+    "montecarlo": {"estimates": None},
+}
+
+
+def _table(row_type, rows: list) -> tuple[list, list]:
+    """The CSV header and cells of ``rows``, the records of ``row_type`` rows: the
+    type's fields in declared order, less a report's checks, a complex one as
+    two columns, <name>_re and <name>_im."""
+    hints = typing.get_type_hints(row_type)
+    columns = [(name, part) for name, kind in hints.items() if name != "checks"
+               for part in (("re", "im") if kind is complex else (None,))]
+    if type(rows[0]) is list:  # a NamedTuple's record
+        rows = [dict(zip(hints, row)) for row in rows]
+    header = [name if part is None else f"{name}_{part}" for name, part in columns]
+    return header, [[row[name] if part is None else row[name][part] for name, part in columns]
+                    for row in rows]
+
+
+def write_outputs(cfg: dict, record: dict, report) -> None:
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     # one line: with an indent, json falls back from its C encoder to pure Python
     (out_dir / "run.json").write_text(json.dumps(record, allow_nan=False) + "\n")
     if cfg["format"] in ("csv", "both"):
-        # every cell is an int, a float (written by repr) or None (written empty)
-        for name, (header, rows) in tables.items():
-            with open(out_dir / f"{name}.csv", "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(header)
-                writer.writerows(rows)
+        # the row types come from the report and every cell from the record,
+        # so None is written empty and a non-finite float as its string
+        for name, field in TABLES[cfg["experiment"]].items():
+            rows = [record["report"]] if field is None else record["report"][field]
+            if rows:
+                row_type = type(report if field is None else getattr(report, field)[0])
+                header, cells = _table(row_type, rows)
+                with open(out_dir / f"{name}.csv", "w", newline="") as fh:
+                    writer = csv.writer(fh)
+                    writer.writerow(header)
+                    writer.writerows(cells)
 
 
 def _flag_overrides(args, experiment) -> dict:
@@ -643,7 +620,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG_ERROR
 
     try:
-        report, tables = _RUNNERS[experiment](cfg)
+        report = _RUNNERS[experiment](cfg)
     except WeakLabError as exc:
         print(f"numerical error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_ERROR
@@ -657,7 +634,7 @@ def main(argv=None) -> int:
         "checks": to_jsonable(report.checks),
         "passed": report.passed,
     }
-    write_outputs(cfg, record, tables)
+    write_outputs(cfg, record, report)
     for c in report.checks:
         status = "PASS" if c.passed else "FAIL"
         print(f"[{status}] {c.name}: residual {c.residual:.3e} (tol {c.tol:.3e})")

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -242,6 +243,14 @@ class MidSelectionRow:
     mc_attempted: int | None = None
 
 
+class GSweepRow(NamedTuple):
+    """One g_sweep coupling's exact pointer_corr_over_g2 and its relative residual."""
+
+    g: float
+    pointer_corr_over_g2: float
+    rel_residual: float
+
+
 @dataclass(frozen=True)
 class CcrReport(Report):
     """All four branches of the commutator experiment."""
@@ -277,7 +286,6 @@ class CcrReport(Report):
     mc_accepted: int | None
     mc_attempted: int | None
     mc_coverage: float | None
-    # (g, pointer_corr_over_g2, its relative residual) per g_sweep coupling
     g_sweep_rows: tuple
     checks: tuple
 
@@ -386,9 +394,9 @@ def ccr_experiment(
     sampled (``mc_exact_corr_over_g2``).
 
     ``g_sweep`` reruns only the exact pointer stage, at each of its
-    couplings and also under ``run_pointer=False``: one ``g_sweep_rows`` entry
-    (g, pointer_corr_over_g2, relative residual) each, and one
-    ``g_sweep_pointer_corr`` check at the worst of them.
+    couplings and also under ``run_pointer=False``: one ``GSweepRow`` each
+    in ``g_sweep_rows``, and one ``g_sweep_pointer_corr`` check at the worst
+    of them.
 
     ``n_trials`` is the total attempt budget, allocated over the
     mid-selections proportionally to their Born weights; a positive budget
@@ -546,10 +554,11 @@ def ccr_experiment(
         checks.append(make_check(
             "mc_corr_vs_exact_pointer", abs(mc_corr - mc_exact), MC_SIGMA_BAND * mc_se
         ))
-    sweep_rows = tuple((g_s, *pointer_stage(g_s)[1:]) for g_s in g_sweep)
+    sweep_rows = tuple(GSweepRow(g_s, *pointer_stage(g_s)[1:]) for g_s in g_sweep)
     if sweep_rows:
         checks.append(make_check(
-            "g_sweep_pointer_corr", worst([resid for _, _, resid in sweep_rows]), CCR_POINTER_RTOL
+            "g_sweep_pointer_corr", worst([row.rel_residual for row in sweep_rows]),
+            CCR_POINTER_RTOL,
         ))
 
     return CcrReport(

@@ -2,7 +2,6 @@
 
 import csv
 import dataclasses
-import io
 import json
 import math
 import os
@@ -43,7 +42,7 @@ def test_pauli_sweep_csv(tmp_path):
         rows = list(csv.DictReader(fh))
     assert [r["alpha"] for r in rows] == ["0.0", "0.5236", "1.0472", "1.5708"]
     assert float(rows[-1]["sxsy_im"]) == pytest.approx(1.0, abs=1e-4)
-    assert float(rows[-1]["residual"]) <= 1e-12
+    assert float(rows[-1]["max_residual"]) <= 1e-12
 
 
 def test_pauli_single_alpha_record(tmp_path):
@@ -845,16 +844,34 @@ def test_run_json_is_one_line_written_by_the_c_encoder(tmp_path):
     assert text == json.dumps(json.loads(text), allow_nan=False) + "\n"
 
 
-def _fmt_reference(v) -> str:
-    """A CSV cell as text: shortest round-trip decimal, None empty, a numpy
-    scalar as the Python number it holds."""
-    if v is None:
-        return ""
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    if isinstance(v, np.integer):
-        return str(int(v))
-    return str(v)
+def _flat_names(row) -> list:
+    """A row's field names in declared order, a complex value's as <name>_re, <name>_im."""
+    names = []
+    for name in row._fields if isinstance(row, tuple) else [f.name for f in dataclasses.fields(row)]:
+        names += [f"{name}_re", f"{name}_im"] if isinstance(getattr(row, name), complex) else [name]
+    return names
+
+
+def _flat_values(record_row) -> list:
+    """A row's values as run.json holds them, a complex field as its re and im."""
+    values = []
+    for v in record_row:
+        values += [v["re"], v["im"]] if isinstance(v, dict) else [v]
+    return values
+
+
+def _parse_cell(cell: str):
+    """A CSV cell as a JSON value: "" is None, nan/inf the record's strings."""
+    if cell == "":
+        return None
+    if cell in ("nan", "inf", "-inf"):
+        return cell
+    for kind in (int, float):
+        try:
+            return kind(cell)
+        except ValueError:
+            pass
+    return cell
 
 
 @pytest.mark.parametrize("argv", [
@@ -864,24 +881,45 @@ def _fmt_reference(v) -> str:
     ["chain", "--dim", "3", "--n-ops", "3", "--instances", "3"],
     ["montecarlo", "--n-trials", "4000"],
 ], ids=["pauli", "ccr-fock-mc", "ccr-grid-sweep", "chain", "montecarlo"])
-def test_csv_cells_are_plain_and_written_as_by_the_reference(tmp_path, argv):
-    args = cli.build_parser().parse_args(cli._attach_list_values([*argv, "--out", str(tmp_path)]))
-    cfg = cli.resolve_config(args.command, {"format": "csv"}, cli._flag_overrides(args, args.command))
-    _, tables = cli._RUNNERS[args.command](cfg)
-    assert tables
-    for header, rows in tables.values():
-        for row in rows:
-            assert len(row) == len(header)
-            # exact types: a numpy scalar, even a float subclass, is refused
-            assert all(type(v) in (int, float, type(None)) for v in row), row
-    cli.write_outputs(cfg, {}, tables)
-    for name, (header, rows) in tables.items():
-        want = io.StringIO()
-        writer = csv.writer(want)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt_reference(v) for v in row])
-        assert (tmp_path / f"{name}.csv").read_bytes() == want.getvalue().encode()
+def test_csv_cells_are_plain_and_written_as_by_the_reference(tmp_path, monkeypatch, argv):
+    """The reference is run.json: each CSV's header is its row type's flattened
+    field names, and each cell parses back to the exact value the record holds."""
+    reports = []
+
+    def run(cfg, _run=cli._RUNNERS[argv[0]]):  # keeps the report, for its row types
+        reports.append(_run(cfg))
+        return reports[-1]
+
+    monkeypatch.setitem(cli._RUNNERS, argv[0], run)
+    assert run_cli([*argv, "--out", str(tmp_path), "--format", "csv"]) == cli.EXIT_OK
+    (report,) = reports
+    record_report = read_json(tmp_path / "run.json")["report"]
+    # a table with no rows writes no file
+    tables = {name: field for name, field in cli.TABLES[argv[0]].items()
+              if field is None or record_report[field]}
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == sorted(f"{name}.csv" for name in tables)
+    for name, field in tables.items():
+        if field is None:  # the report itself, less the checks the record keeps on their own
+            first = report
+            records = [[v for k, v in record_report.items() if k not in ("checks", "passed")]]
+        else:
+            first = getattr(report, field)[0]
+            records = [r.values() if isinstance(r, dict) else r for r in record_report[field]]
+        with open(tmp_path / f"{name}.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == [n for n in _flat_names(first) if n != "checks"]
+        assert len(rows) == len(records)
+        for row, record_row in zip(rows, records):
+            # exact: a float round-trips, and an int stays an int
+            assert [(type(v), v) for v in map(_parse_cell, row)] == [
+                (type(v), v) for v in _flat_values(record_row)]
+
+
+def test_a_non_finite_csv_cell_is_the_records_string():
+    rows = cli.to_jsonable((experiments.GSweepRow(0.01, math.nan, -math.inf),))
+    assert rows == [[0.01, "nan", "-inf"]]
+    assert cli._table(experiments.GSweepRow, rows) == (
+        ["g", "pointer_corr_over_g2", "rel_residual"], [[0.01, "nan", "-inf"]])
 
 
 def test_json_replay_never_imports_yaml(tmp_path):

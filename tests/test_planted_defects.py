@@ -8,6 +8,7 @@ ones planted here.  A swept run checks each name at its worst row, so a
 defect or a NaN at any one row fails the run.
 """
 
+import csv
 import dataclasses
 import itertools
 import json
@@ -310,7 +311,7 @@ def test_defect_at_one_angle_fails_the_sweep(tmp_path, monkeypatch):
         "commutator_vs_2i_sz_w": True,
     }
     with open(tmp_path / "out" / "alpha_sweep.csv") as fh:
-        residuals = [float(line.split(",")[-1]) for line in fh.read().splitlines()[1:]]
+        residuals = [float(row["max_residual"]) for row in csv.DictReader(fh)]
     assert [r > experiments.PAULI_TOL for r in residuals] == [False, True, False]
 
 

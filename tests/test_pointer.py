@@ -192,6 +192,10 @@ def test_predicted_shifts_closed_forms():
     dx, dp = predicted_shifts(1j, sigma=1.0, hbar=1.0)
     assert dx == pytest.approx(-2.0)
     assert predicted_shifts(1.0, sigma=1.0)[1] == pytest.approx(1.0)
+    # at hbar != 1: dx = -2 sigma^2 g Im{x_w} / hbar, dp = g Re{x_w}, exactly
+    x_w, sigma, hbar, g = 0.3 - 0.7j, 1.5, 2.0, 0.1
+    assert predicted_shifts(x_w, sigma, hbar, g) == (
+        -2.0 * sigma**2 * g * x_w.imag / hbar, g * x_w.real)
 
 
 def test_run_ccr_protocol_small_g_limit():
