@@ -66,6 +66,15 @@ MUTANTS = (
     ("CSV _im cell written from the real part", CLI,
      "else row[name][part] for name, part in columns]",
      'else row[name]["re"] for name, part in columns]'),
+    ("stage kernel times hbar", POINTER,
+     "kernel /= grid.hbar",
+     "kernel *= grid.hbar"),
+    ("stage position coupling sign flipped", POINTER,
+     "kernel /= grid.hbar",
+     "kernel /= -grid.hbar"),
+    ("stage skips the last partial slab", POINTER,
+     "for start in range(0, axis.size, step):",
+     "for start in range(0, axis.size - axis.size % step, step):"),
     ("predicted position shift times hbar", POINTER,
      "complex(x_w).imag / hbar",
      "complex(x_w).imag * hbar"),

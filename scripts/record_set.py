@@ -3,15 +3,16 @@
 
 Runs every invocation below in this process, each into ``OUT/<name>/``:
 the commands of the four benchmark workloads at their default seeds (taken
-from ``bench/run.py``), the five default experiment runs, a grid ``ccr``
-with Monte Carlo, a Fock ``montecarlo``, a Fock ``riemann`` with
-displaced selections, four runs that reach the pointer's hbar and the
-coupling sweep (a Fock ``ccr`` with Monte Carlo at hbar = 0.5, a Fock and
-a grid ``ccr`` g-sweep, and a Fock-preset ``montecarlo`` at hbar = 0.5),
-grid ``riemann`` runs at 2048 and 4096 points and a grid ``ccr`` at 8192
-points, the largest grids, and two couplings near the pointer's wrap guard (a spin
-``montecarlo`` at g = 40, the largest the guard admits at sigma = 1, and
-a Fock ``ccr`` at g = 0.3).
+from ``bench/run.py``), the five default experiment runs, a ``chain`` run
+that writes its instances table, a grid ``ccr`` with Monte Carlo, a Fock
+``montecarlo``, a Fock ``riemann`` with displaced selections, four runs
+that reach the pointer's hbar and the coupling sweep (a Fock ``ccr`` with
+Monte Carlo at hbar = 0.5, a Fock and a grid ``ccr`` g-sweep, and a
+Fock-preset ``montecarlo`` at hbar = 0.5), grid ``riemann`` runs at 2048
+and 4096 points and a grid ``ccr`` at 8192 points, the largest grids, and
+two couplings near the pointer's wrap guard (a spin ``montecarlo`` at
+g = 40, the largest the guard admits at sigma = 1, and a Fock ``ccr`` at
+g = 0.3).
 Two such directories, from two versions of the code, are compared with
 ``scripts/record_diff.py A B``.
 
@@ -56,6 +57,8 @@ def invocations(config_dir: Path) -> list:
     config = config_dir / "fock-riemann.yaml"
     config.write_text(FOCK_RIEMANN_YAML)
     runs += [
+        ("chain-dim8-csv", ["chain", "--dim", "8", "--n-ops", "6", "--instances", "40",
+                            "--seed", "2", "--format", "both"]),
         ("ccr-grid128-mc", ["ccr", "--rep", "grid", "--points", "128", "--n-trials", "2000000",
                             "--seed", "9", "--format", "both"]),
         ("montecarlo-fock8", ["montecarlo", "--preset", "fock", "--dim", "8",

@@ -23,9 +23,10 @@ where K_l is the phase profile exp(-i sign g w_l x / hbar) (position
 generator) or the translation exp(-i sign g w_l k) applied in the Fourier
 domain (momentum generator).  ``conditional_pointers`` evaluates this for
 every row of a stack of selections (one ``StateVector`` whose columns are
-the states) at once: one (selections x levels) by (levels x points)
-product, followed for the momentum generator by one inverse FFT along the
-rows.  ``measure_weakly``, ``run_ccr_protocol`` and
+the states) at once: a (selections x levels) by (levels x points) product
+taken a slab of pointer columns at a time, so the (levels x points) kernel
+is never held whole, followed for the momentum generator by one inverse
+FFT along the rows.  ``measure_weakly``, ``run_ccr_protocol`` and
 ``run_ccr_protocols`` are built on it.  The joint-state path
 (``product_joint`` -> ``couple`` -> ``select``) evolves the full
 system x pointer state and is kept as the oracle the kernel is tested
@@ -56,6 +57,7 @@ from .errors import (
     SelectionAnnihilated,
     raise_first_row,
 )
+from . import hilbert
 from .hilbert import GridConfig, Operator, StateVector, require_hermitian
 # not called here; importable because bench/tracer.py wraps pointer.weak_value
 from .weakcorr import weak_value  # noqa: F401
@@ -270,6 +272,12 @@ def conditional_pointers(
     exact.  Returns the rows, shape (selections, n_points), and their L2
     norms (selection amplitudes).
 
+    The kernel times the pointer profile (the wavefunction, or its FFT for
+    the momentum generator) is built in slabs of every level by some pointer
+    columns, about ``hilbert._SLAB_ENTRIES`` entries each, and each slab's
+    product goes straight into its columns of the rows; the momentum
+    generator then takes one inverse FFT along the full rows.
+
     Raises GridResolutionError when a selection's coupling wraps the
     pointer (the module docstring's rule), naming the first such row.
     """
@@ -300,18 +308,27 @@ def conditional_pointers(
                         f"levels displaced past a quarter of the pointer grid ({quarter:.3g}, "
                         f"{generator} generator) carry a share {{:.3g}} > {WRAP_SHARE:g} of its "
                         f"weight; the largest displacement is {reach.max():.3g}", share)
-    # the phase kernel exp(coeff w x / hbar), built in one buffer
     if generator == POSITION:
-        kernel = np.multiply(coeff, np.outer(w, grid.positions()))
-        kernel /= grid.hbar
-        np.exp(kernel, out=kernel)
-        kernel *= pointer.wavefunction
-        rows = coeffs @ kernel
+        axis, profile = grid.positions(), pointer.wavefunction
     else:
-        kernel = np.multiply(coeff, np.outer(w, grid.wavenumbers()))  # the hbar cancels
+        axis, profile = grid.wavenumbers(), np.fft.fft(pointer.wavefunction)  # the hbar cancels
+    # the kernel exp(coeff w x / hbar) times the profile, a slab of columns at a
+    # time.  A power-of-two width keeps every slab on a multiple of the BLAS
+    # kernel's column unroll (4 on OpenBLAS Haswell), so from 4 columns up each
+    # row element is summed exactly as in one product over all columns.
+    rows = np.empty((coeffs.shape[0], axis.size), dtype=complex)
+    step = 1 << max(0, (hilbert._SLAB_ENTRIES // max(1, w.size)).bit_length() - 1)
+    for start in range(0, axis.size, step):
+        cols = slice(start, start + step)
+        kernel = np.multiply(coeff, np.outer(w, axis[cols]))
+        if generator == POSITION:
+            kernel /= grid.hbar
         np.exp(kernel, out=kernel)
-        kernel *= np.fft.fft(pointer.wavefunction)
-        rows = np.fft.ifft(coeffs @ kernel, axis=1)
+        kernel *= profile[cols]
+        np.matmul(coeffs, kernel, out=rows[:, cols])
+        del kernel  # so two slabs are never held at once
+    if generator == MOMENTUM:
+        rows = np.fft.ifft(rows, axis=1)
     amplitudes = np.sqrt(np.sum(np.abs(rows) ** 2, axis=1) * grid.spacing)
     return rows, amplitudes
 

@@ -327,6 +327,40 @@ def test_conditional_pointers_match_joint_state_oracle(
         assert_stage_matches(rows[s], amps[s], cond, amp, KERNEL_GRID)
 
 
+@pytest.mark.parametrize("points", [pointer.POINTER_POINTS, 1000])
+@pytest.mark.parametrize("kind", ["grid", "fock"])
+@pytest.mark.parametrize("generator", [POSITION, MOMENTUM])
+@pytest.mark.parametrize("n_sel", [None, 3])
+def test_conditional_pointers_are_slab_invariant(
+    monkeypatch, points, kind, generator, n_sel
+):
+    # slab budgets of 1, 7, 100 and 1024 columns give power-of-two widths of
+    # 1, 4, 64 and 1024 columns; on 1000 points the last slab of 64 holds 40
+    levels = 12
+    cfg, (x_op, p_op) = system(kind, levels)
+    obs = x_op if generator == POSITION else p_op
+    i = hilbert.random_state(levels, 3, cfg.basis_id)
+    fs = [hilbert.random_state(levels, 4 + k, cfg.basis_id) for k in range(n_sel or 1)]
+    finals = fs[0] if n_sel is None else stack(fs)
+    phi = gaussian_pointer(GridConfig(points, 40.0), 1.0)
+
+    def stage(columns):
+        monkeypatch.setattr(hilbert, "_SLAB_ENTRIES", columns * levels)
+        return conditional_pointers(i, finals, obs, generator, 0.05, phi)
+
+    rows, amps = stage(1024)
+    assert rows.shape == (n_sel or 1, points)
+    for columns in (7, 100):
+        other_rows, other_amps = stage(columns)
+        assert np.array_equal(other_rows, rows)
+        assert np.array_equal(other_amps, amps)
+    # one column per slab leaves BLAS's unrolled kernel, and the sum over
+    # levels moves by roundoff
+    one_rows, one_amps = stage(1)
+    assert np.max(np.abs(one_rows - rows)) <= levels * np.finfo(float).eps * np.max(np.abs(rows))
+    assert one_amps == pytest.approx(amps, rel=1e-14)
+
+
 def assert_protocol_matches_oracle(oracle_protocol, *args):
     """run_ccr_protocol(*args) raises what the oracle raises, or matches its
     stages; returns the protocol's result (None when both raised)."""
