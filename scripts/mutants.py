@@ -28,6 +28,7 @@ EXPERIMENTS = "src/weaklab/experiments.py"
 WEAKCORR = "src/weaklab/weakcorr.py"
 POINTER = "src/weaklab/pointer.py"
 CLI = "src/weaklab/cli.py"
+ENSEMBLE = "src/weaklab/ensemble.py"
 
 MUTANTS = (
     ("chain operator window off by one", EXPERIMENTS,
@@ -78,6 +79,12 @@ MUTANTS = (
     ("predicted position shift times hbar", POINTER,
      "complex(x_w).imag / hbar",
      "complex(x_w).imag * hbar"),
+    ("sampler skips the last partial slab of cells", ENSEMBLE,
+     "for start in range(0, counts.size, step):",
+     "for start in range(0, counts.size - counts.size % step, step):"),
+    ("sampler's second-moment column is v', not v'^2", ENSEMBLE,
+     "powers = np.stack([values2, values2 * values2], axis=1)",
+     "powers = np.stack([values2, values2], axis=1)"),
 )
 
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",

@@ -12,7 +12,10 @@ Fock-preset ``montecarlo`` at hbar = 0.5), grid ``riemann`` runs at 2048
 and 4096 points and a grid ``ccr`` at 8192 points, the largest grids, and
 two couplings near the pointer's wrap guard (a spin ``montecarlo`` at
 g = 40, the largest the guard admits at sigma = 1, and a Fock ``ccr`` at
-g = 0.3).
+g = 0.3), and a Fock ``ccr`` with Monte Carlo at sigma' = 0.37.  Every
+other Monte Carlo ``ccr`` here has sigma' = 1, whose readout values are
+dyadic, so its sums are exact in any order; the sigma' = 0.37 run's are
+not, and a change in how the sampler sums shows in its record.
 Two such directories, from two versions of the code, are compared with
 ``scripts/record_diff.py A B``.
 
@@ -79,6 +82,9 @@ def invocations(config_dir: Path) -> list:
                                  "--seed", "6"]),
         ("ccr-fock32-g0.3", ["ccr", "--dim", "32", "--g", "0.3", "--n-trials", "0",
                              "--format", "both"]),
+        ("ccr-fock48-sigma-prime0.37-mc", ["ccr", "--dim", "48", "--n-trials", "900000000",
+                                           "--sigma", "1.3", "--sigma-prime", "0.37",
+                                           "--g", "0.07", "--seed", "9"]),
     ]
     return runs
 

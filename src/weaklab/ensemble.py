@@ -17,14 +17,19 @@ Multinomial(c_k, probabilities').
 Reproducibility contract: stream ``s`` of master seed ``m`` draws from one
 Philox generator keyed by (m, s), with no other draw: Binomial(n_trials,
 p) for the accepted count, then one multinomial of the first readout's
-cell counts, then, for two readouts, one multinomial call that draws the
-second readout's counts of every nonzero cell of the first, cell by cell.
-Each readout lists the cells of nonzero probability, most probable first
-(ties in grid order).  So a stream is a pure function of (stage, seed,
-stream, n_trials), and its cost does not grow with n_trials.  The terms
-c_k v_k and c_k v_k^2 of the cells (for two readouts v_k S_k and
-v_k^2 Q_k, S_k and Q_k being numpy sums over the second readout) are
-merged exactly (``math.fsum``).
+cell counts, then, for two readouts, the second readout's counts of every
+nonzero cell of the first, cell by cell: one multinomial call per slab of
+cells, each call continuing the stream where the last one left it, so the
+counts are those one call over all the cells would draw.  Each readout
+lists the cells of nonzero probability, most probable first (ties in grid
+order).  So a stream is a pure function of (stage, seed, stream,
+n_trials), and its cost does not grow with n_trials.  The terms c_k v_k
+and c_k v_k^2 of the cells (for two readouts v_k S_k and v_k^2 Q_k) are
+merged exactly (``math.fsum``).  S_k and Q_k, the second readout's sums,
+come from one matrix product per slab of cells.  They are exact when
+every term and partial sum is a float (the dyadic readout values of a
+sigma' = 1 pointer grid, at counts that keep each sum within 53 bits),
+and within roundoff of any other summation order otherwise.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import hilbert
 from .errors import NoAcceptedTrials
 # run_ccr_protocol and measure_weakly are not called here; they stay
 # importable because bench/tracer.py wraps them under this module's name
@@ -87,13 +93,35 @@ def _readout(pointer, kind: str):
     return values[order], probs[order] / np.sum(probs)
 
 
+def _second_moments(gen, counts, readout):
+    """(S_k, Q_k) rows, S_k = sum_j c_kj v'_j and Q_k = sum_j c_kj v'_j^2, per cell k.
+
+    ``counts`` are the first readout's nonzero cell counts, in cell order,
+    and ``readout`` is the second (values v', probabilities).  The counts
+    c_kj of a slab of cells, about ``hilbert._SLAB_ENTRIES`` entries, come
+    from one multinomial call, which continues the stream where the last
+    slab's call left it, and one matrix product reduces them to the slab's
+    rows: no (cells x cells) array is formed.
+    """
+    values2, probs2 = readout
+    powers = np.stack([values2, values2 * values2], axis=1)
+    moments = np.empty((counts.size, 2))
+    step = max(1, hilbert._SLAB_ENTRIES // values2.size)
+    for start in range(0, counts.size, step):
+        block = slice(start, start + step)
+        np.matmul(gen.multinomial(counts[block], probs2), powers, out=moments[block])
+    return moments
+
+
 def _sample(master_seed, stream, n_trials, gates, readouts):
     """(accepted, (mean, stderr)) of ``n_trials`` trials of one stream.
 
     A trial passes gate k with probability ``gates[k]``, independently, and
     reads one value of each of ``readouts`` (one or two (values,
     probabilities) pairs).  The moments are those of the product of the
-    readouts, so of the readout itself when there is one.
+    readouts, so of the readout itself when there is one.  With two, the
+    second readout is drawn and summed a slab of the first's nonzero cells
+    at a time (``_second_moments``).
     """
     gen = _generator(master_seed, stream)
     # each gate reads as the test u < gate: one at or above 1 (roundoff can
@@ -106,13 +134,11 @@ def _sample(master_seed, stream, n_trials, gates, readouts):
     (values, probs), *second = readouts
     counts = gen.multinomial(accepted, probs)
     if second:
-        # per cell k of the first readout: S_k = sum c_kj v'_j, Q_k = sum c_kj v'_j^2
-        (values2, probs2), = second
         cells = np.flatnonzero(counts)
-        counts2 = gen.multinomial(counts[cells], probs2)
+        moments = _second_moments(gen, counts[cells], *second)
         values = values[cells]
-        sums = values * np.sum(counts2 * values2, axis=1)
-        squares = values * values * np.sum(counts2 * (values2 * values2), axis=1)
+        sums = values * moments[:, 0]
+        squares = values * values * moments[:, 1]
     else:
         sums = counts * values
         squares = sums * values

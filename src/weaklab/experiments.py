@@ -475,6 +475,7 @@ def ccr_experiment(
         # each final is a p eigenvector, so stage two expands exactly on them
         finals = StateVector(rep.basis_id, columns[:, np.searchsorted(adm, keep)])
         p_kept = (p_eigs[keep], finals.amplitudes)
+        del columns, mids  # no reader past here: the pointer stages need not hold them
 
     def corr_over_g2(chains, rows, g_s):  # the exact two-pointer correlator over rows
         return math.fsum(weights[j] * chains[j].dx_d * chains[j].dx_d_prime for j in rows) / g_s**2

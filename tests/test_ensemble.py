@@ -238,19 +238,27 @@ def record_draws(monkeypatch):
 
 
 def assert_counts_layout(draws, n_trials, p, readouts):
-    """One Binomial(n_trials, p), then one multinomial per readout: the
-    first over the accepted count, the second (vectorized) over the first
-    readout's nonzero cells; returns the accepted count."""
-    assert [d[0] for d in draws] == ["binomial"] + ["multinomial"] * len(readouts)
-    (_, n, p_drawn, accepted), (_, n1, pvals1, counts1), *second = draws
+    """One Binomial(n_trials, p) and one multinomial over the accepted count;
+    for two readouts, then one multinomial per slab of the first readout's
+    nonzero cells, slabs of ``_SLAB_ENTRIES // cells`` cells in cell order;
+    returns the accepted count."""
+    kinds = [d[0] for d in draws]
+    assert kinds[:2] == ["binomial", "multinomial"] and set(kinds[2:]) <= {"multinomial"}
+    assert (len(kinds) > 2) == (len(readouts) == 2)
+    (_, n, p_drawn, accepted), (_, n1, pvals1, counts1), *slabs = draws
     assert (n, p_drawn) == (n_trials, p)
     assert int(n1) == accepted and counts1.sum() == accepted
     np.testing.assert_array_equal(pvals1, readouts[0][1])
-    if second:
-        (_, n2, pvals2, counts2), = second
-        np.testing.assert_array_equal(n2, counts1[counts1 > 0])
-        np.testing.assert_array_equal(pvals2, readouts[1][1])
-        np.testing.assert_array_equal(counts2.sum(axis=1), n2)
+    if slabs:
+        step = max(1, hilbert._SLAB_ENTRIES // readouts[1][1].size)
+        assert [len(n2) for _, n2, _, _ in slabs[:-1]] == [step] * (len(slabs) - 1)
+        assert 1 <= len(slabs[-1][1]) <= step
+        # the slabs serve every nonzero cell of the first readout once, in order
+        np.testing.assert_array_equal(np.concatenate([n2 for _, n2, _, _ in slabs]),
+                                      counts1[counts1 > 0])
+        for _, n2, pvals2, counts2 in slabs:
+            np.testing.assert_array_equal(pvals2, readouts[1][1])
+            np.testing.assert_array_equal(counts2.sum(axis=1), n2)
     return int(accepted)
 
 
@@ -279,8 +287,9 @@ def test_sampler_draws_only_the_uniforms_it_reads(monkeypatch, n_readouts):
     # A per-trial draw takes at least one uniform per gate for every
     # attempt, and the block-thinned oracle one per readout of every
     # accepted trial.  The counts form reads no uniform and draws none: per
-    # stream one Binomial(N, p) and one multinomial per readout, the same
-    # draws at 10**13 trials as at 3 * BLOCK + 5.
+    # stream one Binomial(N, p), one multinomial of the first readout and,
+    # for a second, one per slab of cells, the same draws at 10**13 trials
+    # as at 3 * BLOCK + 5.
     chain = base_chain()
     stage = weak_stage(*spin_pair(2.6), hilbert.pauli("z"))
     assert chain.prob_mid * chain.prob_post < 0.5 and stage.probability < 0.5
@@ -297,6 +306,61 @@ def test_sampler_draws_only_the_uniforms_it_reads(monkeypatch, n_readouts):
     blocks = record_block_draws(monkeypatch)
     _, streams = sampled_streams(n_readouts, chain, stage, 3 * BLOCK + 5)
     assert uniforms_drawn(blocks) == n_readouts * sum(a for _, _, a in streams.values())
+
+
+def slab_chain(sigma_prime):
+    """base_chain with the second pointer of width ``sigma_prime``."""
+    cfg, x_op, p_op, i = grid_setup()
+    f, _ = plane_wave(cfg, 1)
+    return pointer.run_ccr_protocol(i, f, x_op, p_op, 1.0, sigma_prime, 0.01, POINTER_GRID,
+                                    pointer.pointer_grid(sigma_prime))
+
+
+@pytest.mark.parametrize("sigma_prime", [1.0, 0.37])
+def test_second_readout_slabs_continue_one_stream(monkeypatch, sigma_prime):
+    # One stream sampled a cell per slab, 7 cells per slab (a partial last
+    # slab) and in one slab of all cells draws the counts of one multinomial
+    # over all the cells.  The readouts of sigma' = 1 are dyadic, so every
+    # sum is exact and the three shapes give equal statistics; at
+    # sigma' = 0.37 each row of sums is the reference's to roundoff.
+    chain = slab_chain(sigma_prime)
+    n, seed, stream = 3_200_000, 2, ensemble._STREAM_TRIALS
+    p = chain.prob_mid * chain.prob_post
+    first, second = (ensemble._readout(q, pointer.POSITION)
+                     for q in (chain.pointer_first, chain.pointer_second))
+    values2, probs2 = second
+    generator = ensemble._generator
+
+    def first_counts():  # a fresh stream, drawn up to the second readout
+        gen = generator(seed, stream)
+        counts = gen.multinomial(int(gen.binomial(n, p)), first[1])
+        return gen, counts[counts > 0]
+
+    gen, counts = first_counts()
+    counts2 = gen.multinomial(counts, probs2)
+    # the form the slab product replaced, as the reference
+    reference = np.stack([np.sum(counts2 * values2, axis=1),
+                          np.sum(counts2 * (values2 * values2), axis=1)], axis=1)
+    bound = values2.size * np.finfo(float).eps * np.stack(
+        [np.sum(counts2 * np.abs(values2), axis=1), np.sum(counts2 * values2**2, axis=1)], axis=1)
+    assert counts.size > 7 and counts.size % 7 != 0
+    stats = []
+    for width in (1, 7, counts.size):
+        with monkeypatch.context() as mp:
+            mp.setattr(hilbert, "_SLAB_ENTRIES", width * values2.size)
+            seen = record_draws(mp)
+            stats.append(run_trials(chain, n, seed))
+            assert assert_counts_layout(seen[stream], n, p, [first, second]) == stats[-1].accepted
+            slabs = [drawn for _, _, _, drawn in seen[stream][2:]]
+            assert len(slabs) == -(-counts.size // width)
+            assert np.array_equal(np.concatenate(slabs), counts2)
+            moments = ensemble._second_moments(first_counts()[0], counts, second)
+        if sigma_prime == 1.0:
+            np.testing.assert_array_equal(moments, reference)
+        else:
+            assert np.all(np.abs(moments - reference) <= bound)
+    if sigma_prime == 1.0:
+        assert stats[0] == stats[1] == stats[2]
 
 
 # -- the counts form against trials read one by one by binary search ----------
@@ -317,7 +381,9 @@ class CountedRows:
     The binomial counts the rows of ``u`` whose gate uniform is below p;
     the multinomials read the accepted rows' readout uniforms by binary
     search over the probabilities they are handed and count the cells,
-    the second readout's per nonzero cell of the first, in cell order.
+    the second readout's per nonzero cell of the first, in cell order: a
+    call for ``len(n)`` cells serves the next ``len(n)`` cells not yet
+    served, and ``pending`` holds the cells left.
     """
 
     def __init__(self, u):
@@ -332,10 +398,13 @@ class CountedRows:
         if np.ndim(n) == 0:
             assert n == len(self.rows)
             self.first = cells_read(pvals, self.rows[:, 1])
+            self.pending = np.unique(self.first)
             return np.bincount(self.first, minlength=pvals.size)
+        assert len(n) <= len(self.pending)
+        cells, self.pending = self.pending[:len(n)], self.pending[len(n):]
         second = cells_read(pvals, self.rows[:, 2])
         counts = np.array([np.bincount(second[self.first == k], minlength=pvals.size)
-                           for k in np.unique(self.first)])
+                           for k in cells])
         np.testing.assert_array_equal(counts.sum(axis=1), n)
         return counts
 
@@ -352,8 +421,8 @@ def binary_search_moments(u, p, readouts):
 
 
 # The counts form rounds each cell's term once, and for two readouts also
-# the numpy sums over the second readout's cells (at most 1024): 64 units of
-# roundoff of the readouts' scale bound that with room.
+# the matrix product's sums over the second readout's cells (at most 1024):
+# 64 units of roundoff of the readouts' scale bound that with room.
 CELL_ROUNDOFF = 64 * 2.0**-53
 
 
@@ -386,8 +455,15 @@ TRIAL_SETUPS = {"spin": spin_trial_setup, "fock": fock_trial_setup, "grid": grid
 
 
 def count_trial_rows(monkeypatch, n_trials, n_readouts):
-    monkeypatch.setattr(ensemble, "_generator", lambda seed, stream: CountedRows(
-        trial_rows(seed, stream, n_trials, n_readouts)))
+    """Hand the sampler CountedRows streams; returns the list of the streams built."""
+    streams = []
+
+    def counted(seed, stream):
+        streams.append(CountedRows(trial_rows(seed, stream, n_trials, n_readouts)))
+        return streams[-1]
+
+    monkeypatch.setattr(ensemble, "_generator", counted)
+    return streams
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -400,8 +476,10 @@ def test_run_trials_equals_binary_search_readout(monkeypatch, setup, seed):
     chain = pointer.run_ccr_protocol(kw["i"], kw["f"], kw["x_op"], kw["p_op"], 1.0, 1.0, kw["g"],
                                      POINTER_GRID, POINTER_GRID)
     n = 2 * BLOCK + 999
-    count_trial_rows(monkeypatch, n, 2)
+    streams = count_trial_rows(monkeypatch, n, 2)
     stats = run_trials(chain, n, seed)
+    (stream,) = streams
+    assert stream.pending.size == 0  # every cell of the first readout was served
     readouts = [ensemble._readout(p, pointer.POSITION)
                 for p in (chain.pointer_first, chain.pointer_second)]
     reference = binary_search_moments(trial_rows(seed, ensemble._STREAM_TRIALS, n, 2),
@@ -503,7 +581,7 @@ def test_replay_layout_is_pinned(n_readouts):
 class FixedCounts:
     """A stream whose gate passes every trial and whose readouts fall one
     trial per cell: the first readout's counts are all 1, and the second's
-    put the k-th trial of the first in cell k."""
+    put the k-th trial of the first in cell k, slab after slab."""
 
     def binomial(self, n, p):
         assert p == 1.0
@@ -512,8 +590,11 @@ class FixedCounts:
     def multinomial(self, n, pvals):
         if np.ndim(n) == 0:
             assert n == len(pvals)
+            self.served = 0
             return np.ones(len(pvals), dtype=np.int64)
-        return np.eye(len(n), len(pvals), dtype=np.int64)
+        rows = np.eye(len(n), len(pvals), self.served, dtype=np.int64)
+        self.served += len(n)
+        return rows
 
 
 @pytest.mark.parametrize("n_readouts", [1, 2])
