@@ -90,7 +90,8 @@ SCHEMA = {
     "ccr.g": Field(0.01, "float", "--g", "coupling strength"),
     "ccr.g_sweep": Field([], "floats", "--g-sweep", "comma-separated couplings, exact pointer only"),
     "ccr.n_trials": Field(200_000, "int", "--n-trials", "Monte Carlo attempt budget; 0 disables it"),
-    "ccr.run_pointer": Field(True, "bool", "--no-pointer", "skip the pointer and Monte Carlo"),
+    "ccr.run_pointer": Field(True, "bool", "--no-pointer",
+                             "skip the pointer and Monte Carlo (needs --n-trials 0)"),
     "ccr.state.displacement": Field(
         lambda cfg: experiments.ccr_default_displacement(cfg["ccr"]["rep"]["dim"]),
         "complex", None,

@@ -42,10 +42,6 @@ class NotHermitian(WeakLabError):
     """An operation required a Hermitian operator and did not get one."""
 
 
-class IncompleteBasis(WeakLabError):
-    """A supplied basis is not orthonormal and complete."""
-
-
 class OrthogonalSelection(WeakLabError):
     """Pre/post selection overlap below threshold; weak values diverge."""
 

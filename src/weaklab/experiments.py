@@ -29,7 +29,6 @@ import numpy as np
 from .errors import AlphaOutOfRange, InvalidConfig, NoAcceptedTrials, WeakLabError
 from .hilbert import (
     EDGE_AMPLITUDE_WARN,
-    NATURAL_BASIS,
     FockConfig,
     GridConfig,
     Operator,
@@ -38,6 +37,7 @@ from .hilbert import (
     coherent_state,
     edge_amplitude,
     eigenbasis,  # noqa: F401  (unused; bench/tracer.py wraps it under this name)
+    eigensystem,
     gaussian_grid_state,
     hermitian_part,
     make_fock_ops,
@@ -401,7 +401,8 @@ def ccr_experiment(
     ``n_trials`` is the total attempt budget, allocated over the
     mid-selections proportionally to their Born weights; a positive budget
     that leaves no selection its 25 expected accepted trials raises
-    NoAcceptedTrials.  A budget outside [0, 2**53], a ``g`` or
+    NoAcceptedTrials, and one under ``run_pointer=False`` raises
+    InvalidConfig before any work.  A budget outside [0, 2**53], a ``g`` or
     ``g_sweep`` coupling whose square is 0, a pointer width ``sigma`` or
     ``sigma_prime`` that is not positive or whose square overflows or
     underflows, or an ``hbar * sigma**2`` outside the normal floats raises
@@ -419,6 +420,9 @@ def ccr_experiment(
             f"ccr must be run at a positive normal hbar * sigma**2, got "
             f"{rep.hbar!r} * {sigma!r}**2 = {rep.hbar * sigma**2!r}"
         )
+    # the trials run on the pointer chains, so a record must not claim them without one
+    if not run_pointer and n_trials > 0:
+        raise InvalidConfig(f"ccr n_trials must be 0 under run_pointer=False, got {n_trials!r}")
     x_op, p_op = _ccr_ops(rep)
     hbar = rep.hbar
     i = i_spec if i_spec is not None else _ccr_default_state(rep)
@@ -427,7 +431,7 @@ def ccr_experiment(
     edge = check_truncation_edge(rep, i)
 
     # (a) exact f-average over the natural basis
-    avg_comm = averaged_weak_correlation(i, NATURAL_BASIS, x_op, p_op, "commutator")
+    avg_comm = averaged_weak_correlation(i, x_op, p_op, "commutator")
     xp_i, px_i = _xp_px_on(x_op, p_op, i.amplitudes)
     oracle = complex(np.vdot(i.amplitudes, xp_i - px_i))  # <i|x p i> - <i|p x i>
 
@@ -437,7 +441,7 @@ def ccr_experiment(
         p_eigs = hbar * np.fft.fftshift(rep.wavenumbers())
         weights = np.abs(np.fft.fftshift(np.fft.fft(i.amplitudes))) ** 2 / rep.n_points
     else:
-        p_eigs, v = np.linalg.eigh(p_op.matrix)
+        p_eigs, v = eigensystem(p_op)
         weights = np.abs(i.amplitudes.conj() @ v) ** 2  # |(v^dag i)_j|^2
     admissible = weights > ORTHOGONALITY_EPS**2  # overlap above the orthogonality eps
     adm = np.flatnonzero(admissible)
@@ -715,7 +719,7 @@ def riemann_experiment(
     eq25_lhs = x_w.real * p_w.real + x_w.imag * p_w.imag
     eq25_rhs = hbar * rho_w
     avg_corr = (
-        averaged_weak_correlation(i, NATURAL_BASIS, x_op, p_op, "anticommutator").real
+        averaged_weak_correlation(i, x_op, p_op, "anticommutator").real
         / (2.0 * hbar)
     )
     rho_exp = complex(np.vdot(psi, rho_i)).real

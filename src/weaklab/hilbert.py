@@ -1,20 +1,17 @@
 """Finite-dimensional Hilbert-space foundation.
 
 States, operators, standard builders (Fock ladder, periodic grid,
-Pauli) and the inner product ``braket``.  A ``StateVector`` holds one
-state or a stack of them as columns; ``braket`` and ``Operator.apply``
-work on either.  An operator is stored in
-one of three forms: dense, or a stack of dense matrices, one per column
-of the states it meets; diagonal, as the grid position operator is;
-or spectral, as the grid momentum is, by its multiplier in the discrete
-Fourier basis, applied to a state by two FFTs.  A diagonal or spectral
-operator builds its dense matrix only when a generic consumer asks for
-``.matrix``; the grid momentum's plane-wave eigenvectors are built only
-for the columns asked for.  The natural (computational) basis
-is passed as ``NATURAL_BASIS`` rather than as a list of basis states.  All
-objects are immutable values; all functions are pure.  hbar defaults to 1
-everywhere and can be overridden per call or per config; the Fock ladder
-uses m*omega = 1.
+Pauli), the inner product ``braket`` and operator eigensystems.  A
+``StateVector`` holds one state or a stack of them as columns; ``braket``
+and ``Operator.apply`` work on either.  An operator is stored in the one
+form it is built in and never converted: dense, or a stack of dense
+matrices, one per column of the states it meets; diagonal, as the grid
+position operator and Pauli z are; or spectral, as the grid momentum is,
+by its multiplier in the discrete Fourier basis, applied to a state by two
+FFTs.  ``eigensystem`` is the one rule for an operator's eigenvalues and
+eigenvectors, read from the stored form.  All objects are immutable
+values; all functions are pure.  hbar defaults to 1 everywhere and can be
+overridden per call or per config; the Fock ladder uses m*omega = 1.
 """
 
 from __future__ import annotations
@@ -22,20 +19,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    BasisMismatch,
-    IncompleteBasis,
-    InvalidConfig,
-    NotHermitian,
-    TruncationWarning,
-)
+from .errors import BasisMismatch, InvalidConfig, NotHermitian, TruncationWarning
 
 HERMITIAN_ATOL = 1e-12
-BASIS_ATOL = 1e-10
 
 # Fock states with edge weight above this trip TruncationWarning
 # (check_truncation_edge): the truncated commutator is only exact off the edge.
@@ -97,20 +86,20 @@ class StateVector:
 class Operator:
     """Complex square matrix over a labeled basis: dense, diagonal or spectral.
 
-    Give exactly one of ``matrix``, ``diagonal`` or ``spectrum``.  A
-    ``matrix`` of shape (rows, dim, dim) is a stack, one matrix per column
-    of the states it is applied to.  An array that is read-only down to
-    the array that owns its memory, such as a view of a frozen block of
-    matrices, is kept as it is; any other is copied.  A
+    Give exactly one of ``matrix``, ``diagonal`` or ``spectrum``; the other
+    two fields are None.  A ``matrix`` of shape (rows, dim, dim) is a stack,
+    one matrix per column of the states it is applied to.  An array that is
+    read-only down to the array that owns its memory, such as a view of a
+    frozen block of matrices, is kept as it is; any other is copied.  A
     spectral operator is scale * ifft(spectrum * fft(psi)) on a state psi,
     with a real ``scale``; it is Hermitian, with eigenvalues
-    scale * spectrum (FFT order), when the spectrum is real.  The dense
-    ``matrix`` of a diagonal or spectral operator is built on first
-    access.  Hermiticity is not checked here: it is checked where an
-    observable is coupled (``pointer``) or diagonalized (``eigenbasis``).
+    scale * spectrum (FFT order), when the spectrum is real.  Hermiticity
+    is not checked here: it is checked where an observable is coupled
+    (``pointer``) or diagonalized (``eigenbasis``).
     """
 
     basis_id: str
+    matrix: np.ndarray | None
     diagonal: np.ndarray | None
     spectrum: np.ndarray | None
     scale: float
@@ -129,35 +118,24 @@ class Operator:
             raise InvalidConfig(f"operator matrix must be square, or a stack of square matrices, "
                                 f"got {values.shape}")
         object.__setattr__(self, "basis_id", basis_id)
+        object.__setattr__(self, "matrix", None if matrix is None else _freeze(values))
         object.__setattr__(self, "diagonal", None if diagonal is None else _freeze(values))
         object.__setattr__(self, "spectrum", None if spectrum is None else _freeze(values))
         object.__setattr__(self, "scale", float(scale))
-        if matrix is not None:
-            # fills the cached_property below, so a dense matrix is stored as given
-            object.__setattr__(self, "matrix", _freeze(values))
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        if self.diagonal is not None:
-            return _freeze(np.diag(self.diagonal))
-        # the columns of the identity, transformed in place where numpy allows
-        dense = np.fft.fft(np.eye(self.dim), axis=0)
-        dense *= self.spectrum[:, None]
-        dense = np.fft.ifft(dense, axis=0)
-        dense *= self.scale
-        return _freeze(hermitian_part(dense))
+    @property
+    def stored(self) -> np.ndarray:
+        """The one array the operator is stored as: its matrix, diagonal or spectrum."""
+        return next(a for a in (self.matrix, self.diagonal, self.spectrum) if a is not None)
 
     @property
     def dim(self) -> int:
-        compact = self.diagonal if self.diagonal is not None else self.spectrum
-        return compact.size if compact is not None else self.matrix.shape[-1]
+        return self.stored.shape[-1]
 
     @property
     def rows(self) -> int | None:
         """The number of matrices of a stack; None for one operator."""
-        if self.diagonal is None and self.spectrum is None and self.matrix.ndim == 3:
-            return self.matrix.shape[0]
-        return None
+        return self.stored.shape[0] if self.stored.ndim == 3 else None
 
     def apply(self, ket: np.ndarray) -> np.ndarray:
         """op @ ket, for a ket of shape (dim,) or a block of columns (dim, k).
@@ -283,9 +261,10 @@ def hermitian_part(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-def require_hermitian(matrix: np.ndarray, context: str) -> None:
-    """Raise NotHermitian when the residual exceeds HERMITIAN_ATOL."""
-    resid = hermitian_residual(matrix)
+def require_hermitian(op: Operator, context: str) -> None:
+    """Raise NotHermitian when the residual of op's stored array exceeds
+    HERMITIAN_ATOL; a diagonal or spectrum is Hermitian when it is real."""
+    resid = hermitian_residual(op.stored)
     if resid > HERMITIAN_ATOL:
         raise NotHermitian(f"{context} needs a Hermitian matrix, max|M - M^dag| = {resid:.3e}")
 
@@ -330,10 +309,10 @@ def make_grid_ops(cfg: GridConfig) -> tuple[Operator, Operator]:
     p psi = hbar * ifft(k * fft(psi)) with the wavenumbers k in FFT order.
     Neither builds an n x n buffer.  The momentum is exact on band-limited
     periodic states.  Its eigensystem is known in closed form, the plane
-    waves exp(i k x) / sqrt(n) (``GridConfig.plane_waves``) with eigenvalues
-    hbar k; a state's overlaps with them are one FFT.  It is never diagonalized.
-    A consumer that reads ``p.matrix`` gets the dense FFT matrix of the
-    identity, scaled by k and hbar and symmetrized to remove FFT roundoff.
+    waves exp(i k x) / sqrt(n) with eigenvalues hbar k: ascending in
+    ``GridConfig.plane_waves``, in FFT order (as DFT columns, which differ
+    only by phases) in ``eigensystem``; a state's overlaps with them are one
+    FFT.  No ``eigh`` ever reads it.
     """
     x = Operator(cfg.basis_id, diagonal=cfg.positions())
     p = Operator(cfg.basis_id, spectrum=cfg.wavenumbers(), scale=cfg.hbar)
@@ -343,12 +322,9 @@ def make_grid_ops(cfg: GridConfig) -> tuple[Operator, Operator]:
 PAULI_BASIS_ID = "spin-1/2"
 
 _PAULI = {
-    axis: Operator(PAULI_BASIS_ID, mat)
-    for axis, mat in (
-        ("x", [[0.0, 1.0], [1.0, 0.0]]),
-        ("y", [[0.0, -1.0j], [1.0j, 0.0]]),
-        ("z", [[1.0, 0.0], [0.0, -1.0]]),
-    )
+    "x": Operator(PAULI_BASIS_ID, [[0.0, 1.0], [1.0, 0.0]]),
+    "y": Operator(PAULI_BASIS_ID, [[0.0, -1.0j], [1.0j, 0.0]]),
+    "z": Operator(PAULI_BASIS_ID, diagonal=[1.0, -1.0]),
 }
 
 
@@ -369,33 +345,31 @@ def braket(bra: np.ndarray, ket: np.ndarray):
     return complex(value) if value.ndim == 0 else value
 
 
-# Stands for the natural (computational) basis {|0>, ..., |dim-1>} wherever a
-# mid-selection basis is taken; its basis matrix is the identity, so it is
-# neither built nor Gram-checked.
-NATURAL_BASIS = None
+def eigensystem(op: Operator) -> tuple[np.ndarray, np.ndarray | None]:
+    """Eigenvalues w and eigenvector columns v of a Hermitian operator, read
+    from the form it is stored in; Hermiticity is the caller's to check.
 
-
-def _basis_matrix(basis, dim: int, basis_id: str) -> np.ndarray:
-    """Rows are the basis amplitudes; validates orthonormal completeness."""
-    if len(basis) != dim:
-        raise IncompleteBasis(f"basis has {len(basis)} states, dim is {dim}")
-    for b in basis:
-        if b.basis_id != basis_id:
-            raise BasisMismatch(f"basis {b.basis_id!r} vs {basis_id!r}")
-    rows = np.stack([b.amplitudes for b in basis])
-    gram = rows.conj() @ rows.T
-    resid = float(np.max(np.abs(gram - np.eye(dim))))
-    if resid > BASIS_ATOL:
-        raise IncompleteBasis(f"basis not orthonormal, Gram residual {resid:.3e}")
-    return rows
+    A diagonal gives its real part and v None: its eigenvectors are the
+    natural basis.  A spectral operator gives scale * spectrum (FFT order)
+    and the DFT columns exp(2 pi i j m / n) / sqrt(n), each entry one of the
+    n roots of unity of one table, as j m is reduced modulo n in integers.
+    A dense matrix goes through ``np.linalg.eigh``.
+    """
+    if op.diagonal is not None:
+        return np.real(op.diagonal), None
+    if op.spectrum is not None:
+        n = op.dim
+        roots = np.exp(2j * np.pi / n * np.arange(n)) / math.sqrt(n)
+        return op.scale * np.real(op.spectrum), roots[np.outer(np.arange(n), np.arange(n)) % n]
+    return np.linalg.eigh(op.matrix)
 
 
 def eigenbasis(op: Operator) -> tuple[np.ndarray, list[StateVector]]:
-    """Eigenvalues and normalized eigenvectors of a Hermitian operator."""
-    require_hermitian(op.matrix, "eigenbasis")
-    w, v = np.linalg.eigh(op.matrix)
-    states = [StateVector(op.basis_id, v[:, j]) for j in range(op.dim)]
-    return w, states
+    """Eigenvalues and normalized eigenvectors of a Hermitian operator (``eigensystem``)."""
+    require_hermitian(op, "eigenbasis")
+    w, v = eigensystem(op)
+    v = np.eye(op.dim) if v is None else v
+    return w, [StateVector(op.basis_id, v[:, j]) for j in range(op.dim)]
 
 
 def random_state(dim: int, seed: int, basis_id: str = "") -> StateVector:

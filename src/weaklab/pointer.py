@@ -14,8 +14,11 @@ position-position stage, +1 for the momentum-momentum stage.  hbar is
 the pointer grid's ``GridConfig.hbar``; no stage takes it separately.
 
 Every stage is linear in the system state.  With (w_l, v_l) the
-eigensystem of the coupled observable, preparing |a> x phi, coupling and
-selecting <b| leaves the unnormalized conditional pointer
+eigensystem of the coupled observable (``hilbert.eigensystem``, read from
+the form it is stored in: the natural basis of a diagonal, the DFT
+columns of a spectrum, an ``eigh`` of a dense matrix), preparing
+|a> x phi, coupling and selecting <b| leaves the unnormalized conditional
+pointer
 
     sum_l <b|v_l> <v_l|a> K_l phi,
 
@@ -154,30 +157,18 @@ def product_joint(system: StateVector, pointer: PointerState) -> JointState:
 
 
 def _observable_eigensystem(op: Operator, eigensystem=None):
-    """(w, v) of a Hermitian observable; v is None when it is diagonal.
+    """(w, v) of a Hermitian observable by ``hilbert.eigensystem``; v is
+    None when it is diagonal.
 
-    A known ``eigensystem`` (from ``hilbert.eigenbasis``, an ``eigh``, or
-    some of its eigenvector columns, as ``conditional_pointers`` allows) is
-    passed through after the Hermiticity check instead of diagonalizing again.
-    A diagonal or spectral operator is checked on its 1-D array, so only a
-    dense one is scanned as a matrix.  A stack of operators is refused: a
-    stage couples one observable to its pointer.
+    A known ``eigensystem`` (from an ``eigh``, or some of its eigenvector
+    columns, as ``conditional_pointers`` allows) is passed through after the
+    Hermiticity check instead of diagonalizing again.  A stack of operators
+    is refused: a stage couples one observable to its pointer.
     """
     if op.rows is not None:
         raise ArityMismatch(f"a pointer stage couples one observable, not a stack of {op.rows}")
-    d = op.diagonal
-    compact = d if d is not None else op.spectrum
-    require_hermitian(op.matrix if compact is None else compact, "coupled observable")
-    if eigensystem is not None:
-        return eigensystem
-    if d is not None:
-        return np.real(d), None
-    mat = op.matrix
-    off = mat - np.diag(np.diag(mat))
-    if np.count_nonzero(off) == 0:
-        return np.real(np.diag(mat)), None  # already diagonal
-    w, v = np.linalg.eigh(mat)
-    return w, v
+    require_hermitian(op, "coupled observable")
+    return hilbert.eigensystem(op) if eigensystem is None else eigensystem
 
 
 def _check_amplitude(amplitude) -> None:

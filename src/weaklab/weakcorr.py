@@ -1,9 +1,9 @@
 """Closed-form weak values and weak correlation functions.
 
 Weak values, two-operator weak correlations and their
-(anti)commutator combinations, Born-weighted averages over a complete
-mid-selection basis, high-order selection chains, dual correlations and
-the associated symmetry residuals.
+(anti)commutator combinations, their Born-weighted averages over the
+natural mid-selection basis, high-order selection chains, dual
+correlations and the associated symmetry residuals.
 
 Every weak value and correlation is one selection chain, a plain tuple
 of states (pre, mids, post) such as ``alternating(i, f, n_ops)``,
@@ -21,8 +21,10 @@ naming the first row of a stack that fails.  Only ``ccr_decomposition`` and
 
 Two readings of the bracket around operator products are implemented
 side by side: the per-selection product (single mid-state f) and the
-Born-weighted average over a complete basis {f}.  Only the averaged form
-carries an exact operator identity (it telescopes to <i|A B|i> by the
+Born-weighted average over a complete basis {f}, the natural basis in
+``averaged_weak_correlation``; an average over another basis is a weighted
+sum of ``weak_correlation`` over a stack of its states.  Only the averaged
+form carries an exact operator identity (it telescopes to <i|A B|i> by the
 resolution of identity); experiment reports show both.
 
 Of the dual-procedure symmetries, the even-order ones (order swap under
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArityMismatch, OrthogonalSelection, WeakLabError, raise_first_row
-from .hilbert import NATURAL_BASIS, Operator, StateVector, _basis_matrix, _require_same_basis, braket
+from .hilbert import Operator, StateVector, _require_same_basis, braket
 
 # Below this overlap (unit-norm states) the weak-value ratio has no
 # significant digits left in double precision.
@@ -140,50 +142,34 @@ def weak_anticommutator(i, f, a, b) -> complex:
     return weak_correlation(i, f, a, b) + weak_correlation(i, f, b, a)
 
 
-_COMBINES = ("commutator", "anticommutator", "product")
+_COMBINES = ("commutator", "anticommutator")
 
 
 def averaged_weak_correlation(
     i: StateVector,
-    basis,
     a: Operator,
     b: Operator,
-    combine: str = "product",
+    combine: str,
 ) -> complex:
-    """Born-weighted sum over mid-selections f of the weak correlation.
+    """Born-weighted sum over the natural basis states f of the weak
+    (anti)commutator of a and b, as ``combine`` names it.
 
-    ``basis`` is a complete orthonormal list of states or NATURAL_BASIS.
     Each admissible term |<f|i>|^2 <...>_w^(f) cancels algebraically to
-    plain matrix elements (e.g. <i|a|f><f|b|i> for the product), which is
-    how it is evaluated here; no small-overlap division occurs.  Terms
-    with |<f|i>| <= ORTHOGONALITY_EPS are defined as zero (the weight annihilates the
-    divergent weak value).  When no term is skipped the sum telescopes to
-    <i| a b |i> (and the commutator/anticommutator analogues) exactly.
+    plain matrix elements (<i|a|f><f|b|i> -+ <i|b|f><f|a|i>), which is how
+    it is evaluated here; no small-overlap division occurs.  Terms with
+    |<f|i>| <= ORTHOGONALITY_EPS are defined as zero (the weight annihilates
+    the divergent weak value).  When no term is skipped the sum telescopes
+    to <i|[a, b]|i> or <i|{a, b}|i> exactly.
     """
     if combine not in _COMBINES:
         raise ArityMismatch(f"combine must be one of {_COMBINES}, got {combine!r}")
     _require_same_basis(i, a)
     _require_same_basis(i, b)
     psi = i.amplitudes
-    # NATURAL_BASIS: the rows f are the identity, so both maps read entries off
-    rows = None if basis is NATURAL_BASIS else _basis_matrix(basis, i.dim, i.basis_id)
-
-    def f_ket(ket):  # <f|ket> for every f
-        return ket if rows is None else rows.conj() @ ket
-
-    def bra_f(bra):  # <bra|f> for every f, from the row vector <bra|
-        return bra if rows is None else bra @ rows.T
-
-    keep = np.abs(f_ket(psi)) > ORTHOGONALITY_EPS  # |<f|i>| per f
-    # <i|a|f> and <f|b|i> for every f at once
-    i_a_f = bra_f(a.apply_left(psi.conj()))
-    f_b_i = f_ket(b.apply(psi))
-    forward = i_a_f * f_b_i  # weight * <ab>_w^(f), cancelled form
-    if combine == "product":
-        return complex(np.sum(forward[keep]))
-    i_b_f = bra_f(b.apply_left(psi.conj()))
-    f_a_i = f_ket(a.apply(psi))
-    swapped = i_b_f * f_a_i
+    keep = np.abs(psi) > ORTHOGONALITY_EPS  # |<f|i>| per f
+    # <i|a|f><f|b|i> and <i|b|f><f|a|i> for every f at once; <f|ket> is ket's entry f
+    forward = a.apply_left(psi.conj()) * b.apply(psi)
+    swapped = b.apply_left(psi.conj()) * a.apply(psi)
     if combine == "commutator":
         return complex(np.sum(forward[keep] - swapped[keep]))
     return complex(np.sum(forward[keep] + swapped[keep]))

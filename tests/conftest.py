@@ -1,10 +1,12 @@
-"""Shared fixtures: the joint-state oracle of the two-pointer chain."""
+"""Shared helpers: the dense reference of an operator, and the joint-state
+oracle of the two-pointer chain, which couples that dense reference."""
 
 import math
 
 import numpy as np
 import pytest
 
+from weaklab import hilbert
 from weaklab.errors import GridResolutionError
 from weaklab.pointer import (
     MOMENTUM,
@@ -18,6 +20,27 @@ from weaklab.pointer import (
 )
 
 
+def dense_matrix(op):
+    """The dense matrix of ``op``: a dense operator's own matrix, np.diag of a
+    diagonal, and for a spectral operator the FFT of the identity's columns,
+    scaled by its spectrum and scale and symmetrized to remove FFT roundoff."""
+    if op.matrix is not None:
+        return op.matrix
+    if op.diagonal is not None:
+        return np.diag(op.diagonal)
+    dense = np.fft.fft(np.eye(op.dim), axis=0)
+    dense *= op.spectrum[:, None]
+    dense = np.fft.ifft(dense, axis=0)
+    dense *= op.scale
+    return hilbert.hermitian_part(dense)
+
+
+def dense_reference(op):
+    """``op`` with a spectrum replaced by its dense matrix (``dense_matrix``),
+    so the oracle diagonalizes it with ``eigh``; any other operator as it is."""
+    return op if op.spectrum is None else hilbert.Operator(op.basis_id, dense_matrix(op))
+
+
 def _oracle_wraps(a, b, op, generator, g, grid):
     """Whether the levels of ``op`` that the coupling displaces past a
     quarter of ``grid`` carry more than 1e-12 of sum_l |<b|v_l><v_l|a>|.
@@ -29,7 +52,7 @@ def _oracle_wraps(a, b, op, generator, g, grid):
     if op.diagonal is not None:
         w, v = np.real(op.diagonal), np.eye(op.dim)
     else:
-        w, v = np.linalg.eigh(op.matrix)
+        w, v = np.linalg.eigh(dense_matrix(op))
     weight = np.abs((v.conj().T @ b.amplitudes).conj() * (v.conj().T @ a.amplitudes))
     if generator == MOMENTUM:
         beyond = np.abs(g * w) > grid.length / 4.0
@@ -47,8 +70,10 @@ def _oracle_protocol(i, f, x_op, p_op, sigma, sigma_prime, g, grid, grid_prime):
     GridResolutionError (``_oracle_wraps``), an annihilated selection
     SelectionAnnihilated.  hbar is the pointer grid's; ``couple`` takes
     each stage's coupling sign from its generator
-    (``pointer.COUPLING_SIGN``).
+    (``pointer.COUPLING_SIGN``).  A spectral operator is coupled as its
+    dense reference (``dense_reference``).
     """
+    x_op, p_op = dense_reference(x_op), dense_reference(p_op)
     if _oracle_wraps(i, f, x_op, POSITION, g, grid):
         raise GridResolutionError("oracle: the P coupling wraps its pointer")
     if _oracle_wraps(f, i, p_op, MOMENTUM, g, grid_prime):

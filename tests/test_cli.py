@@ -600,6 +600,28 @@ def test_ccr_small_dim_default_state_passes(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["diagnostics"] == []
 
 
+@pytest.mark.parametrize("flags, yaml_text", [
+    (["--no-pointer"], "{run_pointer: false}"),  # the default budget, 200000
+    (["--no-pointer", "--n-trials", "1"], "{run_pointer: false, n_trials: 1}"),
+])
+def test_ccr_trials_without_the_pointer_exit_3_and_validate_agrees(tmp_path, capsys, flags,
+                                                                  yaml_text):
+    # a record without the pointer would claim trials that never ran
+    out = tmp_path / "o"
+    assert run_cli(["ccr", "--dim", "16", *flags, "--out", str(out)]) == cli.EXIT_NUMERICAL_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerical error: InvalidConfig: ccr n_trials must be 0 under run_pointer=False" in (
+        captured.err)
+    assert not out.exists()
+    cfgfile = tmp_path / "c.yaml"
+    cfgfile.write_text(f"experiment: ccr\nccr: {yaml_text}\n")
+    assert run_cli(["validate", str(cfgfile)]) == cli.EXIT_CHECK_FAILED
+    diags = json.loads(capsys.readouterr().out)["diagnostics"]
+    assert [(d["field"], d["error"]) for d in diags] == [("ccr", "InvalidConfig")]
+    assert diags[0]["message"].startswith("ccr n_trials must be 0 under run_pointer=False")
+
+
 @pytest.mark.parametrize("dim", [8, 16, 24, 32, 64])
 def test_ccr_default_displacement_keeps_off_the_edge(dim):
     a = experiments.ccr_default_displacement(dim)

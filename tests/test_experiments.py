@@ -196,6 +196,17 @@ def test_ccr_g_sweep_precondition_raises_before_any_work(monkeypatch):
         ccr_experiment(hilbert.GridConfig(64, 20.0), g_sweep=[0.01, 0.0])
 
 
+@pytest.mark.parametrize("rep", [hilbert.FockConfig(16), hilbert.GridConfig(64, 20.0)],
+                         ids=["fock16", "grid64"])
+def test_ccr_trials_without_the_pointer_raise_before_any_work(monkeypatch, rep):
+    # no Monte Carlo runs without the pointer chains, so a positive budget is refused
+    monkeypatch.setattr(experiments, "_ccr_ops", lambda rep: pytest.fail("operators built"))
+    for n_trials in (1, 200_000):
+        with pytest.raises(InvalidConfig, match=f"ccr n_trials must be 0 under run_pointer=False, "
+                                                f"got {n_trials}"):
+            ccr_experiment(rep, n_trials=n_trials, run_pointer=False)
+
+
 def test_ccr_experiment_monte_carlo_branch():
     rep = ccr_experiment(hilbert.GridConfig(96, 40.0), n_trials=400_000, seed=3)
     assert rep.mc_accepted is not None and rep.mc_accepted > 5_000

@@ -59,11 +59,13 @@ def drop_conjugate(monkeypatch):
 
 
 def drop_swapped_term(monkeypatch):
-    """The Born average sums the product a b instead of the (anti)commutator."""
+    """The Born average sums the product a b, half the commutator plus half the
+    anticommutator, instead of the (anti)commutator."""
     orig = experiments.averaged_weak_correlation
     monkeypatch.setattr(
         experiments, "averaged_weak_correlation",
-        lambda i, basis, a, b, combine="product": orig(i, basis, a, b, "product"),
+        lambda i, a, b, combine: 0.5 * (orig(i, a, b, "commutator")
+                                        + orig(i, a, b, "anticommutator")),
     )
 
 

@@ -1,16 +1,18 @@
 """The structured exact path against the dense oracle it replaced.
 
 The grid position operator is stored as its diagonal, the grid momentum
-as its spectrum and the natural mid-selection basis as the identity.
-Every product that involves the diagonal x or the identity must give the
-same bits as the dense matrices did: the terms the dense products add
-are exact zeros.  The spectral p is applied by FFTs, so it agrees with the
-dense p, and rho, R and the half line built on it agree with their dense
-expressions, to a stated roundoff tolerance; the lazily built dense p is
-the old matrix bit for bit.  The grid momentum eigenvectors are the
-closed-form plane waves of ``GridConfig.plane_waves``; they agree with
-``eigh`` of the dense p to roundoff, not bit for bit, since eigenvector
-phases are arbitrary.  A ccr run expands its momentum stage on the kept
+as its spectrum, and the Born average reads the natural mid-selection
+basis off the entries of its kets.  Every product that involves the
+diagonal x or the natural basis must give the same bits as the dense
+matrices and an explicit basis list did: the terms the dense products add
+are exact zeros.  The spectral p is applied by FFTs, so it agrees with its
+dense reference (``conftest.dense_matrix``, the symmetrized FFT of the
+identity), and rho, R and the half line built on it agree with their dense
+expressions, to a stated roundoff tolerance.  The grid momentum
+eigenvectors are the closed-form plane waves of ``GridConfig.plane_waves``,
+and the DFT columns of ``hilbert.eigensystem``; they agree with ``eigh`` of
+the dense p to roundoff, not bit for bit, since eigenvector phases are
+arbitrary.  A ccr run expands its momentum stage on the kept
 mid-selection columns only, and that stage equals the one on the whole
 eigenbasis.
 
@@ -22,12 +24,12 @@ the grid operator builder to no n x n buffer at all.
 import math
 import re
 import tracemalloc
-from functools import cached_property
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import dense_matrix
 from weaklab import experiments, hilbert, pointer
 from weaklab.errors import GridResolutionError, InvalidConfig, NotHermitian, SelectionAnnihilated
 from weaklab.weakcorr import averaged_weak_correlation, weak_value
@@ -81,15 +83,16 @@ def test_spectral_momentum_matches_dense_matrix(cfg, seed):
     assert p_op.spectrum is not None
     psi = unit_state(cfg.n_points, seed)
     tol = SPECTRAL_RTOL * operator_scales(cfg)[0]
-    assert np.linalg.norm(p_op.apply(psi) - p_op.matrix @ psi) <= tol
-    assert np.linalg.norm(p_op.apply_left(psi) - psi @ p_op.matrix) <= tol
+    pm = dense_matrix(p_op)
+    assert np.linalg.norm(p_op.apply(psi) - pm @ psi) <= tol
+    assert np.linalg.norm(p_op.apply_left(psi) - psi @ pm) <= tol
 
 
 @settings(max_examples=30, deadline=None)
 @given(cfg=grids, seed=st.integers(0, 2**31 - 1))
 def test_rho_and_r_applications_match_dense_oracle(cfg, seed):
     x_op, p_op = hilbert.make_grid_ops(cfg)
-    xm, pm = dense_x(cfg), p_op.matrix
+    xm, pm = dense_x(cfg), dense_matrix(p_op)
     psi = unit_state(cfg.n_points, seed)
     tol = SPECTRAL_RTOL * operator_scales(cfg)[1]
     rho_dense = (xm @ pm + pm @ xm) / (2.0 * cfg.hbar)
@@ -102,7 +105,7 @@ def test_rho_and_r_applications_match_dense_oracle(cfg, seed):
 @given(cfg=grids, seed=st.integers(0, 2**31 - 1))
 def test_commutator_products_match_dense_oracle(cfg, seed):
     x_op, p_op = hilbert.make_grid_ops(cfg)
-    xm, pm = dense_x(cfg), p_op.matrix
+    xm, pm = dense_x(cfg), dense_matrix(p_op)
     psi = unit_state(cfg.n_points, seed)
     xp, px = experiments._xp_px_on(x_op, p_op, psi)
     tol = SPECTRAL_RTOL * cfg.hbar * operator_scales(cfg)[1]
@@ -120,6 +123,19 @@ def test_weak_value_on_diagonal_x_bit_identical(cfg, seed):
         assert weak_value(pre, post, x_op) == weak_value(pre, post, x_dense)
 
 
+def basis_list_average(i, basis, a, b, combine):
+    """The Born average over an orthonormal list of basis states, each <f|ket>
+    a product with the stacked basis rows, as a dense basis takes it."""
+    rows = np.stack([f.amplitudes for f in basis])
+    psi = i.amplitudes
+    keep = np.abs(rows.conj() @ psi) > experiments.ORTHOGONALITY_EPS
+    forward = (a.apply_left(psi.conj()) @ rows.T) * (rows.conj() @ b.apply(psi))
+    swapped = (b.apply_left(psi.conj()) @ rows.T) * (rows.conj() @ a.apply(psi))
+    if combine == "commutator":
+        return complex(np.sum(forward[keep] - swapped[keep]))
+    return complex(np.sum(forward[keep] + swapped[keep]))
+
+
 @settings(max_examples=30, deadline=None)
 @given(cfg=grids, seed=st.integers(0, 2**31 - 1))
 def test_natural_basis_average_bit_identical_to_basis_list(cfg, seed):
@@ -127,25 +143,24 @@ def test_natural_basis_average_bit_identical_to_basis_list(cfg, seed):
     x_dense = hilbert.Operator(cfg.basis_id, dense_x(cfg))
     basis = [hilbert.basis_state(cfg.n_points, k, cfg.basis_id) for k in range(cfg.n_points)]
     i = hilbert.random_state(cfg.n_points, seed, cfg.basis_id)
-    for combine in ("commutator", "anticommutator", "product"):
-        fast = averaged_weak_correlation(i, hilbert.NATURAL_BASIS, x_op, p_op, combine)
-        assert fast == averaged_weak_correlation(i, basis, x_dense, p_op, combine)
-        assert fast == averaged_weak_correlation(i, basis, x_op, p_op, combine)
+    for combine in ("commutator", "anticommutator"):
+        fast = averaged_weak_correlation(i, x_op, p_op, combine)
+        assert fast == averaged_weak_correlation(i, x_dense, p_op, combine)
+        assert fast == basis_list_average(i, basis, x_dense, p_op, combine)
+        assert fast == basis_list_average(i, basis, x_op, p_op, combine)
 
 
 def test_grid_x_is_stored_diagonal():
     cfg = hilbert.GridConfig(16, 4.0)
     x_op, p_op = hilbert.make_grid_ops(cfg)
     assert np.array_equal(x_op.diagonal, cfg.positions())
-    assert x_op.dim == 16
-    assert np.array_equal(x_op.matrix, dense_x(cfg))
-    assert x_op.matrix is x_op.matrix  # built once, on first access
-    assert not x_op.matrix.flags.writeable and not x_op.diagonal.flags.writeable
-    assert p_op.diagonal is None
+    assert x_op.dim == 16 and x_op.rows is None
+    assert x_op.matrix is None and x_op.spectrum is None  # one form, never a dense one
+    assert x_op.stored is x_op.diagonal and not x_op.diagonal.flags.writeable
+    assert p_op.matrix is None and p_op.diagonal is None
     assert np.array_equal(p_op.spectrum, cfg.wavenumbers()) and p_op.scale == cfg.hbar
-    assert p_op.dim == 16
-    assert not p_op.spectrum.flags.writeable
-    assert p_op.matrix is p_op.matrix and not p_op.matrix.flags.writeable
+    assert p_op.dim == 16 and p_op.rows is None
+    assert p_op.stored is p_op.spectrum and not p_op.spectrum.flags.writeable
 
 
 def couple_observable(op):
@@ -162,26 +177,27 @@ def test_spectral_hermiticity_reads_the_spectrum():
         couple_observable(hilbert.Operator("generic(dim=3)", spectrum=k))
     op = hilbert.Operator("generic(dim=3)", spectrum=k.real, scale=2.0)
     couple_observable(op)
-    assert np.array_equal(op.matrix, op.matrix.conj().T)
-    w = np.linalg.eigvalsh(op.matrix)
+    m = dense_matrix(op)
+    assert np.array_equal(m, m.conj().T)
+    w = np.linalg.eigvalsh(m)
     assert np.max(np.abs(w - np.sort(2.0 * k.real))) <= 1e-15
-
-
-class MatrixRead(AssertionError):
-    pass
+    assert np.array_equal(hilbert.eigensystem(op)[0], 2.0 * k.real)
 
 
 def test_grid_runs_read_no_dense_matrix(monkeypatch):
-    # a dense operator stores its matrix as given; only the lazy builder raises
-    def no_matrix(self):
-        raise MatrixRead(f"lazy .matrix of a {self.dim}-level operator was read")
+    # a grid operator has no matrix, and the one n x n array of the grid p,
+    # its DFT eigenvectors, is built only by an eigensystem that no grid run asks for
+    real = hilbert.eigensystem
 
-    lazy = cached_property(no_matrix)
-    lazy.__set_name__(hilbert.Operator, "matrix")
-    monkeypatch.setattr(hilbert.Operator, "matrix", lazy)
+    def no_dense_eigensystem(op):
+        assert op.spectrum is None, f"the DFT eigensystem of a {op.dim}-level operator was built"
+        return real(op)
+
+    monkeypatch.setattr(hilbert, "eigensystem", no_dense_eigensystem)
     cfg = hilbert.GridConfig(128, 40.0)
-    with pytest.raises(MatrixRead):
-        hilbert.make_grid_ops(cfg)[1].matrix
+    assert all(op.matrix is None for op in hilbert.make_grid_ops(cfg))
+    with pytest.raises(AssertionError, match="DFT eigensystem"):
+        couple_observable(hilbert.make_grid_ops(cfg)[1])
     assert experiments.riemann_experiment(cfg).passed
     assert experiments.ccr_experiment(cfg, n_trials=20000, g_sweep=(0.02,)).passed
 
@@ -210,7 +226,7 @@ def test_pauli_operators_are_built_once():
     for axis in "xyz":
         op = hilbert.pauli(axis)
         assert op is hilbert.pauli(axis)
-        assert not op.matrix.flags.writeable
+        assert not op.stored.flags.writeable
     with pytest.raises(InvalidConfig):
         hilbert.pauli("w")
 
@@ -234,10 +250,38 @@ def test_momentum_eigensystem_matches_eigh(n, length, hbar):
     w = hbar * np.fft.fftshift(cfg.wavenumbers())
     v = cfg.plane_waves(np.arange(n))
     scale = np.max(np.abs(hbar * cfg.wavenumbers()))
-    assert np.linalg.norm(p_op.matrix @ v - v * w) <= 1e-12 * scale
+    pm = dense_matrix(p_op)
+    assert np.linalg.norm(pm @ v - v * w) <= 1e-12 * scale
     assert np.linalg.norm(v.conj().T @ v - np.eye(cfg.n_points)) <= 1e-12
-    assert np.max(np.abs(w - np.linalg.eigh(p_op.matrix)[0])) <= 1e-12 * scale
+    assert np.max(np.abs(w - np.linalg.eigh(pm)[0])) <= 1e-12 * scale
     assert np.all(np.diff(w) > 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(cfg=grids, scale=st.floats(0.25, 4.0), sign=st.sampled_from([1.0, -1.0]))
+@example(cfg=hilbert.GridConfig(8, 1.0), scale=1.0, sign=1.0)
+@example(cfg=hilbert.GridConfig(256, 1.0, 4.0), scale=3.9, sign=-1.0)
+@example(cfg=hilbert.GridConfig(255, 100.0, 0.25), scale=0.25, sign=1.0)
+def test_spectral_eigensystem_is_the_dft_basis(cfg, scale, sign):
+    # eigenvalues scale * spectrum and the DFT columns, with no eigh
+    op = hilbert.Operator(cfg.basis_id, spectrum=cfg.wavenumbers(), scale=sign * scale)
+    w, v = hilbert.eigensystem(op)
+    assert np.linalg.norm(op.apply(v) - v * w) <= 1e-12 * np.max(np.abs(w))
+    assert np.linalg.norm(v.conj().T @ v - np.eye(cfg.n_points)) <= 1e-12
+    # a grid chain that diagonalizes p itself expands stage two on every DFT
+    # column; the kept-column expansion of the ccr experiment agrees with it
+    x_op, p_op = hilbert.make_grid_ops(cfg)
+    k1 = 2.0 * math.pi / cfg.length
+    i = hilbert.gaussian_grid_state(cfg, cfg.length / 16.0, momentum=cfg.hbar * k1)
+    column = cfg.plane_waves([cfg.n_points // 2 + 1])  # wavenumber k1, ascending order
+    grid = pointer.pointer_grid(1.0, cfg.hbar)
+    args = (x_op, p_op, 1.0, 1.0, 0.01, grid, grid)
+    full = pointer.run_ccr_protocol(i, hilbert.StateVector(cfg.basis_id, column[:, 0]), *args)
+    kept, = pointer.run_ccr_protocols(i, hilbert.StateVector(cfg.basis_id, column), *args,
+                                      p_eigensystem=(np.array([cfg.hbar * k1]), column))
+    assert abs(full.dx_d - kept.dx_d) <= 1e-12
+    assert abs(full.dx_d_prime - kept.dx_d_prime) <= 1e-12
+    assert abs(kept.dx_d_prime - 0.01 * cfg.hbar * k1) <= 1e-9  # stage two translates P' by g p
 
 
 def index_matrix_momentum_eigensystem(cfg):
@@ -280,7 +324,7 @@ def test_ccr_plane_waves_agree_with_eigh(monkeypatch):
     report = experiments.ccr_experiment(cfg)
     assert report.passed
     (i, finals, (p_kept, v_kept)), = calls
-    p_matrix = hilbert.make_grid_ops(cfg)[1].matrix
+    p_matrix = dense_matrix(hilbert.make_grid_ops(cfg)[1])
     w, v = np.linalg.eigh(p_matrix)
     scale = np.max(np.abs(w))
     # eigenvalue and FFT weight of every admissible row, against eigh and |vdot|^2
@@ -376,10 +420,15 @@ def test_grid_ccr_runs_without_eigh(monkeypatch):
 @settings(max_examples=30, deadline=None)
 @given(cfg=grids)
 def test_grid_momentum_bit_identical_to_dense(cfg):
+    # the dense reference the oracles read is the symmetrized FFT matrix bit
+    # for bit, and the closed-form eigensystem of the spectral p rebuilds it
     n = cfg.n_points
     pm = np.fft.ifft(cfg.wavenumbers()[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0) * cfg.hbar
     _, p_op = hilbert.make_grid_ops(cfg)
-    assert np.array_equal(p_op.matrix, 0.5 * (pm + pm.conj().T))
+    dense = dense_matrix(p_op)
+    assert np.array_equal(dense, 0.5 * (pm + pm.conj().T))
+    w, v = hilbert.eigensystem(p_op)
+    assert np.max(np.abs((v * w) @ v.conj().T - dense)) <= 1e-12 * np.max(np.abs(w))
 
 
 def dense_hermitian_residual(m):
@@ -414,7 +463,7 @@ def dense_half_line_residual(rep, i):
     """The half-line residual as riemann_experiment computed it from dense temporaries."""
     x_op, p_op = experiments._ccr_ops(rep)
     xm = x_op.matrix if isinstance(rep, hilbert.FockConfig) else dense_x(rep)
-    r = 1j * (p_op.matrix @ xm) / rep.hbar
+    r = 1j * (dense_matrix(p_op) @ xm) / rep.hbar
     half_line = 0.5 * (r + r.conj().T) - 0.5 * np.eye(r.shape[0])
     if isinstance(rep, hilbert.FockConfig):
         return float(np.max(np.abs(half_line[: rep.dim - 2, : rep.dim - 2])))

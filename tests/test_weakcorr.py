@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weaklab import hilbert, weakcorr
-from weaklab.errors import ArityMismatch, IncompleteBasis, OrthogonalSelection, WeakLabError
+from weaklab.errors import ArityMismatch, OrthogonalSelection, WeakLabError
 from weaklab.hilbert import PAULI_BASIS_ID, pauli
 from weaklab.weakcorr import (
     alternating,
@@ -149,35 +149,56 @@ def test_commutator_antisymmetry(seed):
     assert weak_commutator(i, f, a, b) == -weak_commutator(i, f, b, a)
 
 
+def eigenbasis_average(i, basis_op, a, b):
+    """sum_f |<f|i>|^2 <a b>_w^(f) over the eigenbasis of ``basis_op``, taken
+    as one stack of mid-selections f."""
+    f = hilbert.StateVector(i.basis_id, hilbert.eigensystem(basis_op)[1])
+    weights = np.abs(hilbert.braket(f.amplitudes, i.amplitudes)) ** 2
+    return complex(np.sum(weights * weak_correlation(i, f, a, b)))
+
+
 @given(st.integers(0, 2**31), st.integers(2, 16))
 @settings(max_examples=60, deadline=None)
 def test_averaged_product_telescopes_to_expectation(seed, dim):
     i = hilbert.random_state(dim, seed)
-    _, basis = hilbert.eigenbasis(hilbert.random_hermitian(dim, seed + 1))
     a = hilbert.random_hermitian(dim, seed + 2)
     b = hilbert.random_hermitian(dim, seed + 3)
-    got = averaged_weak_correlation(i, basis, a, b, "product")
-    want = complex(np.vdot(i.amplitudes, a.matrix @ (b.matrix @ i.amplitudes)))
-    assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+    got = eigenbasis_average(i, hilbert.random_hermitian(dim, seed + 1), a, b)
+    ab = complex(np.vdot(i.amplitudes, a.matrix @ (b.matrix @ i.amplitudes)))
+    ba = complex(np.vdot(i.amplitudes, b.matrix @ (a.matrix @ i.amplitudes)))
+    assert abs(got - ab) <= 1e-10 * max(1.0, abs(ab))
+    # the natural-basis (anti)commutator averages telescope alike
+    for combine, want in (("commutator", ab - ba), ("anticommutator", ab + ba)):
+        got = averaged_weak_correlation(i, a, b, combine)
+        assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 
 @given(st.integers(0, 2**31))
 @settings(max_examples=30, deadline=None)
 def test_averaged_matches_explicit_weighted_sum(seed):
-    # weight * weak_correlation, summed the slow way with real divisions
+    # weight * weak (anti)commutator over the natural basis, summed the slow
+    # way with real divisions
     dim = 6
     i = hilbert.random_state(dim, seed)
-    _, basis = hilbert.eigenbasis(hilbert.random_hermitian(dim, seed + 1))
     a = hilbert.random_hermitian(dim, seed + 2)
     b = hilbert.random_hermitian(dim, seed + 3)
-    slow = complex(0.0)
-    for f in basis:
-        w = abs(np.vdot(f.amplitudes, i.amplitudes)) ** 2
-        if w == 0.0:
-            continue
-        slow += w * weak_correlation(i, f, a, b)
-    fast = averaged_weak_correlation(i, basis, a, b, "product")
-    assert abs(fast - slow) <= 1e-9 * max(1.0, abs(slow))
+    for combine, weak in (("commutator", weak_commutator), ("anticommutator", weak_anticommutator)):
+        slow = complex(0.0)
+        for k in range(dim):
+            f = hilbert.basis_state(dim, k)
+            w = abs(np.vdot(f.amplitudes, i.amplitudes)) ** 2
+            if w == 0.0:
+                continue
+            slow += w * weak(i, f, a, b)
+        fast = averaged_weak_correlation(i, a, b, combine)
+        assert abs(fast - slow) <= 1e-9 * max(1.0, abs(slow))
+
+
+def test_averaged_refuses_a_combine_it_does_not_name():
+    i = hilbert.random_state(3, seed=1)
+    a = hilbert.random_hermitian(3, seed=2)
+    with pytest.raises(ArityMismatch, match="combine must be one of"):
+        averaged_weak_correlation(i, a, a, "product")
 
 
 def test_averaged_fock_commutator_on_safe_support():
@@ -187,8 +208,7 @@ def test_averaged_fock_commutator_on_safe_support():
     amps = np.zeros(64, dtype=complex)
     amps[:32] = low.amplitudes
     i = hilbert.StateVector(cfg.basis_id, amps)
-    basis = [hilbert.basis_state(64, k, cfg.basis_id) for k in range(64)]
-    got = averaged_weak_correlation(i, basis, x, p, "commutator")
+    got = averaged_weak_correlation(i, x, p, "commutator")
     # oracle: the truncated commutator is i*hbar*diag(1,...,1,1-N)
     diag = np.ones(64)
     diag[-1] = 1.0 - 64
@@ -204,23 +224,8 @@ def test_averaged_fock_commutator_with_edge_amplitude():
     amps = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     i = hilbert.StateVector(cfg.basis_id, amps)
     c_top = i.amplitudes[-1]
-    basis = [hilbert.basis_state(16, k, cfg.basis_id) for k in range(16)]
-    got = averaged_weak_correlation(i, basis, x, p, "commutator")
+    got = averaged_weak_correlation(i, x, p, "commutator")
     assert abs(got - 1j * (1.0 - 16 * abs(c_top) ** 2)) <= 1e-10
-
-
-def test_averaged_incomplete_basis_raises():
-    i = hilbert.random_state(4, seed=1, basis_id="generic(dim=4)")
-    basis = [hilbert.basis_state(4, k) for k in range(3)]
-    a = hilbert.random_hermitian(4, seed=2, basis_id="generic(dim=4)")
-    with pytest.raises(IncompleteBasis):
-        averaged_weak_correlation(i, basis, a, a, "product")
-    # complete count but not orthonormal
-    i2 = hilbert.random_state(2, seed=6, basis_id="generic(dim=2)")
-    twice = [hilbert.basis_state(2, 0), hilbert.basis_state(2, 0)]
-    a2 = hilbert.random_hermitian(2, seed=7, basis_id="generic(dim=2)")
-    with pytest.raises(IncompleteBasis):
-        averaged_weak_correlation(i2, twice, a2, a2, "product")
 
 
 def test_ccr_decomposition_same_selection_vanishes():
