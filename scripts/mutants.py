@@ -78,6 +78,15 @@ MUTANTS = (
     ("stage skips the last partial slab", POINTER,
      "for start in range(0, axis.size, step):",
      "for start in range(0, axis.size - axis.size % step, step):"),
+    ("chirp convolution sign flipped", POINTER,
+     "chirp = np.fft.fft(np.exp(-0.5j * b * k * k))",
+     "chirp = np.fft.fft(np.exp(0.5j * b * k * k))"),
+    ("chirp convolution index off by one", POINTER,
+     "k += lc - jc  # j' - l'",
+     "k += lc - jc + 1  # j' - l'"),
+    ("chirp skips the last partial slab of rows", POINTER,
+     "for start in range(0, coeffs.shape[0], per_slab):",
+     "for start in range(0, coeffs.shape[0] - coeffs.shape[0] % per_slab, per_slab):"),
     ("predicted position shift times hbar", POINTER,
      "complex(x_w).imag / hbar",
      "complex(x_w).imag * hbar"),

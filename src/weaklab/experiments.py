@@ -957,8 +957,16 @@ def chain_experiment(dim: int = 5, n_ops: int = 4, n_instances: int = 50, seed: 
     masked to 31 bits.  The next instance's s is one higher: its i is this
     instance's f, and it shares all but one operator with this one.  So
     instances + 1 states and instances + n_ops - 1 operators are drawn in
-    all, each seed once, and every record equals that of drawing each
-    instance afresh.
+    all, each seed once per kind, and every record equals that of drawing
+    each instance afresh.
+
+    The two kinds share generator streams.  ``random_state(dim, s)`` reads
+    the same 2 dim normals that begin ``random_hermitian(dim, s)``'s draw,
+    and instance inst's first operator is drawn at s + 2, the seed of
+    instance inst + 2's i.  So the first two rows of that operator's draw
+    (before its Hermitian part is taken) are that state's amplitudes before
+    normalization: the instances are not independent draws.  The seeds stay
+    as they are, since separating the streams moves every chain record.
 
     Instances are evaluated a block at a time, one row of the block's
     stacks each.  The block's operators are drawn into one buffer of at

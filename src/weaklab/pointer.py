@@ -26,14 +26,25 @@ where K_l is the phase profile exp(-i sign g w_l x / hbar) (position
 generator) or the translation exp(-i sign g w_l k) applied in the Fourier
 domain (momentum generator).  ``conditional_pointers`` evaluates this for
 every row of a stack of selections (one ``StateVector`` whose columns are
-the states) at once: a (selections x levels) by (levels x points) product
-taken a slab of pointer columns at a time, so the (levels x points) kernel
-is never held whole, followed for the momentum generator by one inverse
-FFT along the rows.  ``measure_weakly``, ``run_ccr_protocol`` and
-``run_ccr_protocols`` are built on it.  The joint-state path
-(``product_joint`` -> ``couple`` -> ``select``) evolves the full
-system x pointer state and is kept as the oracle the kernel is tested
-against.
+the states) at once, in one of two ways chosen from the stage's levels:
+
+- a position-generator stage of at least ``CHIRP_MIN_LEVELS`` evenly
+  spaced levels w_l, as the grid x has, is a chirp-z transform of each row
+  (Rabiner, Schafer & Rader 1969; Bluestein 1970), since the pointer
+  positions are evenly spaced too: a pre-chirp, one FFT convolution and a
+  post-chirp, O((levels + points) log) per row;
+- every other stage (the Fock x, every momentum generator, a few levels
+  such as sigma_z's two) is a (selections x levels) by (levels x points)
+  product taken a slab of pointer columns at a time, so the kernel is never
+  held whole, followed for the momentum generator by one inverse FFT along
+  the rows.
+
+Both keep every intermediate within slabs of about ``hilbert._SLAB_ENTRIES``
+entries, and they agree to roundoff, not bit for bit.
+``measure_weakly``, ``run_ccr_protocol`` and ``run_ccr_protocols`` are
+built on it.  The joint-state path (``product_joint`` -> ``couple`` ->
+``select``) evolves the full system x pointer state and is kept as the
+oracle both paths are tested against.
 
 A periodic pointer wraps a displacement past a quarter of its grid: level
 l translates the pointer by g w_l (momentum generator) or kicks its
@@ -80,6 +91,17 @@ COUPLING_SIGN = {POSITION: -1, MOMENTUM: +1}
 # passes for every sigma > 0.
 POINTER_POINTS = 1024
 POINTER_WIDTHS = 40.0
+
+# Fewest evenly spaced levels that a position-generator stage sums as a
+# chirp-z transform rather than through its dense (levels x points) kernel.
+# Measured for 25 rows on 1024 pointer points (2 vCPU Xeon, one BLAS
+# thread; dense against chirp, medians of 41): 8 levels 0.3-0.5 against
+# 1.6-2.4 ms, 16 levels 0.5-0.8 against 1.6-2.3 ms, 32 levels 1.0-1.5
+# against 1.6-2.6 ms, 48 levels 1.9-3.2 against 1.6-2.7 ms, 64 levels
+# 2.6-3.6 against 1.7-2.8 ms, 512 levels 13-18 against 1.0-1.6 ms.  The
+# crossover lies between 40 and 48 levels; 64 is a conservative bound above
+# it, not the crossover itself.
+CHIRP_MIN_LEVELS = 64
 
 
 def pointer_grid(sigma: float, hbar: float = 1.0) -> GridConfig:
@@ -242,6 +264,83 @@ def _state_columns(state: StateVector, observable: Operator) -> np.ndarray:
     return state.amplitudes.reshape(state.dim, -1)
 
 
+def _even_spacing(w: np.ndarray):
+    """(w_0, step) when the levels are w_l = w_0 + l step to within 8 ulps of
+    the largest |w_l| and number at least ``CHIRP_MIN_LEVELS``, else None.
+
+    Reading the levels as w_0 + l step then moves each phase by at most 8
+    ulps of the largest, the size of the dense kernel's own phase roundoff.
+    """
+    if w.size < CHIRP_MIN_LEVELS:
+        return None
+    step = (w[-1] - w[0]) / (w.size - 1)
+    drift = np.max(np.abs(w - (w[0] + step * np.arange(w.size))))
+    return (w[0], step) if drift <= 8.0 * np.finfo(float).eps * np.max(np.abs(w)) else None
+
+
+def _kernel_rows(coeffs: np.ndarray, w: np.ndarray, coeff: complex, generator: str,
+                 pointer: PointerState) -> np.ndarray:
+    """Rows coeffs @ (kernel times profile) through the dense (levels x points)
+    kernel exp(coeff w x / hbar) or exp(coeff w k), built a slab of pointer
+    columns at a time; the momentum generator then takes one inverse FFT."""
+    grid = pointer.grid
+    if generator == POSITION:
+        axis, profile = grid.positions(), pointer.wavefunction
+    else:
+        axis, profile = grid.wavenumbers(), np.fft.fft(pointer.wavefunction)  # the hbar cancels
+    # A power-of-two slab width keeps every slab on a multiple of the BLAS
+    # kernel's column unroll (4 on OpenBLAS Haswell), so from 4 columns up each
+    # row element is summed exactly as in one product over all columns.
+    rows = np.empty((coeffs.shape[0], axis.size), dtype=complex)
+    step = 1 << max(0, (hilbert._SLAB_ENTRIES // max(1, w.size)).bit_length() - 1)
+    for start in range(0, axis.size, step):
+        cols = slice(start, start + step)
+        kernel = np.multiply(coeff, np.outer(w, axis[cols]))
+        if generator == POSITION:
+            kernel /= grid.hbar
+        np.exp(kernel, out=kernel)
+        kernel *= profile[cols]
+        np.matmul(coeffs, kernel, out=rows[:, cols])
+        del kernel  # so two slabs are never held at once
+    return np.fft.ifft(rows, axis=1) if generator == MOMENTUM else rows
+
+
+def _chirp_rows(coeffs: np.ndarray, w0: float, step: float, scale: float,
+                grid: GridConfig, profile: np.ndarray) -> np.ndarray:
+    """Rows sum_l coeffs[s, l] exp(i scale w_l y_j) profile_j for evenly spaced
+    levels w_l = w0 + l step and the grid positions y_j, as chirp-z transforms.
+
+    With the indices centred, l' = l - n//2 and j' = j - m//2, the phase is
+    scale (w_c y_j + step y_c l' + step dy l' j'), and l' j' =
+    (l'^2 + j'^2 - (j' - l')^2) / 2 turns the sum over l into a pre-chirp of
+    the coefficients, one convolution with exp(-i b k^2 / 2), b = scale step dy,
+    taken by FFTs of a power-of-two length >= n + m - 1, and a post-chirp
+    times the profile.  The rows go a slab of at most ``hilbert._SLAB_ENTRIES``
+    FFT entries at a time.
+    """
+    n, m = coeffs.shape[1], grid.n_points
+    size = 1 << (n + m - 2).bit_length()
+    y = grid.positions()
+    lc, jc = n // 2, m // 2
+    l, j = np.arange(n) - lc, np.arange(m) - jc
+    b = scale * step * grid.spacing
+    pre = np.exp(1j * (scale * step * y[jc] * l + 0.5 * b * l * l))
+    post = np.exp(1j * (scale * (w0 + step * lc) * y + 0.5 * b * j * j)) * profile
+    k = np.arange(size)
+    k[k >= m] -= size  # k = j - l, from m - size (only -(n - 1) and up are read) to m - 1
+    k += lc - jc  # j' - l'
+    chirp = np.fft.fft(np.exp(-0.5j * b * k * k))
+    rows = np.empty((coeffs.shape[0], m), dtype=complex)
+    per_slab = max(1, hilbert._SLAB_ENTRIES // size)
+    for start in range(0, coeffs.shape[0], per_slab):
+        sel = slice(start, start + per_slab)
+        spectrum = np.fft.fft(coeffs[sel] * pre, n=size, axis=1)
+        spectrum *= chirp
+        np.multiply(np.fft.ifft(spectrum, axis=1)[:, :m], post, out=rows[sel])
+        del spectrum  # so two slabs are never held at once
+    return rows
+
+
 def conditional_pointers(
     initial,
     final,
@@ -254,8 +353,8 @@ def conditional_pointers(
     """Unnormalized conditional pointers of one stage, one row per selection.
 
     Row s is <final_s| exp(-i sign g observable x generator / hbar)
-    |initial_s> x pointer, exactly as ``select(couple(product_joint(...)))``
-    would leave it before renormalization.  ``initial`` and ``final`` are
+    |initial_s> x pointer, as ``select(couple(product_joint(...)))`` would
+    leave it before renormalization, to roundoff.  ``initial`` and ``final`` are
     stacks (``StateVector``) of as many rows, or one of them is a single
     state, paired with every row of the other.  ``eigensystem`` (w, v) of
     the observable skips its diagonalization; its columns may span only an
@@ -263,11 +362,10 @@ def conditional_pointers(
     exact.  Returns the rows, shape (selections, n_points), and their L2
     norms (selection amplitudes).
 
-    The kernel times the pointer profile (the wavefunction, or its FFT for
-    the momentum generator) is built in slabs of every level by some pointer
-    columns, about ``hilbert._SLAB_ENTRIES`` entries each, and each slab's
-    product goes straight into its columns of the rows; the momentum
-    generator then takes one inverse FFT along the full rows.
+    A position-generator stage of at least ``CHIRP_MIN_LEVELS`` evenly
+    spaced levels is summed as chirp-z transforms (``_chirp_rows``), a slab
+    of rows at a time; every other stage through its dense kernel
+    (``_kernel_rows``), a slab of pointer columns at a time.
 
     Raises GridResolutionError when a selection's coupling wraps the
     pointer (the module docstring's rule), naming the first such row.
@@ -283,7 +381,10 @@ def conditional_pointers(
     if v is not None:
         a = v.conj().T @ a
         b = v.conj().T @ b
-    coeffs = b.conj().T * a.T  # <b_s|v_l><v_l|a_s>, shape (selections, levels)
+    # <b_s|v_l><v_l|a_s>, shape (selections, levels), conjugated in place
+    # rather than through a conjugated copy of b
+    coeffs = b.T * a.T.conj()
+    np.conjugate(coeffs, out=coeffs)
     grid = pointer.grid
     if generator == POSITION:
         reach, quarter = np.abs(g * w) / grid.hbar, math.pi / (2.0 * grid.spacing)
@@ -299,27 +400,11 @@ def conditional_pointers(
                         f"levels displaced past a quarter of the pointer grid ({quarter:.3g}, "
                         f"{generator} generator) carry a share {{:.3g}} > {WRAP_SHARE:g} of its "
                         f"weight; the largest displacement is {reach.max():.3g}", share)
-    if generator == POSITION:
-        axis, profile = grid.positions(), pointer.wavefunction
+    spaced = _even_spacing(w) if generator == POSITION else None
+    if spaced is not None:
+        rows = _chirp_rows(coeffs, *spaced, coeff.imag / grid.hbar, grid, pointer.wavefunction)
     else:
-        axis, profile = grid.wavenumbers(), np.fft.fft(pointer.wavefunction)  # the hbar cancels
-    # the kernel exp(coeff w x / hbar) times the profile, a slab of columns at a
-    # time.  A power-of-two width keeps every slab on a multiple of the BLAS
-    # kernel's column unroll (4 on OpenBLAS Haswell), so from 4 columns up each
-    # row element is summed exactly as in one product over all columns.
-    rows = np.empty((coeffs.shape[0], axis.size), dtype=complex)
-    step = 1 << max(0, (hilbert._SLAB_ENTRIES // max(1, w.size)).bit_length() - 1)
-    for start in range(0, axis.size, step):
-        cols = slice(start, start + step)
-        kernel = np.multiply(coeff, np.outer(w, axis[cols]))
-        if generator == POSITION:
-            kernel /= grid.hbar
-        np.exp(kernel, out=kernel)
-        kernel *= profile[cols]
-        np.matmul(coeffs, kernel, out=rows[:, cols])
-        del kernel  # so two slabs are never held at once
-    if generator == MOMENTUM:
-        rows = np.fft.ifft(rows, axis=1)
+        rows = _kernel_rows(coeffs, w, coeff, generator, pointer)
     amplitudes = np.sqrt(np.sum(np.abs(rows) ** 2, axis=1) * grid.spacing)
     return rows, amplitudes
 

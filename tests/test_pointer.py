@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import dense_reference
 from weaklab import experiments, hilbert, pointer
@@ -294,38 +294,100 @@ def assert_stage_matches(row, amplitude, oracle_pointer, oracle_amplitude, grid)
         assert l2_distance(ours, oracle_pointer.wavefunction, grid) <= 1e-12
 
 
+# a grid x of CHIRP_MIN_LEVELS levels or more takes the chirp path
+CHIRP_SIZES = st.integers(pointer.CHIRP_MIN_LEVELS, pointer.CHIRP_MIN_LEVELS + 32)
+
+
 @given(
     kind=st.sampled_from(["grid", "fock"]),
-    size=st.integers(8, 24),
+    size=st.one_of(st.integers(8, 24), CHIRP_SIZES),
     which=st.sampled_from(["x", "p"]),
     generator=st.sampled_from([POSITION, MOMENTUM]),
     g=st.floats(1e-3, 0.05),
+    sign=st.sampled_from([1.0, -1.0]),
+    hbar=st.sampled_from([1.0, 0.5, 2.5]),
     seed=st.integers(0, 2**31),
     n_sel=st.integers(1, 3),
     batch_initial=st.booleans(),
     reuse_eigensystem=st.booleans(),
 )
+@example(kind="grid", size=64, which="x", generator=POSITION, g=0.05, sign=-1.0, hbar=2.5,
+         seed=1, n_sel=3, batch_initial=True, reuse_eigensystem=False)
+@example(kind="grid", size=95, which="x", generator=POSITION, g=0.03, sign=1.0, hbar=0.5,
+         seed=2, n_sel=2, batch_initial=False, reuse_eigensystem=True)
 @settings(max_examples=80, deadline=None)
 def test_conditional_pointers_match_joint_state_oracle(
-    kind, size, which, generator, g, seed, n_sel, batch_initial, reuse_eigensystem
+    kind, size, which, generator, g, sign, hbar, seed, n_sel, batch_initial, reuse_eigensystem
 ):
+    # the grid x at CHIRP_SIZES goes through the chirp-z path, every other
+    # stage through the dense kernel; the joint state is the reference of both
+    g *= sign
     cfg, (x_op, p_op) = system(kind, size)
     obs = x_op if which == "x" else p_op
     one = hilbert.random_state(size, seed, cfg.basis_id)
     many = [hilbert.random_state(size, seed + 1 + k, cfg.basis_id) for k in range(n_sel)]
     initial, final = (stack(many), one) if batch_initial else (one, stack(many))
-    phi = gaussian_pointer(KERNEL_GRID, 1.0)
+    kernel_grid = GridConfig(KERNEL_GRID.n_points, KERNEL_GRID.length, hbar)
+    phi = gaussian_pointer(kernel_grid, 1.0)
     eigensystem = None
     if reuse_eigensystem:
         w, states = hilbert.eigenbasis(obs)
         eigensystem = (w, np.stack([s.amplitudes for s in states], axis=1))
     rows, amps = conditional_pointers(initial, final, obs, generator, g, phi, eigensystem)
-    assert rows.shape == (n_sel, KERNEL_GRID.n_points)
+    assert rows.shape == (n_sel, kernel_grid.n_points)
     for s in range(n_sel):
         a = many[s] if batch_initial else one
         b = one if batch_initial else many[s]
         cond, amp = select(couple(product_joint(a, phi), dense_reference(obs), generator, g), b)
-        assert_stage_matches(rows[s], amps[s], cond, amp, KERNEL_GRID)
+        assert_stage_matches(rows[s], amps[s], cond, amp, kernel_grid)
+
+
+def spy_stage_paths(monkeypatch):
+    """Append "chirp" or "kernel" for every stage conditional_pointers sums."""
+    paths = []
+    for name, label in (("_chirp_rows", "chirp"), ("_kernel_rows", "kernel")):
+        real = getattr(pointer, name)
+        monkeypatch.setattr(pointer, name,
+                            lambda *a, real=real, label=label: paths.append(label) or real(*a))
+    return paths
+
+
+def test_only_an_evenly_spaced_position_stage_of_many_levels_takes_the_chirp(monkeypatch):
+    paths = spy_stage_paths(monkeypatch)
+    n = pointer.CHIRP_MIN_LEVELS
+    for cfg in (GridConfig(n, 10.0), hilbert.FockConfig(dim=n)):
+        x_op, p_op = (make_grid_ops(cfg) if isinstance(cfg, GridConfig)
+                      else hilbert.make_fock_ops(cfg))
+        i = hilbert.random_state(n, 1, cfg.basis_id)
+        f = hilbert.random_state(n, 2, cfg.basis_id)
+        run_ccr_protocol(i, f, x_op, p_op, 1.0, 1.0, 0.01, GRID, GRID)
+    # the grid x is evenly spaced, the Fock x is not; momentum stages stay dense
+    assert paths == ["chirp", "kernel", "kernel", "kernel"]
+    grid_x, _ = make_grid_ops(GridConfig(n - 1, 10.0))  # one level too few
+    i = hilbert.random_state(n - 1, 1, grid_x.basis_id)
+    measure_weakly(i, hilbert.random_state(n - 1, 2, grid_x.basis_id), grid_x, 1.0, 0.01, GRID)
+    spin = hilbert.StateVector(hilbert.PAULI_BASIS_ID, [1.0, 1.0])
+    measure_weakly(spin, spin, hilbert.pauli("z"), 1.0, 0.1, GRID)
+    assert paths[4:] == ["kernel", "kernel"]
+
+
+@pytest.mark.parametrize("n_sel", [1, 37])
+def test_chirp_rows_are_slab_invariant(monkeypatch, n_sel):
+    # slab budgets of 1 entry and of 3, 16 and all rows of a 2048-point FFT
+    cfg, (x_op, _) = system("grid", 512)
+    i = hilbert.random_state(512, 3, cfg.basis_id)
+    finals = stack([hilbert.random_state(512, 4 + k, cfg.basis_id) for k in range(n_sel)])
+    phi = gaussian_pointer(GRID, 1.0)
+
+    def stage(entries):
+        monkeypatch.setattr(hilbert, "_SLAB_ENTRIES", entries)
+        return conditional_pointers(i, finals, x_op, POSITION, 0.2, phi)
+
+    rows, amps = stage(1 << 30)
+    for entries in (1, 3 * 2048, 16 * 2048 + 5):
+        other_rows, other_amps = stage(entries)
+        assert np.array_equal(other_rows, rows)
+        assert np.array_equal(other_amps, amps)
 
 
 @pytest.mark.parametrize("points", [pointer.POINTER_POINTS, 1000])

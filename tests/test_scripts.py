@@ -106,3 +106,83 @@ def test_each_mutant_text_occurs_once_in_its_file():
     for name, file, old, new in mutants.MUTANTS:
         assert (ROOT / file).read_text().count(old) == 1, name
         assert new != old, name
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_record_alternates_the_side_that_runs_first():
+    bench_record = load_script("bench_record")
+    orders = bench_record.pair_orders(5)
+    assert orders == [("base", "head"), ("head", "base")] * 2 + [("base", "head")]
+    assert all(sorted(order) == ["base", "head"] for order in orders)
+
+
+def test_bench_record_pair_statistics():
+    bench_record = load_script("bench_record")
+    base = [1.0, 2.0, 3.0, 4.0, 5.0]
+    head = [0.5, 2.5, 1.0, 1.5, 2.0]  # wins pairs 0, 2, 3 and 4
+    stats = bench_record.compare(base, head)
+    assert (stats["base"]["q1"], stats["base"]["median"], stats["base"]["q3"]) == (2.0, 3.0, 4.0)
+    assert (stats["head"]["q1"], stats["head"]["median"], stats["head"]["q3"]) == (1.0, 1.5, 2.0)
+    assert stats["change"] == -0.5
+    assert stats["head_wins"] == 4 and stats["pairs"] == 5
+    assert not stats["gain_exceeds_base_iqr"]  # 3 - 1.5 is below the base IQR of 2
+    faster = bench_record.compare(base, [0.1, 0.2, 0.3, 0.4, 0.5])
+    assert faster["head_wins"] == 5 and faster["gain_exceeds_base_iqr"]
+    tie = bench_record.compare([1.0], [1.0])  # a tie is no win
+    assert tie["head_wins"] == 0 and tie["change"] == 0.0
+    with pytest.raises(ValueError):
+        bench_record.compare([1.0, 2.0], [1.0])
+
+
+def test_bench_record_keeps_a_pair_only_when_both_of_its_runs_finish():
+    bench_record = load_script("bench_record")
+    calls = []
+
+    def run(side):
+        calls.append((len(calls) // 2, side))
+        pair = calls[-1][0]
+        if (pair, side) in {(1, "base"), (4, "head")}:
+            raise RuntimeError(f"{side} failed in pair {pair}")
+        return pair
+
+    runs, failures = bench_record.paired_runs(run, pairs=6)
+    assert failures == ["base failed in pair 1", "head failed in pair 4"]
+    # both runs of each pair still ran, in the alternating order
+    assert [side for _, side in calls] == ["base", "head", "head", "base"] * 3
+    assert runs == {"base": [0, 2, 3, 5], "head": [0, 2, 3, 5]}
+
+
+def test_bench_record_higher_is_better_metric():
+    bench_record = load_script("bench_record")
+    mixed = bench_record.compare([1.0, 2.0, 3.0], [2.0, 1.0, 5.0], better="higher")
+    assert mixed["head_wins"] == 2 and not mixed["gain_exceeds_base_iqr"]  # equal medians
+    higher = bench_record.compare([1.0, 2.0, 3.0], [2.0, 4.0, 5.0], better="higher")
+    assert higher["head_wins"] == 3 and higher["gain_exceeds_base_iqr"]  # 4 - 2 > 2.5 - 1.5
+
+
+def test_bench_record_summarizes_verdicts_and_reads_moves_through_record_diff(tmp_path):
+    bench_record = load_script("bench_record")
+    record = {"timestamp": "t0", "config": {"out": "a", "seed": 1},
+              "checks": [{"name": "c1", "passed": True}, {"name": "c2", "passed": False}]}
+    base, head = tmp_path / "base", tmp_path / "head"
+    for root, stamp in ((base, "t0"), (head, "t1")):
+        for name in ("same", "csv-only", "field"):
+            (root / name).mkdir(parents=True)
+            (root / name / "run.json").write_text(json.dumps(
+                {**record, "timestamp": stamp, "config": {"out": str(root), "seed": 1}}))
+            (root / name / "rows.csv").write_text("a,b\n1,2\n")
+    (head / "csv-only" / "rows.csv").write_text("a,b\n1,3\n")  # run.json unchanged
+    (head / "field" / "run.json").write_text(json.dumps({**record, "config": {"out": "", "seed": 2}}))
+    moved = bench_record.moved_records(base, head)
+    assert moved == {"csv-only": ["csv-only/rows.csv: bytes differ from line 2"],
+                     "field": ["field/run.json: config.seed: 1 -> 2  abs 1.000e+00  rel 1.000e+00"]}
+    assert bench_record.record_summary(base, {"same": 1, "gone": 2}) == {
+        "same": {"exit": 1, "checks": {"c1": True, "c2": False}},
+        "gone": {"exit": 2},  # no record written
+    }

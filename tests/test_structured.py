@@ -27,7 +27,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import dense_matrix
 from weaklab import experiments, hilbert, pointer
@@ -511,6 +511,11 @@ def dense_kernel_rows(initial, final, generator, g, phi, eigensystem):
     seed=st.integers(0, 2**31 - 1),
 )
 def test_pointer_kernel_bit_identical_to_dense(oracle_wraps, cfg, which, generator, g, seed):
+    # The levels of x, and of p in the ascending order given here, are evenly
+    # spaced.  From CHIRP_MIN_LEVELS of them a position-generator stage is
+    # summed as a chirp-z transform, which matches the dense kernel only to
+    # the bound of test_chirp_rows_within_their_bound_of_the_dense_kernel.
+    assume(not (generator == pointer.POSITION and cfg.n_points >= pointer.CHIRP_MIN_LEVELS))
     x_op, p_op = hilbert.make_grid_ops(cfg)
     obs, eigensystem = (
         (x_op, (x_op.diagonal.real, None)) if which == "x"
@@ -527,6 +532,77 @@ def test_pointer_kernel_bit_identical_to_dense(oracle_wraps, cfg, which, generat
         return
     rows, _ = pointer.conditional_pointers(i, finals, obs, generator, g, phi, eigensystem)
     assert np.array_equal(rows, dense_kernel_rows(i, finals, generator, g, phi, eigensystem))
+
+
+def chirp_error_bound(coeffs, cfg, g, phi):
+    """Per row, a bound on max_j |chirp row - dense row| of a grid x stage,
+    from its shapes and phases alone (u the unit roundoff, c a row of coeffs).
+
+    - Phases.  Each path rounds each phase it exponentiates at most three
+      times, an error of 3u times the phase.  The chirp's are its pre-chirp,
+      post-chirp and convolution chirp, largest Phi_pre, Phi_post and Phi_k.
+      The dense kernel's is at most Phi_d = |g| max|x| max|y| / hbar.  The
+      chirp also reads the levels as w_0 + l step, within 8u max|x|, and the
+      pointer positions within 2u max|y| of y_c + j' dy: 10u Phi_d more.
+      Each term of a row element then errs by u (3 (Phi_pre + Phi_post +
+      Phi_k) + 13 Phi_d + 4) |c_l| max|phi|.
+    - The dense product sums n terms: at most n u ||c||_1 max|phi|.
+    - The FFTs.  A radix-2 FFT of length N errs by at most 8u log2 N of its
+      output in 2-norm (Higham, Accuracy and Stability of Numerical
+      Algorithms, thm. 24.2).  Through the forward transform of the
+      coefficients, the transform of the chirp (2-norm sqrt(N), times
+      max|FFT c| <= ||c||_1), the product with it (max|H| <= N) and the
+      inverse transform, the rows err in 2-norm, so in each element, by at
+      most 8u log2 N (2 N ||c||_2 + sqrt(N) ||c||_1) max|phi|.
+    """
+    u = np.finfo(float).eps / 2
+    w, y = cfg.positions(), phi.grid.positions()
+    n, m = w.size, y.size
+    size = 1 << (n + m - 2).bit_length()
+    scale = abs(g) / phi.grid.hbar
+    lc, jc = n // 2, m // 2
+    step = cfg.spacing
+    b = scale * step * phi.grid.spacing
+    k_max = max(abs(lc - jc - (n - 1)), abs(m - 1 + lc - jc))
+    phi_pre = scale * step * abs(y[jc]) * lc + 0.5 * b * lc**2
+    phi_post = scale * abs(w[0] + step * lc) * np.max(np.abs(y)) + 0.5 * b * jc**2
+    phi_k = 0.5 * b * k_max**2
+    phi_d = scale * np.max(np.abs(w)) * np.max(np.abs(y))
+    norm1 = np.sum(np.abs(coeffs), axis=1)
+    norm2 = np.sqrt(np.sum(np.abs(coeffs) ** 2, axis=1))
+    phases = (3 * (phi_pre + phi_post + phi_k) + 13 * phi_d + 4 + n) * norm1
+    ffts = 8 * math.log2(size) * (2 * size * norm2 + math.sqrt(size) * norm1)
+    return u * np.max(np.abs(phi.wavefunction)) * (phases + ffts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cfg=st.builds(hilbert.GridConfig, n_points=st.integers(pointer.CHIRP_MIN_LEVELS, 600),
+                  length=st.floats(1.0, 100.0)),
+    hbar=st.floats(0.25, 4.0),
+    reach=st.floats(-0.99, 0.99),
+    seed=st.integers(0, 2**31 - 1),
+    batch_initial=st.booleans(),
+)
+@example(cfg=hilbert.GridConfig(512, 40.0), hbar=1.0, reach=0.99, seed=0, batch_initial=False)
+@example(cfg=hilbert.GridConfig(601, 3.0), hbar=0.3, reach=-0.99, seed=1, batch_initial=True)
+def test_chirp_rows_within_their_bound_of_the_dense_kernel(cfg, hbar, reach, seed, batch_initial):
+    # g spans the couplings the wrap guard admits: |g| max|x| / hbar up to
+    # 0.99 of a quarter of the pointer's wavenumber range
+    x_op, _ = hilbert.make_grid_ops(cfg)
+    phi = pointer.gaussian_pointer(hilbert.GridConfig(256, 40.0, hbar), 1.0)
+    g = reach * math.pi / (2 * phi.grid.spacing) * hbar / np.max(np.abs(cfg.positions()))
+    one = hilbert.random_state(cfg.n_points, seed, cfg.basis_id)
+    many = hilbert.StateVector(cfg.basis_id, np.stack(
+        [hilbert.random_state(cfg.n_points, seed + k, cfg.basis_id).amplitudes for k in (1, 2, 3)],
+        axis=1))
+    initial, final = (many, one) if batch_initial else (one, many)
+    eigensystem = (x_op.diagonal.real, None)
+    rows, _ = pointer.conditional_pointers(initial, final, x_op, pointer.POSITION, g, phi)
+    dense = dense_kernel_rows(initial, final, pointer.POSITION, g, phi, eigensystem)
+    a, b = initial.amplitudes.reshape(cfg.n_points, -1), final.amplitudes.reshape(cfg.n_points, -1)
+    bound = chirp_error_bound(b.conj().T * a.T, cfg, g, phi)
+    assert np.all(np.max(np.abs(rows - dense), axis=1) <= bound)
 
 
 def traced_peak(fn) -> int:
