@@ -45,8 +45,7 @@ def main():
                            n_trials=0, run_pointer=False).g_sweep_rows
     for g, corr, resid in sweep:
         stage = pointer.measure_weakly(i, f, x_op, 1.0, g, grid)
-        dx = pointer.pointer_mean_position(stage.pointer)
-        dp = pointer.pointer_mean_momentum(stage.pointer)
+        (dx,), (dp,) = pointer.pointer_mean_position(stage), pointer.pointer_mean_momentum(stage)
         pred_dx, pred_dp = pointer.predicted_shifts(x_w, 1.0, grid.hbar, g)
         dev_x = abs(dx - pred_dx) / g
         dev_p = abs(dp - pred_dp) / g

@@ -111,6 +111,12 @@ MUTANTS = (
     ("montecarlo acceptance stderr x 0", EXPERIMENTS,
      "acc_se = math.sqrt(q * (1.0 - q) / n_trials)",
      "acc_se = 0.0 * math.sqrt(q * (1.0 - q) / n_trials)"),
+    ("stage-two coupling sign flipped", POINTER,
+     "COUPLING_SIGN = {POSITION: -1, MOMENTUM: +1}",
+     "COUPLING_SIGN = {POSITION: -1, MOMENTUM: -1}"),
+    ("every stage row divided by row 0's norm", POINTER,
+     "rows /= amplitudes[:, None]",
+     "rows /= amplitudes[0]"),
     ("spectral eigenvalues without the scale", HILBERT,
      "return op.scale * np.real(op.spectrum),",
      "return np.real(op.spectrum),"),

@@ -1,17 +1,19 @@
 """Born-rule sampler of exact stages that the caller already holds.
 
-The module simulates nothing: a two-stage commutator chain
-(``pointer.run_ccr_protocol``) or a weak stage (``pointer.measure_weakly``)
-is evolved exactly by the caller and handed in.  A laboratory run on it is
-emulated by its sufficient statistics.  A trial passes its strong
-selections independently, each with its exact Born probability, so the
-accepted count of n trials is Binomial(n, product of the gate
-probabilities).  An accepted trial's readout is an independent draw from
-the grid readout distribution (``readout_distribution``), so the accepted
-readouts are summarized, exactly in law, by their counts on the grid:
-Multinomial(accepted, probabilities).  The product of two readouts (ccr's
-dx * dx') draws the counts of the first readout, then for each grid cell k
-that holds c_k trials the counts of the second readout,
+The module simulates nothing: the caller evolves a two-stage commutator
+chain (the two ``PointerStack``s of ``pointer.run_ccr_protocols``) or a
+weak stage (the one of ``pointer.measure_weakly``) exactly and hands it
+in, and a sampler reads one row of it.  Each readout distribution is
+computed once per stack, for all its rows (``readout_distribution``).  A
+laboratory run on a row is emulated by its sufficient statistics.  A
+trial passes its strong selections independently, each with its exact Born
+probability, so the accepted count of n trials is Binomial(n, product of
+the gate probabilities).  An accepted trial's readout is an independent
+draw from the grid readout distribution (``readout_distribution``), so
+the accepted readouts are summarized, exactly in law, by their counts on
+the grid: Multinomial(accepted, probabilities).  The product of two
+readouts (ccr's dx * dx') draws the counts of the first readout, then for
+each grid cell k that holds c_k trials the counts of the second readout,
 Multinomial(c_k, probabilities').
 
 Reproducibility contract: stream ``s`` of master seed ``m`` draws from one
@@ -47,8 +49,7 @@ from .errors import NoAcceptedTrials
 from .pointer import (  # noqa: F401
     MOMENTUM,
     POSITION,
-    CcrProtocolResult,
-    WeakStageResult,
+    PointerStack,
     measure_weakly,
     readout_distribution,
     run_ccr_protocol,
@@ -77,8 +78,9 @@ class EnsembleStats:
     stderr_product: float
 
 
-def _readout(pointer, kind: str):
-    """(values, probabilities) of the cells of a readout that it can read, most probable first.
+def _readout(distribution, row: int):
+    """(values, probabilities) of the cells of row ``row`` of a stack's readout
+    distribution (``readout_distribution``) that it can read, most probable first.
 
     A multinomial draw takes one binomial per cell until its count is used
     up, so with the likely cells first it stops after them.  The
@@ -87,7 +89,7 @@ def _readout(pointer, kind: str):
     probability 0 are never read; left out, none of them can meet a
     remaining probability of exactly 0, whose ratio would be NaN.
     """
-    values, probs = readout_distribution(pointer, kind)
+    values, probs = distribution[0], distribution[1][row]
     order = np.argsort(-probs, kind="stable")
     order = order[probs[order] > 0.0]
     return values[order], probs[order] / np.sum(probs)
@@ -149,17 +151,20 @@ def _sample(master_seed, stream, n_trials, gates, readouts):
     return accepted, (mean, math.sqrt(var / accepted))
 
 
-def run_trials(chain: CcrProtocolResult, n_trials: int, master_seed: int) -> EnsembleStats:
-    """Sample ``n_trials`` runs of a two-stage commutator chain.
+def run_trials(gates, distributions, row: int, n_trials: int,
+               master_seed: int) -> EnsembleStats:
+    """Sample ``n_trials`` runs of row ``row`` of a two-stage commutator chain.
 
-    A trial passes the two selection gates (``prob_mid``, ``prob_post``)
-    and reads the two position readouts of the conditional pointers; see
-    the module docstring.  The moments are those of the readouts' product
-    dx * dx'.
+    Of the chain's two stage stacks (``pointer.run_ccr_protocols``),
+    ``gates`` holds the selection probabilities and ``distributions`` the
+    position readout distributions (``readout_distribution``).  A trial
+    passes the two selection gates, the row's probability in each stack,
+    and reads the row's two position readouts; see the module docstring.
+    The moments are those of the readouts' product dx * dx'.
     """
     accepted, (mean, stderr) = _sample(
-        master_seed, _STREAM_TRIALS, n_trials, (chain.prob_mid, chain.prob_post),
-        (_readout(chain.pointer_first, POSITION), _readout(chain.pointer_second, POSITION)),
+        master_seed, _STREAM_TRIALS, n_trials, tuple(gate[row] for gate in gates),
+        tuple(_readout(distribution, row) for distribution in distributions),
     )
     return EnsembleStats(n_trials, accepted, mean, stderr)
 
@@ -178,27 +183,29 @@ class WeakValueEstimate:
 
 
 def estimate_weak_value(
-    stage: WeakStageResult,
+    stage: PointerStack,
+    row: int,
     sigma: float,
     g: float,
     n_trials: int,
     master_seed: int,
 ) -> WeakValueEstimate:
-    """Invert sampled pointer shifts of one weak stage into Re/Im of the weak value.
+    """Invert sampled pointer shifts of row ``row`` of a weak stage into Re/Im of
+    the weak value.
 
     Im{O_w} = -<dx> * hbar / (2 sigma^2 g) from a position-readout
     ensemble, with hbar that of the stage's pointer grid, and
     Re{O_w} = <dp> / g from a momentum-readout ensemble; each
     ensemble runs ``n_trials`` attempts on its own stream, accepted at the
-    stage's selection probability.  The estimates converge to the
+    row's selection probability.  The estimates converge to the
     closed-form weak value as n_trials grows and g shrinks.
     """
     (n_pos, (mean_dx, se_dx)), (n_mom, (mean_dp, se_dp)) = (
-        _sample(master_seed, stream, n_trials, (stage.probability,),
-                (_readout(stage.pointer, kind),))
+        _sample(master_seed, stream, n_trials, (stage.probabilities[row],),
+                (_readout(readout_distribution(stage, kind), row),))
         for kind, stream in ((POSITION, _STREAM_IMAG), (MOMENTUM, _STREAM_REAL))
     )
-    scale_im = -stage.pointer.grid.hbar / (2.0 * sigma**2 * g)
+    scale_im = -stage.grid.hbar / (2.0 * sigma**2 * g)
     return WeakValueEstimate(
         re_est=mean_dp / g,
         im_est=mean_dx * scale_im,

@@ -46,10 +46,12 @@ from .hilbert import (
     pauli,
 )
 from . import ensemble as mc
-# run_ccr_protocol is the one-selection form of run_ccr_protocols; it stays
-# importable here because bench/tracer.py wraps it under this module's name.
+# run_ccr_protocol is another name of run_ccr_protocols; it stays importable
+# here because bench/tracer.py wraps it under this module's name.
 from .pointer import (  # noqa: F401
+    POSITION,
     pointer_grid,
+    pointer_mean_position,
     run_ccr_protocol,
     run_ccr_protocols,
 )
@@ -462,7 +464,8 @@ def ccr_experiment(
     all_real = bool(np.all(decomp.p_imag_is_zero | ~decides))
 
     # (d) pointer + Monte Carlo over the dominant mid-selections; only d depends on g
-    chains, stats = {}, {}
+    dx = dx_prime = None  # per kept row, the two readouts' exact means
+    stats = {}
     pointer_corr = pointer_resid = pointer_cov = None
     mc_corr = mc_se = mc_exact = mc_cov = mc_accepted = mc_attempted = None
     if run_pointer or g_sweep:
@@ -474,6 +477,7 @@ def ccr_experiment(
         w_cut = weights[order[n_keep - 1]] * (1.0 - _POINTER_TIE_RTOL)
         n_keep = int(np.count_nonzero(weights[order] >= w_cut))  # order is descending
         keep = [int(j) for j in order[:n_keep] if admissible[j]]
+        w_keep = weights[keep]
 
         # the kept columns, normalized as in mids (a column's norm is its own);
         # each final is a p eigenvector, so stage two expands exactly on them
@@ -481,12 +485,11 @@ def ccr_experiment(
         p_kept = (p_eigs[keep], finals.amplitudes)
         del columns, mids  # no reader past here: the pointer stages need not hold them
 
-    def corr_over_g2(chains, rows, g_s):  # the exact two-pointer correlator over rows
-        return math.fsum(weights[j] * chains[j].dx_d * chains[j].dx_d_prime for j in rows) / g_s**2
-
-    def pointer_stage(g_s):  # -> chains, pointer_corr_over_g2, its relative residual
+    # -> the two stage stacks, their position means and the terms w dx dx' per
+    # kept row, pointer_corr_over_g2 and its relative residual
+    def pointer_stage(g_s):
         try:
-            protocols = run_ccr_protocols(
+            stages = run_ccr_protocols(
                 i, finals, x_op, p_op, sigma, sigma_prime, g_s, grid, grid_prime,
                 p_eigensystem=p_kept,
             )
@@ -494,49 +497,54 @@ def ccr_experiment(
             if exc.row is not None:
                 exc.rename_row("selection", keep[exc.row])
             raise
-        chains = dict(zip(keep, protocols))
-        corr = corr_over_g2(chains, keep, g_s)
-        return chains, corr, abs(corr - hbar * sigma**2) / (hbar * sigma**2)
+        means = [pointer_mean_position(stage) for stage in stages]
+        terms = w_keep * means[0] * means[1]
+        corr = math.fsum(terms) / g_s**2
+        return stages, means, terms, corr, abs(corr - hbar * sigma**2) / (hbar * sigma**2)
 
     if run_pointer:
-        chains, pointer_corr, pointer_resid = pointer_stage(g)
-        pointer_cov = float(np.sum(weights[keep]))
+        stages, (dx, dx_prime), terms, pointer_corr, pointer_resid = pointer_stage(g)
+        pointer_cov = float(np.sum(w_keep))
 
         if n_trials > 0:
             # attempts proportional to Born weight; keep selections whose
             # expected accepted count is workable
-            w_keep = weights[keep]
             alloc = np.ceil(n_trials * w_keep / np.sum(w_keep)).astype(int)
-            acc_prob = np.array([chains[j].prob_mid * chains[j].prob_post for j in keep])
-            usable = alloc * acc_prob >= _MC_MIN_EXPECTED_ACCEPTED
+            gates = [stage.probabilities for stage in stages]
+            usable = alloc * (gates[0] * gates[1]) >= _MC_MIN_EXPECTED_ACCEPTED
             if not usable.any():
                 raise NoAcceptedTrials(
                     f"a budget of {n_trials} trials gives no mid-selection the "
                     f"{_MC_MIN_EXPECTED_ACCEPTED:g} expected accepted trials it needs"
                 )
+            # once per stack, through the sampler's name for it; the sampler
+            # reads no pointer, so the stacks need not be held while it runs
+            distributions = [mc.readout_distribution(stage, POSITION) for stage in stages]
+            del stages
             mc_accepted, mc_attempted, mc_cov = 0, 0, 0.0
-            for j, a, ok in zip(keep, alloc, usable):
-                if not ok:
-                    continue
-                stats[j] = mc.run_trials(chains[j], int(a), _subseed(seed, j))
+            for r in np.flatnonzero(usable).tolist():
+                j = keep[r]
+                stats[j] = mc.run_trials(gates, distributions, r, int(alloc[r]),
+                                         _subseed(seed, j))
                 mc_accepted += stats[j].accepted
                 mc_attempted += stats[j].attempted
                 mc_cov += float(weights[j])
             mc_corr = math.fsum(weights[j] * st.mean_product for j, st in stats.items()) / g**2
-            mc_exact = corr_over_g2(chains, stats, g)
+            mc_exact = math.fsum(terms[usable]) / g**2
             mc_se = math.sqrt(
                 math.fsum((weights[j] * st.stderr_product) ** 2 for j, st in stats.items())
             ) / g**2
 
     rows = []
+    kept_row = {} if dx is None else {j: r for r, j in enumerate(keep)}
     exact = (decomp.x_w, decomp.p_w, decomp.lhs, decomp.simplified_lhs)  # MidSelectionRow's order
     for j, *values in zip(adm.tolist(), *(column.tolist() for column in exact)):
-        chain, st = chains.get(j), stats.get(j)
+        r, st = kept_row.get(j), stats.get(j)
         rows.append(MidSelectionRow(
             j, float(p_eigs[j]), float(weights[j]), *values,
-            **({} if chain is None else dict(
-                dx_d=chain.dx_d, dx_d_prime=chain.dx_d_prime,
-                product_over_g2=chain.dx_d * chain.dx_d_prime / g**2,
+            **({} if r is None else dict(
+                dx_d=float(dx[r]), dx_d_prime=float(dx_prime[r]),
+                product_over_g2=float(dx[r] * dx_prime[r] / g**2),
             )),
             **({} if st is None else dict(
                 mc_mean_product=st.mean_product, mc_stderr_product=st.stderr_product,
@@ -559,7 +567,7 @@ def ccr_experiment(
         checks.append(make_check(
             "mc_corr_vs_exact_pointer", abs(mc_corr - mc_exact), MC_SIGMA_BAND * mc_se
         ))
-    sweep_rows = tuple(GSweepRow(g_s, *pointer_stage(g_s)[1:]) for g_s in g_sweep)
+    sweep_rows = tuple(GSweepRow(g_s, *pointer_stage(g_s)[3:]) for g_s in g_sweep)
     if sweep_rows:
         checks.append(make_check(
             "g_sweep_pointer_corr", worst([row.rel_residual for row in sweep_rows]),
@@ -838,9 +846,9 @@ def montecarlo_experiment(
     target = weak_value(i, f, obs)
     # through the ensemble's name, which bench/tracer.py wraps
     stage = mc.measure_weakly(i, f, obs, sigma, g, pointer_grid(sigma, hbar))
-    est = mc.estimate_weak_value(stage, sigma, g, n_trials, seed)
+    est = mc.estimate_weak_value(stage, 0, sigma, g, n_trials, seed)
     # roundoff can put a near-certain selection's probability just above 1
-    q = min(stage.probability, 1.0)
+    q = min(float(stage.probabilities[0]), 1.0)
     acc_se = math.sqrt(q * (1.0 - q) / n_trials)
     checks = (
         make_check(

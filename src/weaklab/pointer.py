@@ -41,8 +41,15 @@ the states) at once, in one of two ways chosen from the stage's levels:
 
 Both keep every intermediate within slabs of about ``hilbert._SLAB_ENTRIES``
 entries, and they agree to roundoff, not bit for bit.
-``measure_weakly``, ``run_ccr_protocol`` and ``run_ccr_protocols`` are
-built on it.  The joint-state path (``product_joint`` -> ``couple`` ->
+
+A stage's result is one ``PointerStack``: its grid, its (rows x points)
+conditional pointers, each row L2-normalized, and each row's selection
+probability.  ``measure_weakly`` (one stage) and ``run_ccr_protocols``
+(the two stages of the commutator chain) return such stacks, built on
+``conditional_pointers``; ``readout_distribution``,
+``pointer_mean_position`` and ``pointer_mean_momentum`` read every row in
+one pass.  A single pointer (``gaussian_pointer``, ``select``) is a stack
+of one row.  The joint-state path (``product_joint`` -> ``couple`` ->
 ``select``) evolves the full system x pointer state and is kept as the
 oracle both paths are tested against.
 
@@ -110,22 +117,35 @@ def pointer_grid(sigma: float, hbar: float = 1.0) -> GridConfig:
 
 
 @dataclass(frozen=True)
-class PointerState:
-    """One-dimensional grid wavefunction."""
+class PointerStack:
+    """Pointers on one grid, one L2-normalized row each (sum |psi|^2 dx = 1),
+    with the probability of the selection that left each row."""
 
     grid: GridConfig
-    wavefunction: np.ndarray
+    wavefunctions: np.ndarray  # (rows, n_points), complex
+    probabilities: np.ndarray  # (rows,)
 
     def __post_init__(self):
-        psi = np.asarray(self.wavefunction, dtype=complex).reshape(-1).copy()
-        if psi.size != self.grid.n_points:
-            raise InvalidConfig("wavefunction length does not match grid")
-        norm = math.sqrt(float(np.sum(np.abs(psi) ** 2)) * self.grid.spacing)
-        if norm < 1e-300:
-            raise InvalidConfig("cannot normalize a zero pointer state")
-        psi /= norm
-        psi.flags.writeable = False
-        object.__setattr__(self, "wavefunction", psi)
+        if self.wavefunctions.shape != (self.probabilities.size, self.grid.n_points):
+            raise InvalidConfig(f"pointer rows {self.wavefunctions.shape} do not match "
+                                f"{self.probabilities.size} probabilities x {self.grid.n_points} points")
+
+
+def _norms(grid: GridConfig, rows: np.ndarray) -> np.ndarray:
+    """L2 norm of each row of a (rows x points) array on ``grid``."""
+    return np.sqrt(np.sum(np.abs(rows) ** 2, axis=1) * grid.spacing)
+
+
+def _stage(grid: GridConfig, rows: np.ndarray, amplitudes: np.ndarray) -> PointerStack:
+    """The stack of the unnormalized pointers ``rows``, each divided in place by
+    its L2 norm in ``amplitudes``; a row's probability is its amplitude squared.
+
+    Raises SelectionAnnihilated, naming the first row whose amplitude is at
+    most ANNIHILATION_ATOL.
+    """
+    _check_amplitude(amplitudes)
+    rows /= amplitudes[:, None]
+    return PointerStack(grid, rows, amplitudes * amplitudes)
 
 
 @dataclass(frozen=True)
@@ -164,17 +184,20 @@ def check_resolution(grid: GridConfig, sigma: float) -> None:
         )
 
 
-def gaussian_pointer(grid: GridConfig, sigma: float) -> PointerState:
-    """Real centered Gaussian of probability width sigma on the grid."""
+def gaussian_pointer(grid: GridConfig, sigma: float) -> PointerStack:
+    """Real centered Gaussian of probability width sigma on the grid: a stack
+    of one row, prepared with probability 1."""
     check_resolution(grid, sigma)
     x = grid.positions()
-    psi = np.exp(-(x**2) / (4.0 * sigma**2))
-    return PointerState(grid, psi)
+    psi = np.exp(-(x**2) / (4.0 * sigma**2)).astype(complex)[None, :]
+    psi /= _norms(grid, psi)[:, None]
+    return PointerStack(grid, psi, np.ones(1))
 
 
-def product_joint(system: StateVector, pointer: PointerState) -> JointState:
-    """|system> x |pointer>."""
-    amps = np.outer(system.amplitudes, pointer.wavefunction)
+def product_joint(system: StateVector, pointer: PointerStack) -> JointState:
+    """|system> x |pointer> for a pointer stack of one row."""
+    (profile,) = pointer.wavefunctions
+    amps = np.outer(system.amplitudes, profile)
     return JointState(system.basis_id, pointer.grid, amps)
 
 
@@ -193,11 +216,10 @@ def _observable_eigensystem(op: Operator, eigensystem=None):
     return hilbert.eigensystem(op) if eigensystem is None else eigensystem
 
 
-def _check_amplitude(amplitude) -> None:
-    """SelectionAnnihilated when an amplitude, or a row of an array of them, is at
-    most ANNIHILATION_ATOL."""
-    raise_first_row(amplitude <= ANNIHILATION_ATOL, SelectionAnnihilated,
-                    f"selection amplitude {{:.3e}} <= {ANNIHILATION_ATOL}", amplitude)
+def _check_amplitude(amplitudes: np.ndarray) -> None:
+    """SelectionAnnihilated at the first row whose amplitude is at most ANNIHILATION_ATOL."""
+    raise_first_row(amplitudes <= ANNIHILATION_ATOL, SelectionAnnihilated,
+                    f"selection amplitude {{:.3e}} <= {ANNIHILATION_ATOL}", amplitudes)
 
 
 def _coupling_coeff(generator: str, g: float) -> complex:
@@ -237,23 +259,20 @@ def couple(joint: JointState, observable: Operator, generator: str, g: float) ->
     return JointState(joint.system_basis_id, joint.grid, amps)
 
 
-def select(joint: JointState, target: StateVector) -> tuple[PointerState, float]:
+def select(joint: JointState, target: StateVector) -> PointerStack:
     """Project the system onto ``target``.
 
-    Returns the renormalized conditional pointer together with the
-    selection amplitude (the L2 norm of the unnormalized conditional
-    wavefunction <target|joint>); the success probability is amplitude**2
-    and the unnormalized wavefunction is amplitude * pointer.
+    Returns the conditional pointer as a stack of one row, renormalized,
+    with the selection probability: the squared L2 norm of the unnormalized
+    conditional wavefunction <target|joint>.
     """
     if target.basis_id != joint.system_basis_id:
         raise BasisMismatch(
             f"target on {target.basis_id!r}, joint system on "
             f"{joint.system_basis_id!r}"
         )
-    raw = target.amplitudes.conj() @ joint.amplitudes
-    amplitude = math.sqrt(float(np.sum(np.abs(raw) ** 2)) * joint.grid.spacing)
-    _check_amplitude(amplitude)
-    return PointerState(joint.grid, raw), amplitude
+    raw = (target.amplitudes.conj() @ joint.amplitudes)[None, :]
+    return _stage(joint.grid, raw, _norms(joint.grid, raw))
 
 
 def _state_columns(state: StateVector, observable: Operator) -> np.ndarray:
@@ -279,15 +298,14 @@ def _even_spacing(w: np.ndarray):
 
 
 def _kernel_rows(coeffs: np.ndarray, w: np.ndarray, coeff: complex, generator: str,
-                 pointer: PointerState) -> np.ndarray:
+                 grid: GridConfig, profile: np.ndarray) -> np.ndarray:
     """Rows coeffs @ (kernel times profile) through the dense (levels x points)
     kernel exp(coeff w x / hbar) or exp(coeff w k), built a slab of pointer
     columns at a time; the momentum generator then takes one inverse FFT."""
-    grid = pointer.grid
     if generator == POSITION:
-        axis, profile = grid.positions(), pointer.wavefunction
+        axis = grid.positions()
     else:
-        axis, profile = grid.wavenumbers(), np.fft.fft(pointer.wavefunction)  # the hbar cancels
+        axis, profile = grid.wavenumbers(), np.fft.fft(profile)  # the hbar cancels
     # A power-of-two slab width keeps every slab on a multiple of the BLAS
     # kernel's column unroll (4 on OpenBLAS Haswell), so from 4 columns up each
     # row element is summed exactly as in one product over all columns.
@@ -347,14 +365,15 @@ def conditional_pointers(
     observable: Operator,
     generator: str,
     g: float,
-    pointer: PointerState,
+    pointer: PointerStack,
     eigensystem=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unnormalized conditional pointers of one stage, one row per selection.
 
     Row s is <final_s| exp(-i sign g observable x generator / hbar)
-    |initial_s> x pointer, as ``select(couple(product_joint(...)))`` would
-    leave it before renormalization, to roundoff.  ``initial`` and ``final`` are
+    |initial_s> x pointer (a stack of one row), as
+    ``select(couple(product_joint(...)))`` would leave it before
+    renormalization, to roundoff.  ``initial`` and ``final`` are
     stacks (``StateVector``) of as many rows, or one of them is a single
     state, paired with every row of the other.  ``eigensystem`` (w, v) of
     the observable skips its diagonalization; its columns may span only an
@@ -400,46 +419,40 @@ def conditional_pointers(
                         f"levels displaced past a quarter of the pointer grid ({quarter:.3g}, "
                         f"{generator} generator) carry a share {{:.3g}} > {WRAP_SHARE:g} of its "
                         f"weight; the largest displacement is {reach.max():.3g}", share)
+    (profile,) = pointer.wavefunctions
     spaced = _even_spacing(w) if generator == POSITION else None
     if spaced is not None:
-        rows = _chirp_rows(coeffs, *spaced, coeff.imag / grid.hbar, grid, pointer.wavefunction)
+        rows = _chirp_rows(coeffs, *spaced, coeff.imag / grid.hbar, grid, profile)
     else:
-        rows = _kernel_rows(coeffs, w, coeff, generator, pointer)
-    amplitudes = np.sqrt(np.sum(np.abs(rows) ** 2, axis=1) * grid.spacing)
-    return rows, amplitudes
+        rows = _kernel_rows(coeffs, w, coeff, generator, grid, profile)
+    return rows, _norms(grid, rows)
 
 
-def momentum_distribution(p: PointerState) -> tuple[np.ndarray, np.ndarray]:
-    """Momentum readout values hbar*k (FFT order) and their probabilities."""
-    ft = np.fft.fft(p.wavefunction)
-    probs = (p.grid.spacing / p.grid.n_points) * np.abs(ft) ** 2
-    values = p.grid.hbar * p.grid.wavenumbers()
-    return values, probs
+def readout_distribution(p: PointerStack, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Readout values and, one row per pointer of the stack, their probabilities.
 
-
-def position_distribution(p: PointerState) -> tuple[np.ndarray, np.ndarray]:
-    """Position readout values and their grid-cell probabilities."""
-    return p.grid.positions(), np.abs(p.wavefunction) ** 2 * p.grid.spacing
-
-
-def readout_distribution(p: PointerState, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    Position: the grid positions and the cell probabilities |psi|^2 dx.
+    Momentum: hbar k in FFT order, from one FFT along the rows.
+    """
+    grid = p.grid
     if kind == POSITION:
-        return position_distribution(p)
+        return grid.positions(), np.abs(p.wavefunctions) ** 2 * grid.spacing
     if kind == MOMENTUM:
-        return momentum_distribution(p)
+        ft = np.fft.fft(p.wavefunctions, axis=1)
+        return grid.hbar * grid.wavenumbers(), (grid.spacing / grid.n_points) * np.abs(ft) ** 2
     raise InvalidConfig(f"readout kind must be {POSITION!r} or {MOMENTUM!r}")
 
 
-def pointer_mean_position(p: PointerState) -> float:
-    """Mean of the position readout distribution."""
-    values, probs = position_distribution(p)
-    return float(np.sum(values * probs))
+def pointer_mean_position(p: PointerStack) -> np.ndarray:
+    """Mean of each row's position readout distribution."""
+    values, probs = readout_distribution(p, POSITION)
+    return np.sum(values * probs, axis=1)
 
 
-def pointer_mean_momentum(p: PointerState) -> float:
-    """Mean of the momentum readout distribution."""
-    values, probs = momentum_distribution(p)
-    return float(np.sum(values * probs))
+def pointer_mean_momentum(p: PointerStack) -> np.ndarray:
+    """Mean of each row's momentum readout distribution."""
+    values, probs = readout_distribution(p, MOMENTUM)
+    return np.sum(values * probs, axis=1)
 
 
 def predicted_shifts(
@@ -454,22 +467,6 @@ def predicted_shifts(
     return -2.0 * sigma**2 * g * complex(x_w).imag / hbar, g * complex(x_w).real
 
 
-@dataclass(frozen=True)
-class WeakStageResult:
-    """One weak coupling plus selection: conditional pointer and probability."""
-
-    pointer: PointerState
-    probability: float
-
-
-def _stage_result(pointer: PointerState, row: np.ndarray, amplitude: float) -> WeakStageResult:
-    amplitude = float(amplitude)
-    return WeakStageResult(
-        pointer=PointerState(pointer.grid, row),
-        probability=amplitude * amplitude,
-    )
-
-
 def measure_weakly(
     i: StateVector,
     f: StateVector,
@@ -477,28 +474,16 @@ def measure_weakly(
     sigma: float,
     g: float,
     grid: GridConfig,
-) -> WeakStageResult:
+) -> PointerStack:
     """Prepare i x Gaussian on ``grid``, couple position-position, select f.
 
-    Exact throughout; a coupling that wraps the pointer raises
-    GridResolutionError (see ``conditional_pointers``).
+    ``i`` and ``f`` pair as in ``conditional_pointers``; the stack holds one
+    row per selection.  Exact throughout; a coupling that wraps the pointer
+    raises GridResolutionError (see ``conditional_pointers``), and then the
+    first row that leaves no amplitude raises SelectionAnnihilated.
     """
-    phi = gaussian_pointer(grid, sigma)
-    rows, amps = conditional_pointers(i, f, observable, POSITION, g, phi)
-    _check_amplitude(amps[0])
-    return _stage_result(phi, rows[0], amps[0])
-
-
-@dataclass(frozen=True)
-class CcrProtocolResult:
-    """Readouts and bookkeeping of one two-stage commutator run."""
-
-    dx_d: float
-    dx_d_prime: float
-    prob_mid: float
-    prob_post: float
-    pointer_first: PointerState
-    pointer_second: PointerState
+    rows, amps = conditional_pointers(i, f, observable, POSITION, g, gaussian_pointer(grid, sigma))
+    return _stage(grid, rows, amps)
 
 
 def run_ccr_protocols(
@@ -512,50 +497,32 @@ def run_ccr_protocols(
     grid: GridConfig,
     grid_prime: GridConfig,
     p_eigensystem=None,
-) -> list[CcrProtocolResult]:
+) -> tuple[PointerStack, PointerStack]:
     """Exact two-pointer commutator chains for a stack of mid-selections.
 
     Stage one: prepare i x P on ``grid``, couple position-position with
-    strength g, select f, read P's position.  Stage two: prepare f x P' on
-    ``grid_prime``, couple momentum-momentum, select i again, read P''s
-    position.
+    strength g, select f; its stack's rows are P's conditional pointers and
+    its probabilities those of the mid-selections.  Stage two: prepare
+    f x P' on ``grid_prime``, couple momentum-momentum, select i again; its
+    rows are P''s, its probabilities those of the post-selection.  Each
+    readout is a pointer's position (``pointer_mean_position``).
 
-    ``finals`` is one state or a stack (``StateVector``), one result per
-    row.  Each stage is one ``conditional_pointers`` call for all of them;
-    ``p_eigensystem`` (w, v) of ``p_op`` skips its diagonalization, and
-    when every final is a p eigenvector it may hold just their columns.  A
-    coupling that wraps its pointer raises GridResolutionError (see
-    ``conditional_pointers``); then the first row where either stage leaves
-    no amplitude raises SelectionAnnihilated.  Either error names its row.
+    ``finals`` is one state or a stack (``StateVector``), and row s of
+    each stage's stack belongs to final s.  Each stage is one
+    ``conditional_pointers`` call for all of them; ``p_eigensystem`` (w, v)
+    of ``p_op`` skips its diagonalization, and when every final is a p
+    eigenvector it may hold just their columns.  A coupling that wraps its
+    pointer raises GridResolutionError (see ``conditional_pointers``); then
+    the first row where either stage leaves no amplitude raises
+    SelectionAnnihilated.  Either error names its row.
     """
     phi = gaussian_pointer(grid, sigma)
     phi_prime = gaussian_pointer(grid_prime, sigma_prime)
     rows1, amps1 = conditional_pointers(i, finals, x_op, POSITION, g, phi)
     rows2, amps2 = conditional_pointers(finals, i, p_op, MOMENTUM, g, phi_prime, p_eigensystem)
     _check_amplitude(np.minimum(amps1, amps2))
-    results = []
-    for row1, amp1, row2, amp2 in zip(rows1, amps1, rows2, amps2):
-        first, second = _stage_result(phi, row1, amp1), _stage_result(phi_prime, row2, amp2)
-        results.append(CcrProtocolResult(
-            dx_d=pointer_mean_position(first.pointer),
-            dx_d_prime=pointer_mean_position(second.pointer),
-            prob_mid=first.probability, prob_post=second.probability,
-            pointer_first=first.pointer, pointer_second=second.pointer,
-        ))
-    return results
+    return _stage(grid, rows1, amps1), _stage(grid_prime, rows2, amps2)
 
 
-def run_ccr_protocol(
-    i: StateVector,
-    f: StateVector,
-    x_op: Operator,
-    p_op: Operator,
-    sigma: float,
-    sigma_prime: float,
-    g: float,
-    grid: GridConfig,
-    grid_prime: GridConfig,
-) -> CcrProtocolResult:
-    """Full exact chain of the two-pointer commutator measurement for one
-    mid-selection ``f``; see ``run_ccr_protocols``."""
-    return run_ccr_protocols(i, f, x_op, p_op, sigma, sigma_prime, g, grid, grid_prime)[0]
+# the one-selection name of the same function
+run_ccr_protocol = run_ccr_protocols

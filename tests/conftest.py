@@ -11,11 +11,10 @@ from weaklab.errors import GridResolutionError
 from weaklab.pointer import (
     MOMENTUM,
     POSITION,
-    CcrProtocolResult,
     couple,
     gaussian_pointer,
-    pointer_mean_position,
     product_joint,
+    pointer_mean_position,
     select,
 )
 
@@ -41,6 +40,13 @@ def dense_reference(op):
     return op if op.spectrum is None else hilbert.Operator(op.basis_id, dense_matrix(op))
 
 
+def chain_row(stages, row=0):
+    """(dx_d, dx_d', prob_mid, prob_post) of row ``row`` of a two-stage chain's stacks."""
+    first, second = stages
+    return (pointer_mean_position(first)[row], pointer_mean_position(second)[row],
+            first.probabilities[row], second.probabilities[row])
+
+
 def _oracle_wraps(a, b, op, generator, g, grid):
     """Whether the levels of ``op`` that the coupling displaces past a
     quarter of ``grid`` carry more than 1e-12 of sum_l |<b|v_l><v_l|a>|.
@@ -62,7 +68,8 @@ def _oracle_wraps(a, b, op, generator, g, grid):
 
 
 def _oracle_protocol(i, f, x_op, p_op, sigma, sigma_prime, g, grid, grid_prime):
-    """One two-stage chain through the full system x pointer state.
+    """One two-stage chain through the full system x pointer state: the two
+    one-row stage stacks that ``pointer.run_ccr_protocol`` returns for ``f``.
 
     Same guards as ``pointer.run_ccr_protocol``, written out separately:
     a stage whose levels displaced past a quarter of its pointer grid
@@ -79,17 +86,10 @@ def _oracle_protocol(i, f, x_op, p_op, sigma, sigma_prime, g, grid, grid_prime):
     if _oracle_wraps(f, i, p_op, MOMENTUM, g, grid_prime):
         raise GridResolutionError("oracle: the P' coupling wraps its pointer")
     joint = product_joint(i, gaussian_pointer(grid, sigma))
-    first, amp1 = select(couple(joint, x_op, POSITION, g), f)
+    first = select(couple(joint, x_op, POSITION, g), f)
     joint = product_joint(f, gaussian_pointer(grid_prime, sigma_prime))
-    second, amp2 = select(couple(joint, p_op, MOMENTUM, g), i)
-    return CcrProtocolResult(
-        dx_d=pointer_mean_position(first),
-        dx_d_prime=pointer_mean_position(second),
-        prob_mid=amp1 * amp1,
-        prob_post=amp2 * amp2,
-        pointer_first=first,
-        pointer_second=second,
-    )
+    second = select(couple(joint, p_op, MOMENTUM, g), i)
+    return first, second
 
 
 @pytest.fixture(scope="session")

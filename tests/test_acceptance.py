@@ -119,17 +119,17 @@ def test_criterion_4_pointer_first_order_convergence():
     dev_x, dev_p, dev_state = {}, {}, {}
     for g in (0.02, 0.01):
         stage = pointer.measure_weakly(i, f, x_op, sigma, g, grid)
-        dx = pointer.pointer_mean_position(stage.pointer)
-        dp = pointer.pointer_mean_momentum(stage.pointer)
+        (dx,), (dp,) = pointer.pointer_mean_position(stage), pointer.pointer_mean_momentum(stage)
         # per-unit-coupling discrepancies vs the first-order shifts
         dev_x[g] = (dx - (-2.0 * sigma**2 * g * x_w.imag)) / g
         dev_p[g] = (dp - g * x_w.real) / g
         closed = np.exp(1j * g * x_w * y) * np.exp(-(y**2) / (4 * sigma**2))
         closed /= math.sqrt(float(np.sum(np.abs(closed) ** 2)) * grid.spacing)
-        ov = complex(np.vdot(closed, stage.pointer.wavefunction)) * grid.spacing
+        (psi,) = stage.wavefunctions
+        ov = complex(np.vdot(closed, psi)) * grid.spacing
         aligned = closed * np.exp(1j * np.angle(ov))
         dev_state[g] = math.sqrt(
-            float(np.sum(np.abs(stage.pointer.wavefunction - aligned) ** 2))
+            float(np.sum(np.abs(psi - aligned) ** 2))
             * grid.spacing
         )
     ratio_x = dev_x[0.02] / dev_x[0.01]

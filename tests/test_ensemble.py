@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import chain_row
 from weaklab import ensemble, hilbert, pointer
 from weaklab.ensemble import estimate_weak_value, run_trials
 from weaklab.errors import InvalidConfig, NoAcceptedTrials, SelectionAnnihilated
@@ -23,12 +24,38 @@ from weaklab.hilbert import (
 POINTER_GRID = pointer.pointer_grid(1.0)
 
 
-def readout_moments(chain, n_trials, seed, pointer_state):
-    """(accepted, (mean, stderr)) of one position readout of ``pointer_state``
+def position_distributions(chain):
+    """The position readout distributions of a chain's two stage stacks."""
+    return [pointer.readout_distribution(stage, pointer.POSITION) for stage in chain]
+
+
+def readout(stage, kind, row=0):
+    """Row ``row`` of a stack's ``kind`` readout, as the sampler reads it."""
+    return ensemble._readout(pointer.readout_distribution(stage, kind), row)
+
+
+def sample_chain(chain, n_trials, seed, row=0):
+    """``run_trials`` on row ``row`` of a chain's two stage stacks."""
+    return run_trials([stage.probabilities for stage in chain], position_distributions(chain),
+                      row, n_trials, seed)
+
+
+def gates(chain, row=0):
+    """The two selection probabilities of row ``row`` of a chain."""
+    return tuple(stage.probabilities[row] for stage in chain)
+
+
+def with_gates(chain, *probabilities):
+    """A one-row chain with its two selection probabilities replaced."""
+    return tuple(dataclasses.replace(stage, probabilities=np.array([p]))
+                 for stage, p in zip(chain, probabilities))
+
+
+def readout_moments(chain, n_trials, seed, stage):
+    """(accepted, (mean, stderr)) of one position readout of ``stage``
     under both gates of ``chain``: the per-readout view of ``run_trials``."""
-    return ensemble._sample(seed, ensemble._STREAM_TRIALS, n_trials,
-                            (chain.prob_mid, chain.prob_post),
-                            (ensemble._readout(pointer_state, pointer.POSITION),))
+    return ensemble._sample(seed, ensemble._STREAM_TRIALS, n_trials, gates(chain),
+                            (readout(stage, pointer.POSITION),))
 
 
 def grid_setup(n_sys=64, length=20.0):
@@ -71,10 +98,10 @@ def uncoupled_chain():
 
 def test_same_selection_zero_coupling_accepts_everything():
     chain = uncoupled_chain()
-    stats = run_trials(chain, 20_000, 11)
+    stats = sample_chain(chain, 20_000, 11)
     assert stats.accepted == stats.attempted == 20_000
-    for pointer_state in (chain.pointer_first, chain.pointer_second):
-        accepted, (mean, stderr) = readout_moments(chain, 20_000, 11, pointer_state)
+    for stage in chain:
+        accepted, (mean, stderr) = readout_moments(chain, 20_000, 11, stage)
         assert accepted == 20_000
         assert abs(mean) <= 4.0 * stderr
 
@@ -89,16 +116,17 @@ def test_orthogonal_selection_zero_coupling_accepts_nothing():
     # has probability 0 accepts no trial
     with pytest.raises(SelectionAnnihilated):
         pointer.run_ccr_protocol(i, orth, x_op, p_op, 1.0, 1.0, 0.0, POINTER_GRID, POINTER_GRID)
-    never = dataclasses.replace(uncoupled_chain(), prob_mid=0.0)
+    chain = uncoupled_chain()
+    never = with_gates(chain, 0.0, chain[1].probabilities[0])
     with pytest.raises(NoAcceptedTrials):
-        run_trials(never, 100, 3)
+        sample_chain(never, 100, 3)
 
 
 def test_acceptance_rate_matches_born_product():
     n = 200_000
     chain = base_chain()
-    q = chain.prob_mid * chain.prob_post
-    stats = run_trials(chain, n, 7)
+    q = math.prod(gates(chain))
+    stats = sample_chain(chain, n, 7)
     se = math.sqrt(q * (1 - q) / n)
     assert abs(stats.accepted / stats.attempted - q) <= 3.0 * se
 
@@ -106,22 +134,67 @@ def test_acceptance_rate_matches_born_product():
 def test_mean_product_matches_exact_chain():
     # momentum-eigenvector mid-selection, ~1e5 accepted trials
     chain = base_chain()
-    stats = run_trials(chain, 3_200_000, 2)
+    stats = sample_chain(chain, 3_200_000, 2)
     assert stats.accepted >= 100_000
-    exact = chain.dx_d * chain.dx_d_prime
+    dx_d, dx_d_prime, _, _ = chain_row(chain)
+    exact = dx_d * dx_d_prime
     assert abs(stats.mean_product - exact) <= 3.0 * stats.stderr_product
-    for pointer_state, dx in ((chain.pointer_first, chain.dx_d),
-                              (chain.pointer_second, chain.dx_d_prime)):
-        _, (mean, stderr) = readout_moments(chain, 3_200_000, 2, pointer_state)
+    for stage, dx in zip(chain, (dx_d, dx_d_prime)):
+        _, (mean, stderr) = readout_moments(chain, 3_200_000, 2, stage)
         assert abs(mean - dx) <= 3.0 * stderr
 
 
 def test_bit_identical_reruns():
     # a stream is a pure function of (stage, seed, stream, n_trials)
     chain = base_chain()
-    a = run_trials(chain, 150_000, 5)
-    assert run_trials(chain, 150_000, 5) == a
-    assert run_trials(chain, 150_000, 6) != a
+    a = sample_chain(chain, 150_000, 5)
+    assert sample_chain(chain, 150_000, 5) == a
+    assert sample_chain(chain, 150_000, 6) != a
+
+
+def one_row_of(stage, row):
+    """A stack of row ``row`` of ``stage`` alone."""
+    return dataclasses.replace(stage, wavefunctions=stage.wavefunctions[row:row + 1],
+                               probabilities=stage.probabilities[row:row + 1])
+
+
+def test_a_row_of_a_stack_samples_as_that_row_alone(monkeypatch):
+    # row j of a three-row stack draws the same Philox counts, and gives the
+    # same statistics, as a stack of row j alone: the sampler reads neither
+    # another row nor across rows
+    cfg, x_op, p_op, i = grid_setup()
+    finals = hilbert.StateVector(cfg.basis_id, np.stack(
+        [plane_wave(cfg, mode)[0].amplitudes for mode in (1, -2, 3)], axis=1))
+    chain = pointer.run_ccr_protocols(i, finals, x_op, p_op, 1.0, 1.0, 0.01, POINTER_GRID,
+                                      POINTER_GRID)
+    spin_finals = hilbert.StateVector(hilbert.PAULI_BASIS_ID,
+                                      np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 0.5]]).T)
+    stage = pointer.measure_weakly(spin_pair(0.8)[0], spin_finals, hilbert.pauli("z"), 1.0, 0.05,
+                                   POINTER_GRID)
+
+    def sampled(sample):  # (result, {stream: draws}) of one sampler call
+        with monkeypatch.context() as mp:
+            seen = record_draws(mp)
+            return sample(), seen
+
+    results = []
+    for row in range(3):
+        alone = tuple(one_row_of(s, row) for s in chain)
+        for in_stack, by_itself in (
+            (sampled(lambda: sample_chain(chain, 200_000, 7, row)),
+             sampled(lambda: sample_chain(alone, 200_000, 7))),
+            (sampled(lambda: estimate_weak_value(stage, row, 1.0, 0.05, 20_000, 9)),
+             sampled(lambda: estimate_weak_value(one_row_of(stage, row), 0, 1.0, 0.05, 20_000, 9))),
+        ):
+            assert in_stack[0] == by_itself[0]
+            assert sorted(in_stack[1]) == sorted(by_itself[1])
+            for stream, draws in in_stack[1].items():
+                assert len(draws) == len(by_itself[1][stream])
+                for drawn, alone_drawn in zip(draws, by_itself[1][stream]):
+                    assert drawn[0] == alone_drawn[0]
+                    assert all(np.array_equal(a, b) for a, b in zip(drawn[1:], alone_drawn[1:]))
+            results.append(in_stack[0])
+    assert len({repr(r) for r in results}) == len(results)  # the rows differ
 
 
 def stream_draws(master_seed, stream):
@@ -143,8 +216,8 @@ def test_trial_draws_are_pure_functions_of_index():
 
 def test_stderr_scales_inverse_sqrt_accepted():
     chain = uncoupled_chain()
-    _, (_, se_small) = readout_moments(chain, 1_000, 13, chain.pointer_first)
-    _, (_, se_big) = readout_moments(chain, 100_000, 13, chain.pointer_first)
+    _, (_, se_small) = readout_moments(chain, 1_000, 13, chain[0])
+    _, (_, se_big) = readout_moments(chain, 100_000, 13, chain[0])
     ratio = se_small / se_big
     assert ratio == pytest.approx(10.0, rel=0.2)
 
@@ -164,7 +237,7 @@ def weak_stage(i, f, observable, g=0.05):
 
 def test_estimate_weak_value_spin():
     i, f = spin_pair(math.pi / 2)
-    est = estimate_weak_value(weak_stage(i, f, hilbert.pauli("z")), 1.0, 0.05, 40_000, 21)
+    est = estimate_weak_value(weak_stage(i, f, hilbert.pauli("z")), 0, 1.0, 0.05, 40_000, 21)
     # closed form tan(pi/4) = 1, purely real
     assert abs(est.re_est - 1.0) <= 3.0 * est.stderr_re
     assert abs(est.im_est) <= 3.0 * est.stderr_im
@@ -173,7 +246,7 @@ def test_estimate_weak_value_spin():
 def test_estimate_weak_value_identity_observable():
     i, f = spin_pair(math.pi / 3)
     ident = hilbert.Operator(hilbert.PAULI_BASIS_ID, np.eye(2))
-    est = estimate_weak_value(weak_stage(i, f, ident), 1.0, 0.05, 40_000, 22)
+    est = estimate_weak_value(weak_stage(i, f, ident), 0, 1.0, 0.05, 40_000, 22)
     assert abs(est.re_est - 1.0) <= 3.0 * est.stderr_re
     assert abs(est.im_est) <= 3.0 * est.stderr_im
 
@@ -183,7 +256,7 @@ def test_estimate_weak_value_fock_position():
     x_op, _ = hilbert.make_fock_ops(cfg_f)
     i = hilbert.basis_state(2, 0, cfg_f.basis_id)
     f = hilbert.StateVector(cfg_f.basis_id, np.array([1.0, 1.0]))
-    est = estimate_weak_value(weak_stage(i, f, x_op), 1.0, 0.05, 60_000, 23)
+    est = estimate_weak_value(weak_stage(i, f, x_op), 0, 1.0, 0.05, 60_000, 23)
     assert abs(est.re_est - 1.0 / math.sqrt(2.0)) <= 3.0 * est.stderr_re
     assert abs(est.im_est) <= 3.0 * est.stderr_im
 
@@ -201,8 +274,8 @@ def test_estimate_weak_value_requires_nonzero_g(monkeypatch):
 def test_estimate_deterministic():
     i, f = spin_pair(0.8)
     stage = weak_stage(i, f, hilbert.pauli("z"))
-    assert (estimate_weak_value(stage, 1.0, 0.05, 5_000, 31)
-            == estimate_weak_value(stage, 1.0, 0.05, 5_000, 31))
+    assert (estimate_weak_value(stage, 0, 1.0, 0.05, 5_000, 31)
+            == estimate_weak_value(stage, 0, 1.0, 0.05, 5_000, 31))
 
 
 def record_draws(monkeypatch):
@@ -267,19 +340,17 @@ def sampled_streams(n_readouts, chain, stage, n_trials):
     with ``n_readouts`` readouts per stream: estimate_weak_value for 1 (a
     position and a momentum stream), run_trials for 2 (one stream of dx * dx')."""
     if n_readouts == 1:
-        est = estimate_weak_value(stage, 1.0, 0.05, n_trials, 9)
+        est = estimate_weak_value(stage, 0, 1.0, 0.05, n_trials, 9)
         return est, {
-            stream: (stage.probability, [ensemble._readout(stage.pointer, kind)], accepted)
+            stream: (stage.probabilities[0], [readout(stage, kind)], accepted)
             for stream, kind, accepted in (
                 (ensemble._STREAM_IMAG, pointer.POSITION, est.accepted_position),
                 (ensemble._STREAM_REAL, pointer.MOMENTUM, est.accepted_momentum),
             )
         }
-    stats = run_trials(chain, n_trials, 8)
-    readouts = [ensemble._readout(p, pointer.POSITION)
-                for p in (chain.pointer_first, chain.pointer_second)]
-    return stats, {ensemble._STREAM_TRIALS: (chain.prob_mid * chain.prob_post, readouts,
-                                             stats.accepted)}
+    stats = sample_chain(chain, n_trials, 8)
+    readouts = [readout(stage, pointer.POSITION) for stage in chain]
+    return stats, {ensemble._STREAM_TRIALS: (math.prod(gates(chain)), readouts, stats.accepted)}
 
 
 @pytest.mark.parametrize("n_readouts", [1, 2])
@@ -292,7 +363,7 @@ def test_sampler_draws_only_the_uniforms_it_reads(monkeypatch, n_readouts):
     # as at 3 * BLOCK + 5.
     chain = base_chain()
     stage = weak_stage(*spin_pair(2.6), hilbert.pauli("z"))
-    assert chain.prob_mid * chain.prob_post < 0.5 and stage.probability < 0.5
+    assert math.prod(gates(chain)) < 0.5 and stage.probabilities[0] < 0.5
     for n_trials in (3 * BLOCK + 5, 10**13):
         plain, _ = sampled_streams(n_readouts, chain, stage, n_trials)
         seen = record_draws(monkeypatch)
@@ -325,9 +396,8 @@ def test_second_readout_slabs_continue_one_stream(monkeypatch, sigma_prime):
     # sigma' = 0.37 each row of sums is the reference's to roundoff.
     chain = slab_chain(sigma_prime)
     n, seed, stream = 3_200_000, 2, ensemble._STREAM_TRIALS
-    p = chain.prob_mid * chain.prob_post
-    first, second = (ensemble._readout(q, pointer.POSITION)
-                     for q in (chain.pointer_first, chain.pointer_second))
+    p = math.prod(gates(chain))
+    first, second = (readout(stage, pointer.POSITION) for stage in chain)
     values2, probs2 = second
     generator = ensemble._generator
 
@@ -349,7 +419,7 @@ def test_second_readout_slabs_continue_one_stream(monkeypatch, sigma_prime):
         with monkeypatch.context() as mp:
             mp.setattr(hilbert, "_SLAB_ENTRIES", width * values2.size)
             seen = record_draws(mp)
-            stats.append(run_trials(chain, n, seed))
+            stats.append(sample_chain(chain, n, seed))
             assert assert_counts_layout(seen[stream], n, p, [first, second]) == stats[-1].accepted
             slabs = [drawn for _, _, _, drawn in seen[stream][2:]]
             assert len(slabs) == -(-counts.size // width)
@@ -477,13 +547,12 @@ def test_run_trials_equals_binary_search_readout(monkeypatch, setup, seed):
                                      POINTER_GRID, POINTER_GRID)
     n = 2 * BLOCK + 999
     streams = count_trial_rows(monkeypatch, n, 2)
-    stats = run_trials(chain, n, seed)
+    stats = sample_chain(chain, n, seed)
     (stream,) = streams
     assert stream.pending.size == 0  # every cell of the first readout was served
-    readouts = [ensemble._readout(p, pointer.POSITION)
-                for p in (chain.pointer_first, chain.pointer_second)]
+    readouts = [readout(stage, pointer.POSITION) for stage in chain]
     reference = binary_search_moments(trial_rows(seed, ensemble._STREAM_TRIALS, n, 2),
-                                      chain.prob_mid * chain.prob_post, readouts)
+                                      math.prod(gates(chain)), readouts)
     assert (stats.attempted, stats.accepted) == (n, reference[0])
     assert_counted_moments(stats.mean_product, stats.stderr_product, 1.0, reference)
 
@@ -496,25 +565,24 @@ def test_estimate_weak_value_equals_binary_search_readout(monkeypatch, setup, se
     stage = weak_stage(kw["i"], kw["f"], kw["x_op"], kw["g"])
     n = 2 * BLOCK + 999
     count_trial_rows(monkeypatch, n, 1)
-    est = estimate_weak_value(stage, 1.0, kw["g"], n, seed)
+    est = estimate_weak_value(stage, 0, 1.0, kw["g"], n, seed)
     pos, mom = (
-        binary_search_moments(trial_rows(seed, stream, n, 1), stage.probability,
-                              [ensemble._readout(stage.pointer, kind)])
+        binary_search_moments(trial_rows(seed, stream, n, 1), stage.probabilities[0],
+                              [readout(stage, kind)])
         for stream, kind in ((ensemble._STREAM_IMAG, pointer.POSITION),
                              (ensemble._STREAM_REAL, pointer.MOMENTUM))
     )
     assert (est.attempted, est.accepted_position, est.accepted_momentum) == (n, pos[0], mom[0])
     assert_counted_moments(est.im_est, est.stderr_im,
-                           -stage.pointer.grid.hbar / (2.0 * kw["g"]), pos)
+                           -stage.grid.hbar / (2.0 * kw["g"]), pos)
     assert_counted_moments(est.re_est, est.stderr_re, 1.0 / kw["g"], mom)
 
 
-def test_readout_lists_the_readable_cells_most_probable_first(monkeypatch):
-    # ties keep grid order; cells of probability 0 are left out
+def test_readout_lists_the_readable_cells_most_probable_first():
+    # ties keep grid order; cells of probability 0 are left out; row 1 of the
+    # distribution is read, not row 0
     probs = np.array([0.1, 0.0, 0.4, 0.1, 0.0, 0.4]) * 3.0
-    monkeypatch.setattr(ensemble, "readout_distribution",
-                        lambda p, kind: (np.arange(6.0), probs))
-    values, cell_probs = ensemble._readout(None, pointer.POSITION)
+    values, cell_probs = ensemble._readout((np.arange(6.0), np.stack([probs[::-1], probs])), 1)
     np.testing.assert_array_equal(values, [2.0, 5.0, 0.0, 3.0])
     np.testing.assert_allclose(cell_probs, [0.4, 0.4, 0.1, 0.1], rtol=1e-15)
     assert abs(math.fsum(cell_probs) - 1.0) <= 1e-15
@@ -528,22 +596,22 @@ def test_readout_lists_the_readable_cells_most_probable_first(monkeypatch):
 ])
 def test_gate_outside_unit_interval_reads_as_u_below_gate(gate, accepts):
     chain = uncoupled_chain()
-    assert chain.prob_mid == pytest.approx(1.0) and chain.prob_post == pytest.approx(1.0)
+    assert gates(chain) == pytest.approx((1.0, 1.0))
     stage = weak_stage(*spin_pair(math.pi / 2), hilbert.pauli("z"))
     for mid, post in ((gate, 1.0), (1.0, gate), (gate, gate)):
-        odd = dataclasses.replace(chain, prob_mid=mid, prob_post=post)
+        odd = with_gates(chain, mid, post)
         if accepts:
-            assert run_trials(odd, 1000, 3).accepted == 1000
+            assert sample_chain(odd, 1000, 3).accepted == 1000
         else:
             with pytest.raises(NoAcceptedTrials):
-                run_trials(odd, 1000, 3)
-    odd_stage = dataclasses.replace(stage, probability=gate)
+                sample_chain(odd, 1000, 3)
+    odd_stage = dataclasses.replace(stage, probabilities=np.array([gate]))
     if accepts:
-        est = estimate_weak_value(odd_stage, 1.0, 0.05, 1000, 4)
+        est = estimate_weak_value(odd_stage, 0, 1.0, 0.05, 1000, 4)
         assert est.accepted_position == est.accepted_momentum == 1000
     else:
         with pytest.raises(NoAcceptedTrials):
-            estimate_weak_value(odd_stage, 1.0, 0.05, 1000, 4)
+            estimate_weak_value(odd_stage, 0, 1.0, 0.05, 1000, 4)
 
 
 # float.hex of every output of the sampler on two fixed stages, at a budget
@@ -569,13 +637,13 @@ def hex_fields(result):
 def test_replay_layout_is_pinned(n_readouts):
     if n_readouts == 1:
         i, f = spin_pair(0.8)
-        est = estimate_weak_value(weak_stage(i, f, hilbert.pauli("z")), 1.0, 0.05, 10**12, 41)
+        est = estimate_weak_value(weak_stage(i, f, hilbert.pauli("z")), 0, 1.0, 0.05, 10**12, 41)
         assert hex_fields(est) == PINNED_ESTIMATE
     else:
         kw = fock_trial_setup()
         chain = pointer.run_ccr_protocol(kw["i"], kw["f"], kw["x_op"], kw["p_op"], 1.0, 1.0,
                                          kw["g"], POINTER_GRID, POINTER_GRID)
-        assert hex_fields(run_trials(chain, 10**12, 5)) == PINNED_RUN_TRIALS
+        assert hex_fields(sample_chain(chain, 10**12, 5)) == PINNED_RUN_TRIALS
 
 
 class FixedCounts:
@@ -802,7 +870,8 @@ PINNED_THINNED_ESTIMATE = {
 
 
 def grid_order_readouts(monkeypatch):
-    monkeypatch.setattr(ensemble, "_readout", pointer.readout_distribution)
+    monkeypatch.setattr(ensemble, "_readout",
+                        lambda distribution, row: (distribution[0], distribution[1][row]))
 
 
 def test_run_trials_consumes_trial_uniforms_row_by_row(monkeypatch):
@@ -812,20 +881,20 @@ def test_run_trials_consumes_trial_uniforms_row_by_row(monkeypatch):
     monkeypatch.setattr(ensemble, "_sample", thinned_sample)
     n = BLOCK + 40
     chain = base_chain()
-    plain = run_trials(chain, n, 17)
+    plain = sample_chain(chain, n, 17)
     seen = record_block_draws(monkeypatch)
-    assert run_trials(chain, n, 17) == plain
+    assert sample_chain(chain, n, 17) == plain
     assert list(seen) == [ensemble._STREAM_TRIALS]
     accepted = assert_thinned_layout(seen[ensemble._STREAM_TRIALS], 17, ensemble._STREAM_TRIALS,
-                                     n, chain.prob_mid * chain.prob_post, 2)
+                                     n, math.prod(gates(chain)), 2)
     assert accepted == plain.accepted
     full_block_draws(monkeypatch)
-    assert run_trials(chain, n, 17) == plain
+    assert sample_chain(chain, n, 17) == plain
     grid_order_readouts(monkeypatch)
     kw = fock_trial_setup()
     chain = pointer.run_ccr_protocol(kw["i"], kw["f"], kw["x_op"], kw["p_op"], 1.0, 1.0, kw["g"],
                                      POINTER_GRID, POINTER_GRID)
-    assert hex_fields(run_trials(chain, BLOCK + 999, 5)) == PINNED_THINNED_RUN_TRIALS
+    assert hex_fields(sample_chain(chain, BLOCK + 999, 5)) == PINNED_THINNED_RUN_TRIALS
 
 
 def test_estimate_weak_value_consumes_trial_uniforms_row_by_row(monkeypatch):
@@ -833,17 +902,18 @@ def test_estimate_weak_value_consumes_trial_uniforms_row_by_row(monkeypatch):
     n = BLOCK + 40
     i, f = spin_pair(0.8)
     stage = weak_stage(i, f, hilbert.pauli("z"))
-    plain = estimate_weak_value(stage, 1.0, 0.05, n, 41)
+    plain = estimate_weak_value(stage, 0, 1.0, 0.05, n, 41)
     seen = record_block_draws(monkeypatch)
-    assert estimate_weak_value(stage, 1.0, 0.05, n, 41) == plain
+    assert estimate_weak_value(stage, 0, 1.0, 0.05, n, 41) == plain
     assert sorted(seen) == [ensemble._STREAM_IMAG, ensemble._STREAM_REAL]
     for stream, accepted in ((ensemble._STREAM_IMAG, plain.accepted_position),
                              (ensemble._STREAM_REAL, plain.accepted_momentum)):
-        assert assert_thinned_layout(seen[stream], 41, stream, n, stage.probability, 1) == accepted
+        assert assert_thinned_layout(seen[stream], 41, stream, n, stage.probabilities[0],
+                                     1) == accepted
     full_block_draws(monkeypatch)
-    assert estimate_weak_value(stage, 1.0, 0.05, n, 41) == plain
+    assert estimate_weak_value(stage, 0, 1.0, 0.05, n, 41) == plain
     grid_order_readouts(monkeypatch)
-    assert hex_fields(estimate_weak_value(stage, 1.0, 0.05, BLOCK + 999, 41)) == (
+    assert hex_fields(estimate_weak_value(stage, 0, 1.0, 0.05, BLOCK + 999, 41)) == (
         PINNED_THINNED_ESTIMATE
     )
 

@@ -303,9 +303,14 @@ def test_ccr_experiment_matches_joint_state_oracle(rep, monkeypatch, oracle_prot
 
     def oracle_chains(i, finals, x_op, p_op, sigma, sigma_prime, g, grid, grid_prime,
                       **eigensystems):
-        return [oracle_protocol(i, hilbert.StateVector(finals.basis_id, f), x_op, p_op, sigma,
-                                sigma_prime, g, grid, grid_prime)
-                for f in finals.amplitudes.T]
+        chains = [oracle_protocol(i, hilbert.StateVector(finals.basis_id, f), x_op, p_op, sigma,
+                                  sigma_prime, g, grid, grid_prime)
+                  for f in finals.amplitudes.T]
+        # the one-row stacks of each stage, stacked in row order
+        return tuple(pointer.PointerStack(rows[0].grid,
+                                          np.concatenate([s.wavefunctions for s in rows]),
+                                          np.concatenate([s.probabilities for s in rows]))
+                     for rows in zip(*chains))
 
     monkeypatch.setattr(experiments, "run_ccr_protocols", oracle_chains)
     slow = ccr_experiment(rep, n_trials=0)
@@ -341,7 +346,7 @@ def test_acceptance_gates_each_stream(monkeypatch, field, check):
 
     def planted(stage, *args):
         est = real(stage, *args)
-        q = stage.probability
+        q = stage.probabilities[0]
         return dataclasses.replace(est, **{field: round(n * q + 4 * math.sqrt(n * q * (1 - q)))})
 
     monkeypatch.setattr(experiments.mc, "estimate_weak_value", planted)
@@ -362,7 +367,7 @@ def test_montecarlo_runs_one_weak_stage(monkeypatch):
     monkeypatch.setattr(experiments.mc, "measure_weakly", counted)
     rep = montecarlo_experiment(preset="fock", n_trials=2000, seed=1)
     assert len(calls) == 1
-    assert rep.acceptance_expected == real(*calls[0]).probability
+    assert rep.acceptance_expected == real(*calls[0]).probabilities[0]
 
 
 def test_montecarlo_spin_100_reads_the_exact_pointer_not_the_first_order_value(monkeypatch):
@@ -382,7 +387,7 @@ def test_montecarlo_spin_100_reads_the_exact_pointer_not_the_first_order_value(m
     rep = montecarlo_experiment(alpha=2.0 * math.atan(100.0), g=g, n_trials=250_000_000_000,
                                 seed=0)
     assert rep.target.real == pytest.approx(100.0, rel=1e-9)
-    exact = pointer.pointer_mean_momentum(stages[0].pointer) / g
+    exact = pointer.pointer_mean_momentum(stages[0])[0] / g
     assert 98.9 < exact < 99.1
     assert abs(rep.re_est - exact) <= 3.0 * rep.stderr_re
     assert abs(rep.re_est - rep.target.real) >= 5.0 * rep.stderr_re

@@ -212,8 +212,12 @@ def negate(value):
     return -value
 
 
-def nan_first_readouts(chains):
-    return [dataclasses.replace(c, dx_d=math.nan) for c in chains]
+def nan_first_readouts(stages):
+    """Row 0 of the chain's first stage reads NaN."""
+    first, second = stages
+    wavefunctions = first.wavefunctions.copy()
+    wavefunctions[0] = math.nan
+    return dataclasses.replace(first, wavefunctions=wavefunctions), second
 
 
 PLANTED = [

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import dense_reference
+from conftest import chain_row, dense_reference
 from weaklab import experiments, hilbert, pointer
 from weaklab.errors import (
     ArityMismatch,
@@ -21,16 +21,16 @@ from weaklab.pointer import (
     ANNIHILATION_ATOL,
     MOMENTUM,
     POSITION,
-    PointerState,
+    PointerStack,
     conditional_pointers,
     couple,
     gaussian_pointer,
     measure_weakly,
-    momentum_distribution,
     pointer_mean_momentum,
     pointer_mean_position,
     predicted_shifts,
     product_joint,
+    readout_distribution,
     run_ccr_protocol,
     run_ccr_protocols,
     select,
@@ -46,6 +46,13 @@ def stack(states):
     return hilbert.StateVector(states[0].basis_id, np.stack([s.amplitudes for s in states], axis=1))
 
 
+def one_row(grid, psi):
+    """psi, L2-normalized on ``grid``, as a pointer stack of one row."""
+    rows = np.asarray(psi, dtype=complex)[None, :]
+    return PointerStack(grid, rows / math.sqrt(float(np.sum(np.abs(rows) ** 2)) * grid.spacing),
+                        np.ones(1))
+
+
 def two_hump_state(cfg):
     """Irregular mid-selection with complex weak values; non-Gaussian so
     the higher-order pointer corrections do not cancel."""
@@ -59,13 +66,14 @@ def two_hump_state(cfg):
 def test_gaussian_pointer_moments():
     phi = gaussian_pointer(GRID, 1.0)
     xs = GRID.positions()
-    prob = np.abs(phi.wavefunction) ** 2 * GRID.spacing
+    (psi,) = phi.wavefunctions
+    prob = np.abs(psi) ** 2 * GRID.spacing
     assert float(np.sum(prob)) == pytest.approx(1.0, abs=1e-12)
     assert float(np.sum(xs * prob)) == pytest.approx(0.0, abs=1e-10)
     var = float(np.sum(xs**2 * prob))
     assert var == pytest.approx(1.0, rel=1e-3)
-    assert np.all(phi.wavefunction.real > -1e-300)  # real and positive
-    assert np.max(np.abs(phi.wavefunction.imag)) == 0.0
+    assert np.all(psi.real > -1e-300)  # real and positive
+    assert np.max(np.abs(psi.imag)) == 0.0
 
 
 def test_gaussian_pointer_resolution_guards():
@@ -90,14 +98,14 @@ def test_couple_translates_eigenstate_by_g_lambda():
     phi = gaussian_pointer(GRID, 1.0)
     g = 0.3
     joint = couple(product_joint(up, phi), hilbert.pauli("z"), "momentum", g)
-    cond, amp = select(joint, up)
-    assert amp == pytest.approx(1.0, abs=1e-12)
-    assert pointer_mean_position(cond) == pytest.approx(g, abs=1e-10)
+    cond = select(joint, up)
+    assert math.sqrt(cond.probabilities[0]) == pytest.approx(1.0, abs=1e-12)
+    assert pointer_mean_position(cond)[0] == pytest.approx(g, abs=1e-10)
     # translation-operator oracle: analytically shifted Gaussian
     x = GRID.positions()
     shifted = np.exp(-((x - g) ** 2) / 4.0)
     shifted /= math.sqrt(float(np.sum(np.abs(shifted) ** 2)) * GRID.spacing)
-    assert np.max(np.abs(cond.wavefunction - shifted)) < 1e-12
+    assert np.max(np.abs(cond.wavefunctions[0] - shifted)) < 1e-12
 
 
 def test_couple_preserves_norm():
@@ -120,9 +128,9 @@ def test_couple_basis_mismatch():
 def test_select_product_state_returns_pointer():
     up = hilbert.basis_state(2, 0, hilbert.PAULI_BASIS_ID)
     phi = gaussian_pointer(GRID, 1.0)
-    cond, amp = select(product_joint(up, phi), up)
-    assert amp == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_allclose(cond.wavefunction, phi.wavefunction, atol=1e-14)
+    cond = select(product_joint(up, phi), up)
+    assert math.sqrt(cond.probabilities[0]) == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(cond.wavefunctions, phi.wavefunctions, atol=1e-14)
 
 
 def test_select_orthogonal_annihilates():
@@ -144,7 +152,7 @@ def test_weakly_coupled_fock_pointer_matches_closed_form():
     y = GRID.positions()
     closed = np.exp(1j * g * x_w * y) * np.exp(-(y**2) / 4.0)
     closed /= math.sqrt(float(np.sum(np.abs(closed) ** 2)) * GRID.spacing)
-    ov = complex(np.vdot(closed, stage.pointer.wavefunction)) * GRID.spacing
+    ov = complex(np.vdot(closed, stage.wavefunctions[0])) * GRID.spacing
     fidelity = abs(ov) ** 2
     assert fidelity >= 1.0 - 10.0 * g**2
     assert fidelity <= 1.0 + 1e-12
@@ -163,28 +171,28 @@ def test_qubit_pointer_momentum_matches_closed_form(alpha, g, sigma, hbar):
     overlap = math.exp(-2.0 * g**2 * sigma**2 / hbar**2)
     law = (abs(a) ** 2 - abs(b) ** 2) / (abs(a) ** 2 + abs(b) ** 2 + 2.0 * (a * np.conj(b)).real * overlap)
     stage = measure_weakly(i, f, hilbert.pauli("z"), sigma, g, pointer.pointer_grid(sigma, hbar))
-    assert abs(pointer_mean_momentum(stage.pointer) / g - law) <= 1e-11 * abs(law)
+    assert abs(pointer_mean_momentum(stage)[0] / g - law) <= 1e-11 * abs(law)
 
 
 def test_mean_momentum_of_phase_modulated_gaussian():
     k = 0.8137  # deliberately not grid-commensurate
     phi = gaussian_pointer(GRID, 1.0)
-    psi = pointer.PointerState(GRID, phi.wavefunction * np.exp(1j * k * GRID.positions()))
-    assert pointer_mean_momentum(psi) == pytest.approx(GRID.hbar * k, abs=1e-8)
-    assert pointer_mean_position(psi) == pytest.approx(0.0, abs=1e-10)
+    psi = one_row(GRID, phi.wavefunctions[0] * np.exp(1j * k * GRID.positions()))
+    assert pointer_mean_momentum(psi)[0] == pytest.approx(GRID.hbar * k, abs=1e-8)
+    assert pointer_mean_position(psi)[0] == pytest.approx(0.0, abs=1e-10)
 
 
 def test_mean_position_of_shifted_gaussian():
     d = 1.37
     x = GRID.positions()
-    psi = pointer.PointerState(GRID, np.exp(-((x - d) ** 2) / 4.0))
-    assert pointer_mean_position(psi) == pytest.approx(d, abs=1e-8)
-    assert pointer_mean_momentum(psi) == pytest.approx(0.0, abs=1e-8)
+    psi = one_row(GRID, np.exp(-((x - d) ** 2) / 4.0))
+    assert pointer_mean_position(psi)[0] == pytest.approx(d, abs=1e-8)
+    assert pointer_mean_momentum(psi)[0] == pytest.approx(0.0, abs=1e-8)
 
 
 def test_momentum_distribution_normalized():
     phi = gaussian_pointer(GRID, 2.0)
-    _, probs = momentum_distribution(phi)
+    _, probs = readout_distribution(phi, MOMENTUM)
     assert float(np.sum(probs)) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -204,9 +212,9 @@ def test_run_ccr_protocol_small_g_limit():
     x_op, p_op = make_grid_ops(cfg)
     i = gaussian_grid_state(cfg, width=cfg.length / 24.0)
     f = two_hump_state(cfg)
-    res = run_ccr_protocol(i, f, x_op, p_op, 1.0, 1.0, 1e-7, GRID, GRID)
-    assert abs(res.dx_d) < 1e-6
-    assert abs(res.dx_d_prime) < 1e-6
+    dx_d, dx_d_prime, _, _ = chain_row(run_ccr_protocol(i, f, x_op, p_op, 1.0, 1.0, 1e-7, GRID, GRID))
+    assert abs(dx_d) < 1e-6
+    assert abs(dx_d_prime) < 1e-6
 
 
 def test_run_ccr_protocol_convergence_orders():
@@ -219,8 +227,8 @@ def test_run_ccr_protocol_convergence_orders():
     x_w = weak_value(i, f, x_op)
     devs = {}
     for g in (0.02, 0.01):
-        res = run_ccr_protocol(i, f, x_op, p_op, 1.0, 1.0, g, GRID, GRID)
-        devs[g] = res.dx_d - predicted_shifts(x_w, 1.0, GRID.hbar, g)[0]
+        dx_d = pointer_mean_position(run_ccr_protocol(i, f, x_op, p_op, 1.0, 1.0, g, GRID, GRID)[0])
+        devs[g] = dx_d[0] - predicted_shifts(x_w, 1.0, GRID.hbar, g)[0]
     raw_ratio = devs[0.02] / devs[0.01]
     assert raw_ratio == pytest.approx(8.0, rel=0.2)
     norm_ratio = (devs[0.02] / 0.02) / (devs[0.01] / 0.01)
@@ -235,13 +243,13 @@ def test_run_ccr_protocol_momentum_eigen_midselection_exact():
     k = 2.0 * np.pi * 3 / cfg.length
     f = hilbert.StateVector(cfg.basis_id, np.exp(1j * k * cfg.positions()))
     g = 0.01
-    res = run_ccr_protocol(i, f, x_op, p_op, 1.0, 1.0, g, GRID, GRID)
+    _, dx_d_prime, _, _ = chain_row(run_ccr_protocol(i, f, x_op, p_op, 1.0, 1.0, g, GRID, GRID))
     # second-stage translation oracle: pointer moves by exactly g * (hbar k)
-    assert res.dx_d_prime == pytest.approx(g * cfg.hbar * k, abs=1e-10)
+    assert dx_d_prime == pytest.approx(g * cfg.hbar * k, abs=1e-10)
     # ... which is the first-order shift of the real weak value <i|p|f>/<i|f>
     p_w_bar = weak_value(f, i, p_op)
     assert p_w_bar.imag == pytest.approx(0.0, abs=1e-12)
-    assert res.dx_d_prime == pytest.approx(predicted_shifts(p_w_bar, 1.0, GRID.hbar, g)[1], abs=1e-10)
+    assert dx_d_prime == pytest.approx(predicted_shifts(p_w_bar, 1.0, GRID.hbar, g)[1], abs=1e-10)
 
 
 def test_run_ccr_protocol_wrap_guard():
@@ -262,9 +270,10 @@ def test_run_ccr_protocol_probabilities_near_born_weights():
     k = 2.0 * np.pi / cfg.length
     f = hilbert.StateVector(cfg.basis_id, np.exp(1j * k * cfg.positions()))
     w = abs(np.vdot(f.amplitudes, i.amplitudes)) ** 2
-    res = run_ccr_protocol(i, f, x_op, p_op, 1.0, 1.0, 0.01, GRID, GRID)
-    assert res.prob_mid == pytest.approx(w, rel=1e-3)
-    assert res.prob_post == pytest.approx(w, rel=1e-12)  # eigenvector stage exact
+    _, _, prob_mid, prob_post = chain_row(run_ccr_protocol(i, f, x_op, p_op, 1.0, 1.0, 0.01,
+                                                           GRID, GRID))
+    assert prob_mid == pytest.approx(w, rel=1e-3)
+    assert prob_post == pytest.approx(w, rel=1e-12)  # eigenvector stage exact
 
 
 # --- batched kernel vs the joint-state oracle -------------------------------
@@ -285,13 +294,13 @@ def l2_distance(a, b, grid):
     return math.sqrt(float(np.sum(np.abs(a - b) ** 2)) * grid.spacing)
 
 
-def assert_stage_matches(row, amplitude, oracle_pointer, oracle_amplitude, grid):
-    """Probabilities to 1e-14; normalized pointers to 1e-12 in L2 where
-    the probability is at least 1e-3 (below that both are roundoff-bound)."""
-    assert abs(amplitude**2 - oracle_amplitude**2) <= 1e-14
-    if oracle_amplitude**2 >= 1e-3:
-        ours = PointerState(grid, row).wavefunction
-        assert l2_distance(ours, oracle_pointer.wavefunction, grid) <= 1e-12
+def assert_stage_matches(row, amplitude, oracle, grid):
+    """Probabilities to 1e-14 against the oracle's one-row stack; normalized
+    pointers to 1e-12 in L2 where the probability is at least 1e-3 (below
+    that both are roundoff-bound)."""
+    assert abs(amplitude**2 - oracle.probabilities[0]) <= 1e-14
+    if oracle.probabilities[0] >= 1e-3:
+        assert l2_distance(row / amplitude, oracle.wavefunctions[0], grid) <= 1e-12
 
 
 # a grid x of CHIRP_MIN_LEVELS levels or more takes the chirp path
@@ -338,8 +347,8 @@ def test_conditional_pointers_match_joint_state_oracle(
     for s in range(n_sel):
         a = many[s] if batch_initial else one
         b = one if batch_initial else many[s]
-        cond, amp = select(couple(product_joint(a, phi), dense_reference(obs), generator, g), b)
-        assert_stage_matches(rows[s], amps[s], cond, amp, kernel_grid)
+        cond = select(couple(product_joint(a, phi), dense_reference(obs), generator, g), b)
+        assert_stage_matches(rows[s], amps[s], cond, kernel_grid)
 
 
 def spy_stage_paths(monkeypatch):
@@ -435,13 +444,14 @@ def assert_protocol_matches_oracle(oracle_protocol, *args):
             run_ccr_protocol(*args)
         return None
     got = run_ccr_protocol(*args)
-    assert_stage_matches(got.pointer_first.wavefunction * got.prob_mid**0.5,
-                         got.prob_mid**0.5, want.pointer_first, want.prob_mid**0.5, grid)
-    assert_stage_matches(got.pointer_second.wavefunction * got.prob_post**0.5,
-                         got.prob_post**0.5, want.pointer_second, want.prob_post**0.5, grid_prime)
-    if min(want.prob_mid, want.prob_post) >= 1e-3:
-        assert got.dx_d == pytest.approx(want.dx_d, abs=1e-11)
-        assert got.dx_d_prime == pytest.approx(want.dx_d_prime, abs=1e-11)
+    for stage, oracle, stage_grid in zip(got, want, (grid, grid_prime)):
+        amplitude = stage.probabilities[0] ** 0.5
+        assert_stage_matches(stage.wavefunctions[0] * amplitude, amplitude, oracle, stage_grid)
+    (dx_d, dx_d_prime, _, _), (want_dx_d, want_dx_d_prime, prob_mid, prob_post) = (
+        chain_row(got), chain_row(want))
+    if min(prob_mid, prob_post) >= 1e-3:
+        assert dx_d == pytest.approx(want_dx_d, abs=1e-11)
+        assert dx_d_prime == pytest.approx(want_dx_d_prime, abs=1e-11)
     return got
 
 
@@ -479,8 +489,9 @@ def test_near_orthogonal_selection_runs_without_weak_values(oracle_protocol, mon
     grid = pointer.pointer_grid(1.0)
     got = assert_protocol_matches_oracle(oracle_protocol, i, f, x_op, p_op, 1.0, 1.0, 0.5,
                                          grid, grid)
-    assert got.prob_post >= 1e-3
-    assert abs(got.dx_d_prime) < 1e-12
+    _, dx_d_prime, _, prob_post = chain_row(got)
+    assert prob_post >= 1e-3
+    assert abs(dx_d_prime) < 1e-12
 
 
 
@@ -531,12 +542,11 @@ def test_run_ccr_protocols_rows_equal_single_runs():
         i, stack(finals), x_op, p_op, 1.0, 1.0, 0.01, GRID, GRID,
         p_eigensystem=(w, np.stack([s.amplitudes for s in states], axis=1)),
     )
-    for f, res in zip(finals, batch):
-        one = run_ccr_protocol(i, f, x_op, p_op, 1.0, 1.0, 0.01, GRID, GRID)
-        assert res.dx_d == pytest.approx(one.dx_d, abs=1e-13)
-        assert res.dx_d_prime == pytest.approx(one.dx_d_prime, abs=1e-13)
-        assert res.prob_mid == pytest.approx(one.prob_mid, abs=1e-15)
-        assert res.prob_post == pytest.approx(one.prob_post, abs=1e-15)
+    for row, f in enumerate(finals):
+        one = chain_row(run_ccr_protocol(i, f, x_op, p_op, 1.0, 1.0, 0.01, GRID, GRID))
+        # dx_d and dx_d' to 1e-13, prob_mid and prob_post to 1e-15
+        for got, want, tol in zip(chain_row(batch, row), one, (1e-13, 1e-13, 1e-15, 1e-15)):
+            assert got == pytest.approx(want, abs=tol)
 
 
 def test_the_wrap_guard_trips_above_its_share_and_names_the_row():
@@ -572,6 +582,48 @@ def test_an_annihilated_row_of_run_ccr_protocols_is_named():
     with pytest.raises(SelectionAnnihilated, match=r"^row 1: selection amplitude 0\.000e\+00 ") as caught:
         run_ccr_protocols(i, stack([i, f, i]), x_op, p_op, 1.0, 1.0, 0.01, grid, grid)
     assert caught.value.row == 1
+
+
+def test_measure_weakly_returns_every_row_and_names_an_annihilated_one():
+    # a stack of k finals leaves k normalized rows, each the one-final stage's
+    cfg = GridConfig(16, 10.0)
+    x_op, _ = make_grid_ops(cfg)
+    i = gaussian_grid_state(cfg, width=1.0)
+    finals = [hilbert.random_state(16, 5 + k, cfg.basis_id) for k in range(3)]
+    stage = measure_weakly(i, stack(finals), x_op, 1.0, 0.05, GRID)
+    assert stage.wavefunctions.shape == (3, GRID.n_points) and stage.probabilities.shape == (3,)
+    for row, f in enumerate(finals):
+        one = measure_weakly(i, f, x_op, 1.0, 0.05, GRID)
+        assert stage.probabilities[row] == pytest.approx(one.probabilities[0], rel=1e-12)
+        assert l2_distance(stage.wavefunctions[row], one.wavefunctions[0], GRID) <= 1e-12
+    # x couples no amplitude from the left half to the right: row 1 leaves none
+    left, right = np.zeros(16), np.zeros(16)
+    left[:8], right[8:] = 1.0, 1.0
+    left, right = (hilbert.StateVector(cfg.basis_id, a) for a in (left, right))
+    with pytest.raises(SelectionAnnihilated, match=r"^row 1: selection amplitude ") as caught:
+        measure_weakly(left, stack([left, right, left]), x_op, 1.0, 0.05, GRID)
+    assert caught.value.row == 1
+
+
+def test_stack_readouts_equal_one_row_readouts_bit_for_bit():
+    # each row is normalized and reduced alone along axis 1, so a row of a
+    # stack reads exactly what a stack of that row alone reads
+    cfg = GridConfig(64, 20.0)
+    x_op, p_op = make_grid_ops(cfg)
+    i = gaussian_grid_state(cfg, width=cfg.length / 24.0)
+    finals = stack([two_hump_state(cfg)] + [hilbert.random_state(64, k, cfg.basis_id)
+                                            for k in range(4)])
+    for stage in run_ccr_protocols(i, finals, x_op, p_op, 1.0, 1.0, 0.05, GRID, GRID):
+        np.testing.assert_allclose(np.sum(np.abs(stage.wavefunctions) ** 2, axis=1) * GRID.spacing,
+                                   1.0, rtol=1e-14)
+        alone = [PointerStack(GRID, stage.wavefunctions[r:r + 1], stage.probabilities[r:r + 1])
+                 for r in range(5)]
+        for kind in (POSITION, MOMENTUM):
+            values, probs = readout_distribution(stage, kind)
+            assert np.array_equal(probs, np.concatenate([readout_distribution(one, kind)[1]
+                                                         for one in alone]))
+        for mean in (pointer_mean_position, pointer_mean_momentum):
+            assert np.array_equal(mean(stage), np.concatenate([mean(one) for one in alone]))
 
 
 def test_conditional_pointers_guards():
